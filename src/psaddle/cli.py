@@ -27,8 +27,8 @@ from psaddle import quality as ql
 from psaddle import system as sy
 from psaddle import uzawa as uz
 from psaddle.errors import ConfigError, NotConvergedError, PsaddleError
-from psaddle.riesz import RieszContext
 from psaddle.rng import SplitMix64
+from psaddle.spaces import embed_X_into_Y
 
 SUBCOMMANDS = ("solve", "convergence", "uzawa-trace", "infsup", "pjotr", "precond", "constants")
 
@@ -212,15 +212,9 @@ def _pair_from_config(cfg: ExperimentConfig, level: int = 0):
     )
 
 
-def _setup(cfg: ExperimentConfig):
+def _discretization(cfg: ExperimentConfig) -> sy.Discretization:
     mu, data = _problem_from_config(cfg)
-    pair = _pair_from_config(cfg)
-    ctx = RieszContext(pair)
-    op_Y = mo.GalerkinOperator(pair, "Y", mu)
-    op_X = mo.GalerkinOperator(pair, "X", mu)
-    rhs = sy.assemble_rhs(data, pair)
-    bundle = sy.derive_constants(3.0 * mu.M_mu, mu.m_mu)
-    return mu, data, pair, ctx, op_Y, op_X, rhs, bundle
+    return sy.Discretization(_pair_from_config(cfg), mu, data)
 
 
 def _uzawa_config(cfg: ExperimentConfig, bundle, S_constants=None) -> uz.UzawaConfig:
@@ -237,8 +231,8 @@ def _uzawa_config(cfg: ExperimentConfig, bundle, S_constants=None) -> uz.UzawaCo
 
 
 def cmd_constants(cfg: ExperimentConfig, out: str) -> int:
-    mu = _mu_from_config(cfg)
-    bundle = sy.derive_constants(3.0 * mu.M_mu, mu.m_mu)
+    c = mo.constants_from_mu(_mu_from_config(cfg))
+    bundle = sy.derive_constants(c.L, c.m)
     ucfg = _uzawa_config(cfg, bundle)
     cA, cS = bundle.A_constants, bundle.S_constants
     fields = [
@@ -257,8 +251,9 @@ def cmd_constants(cfg: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def _run_uzawa(cfg: ExperimentConfig, out: str, with_reference: bool) -> int:
-    mu, data, pair, ctx, op_Y, op_X, rhs, bundle = _setup(cfg)
+def _run_uzawa(cfg: ExperimentConfig, disc: sy.Discretization, out: str,
+               reference: sy.SaddleState | None = None) -> int:
+    pair, ctx, bundle = disc.pair, disc.ctx, disc.bundle
     apply_Rinv_X = None
     S_constants = None
     if cfg["solver.use_precond"]:
@@ -273,11 +268,8 @@ def _run_uzawa(cfg: ExperimentConfig, out: str, with_reference: bool) -> int:
         S_constants = uz.adapted_schur_constants(bundle, lo, hi)
         apply_Rinv_X = prec.apply
     ucfg = _uzawa_config(cfg, bundle, S_constants=S_constants)
-    reference = None
-    if with_reference:
-        reference = sy.solve_reference(rhs, pair, op_Y, op_X, ctx, tol=1e-12)
     state, trace = uz.run_inexact_uzawa(
-        rhs, pair, op_Y, op_X, ctx, ucfg, reference=reference,
+        disc.rhs, pair, disc.op_Y, disc.op_X, ctx, ucfg, reference=reference,
         apply_Rinv_X=apply_Rinv_X,
     )
     write_csv(
@@ -299,19 +291,21 @@ def _run_uzawa(cfg: ExperimentConfig, out: str, with_reference: bool) -> int:
 
 
 def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
-    return _run_uzawa(cfg, out, with_reference=False)
+    return _run_uzawa(cfg, _discretization(cfg), out)
 
 
 def cmd_uzawa_trace(cfg: ExperimentConfig, out: str) -> int:
-    status = _run_uzawa(cfg, out, with_reference=True)
-    _aposteriori_band(cfg, out)
+    disc = _discretization(cfg)
+    status = _run_uzawa(cfg, disc, out, reference=disc.reference(1e-12))
+    _aposteriori_band(cfg, disc, out)
     return status
 
 
-def _aposteriori_band(cfg: ExperimentConfig, out: str, n_perturb: int = 20) -> None:
+def _aposteriori_band(cfg: ExperimentConfig, disc: sy.Discretization, out: str,
+                      n_perturb: int = 20) -> None:
     """Seeded perturbations of the reference: true error over eta per sample."""
-    mu, data, pair, ctx, op_Y, op_X, rhs, bundle = _setup(cfg)
-    reference = sy.solve_reference(rhs, pair, op_Y, op_X, ctx, tol=1e-12)
+    pair, ctx = disc.pair, disc.ctx
+    reference = disc.reference(1e-12)
     gen = SplitMix64(cfg["seed"])
     rows = []
     for i in range(n_perturb):
@@ -319,7 +313,7 @@ def _aposteriori_band(cfg: ExperimentConfig, out: str, n_perturb: int = 20) -> N
         dlam = scale * gen.normal_vector(pair.dim_Y)
         du = scale * gen.normal_vector(pair.dim_X)
         state = sy.SaddleState(reference.lam + dlam, reference.u + du)
-        eta, _, _ = uz.aposteriori_estimate(state, rhs, pair, op_Y, op_X, ctx)
+        eta, _, _ = uz.aposteriori_estimate(state, disc.rhs, disc.op_Y, disc.op_X, ctx)
         true = ctx.norm_Y(dlam) + ctx.norm_X_delta(du)
         rows.append((i, eta, true, true / eta))
     write_csv(
@@ -328,37 +322,34 @@ def _aposteriori_band(cfg: ExperimentConfig, out: str, n_perturb: int = 20) -> N
     )
 
 
+def _convergence_row(pair, mu, data) -> tuple[float, float, float, float]:
+    """Error against the surrogate two refinements finer, quasi-optimality
+    ratio and bound, and ||lambda - u||_Y on one level.  Both
+    discretizations are local, so a level's factorizations are freed
+    before the next level starts."""
+    disc = sy.Discretization(pair, mu, data)
+    state = disc.reference(1e-11)
+    fine = sy.Discretization(ql._surrogate_pair(pair, 2), mu, data)
+    fstate = fine.reference(1e-11)
+    two = ql.TwoLevel(pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
+    report = ql.infsup_report(pair)
+    ratio, bound = ql.quasi_opt_ratio(fstate.u, state, two, disc.bundle, report)
+    err = fine.ctx.norm_X_delta(fstate.u - two.prolong_X(state.u))
+    lam_u = disc.ctx.norm_Y(state.lam - embed_X_into_Y(pair, state.u))
+    return err, ratio, bound, lam_u
+
+
 def cmd_convergence(cfg: ExperimentConfig, out: str) -> int:
-    mu, data, *_ = _setup(cfg)
-    bundle = sy.derive_constants(3.0 * mu.M_mu, mu.m_mu)
+    mu, data = _problem_from_config(cfg)
     rows = []
     errs = []
     for level in range(cfg["disc.levels"]):
         pair = _pair_from_config(cfg, level)
-        nt, nx = pair.mesh_t_X.n_elements, pair.mesh_x.n_elements
-        ctx = RieszContext(pair)
-        op_Y = mo.GalerkinOperator(pair, "Y", mu)
-        op_X = mo.GalerkinOperator(pair, "X", mu)
-        rhs = sy.assemble_rhs(data, pair)
-        state = sy.solve_reference(rhs, pair, op_Y, op_X, ctx, tol=1e-11)
-
-        fine = ql._surrogate_pair(pair, 2)
-        fctx = RieszContext(fine)
-        fop_Y = mo.GalerkinOperator(fine, "Y", mu)
-        fop_X = mo.GalerkinOperator(fine, "X", mu)
-        frhs = sy.assemble_rhs(data, fine)
-        fstate = sy.solve_reference(frhs, fine, fop_Y, fop_X, fctx, tol=1e-11)
-
-        two = ql.TwoLevel(pair, fine, ctx_coarse=ctx, ctx_fine=fctx)
-        report = ql.infsup_report(pair)
-        ratio, bound = ql.quasi_opt_ratio(fstate.u, state, two, bundle, report)
-        err = fctx.norm_X_delta(fstate.u - two.prolong_X(state.u))
-        from psaddle.spaces import embed_X_into_Y
-
-        lam_u = ctx.norm_Y(state.lam - embed_X_into_Y(pair, state.u))
+        err, ratio, bound, lam_u = _convergence_row(pair, mu, data)
         errs.append(err)
         rate = math.log2(errs[-2] / errs[-1]) if level > 0 else float("nan")
-        rows.append((level, nt, nx, err, rate, ratio, bound, lam_u))
+        rows.append((level, pair.mesh_t_X.n_elements, pair.mesh_x.n_elements,
+                     err, rate, ratio, bound, lam_u))
     write_csv(
         os.path.join(out, "convergence.csv"),
         ("level", "nt", "nx", "err_X", "rate", "quasi_opt_ratio", "quasi_opt_bound", "lambda_minus_u_Y"),
@@ -368,7 +359,7 @@ def cmd_convergence(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_infsup(cfg: ExperimentConfig, out: str) -> int:
-    mu, data, *_ = _setup(cfg)
+    _problem_from_config(cfg)  # validates the configured mu
     rows = []
     for level in range(cfg["disc.levels"]):
         pair = _pair_from_config(cfg, level)
@@ -389,29 +380,18 @@ def cmd_infsup(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_pjotr(cfg: ExperimentConfig, out: str) -> int:
-    mu, data, pair, ctx, op_Y, op_X, rhs, bundle = _setup(cfg)
-    rows = []
-    final_level, final_report = None, None
-    for level in range(cfg["quality.max_enrich"] + 1):
-        test_pair = ql._pair_with_enriched_test(pair, level)
-        tctx = RieszContext(test_pair)
-        t_op_Y = mo.GalerkinOperator(test_pair, "Y", mu)
-        t_op_X = mo.GalerkinOperator(test_pair, "X", mu)
-        t_rhs = sy.assemble_rhs(data, test_pair)
-        state = sy.solve_reference(t_rhs, test_pair, t_op_Y, t_op_X, tctx, tol=1e-12)
-        two = ql.TwoLevel(test_pair, ql._surrogate_pair(test_pair, 2), ctx_coarse=tctx)
-        report = ql.check_pjotr(state, data, two, mu, bundle, rho=cfg["quality.rho"])
-        rows.append((level, report.lhs, report.rhs, report.satisfied))
-        final_level, final_report = level, report
-        if report.satisfied:
-            break
-    write_csv(
-        os.path.join(out, "pjotr.csv"),
-        ("level", "lhs", "rhs", "satisfied"), rows, cfg["output.precision"],
+    mu, data = _problem_from_config(cfg)
+    reports = ql.enrich_until_pjotr(
+        _pair_from_config(cfg), data, mu, rho=cfg["quality.rho"],
+        max_levels=cfg["quality.max_enrich"],
     )
-    if final_report is not None and not final_report.satisfied:
+    write_csv(
+        os.path.join(out, "pjotr.csv"), ("level", "lhs", "rhs", "satisfied"),
+        [(r.level, r.lhs, r.rhs, r.satisfied) for r in reports], cfg["output.precision"],
+    )
+    if reports and not reports[-1].satisfied:
         raise NotConvergedError(
-            f"a posteriori condition unsatisfied up to enrichment level {final_level}"
+            f"a posteriori condition unsatisfied up to enrichment level {reports[-1].level}"
         )
     return 0
 

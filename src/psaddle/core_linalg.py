@@ -1,4 +1,4 @@
-"""Sparse SPD solves, Kronecker application, and extremal eigenvalue tools.
+"""Sparse SPD and saddle factorizations and extremal eigenvalue tools.
 
 Matrices are scipy CSR/CSC throughout (compressed-row storage with unique,
 sorted indices).  All factorizations are direct: at desk scale every SPD
@@ -19,11 +19,8 @@ from psaddle.errors import DimensionMismatchError, NotConvergedError, NotSpdErro
 
 __all__ = [
     "SpdFactorization",
-    "KroneckerOperator",
     "spd_factorize",
-    "spd_solve",
     "lu_factorize",
-    "kron_apply",
     "extremal_generalized_eigen",
     "spectral_bounds",
     "condition_number_estimate",
@@ -88,53 +85,9 @@ def spd_factorize(matrix) -> SpdFactorization:
     return SpdFactorization(matrix=m, _lu=lu)
 
 
-def spd_solve(fact: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for the factored SPD matrix A."""
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != fact.dim:
-        raise DimensionMismatchError(f"rhs length {b.shape[0]} != dim {fact.dim}")
-    return fact.solve(b)
-
-
 def lu_factorize(matrix) -> spla.SuperLU:
     """Plain sparse LU for symmetric indefinite systems (saddle matrices)."""
     return spla.splu(sp.csc_matrix(matrix))
-
-
-@dataclass(frozen=True)
-class KroneckerOperator:
-    """Operator (B_t otimes C_x) acting on time-major stacked vectors."""
-
-    time_factor: sp.csr_matrix
-    space_factor: sp.csr_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (
-            self.time_factor.shape[0] * self.space_factor.shape[0],
-            self.time_factor.shape[1] * self.space_factor.shape[1],
-        )
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return kron_apply(self, v)
-
-
-def kron_apply(op: KroneckerOperator, v: np.ndarray) -> np.ndarray:
-    """Apply (B otimes C) without forming the product matrix.
-
-    v is interpreted time-major: v[i_t * n_x + i_x].  The result equals
-    reshape(B @ V @ C.T) for V = reshape(v, (n_t, n_x)).
-    """
-    nt_in = op.time_factor.shape[1]
-    nx_in = op.space_factor.shape[1]
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != nt_in * nx_in:
-        raise DimensionMismatchError(
-            f"vector length {v.shape[0]} != {nt_in} * {nx_in}"
-        )
-    V = v.reshape(nt_in, nx_in)
-    out = op.time_factor @ (op.space_factor @ V.T).T
-    return np.asarray(out).reshape(-1)
 
 
 def _complement_basis(kernel: np.ndarray, dim: int) -> np.ndarray:

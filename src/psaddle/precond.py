@@ -41,7 +41,6 @@ __all__ = [
     "SpectralMargins",
     "build_time_wavelets",
     "assemble_RX_operator",
-    "apply_precond",
     "check_spectral_inequality",
     "kappa_study",
 ]
@@ -188,10 +187,6 @@ def make_precond(basis: TimeWaveletBasis, pair: TensorSpacePair) -> BlockDiagPre
             facts.append(spd_factorize(pair.A_x + alpha * pair.M_x))
         index[w] = uniq[key]
     return BlockDiagPrecond(basis=basis, pair=pair, _facts=tuple(facts), _alpha_index=index)
-
-
-def apply_precond(p: BlockDiagPrecond, h: np.ndarray) -> np.ndarray:
-    return p.apply(h)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ on the surrogate carry a 1.05 slack factor in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +46,7 @@ __all__ = [
     "quasi_opt_ratio",
     "check_trial_norm_quasi_opt",
     "check_pjotr",
+    "pjotr_at_level",
     "enrich_until_pjotr",
     "efficiency_reliability",
 ]
@@ -417,36 +418,43 @@ def _surrogate_pair(pair: TensorSpacePair, extra: int = 2) -> TensorSpacePair:
     )
 
 
+def pjotr_at_level(
+    base_pair: TensorSpacePair,
+    level: int,
+    data: sy.ProblemData,
+    mu: mo.MuCoefficient,
+    rho: float = 1.0,
+    surrogate_extra: int = 2,
+    solve_tol: float = 1e-12,
+) -> PjotrReport:
+    """The condition with the test space refined `level` times in time,
+    re-solving the saddle system there since the Galerkin solution depends
+    on the test space."""
+    disc = sy.Discretization(_pair_with_enriched_test(base_pair, level), mu, data)
+    two = TwoLevel(disc.pair, _surrogate_pair(disc.pair, surrogate_extra), ctx_coarse=disc.ctx)
+    report = check_pjotr(disc.reference(solve_tol), data, two, mu, disc.bundle, rho=rho)
+    return replace(report, level=level)
+
+
 def enrich_until_pjotr(
     base_pair: TensorSpacePair,
     data: sy.ProblemData,
     mu: mo.MuCoefficient,
-    bundle: sy.ConstantsBundle,
     rho: float = 1.0,
     max_levels: int = 6,
     surrogate_extra: int = 2,
     solve_tol: float = 1e-12,
-) -> tuple[int, PjotrReport]:
+) -> list[PjotrReport]:
     """Enlarge the test space (uniform temporal refinements) until the
-    condition holds, re-solving the saddle system per level since the
-    Galerkin solution depends on the test space."""
+    condition holds; returns the report of every level tried, in order."""
+    reports = []
     for level in range(max_levels + 1):
-        pair = _pair_with_enriched_test(base_pair, level)
-        ctx = RieszContext(pair)
-        op_Y = mo.GalerkinOperator(pair, "Y", mu)
-        op_X = mo.GalerkinOperator(pair, "X", mu)
-        rhs = sy.assemble_rhs(data, pair)
-        state = sy.solve_reference(rhs, pair, op_Y, op_X, ctx, tol=solve_tol)
-        surrogate = _surrogate_pair(pair, surrogate_extra)
-        two = TwoLevel(pair, surrogate, ctx_coarse=ctx)
-        report = check_pjotr(state, data, two, mu, bundle, rho=rho)
-        report = PjotrReport(
-            rho=report.rho, lhs=report.lhs, rhs=report.rhs,
-            satisfied=report.satisfied, level=level,
+        reports.append(
+            pjotr_at_level(base_pair, level, data, mu, rho, surrogate_extra, solve_tol)
         )
-        if report.satisfied:
-            return level, report
-    return max_levels, report
+        if reports[-1].satisfied:
+            break
+    return reports
 
 
 def efficiency_reliability(

@@ -9,7 +9,8 @@ variable u:
 with D the temporal-derivative coupling.  Eliminating lambda yields the
 Schur operator S z = A_X z + trace term + g - D^T A_Y^{-1}(f - D z), which
 is Lipschitz continuous and strongly monotone; the whole constant calculus
-downstream of (L_A, m_A) lives in `derive_constants`.
+downstream of (L_A, m_A) lives in `derive_constants`.  `Discretization`
+bundles one problem on one pair with everything a solve needs.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "residual",
     "SchurOperator",
     "solve_reference",
+    "Discretization",
     "heat_problem",
     "quasilinear_problem",
     "interpolate_onto",
@@ -239,43 +241,26 @@ def assemble_rhs(
     return f, g
 
 
-def _apply_D(pair: TensorSpacePair, u: np.ndarray) -> np.ndarray:
-    U = np.asarray(u, dtype=float).reshape(pair.dim_t_X, pair.dim_x)
-    return np.asarray(pair.B_t @ (pair.M_x @ U.T).T).reshape(-1)
-
-
-def _apply_Dt(pair: TensorSpacePair, lam: np.ndarray) -> np.ndarray:
-    L = np.asarray(lam, dtype=float).reshape(pair.dim_t_Y, pair.dim_x)
-    return np.asarray(pair.B_t.T @ (pair.M_x @ L.T).T).reshape(-1)
-
-
-def _apply_trace(pair: TensorSpacePair, u: np.ndarray) -> np.ndarray:
-    U = np.asarray(u, dtype=float).reshape(pair.dim_t_X, pair.dim_x)
-    out = np.zeros_like(U)
-    out[-1] = pair.M_x @ U[-1]
-    return out.reshape(-1)
-
-
 def apply_N(
     state: SaddleState,
-    pair: TensorSpacePair,
+    ctx: RieszContext,
     op_Y: mo.GalerkinOperator,
     op_X: mo.GalerkinOperator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block action (A_Y lam + D u, D^T lam - A_X u - trace term)."""
-    r1 = op_Y.apply(state.lam) + _apply_D(pair, state.u)
-    r2 = _apply_Dt(pair, state.lam) - op_X.apply(state.u) - _apply_trace(pair, state.u)
+    r1 = op_Y.apply(state.lam) + ctx.apply_D(state.u)
+    r2 = ctx.apply_Dt(state.lam) - op_X.apply(state.u) - ctx.apply_trace_term(state.u)
     return r1, r2
 
 
 def residual(
     state: SaddleState,
     rhs: tuple[np.ndarray, np.ndarray],
-    pair: TensorSpacePair,
+    ctx: RieszContext,
     op_Y: mo.GalerkinOperator,
     op_X: mo.GalerkinOperator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    n1, n2 = apply_N(state, pair, op_Y, op_X)
+    n1, n2 = apply_N(state, ctx, op_Y, op_X)
     return rhs[0] - n1, rhs[1] - n2
 
 
@@ -308,7 +293,7 @@ class SchurOperator:
 
     def inner_solve(self, z: np.ndarray) -> np.ndarray:
         """lambda(z) = A_Y^{-1}(f - D z), warm-started."""
-        target = self.f - _apply_D(self.pair, z)
+        target = self.f - self.ctx.apply_D(z)
         if self.inner_mode == "newton":
             res = mo.newton_solve(
                 self.op_Y.apply, self.op_Y.jacobian, target, self._lam,
@@ -328,9 +313,9 @@ class SchurOperator:
         lam = self.inner_solve(z)
         return (
             self.op_X.apply(z)
-            + _apply_trace(self.pair, z)
+            + self.ctx.apply_trace_term(z)
             + self.g
-            - _apply_Dt(self.pair, lam)
+            - self.ctx.apply_Dt(lam)
         )
 
 
@@ -350,7 +335,6 @@ def solve_reference(
     Falls back to a long fixed-point run on the Schur operator if Newton
     stalls.  The returned state has product dual residual at most tol.
     """
-    f, g = rhs
     D = sp.kron(pair.B_t, pair.M_x, format="csr")
     nY = pair.dim_Y
     trace_block = sp.lil_matrix((pair.dim_X, pair.dim_X))
@@ -359,7 +343,7 @@ def solve_reference(
     trace_block = trace_block.tocsr()
 
     def product_residual(state: SaddleState) -> float:
-        rY, rX = residual(state, rhs, pair, op_Y, op_X)
+        rY, rX = residual(state, rhs, ctx, op_Y, op_X)
         return ctx.dual_norm_Y(rY) + ctx.dual_norm_X(rX)
 
     z = np.zeros(pair.dim_X)
@@ -369,14 +353,8 @@ def solve_reference(
         pair, ctx, op_Y, op_X, rhs, mu_consts, inner_tol=inner_tol, inner_mode="newton"
     )
 
-    def schur_value(z_vec):
-        lam = schur.inner_solve(z_vec)
-        return (
-            op_X.apply(z_vec) + _apply_trace(pair, z_vec) + g - _apply_Dt(pair, lam)
-        )
-
     try:
-        sz = schur_value(z)
+        sz = schur.apply(z)
         rn = ctx.dual_norm_X(sz)
         for _ in range(max_outer):
             state = SaddleState(schur._lam.copy(), z.copy())
@@ -393,7 +371,7 @@ def solve_reference(
             alpha = 1.0
             for _ in range(40):
                 z_new = z + alpha * delta
-                sz_new = schur_value(z_new)
+                sz_new = schur.apply(z_new)
                 rn_new = ctx.dual_norm_X(sz_new)
                 if rn_new < rn or rn_new <= tol / 4:
                     break
@@ -417,6 +395,33 @@ def solve_reference(
         if product_residual(state) > tol:
             raise NotConvergedError("reference solve failed", best=state)
         return state
+
+
+class Discretization:
+    """One problem (mu, ell, u0) on one trial/test pair.
+
+    Holds what the error theory is stated for: the Riesz context, the
+    Galerkin operators on both spaces, the right-hand side, the constants
+    bundle of mu, and the discrete solution, solved once per tolerance.
+    """
+
+    def __init__(self, pair: TensorSpacePair, mu: mo.MuCoefficient, data: ProblemData):
+        self.pair = pair
+        self.ctx = RieszContext(pair)
+        self.op_Y = mo.GalerkinOperator(pair, "Y", mu)
+        self.op_X = mo.GalerkinOperator(pair, "X", mu)
+        self.rhs = assemble_rhs(data, pair)
+        c = mo.constants_from_mu(mu)
+        self.bundle = derive_constants(c.L, c.m)
+        self._references: dict[float, SaddleState] = {}
+
+    def reference(self, tol: float = 1e-12) -> SaddleState:
+        """The discrete solution to product dual residual tol (cached)."""
+        if tol not in self._references:
+            self._references[tol] = solve_reference(
+                self.rhs, self.pair, self.op_Y, self.op_X, self.ctx, tol=tol
+            )
+        return self._references[tol]
 
 
 # -- manufactured problems ----------------------------------------------------

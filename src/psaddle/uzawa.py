@@ -161,7 +161,6 @@ class UzawaTrace:
 def aposteriori_estimate(
     state: SaddleState,
     rhs: tuple[np.ndarray, np.ndarray],
-    pair: TensorSpacePair,
     op_Y: mo.GalerkinOperator,
     op_X: mo.GalerkinOperator,
     ctx: RieszContext,
@@ -170,7 +169,7 @@ def aposteriori_estimate(
 
     Guarantee for nonzero error: 1/L_N <= (true product error)/eta <= L_Ninv.
     """
-    r_Y, r_X = residual(state, rhs, pair, op_Y, op_X)
+    r_Y, r_X = residual(state, rhs, ctx, op_Y, op_X)
     eta = ctx.dual_norm_Y(r_Y) + ctx.dual_norm_X(r_X)
     return eta, r_Y, r_X
 

@@ -3,44 +3,22 @@
 import numpy as np
 import pytest
 
-from psaddle import monotone as mo
 from psaddle import system as sy
-from psaddle.riesz import RieszContext
 from psaddle.spaces import default_pair
 
 
-class Setup:
-    """One problem on one pair, with its context, operators, rhs, reference."""
-
-    def __init__(self, problem, nt, nx, tol=1e-12):
-        self.problem = problem
-        self.pair = default_pair(nt, nx)
-        self.ctx = RieszContext(self.pair)
-        self.op_Y = mo.GalerkinOperator(self.pair, "Y", problem.mu)
-        self.op_X = mo.GalerkinOperator(self.pair, "X", problem.mu)
-        self.rhs = sy.assemble_rhs(problem.data, self.pair)
-        self.constants = mo.constants_from_mu(problem.mu)
-        self.bundle = sy.derive_constants(self.constants.L, self.constants.m)
-        self._reference = None
-        self._tol = tol
-
-    @property
-    def reference(self):
-        if self._reference is None:
-            self._reference = sy.solve_reference(
-                self.rhs, self.pair, self.op_Y, self.op_X, self.ctx, tol=self._tol
-            )
-        return self._reference
+def _discretization(problem, nt, nx):
+    return sy.Discretization(default_pair(nt, nx), problem.mu, problem.data)
 
 
 @pytest.fixture(scope="session")
 def heat8():
-    return Setup(sy.heat_problem(), 8, 8)
+    return _discretization(sy.heat_problem(), 8, 8)
 
 
 @pytest.fixture(scope="session")
 def quasi8():
-    return Setup(sy.quasilinear_problem(), 8, 8)
+    return _discretization(sy.quasilinear_problem(), 8, 8)
 
 
 @pytest.fixture(scope="session")

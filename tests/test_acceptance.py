@@ -23,13 +23,8 @@ def _report(num, name):
     print(f"ACCEPTANCE {num:2d} ({name}): PASS")
 
 
-def _solve(problem, pair, tol=1e-12):
-    ctx = RieszContext(pair)
-    op_Y = mo.GalerkinOperator(pair, "Y", problem.mu)
-    op_X = mo.GalerkinOperator(pair, "X", problem.mu)
-    rhs = sy.assemble_rhs(problem.data, pair)
-    state = sy.solve_reference(rhs, pair, op_Y, op_X, ctx, tol=tol)
-    return ctx, op_Y, op_X, rhs, state
+def _discretization(problem, pair):
+    return sy.Discretization(pair, problem.mu, problem.data)
 
 
 def test_criterion_01_constant_calculus():
@@ -61,7 +56,7 @@ def test_criterion_02_discrete_operator_bounds(problem_name, request):
     operator with the derived constants; zero violations at 1e-10 slack."""
     s = request.getfixturevalue(problem_name)
     rng = np.random.default_rng(202)
-    L_A, m_A = s.constants.L, s.constants.m
+    L_A, m_A = s.bundle.L_A, s.bundle.m_A
     slack = 1e-10
     for _ in range(50):
         w = rng.standard_normal(s.pair.dim_Y)
@@ -72,7 +67,7 @@ def test_criterion_02_discrete_operator_bounds(problem_name, request):
         assert s.ctx.dual_norm_Y(diff) <= L_A * dn + slack * max(1.0, L_A * dn)
 
     schur = sy.SchurOperator(
-        s.pair, s.ctx, s.op_Y, s.op_X, s.rhs, s.constants, inner_tol=1e-12
+        s.pair, s.ctx, s.op_Y, s.op_X, s.rhs, s.bundle.A_constants, inner_tol=1e-12
     )
     L_S, m_S = s.bundle.L_S, s.bundle.m_S
     for _ in range(50):
@@ -82,7 +77,7 @@ def test_criterion_02_discrete_operator_bounds(problem_name, request):
         diff = schur.apply(w) - schur.apply(z)
         assert diff @ (w - z) >= m_S * dn**2 - 1e-9 * max(1.0, m_S * dn**2)
         assert s.ctx.dual_norm_X(diff) <= L_S * dn + 1e-9 * max(1.0, L_S * dn)
-    _report(2, f"discrete operator bounds [{s.problem.name}]")
+    _report(2, f"discrete operator bounds [{problem_name}]")
 
 
 @pytest.mark.parametrize("problem_name", ["heat8", "quasi8"])
@@ -96,18 +91,18 @@ def test_criterion_03_zarantonello_contraction(problem_name, request):
         s.op_Y.apply, s.op_Y.jacobian, f, np.zeros(s.pair.dim_Y),
         residual_norm=s.ctx.dual_norm_Y, tol=1e-13,
     )
-    sigma = s.constants.sigma
+    sigma = s.bundle.A_constants.sigma
     for _ in range(20):
         x = rng.standard_normal(s.pair.dim_Y)
         errs = [s.ctx.norm_Y(x - ref.x)]
         mo.zarantonello_solve(
-            s.op_Y.apply, s.ctx.riesz_Y_solve, f, x, s.constants, tol=0.0,
+            s.op_Y.apply, s.ctx.riesz_Y_solve, f, x, s.bundle.A_constants, tol=0.0,
             max_iter=15,
             callback=lambda it, xk, st: errs.append(s.ctx.norm_Y(xk - ref.x)),
         )
         for i in range(len(errs) - 1):
             assert errs[i + 1] <= sigma * errs[i] * (1 + 1e-10) + 1e-13
-    _report(3, f"zarantonello contraction [{s.problem.name}]")
+    _report(3, f"zarantonello contraction [{problem_name}]")
 
 
 @pytest.mark.parametrize("problem_name", ["heat8", "quasi8"])
@@ -116,7 +111,7 @@ def test_criterion_04_apriori_envelope(problem_name, request):
     inequalities hold at every outer iteration (slack 1e-9 absolute)."""
     s = request.getfixturevalue(problem_name)
     cfg = uz.make_config(s.bundle, tol=0.0, max_outer=12)
-    reference = s.reference  # solve_reference at tol 1e-12
+    reference = s.reference()  # solve_reference at tol 1e-12
     _, trace = uz.run_inexact_uzawa(
         s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg, reference=reference
     )
@@ -127,7 +122,7 @@ def test_criterion_04_apriori_envelope(problem_name, request):
         assert trace.err_u[i] <= cfg.sigma_hat_S**k * C4 + 1e-9
     assert trace.inner_count == [cfg.L] * len(trace.k)
     assert trace.napply == [cfg.L + 2] * len(trace.k)
-    _report(4, f"a priori envelope, L={cfg.L} [{s.problem.name}]")
+    _report(4, f"a priori envelope, L={cfg.L} [{problem_name}]")
 
 
 @pytest.mark.parametrize("problem_name", ["heat8", "quasi8"])
@@ -142,13 +137,13 @@ def test_criterion_05_aposteriori_band(problem_name, request):
         scale = 10.0 ** rng.uniform(-4, 0)
         dlam = scale * rng.standard_normal(s.pair.dim_Y)
         du = scale * rng.standard_normal(s.pair.dim_X)
-        state = sy.SaddleState(s.reference.lam + dlam, s.reference.u + du)
+        state = sy.SaddleState(s.reference().lam + dlam, s.reference().u + du)
         eta, _, _ = uz.aposteriori_estimate(
-            state, s.rhs, s.pair, s.op_Y, s.op_X, s.ctx
+            state, s.rhs, s.op_Y, s.op_X, s.ctx
         )
         ratio = (s.ctx.norm_Y(dlam) + s.ctx.norm_X_delta(du)) / eta
         assert lo <= ratio <= hi
-    _report(5, f"a posteriori band [{s.problem.name}]")
+    _report(5, f"a posteriori band [{problem_name}]")
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -207,22 +202,20 @@ def test_criterion_08_convergence_quasi_optimality(heat_problem):
     """Error decreases with least-squares rate >= 0.9 over four levels;
     quasi-optimality ratio below its bound; the mesh-dependent-norm and
     auxiliary-variable bounds hold with 1.05 surrogate slack."""
-    c = mo.constants_from_mu(heat_problem.mu)
-    bundle = sy.derive_constants(c.L, c.m)
     errs = []
     for n in (4, 8, 16, 32):
-        pair = default_pair(n, n)
-        ctx, op_Y, op_X, rhs, state = _solve(heat_problem, pair, tol=1e-11)
-        fine = ql._surrogate_pair(pair, 2)
-        fctx, _, _, _, fstate = _solve(heat_problem, fine, tol=1e-11)
-        two = ql.TwoLevel(pair, fine, ctx_coarse=ctx, ctx_fine=fctx)
-        report = ql.infsup_report(pair, two)
+        disc = _discretization(heat_problem, default_pair(n, n))
+        fine = _discretization(heat_problem, ql._surrogate_pair(disc.pair, 2))
+        state, fstate = disc.reference(1e-11), fine.reference(1e-11)
+        bundle = disc.bundle
+        two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
+        report = ql.infsup_report(disc.pair, two)
         ratio, bound = ql.quasi_opt_ratio(fstate.u, state, two, bundle, report)
         assert ratio <= bound
         qo = ql.check_trial_norm_quasi_opt(fstate.u, state, two, bundle, heat_problem.data)
         assert max(qo.lhs_Xdelta, qo.lhs_H) <= 1.05 * qo.bound
         assert qo.aux_lhs <= 1.05 * qo.aux_bound
-        errs.append(fctx.norm_X_delta(fstate.u - two.prolong_X(state.u)))
+        errs.append(fine.ctx.norm_X_delta(fstate.u - two.prolong_X(state.u)))
     levels = np.arange(len(errs))
     rate = -np.polyfit(levels, np.log2(errs), 1)[0]
     assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
@@ -237,9 +230,9 @@ def test_criterion_09_lambda_equals_u(problem_name, request):
     problem = request.getfixturevalue(problem_name)
     gaps = []
     for n in (4, 8, 16, 32):
-        pair = default_pair(n, n)
-        ctx, _, _, _, state = _solve(problem, pair, tol=1e-11)
-        gaps.append(ctx.norm_Y(state.lam - embed_X_into_Y(pair, state.u)))
+        disc = _discretization(problem, default_pair(n, n))
+        state = disc.reference(1e-11)
+        gaps.append(disc.ctx.norm_Y(state.lam - embed_X_into_Y(disc.pair, state.u)))
     assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     _report(9, f"lambda = u consistency [{problem.name}]")
 
@@ -248,21 +241,19 @@ def test_criterion_10_pjotr_loop(heat_problem):
     """Test-space enrichment at fixed 8x8 trial space terminates by level 4
     with rho = 1; afterwards the efficiency/reliability ratio lies inside
     its two-sided bounds with 1.05 slack."""
-    c = mo.constants_from_mu(heat_problem.mu)
-    bundle = sy.derive_constants(c.L, c.m)
     base = default_pair(8, 8)
-    level, report = ql.enrich_until_pjotr(
-        base, heat_problem.data, heat_problem.mu, bundle, rho=1.0, max_levels=4
-    )
+    report = ql.enrich_until_pjotr(
+        base, heat_problem.data, heat_problem.mu, rho=1.0, max_levels=4
+    )[-1]
+    level = report.level
     assert report.satisfied and level <= 4
 
-    pair = ql._pair_with_enriched_test(base, level)
-    ctx, op_Y, op_X, rhs, state = _solve(heat_problem, pair)
-    fine = ql._surrogate_pair(pair, 2)
-    fctx, _, _, _, fstate = _solve(heat_problem, fine, tol=1e-11)
-    two = ql.TwoLevel(pair, fine, ctx_coarse=ctx, ctx_fine=fctx)
+    disc = _discretization(heat_problem, ql._pair_with_enriched_test(base, level))
+    fine = _discretization(heat_problem, ql._surrogate_pair(disc.pair, 2))
+    two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
     ratio, lo, hi = ql.efficiency_reliability(
-        fstate.u, state, two, bundle, heat_problem.data, rho=1.0
+        fine.reference(1e-11).u, disc.reference(), two, disc.bundle, heat_problem.data,
+        rho=1.0,
     )
     assert lo / 1.05 <= ratio <= hi * 1.05
     _report(10, f"a posteriori enrichment level {level}, eff/rel ratio {ratio:.3f}")

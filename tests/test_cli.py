@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psaddle import cli
+from psaddle import system as sy
 from psaddle.errors import ConfigError
 from psaddle.rng import SplitMix64
 
@@ -86,6 +87,22 @@ class TestSubcommands:
         assert lines[0] == "k,eta,res_Y,res_X,err_u,err_lambda,inner_count"
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "0"
+
+    def test_uzawa_trace_solves_reference_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = sy.solve_reference
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["tol"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sy, "solve_reference", counting)
+        text = MINIMAL + "solver.tol = 1e-1\nsolver.max_outer = 500\nsolver.L_practical = 4\n"
+        cfg = cli.parse_config(write_config(tmp_path, text))
+        out = str(tmp_path / "out")
+        assert cli.run_subcommand("uzawa-trace", cfg, out) == 0
+        assert calls == [1e-12]
+        assert os.path.exists(os.path.join(out, "aposteriori_band.csv"))
 
     def test_convergence_csv_decreasing(self, tmp_path):
         text = MINIMAL.replace("disc.nt = 2", "disc.nt = 4").replace(

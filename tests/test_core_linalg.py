@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from psaddle import core_linalg as cl
-from psaddle.errors import DimensionMismatchError, NotSpdError
+from psaddle.errors import NotSpdError
 
 
 def random_spd(rng, n, shift=None):
@@ -16,17 +14,17 @@ def random_spd(rng, n, shift=None):
 class TestSpdSolve:
     def test_identity(self):
         fact = cl.spd_factorize(sp.eye(2, format="csr"))
-        assert np.allclose(cl.spd_solve(fact, np.array([1.0, 2.0])), [1.0, 2.0])
+        assert np.allclose(fact.solve(np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_diagonal(self):
         fact = cl.spd_factorize(sp.diags([2.0, 4.0]))
-        assert np.allclose(cl.spd_solve(fact, np.array([2.0, 4.0])), [1.0, 1.0])
+        assert np.allclose(fact.solve(np.array([2.0, 4.0])), [1.0, 1.0])
 
     def test_random_spd_multiply_back(self, rng):
         A = random_spd(rng, 5)
         fact = cl.spd_factorize(sp.csr_matrix(A))
         b = rng.standard_normal(5)
-        x = cl.spd_solve(fact, b)
+        x = fact.solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("n", [10, 50, 200])
@@ -45,49 +43,6 @@ class TestSpdSolve:
         A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
         with pytest.raises(NotSpdError):
             cl.spd_factorize(A)
-
-    def test_dimension_mismatch(self):
-        fact = cl.spd_factorize(sp.eye(3, format="csr"))
-        with pytest.raises(DimensionMismatchError):
-            cl.spd_solve(fact, np.ones(4))
-
-
-class TestKron:
-    def test_identity(self):
-        op = cl.KroneckerOperator(sp.eye(2, format="csr"), sp.eye(2, format="csr"))
-        v = np.arange(4.0)
-        assert np.array_equal(cl.kron_apply(op, v), v)
-
-    def test_shift(self):
-        shift = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        op = cl.KroneckerOperator(shift, sp.eye(1, format="csr"))
-        assert np.array_equal(cl.kron_apply(op, np.array([3.0, 7.0])), [7.0, 0.0])
-
-    def test_random_3x3_vs_dense(self, rng):
-        B = rng.standard_normal((3, 3))
-        C = rng.standard_normal((3, 3))
-        op = cl.KroneckerOperator(sp.csr_matrix(B), sp.csr_matrix(C))
-        v = rng.standard_normal(9)
-        assert np.allclose(cl.kron_apply(op, v), np.kron(B, C) @ v, atol=1e-13)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        nt=st.integers(1, 6), nx=st.integers(1, 6),
-        mt=st.integers(1, 6), mx=st.integers(1, 6),
-        seed=st.integers(0, 10_000),
-    )
-    def test_matches_dense_kron_all_small_dims(self, nt, nx, mt, mx, seed):
-        rng = np.random.default_rng(seed)
-        B = rng.standard_normal((nt, mt))
-        C = rng.standard_normal((nx, mx))
-        op = cl.KroneckerOperator(sp.csr_matrix(B), sp.csr_matrix(C))
-        v = rng.standard_normal(mt * mx)
-        assert np.allclose(cl.kron_apply(op, v), np.kron(B, C) @ v, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        op = cl.KroneckerOperator(sp.eye(2, format="csr"), sp.eye(2, format="csr"))
-        with pytest.raises(DimensionMismatchError):
-            cl.kron_apply(op, np.ones(5))
 
 
 class TestExtremalEigen:

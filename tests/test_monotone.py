@@ -99,7 +99,7 @@ class TestGalerkinOperator:
     def test_discrete_lipschitz_monotone(self, setup_name, request, rng):
         # dual-norm inequalities with the constants inherited from mu
         s = request.getfixturevalue(setup_name)
-        L, m = s.constants.L, s.constants.m
+        L, m = s.bundle.L_A, s.bundle.m_A
         for _ in range(15):
             w = rng.standard_normal(s.pair.dim_Y)
             v = rng.standard_normal(s.pair.dim_Y)
@@ -151,7 +151,7 @@ class TestZarantonello:
             s.op_Y.apply, s.op_Y.jacobian, f, np.zeros(s.pair.dim_Y),
             residual_norm=s.ctx.dual_norm_Y, tol=1e-13,
         )
-        sigma = s.constants.sigma
+        sigma = s.bundle.A_constants.sigma
         for trial in range(5):
             x = rng.standard_normal(s.pair.dim_Y)
             errs = [s.ctx.norm_Y(x - ref.x)]
@@ -160,7 +160,7 @@ class TestZarantonello:
                 errs.append(s.ctx.norm_Y(xk - ref.x))
 
             mo.zarantonello_solve(
-                s.op_Y.apply, s.ctx.riesz_Y_solve, f, x, s.constants,
+                s.op_Y.apply, s.ctx.riesz_Y_solve, f, x, s.bundle.A_constants,
                 tol=0.0, max_iter=20, callback=record,
             )
             ratios = [errs[i + 1] / errs[i] for i in range(len(errs) - 1)]
@@ -170,7 +170,7 @@ class TestZarantonello:
         f = rng.standard_normal(heat8.pair.dim_Y)
         res = mo.zarantonello_solve(
             heat8.op_Y.apply, heat8.ctx.riesz_Y_solve, f,
-            np.zeros(heat8.pair.dim_Y), heat8.constants, tol=1e-14, max_iter=3,
+            np.zeros(heat8.pair.dim_Y), heat8.bundle.A_constants, tol=1e-14, max_iter=3,
         )
         assert not res.converged and res.iterations == 3
 
@@ -196,7 +196,7 @@ class TestNewton:
         )
         zar = mo.zarantonello_solve(
             quasi8.op_Y.apply, quasi8.ctx.riesz_Y_solve, f,
-            np.zeros(quasi8.pair.dim_Y), quasi8.constants, tol=1e-12,
+            np.zeros(quasi8.pair.dim_Y), quasi8.bundle.A_constants, tol=1e-12,
             max_iter=10_000,
         )
         assert zar.converged

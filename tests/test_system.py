@@ -93,7 +93,7 @@ class TestApplyN:
     def test_zero_state(self, quasi8):
         r1, r2 = sy.apply_N(
             sy.SaddleState(np.zeros(quasi8.pair.dim_Y), np.zeros(quasi8.pair.dim_X)),
-            quasi8.pair, quasi8.op_Y, quasi8.op_X,
+            quasi8.ctx, quasi8.op_Y, quasi8.op_X,
         )
         assert np.all(r1 == 0.0) and np.all(r2 == 0.0)
 
@@ -107,7 +107,7 @@ class TestApplyN:
         Gam[tail:, tail:] = pair.M_x.toarray()
         lam = rng.standard_normal(pair.dim_Y)
         u = rng.standard_normal(pair.dim_X)
-        r1, r2 = sy.apply_N(sy.SaddleState(lam, u), pair, heat8.op_Y, heat8.op_X)
+        r1, r2 = sy.apply_N(sy.SaddleState(lam, u), heat8.ctx, heat8.op_Y, heat8.op_X)
         assert np.allclose(r1, AY @ lam + D @ u, atol=1e-12)
         assert np.allclose(r2, D.T @ lam - AX @ u - Gam @ u, atol=1e-12)
 
@@ -123,8 +123,8 @@ class TestApplyN:
             s2 = sy.SaddleState(
                 rng.standard_normal(s.pair.dim_Y), rng.standard_normal(s.pair.dim_X)
             )
-            a1 = sy.apply_N(s1, s.pair, s.op_Y, s.op_X)
-            a2 = sy.apply_N(s2, s.pair, s.op_Y, s.op_X)
+            a1 = sy.apply_N(s1, s.ctx, s.op_Y, s.op_X)
+            a2 = sy.apply_N(s2, s.ctx, s.op_Y, s.op_X)
             dual = s.ctx.dual_norm_Y(a1[0] - a2[0]) + s.ctx.dual_norm_X(a1[1] - a2[1])
             prim = s.ctx.norm_Y(s1.lam - s2.lam) + s.ctx.norm_X_delta(s1.u - s2.u)
             assert dual <= L_N * prim * (1 + 1e-10)
@@ -134,23 +134,23 @@ class TestSchur:
     def test_zero_data_zero_value(self, heat8):
         rhs0 = (np.zeros(heat8.pair.dim_Y), np.zeros(heat8.pair.dim_X))
         schur = sy.SchurOperator(
-            heat8.pair, heat8.ctx, heat8.op_Y, heat8.op_X, rhs0, heat8.constants
+            heat8.pair, heat8.ctx, heat8.op_Y, heat8.op_X, rhs0, heat8.bundle.A_constants
         )
         assert np.abs(schur.apply(np.zeros(heat8.pair.dim_X))).max() <= 1e-14
 
     def test_vanishes_at_solution(self, heat8):
         schur = sy.SchurOperator(
             heat8.pair, heat8.ctx, heat8.op_Y, heat8.op_X, heat8.rhs,
-            heat8.constants, inner_tol=1e-13,
+            heat8.bundle.A_constants, inner_tol=1e-13,
         )
-        val = schur.apply(heat8.reference.u)
+        val = schur.apply(heat8.reference().u)
         assert heat8.ctx.dual_norm_X(val) <= 1e-11
 
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_lipschitz_and_monotone(self, setup_name, request, rng):
         s = request.getfixturevalue(setup_name)
         schur = sy.SchurOperator(
-            s.pair, s.ctx, s.op_Y, s.op_X, s.rhs, s.constants, inner_tol=1e-12
+            s.pair, s.ctx, s.op_Y, s.op_X, s.rhs, s.bundle.A_constants, inner_tol=1e-12
         )
         L_S, m_S = s.bundle.L_S, s.bundle.m_S
         for _ in range(10):
@@ -173,7 +173,7 @@ class TestSolveReference:
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_residual_below_tol(self, setup_name, request):
         s = request.getfixturevalue(setup_name)
-        rY, rX = sy.residual(s.reference, s.rhs, s.pair, s.op_Y, s.op_X)
+        rY, rX = sy.residual(s.reference(), s.rhs, s.ctx, s.op_Y, s.op_X)
         assert s.ctx.dual_norm_Y(rY) + s.ctx.dual_norm_X(rX) <= 1e-12
 
     def test_newton_vs_long_zarantonello(self, heat8):
@@ -194,24 +194,47 @@ class TestSolveReference:
             heat8.bundle.S_constants, tol=3e-12, max_iter=40_000,
         )
         assert res.converged
-        assert ctx.norm_X_delta(res.x - heat8.reference.u) <= 1e-8
+        assert ctx.norm_X_delta(res.x - heat8.reference().u) <= 1e-8
 
     def test_schur_fixed_point_agrees_quasilinear(self, quasi8):
         # fixed outer budget on the nonlinear Schur operator: agreement at the
         # level the contraction factor allows
         schur = sy.SchurOperator(
             quasi8.pair, quasi8.ctx, quasi8.op_Y, quasi8.op_X, quasi8.rhs,
-            quasi8.constants, inner_tol=1e-13,
+            quasi8.bundle.A_constants, inner_tol=1e-13,
         )
         res = mo.zarantonello_solve(
             schur.apply, quasi8.ctx.riesz_X_solve, np.zeros(quasi8.pair.dim_X),
             np.zeros(quasi8.pair.dim_X), quasi8.bundle.S_constants,
             tol=0.0, max_iter=3000,
         )
-        err = quasi8.ctx.norm_X_delta(res.x - quasi8.reference.u)
-        start = quasi8.ctx.norm_X_delta(quasi8.reference.u)
+        err = quasi8.ctx.norm_X_delta(res.x - quasi8.reference().u)
+        start = quasi8.ctx.norm_X_delta(quasi8.reference().u)
         sigma = quasi8.bundle.S_constants.sigma
         assert err <= sigma**3000 * start * (1 + 1e-6)
+
+
+class TestDiscretization:
+    def test_reference_solved_once_per_tol(self, monkeypatch):
+        calls = []
+        solve = sy.solve_reference
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["tol"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sy, "solve_reference", counting)
+        problem = sy.heat_problem()
+        disc = sy.Discretization(default_pair(4, 4), problem.mu, problem.data)
+        first = disc.reference(1e-10)
+        assert disc.reference(1e-10) is first
+        assert calls == [1e-10]
+        assert disc.reference(1e-11) is not first
+        assert calls == [1e-10, 1e-11]
+
+    def test_bundle_from_mu_bounds(self, quasi8):
+        mu = quasi8.op_Y.mu
+        assert quasi8.bundle == sy.derive_constants(3.0 * mu.M_mu, mu.m_mu)
 
 
 class TestStructuralIdentities:
@@ -252,8 +275,8 @@ class TestStructuralIdentities:
             st2 = sy.solve_reference(
                 rhs2, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, tol=1e-12
             )
-            dlam = heat8.ctx.norm_Y(st2.lam - heat8.reference.lam)
-            du = heat8.ctx.norm_X_delta(st2.u - heat8.reference.u)
+            dlam = heat8.ctx.norm_Y(st2.lam - heat8.reference().lam)
+            du = heat8.ctx.norm_X_delta(st2.u - heat8.reference().u)
             bound = L_Ninv * (heat8.ctx.dual_norm_Y(df) + heat8.ctx.dual_norm_X(dg))
             assert dlam + du <= bound * (1 + 1e-9)
 
@@ -262,13 +285,9 @@ class TestStructuralIdentities:
         prob = request.getfixturevalue(problem_name)
         gaps = []
         for n in (4, 8, 16):
-            pair = default_pair(n, n)
-            ctx = RieszContext(pair)
-            op_Y = mo.GalerkinOperator(pair, "Y", prob.mu)
-            op_X = mo.GalerkinOperator(pair, "X", prob.mu)
-            rhs = sy.assemble_rhs(prob.data, pair)
-            state = sy.solve_reference(rhs, pair, op_Y, op_X, ctx, tol=1e-11)
-            gaps.append(ctx.norm_Y(state.lam - embed_X_into_Y(pair, state.u)))
+            disc = sy.Discretization(default_pair(n, n), prob.mu, prob.data)
+            state = disc.reference(1e-11)
+            gaps.append(disc.ctx.norm_Y(state.lam - embed_X_into_Y(disc.pair, state.u)))
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_manufactured_heat_consistency(self, heat_problem):
