@@ -8,6 +8,7 @@ round-off and remove inner-solver tolerances from every downstream check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,9 +16,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from psaddle.errors import DimensionMismatchError, NotConvergedError, NotSpdError
+from psaddle.errors import DimensionMismatchError, NotConvergedError, NotSpdError, PsaddleError
 
 __all__ = [
+    "MAX_DENSE_BYTES",
+    "check_dense_size",
     "SpdFactorization",
     "spd_factorize",
     "lu_factorize",
@@ -25,6 +28,22 @@ __all__ = [
     "spectral_bounds",
     "condition_number_estimate",
 ]
+
+
+# Largest dense float64 array any code path may allocate.  The dense paths
+# scale with a power of the mesh size; refusing them here turns an
+# out-of-memory kill into an error that names the array.
+MAX_DENSE_BYTES = 1 << 30
+
+
+def check_dense_size(name: str, shape: tuple[int, ...]) -> None:
+    """Raise before a dense float64 array of `shape` above MAX_DENSE_BYTES is built."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > MAX_DENSE_BYTES:
+        raise PsaddleError(
+            f"dense array {name} of shape {tuple(shape)} would take {nbytes} bytes "
+            f"({nbytes / 2**30:.2f} GiB), above the {MAX_DENSE_BYTES}-byte limit"
+        )
 
 
 def as_csr(matrix) -> sp.csr_matrix:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,12 +25,7 @@ import scipy.sparse as sp
 
 from psaddle.core_linalg import as_csr, lu_factorize
 from psaddle.errors import NotConvergedError, PsaddleError
-from psaddle.spaces import (
-    TensorSpacePair,
-    element_dofs,
-    gauss_rule,
-    reference_values,
-)
+from psaddle.spaces import TensorSpacePair, gauss_points, quadrature_matrix
 
 __all__ = [
     "MuCoefficient",
@@ -152,9 +148,34 @@ class GalerkinOperator:
 
     `side` selects the temporal axis of the tensor space the operator is
     restricted to; the spatial axis is shared.  Application and the Gateaux
-    derivative are evaluated with tensor Gauss quadrature per time-space
-    element (3x3 points by default: exact for the linear case, and well
-    below test tolerances for the smooth nonlinearities bundled here).
+    derivative use tensor Gauss quadrature with n_quad points per element
+    and axis (3 by default: exact for the linear case, and well below test
+    tolerances for the smooth nonlinearities bundled here).
+
+    Both are contractions with quadrature matrices built once per operator:
+    E_t holds the temporal basis at every temporal Gauss point, D_x the
+    spatial basis derivatives at every spatial Gauss point, and
+    w = outer(w_t, w_x) the tensor weights.  With W the coefficients as a
+    (dim_t, dim_x) array,
+
+        G        = E_t W D_x^T                       (gradient at every point)
+        apply(W) = E_t^T [mu(t_q, x_q, G^2) * G * w] D_x
+        jac(W)   = B^T diag(omega_bar) B,            B = kron(E_t, Dbar_x)
+
+    where omega = mu + 2 s mu'(s) at s = G^2, omega_bar sums w * omega over
+    the Gauss points of each spatial element, and Dbar_x keeps one row of
+    D_x per spatial element (a P1 gradient is constant there).  mu is
+    evaluated on the full tensor grid, so it may depend on t and x.  B is
+    sparse, built on the first `jacobian` call and kept; the Uzawa solvers
+    only apply the operator and never pay for it.
+
+    E_t and D_x are stored dense, O(n^2) entries for n elements per axis.
+    Single-threaded, a dense `apply` beats one with sparse E_t and D_x up
+    to n = 32 (about 4x at n = 8, 1.7x at n = 32) and loses from about
+    n = 64 (1.5x slower at n = 128).  No shipped command goes above 128
+    elements per axis: `convergence` surrogates reach 128 and `pjotr`
+    refines 8 elements at most 4 times.  So there is one dense path; a
+    change that raises that ceiling should measure sparse E_t and D_x again.
     """
 
     def __init__(self, pair: TensorSpacePair, side: str, mu: MuCoefficient, n_quad: int = 3):
@@ -174,57 +195,31 @@ class GalerkinOperator:
         self.dim_x = pair.dim_x
         self.dim = self.dim_t * self.dim_x
 
-        rule = gauss_rule(n_quad)
-        xi = np.asarray(rule.points)
-        wq = np.asarray(rule.weights)
-
-        self._t_dofs = element_dofs(mesh_t, spec_t)              # (net, nlt)
-        self._N_t = reference_values(spec_t, xi)                 # (nlt, nq)
-        h_t = mesh_t.lengths
-        self._t_q = mesh_t.points[:-1, None] + h_t[:, None] * xi[None, :]
-        self._w_t = h_t[:, None] * wq[None, :]                   # (net, nq)
-
-        mesh_x, spec_x = pair.mesh_x, pair.spec_x
-        self._x_dofs = element_dofs(mesh_x, spec_x)              # (nex, 2)
-        h_x = mesh_x.lengths
-        self._x_q = mesh_x.points[:-1, None] + h_x[:, None] * xi[None, :]
-        self._w_x = h_x[:, None] * wq[None, :]                   # (nex, nq)
-        self._dN_x = np.stack([-1.0 / h_x, 1.0 / h_x], axis=1)   # (nex, 2)
-
-    # -- gather/scatter with -1 masking via a padded row/column ------------
-
-    def _gather(self, w: np.ndarray) -> np.ndarray:
-        W = np.asarray(w, dtype=float).reshape(self.dim_t, self.dim_x)
-        Wp = np.zeros((self.dim_t + 1, self.dim_x + 1))
-        Wp[: self.dim_t, : self.dim_x] = W
-        ti = self._t_dofs  # -1 maps to the padded zero slot
-        xi = self._x_dofs
-        return Wp[ti[:, None, :, None], xi[None, :, None, :]]    # (net, nex, nlt, 2)
-
-    def _scatter(self, F: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim_t + 1, self.dim_x + 1))
-        ti = self._t_dofs
-        xi = self._x_dofs
-        np.add.at(out, (ti[:, None, :, None], xi[None, :, None, :]), F)
-        return out[: self.dim_t, : self.dim_x].reshape(-1)
+        t_q, w_t = gauss_points(mesh_t, n_quad)
+        x_q, w_x = gauss_points(pair.mesh_x, n_quad)
+        self._t_grid = t_q[:, None]
+        self._x_grid = x_q[None, :]
+        self._w = np.outer(w_t, w_x)
+        self._E_t = quadrature_matrix(mesh_t, spec_t, n_quad)
+        self._D_x = quadrature_matrix(pair.mesh_x, pair.spec_x, n_quad, derivative=True)
 
     def _gradients(self, w: np.ndarray) -> np.ndarray:
-        """d/dx of the expansion at quadrature points, (net, nex, nq)."""
-        Wloc = self._gather(w)
-        return np.einsum("txab,aq,xb->txq", Wloc, self._N_t, self._dN_x)
+        """d/dx of the expansion at every tensor Gauss point, (n_tq, n_xq)."""
+        W = np.asarray(w, dtype=float).reshape(self.dim_t, self.dim_x)
+        return (self._E_t @ W) @ self._D_x.T
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Dual coefficients (A w)(basis function)."""
-        g = self._gradients(w)                                   # (net, nex, qt)
-        s = (g**2)[:, :, :, None]                                # const in qx
-        t = self._t_q[:, None, :, None]
-        x = self._x_q[None, :, None, :]
-        mu_vals = self.mu.fn(t, x, s)
-        # sum over qx of mu * w_x, then weight by g * w_t
-        sx = np.einsum("txqr,xr->txq", mu_vals, self._w_x)
-        coeff = sx * g * self._w_t[:, None, :]
-        F = np.einsum("txq,aq,xb->txab", coeff, self._N_t, self._dN_x)
-        return self._scatter(F)
+        g = self._gradients(w)
+        F = self.mu.fn(self._t_grid, self._x_grid, g * g) * g * self._w
+        return (self._E_t.T @ (F @ self._D_x)).reshape(-1)
+
+    @cached_property
+    def _B(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """B = kron(E_t, Dbar_x) and its transpose, both CSR."""
+        Dbar_x = self._D_x[:: self.n_quad]
+        B = sp.kron(sp.csr_matrix(self._E_t), sp.csr_matrix(Dbar_x), format="csr")
+        return B, B.T.tocsr()
 
     def jacobian(self, w: np.ndarray) -> sp.csr_matrix:
         """Gateaux derivative at w: a weighted stiffness matrix.
@@ -235,32 +230,14 @@ class GalerkinOperator:
         if self.mu.dfn_ds is None:
             raise PsaddleError("mu has no derivative; Newton is unavailable")
         g = self._gradients(w)
-        s = (g**2)[:, :, :, None]
-        t = self._t_q[:, None, :, None]
-        x = self._x_q[None, :, None, :]
+        s = g * g
+        t, x = self._t_grid, self._x_grid
         omega = self.mu.fn(t, x, s) + 2.0 * s * self.mu.dfn_ds(t, x, s)
-        wsum = np.einsum("txqr,xr->txq", omega, self._w_x) * self._w_t[:, None, :]
-        T2 = np.einsum("aq,cq,txq->txac", self._N_t, self._N_t, wsum)
-        K = np.einsum("txac,xb,xd->txabcd", T2, self._dN_x, self._dN_x)
-
-        net, nlt = self._t_dofs.shape
-        nex = self._x_dofs.shape[0]
-        ti = self._t_dofs[:, None, :, None]                      # (net,1,nlt,1)
-        xi = self._x_dofs[None, :, None, :]                      # (1,nex,1,2)
-        gdof = np.where((ti >= 0) & (xi >= 0), ti * self.dim_x + xi, -1)
-        gdof = np.broadcast_to(gdof, (net, nex, nlt, 2))
-        rows = np.broadcast_to(
-            gdof[:, :, :, :, None, None], K.shape
-        ).reshape(-1)
-        cols = np.broadcast_to(
-            gdof[:, :, None, None, :, :], K.shape
-        ).reshape(-1)
-        data = K.reshape(-1)
-        keep = (rows >= 0) & (cols >= 0)
-        J = sp.coo_matrix(
-            (data[keep], (rows[keep], cols[keep])), shape=(self.dim, self.dim)
-        )
-        return as_csr(J)
+        omega_bar = (omega * self._w).reshape(g.shape[0], -1, self.n_quad).sum(axis=2)
+        B, Bt = self._B
+        DB = B.copy()  # diag(omega_bar) B, scaled row by row
+        DB.data *= np.repeat(omega_bar.reshape(-1), np.diff(B.indptr))
+        return as_csr(Bt @ DB)
 
 
 @dataclass

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from psaddle import monotone as mo
 from psaddle import system as sy
-from psaddle.core_linalg import extremal_generalized_eigen, spd_factorize
+from psaddle.core_linalg import check_dense_size, extremal_generalized_eigen, spd_factorize
 from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
@@ -238,8 +238,10 @@ class TwoLevel:
     @cached_property
     def coarse_gram_in_fine_norm(self) -> np.ndarray:
         """P_X^T R_X^fine P_X assembled from small Kronecker factors."""
+        n = self.coarse.dim_X
+        check_dense_size("TwoLevel.coarse_gram_in_fine_norm", (n, n))
         Et, Ex = self.E_t_X, self.E_x
-        G = np.zeros((self.coarse.dim_X, self.coarse.dim_X))
+        G = np.zeros((n, n))
         for Ft, Fx in self.fine_RX_factors:
             G += np.kron(Et.T @ Ft @ Et, Ex.T @ Fx @ Ex)
         return G
@@ -258,6 +260,8 @@ def gamma_direct(two: TwoLevel) -> float:
     """Inf-sup ratio of the coarse discrete dual norm of d_t over the fine
     (surrogate-continuous) one, time-constant trial functions deflated."""
     c = two.coarse
+    check_dense_size("gamma_direct pencil kron(T_c, S_c), kron(T_f, S_f)",
+                     (2, c.dim_X, c.dim_X))
     ctxc = two.ctx_coarse
     fact_MYc = ctxc.fact_M_t_Y
     Bc = c.B_t.toarray()

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from psaddle.core_linalg import as_csr, spd_factorize
+from psaddle.core_linalg import as_csr, check_dense_size, spd_factorize
 from psaddle.errors import InvalidSpaceError
 
 FAMILIES = ("continuous-p1", "discontinuous-p0", "discontinuous-p1")
@@ -137,6 +137,15 @@ def gauss_rule(n_points: int) -> QuadratureRule:
     )
 
 
+def gauss_points(mesh: Mesh1D, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss points and weights of every element, element-major (flat)."""
+    rule = gauss_rule(n_quad)
+    h = mesh.lengths
+    pts = (mesh.points[:-1, None] + h[:, None] * np.asarray(rule.points)[None, :]).reshape(-1)
+    w = (h[:, None] * np.asarray(rule.weights)[None, :]).reshape(-1)
+    return pts, w
+
+
 def element_dofs(mesh: Mesh1D, spec: BasisSpec) -> np.ndarray:
     """Global dof indices per element, -1 for dropped boundary dofs."""
     n = mesh.n_elements
@@ -197,6 +206,28 @@ def eval_basis_at_points(
     )
 
 
+def quadrature_matrix(
+    mesh: Mesh1D, spec: BasisSpec, n_quad: int, derivative: bool = False
+) -> np.ndarray:
+    """Dense (n_elements * n_quad, dim) basis (or derivative) values at the
+    points of `gauss_points(mesh, n_quad)`.
+
+    Equal to `eval_basis_at_points(...).toarray()` at those points, which are
+    all interior, but built directly from the element dofs.
+    """
+    n, dim = mesh.n_elements, spec.dim(mesh)
+    check_dense_size(f"quadrature_matrix({spec.family}, {n} elements)", (n * n_quad, dim))
+    if derivative:
+        vals = reference_derivatives(spec)[None, None, :] / mesh.lengths[:, None, None]
+    else:
+        vals = reference_values(spec, gauss_rule(n_quad).points).T[None, :, :]
+    # column `dim` absorbs the dropped boundary dofs, which are numbered -1
+    out = np.zeros((n, n_quad, dim + 1))
+    dofs = element_dofs(mesh, spec)
+    out[np.arange(n)[:, None, None], np.arange(n_quad)[None, :, None], dofs[:, None, :]] = vals
+    return out[:, :, :dim].reshape(n * n_quad, dim)
+
+
 def eval_function(
     mesh: Mesh1D, spec: BasisSpec, coeffs: np.ndarray, pts, derivative: bool = False
 ) -> np.ndarray:
@@ -243,11 +274,7 @@ def assemble_1d(
         trial = test
     mesh_t, spec_t = test
     mesh_u, spec_u = trial
-    integ = _integration_mesh(mesh_t, mesh_u)
-    rule = gauss_rule(n_quad)
-    h = integ.lengths
-    pts = (integ.points[:-1, None] + h[:, None] * np.asarray(rule.points)[None, :]).reshape(-1)
-    w = (h[:, None] * np.asarray(rule.weights)[None, :]).reshape(-1)
+    pts, w = gauss_points(_integration_mesh(mesh_t, mesh_u), n_quad)
 
     dt = kind == "stiffness"
     du = kind in ("stiffness", "dtrial")

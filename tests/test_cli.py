@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -152,6 +153,19 @@ class TestMainEntry:
         text = MINIMAL + "solver.tol = 1e-1\nsolver.max_outer = 2000\nsolver.L_practical = 4\n"
         path = write_config(tmp_path, text)
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
+class TestHeatConfigPin:
+    def test_heat_cfg_outer_iterations(self, tmp_path):
+        # eta/tol is 1.008 after step 703 and 0.9955 after step 704, so the
+        # count moves only if the operator kernels change the iterates
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "heat.cfg")
+        out = str(tmp_path / "o")
+        assert cli.main(["solve", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "solve_summary.csv")) as fh:
+            row = next(csv.DictReader(fh))
+        assert int(row["outer_iterations"]) == 704
+        assert int(row["converged"]) == 1
 
 
 class TestDeterminism:

@@ -3,12 +3,22 @@ import pytest
 import scipy.sparse as sp
 
 from psaddle import core_linalg as cl
-from psaddle.errors import NotSpdError
+from psaddle.errors import NotSpdError, PsaddleError
 
 
 def random_spd(rng, n, shift=None):
     Q = rng.standard_normal((n, n))
     return Q @ Q.T + (shift if shift is not None else n) * np.eye(n)
+
+
+class TestDenseSizeGuard:
+    def test_at_limit_passes(self):
+        cl.check_dense_size("limit", (cl.MAX_DENSE_BYTES // 8,))
+
+    def test_above_limit_names_array_and_bytes(self):
+        n = 16383  # dim_X of the 128 x 128 default pair
+        with pytest.raises(PsaddleError, match=rf"gram .*{8 * n * n} bytes"):
+            cl.check_dense_size("gram", (n, n))
 
 
 class TestSpdSolve:

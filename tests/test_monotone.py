@@ -9,8 +9,16 @@ from hypothesis import strategies as st
 from psaddle import monotone as mo
 from psaddle.core_linalg import spd_factorize
 from psaddle.errors import PsaddleError
-from psaddle.riesz import RieszContext
-from psaddle.spaces import default_pair
+from psaddle.spaces import (
+    CONT_P1,
+    CONT_P1_DIRICHLET,
+    DISC_P0,
+    DISC_P1,
+    Mesh1D,
+    assemble_matrices,
+    default_pair,
+    refine_times,
+)
 
 
 class TestConstants:
@@ -88,12 +96,21 @@ class TestGalerkinOperator:
         assert np.all(quasi8.op_X.apply(np.zeros(quasi8.pair.dim_X)) == 0.0)
 
     def test_linear_reduction(self, heat8, rng):
-        # mu = 1: the action equals the Kronecker matrix M_t (x) A_x
+        # mu = 1: the action equals the Kronecker matrix M_t (x) A_x, both sides
         pair = heat8.pair
-        w = rng.standard_normal(pair.dim_Y)
-        dense = np.kron(pair.M_t_Y.toarray(), pair.A_x.toarray()) @ w
-        got = heat8.op_Y.apply(w)
-        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+        for op, M_t in ((heat8.op_Y, pair.M_t_Y), (heat8.op_X, pair.M_t_X)):
+            w = rng.standard_normal(op.dim)
+            dense = np.kron(M_t.toarray(), pair.A_x.toarray()) @ w
+            got = op.apply(w)
+            assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_linear_jacobian_is_kronecker(self, heat8, rng):
+        # mu = 1: the Jacobian at any w is M_t (x) A_x, both sides
+        pair = heat8.pair
+        for op, M_t in ((heat8.op_Y, pair.M_t_Y), (heat8.op_X, pair.M_t_X)):
+            dense = np.kron(M_t.toarray(), pair.A_x.toarray())
+            got = op.jacobian(rng.standard_normal(op.dim)).toarray()
+            assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_discrete_lipschitz_monotone(self, setup_name, request, rng):
@@ -111,12 +128,101 @@ class TestGalerkinOperator:
             assert lip <= L * dw + 1e-10
 
     def test_jacobian_matches_finite_differences(self, quasi8, rng):
-        w = rng.standard_normal(quasi8.pair.dim_Y)
-        v = rng.standard_normal(quasi8.pair.dim_Y)
-        eps = 1e-6
-        fd = (quasi8.op_Y.apply(w + eps * v) - quasi8.op_Y.apply(w - eps * v)) / (2 * eps)
-        jv = quasi8.op_Y.jacobian(w) @ v
-        assert np.abs(fd - jv).max() <= 1e-7 * max(np.abs(jv).max(), 1.0)
+        for op in (quasi8.op_Y, quasi8.op_X):
+            w = rng.standard_normal(op.dim)
+            v = rng.standard_normal(op.dim)
+            eps = 1e-6
+            fd = (op.apply(w + eps * v) - op.apply(w - eps * v)) / (2 * eps)
+            jv = op.jacobian(w) @ v
+            assert np.abs(fd - jv).max() <= 1e-7 * max(np.abs(jv).max(), 1.0)
+
+
+# mu depending on (t, x) as well as s: no registry coefficient does
+MU_TXS = mo.MuCoefficient(
+    fn=lambda t, x, s: (1.0 + t * x) * (1.0 + 1.0 / (1.0 + s)),
+    dfn_ds=lambda t, x, s: -(1.0 + t * x) / (1.0 + s) ** 2,
+    m_mu=7.0 / 8.0, M_mu=4.0, name="tx-one-plus-inv",
+)
+
+
+def _temporal_local(family, e, xi):
+    """Global dofs and values of the temporal basis on element e at xi."""
+    if family == "discontinuous-p0":
+        return [e], [1.0]
+    dofs = [e, e + 1] if family == "continuous-p1" else [2 * e, 2 * e + 1]
+    return dofs, [1.0 - xi, xi]
+
+
+def _oracle(mesh_t, family_t, mesh_x, mu, W):
+    """Galerkin action and Jacobian by a plain loop over elements and
+    3x3 Gauss points; spatial basis continuous P1 with zero end values."""
+    gx, gw = np.polynomial.legendre.leggauss(3)
+    xis, wts = 0.5 * (gx + 1.0), 0.5 * gw
+    dim_t, dim_x = W.shape
+    F = np.zeros((dim_t, dim_x))
+    J = np.zeros((dim_t * dim_x, dim_t * dim_x))
+    tp, xp = mesh_t.points, mesh_x.points
+    for et in range(mesh_t.n_elements):
+        ht = tp[et + 1] - tp[et]
+        for xi_t, w_t in zip(xis, wts):
+            t = tp[et] + ht * xi_t
+            tdofs, tvals = _temporal_local(family_t, et, xi_t)
+            for ex in range(mesh_x.n_elements):
+                hx = xp[ex + 1] - xp[ex]
+                # interior node k is spatial dof k - 1; end nodes carry none
+                local = [(k - 1, d) for k, d in ((ex, -1.0 / hx), (ex + 1, 1.0 / hx))
+                         if 1 <= k <= dim_x]
+                for xi_x, w_x in zip(xis, wts):
+                    x = xp[ex] + hx * xi_x
+                    weight = ht * w_t * hx * w_x
+                    g = sum(W[a, b] * va * db for a, va in zip(tdofs, tvals) for b, db in local)
+                    s = g * g
+                    flux = mu.fn(t, x, s) * g
+                    omega = mu.fn(t, x, s) + 2.0 * s * mu.dfn_ds(t, x, s)
+                    pairs = [(a * dim_x + b, va * db)
+                             for a, va in zip(tdofs, tvals) for b, db in local]
+                    for i, vi in pairs:
+                        F.flat[i] += weight * flux * vi
+                        for j, vj in pairs:
+                            J[i, j] += weight * omega * vi * vj
+    return F.reshape(-1), J
+
+
+def _jitter(n, rng):
+    pts = np.linspace(0.0, 1.0, n + 1)
+    pts[1:-1] += rng.uniform(-0.2, 0.2, n - 1) / n
+    return Mesh1D(tuple(pts))
+
+
+def _oracle_pair(kind):
+    rng = np.random.default_rng(7)
+    mesh_t, mesh_x = _jitter(3, rng), _jitter(4, rng)
+    test_t = {
+        "jittered": (mesh_t, DISC_P1),
+        "p0-test": (mesh_t, DISC_P0),
+        "test-refined-twice": (refine_times(mesh_t, 2), DISC_P1),
+    }[kind]
+    return assemble_matrices((mesh_t, CONT_P1), test_t, (mesh_x, CONT_P1_DIRICHLET))
+
+
+class TestQuadratureOracle:
+    """Both kernels against a loop over elements and Gauss points, with a
+    mu that depends on t and x."""
+
+    @pytest.mark.parametrize("side", ["Y", "X"])
+    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    def test_apply_and_jacobian(self, kind, side, rng):
+        pair = _oracle_pair(kind)
+        if side == "Y":
+            mesh_t, spec_t = pair.mesh_t_Y, pair.spec_t_Y
+        else:
+            mesh_t, spec_t = pair.mesh_t_X, pair.spec_t_X
+        op = mo.GalerkinOperator(pair, side, MU_TXS)
+        w = rng.standard_normal(op.dim)
+        F, J = _oracle(mesh_t, spec_t.family, pair.mesh_x, MU_TXS,
+                       w.reshape(op.dim_t, op.dim_x))
+        assert np.abs(op.apply(w) - F).max() <= 1e-12 * np.abs(F).max()
+        assert np.abs(op.jacobian(w).toarray() - J).max() <= 1e-12 * np.abs(J).max()
 
 
 class TestZarantonello:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,23 @@ class TestGammaDirect:
         assert report.gamma_direct is not None
         assert report.gamma_direct >= report.gamma_lower - 1e-8
         assert 0.0 < report.gamma_direct <= 1.0 + 1e-10
+
+
+class TestDenseSizeGuard:
+    def test_oversize_coarse_pair_refused_before_allocation(self):
+        # dim_X = 16383 at 128 x 128: each dense coarse Gram would be 2.1 GB
+        pair = default_pair(128, 128)
+        two = ql.TwoLevel(pair, pair)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PsaddleError, match="coarse_gram_in_fine_norm"):
+                two.coarse_gram_in_fine_norm
+            with pytest.raises(PsaddleError, match="gamma_direct"):
+                ql.gamma_direct(two)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 @pytest.fixture(scope="module")

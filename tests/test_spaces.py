@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psaddle import spaces
-from psaddle.errors import InvalidSpaceError
+from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.spaces import (
     CONT_P1,
     CONT_P1_DIRICHLET,
@@ -16,8 +16,11 @@ from psaddle.spaces import (
     default_pair,
     embed_X_into_Y,
     embedding_matrix,
+    eval_basis_at_points,
     eval_function,
+    gauss_points,
     gauss_rule,
+    quadrature_matrix,
     trace_at_time,
     uniform_refine,
 )
@@ -116,6 +119,21 @@ class TestAssembly:
             for deg in range(rule.order + 1):
                 val = sum(w * p**deg for p, w in zip(rule.points, rule.weights))
                 assert abs(val - 1.0 / (deg + 1)) < 1e-13, (n, deg)
+
+    @pytest.mark.parametrize("spec", [CONT_P1, CONT_P1_DIRICHLET, DISC_P0, DISC_P1])
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_quadrature_matrix_matches_point_evaluation(self, spec, derivative):
+        m = Mesh1D((0.0, 0.1, 0.45, 0.5, 1.0))
+        pts, _ = gauss_points(m, 3)
+        expect = eval_basis_at_points(m, spec, pts, derivative=derivative).toarray()
+        got = quadrature_matrix(m, spec, 3, derivative=derivative)
+        # the two compute the reference coordinate of a point differently
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    def test_quadrature_matrix_refuses_oversize(self):
+        # 60000 x 20001 float64 is about 9.6 GB: refused before allocation
+        with pytest.raises(PsaddleError, match="bytes"):
+            quadrature_matrix(Mesh1D.uniform(20_000), CONT_P1, 3)
 
     def test_unsupported_combination(self):
         m = Mesh1D.uniform(2)
