@@ -102,8 +102,10 @@ def parse_config(path: str) -> ExperimentConfig:
 
     if values["disc.nt"] < 1 or values["disc.nx"] < 1:
         problems.append("disc.nt and disc.nx must be >= 1")
-    if values["disc.levels"] < 1:
-        problems.append("disc.levels must be >= 1")
+    for key, lo in (("disc.levels", 1), ("solver.max_outer", 1), ("solver.L_practical", 0),
+                    ("quality.max_enrich", 0), ("output.precision", 1)):
+        if values[key] < lo:
+            problems.append(f"{key} must be >= {lo}")
     for key, lo, hi in (
         ("disc.t_breakpoints", 0.0, values["problem.T"]),
         ("disc.x_breakpoints", 0.0, 1.0),

@@ -16,7 +16,7 @@ Galerkin restrictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -246,7 +246,6 @@ class IterationResult:
     iterations: int
     final_step_norm: float
     converged: bool
-    history: list = field(default_factory=list)
 
 
 def zarantonello_solve(

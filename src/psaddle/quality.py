@@ -4,6 +4,9 @@ Continuous-level quantities (the exact solution, its best approximation, the
 true dual norm of the temporal derivative) are approximated on a reference
 pair two uniform refinements finer in both axes; inequality checks that rely
 on the surrogate carry a 1.05 slack factor in the tests.
+
+The dense Gram and inf-sup pencils are Kronecker sums of small factors; the
+factors T and S of each pair's trial Gram come from its `RieszContext`.
 """
 
 from __future__ import annotations
@@ -118,10 +121,10 @@ def gamma_x(X_x: tuple[Mesh1D, BasisSpec], levels_finer: int = 2) -> float:
 class TwoLevel:
     """Cross-pair machinery between a coarse pair and a finer reference pair.
 
-    Holds the tensor prolongations, the cross derivative/mass matrices in
-    both directions, and the Kronecker factors of the fine trial Gram, so
-    best approximations and mixed-level dual norms are assembled from small
-    dense factors instead of large sparse solves.
+    Holds the tensor prolongations and the cross derivative/mass matrices
+    in both directions; with the Kronecker factors of the fine trial Gram
+    (from `ctx_fine`), best approximations and mixed-level dual norms are
+    assembled from small dense factors instead of large sparse solves.
     """
 
     def __init__(self, coarse: TensorSpacePair, fine: TensorSpacePair,
@@ -219,30 +222,18 @@ class TwoLevel:
     # -- fine trial Gram in Kronecker factors ---------------------------------
 
     @cached_property
-    def fine_RX_factors(self):
-        p = self.fine
-        fact_M = spd_factorize(p.M_t_Y)
-        Bd = p.B_t.toarray()
-        T_mat = Bd.T @ fact_M.solve(Bd)
-        fact_A = self.ctx_fine.fact_A_x
-        Md = p.M_x.toarray()
-        S_mat = Md @ fact_A.solve(Md)
-        eT = np.zeros((p.dim_t_X, p.dim_t_X))
-        eT[-1, -1] = 1.0
-        return [
-            (p.M_t_X.toarray(), p.A_x.toarray()),
-            (T_mat, S_mat),
-            (eT, Md),
-        ]
-
-    @cached_property
     def coarse_gram_in_fine_norm(self) -> np.ndarray:
-        """P_X^T R_X^fine P_X assembled from small Kronecker factors."""
+        """P_X^T R_X^fine P_X assembled from the Kronecker factors of
+        R_X = M_t^X (x) A_x + T (x) S + e_T e_T^T (x) M_x."""
         n = self.coarse.dim_X
         check_dense_size("TwoLevel.coarse_gram_in_fine_norm", (n, n))
+        p, ctx = self.fine, self.ctx_fine
+        e_T = np.zeros((p.dim_t_X, p.dim_t_X))
+        e_T[-1, -1] = 1.0
         Et, Ex = self.E_t_X, self.E_x
         G = np.zeros((n, n))
-        for Ft, Fx in self.fine_RX_factors:
+        for Ft, Fx in ((p.M_t_X.toarray(), p.A_x.toarray()), (ctx.T_t, ctx.S_x),
+                       (e_T, p.M_x.toarray())):
             G += np.kron(Et.T @ Ft @ Et, Ex.T @ Fx @ Ex)
         return G
 
@@ -262,21 +253,14 @@ def gamma_direct(two: TwoLevel) -> float:
     c = two.coarse
     check_dense_size("gamma_direct pencil kron(T_c, S_c), kron(T_f, S_f)",
                      (2, c.dim_X, c.dim_X))
-    ctxc = two.ctx_coarse
-    fact_MYc = ctxc.fact_M_t_Y
-    Bc = c.B_t.toarray()
-    T_c = Bc.T @ fact_MYc.solve(Bc)
-    Mc = c.M_x.toarray()
-    S_c = Mc @ ctxc.fact_A_x.solve(Mc)
-    num = np.kron(T_c, S_c)
+    num = np.kron(two.ctx_coarse.T_t, two.ctx_coarse.S_x)
 
-    f = two.fine
-    fact_MYf = spd_factorize(f.M_t_Y)
+    # the same factors for coarse trial functions in the fine test space
+    ctxf = two.ctx_fine
     Bx = two.B_fineY_coarseX           # (dim fine Y_t, dim coarse X_t)
-    T_f = Bx.T @ fact_MYf.solve(Bx)
+    T_f = Bx.T @ ctxf.fact_M_t_Y.solve(Bx)
     Mx = two.M_fineX_coarseX           # (dim fine X_x, dim coarse X_x)
-    fact_Af = spd_factorize(f.A_x)
-    S_f = Mx.T @ fact_Af.solve(Mx)
+    S_f = Mx.T @ ctxf.fact_A_x.solve(Mx)
     den = np.kron(T_f, S_f)
 
     kernel = np.kron(np.ones((c.dim_t_X, 1)), np.eye(c.dim_x))

@@ -1,21 +1,25 @@
-"""Riesz-map solves, dual norms, and the mesh-dependent trial norm.
+"""Riesz-map solves, dual norms, the mesh-dependent trial norm, and the
+blocks of the saddle system.
 
 The test space carries the norm realized by R_Y = M_t^Y (x) A_x.  The trial
 space carries the Y^delta-dependent norm
 
     ||z||_{X,delta}^2 = ||z||_Y^2 + ||d_t z||_{(Y^delta)'}^2 + ||z(T)||_H^2,
 
-whose Gram operator is R_X = M_t^X (x) A_x + D^T R_Y^{-1} D + trace term
-with D = B_t (x) M_x.  Applying R_X^{-1} is a discrete linear parabolic
-solve; it is realized through one sparse factorization of the symmetric
-2x2 block matrix [[R_Y, D], [D^T, -(M_t^X (x) A_x + trace)]], reused for
-every solve on the same pair.
+whose Gram operator is R_X = M_t^X (x) A_x + T (x) S + e_T e_T^T (x) M_x,
+with T (x) S = D^T R_Y^{-1} D for D = B_t (x) M_x, T = B_t^T (M_t^Y)^{-1} B_t
+and S = M_x A_x^{-1} M_x.  `RieszContext` holds these blocks (`D`, `trace`,
+`T_t`, `S_x`) and builds every [[A_Y, D], [D^T, -A_X]] (`saddle_matrix`);
+the Uzawa loop applies D, D^T and the trace term as Kronecker matvecs.
+Applying R_X^{-1} is a discrete linear parabolic solve: one sparse
+factorization of saddle_matrix(R_Y, M_t^X (x) A_x + trace) per pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,9 +107,6 @@ class RieszContext:
     def norm_Y(self, y) -> float:
         return math.sqrt(max(float(y @ self.apply_R_Y(y)), 0.0))
 
-    def norm_Y_of_X(self, u) -> float:
-        return math.sqrt(max(float(u @ self.apply_R_YX(u)), 0.0))
-
     def dual_norm_Y(self, h) -> float:
         return math.sqrt(max(float(h @ self.riesz_Y_solve(h)), 0.0))
 
@@ -125,19 +126,44 @@ class RieszContext:
         ut = trace_at_time(self.pair, u, t)
         return math.sqrt(max(float(ut @ (self.pair.M_x @ ut)), 0.0))
 
+    # -- the blocks of the saddle system --------------------------------------
+
+    @cached_property
+    def D(self) -> sp.csr_matrix:
+        """D = B_t (x) M_x, the matrix of `apply_D`."""
+        return sp.kron(self.pair.B_t, self.pair.M_x, format="csr")
+
+    @cached_property
+    def trace(self) -> sp.csr_matrix:
+        """e_T e_T^T (x) M_x, the matrix of `apply_trace_term`."""
+        n = self.pair.dim_t_X
+        e_T = sp.csr_matrix(([1.0], ([n - 1], [n - 1])), shape=(n, n))
+        return sp.kron(e_T, self.pair.M_x, format="csr")
+
+    @cached_property
+    def T_t(self) -> np.ndarray:
+        """T = B_t^T (M_t^Y)^{-1} B_t, dense (dim_t_X, dim_t_X)."""
+        B = self.pair.B_t.toarray()
+        return B.T @ self.fact_M_t_Y.solve(B)
+
+    @cached_property
+    def S_x(self) -> np.ndarray:
+        """S = M_x A_x^{-1} M_x, dense (dim_x, dim_x)."""
+        M = self.pair.M_x.toarray()
+        return M @ self.fact_A_x.solve(M)
+
+    def saddle_matrix(self, A_Y, A_X) -> sp.csc_matrix:
+        """[[A_Y, D], [D^T, -A_X]] for sparse blocks on Y and X."""
+        return sp.bmat([[A_Y, self.D], [self.D.T, -A_X]], format="csc")
+
     # -- the linear parabolic Riesz solve -------------------------------------
 
     def _saddle(self):
         if self._saddle_lu is None:
             p = self.pair
             R_Y = sp.kron(p.M_t_Y, p.A_x, format="csr")
-            D = sp.kron(p.B_t, p.M_x, format="csr")
-            G = sp.kron(p.M_t_X, p.A_x, format="lil")
-            nX, nx = p.dim_t_X, p.dim_x
-            tail = slice((nX - 1) * nx, nX * nx)
-            G[tail, tail] = G[tail, tail] + p.M_x
-            K = sp.bmat([[R_Y, D], [D.T, -G.tocsr()]], format="csc")
-            self._saddle_lu = lu_factorize(K)
+            R_YX = sp.kron(p.M_t_X, p.A_x, format="csr")
+            self._saddle_lu = lu_factorize(self.saddle_matrix(R_Y, R_YX + self.trace))
         return self._saddle_lu
 
     def riesz_X_solve(self, h) -> np.ndarray:
@@ -177,10 +203,8 @@ def estimate_C_J(ctx: RieszContext, tol: float = 1e-10, max_iter: int = 500) -> 
     """
     p = ctx.pair
     R_Y = sp.kron(p.M_t_Y, p.A_x, format="csr")
-    D = sp.kron(p.B_t, p.M_x, format="csr")
-    G = sp.kron(p.M_t_X, p.A_x, format="csr")
-    K0 = sp.bmat([[R_Y, D], [D.T, -G]], format="csc")
-    lu = lu_factorize(K0)
+    R_YX = sp.kron(p.M_t_X, p.A_x, format="csr")
+    lu = lu_factorize(ctx.saddle_matrix(R_Y, R_YX))
     nY = p.dim_Y
 
     def solve_G(h):

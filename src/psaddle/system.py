@@ -10,7 +10,9 @@ with D the temporal-derivative coupling.  Eliminating lambda yields the
 Schur operator S z = A_X z + trace term + g - D^T A_Y^{-1}(f - D z), which
 is Lipschitz continuous and strongly monotone; the whole constant calculus
 downstream of (L_A, m_A) lives in `derive_constants`.  `Discretization`
-bundles one problem on one pair with everything a solve needs.
+bundles one problem on one pair with everything a solve needs.  D, the
+trace term and the block matrix come from `RieszContext`; the right-hand
+side is a 16-point contraction with the quadrature matrices of `spaces`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from psaddle import monotone as mo
 from psaddle.core_linalg import lu_factorize
@@ -30,9 +31,8 @@ from psaddle.spaces import (
     Mesh1D,
     BasisSpec,
     TensorSpacePair,
-    element_dofs,
-    gauss_rule,
-    reference_values,
+    gauss_points,
+    quadrature_matrix,
 )
 
 __all__ = [
@@ -80,7 +80,6 @@ class ConstantsBundle:
     L_Beinv: float
     C_1: float
     C_PF: float = C_PF_UNIT_INTERVAL
-    C_J: float | None = None
 
     @property
     def A_constants(self) -> mo.MonotoneConstants:
@@ -91,7 +90,7 @@ class ConstantsBundle:
         return mo.MonotoneConstants(L=self.L_S, m=self.m_S)
 
 
-def derive_constants(L_A: float, m_A: float, C_J: float | None = None) -> ConstantsBundle:
+def derive_constants(L_A: float, m_A: float) -> ConstantsBundle:
     """Closed-form constants of the saddle operator and its inverse.
 
     L_N     = L_A + 1
@@ -111,7 +110,7 @@ def derive_constants(L_A: float, m_A: float, C_J: float | None = None) -> Consta
     C_1 = 1.0 + (1.0 / m_S) * (1.0 + math.sqrt((1.0 + L_A**2) * (1.0 + 1.0 / m_A**2)))
     return ConstantsBundle(
         L_A=L_A, m_A=m_A, L_N=L_N, L_S=L_S, m_S=m_S,
-        L_Ninv=L_Ninv, L_Beinv=L_Beinv, C_1=C_1, C_J=C_J,
+        L_Ninv=L_Ninv, L_Beinv=L_Beinv, C_1=C_1,
     )
 
 
@@ -142,78 +141,36 @@ def assemble_functional(
     f1: Callable | None,
     n_quad: int = 16,
 ) -> np.ndarray:
-    """Moments int f0 (psi_a chi_b) + f1 (psi_a chi_b') over the cylinder."""
-    rule = gauss_rule(n_quad)
-    xi = np.asarray(rule.points)
-    wq = np.asarray(rule.weights)
-
-    t_dofs = element_dofs(mesh_t, spec_t)
-    N_t = reference_values(spec_t, xi)
-    h_t = mesh_t.lengths
-    t_q = mesh_t.points[:-1, None] + h_t[:, None] * xi[None, :]
-    w_t = h_t[:, None] * wq[None, :]
-
-    x_dofs = element_dofs(mesh_x, spec_x)
-    N_x = reference_values(spec_x, xi)
-    h_x = mesh_x.lengths
-    x_q = mesh_x.points[:-1, None] + h_x[:, None] * xi[None, :]
-    w_x = h_x[:, None] * wq[None, :]
-    dN_x = np.stack([-1.0 / h_x, 1.0 / h_x], axis=1)
-
-    dim_t = spec_t.dim(mesh_t)
-    dim_x = spec_x.dim(mesh_x)
-    t = t_q[:, None, :, None]
-    x = x_q[None, :, None, :]
-    F = np.zeros((t_dofs.shape[0], x_dofs.shape[0], t_dofs.shape[1], x_dofs.shape[1]))
-    if f0 is not None:
-        dens = np.broadcast_to(f0(t, x), (t_q.shape[0], x_q.shape[0], xi.size, xi.size))
-        wdens = dens * w_t[:, None, :, None] * w_x[None, :, None, :]
-        F += np.einsum("txqr,aq,br->txab", wdens, N_t, N_x)
-    if f1 is not None:
-        dens = np.broadcast_to(f1(t, x), (t_q.shape[0], x_q.shape[0], xi.size, xi.size))
-        wdens = dens * w_t[:, None, :, None] * w_x[None, :, None, :]
-        S = np.einsum("txqr,aq->txar", wdens, N_t).sum(axis=3)
-        F += np.einsum("txa,xb->txab", S, dN_x)
-
-    out = np.zeros((dim_t + 1, dim_x + 1))
-    ti = t_dofs[:, None, :, None]
-    xj = x_dofs[None, :, None, :]
-    np.add.at(out, (np.broadcast_to(ti, F.shape), np.broadcast_to(xj, F.shape)), F)
-    return out[:dim_t, :dim_x].reshape(-1)
+    """Moments int f0 (psi_a chi_b) + f1 (psi_a chi_b') over the cylinder:
+    E_t^T diag(w_t) [f0 diag(w_x) Q_x + f1 diag(w_x) D_x] with f0, f1 on the
+    tensor Gauss grid; the weights sit in the thin quadrature matrices, so
+    the densities are the only grid-sized arrays."""
+    t_q, w_t = gauss_points(mesh_t, n_quad)
+    x_q, w_x = gauss_points(mesh_x, n_quad)
+    t, x = t_q[:, None], x_q[None, :]
+    F = np.zeros((t_q.size, spec_x.dim(mesh_x)))
+    for fn, derivative in ((f0, False), (f1, True)):
+        if fn is not None:
+            dens = np.broadcast_to(fn(t, x), (t_q.size, x_q.size))
+            F += dens @ (w_x[:, None] * quadrature_matrix(mesh_x, spec_x, n_quad, derivative))
+    E_t = quadrature_matrix(mesh_t, spec_t, n_quad)
+    return ((w_t[:, None] * E_t).T @ F).reshape(-1)
 
 
 def u0_moments(data: ProblemData, pair: TensorSpacePair, n_quad: int = 16) -> np.ndarray:
-    """Spatial moments int u0 chi_m dx."""
+    """Spatial moments int u0 chi_m dx: Q_x^T (u0 w_x)."""
     if data.u0 is None:
         return np.zeros(pair.dim_x)
-    rule = gauss_rule(n_quad)
-    xi = np.asarray(rule.points)
-    wq = np.asarray(rule.weights)
-    mesh_x, spec_x = pair.mesh_x, pair.spec_x
-    h = mesh_x.lengths
-    x_q = mesh_x.points[:-1, None] + h[:, None] * xi[None, :]
-    w = h[:, None] * wq[None, :]
-    vals = data.u0(x_q) * w
-    N_x = reference_values(spec_x, xi)
-    dofs = element_dofs(mesh_x, spec_x)
-    out = np.zeros(pair.dim_x + 1)
-    contrib = np.einsum("xq,bq->xb", vals, N_x)
-    np.add.at(out, dofs, contrib)
-    return out[: pair.dim_x]
+    x_q, w_x = gauss_points(pair.mesh_x, n_quad)
+    return quadrature_matrix(pair.mesh_x, pair.spec_x, n_quad).T @ (data.u0(x_q) * w_x)
 
 
 def u0_l2_norm2(data: ProblemData, pair: TensorSpacePair, n_quad: int = 16) -> float:
     """int u0^2 dx by quadrature on the spatial mesh."""
     if data.u0 is None:
         return 0.0
-    rule = gauss_rule(n_quad)
-    xi = np.asarray(rule.points)
-    wq = np.asarray(rule.weights)
-    mesh_x = pair.mesh_x
-    h = mesh_x.lengths
-    x_q = mesh_x.points[:-1, None] + h[:, None] * xi[None, :]
-    w = h[:, None] * wq[None, :]
-    return float((data.u0(x_q) ** 2 * w).sum())
+    x_q, w_x = gauss_points(pair.mesh_x, n_quad)
+    return float(data.u0(x_q) ** 2 @ w_x)
 
 
 def assemble_rhs(
@@ -267,8 +224,8 @@ def residual(
 class SchurOperator:
     """S z = A_X z + trace term + g - D^T A_Y^{-1}(f - D z).
 
-    The inner inverse is evaluated by the fixed-point iteration (default) or
-    the Newton oracle; the previous inner solution warm-starts the next call.
+    The inner inverse is evaluated by Newton's method to `inner_tol` in the
+    test dual norm; the previous inner solution warm-starts the next call.
     """
 
     def __init__(
@@ -278,34 +235,22 @@ class SchurOperator:
         op_Y: mo.GalerkinOperator,
         op_X: mo.GalerkinOperator,
         rhs: tuple[np.ndarray, np.ndarray],
-        constants: mo.MonotoneConstants,
         inner_tol: float | None = None,
-        inner_mode: str = "newton",
     ):
         self.pair, self.ctx = pair, ctx
         self.op_Y, self.op_X = op_Y, op_X
         self.f, self.g = rhs
-        self.constants = constants
         scale = ctx.dual_norm_Y(self.f) if np.any(self.f) else 1.0
         self.inner_tol = inner_tol if inner_tol is not None else 1e-10 * scale
-        self.inner_mode = inner_mode
         self._lam = np.zeros(pair.dim_Y)
 
     def inner_solve(self, z: np.ndarray) -> np.ndarray:
         """lambda(z) = A_Y^{-1}(f - D z), warm-started."""
         target = self.f - self.ctx.apply_D(z)
-        if self.inner_mode == "newton":
-            res = mo.newton_solve(
-                self.op_Y.apply, self.op_Y.jacobian, target, self._lam,
-                residual_norm=self.ctx.dual_norm_Y, tol=self.inner_tol,
-            )
-        else:
-            res = mo.zarantonello_solve(
-                self.op_Y.apply, self.ctx.riesz_Y_solve, target, self._lam,
-                self.constants, tol=self.inner_tol, max_iter=200_000,
-            )
-            if not res.converged:
-                raise NotConvergedError("inner solve did not converge", best=res.x)
+        res = mo.newton_solve(
+            self.op_Y.apply, self.op_Y.jacobian, target, self._lam,
+            residual_norm=self.ctx.dual_norm_Y, tol=self.inner_tol,
+        )
         self._lam = res.x
         return res.x
 
@@ -335,12 +280,7 @@ def solve_reference(
     Falls back to a long fixed-point run on the Schur operator if Newton
     stalls.  The returned state has product dual residual at most tol.
     """
-    D = sp.kron(pair.B_t, pair.M_x, format="csr")
     nY = pair.dim_Y
-    trace_block = sp.lil_matrix((pair.dim_X, pair.dim_X))
-    tail = slice((pair.dim_t_X - 1) * pair.dim_x, pair.dim_X)
-    trace_block[tail, tail] = pair.M_x
-    trace_block = trace_block.tocsr()
 
     def product_residual(state: SaddleState) -> float:
         rY, rX = residual(state, rhs, ctx, op_Y, op_X)
@@ -348,10 +288,7 @@ def solve_reference(
 
     z = np.zeros(pair.dim_X)
     inner_tol = max(tol / 20.0, 1e-15)
-    mu_consts = mo.constants_from_mu(op_Y.mu)
-    schur = SchurOperator(
-        pair, ctx, op_Y, op_X, rhs, mu_consts, inner_tol=inner_tol, inner_mode="newton"
-    )
+    schur = SchurOperator(pair, ctx, op_Y, op_X, rhs, inner_tol=inner_tol)
 
     try:
         sz = schur.apply(z)
@@ -360,13 +297,7 @@ def solve_reference(
             state = SaddleState(schur._lam.copy(), z.copy())
             if product_residual(state) <= tol:
                 return state
-            J = sp.bmat(
-                [
-                    [op_Y.jacobian(schur._lam), D],
-                    [D.T, -(op_X.jacobian(z) + trace_block)],
-                ],
-                format="csc",
-            )
+            J = ctx.saddle_matrix(op_Y.jacobian(schur._lam), op_X.jacobian(z) + ctx.trace)
             delta = lu_factorize(J).solve(np.concatenate([np.zeros(nY), sz]))[nY:]
             alpha = 1.0
             for _ in range(40):
@@ -385,7 +316,8 @@ def solve_reference(
         raise NotConvergedError("outer newton hit the iteration cap", best=state)
     except NotConvergedError:
         # long fixed-point fallback on the Schur operator
-        s_consts = derive_constants(mu_consts.L, mu_consts.m).S_constants
+        c = mo.constants_from_mu(op_Y.mu)
+        s_consts = derive_constants(c.L, c.m).S_constants
         res = mo.zarantonello_solve(
             schur.apply, ctx.riesz_X_solve, np.zeros(pair.dim_X), z,
             s_consts, tol=tol / 10.0, max_iter=500_000,

@@ -193,10 +193,8 @@ def run_inexact_uzawa(
     op_X: mo.GalerkinOperator,
     ctx: RieszContext,
     cfg: UzawaConfig,
-    start: SaddleState | None = None,
     reference: SaddleState | None = None,
     raise_on_cap: bool = False,
-    apply_Rinv_Y=None,
     apply_Rinv_X=None,
 ) -> tuple[SaddleState, UzawaTrace]:
     """Inexact Uzawa iteration.
@@ -210,16 +208,16 @@ def run_inexact_uzawa(
     the returned state is that monitored pair.  If `reference` is given the
     trace records true errors against it (test mode).
 
-    The exact Riesz solves can be replaced by spectrally equivalent
-    preconditioners through apply_Rinv_Y / apply_Rinv_X; the config must
-    then carry constants adapted to the preconditioner norms (see
-    adapted_schur_constants), and eta becomes an estimate in those norms.
+    The exact trial Riesz solve can be replaced by a spectrally equivalent
+    preconditioner through apply_Rinv_X; the config must then carry Schur
+    constants adapted to the preconditioner norm (see
+    adapted_schur_constants), and eta becomes an estimate in that norm.
     """
     f, g = rhs
-    solve_Y = apply_Rinv_Y or ctx.riesz_Y_solve
+    solve_Y = ctx.riesz_Y_solve
     solve_X = apply_Rinv_X or ctx.riesz_X_solve
-    lam = start.lam.copy() if start is not None else np.zeros(pair.dim_Y)
-    u = start.u.copy() if start is not None else np.zeros(pair.dim_X)
+    lam = np.zeros(pair.dim_Y)
+    u = np.zeros(pair.dim_X)
     trace = UzawaTrace()
 
     for k in range(cfg.max_outer):

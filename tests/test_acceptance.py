@@ -67,7 +67,7 @@ def test_criterion_02_discrete_operator_bounds(problem_name, request):
         assert s.ctx.dual_norm_Y(diff) <= L_A * dn + slack * max(1.0, L_A * dn)
 
     schur = sy.SchurOperator(
-        s.pair, s.ctx, s.op_Y, s.op_X, s.rhs, s.bundle.A_constants, inner_tol=1e-12
+        s.pair, s.ctx, s.op_Y, s.op_X, s.rhs, inner_tol=1e-12
     )
     L_S, m_S = s.bundle.L_S, s.bundle.m_S
     for _ in range(50):

@@ -154,17 +154,39 @@ class TestMainEntry:
         path = write_config(tmp_path, text)
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("subcommand,line", [
+        ("solve", "solver.max_outer = 0"),
+        ("solve", "solver.L_practical = -1"),
+        ("solve", "output.precision = -1"),
+        ("pjotr", "quality.max_enrich = -1"),
+    ])
+    def test_exit_code_value_out_of_range(self, subcommand, line, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL + line + "\n")
+        assert cli.main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+
+def _solve_summary(cfg_name, tmp_path):
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", cfg_name)
+    out = str(tmp_path / "o")
+    assert cli.main(["solve", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "solve_summary.csv")) as fh:
+        return next(csv.DictReader(fh))
+
 
 class TestHeatConfigPin:
     def test_heat_cfg_outer_iterations(self, tmp_path):
         # eta/tol is 1.008 after step 703 and 0.9955 after step 704, so the
         # count moves only if the operator kernels change the iterates
-        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "heat.cfg")
-        out = str(tmp_path / "o")
-        assert cli.main(["solve", "--config", cfg, "--out", out]) == 0
-        with open(os.path.join(out, "solve_summary.csv")) as fh:
-            row = next(csv.DictReader(fh))
+        row = _solve_summary("heat.cfg", tmp_path)
         assert int(row["outer_iterations"]) == 704
+        assert int(row["converged"]) == 1
+
+    def test_quasilinear_cfg_outer_iterations(self, tmp_path):
+        # eta/tol is 1.00034 after step 2884 and 0.99967 after step 2885
+        row = _solve_summary("quasilinear.cfg", tmp_path)
+        assert int(row["outer_iterations"]) == 2885
         assert int(row["converged"]) == 1
 
 

@@ -10,9 +10,11 @@ from psaddle.spaces import (
     CONT_P1,
     CONT_P1_DIRICHLET,
     DISC_P0,
+    DISC_P1,
     Mesh1D,
     assemble_matrices,
     default_pair,
+    refine_times,
 )
 from psaddle import system as sy
 
@@ -70,6 +72,35 @@ class TestRieszX:
         RX = dense_RX(ctx3.pair)
         u = rng.standard_normal(ctx3.pair.dim_X)
         assert np.allclose(ctx3.apply_R_X(u), RX @ u, atol=1e-12)
+
+
+def _blocks_pair(kind):
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 1.0, 6)
+    x = np.linspace(0.0, 1.0, 7)
+    t[1:-1] += rng.uniform(-0.04, 0.04, 4)
+    x[1:-1] += rng.uniform(-0.03, 0.03, 5)
+    mesh_t, mesh_x = Mesh1D(tuple(t)), Mesh1D(tuple(x))
+    mesh_Y = mesh_t if kind == "jittered" else refine_times(mesh_t, 2)
+    return assemble_matrices((mesh_t, CONT_P1), (mesh_Y, DISC_P1), (mesh_x, CONT_P1_DIRICHLET))
+
+
+class TestSaddleBlocks:
+    """The cached matrices agree with the Kronecker matvecs they stand for."""
+
+    @pytest.mark.parametrize("kind", ["jittered", "enriched"])
+    def test_blocks_match_matvecs(self, kind, rng):
+        ctx = RieszContext(_blocks_pair(kind))
+        u = rng.standard_normal(ctx.pair.dim_X)
+        lam = rng.standard_normal(ctx.pair.dim_Y)
+        checks = [
+            (ctx.D @ u, ctx.apply_D(u)),
+            (ctx.D.T @ lam, ctx.apply_Dt(lam)),
+            (ctx.trace @ u, ctx.apply_trace_term(u)),
+            (np.kron(ctx.T_t, ctx.S_x) @ u, ctx.apply_Dt(ctx.riesz_Y_solve(ctx.apply_D(u)))),
+        ]
+        for got, expect in checks:
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 class TestNormXDelta:

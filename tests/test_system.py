@@ -9,7 +9,19 @@ from scipy.integrate import quad
 from psaddle import monotone as mo
 from psaddle import system as sy
 from psaddle.riesz import RieszContext
-from psaddle.spaces import default_pair, embed_X_into_Y, eval_basis_at_points, uniform_refine
+from psaddle.spaces import (
+    CONT_P1,
+    CONT_P1_DIRICHLET,
+    DISC_P0,
+    DISC_P1,
+    Mesh1D,
+    assemble_matrices,
+    default_pair,
+    embed_X_into_Y,
+    eval_basis_at_points,
+    refine_times,
+    uniform_refine,
+)
 
 
 class TestDeriveConstants:
@@ -89,6 +101,98 @@ class TestAssembleRhs:
         assert np.abs(restricted - f_coarse).max() <= 1e-12 * scale
 
 
+F0 = lambda t, x: np.exp(t * x) * np.sin(3.0 * x + t)
+F1 = lambda t, x: np.cos(2.0 * t * x) + t * x * x
+U0 = lambda x: np.exp(x) * np.sin(3.0 * x)
+
+
+def _gauss16():
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    return 0.5 * (gx + 1.0), 0.5 * gw
+
+
+def _local(family, e, xi):
+    """Global dofs and values of a temporal basis on element e at xi."""
+    if family == "discontinuous-p0":
+        return [e], [1.0]
+    dofs = [e, e + 1] if family == "continuous-p1" else [2 * e, 2 * e + 1]
+    return dofs, [1.0 - xi, xi]
+
+
+def _spatial_local(ex, n_x, xi, h):
+    """(dof, value, derivative) of the interior-node hat functions on
+    spatial element ex; interior node k is dof k - 1."""
+    return [(k - 1, v, d) for k, v, d in ((ex, 1.0 - xi, -1.0 / h), (ex + 1, xi, 1.0 / h))
+            if 1 <= k <= n_x - 1]
+
+
+def _functional_oracle(mesh_t, family_t, dim_t, mesh_x, f0, f1):
+    """int f0 psi chi + f1 psi chi' by a plain loop over element pairs and
+    16x16 Gauss points."""
+    xis, wts = _gauss16()
+    n_x = mesh_x.n_elements
+    out = np.zeros((dim_t, n_x - 1))
+    tp, xp = mesh_t.points, mesh_x.points
+    for et in range(mesh_t.n_elements):
+        ht = tp[et + 1] - tp[et]
+        for xi_t, w_t in zip(xis, wts):
+            t = tp[et] + ht * xi_t
+            tdofs, tvals = _local(family_t, et, xi_t)
+            for ex in range(n_x):
+                hx = xp[ex + 1] - xp[ex]
+                for xi_x, w_x in zip(xis, wts):
+                    x = xp[ex] + hx * xi_x
+                    weight = ht * w_t * hx * w_x
+                    for a, va in zip(tdofs, tvals):
+                        for b, vb, db in _spatial_local(ex, n_x, xi_x, hx):
+                            out[a, b] += weight * va * (f0(t, x) * vb + f1(t, x) * db)
+    return out.reshape(-1)
+
+
+def _jittered(n, rng):
+    pts = np.linspace(0.0, 1.0, n + 1)
+    pts[1:-1] += rng.uniform(-0.2, 0.2, n - 1) / n
+    return Mesh1D(tuple(pts))
+
+
+class TestQuadratureOracle:
+    """The right-hand side against loops over elements and 16 Gauss points
+    per axis, with data that do not separate in (t, x)."""
+
+    @pytest.mark.parametrize("kind", ["cont-p1", "disc-p1", "disc-p0", "test-refined-twice"])
+    def test_assemble_functional(self, kind):
+        rng = np.random.default_rng(11)
+        mesh_t, mesh_x = _jittered(3, rng), _jittered(4, rng)
+        mesh_t, spec_t = {
+            "cont-p1": (mesh_t, CONT_P1),
+            "disc-p1": (mesh_t, DISC_P1),
+            "disc-p0": (mesh_t, DISC_P0),
+            "test-refined-twice": (refine_times(mesh_t, 2), DISC_P1),
+        }[kind]
+        got = sy.assemble_functional(mesh_t, spec_t, mesh_x, CONT_P1_DIRICHLET, F0, F1)
+        expect = _functional_oracle(mesh_t, spec_t.family, spec_t.dim(mesh_t), mesh_x, F0, F1)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_u0_moments_and_norm(self):
+        rng = np.random.default_rng(12)
+        mesh_t, mesh_x = _jittered(3, rng), _jittered(5, rng)
+        pair = assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P1), (mesh_x, CONT_P1_DIRICHLET))
+        data = sy.ProblemData(u0=U0)
+        xis, wts = _gauss16()
+        xp, n_x = mesh_x.points, mesh_x.n_elements
+        moments, norm2 = np.zeros(n_x - 1), 0.0
+        for ex in range(n_x):
+            hx = xp[ex + 1] - xp[ex]
+            for xi, w in zip(xis, wts):
+                val = U0(xp[ex] + hx * xi)
+                norm2 += hx * w * val * val
+                for b, vb, _ in _spatial_local(ex, n_x, xi, hx):
+                    moments[b] += hx * w * val * vb
+        got = sy.u0_moments(data, pair)
+        assert np.abs(got - moments).max() <= 1e-13 * np.abs(moments).max()
+        assert abs(sy.u0_l2_norm2(data, pair) - norm2) <= 1e-13 * norm2
+
+
 class TestApplyN:
     def test_zero_state(self, quasi8):
         r1, r2 = sy.apply_N(
@@ -134,14 +238,13 @@ class TestSchur:
     def test_zero_data_zero_value(self, heat8):
         rhs0 = (np.zeros(heat8.pair.dim_Y), np.zeros(heat8.pair.dim_X))
         schur = sy.SchurOperator(
-            heat8.pair, heat8.ctx, heat8.op_Y, heat8.op_X, rhs0, heat8.bundle.A_constants
+            heat8.pair, heat8.ctx, heat8.op_Y, heat8.op_X, rhs0
         )
         assert np.abs(schur.apply(np.zeros(heat8.pair.dim_X))).max() <= 1e-14
 
     def test_vanishes_at_solution(self, heat8):
         schur = sy.SchurOperator(
-            heat8.pair, heat8.ctx, heat8.op_Y, heat8.op_X, heat8.rhs,
-            heat8.bundle.A_constants, inner_tol=1e-13,
+            heat8.pair, heat8.ctx, heat8.op_Y, heat8.op_X, heat8.rhs, inner_tol=1e-13,
         )
         val = schur.apply(heat8.reference().u)
         assert heat8.ctx.dual_norm_X(val) <= 1e-11
@@ -150,7 +253,7 @@ class TestSchur:
     def test_lipschitz_and_monotone(self, setup_name, request, rng):
         s = request.getfixturevalue(setup_name)
         schur = sy.SchurOperator(
-            s.pair, s.ctx, s.op_Y, s.op_X, s.rhs, s.bundle.A_constants, inner_tol=1e-12
+            s.pair, s.ctx, s.op_Y, s.op_X, s.rhs, inner_tol=1e-12
         )
         L_S, m_S = s.bundle.L_S, s.bundle.m_S
         for _ in range(10):
@@ -200,8 +303,7 @@ class TestSolveReference:
         # fixed outer budget on the nonlinear Schur operator: agreement at the
         # level the contraction factor allows
         schur = sy.SchurOperator(
-            quasi8.pair, quasi8.ctx, quasi8.op_Y, quasi8.op_X, quasi8.rhs,
-            quasi8.bundle.A_constants, inner_tol=1e-13,
+            quasi8.pair, quasi8.ctx, quasi8.op_Y, quasi8.op_X, quasi8.rhs, inner_tol=1e-13,
         )
         res = mo.zarantonello_solve(
             schur.apply, quasi8.ctx.riesz_X_solve, np.zeros(quasi8.pair.dim_X),
