@@ -11,8 +11,20 @@ with T (x) S = D^T R_Y^{-1} D for D = B_t (x) M_x, T = B_t^T (M_t^Y)^{-1} B_t
 and S = M_x A_x^{-1} M_x.  `RieszContext` holds these blocks (`D`, `trace`,
 `T_t`, `S_x`) and builds every [[A_Y, D], [D^T, -A_X]] (`saddle_matrix`);
 the Uzawa loop applies D, D^T and the trace term as Kronecker matvecs.
-Applying R_X^{-1} is a discrete linear parabolic solve: one sparse
-factorization of saddle_matrix(R_Y, M_t^X (x) A_x + trace) per pair.
+
+Both Riesz solves are exact and go through dense transforms built once per
+pair, without a sparse LU:
+
+* R_Y^{-1} h = (M_t^Y)^{-1} H A_x^{-1}, two products with dense inverses
+  taken from the pair's SPD factorizations.
+* R_X^{-1} by fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 6,
+  1964).  With A_x V = M_x V Lambda, V^T M_x V = I, the spatial modes
+  decouple: V^T S V = Lambda^{-1}, so mode k carries the temporal block
+  K_k = lambda_k M_t^X + T / lambda_k + e_T e_T^T.  With T W = M_t^X W Theta,
+  W^T M_t^X W = I, W^T K_k W = D_k + w w^T for the diagonal
+  D_k = lambda_k + Theta / lambda_k and w = W^T e_T, which Sherman-Morrison
+  inverts in closed form.  A solve is four dense products and O(dim_X)
+  scalings; the set-up is two symmetric-definite eigenproblems, one per axis.
 """
 
 from __future__ import annotations
@@ -22,10 +34,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from psaddle.core_linalg import SpdFactorization, lu_factorize, spd_factorize
-from psaddle.errors import DimensionMismatchError, InvalidSpaceError
+from psaddle.core_linalg import SpdFactorization, check_dense_size, spd_factorize
+from psaddle.errors import DimensionMismatchError, InvalidSpaceError, NotSpdError
 from psaddle.spaces import TensorSpacePair, embed_X_into_Y, trace_at_time
 
 __all__ = ["RieszContext", "estimate_C_J"]
@@ -36,13 +49,13 @@ class RieszContext:
     """Factorizations and norm machinery bound to one tensor pair.
 
     The mesh-dependent trial norm always refers to the test space currently
-    bound in `pair`; rebuilding the context is the way to change it.
+    bound in `pair`; rebuilding the context is the way to change it.  The
+    dense inverses and the mode transforms are built on first use.
     """
 
     pair: TensorSpacePair
     fact_M_t_Y: SpdFactorization = field(init=False, repr=False)
     fact_A_x: SpdFactorization = field(init=False, repr=False)
-    _saddle_lu: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.fact_M_t_Y = spd_factorize(self.pair.M_t_Y)
@@ -66,11 +79,22 @@ class RieszContext:
         Y = self._as_Y(y)
         return np.asarray(self.pair.M_t_Y @ (self.pair.A_x @ Y.T).T).reshape(-1)
 
+    @cached_property
+    def _inv_M_t_Y(self) -> np.ndarray:
+        n = self.pair.dim_t_Y
+        check_dense_size("RieszContext inverse of M_t^Y", (n, n))
+        return self.fact_M_t_Y.solve(np.eye(n))
+
+    @cached_property
+    def _inv_A_x(self) -> np.ndarray:
+        n = self.pair.dim_x
+        check_dense_size("RieszContext inverse of A_x", (n, n))
+        return self.fact_A_x.solve(np.eye(n))
+
     def riesz_Y_solve(self, h) -> np.ndarray:
-        """(M_t^Y (x) A_x)^{-1} h: the Y-representer of a Y-functional."""
-        H = self._as_Y(h)
-        Z = self.fact_M_t_Y.solve(H)                   # M^{-1} H
-        return self.fact_A_x.solve(Z.T).T.reshape(-1)  # ... A^{-1}
+        """(M_t^Y (x) A_x)^{-1} h = (M_t^Y)^{-1} H A_x^{-1}: the Y-representer
+        of a Y-functional."""
+        return (self._inv_M_t_Y @ self._as_Y(h) @ self._inv_A_x).reshape(-1)
 
     def apply_D(self, u) -> np.ndarray:
         """Temporal derivative of a trial function as a Y-functional."""
@@ -143,6 +167,7 @@ class RieszContext:
     @cached_property
     def T_t(self) -> np.ndarray:
         """T = B_t^T (M_t^Y)^{-1} B_t, dense (dim_t_X, dim_t_X)."""
+        check_dense_size("RieszContext.T_t", (self.pair.dim_t_Y, self.pair.dim_t_X))
         B = self.pair.B_t.toarray()
         return B.T @ self.fact_M_t_Y.solve(B)
 
@@ -158,22 +183,34 @@ class RieszContext:
 
     # -- the linear parabolic Riesz solve -------------------------------------
 
-    def _saddle(self):
-        if self._saddle_lu is None:
-            p = self.pair
-            R_Y = sp.kron(p.M_t_Y, p.A_x, format="csr")
-            R_YX = sp.kron(p.M_t_X, p.A_x, format="csr")
-            self._saddle_lu = lu_factorize(self.saddle_matrix(R_Y, R_YX + self.trace))
-        return self._saddle_lu
+    @cached_property
+    def _modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(W, V, scale, w, corr) of the fast diagonalization of R_X.
+
+        scale[j, k] = 1 / (lambda_k + theta_j / lambda_k) is D_k^{-1} and
+        corr[:, k] = D_k^{-1} w / (1 + w^T D_k^{-1} w) its Sherman-Morrison
+        correction for the trace term.
+        """
+        p = self.pair
+        check_dense_size("RieszContext spatial eigenbasis V", (p.dim_x, p.dim_x))
+        check_dense_size("RieszContext temporal eigenbasis W", (p.dim_t_X, p.dim_t_X))
+        try:
+            lam, V = sla.eigh(p.A_x.toarray(), p.M_x.toarray())
+            theta, W = sla.eigh(self.T_t, p.M_t_X.toarray())
+        except np.linalg.LinAlgError as exc:  # a mass matrix is not positive definite
+            raise NotSpdError(f"mode transform failed: {exc}") from exc
+        scale = 1.0 / (lam[None, :] + theta[:, None] / lam[None, :])
+        w = W[-1]
+        corr = scale * w[:, None] / (1.0 + w**2 @ scale)
+        return W, V, scale, w, corr
 
     def riesz_X_solve(self, h) -> np.ndarray:
-        """R_X^{-1} h via the 2x2 block elimination; factored once per pair."""
-        h = np.asarray(h, dtype=float)
-        if h.shape[0] != self.pair.dim_X:
-            raise DimensionMismatchError(f"expected X-dim {self.pair.dim_X}, got {h.shape[0]}")
-        rhs = np.concatenate([np.zeros(self.pair.dim_Y), -h])
-        sol = self._saddle().solve(rhs)
-        return sol[self.pair.dim_Y :]
+        """R_X^{-1} h by fast diagonalization: into the modes, D_k^{-1} plus
+        the rank-one trace correction per spatial mode, back again."""
+        W, V, scale, w, corr = self._modes
+        Z = scale * (W.T @ self._as_X(h) @ V)
+        Z -= corr * (w @ Z)
+        return (W @ Z @ V.T).reshape(-1)
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -193,46 +230,14 @@ class RieszContext:
         return lhs, rhs
 
 
-def estimate_C_J(ctx: RieszContext, tol: float = 1e-10, max_iter: int = 500) -> float:
+def estimate_C_J(ctx: RieszContext) -> float:
     """Embedding constant of point traces, estimated on a fine reference pair.
 
-    Maximizes ||z(t)||_H^2 / (||z||_Y^2 + ||d_t z||_{(Y^d)'}^2) over the trial
-    space for t in {0, T} by power iteration on the generalized eigenproblem;
-    the denominator Gram is inverted through the same 2x2 block trick as
-    R_X but without the endpoint trace term.
+    The largest ||z(t)||_H^2 / (||z||_Y^2 + ||d_t z||_{(Y^d)'}^2) over the
+    trial space for t in {0, T}, in closed form.  In the modes of R_X the
+    denominator Gram is block-diagonal with G_k = lambda_k M_t^X + T/lambda_k
+    and the numerator is e_t e_t^T per mode, a rank-one pencil whose one
+    eigenvalue is (G_k^{-1})[t, t] = sum_j W[t, j]^2 / (lambda_k + theta_j/lambda_k).
     """
-    p = ctx.pair
-    R_Y = sp.kron(p.M_t_Y, p.A_x, format="csr")
-    R_YX = sp.kron(p.M_t_X, p.A_x, format="csr")
-    lu = lu_factorize(ctx.saddle_matrix(R_Y, R_YX))
-    nY = p.dim_Y
-
-    def solve_G(h):
-        sol = lu.solve(np.concatenate([np.zeros(nY), -h]))
-        return sol[nY:]
-
-    def apply_G(u):
-        return ctx.apply_R_YX(u) + ctx.apply_Dt(ctx.riesz_Y_solve(ctx.apply_D(u)))
-
-    best = 0.0
-    for endpoint in (0.0, p.T):
-        def apply_trace(u):
-            U = ctx._as_X(u)
-            out = np.zeros_like(U)
-            row = 0 if endpoint == 0.0 else -1
-            out[row] = p.M_x @ U[row]
-            return out.reshape(-1)
-
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal(p.dim_X)
-        lam_prev = 0.0
-        for _ in range(max_iter):
-            w = solve_G(apply_trace(v))
-            nrm = math.sqrt(max(float(w @ apply_G(w)), 1e-300))
-            v = w / nrm
-            lam = float(v @ apply_trace(v)) / float(v @ apply_G(v))
-            if abs(lam - lam_prev) <= tol * max(lam, 1e-30):
-                break
-            lam_prev = lam
-        best = max(best, lam)
-    return math.sqrt(best)
+    W, _, scale, _, _ = ctx._modes
+    return math.sqrt(float((W[[0, -1]] ** 2 @ scale).max()))

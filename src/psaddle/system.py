@@ -132,6 +132,35 @@ class ProblemData:
         return self.ell_f0 is not None or self.ell_f1 is not None
 
 
+def _spatial_moments(
+    mesh_t: Mesh1D,
+    mesh_x: Mesh1D,
+    spec_x: BasisSpec,
+    f0: Callable | None,
+    f1: Callable | None,
+    n_quad: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """f0 diag(w_x) Q_x + f1 diag(w_x) D_x with f0, f1 on the tensor Gauss
+    grid of mesh_t x mesh_x, and the temporal weights w_t."""
+    t_q, w_t = gauss_points(mesh_t, n_quad)
+    x_q, w_x = gauss_points(mesh_x, n_quad)
+    t, x = t_q[:, None], x_q[None, :]
+    F = np.zeros((t_q.size, spec_x.dim(mesh_x)))
+    for fn, derivative in ((f0, False), (f1, True)):
+        if fn is not None:
+            dens = np.broadcast_to(fn(t, x), (t_q.size, x_q.size))
+            F += dens @ (w_x[:, None] * quadrature_matrix(mesh_x, spec_x, n_quad, derivative))
+    return F, w_t
+
+
+def _temporal_moments(
+    mesh_t: Mesh1D, spec_t: BasisSpec, F: np.ndarray, w_t: np.ndarray, n_quad: int
+) -> np.ndarray:
+    """E_t^T diag(w_t) F, flattened time-major."""
+    E_t = quadrature_matrix(mesh_t, spec_t, n_quad)
+    return ((w_t[:, None] * E_t).T @ F).reshape(-1)
+
+
 def assemble_functional(
     mesh_t: Mesh1D,
     spec_t: BasisSpec,
@@ -145,16 +174,8 @@ def assemble_functional(
     E_t^T diag(w_t) [f0 diag(w_x) Q_x + f1 diag(w_x) D_x] with f0, f1 on the
     tensor Gauss grid; the weights sit in the thin quadrature matrices, so
     the densities are the only grid-sized arrays."""
-    t_q, w_t = gauss_points(mesh_t, n_quad)
-    x_q, w_x = gauss_points(mesh_x, n_quad)
-    t, x = t_q[:, None], x_q[None, :]
-    F = np.zeros((t_q.size, spec_x.dim(mesh_x)))
-    for fn, derivative in ((f0, False), (f1, True)):
-        if fn is not None:
-            dens = np.broadcast_to(fn(t, x), (t_q.size, x_q.size))
-            F += dens @ (w_x[:, None] * quadrature_matrix(mesh_x, spec_x, n_quad, derivative))
-    E_t = quadrature_matrix(mesh_t, spec_t, n_quad)
-    return ((w_t[:, None] * E_t).T @ F).reshape(-1)
+    F, w_t = _spatial_moments(mesh_t, mesh_x, spec_x, f0, f1, n_quad)
+    return _temporal_moments(mesh_t, spec_t, F, w_t, n_quad)
 
 
 def u0_moments(data: ProblemData, pair: TensorSpacePair, n_quad: int = 16) -> np.ndarray:
@@ -178,14 +199,12 @@ def assemble_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side (f, g) = (ell on Y^d, -(ell + initial trace) on X^d)."""
     if data.has_ell:
-        f = assemble_functional(
-            pair.mesh_t_Y, pair.spec_t_Y, pair.mesh_x, pair.spec_x,
-            data.ell_f0, data.ell_f1, n_quad,
-        )
-        ell_X = assemble_functional(
-            pair.mesh_t_X, pair.spec_t_X, pair.mesh_x, pair.spec_x,
-            data.ell_f0, data.ell_f1, n_quad,
-        )
+        args = (pair.mesh_x, pair.spec_x, data.ell_f0, data.ell_f1, n_quad)
+        F_Y = _spatial_moments(pair.mesh_t_Y, *args)
+        # the densities are evaluated once when both temporal meshes coincide
+        F_X = F_Y if pair.mesh_t_X == pair.mesh_t_Y else _spatial_moments(pair.mesh_t_X, *args)
+        f = _temporal_moments(pair.mesh_t_Y, pair.spec_t_Y, *F_Y, n_quad)
+        ell_X = _temporal_moments(pair.mesh_t_X, pair.spec_t_X, *F_X, n_quad)
     else:
         f = np.zeros(pair.dim_Y)
         ell_X = np.zeros(pair.dim_X)

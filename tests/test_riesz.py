@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from psaddle import riesz
-from psaddle.errors import InvalidSpaceError
+from psaddle import core_linalg, riesz
+from psaddle.errors import InvalidSpaceError, NotSpdError, PsaddleError
 from psaddle.riesz import RieszContext, estimate_C_J
 from psaddle.spaces import (
     CONT_P1,
@@ -73,16 +77,107 @@ class TestRieszX:
         u = rng.standard_normal(ctx3.pair.dim_X)
         assert np.allclose(ctx3.apply_R_X(u), RX @ u, atol=1e-12)
 
+    def test_indefinite_spatial_mass_refused(self):
+        pair = default_pair(2, 3)
+        ctx = RieszContext(dataclasses.replace(pair, M_x=-pair.M_x))
+        with pytest.raises(NotSpdError):
+            ctx.riesz_X_solve(np.zeros(pair.dim_X))
+
 
 def _blocks_pair(kind):
+    """Jittered 5 x 6 meshes; the test space is disc-P1 on the same temporal
+    mesh, on that mesh refined twice ("enriched"), or disc-P0 ("p0")."""
     rng = np.random.default_rng(5)
     t = np.linspace(0.0, 1.0, 6)
     x = np.linspace(0.0, 1.0, 7)
     t[1:-1] += rng.uniform(-0.04, 0.04, 4)
     x[1:-1] += rng.uniform(-0.03, 0.03, 5)
     mesh_t, mesh_x = Mesh1D(tuple(t)), Mesh1D(tuple(x))
-    mesh_Y = mesh_t if kind == "jittered" else refine_times(mesh_t, 2)
-    return assemble_matrices((mesh_t, CONT_P1), (mesh_Y, DISC_P1), (mesh_x, CONT_P1_DIRICHLET))
+    Y_t = {"jittered": (mesh_t, DISC_P1), "enriched": (refine_times(mesh_t, 2), DISC_P1),
+           "p0": (mesh_t, DISC_P0)}[kind]
+    return assemble_matrices((mesh_t, CONT_P1), Y_t, (mesh_x, CONT_P1_DIRICHLET))
+
+
+def _rel_err(got, expect):
+    return np.abs(got - expect).max() / np.abs(expect).max()
+
+
+class TestRieszAgainstDenseGram:
+    """Both Riesz solves equal a dense solve with the assembled Gram."""
+
+    @pytest.mark.parametrize("kind", ["jittered", "enriched", "p0"])
+    def test_riesz_X_solve(self, kind, rng):
+        ctx = RieszContext(_blocks_pair(kind))
+        h = rng.standard_normal(ctx.pair.dim_X)
+        assert _rel_err(ctx.riesz_X_solve(h), np.linalg.solve(dense_RX(ctx.pair), h)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["jittered", "enriched", "p0"])
+    def test_riesz_Y_solve(self, kind, rng):
+        pair = _blocks_pair(kind)
+        ctx = RieszContext(pair)
+        RY = np.kron(pair.M_t_Y.toarray(), pair.A_x.toarray())
+        h = rng.standard_normal(pair.dim_Y)
+        assert _rel_err(ctx.riesz_Y_solve(h), np.linalg.solve(RY, h)) <= 1e-12
+
+
+class TestDenseSizeGuard:
+    """An oversize pair is refused before any dense transform is allocated."""
+
+    @pytest.mark.parametrize("kind", ["space", "time"])
+    def test_oversize_pair_refused_before_allocation(self, kind):
+        if kind == "space":
+            # dim_x = 11599: V and A_x^{-1} would take 1.08 GB each
+            mesh_t = Mesh1D.uniform(1)
+            pair = assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P0),
+                                     (Mesh1D.uniform(11600), CONT_P1_DIRICHLET))
+            refused = ("riesz_X_solve", "riesz_Y_solve", "estimate_C_J")
+        else:
+            # dim_t_Y = 16384 on a test mesh refined 13 times: (M_t^Y)^{-1}
+            # would take 2.1 GB; the trial side stays small
+            mesh_t = Mesh1D.uniform(1)
+            pair = assemble_matrices((mesh_t, CONT_P1), (refine_times(mesh_t, 13), DISC_P1),
+                                     (Mesh1D.uniform(2), CONT_P1_DIRICHLET))
+            refused = ("riesz_Y_solve",)
+        ctx = RieszContext(pair)
+        calls = {
+            "riesz_X_solve": (ctx.riesz_X_solve, np.zeros(pair.dim_X)),
+            "riesz_Y_solve": (ctx.riesz_Y_solve, np.zeros(pair.dim_Y)),
+            "estimate_C_J": (estimate_C_J, ctx),
+        }
+        tracemalloc.start()
+        try:
+            for name in refused:
+                fn, arg = calls[name]
+                with pytest.raises(PsaddleError, match="above the"):
+                    fn(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_riesz_machinery_factors_no_lu(monkeypatch, rng):
+    """Riesz solves, dual norms and C_J run on dense transforms alone."""
+    calls = []
+    orig = core_linalg.lu_factorize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("psaddle") and getattr(mod, "lu_factorize", None) is orig:
+            monkeypatch.setattr(mod, "lu_factorize", counting)
+    ctx = RieszContext(_blocks_pair("jittered"))
+    ctx.riesz_X_solve(rng.standard_normal(ctx.pair.dim_X))
+    ctx.riesz_Y_solve(rng.standard_normal(ctx.pair.dim_Y))
+    ctx.dual_norm_X(rng.standard_normal(ctx.pair.dim_X))
+    estimate_C_J(ctx)
+    assert calls == []
+    # the counter sees the factorizations that remain (the reference solver's)
+    problem = sy.heat_problem()
+    sy.Discretization(default_pair(2, 2), problem.mu, problem.data).reference()
+    assert calls
 
 
 class TestSaddleBlocks:
@@ -150,6 +245,22 @@ class TestInfSupIdentity:
 
 
 class TestEstimateCJ:
+    @pytest.mark.parametrize("kind", ["uniform", "jittered", "enriched"])
+    def test_matches_dense_generalized_eigensolve(self, kind):
+        pair = default_pair(4, 4) if kind == "uniform" else _blocks_pair(kind)
+        ctx = RieszContext(pair)
+        n = pair.dim_t_X
+
+        def trace(row):
+            e = np.zeros((n, n))
+            e[row, row] = 1.0
+            return np.kron(e, pair.M_x.toarray())
+
+        G = dense_RX(pair) - trace(n - 1)  # the trial Gram without its trace term
+        best = max(sla.eigh(trace(row), G, eigvals_only=True)[-1] for row in (0, n - 1))
+        expect = math.sqrt(best)
+        assert abs(estimate_C_J(ctx) - expect) <= 1e-12 * expect
+
     def test_finite_positive(self):
         val = estimate_C_J(RieszContext(default_pair(8, 8)))
         assert 0.0 < val < 10.0
