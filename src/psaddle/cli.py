@@ -49,7 +49,6 @@ _SCHEMA = {
     "solver.tol": (float, 1e-8, None),
     "solver.max_outer": (int, 100, None),
     "solver.L_practical": (int, 0, None),             # 0: theoretical L
-    "solver.use_precond": (int, 0, (0, 1)),           # wavelet-in-time trial Riesz replacement
     "quality.rho": (float, 1.0, None),
     "quality.max_enrich": (int, 4, None),
     "output.dir": (str, "out", None),
@@ -219,7 +218,7 @@ def _discretization(cfg: ExperimentConfig) -> sy.Discretization:
     return sy.Discretization(_pair_from_config(cfg), mu, data)
 
 
-def _uzawa_config(cfg: ExperimentConfig, bundle, S_constants=None) -> uz.UzawaConfig:
+def _uzawa_config(cfg: ExperimentConfig, bundle) -> uz.UzawaConfig:
     sig = cfg["solver.sigma_hat"]
     L_prac = cfg["solver.L_practical"] or None
     return uz.make_config(
@@ -228,7 +227,6 @@ def _uzawa_config(cfg: ExperimentConfig, bundle, S_constants=None) -> uz.UzawaCo
         tol=cfg["solver.tol"],
         max_outer=cfg["solver.max_outer"],
         L_practical=L_prac,
-        S_constants=S_constants,
     )
 
 
@@ -255,24 +253,10 @@ def cmd_constants(cfg: ExperimentConfig, out: str) -> int:
 
 def _run_uzawa(cfg: ExperimentConfig, disc: sy.Discretization, out: str,
                reference: sy.SaddleState | None = None) -> int:
-    pair, ctx, bundle = disc.pair, disc.ctx, disc.bundle
-    apply_Rinv_X = None
-    S_constants = None
-    if cfg["solver.use_precond"]:
-        # replace the exact trial Riesz solve by the wavelet-in-time
-        # preconditioner; the iteration constants adapt to the measured
-        # spectral bounds of the preconditioned Gram operator
-        from psaddle.core_linalg import spectral_bounds
-
-        basis = pc.build_time_wavelets(pair.mesh_t_X)
-        prec = pc.make_precond(basis, pair)
-        lo, hi = spectral_bounds(ctx.apply_R_X, prec.apply, pair.dim_X)
-        S_constants = uz.adapted_schur_constants(bundle, lo, hi)
-        apply_Rinv_X = prec.apply
-    ucfg = _uzawa_config(cfg, bundle, S_constants=S_constants)
-    state, trace = uz.run_inexact_uzawa(
-        disc.rhs, pair, disc.op_Y, disc.op_X, ctx, ucfg, reference=reference,
-        apply_Rinv_X=apply_Rinv_X,
+    pair = disc.pair
+    ucfg = _uzawa_config(cfg, disc.bundle)
+    _, trace = uz.run_inexact_uzawa(
+        disc.rhs, pair, disc.op_Y, disc.op_X, disc.ctx, ucfg, reference=reference
     )
     write_csv(
         os.path.join(out, "uzawa_trace.csv"), uz.UzawaTrace.COLUMNS, trace.rows(),

@@ -25,7 +25,6 @@ __all__ = [
     "spd_factorize",
     "lu_factorize",
     "extremal_generalized_eigen",
-    "spectral_bounds",
     "condition_number_estimate",
 ]
 
@@ -187,15 +186,15 @@ def extremal_generalized_eigen(
     return lam, vec
 
 
-def spectral_bounds(
+def condition_number_estimate(
     apply_A,
     apply_Pinv,
     dim: int,
     tol: float = 0.02,
     max_iter: int = 400,
     seed: int = 0,
-) -> tuple[float, float]:
-    """Extremal eigenvalue estimates (smallest, largest) of P^{-1} A.
+) -> float:
+    """lambda_max / lambda_min of the preconditioned operator P^{-1} A.
 
     Both operators must be SPD.  Runs a Lanczos recurrence for the pencil
     (A, P) in the A-inner product, which only needs applications of A and
@@ -265,17 +264,5 @@ def spectral_bounds(
         raise NotConvergedError(
             f"spectral bound estimate hit the iteration cap ({jmax})", best=extremes
         )
-    return extremes
-
-
-def condition_number_estimate(
-    apply_A,
-    apply_Pinv,
-    dim: int,
-    tol: float = 0.02,
-    max_iter: int = 400,
-    seed: int = 0,
-) -> float:
-    """lambda_max / lambda_min of the preconditioned operator P^{-1} A."""
-    lo, hi = spectral_bounds(apply_A, apply_Pinv, dim, tol=tol, max_iter=max_iter, seed=seed)
+    lo, hi = extremes
     return hi / lo

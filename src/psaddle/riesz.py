@@ -10,7 +10,8 @@ whose Gram operator is R_X = M_t^X (x) A_x + T (x) S + e_T e_T^T (x) M_x,
 with T (x) S = D^T R_Y^{-1} D for D = B_t (x) M_x, T = B_t^T (M_t^Y)^{-1} B_t
 and S = M_x A_x^{-1} M_x.  `RieszContext` holds these blocks (`D`, `trace`,
 `T_t`, `S_x`) and builds every [[A_Y, D], [D^T, -A_X]] (`saddle_matrix`);
-the Uzawa loop applies D, D^T and the trace term as Kronecker matvecs.
+`apply_D`, `apply_Dt` and `apply_trace_term` are products with the same
+cached matrices.
 
 Both Riesz solves are exact and go through dense transforms built once per
 pair, without a sparse LU:
@@ -98,20 +99,15 @@ class RieszContext:
 
     def apply_D(self, u) -> np.ndarray:
         """Temporal derivative of a trial function as a Y-functional."""
-        U = self._as_X(u)
-        return np.asarray(self.pair.B_t @ (self.pair.M_x @ U.T).T).reshape(-1)
+        return self.D @ self._as_X(u).ravel()
 
     def apply_Dt(self, lam) -> np.ndarray:
         """Adjoint of apply_D: a functional on the trial space."""
-        L = self._as_Y(lam)
-        return np.asarray(self.pair.B_t.T @ (self.pair.M_x @ L.T).T).reshape(-1)
+        return self.Dt @ self._as_Y(lam).ravel()
 
     def apply_trace_term(self, u) -> np.ndarray:
         """(gamma_T)' M_x gamma_T u as a functional on the trial space."""
-        U = self._as_X(u)
-        out = np.zeros_like(U)
-        out[-1] = self.pair.M_x @ U[-1]
-        return out.reshape(-1)
+        return self.trace @ self._as_X(u).ravel()
 
     def apply_R_YX(self, u) -> np.ndarray:
         """Y-inner-product Gram (M_t^X (x) A_x) on trial coefficients."""
@@ -158,6 +154,11 @@ class RieszContext:
         return sp.kron(self.pair.B_t, self.pair.M_x, format="csr")
 
     @cached_property
+    def Dt(self) -> sp.csr_matrix:
+        """D^T in CSR, the matrix of `apply_Dt`."""
+        return self.D.T.tocsr()
+
+    @cached_property
     def trace(self) -> sp.csr_matrix:
         """e_T e_T^T (x) M_x, the matrix of `apply_trace_term`."""
         n = self.pair.dim_t_X
@@ -179,7 +180,7 @@ class RieszContext:
 
     def saddle_matrix(self, A_Y, A_X) -> sp.csc_matrix:
         """[[A_Y, D], [D^T, -A_X]] for sparse blocks on Y and X."""
-        return sp.bmat([[A_Y, self.D], [self.D.T, -A_X]], format="csc")
+        return sp.bmat([[A_Y, self.D], [self.Dt, -A_X]], format="csc")
 
     # -- the linear parabolic Riesz solve -------------------------------------
 

@@ -35,7 +35,6 @@ __all__ = [
     "UzawaTrace",
     "plan_inner_count",
     "make_config",
-    "adapted_schur_constants",
     "run_inexact_uzawa",
     "aposteriori_estimate",
 ]
@@ -61,21 +60,17 @@ class UzawaConfig:
             )
         if self.L < 1:
             raise PsaddleError("inner iteration count must be at least 1")
+        if self.max_outer < 1:
+            raise PsaddleError("outer iteration cap must be at least 1")
 
 
-def plan_inner_count(
-    bundle: ConstantsBundle,
-    sigma_hat_S: float,
-    S_constants: mo.MonotoneConstants | None = None,
-) -> tuple[float, int]:
+def plan_inner_count(bundle: ConstantsBundle, sigma_hat_S: float) -> tuple[float, int]:
     """C_3 and the smallest admissible inner iteration count L.
 
     Evaluates the defining inequality directly over increasing L rather than
     trusting a logarithm, so the returned L is the smallest valid integer.
-    S_constants overrides the bundle's Schur constants (preconditioned mode).
     """
-    cA = bundle.A_constants
-    cS = S_constants or bundle.S_constants
+    cA, cS = bundle.A_constants, bundle.S_constants
     if not (cS.sigma < sigma_hat_S < 1.0):
         raise PsaddleError(
             f"sigma_hat_S={sigma_hat_S} outside (sigma_S, 1) = ({cS.sigma}, 1)"
@@ -101,20 +96,17 @@ def make_config(
     tol: float = 1e-8,
     max_outer: int = 200,
     L_practical: int | None = None,
-    S_constants: mo.MonotoneConstants | None = None,
 ) -> UzawaConfig:
     """Config with the theoretical L, or a practical override.
 
     The default sigma_hat is the midpoint (1 + sigma_S)/2 of the admissible
     range.  L_practical replaces the theoretical inner count; the a priori
-    envelope is only guaranteed for the theoretical one.  S_constants feeds
-    adapted Schur constants for preconditioned runs.
+    envelope is only guaranteed for the theoretical one.
     """
-    cA = bundle.A_constants
-    cS = S_constants or bundle.S_constants
+    cA, cS = bundle.A_constants, bundle.S_constants
     if sigma_hat_S is None:
         sigma_hat_S = 0.5 * (1.0 + cS.sigma)
-    C_3, L = plan_inner_count(bundle, sigma_hat_S, S_constants=S_constants)
+    C_3, L = plan_inner_count(bundle, sigma_hat_S)
     if L_practical is not None:
         L = int(L_practical)
     return UzawaConfig(
@@ -174,18 +166,6 @@ def aposteriori_estimate(
     return eta, r_Y, r_X
 
 
-def adapted_schur_constants(
-    bundle: ConstantsBundle, lam_min: float, lam_max: float
-) -> mo.MonotoneConstants:
-    """Schur constants after replacing the trial Riesz solve by an operator P
-    with lam_min P <= R_X <= lam_max P (spectral bounds of P^{-1} R_X):
-    in the P-norm the operator stays Lipschitz and strongly monotone with
-    L = L_S lam_max and m = m_S lam_min."""
-    if not (0 < lam_min <= lam_max):
-        raise PsaddleError("invalid spectral bounds")
-    return mo.MonotoneConstants(L=bundle.L_S * lam_max, m=bundle.m_S * lam_min)
-
-
 def run_inexact_uzawa(
     rhs: tuple[np.ndarray, np.ndarray],
     pair: TensorSpacePair,
@@ -195,7 +175,6 @@ def run_inexact_uzawa(
     cfg: UzawaConfig,
     reference: SaddleState | None = None,
     raise_on_cap: bool = False,
-    apply_Rinv_X=None,
 ) -> tuple[SaddleState, UzawaTrace]:
     """Inexact Uzawa iteration.
 
@@ -204,18 +183,14 @@ def run_inexact_uzawa(
     Outer update:
         u <- u - theta_S* R_X^{-1} [A_X u + trace term + g - D^T lambda]
 
-    Stops when eta, evaluated at (lambda^(k+1), u^(k)), drops below cfg.tol;
-    the returned state is that monitored pair.  If `reference` is given the
-    trace records true errors against it (test mode).
-
-    The exact trial Riesz solve can be replaced by a spectrally equivalent
-    preconditioner through apply_Rinv_X; the config must then carry Schur
-    constants adapted to the preconditioner norm (see
-    adapted_schur_constants), and eta becomes an estimate in that norm.
+    Stops when eta, evaluated at (lambda^(k+1), u^(k)), drops below cfg.tol.
+    The returned state, and the `best` of a NotConvergedError on the
+    outer-iteration cap, is the last monitored pair, the one trace.eta[-1]
+    belongs to.  If `reference` is given the trace records true errors
+    against it (test mode).
     """
     f, g = rhs
     solve_Y = ctx.riesz_Y_solve
-    solve_X = apply_Rinv_X or ctx.riesz_X_solve
     lam = np.zeros(pair.dim_Y)
     u = np.zeros(pair.dim_X)
     trace = UzawaTrace()
@@ -232,7 +207,7 @@ def run_inexact_uzawa(
         r_X = g - ctx.apply_Dt(lam) + op_X.apply(u) + ctx.apply_trace_term(u)
         napply += 2
         dY = solve_Y(r_Y)
-        dX = solve_X(r_X)
+        dX = ctx.riesz_X_solve(r_X)
         eta = math.sqrt(max(r_Y @ dY, 0.0)) + math.sqrt(max(r_X @ dX, 0.0))
 
         trace.k.append(k)
@@ -249,9 +224,10 @@ def run_inexact_uzawa(
             trace.err_u.append(float("nan"))
             trace.err_lambda.append(float("nan"))
 
+        state = SaddleState(lam, u)
         if eta <= cfg.tol:
             trace.converged = True
-            return SaddleState(lam, u), trace
+            return state, trace
 
         # r_X equals the u-update bracket, so the step reuses dX
         u = u - cfg.theta_star_S * dX
@@ -259,6 +235,6 @@ def run_inexact_uzawa(
     if raise_on_cap:
         raise NotConvergedError(
             f"uzawa did not reach tol={cfg.tol} in {cfg.max_outer} outer iterations",
-            best=SaddleState(lam, u),
+            best=state,
         )
-    return SaddleState(lam, u), trace
+    return state, trace

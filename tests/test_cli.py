@@ -44,9 +44,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="solver.tol"):
             cli.parse_config(write_config(tmp_path, "solver.tol = -1e-8\n"))
 
-    def test_unknown_key(self, tmp_path):
+    def test_unknown_key(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="unknown key"):
             cli.parse_config(write_config(tmp_path, "problem.nu = 3\n"))
+        # the retired preconditioned trial Riesz switch is refused like any other
+        path = write_config(tmp_path, "solver.use_precond = 0\n")
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'solver.use_precond'" in capsys.readouterr().err
 
     def test_all_violations_reported(self, tmp_path):
         bad = "problem.nu = 3\nsolver.tol = -1\ndisc.nt = zero\n"

@@ -181,17 +181,21 @@ def test_riesz_machinery_factors_no_lu(monkeypatch, rng):
 
 
 class TestSaddleBlocks:
-    """The cached matrices agree with the Kronecker matvecs they stand for."""
+    """The coupling operators agree with dense Kronecker references."""
 
     @pytest.mark.parametrize("kind", ["jittered", "enriched"])
     def test_blocks_match_matvecs(self, kind, rng):
         ctx = RieszContext(_blocks_pair(kind))
         u = rng.standard_normal(ctx.pair.dim_X)
         lam = rng.standard_normal(ctx.pair.dim_Y)
+        M_x = ctx.pair.M_x.toarray()
+        D = np.kron(ctx.pair.B_t.toarray(), M_x)
+        e_T = np.zeros(ctx.pair.dim_t_X)
+        e_T[-1] = 1.0
         checks = [
-            (ctx.D @ u, ctx.apply_D(u)),
-            (ctx.D.T @ lam, ctx.apply_Dt(lam)),
-            (ctx.trace @ u, ctx.apply_trace_term(u)),
+            (D @ u, ctx.apply_D(u)),
+            (D.T @ lam, ctx.apply_Dt(lam)),
+            (np.kron(np.outer(e_T, e_T), M_x) @ u, ctx.apply_trace_term(u)),
             (np.kron(ctx.T_t, ctx.S_x) @ u, ctx.apply_Dt(ctx.riesz_Y_solve(ctx.apply_D(u)))),
         ]
         for got, expect in checks:

@@ -35,6 +35,8 @@ class TestPlanInnerCount:
         bundle = sy.derive_constants(3.0, 1.0)
         cfg = uz.make_config(bundle)
         assert cfg.sigma_S < cfg.sigma_hat_S < 1.0
+        with pytest.raises(PsaddleError, match="outer iteration cap"):
+            uz.make_config(bundle, max_outer=0)
         with pytest.raises(PsaddleError):
             uz.UzawaConfig(
                 sigma_hat_S=0.5, C_3=1.0, L=1, theta_star_A=0.1, theta_star_S=0.1,
@@ -98,11 +100,17 @@ class TestRunInexactUzawa:
             heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, cfg
         )
         assert not trace.converged and len(trace.k) == 3
-        with pytest.raises(NotConvergedError):
+        with pytest.raises(NotConvergedError) as err:
             uz.run_inexact_uzawa(
                 heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, cfg,
                 raise_on_cap=True,
             )
+        # on the cap, too, the returned pair is the monitored one
+        for returned in (state, err.value.best):
+            eta, _, _ = uz.aposteriori_estimate(
+                returned, heat8.rhs, heat8.op_Y, heat8.op_X, heat8.ctx
+            )
+            assert abs(eta - trace.eta[-1]) <= 1e-12
 
     def test_eta_eventually_decreasing(self, heat8):
         cfg = uz.make_config(heat8.bundle, tol=0.0, max_outer=60, L_practical=6)
@@ -145,33 +153,3 @@ class TestAposteriori:
             )
             true = s.ctx.norm_Y(dlam) + s.ctx.norm_X_delta(du)
             assert lo <= true / eta <= hi
-
-
-class TestPreconditionedRiesz:
-    def test_preconditioned_run_converges(self, heat8):
-        # replace the exact trial Riesz solve by the wavelet-in-time
-        # preconditioner with spectrally adapted constants
-        from psaddle import precond as pc
-        from psaddle.core_linalg import spectral_bounds
-
-        basis = pc.build_time_wavelets(heat8.pair.mesh_t_X)
-        prec = pc.make_precond(basis, heat8.pair)
-        lo, hi = spectral_bounds(heat8.ctx.apply_R_X, prec.apply, heat8.pair.dim_X)
-        assert 0 < lo <= hi
-        adapted = uz.adapted_schur_constants(heat8.bundle, lo, hi)
-        assert adapted.sigma < 1.0
-        cfg = uz.make_config(
-            heat8.bundle, tol=0.0, max_outer=300, L_practical=6, S_constants=adapted
-        )
-        state, trace = uz.run_inexact_uzawa(
-            heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, cfg,
-            reference=heat8.reference(), apply_Rinv_X=prec.apply,
-        )
-        # adapted constants are pessimistic: verify steady linear decay
-        assert trace.err_u[-1] < 0.9 * trace.err_u[0]
-        tail = trace.err_u[50:]
-        assert all(tail[i + 1] <= tail[i] * (1 + 1e-12) for i in range(len(tail) - 1))
-
-    def test_adapted_constants_validation(self, heat8):
-        with pytest.raises(Exception):
-            uz.adapted_schur_constants(heat8.bundle, 0.0, 1.0)
