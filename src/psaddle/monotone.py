@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from psaddle.core_linalg import as_csr, lu_factorize
+from psaddle.core_linalg import as_csr, banded_cholesky
 from psaddle.errors import NotConvergedError, PsaddleError
 from psaddle.spaces import TensorSpacePair, gauss_points, quadrature_matrix
 
@@ -291,6 +291,9 @@ def newton_solve(
     """Damped Newton with step halving until the residual norm decreases.
 
     Reference-solution oracle: independent of the fixed-point solver path.
+    `jacobian(x)` must return a sparse symmetric positive definite matrix,
+    as `GalerkinOperator.jacobian` does; each step factors it by
+    `banded_cholesky`, which raises NotSpdError otherwise.
     `residual_norm` defaults to the Euclidean norm of the residual vector;
     pass a dual norm for stopping criteria in the right metric.
     """
@@ -301,8 +304,7 @@ def newton_solve(
     for it in range(1, max_iter + 1):
         if rn <= tol:
             return IterationResult(x, it - 1, rn, True)
-        J = lu_factorize(jacobian(x))
-        d = J.solve(-r)
+        d = banded_cholesky(jacobian(x)).solve(-r)
         alpha = 1.0
         for _ in range(40):
             x_new = x + alpha * d

@@ -1,5 +1,5 @@
 """Riesz-map solves, dual norms, the mesh-dependent trial norm, and the
-blocks of the saddle system.
+coupling blocks of the saddle system.
 
 The test space carries the norm realized by R_Y = M_t^Y (x) A_x.  The trial
 space carries the Y^delta-dependent norm
@@ -8,10 +8,9 @@ space carries the Y^delta-dependent norm
 
 whose Gram operator is R_X = M_t^X (x) A_x + T (x) S + e_T e_T^T (x) M_x,
 with T (x) S = D^T R_Y^{-1} D for D = B_t (x) M_x, T = B_t^T (M_t^Y)^{-1} B_t
-and S = M_x A_x^{-1} M_x.  `RieszContext` holds these blocks (`D`, `trace`,
-`T_t`, `S_x`) and builds every [[A_Y, D], [D^T, -A_X]] (`saddle_matrix`);
-`apply_D`, `apply_Dt` and `apply_trace_term` are products with the same
-cached matrices.
+and S = M_x A_x^{-1} M_x.  `RieszContext` holds these blocks (`D`, `Dt`,
+`trace`, `T_t`, `S_x`); `apply_D`, `apply_Dt` and `apply_trace_term` are
+products with the cached sparse matrices.
 
 Both Riesz solves are exact and go through dense transforms built once per
 pair, without a sparse LU:
@@ -177,10 +176,6 @@ class RieszContext:
         """S = M_x A_x^{-1} M_x, dense (dim_x, dim_x)."""
         M = self.pair.M_x.toarray()
         return M @ self.fact_A_x.solve(M)
-
-    def saddle_matrix(self, A_Y, A_X) -> sp.csc_matrix:
-        """[[A_Y, D], [D^T, -A_X]] for sparse blocks on Y and X."""
-        return sp.bmat([[A_Y, self.D], [self.Dt, -A_X]], format="csc")
 
     # -- the linear parabolic Riesz solve -------------------------------------
 

@@ -10,9 +10,12 @@ with D the temporal-derivative coupling.  Eliminating lambda yields the
 Schur operator S z = A_X z + trace term + g - D^T A_Y^{-1}(f - D z), which
 is Lipschitz continuous and strongly monotone; the whole constant calculus
 downstream of (L_A, m_A) lives in `derive_constants`.  `Discretization`
-bundles one problem on one pair with everything a solve needs.  D, the
-trace term and the block matrix come from `RieszContext`; the right-hand
-side is a 16-point contraction with the quadrature matrices of `spaces`.
+bundles one problem on one pair with everything a solve needs.  D and the
+trace term come from `RieszContext`; the right-hand side is a 16-point
+contraction with the quadrature matrices of `spaces`.  The reference solver
+is Newton's method on the Schur operator; each Newton step is a conjugate
+gradient solve with its Jacobian, preconditioned by the trial Riesz map,
+so no saddle matrix is ever formed or factored.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from psaddle import monotone as mo
-from psaddle.core_linalg import lu_factorize
+from psaddle.core_linalg import banded_cholesky
 from psaddle.errors import NotConvergedError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
@@ -46,6 +49,9 @@ __all__ = [
     "apply_N",
     "residual",
     "SchurOperator",
+    "PCG_RTOL",
+    "pcg_iteration_cap",
+    "schur_newton_direction",
     "solve_reference",
     "Discretization",
     "heat_problem",
@@ -132,6 +138,11 @@ class ProblemData:
         return self.ell_f0 is not None or self.ell_f1 is not None
 
 
+# Largest number of tensor Gauss points on which the densities are evaluated
+# at once; 2^20 points take 8 MiB per grid-sized temporary.
+_DENSITY_GRID_POINTS = 1 << 20
+
+
 def _spatial_moments(
     mesh_t: Mesh1D,
     mesh_x: Mesh1D,
@@ -141,15 +152,27 @@ def _spatial_moments(
     n_quad: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """f0 diag(w_x) Q_x + f1 diag(w_x) D_x with f0, f1 on the tensor Gauss
-    grid of mesh_t x mesh_x, and the temporal weights w_t."""
+    grid of mesh_t x mesh_x, and the temporal weights w_t.
+
+    The rows of the result are independent, so the densities are evaluated
+    and contracted in blocks of temporal Gauss rows of at most
+    _DENSITY_GRID_POINTS points; the block size does not change the result.
+    """
     t_q, w_t = gauss_points(mesh_t, n_quad)
     x_q, w_x = gauss_points(mesh_x, n_quad)
-    t, x = t_q[:, None], x_q[None, :]
+    x = x_q[None, :]
+    terms = [
+        (fn, w_x[:, None] * quadrature_matrix(mesh_x, spec_x, n_quad, derivative))
+        for fn, derivative in ((f0, False), (f1, True))
+        if fn is not None
+    ]
     F = np.zeros((t_q.size, spec_x.dim(mesh_x)))
-    for fn, derivative in ((f0, False), (f1, True)):
-        if fn is not None:
-            dens = np.broadcast_to(fn(t, x), (t_q.size, x_q.size))
-            F += dens @ (w_x[:, None] * quadrature_matrix(mesh_x, spec_x, n_quad, derivative))
+    rows = max(1, _DENSITY_GRID_POINTS // x_q.size)
+    for start in range(0, t_q.size, rows):
+        block = slice(start, start + rows)
+        t = t_q[block, None]
+        for fn, Q in terms:
+            F[block] += np.broadcast_to(fn(t, x), (t.size, x_q.size)) @ Q
     return F, w_t
 
 
@@ -283,6 +306,102 @@ class SchurOperator:
         )
 
 
+# Relative stop of each Newton-PCG solve, read in the R_X^{-1} norm of the residual.
+PCG_RTOL = 1e-10
+
+
+def pcg_iteration_cap(mu: mo.MuCoefficient) -> int:
+    """Proven bound on the PCG iterations of one `solve_reference` Newton step.
+
+    The Schur Jacobian is J_S = A_X'(z) + trace + D^T A_Y'(lam)^{-1} D.  Both
+    Galerkin Jacobians are B^T diag(omega_bar) B, where omega_bar sums
+    positive Gauss weights times mu(s) + 2 s mu'(s), a slope in
+    [m_mu, M_mu]; the same sums of the weights alone give the Grams
+    M_t (x) A_x of R_YX and R_Y exactly (the 3-point rule integrates
+    products of P1 functions in time).  So, in the Loewner order,
+
+        m_mu R_YX <= A_X' <= M_mu R_YX,    m_mu R_Y <= A_Y' <= M_mu R_Y,
+
+    and inverting the second, D^T R_Y^{-1} D / M_mu <= D^T A_Y'^{-1} D <=
+    D^T R_Y^{-1} D / m_mu.  The trace block is the same in J_S and in
+    R_X = R_YX + D^T R_Y^{-1} D + trace, hence
+
+        c R_X <= J_S <= C R_X,   c = min(m_mu, 1/M_mu, 1),  C = max(M_mu, 1/m_mu, 1),
+
+    and R_X^{-1} J_S has condition kappa <= C / c: 4 for one-plus-inv, 1 for
+    mu = 1.  CG bounds the error in the J_S norm, ||e_k|| <= 2 rho^k ||e_0||
+    with rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1).  The stop reads the
+    residual in the R_X^{-1} norm, ||r_k||^2 = e_k^T J_S R_X^{-1} J_S e_k,
+    which lies between c and C times ||e_k||^2; so ||r_k|| / ||r_0|| <=
+    2 sqrt(kappa) rho^k, and ||r_k|| <= PCG_RTOL ||r_0|| holds after
+
+        ceil(ln(2 sqrt(kappa) / PCG_RTOL) / ln(1 / rho))
+
+    iterations: 23 for kappa = 4.  For kappa = 1, rho = 0
+    and the first iteration is exact in exact arithmetic; the cap allows a
+    second, because the assembled J_S and R_X agree only up to round-off
+    (at 128 x 128 with mu = 1 the first iteration reaches 1e-12, not 1e-13).
+    """
+    c = min(mu.m_mu, 1.0 / mu.M_mu, 1.0)
+    C = max(mu.M_mu, 1.0 / mu.m_mu, 1.0)
+    root = math.sqrt(C / c)
+    if root == 1.0:
+        return 2
+    return math.ceil(math.log(2.0 * root / PCG_RTOL) / math.log((root + 1.0) / (root - 1.0)))
+
+
+def schur_newton_direction(
+    ctx: RieszContext,
+    jac_Y,
+    jac_X,
+    r: np.ndarray,
+    max_iter: int,
+) -> tuple[np.ndarray, int]:
+    """delta with (jac_X + trace + D^T jac_Y^{-1} D) delta = r, by conjugate
+    gradients preconditioned with the trial Riesz map R_X^{-1}.
+
+    The operator is applied matrix-free: each iteration costs one
+    `riesz_X_solve`, one solve with the banded Cholesky factor of jac_Y, and
+    sparse products with jac_X, D, D^T and the trace block.  Stops when the
+    residual's R_X^{-1} norm falls to PCG_RTOL times its start and returns delta
+    with the iteration count.  Raises NotConvergedError after max_iter
+    iterations, or on a non-positive curvature p^T J p, which means the
+    operator is not positive definite.
+    """
+    fact_Y = banded_cholesky(jac_Y)
+    A_X = jac_X + ctx.trace
+
+    def apply_J(p):
+        return A_X @ p + ctx.apply_Dt(fact_Y.solve(ctx.apply_D(p)))
+
+    delta = np.zeros_like(r, dtype=float)
+    res = np.array(r, dtype=float)
+    prec = ctx.riesz_X_solve(res)
+    rz = float(res @ prec)
+    stop = PCG_RTOL**2 * rz
+    if rz <= 0.0:
+        return delta, 0
+    p = prec
+    for it in range(1, max_iter + 1):
+        q = apply_J(p)
+        curvature = float(p @ q)
+        if curvature <= 0.0:
+            raise NotConvergedError("newton-pcg met non-positive curvature", best=delta)
+        alpha = rz / curvature
+        delta += alpha * p
+        res -= alpha * q
+        prec = ctx.riesz_X_solve(res)
+        rz_new = float(res @ prec)
+        if rz_new <= stop:
+            return delta, it
+        p = prec + (rz_new / rz) * p
+        rz = rz_new
+    raise NotConvergedError(
+        f"newton-pcg hit its proven cap of {max_iter} iterations", best=delta,
+        iterations=max_iter,
+    )
+
+
 def solve_reference(
     rhs: tuple[np.ndarray, np.ndarray],
     pair: TensorSpacePair,
@@ -295,11 +414,12 @@ def solve_reference(
     """High-accuracy discrete solution used as the test oracle.
 
     Outer damped Newton on the Schur operator with exact (Newton) inner
-    solves; each outer step solves the coupled sparse 2x2 linearization.
-    Falls back to a long fixed-point run on the Schur operator if Newton
-    stalls.  The returned state has product dual residual at most tol.
+    solves.  Each outer step solves J_S delta = -S(z) with the Schur
+    Jacobian J_S = A_X'(z) + trace + D^T A_Y'(lam)^{-1} D by
+    `schur_newton_direction`, capped at `pcg_iteration_cap` iterations.
+    Falls back to a long fixed-point run on the Schur operator if Newton or
+    its PCG fails.  The returned state has product dual residual at most tol.
     """
-    nY = pair.dim_Y
 
     def product_residual(state: SaddleState) -> float:
         rY, rX = residual(state, rhs, ctx, op_Y, op_X)
@@ -308,6 +428,7 @@ def solve_reference(
     z = np.zeros(pair.dim_X)
     inner_tol = max(tol / 20.0, 1e-15)
     schur = SchurOperator(pair, ctx, op_Y, op_X, rhs, inner_tol=inner_tol)
+    pcg_cap = pcg_iteration_cap(op_Y.mu)
 
     try:
         sz = schur.apply(z)
@@ -316,8 +437,9 @@ def solve_reference(
             state = SaddleState(schur._lam.copy(), z.copy())
             if product_residual(state) <= tol:
                 return state
-            J = ctx.saddle_matrix(op_Y.jacobian(schur._lam), op_X.jacobian(z) + ctx.trace)
-            delta = lu_factorize(J).solve(np.concatenate([np.zeros(nY), sz]))[nY:]
+            delta, _ = schur_newton_direction(
+                ctx, op_Y.jacobian(schur._lam), op_X.jacobian(z), -sz, pcg_cap
+            )
             alpha = 1.0
             for _ in range(40):
                 z_new = z + alpha * delta
@@ -334,12 +456,16 @@ def solve_reference(
             return state
         raise NotConvergedError("outer newton hit the iteration cap", best=state)
     except NotConvergedError:
-        # long fixed-point fallback on the Schur operator
+        # long fixed-point fallback on the Schur operator.  Its step norm is
+        # theta* ||S(x)||_{X'} at the iterate before the last step, and that
+        # step leaves ||S|| at most L_S / m_S times as large (Lipschitz over
+        # strong monotonicity); so this stop leaves the X residual <= tol / 2
         c = mo.constants_from_mu(op_Y.mu)
         s_consts = derive_constants(c.L, c.m).S_constants
+        step_tol = s_consts.theta_star * (s_consts.m / s_consts.L) * tol / 2.0
         res = mo.zarantonello_solve(
             schur.apply, ctx.riesz_X_solve, np.zeros(pair.dim_X), z,
-            s_consts, tol=tol / 10.0, max_iter=500_000,
+            s_consts, tol=step_tol, max_iter=500_000,
         )
         lam = schur.inner_solve(res.x)
         state = SaddleState(lam, res.x)

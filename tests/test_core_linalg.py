@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -53,6 +55,58 @@ class TestSpdSolve:
         A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
         with pytest.raises(NotSpdError):
             cl.spd_factorize(A)
+
+
+class TestBandedCholesky:
+    """Dense-band Cholesky in reverse Cuthill-McKee order; the Galerkin
+    Jacobians it serves are checked in test_monotone."""
+
+    def test_shuffled_band_against_dense_solve(self, rng):
+        # a random SPD band matrix under a random symmetric permutation:
+        # RCM recovers a band no wider than the original one
+        n, width = 300, 4
+        A = np.zeros((n, n))
+        for k in range(1, width + 1):
+            off = rng.uniform(-1.0, 1.0, n - k)
+            A += np.diag(off, k) + np.diag(off, -k)
+        A += np.diag(np.abs(A).sum(axis=1) + 1.0)
+        shuffle = rng.permutation(n)
+        A = A[shuffle][:, shuffle]
+        fact = cl.banded_cholesky(sp.csr_matrix(A))
+        assert fact.bandwidth <= 2 * width
+        b = rng.standard_normal(n)
+        expect = np.linalg.solve(A, b)
+        assert np.abs(fact.solve(b) - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_indefinite_rejected(self):
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NotSpdError, match="positive definite"):
+            cl.banded_cholesky(A)
+
+    def test_asymmetric_rejected(self):
+        A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]))
+        with pytest.raises(NotSpdError, match="not symmetric"):
+            cl.banded_cholesky(A)
+
+    def test_oversize_band_refused_before_allocation(self):
+        # an arrow matrix: one row and column couple every unknown, so no
+        # ordering has a band narrower than about n
+        n = 12_000
+        hub = np.zeros(n - 1, dtype=int)
+        rest = np.arange(1, n)
+        A = sp.csr_matrix(
+            (np.concatenate([np.full(n, 4.0), np.ones(2 * (n - 1))]),
+             (np.concatenate([np.arange(n), hub, rest]), np.concatenate([np.arange(n), rest, hub]))),
+            shape=(n, n),
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(PsaddleError, match="banded Cholesky band .* above the"):
+                cl.banded_cholesky(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestExtremalEigen:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psaddle import monotone as mo
-from psaddle.core_linalg import spd_factorize
+from psaddle.core_linalg import banded_cholesky, spd_factorize
 from psaddle.errors import PsaddleError
 from psaddle.spaces import (
     CONT_P1,
@@ -223,6 +223,22 @@ class TestQuadratureOracle:
                        w.reshape(op.dim_t, op.dim_x))
         assert np.abs(op.apply(w) - F).max() <= 1e-12 * np.abs(F).max()
         assert np.abs(op.jacobian(w).toarray() - J).max() <= 1e-12 * np.abs(J).max()
+
+
+class TestJacobianFactor:
+    """The banded Cholesky factor of a test-side Jacobian against a dense
+    solve; every test space is discontinuous in time, so the reordered
+    Jacobian has a band of at most 3 superdiagonals."""
+
+    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    def test_solve_against_dense(self, kind, rng):
+        op = mo.GalerkinOperator(_oracle_pair(kind), "Y", MU_TXS)
+        J = op.jacobian(rng.standard_normal(op.dim))
+        fact = banded_cholesky(J)
+        assert fact.bandwidth <= 3
+        b = rng.standard_normal(op.dim)
+        expect = np.linalg.solve(J.toarray(), b)
+        assert np.abs(fact.solve(b) - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 class TestZarantonello:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from psaddle import monotone as mo
 from psaddle import system as sy
+from psaddle.errors import NotConvergedError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
     CONT_P1,
@@ -100,6 +102,18 @@ class TestAssembleRhs:
         scale = np.abs(f_coarse).max()
         assert np.abs(restricted - f_coarse).max() <= 1e-12 * scale
 
+    def test_density_grid_memory_bounded(self, quasi_problem):
+        # the 128 x 128 pair of the convergence study's last surrogate: its
+        # Gauss grid has 2^22 points, evaluated in blocks of 2^20
+        pair = default_pair(128, 128)
+        tracemalloc.start()
+        try:
+            sy.assemble_rhs(quasi_problem.data, pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
 
 F0 = lambda t, x: np.exp(t * x) * np.sin(3.0 * x + t)
 F1 = lambda t, x: np.cos(2.0 * t * x) + t * x * x
@@ -171,6 +185,16 @@ class TestQuadratureOracle:
         }[kind]
         got = sy.assemble_functional(mesh_t, spec_t, mesh_x, CONT_P1_DIRICHLET, F0, F1)
         expect = _functional_oracle(mesh_t, spec_t.family, spec_t.dim(mesh_t), mesh_x, F0, F1)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_assemble_functional_in_blocks(self, monkeypatch):
+        # 5 temporal Gauss rows of the 64-point spatial grid per block: 48
+        # rows make 10 blocks, the last one short
+        rng = np.random.default_rng(11)
+        mesh_t, mesh_x = _jittered(3, rng), _jittered(4, rng)
+        monkeypatch.setattr(sy, "_DENSITY_GRID_POINTS", 5 * 64)
+        got = sy.assemble_functional(mesh_t, DISC_P1, mesh_x, CONT_P1_DIRICHLET, F0, F1)
+        expect = _functional_oracle(mesh_t, DISC_P1.family, DISC_P1.dim(mesh_t), mesh_x, F0, F1)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_u0_moments_and_norm(self):
@@ -314,6 +338,79 @@ class TestSolveReference:
         start = quasi8.ctx.norm_X_delta(quasi8.reference().u)
         sigma = quasi8.bundle.S_constants.sigma
         assert err <= sigma**3000 * start * (1 + 1e-6)
+
+
+def _dense_saddle_direction(s, jac_Y, jac_X, r):
+    """delta from the saddle linearization [[A_Y', D], [D^T, -(A_X' + trace)]]
+    [mu; delta] = [0; -r], assembled densely from the pair's 1D matrices."""
+    pair = s.pair
+    D = np.kron(pair.B_t.toarray(), pair.M_x.toarray())
+    A_X = jac_X.toarray()
+    tail = (pair.dim_t_X - 1) * pair.dim_x
+    A_X[tail:, tail:] += pair.M_x.toarray()
+    K = np.block([[jac_Y.toarray(), D], [D.T, -A_X]])
+    return np.linalg.solve(K, np.concatenate([np.zeros(pair.dim_Y), -r]))[pair.dim_Y:]
+
+
+def _jittered_pair(n, seed):
+    rng = np.random.default_rng(seed)
+    mesh_t, mesh_x = _jittered(n, rng), _jittered(n, rng)
+    return assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P1), (mesh_x, CONT_P1_DIRICHLET))
+
+
+class TestNewtonPCG:
+    """One Newton step of solve_reference: PCG on the Schur Jacobian."""
+
+    def test_iteration_cap_closed_form(self):
+        # kappa = 4 for one-plus-inv: ceil(ln(4e10) / ln 3) = 23
+        assert sy.pcg_iteration_cap(mo.make_mu("one-plus-inv")) == 23
+        assert sy.pcg_iteration_cap(mo.make_mu("constant", c=1.0)) == 2
+
+    @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
+    def test_direction_matches_dense_saddle_solve(self, setup_name, request, rng):
+        s = request.getfixturevalue(setup_name)
+        jac_Y = s.op_Y.jacobian(rng.standard_normal(s.pair.dim_Y))
+        jac_X = s.op_X.jacobian(rng.standard_normal(s.pair.dim_X))
+        r = rng.standard_normal(s.pair.dim_X)
+        got, _ = sy.schur_newton_direction(
+            s.ctx, jac_Y, jac_X, r, sy.pcg_iteration_cap(s.op_Y.mu)
+        )
+        expect = _dense_saddle_direction(s, jac_Y, jac_X, r)
+        assert np.abs(got - expect).max() <= 1e-10 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("setup_name", ["heat8", "quasi8", "jittered32"])
+    def test_iterations_within_proven_cap(self, setup_name, request, rng):
+        if setup_name == "jittered32":
+            problem = sy.quasilinear_problem()
+            s = sy.Discretization(_jittered_pair(32, 21), problem.mu, problem.data)
+        else:
+            s = request.getfixturevalue(setup_name)
+        ref = s.reference()
+        cap = sy.pcg_iteration_cap(s.op_Y.mu)
+        # at the solution and at a random state, far from it
+        for lam, u in ((ref.lam, ref.u), (rng.standard_normal(s.pair.dim_Y),
+                                          rng.standard_normal(s.pair.dim_X))):
+            _, its = sy.schur_newton_direction(
+                s.ctx, s.op_Y.jacobian(lam), s.op_X.jacobian(u),
+                rng.standard_normal(s.pair.dim_X), max_iter=10 * cap,
+            )
+            assert 1 <= its <= cap
+
+    def test_fallback_when_pcg_fails(self, heat8, monkeypatch):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise NotConvergedError("forced failure")
+
+        monkeypatch.setattr(sy, "schur_newton_direction", failing)
+        tol = 1e-12
+        state = sy.solve_reference(
+            heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, tol=tol
+        )
+        assert calls == [1]
+        rY, rX = sy.residual(state, heat8.rhs, heat8.ctx, heat8.op_Y, heat8.op_X)
+        assert heat8.ctx.dual_norm_Y(rY) + heat8.ctx.dual_norm_X(rX) <= tol
 
 
 class TestDiscretization:
