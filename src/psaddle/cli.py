@@ -310,14 +310,15 @@ def _aposteriori_band(cfg: ExperimentConfig, disc: sy.Discretization, out: str,
 
 def _convergence_row(pair, mu, data) -> tuple[float, float, float, float]:
     """Error against the surrogate two refinements finer, quasi-optimality
-    ratio and bound, and ||lambda - u||_Y on one level.  Both
+    ratio and bound, and ||lambda - u||_Y on one level.  The surrogate's
+    solve starts from the level's solution prolonged.  Both
     discretizations are local, so a level's factorizations are freed
     before the next level starts."""
     disc = sy.Discretization(pair, mu, data)
     state = disc.reference(1e-11)
     fine = sy.Discretization(ql._surrogate_pair(pair, 2), mu, data)
-    fstate = fine.reference(1e-11)
     two = ql.TwoLevel(pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
+    fstate = fine.reference(1e-11, x0=two.prolong_X(state.u))
     report = ql.infsup_report(pair)
     ratio, bound = ql.quasi_opt_ratio(fstate.u, state, two, disc.bundle, report)
     err = fine.ctx.norm_X_delta(fstate.u - two.prolong_X(state.u))

@@ -25,6 +25,8 @@ __all__ = [
     "SpdFactorization",
     "spd_factorize",
     "BandedCholesky",
+    "BandedPattern",
+    "banded_pattern",
     "banded_cholesky",
     "extremal_generalized_eigen",
     "condition_number_estimate",
@@ -55,10 +57,14 @@ def as_csr(matrix) -> sp.csr_matrix:
     return m
 
 
-def _check_symmetric(matrix: sp.spmatrix, rtol: float = 1e-10) -> None:
+# Largest asymmetry |A - A^T| an SPD factorization accepts, relative to max |A|.
+_SYMMETRY_RTOL = 1e-10
+
+
+def _check_symmetric(matrix: sp.spmatrix) -> None:
     diff = abs(matrix - matrix.T)
     scale = abs(matrix).max() or 1.0
-    if diff.count_nonzero() and diff.max() > rtol * scale:
+    if diff.count_nonzero() and diff.max() > _SYMMETRY_RTOL * scale:
         raise NotSpdError(
             f"matrix is not symmetric: max asymmetry {diff.max():.3e} "
             f"(scale {scale:.3e})"
@@ -128,6 +134,95 @@ class BandedCholesky:
         return x
 
 
+@dataclass(frozen=True)
+class BandedPattern:
+    """Symbolic step of `banded_cholesky` for one CSR sparsity pattern.
+
+    Holds what depends on the pattern alone: the reverse Cuthill-McKee
+    order `perm`; for every stored entry its flat position `band_index` in
+    the (bandwidth + 1, n) upper band of the reordered matrix, stored in
+    LAPACK's column-major order, or the one slot past the band for an entry
+    below the diagonal; and the position `transpose` of its transpose among
+    the stored entries, or nnz where that is not stored.  `factor` is the
+    numeric step.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    perm: np.ndarray
+    bandwidth: int
+    band_index: np.ndarray = field(repr=False)
+    transpose: np.ndarray = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.indptr.size - 1
+
+    def factor(self, matrix: sp.csr_matrix) -> BandedCholesky:
+        """Numeric step: fill the band with the data of a CSR matrix on this
+        pattern and factor it.  Raises NotSpdError if the data is not
+        symmetric or the matrix is not positive definite."""
+        same = (
+            matrix.shape == (self.dim, self.dim)
+            and (matrix.indices is self.indices or np.array_equal(matrix.indices, self.indices))
+            and (matrix.indptr is self.indptr or np.array_equal(matrix.indptr, self.indptr))
+        )
+        if not same:
+            raise DimensionMismatchError("matrix is not on the pattern of this factorization")
+        data = matrix.data
+        # an entry whose transpose is not stored meets the appended zero
+        asym = np.abs(data - np.append(data, 0.0)[self.transpose])
+        scale = np.abs(data).max(initial=0.0) or 1.0
+        if asym.max(initial=0.0) > _SYMMETRY_RTOL * scale:
+            raise NotSpdError(
+                f"matrix is not symmetric: max asymmetry {asym.max():.3e} "
+                f"(scale {scale:.3e})"
+            )
+        size = (self.bandwidth + 1) * self.dim
+        band = np.zeros(size + 1)
+        band[self.band_index] = data
+        try:
+            cb = sla.cholesky_banded(
+                band[:size].reshape(self.bandwidth + 1, self.dim, order="F"),
+                overwrite_ab=True, lower=False, check_finite=False,
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
+        return BandedCholesky(perm=self.perm, _cb=cb)
+
+
+def banded_pattern(matrix: sp.csr_matrix) -> BandedPattern:
+    """Symbolic step of `banded_cholesky` for the pattern of a canonical
+    (sorted, duplicate-free) square CSR matrix; refuses a band array above
+    MAX_DENSE_BYTES."""
+    if matrix.shape[0] != matrix.shape[1]:
+        raise NotSpdError(f"matrix is not square: {matrix.shape}")
+    n = matrix.shape[0]
+    indptr, indices = matrix.indptr, matrix.indices
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    col = indices.astype(np.int64)
+    # CSR order is ascending in row * n + col, so each transpose is found by bisection
+    key = row * n + col
+    tkey = col * n + row
+    transpose = np.searchsorted(key, tkey)
+    transpose[np.append(key, -1)[transpose] != tkey] = key.size
+    perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
+    position = np.empty(n, dtype=np.int64)
+    position[perm] = np.arange(n)
+    r, c = position[row], position[col]
+    offset = c - r
+    bandwidth = int(offset.max(initial=0))
+    check_dense_size("banded Cholesky band", (bandwidth + 1, n))
+    # the size check keeps every band position below 2^27
+    band_index = np.where(
+        offset >= 0, c * (bandwidth + 1) + bandwidth - offset, (bandwidth + 1) * n
+    )
+    return BandedPattern(
+        indptr=indptr, indices=indices, perm=perm, bandwidth=bandwidth,
+        band_index=band_index.astype(np.int32), transpose=transpose.astype(np.int32),
+    )
+
+
 def banded_cholesky(matrix) -> BandedCholesky:
     """Factor a sparse symmetric positive definite matrix for repeated solves.
 
@@ -136,29 +231,12 @@ def banded_cholesky(matrix) -> BandedCholesky:
     block-diagonal with narrow blocks, like every Jacobian on a test space
     discontinuous in time, get a band a few entries wide whatever their
     size.  Raises NotSpdError if the matrix is not symmetric positive
-    definite, and refuses a band array above MAX_DENSE_BYTES.
+    definite, and refuses a band array above MAX_DENSE_BYTES.  Runs both
+    steps; a caller with many matrices on one pattern keeps its
+    `banded_pattern` and calls `factor` alone.
     """
     m = as_csr(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise NotSpdError(f"matrix is not square: {m.shape}")
-    _check_symmetric(m)
-    n = m.shape[0]
-    perm = reverse_cuthill_mckee(m, symmetric_mode=True)
-    position = np.empty(n, dtype=np.int32)
-    position[perm] = np.arange(n, dtype=np.int32)
-    coo = m.tocoo()
-    row, col = position[coo.row], position[coo.col]
-    offset = col - row
-    bandwidth = int(offset.max(initial=0))
-    check_dense_size("banded Cholesky band", (bandwidth + 1, n))
-    upper = offset >= 0
-    ab = np.zeros((bandwidth + 1, n))
-    ab[bandwidth - offset[upper], col[upper]] = coo.data[upper]
-    try:
-        cb = sla.cholesky_banded(ab, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
-    return BandedCholesky(perm=perm, _cb=cb)
+    return banded_pattern(m).factor(m)
 
 
 def _complement_basis(kernel: np.ndarray, dim: int) -> np.ndarray:

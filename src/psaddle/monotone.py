@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from psaddle.core_linalg import as_csr, banded_cholesky
+from psaddle.core_linalg import BandedPattern, banded_cholesky, banded_pattern
 from psaddle.errors import NotConvergedError, PsaddleError
 from psaddle.spaces import TensorSpacePair, gauss_points, quadrature_matrix
 
@@ -126,18 +126,33 @@ def inverse_constants(c: MonotoneConstants) -> MonotoneConstants:
     return MonotoneConstants(L=1.0 / c.m, m=c.m / c.L**2)
 
 
+# Grid intervals per block of `empirical_mu_bounds`: its arrays stay below
+# glibc's default mmap threshold of 128 KiB, so the temporaries reuse heap
+# memory instead of mapping and faulting in fresh pages on every call.
+_MU_SAMPLE_BLOCK = 15_000
+
+
 def empirical_mu_bounds(mu_fn, r_max: float, n: int = 100_000) -> tuple[float, float]:
     """Extremal finite-difference slopes of g(r) = mu(r^2) r on a uniform grid.
 
     Validates user-supplied (m_mu, M_mu); fails if the sampled slope is not
-    positive, i.e. the scalar map is not strongly monotone.
+    positive, i.e. the scalar map is not strongly monotone.  The grid is
+    np.linspace(0, r_max, n + 1), point for point, taken in blocks that
+    share their end points.
     """
     if n < 100:
         raise PsaddleError("need at least 100 sample points")
-    r = np.linspace(0.0, r_max, n + 1)
-    g = np.asarray(mu_fn(r**2)) * r
-    slopes = np.diff(g) / np.diff(r)
-    m_hat, M_hat = float(slopes.min()), float(slopes.max())
+    step = r_max / n
+    m_hat, M_hat = math.inf, -math.inf
+    for start in range(0, n, _MU_SAMPLE_BLOCK):
+        stop = min(start + _MU_SAMPLE_BLOCK, n)
+        r = np.arange(start, stop + 1, dtype=float) * step
+        if stop == n:
+            r[-1] = r_max
+        g = np.asarray(mu_fn(r**2)) * r
+        slopes = np.diff(g) / np.diff(r)
+        m_hat = min(m_hat, float(slopes.min()))
+        M_hat = max(M_hat, float(slopes.max()))
     if m_hat <= 0:
         raise PsaddleError(f"mu is not strongly monotone on [0, {r_max}] (min slope {m_hat:.3e})")
     return m_hat, M_hat
@@ -165,9 +180,12 @@ class GalerkinOperator:
     where omega = mu + 2 s mu'(s) at s = G^2, omega_bar sums w * omega over
     the Gauss points of each spatial element, and Dbar_x keeps one row of
     D_x per spatial element (a P1 gradient is constant there).  mu is
-    evaluated on the full tensor grid, so it may depend on t and x.  B is
-    sparse, built on the first `jacobian` call and kept; the Uzawa solvers
-    only apply the operator and never pay for it.
+    evaluated on the full tensor grid, so it may depend on t and x.  The
+    Jacobian is never formed as that product: its sparsity pattern does not
+    depend on W, and its data is a fixed linear map of omega_bar that
+    factors by axis (`_jacobian_map`), built on the first `jacobian` call
+    and kept with the symbolic Cholesky of the pattern; the Uzawa solvers
+    only apply the operator and never pay for either.
 
     E_t and D_x are stored dense, O(n^2) entries for n elements per axis.
     Single-threaded, a dense `apply` beats one with sparse E_t and D_x up
@@ -215,17 +233,51 @@ class GalerkinOperator:
         return (self._E_t.T @ (F @ self._D_x)).reshape(-1)
 
     @cached_property
-    def _B(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """B = kron(E_t, Dbar_x) and its transpose, both CSR."""
-        Dbar_x = self._D_x[:: self.n_quad]
-        B = sp.kron(sp.csr_matrix(self._E_t), sp.csr_matrix(Dbar_x), format="csr")
-        return B, B.T.tocsr()
+    def _jacobian_map(self) -> tuple:
+        """(P_t, St_x, perm, indptr, indices): the fixed linear map
+        omega_bar -> Jacobian data, factored by axis, and the CSR pattern.
+
+        J = sum_e kron(T_e, S_e) with T_e = E_t^T diag(omega_bar[:, e]) E_t
+        and S_e = Dbar_x[e]^T Dbar_x[e].  Over the temporal pairs (a, b)
+        with E_t[q, a] E_t[q, b] != 0 for some q, P_t[k, q] =
+        E_t[q, a_k] E_t[q, b_k], so P_t @ omega_bar lists every T_e; over
+        the spatial pairs (i, j), St_x[l, e] = Dbar_x[e, i_l] Dbar_x[e, j_l].
+        Then St_x @ (P_t @ omega_bar)^T holds entry ((a_k, i_l), (b_k, j_l))
+        at [l, k], and `perm` gathers it into CSR order on the pattern
+        (indptr, indices) that every Jacobian shares.
+        """
+
+        def pairs(Q):
+            """Column pairs that share a row of Q, and their row-wise products."""
+            nz = (Q != 0).astype(float)
+            first, second = np.nonzero(nz.T @ nz)
+            products = sp.csr_matrix((Q[:, first] * Q[:, second]).T)
+            return first.astype(np.int32), second.astype(np.int32), products
+
+        a, b, P_t = pairs(self._E_t)
+        i, j, St_x = pairs(self._D_x[:: self.n_quad])
+        rows = (a[None, :] * self.dim_x + i[:, None]).ravel()
+        cols = (b[None, :] * self.dim_x + j[:, None]).ravel()
+        perm = np.lexsort((cols, rows)).astype(np.int32)
+        indptr = np.zeros(self.dim + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
+        return P_t, St_x, perm, indptr, cols[perm]
+
+    @cached_property
+    def jacobian_pattern(self) -> BandedPattern:
+        """Symbolic banded Cholesky of the Jacobians' common pattern."""
+        indptr, indices = self._jacobian_map[3:]
+        return banded_pattern(
+            sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(self.dim, self.dim))
+        )
 
     def jacobian(self, w: np.ndarray) -> sp.csr_matrix:
         """Gateaux derivative at w: a weighted stiffness matrix.
 
         The weight mu(s) + 2 s mu'(s) equals the slope of r -> mu(r^2) r at
         r = |dw/dx| and therefore lies in [m_mu, M_mu]; the Jacobian is SPD.
+        Every Jacobian of one operator is CSR on the same pattern, sharing
+        its index arrays, so `jacobian_pattern.factor` factors any of them.
         """
         if self.mu.dfn_ds is None:
             raise PsaddleError("mu has no derivative; Newton is unavailable")
@@ -234,10 +286,9 @@ class GalerkinOperator:
         t, x = self._t_grid, self._x_grid
         omega = self.mu.fn(t, x, s) + 2.0 * s * self.mu.dfn_ds(t, x, s)
         omega_bar = (omega * self._w).reshape(g.shape[0], -1, self.n_quad).sum(axis=2)
-        B, Bt = self._B
-        DB = B.copy()  # diag(omega_bar) B, scaled row by row
-        DB.data *= np.repeat(omega_bar.reshape(-1), np.diff(B.indptr))
-        return as_csr(Bt @ DB)
+        P_t, St_x, perm, indptr, indices = self._jacobian_map
+        data = (St_x @ (P_t @ omega_bar).T).ravel()[perm]
+        return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
 
 
 @dataclass
@@ -287,13 +338,16 @@ def newton_solve(
     residual_norm=None,
     tol: float = 1e-12,
     max_iter: int = 50,
+    factor=banded_cholesky,
 ) -> IterationResult:
     """Damped Newton with step halving until the residual norm decreases.
 
     Reference-solution oracle: independent of the fixed-point solver path.
     `jacobian(x)` must return a sparse symmetric positive definite matrix,
-    as `GalerkinOperator.jacobian` does; each step factors it by
-    `banded_cholesky`, which raises NotSpdError otherwise.
+    as `GalerkinOperator.jacobian` does; each step factors it by `factor`,
+    `banded_cholesky` unless the caller passes the numeric step of a
+    pattern it holds (`op.jacobian_pattern.factor`).  Both raise
+    NotSpdError on a matrix that is not SPD.
     `residual_norm` defaults to the Euclidean norm of the residual vector;
     pass a dual norm for stopping criteria in the right metric.
     """
@@ -304,7 +358,7 @@ def newton_solve(
     for it in range(1, max_iter + 1):
         if rn <= tol:
             return IterationResult(x, it - 1, rn, True)
-        d = banded_cholesky(jacobian(x)).solve(-r)
+        d = factor(jacobian(x)).solve(-r)
         alpha = 1.0
         for _ in range(40):
             x_new = x + alpha * d

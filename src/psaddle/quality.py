@@ -375,6 +375,7 @@ def check_pjotr(
     res = mo.newton_solve(
         op_fine.apply, op_fine.jacobian, target, start,
         residual_norm=two.ctx_fine.dual_norm_Y, tol=solve_tol,
+        factor=op_fine.jacobian_pattern.factor,
     )
     lam_hat = res.x
 

@@ -299,20 +299,18 @@ def embedding_matrix(
     """
     M_target = assemble_1d("mass", target)
     C = assemble_1d("mass", target, source)
-    fact = spd_factorize(M_target)
-    E = np.column_stack([fact.solve(np.asarray(C[:, j].todense()).ravel())
-                         for j in range(C.shape[1])])
+    E = spd_factorize(M_target).solve(C.toarray())
     if require_exact:
-        M_source = assemble_1d("mass", source)
-        # ||phi_j - proj||^2 = M_source[j,j] - E_j^T M_target E_j
-        for j in range(E.shape[1]):
-            norm2 = M_source[j, j]
-            res2 = norm2 - E[:, j] @ (M_target @ E[:, j])
-            if res2 > tol * max(norm2, 1e-30):
-                raise InvalidSpaceError(
-                    f"source basis function {j} is not contained in the target "
-                    f"space (residual^2 {res2:.3e})"
-                )
+        # ||phi_j - proj||^2 = M_source[j,j] - E_j^T M_target E_j, for every j at once
+        norm2 = assemble_1d("mass", source).diagonal()
+        res2 = norm2 - (E * (M_target @ E)).sum(axis=0)
+        bad = np.flatnonzero(res2 > tol * np.maximum(norm2, 1e-30))
+        if bad.size:
+            j = bad[0]
+            raise InvalidSpaceError(
+                f"source basis function {j} is not contained in the target "
+                f"space (residual^2 {res2[j]:.3e})"
+            )
     return E
 
 

@@ -292,6 +292,7 @@ class SchurOperator:
         res = mo.newton_solve(
             self.op_Y.apply, self.op_Y.jacobian, target, self._lam,
             residual_norm=self.ctx.dual_norm_Y, tol=self.inner_tol,
+            factor=self.op_Y.jacobian_pattern.factor,
         )
         self._lam = res.x
         return res.x
@@ -356,19 +357,21 @@ def schur_newton_direction(
     jac_X,
     r: np.ndarray,
     max_iter: int,
+    factor=banded_cholesky,
 ) -> tuple[np.ndarray, int]:
     """delta with (jac_X + trace + D^T jac_Y^{-1} D) delta = r, by conjugate
     gradients preconditioned with the trial Riesz map R_X^{-1}.
 
     The operator is applied matrix-free: each iteration costs one
-    `riesz_X_solve`, one solve with the banded Cholesky factor of jac_Y, and
-    sparse products with jac_X, D, D^T and the trace block.  Stops when the
-    residual's R_X^{-1} norm falls to PCG_RTOL times its start and returns delta
-    with the iteration count.  Raises NotConvergedError after max_iter
-    iterations, or on a non-positive curvature p^T J p, which means the
-    operator is not positive definite.
+    `riesz_X_solve`, one solve with the banded Cholesky factor of jac_Y
+    (made by `factor`; a caller holding jac_Y's pattern passes its numeric
+    step), and sparse products with jac_X, D, D^T and the trace block.
+    Stops when the residual's R_X^{-1} norm falls to PCG_RTOL times its
+    start and returns delta with the iteration count.  Raises
+    NotConvergedError after max_iter iterations, or on a non-positive
+    curvature p^T J p, which means the operator is not positive definite.
     """
-    fact_Y = banded_cholesky(jac_Y)
+    fact_Y = factor(jac_Y)
     A_X = jac_X + ctx.trace
 
     def apply_J(p):
@@ -410,13 +413,16 @@ def solve_reference(
     ctx: RieszContext,
     tol: float = 1e-12,
     max_outer: int = 60,
+    x0: np.ndarray | None = None,
 ) -> SaddleState:
     """High-accuracy discrete solution used as the test oracle.
 
     Outer damped Newton on the Schur operator with exact (Newton) inner
-    solves.  Each outer step solves J_S delta = -S(z) with the Schur
-    Jacobian J_S = A_X'(z) + trace + D^T A_Y'(lam)^{-1} D by
-    `schur_newton_direction`, capped at `pcg_iteration_cap` iterations.
+    solves, started from the trial coefficients x0 (zero by default), such
+    as a coarser solution prolonged onto this pair.  Each outer step solves
+    J_S delta = -S(z) with the Schur Jacobian J_S = A_X'(z) + trace +
+    D^T A_Y'(lam)^{-1} D by `schur_newton_direction`, capped at
+    `pcg_iteration_cap` iterations.
     Falls back to a long fixed-point run on the Schur operator if Newton or
     its PCG fails.  The returned state has product dual residual at most tol.
     """
@@ -425,7 +431,7 @@ def solve_reference(
         rY, rX = residual(state, rhs, ctx, op_Y, op_X)
         return ctx.dual_norm_Y(rY) + ctx.dual_norm_X(rX)
 
-    z = np.zeros(pair.dim_X)
+    z = np.zeros(pair.dim_X) if x0 is None else np.array(x0, dtype=float)
     inner_tol = max(tol / 20.0, 1e-15)
     schur = SchurOperator(pair, ctx, op_Y, op_X, rhs, inner_tol=inner_tol)
     pcg_cap = pcg_iteration_cap(op_Y.mu)
@@ -438,7 +444,8 @@ def solve_reference(
             if product_residual(state) <= tol:
                 return state
             delta, _ = schur_newton_direction(
-                ctx, op_Y.jacobian(schur._lam), op_X.jacobian(z), -sz, pcg_cap
+                ctx, op_Y.jacobian(schur._lam), op_X.jacobian(z), -sz, pcg_cap,
+                factor=op_Y.jacobian_pattern.factor,
             )
             alpha = 1.0
             for _ in range(40):
@@ -492,11 +499,12 @@ class Discretization:
         self.bundle = derive_constants(c.L, c.m)
         self._references: dict[float, SaddleState] = {}
 
-    def reference(self, tol: float = 1e-12) -> SaddleState:
-        """The discrete solution to product dual residual tol (cached)."""
+    def reference(self, tol: float = 1e-12, x0: np.ndarray | None = None) -> SaddleState:
+        """The discrete solution to product dual residual tol (cached); x0
+        starts the first solve at that tol (see `solve_reference`)."""
         if tol not in self._references:
             self._references[tol] = solve_reference(
-                self.rhs, self.pair, self.op_Y, self.op_X, self.ctx, tol=tol
+                self.rhs, self.pair, self.op_Y, self.op_X, self.ctx, tol=tol, x0=x0
             )
         return self._references[tol]
 

@@ -88,6 +88,16 @@ class TestBandedCholesky:
         with pytest.raises(NotSpdError, match="not symmetric"):
             cl.banded_cholesky(A)
 
+    def test_one_sided_explicit_zero_accepted(self, rng):
+        # a stored zero whose transpose is not stored is symmetric data:
+        # the symbolic step maps the missing transpose to an implicit zero
+        A = sp.csr_matrix(
+            (np.array([2.0, 0.0, 2.0, 2.0]), np.array([0, 2, 1, 2]), np.array([0, 2, 3, 4])),
+            shape=(3, 3),
+        )
+        b = rng.standard_normal(3)
+        assert np.abs(cl.banded_cholesky(A).solve(b) - b / 2.0).max() <= 1e-15
+
     def test_oversize_band_refused_before_allocation(self):
         # an arrow matrix: one row and column couple every unknown, so no
         # ordering has a band narrower than about n

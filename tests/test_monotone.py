@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from psaddle import monotone as mo
 from psaddle.core_linalg import banded_cholesky, spd_factorize
-from psaddle.errors import PsaddleError
+from psaddle.errors import DimensionMismatchError, NotSpdError, PsaddleError
 from psaddle.spaces import (
     CONT_P1,
     CONT_P1_DIRICHLET,
@@ -88,6 +88,24 @@ class TestEmpiricalBounds:
     def test_too_few_points(self):
         with pytest.raises(PsaddleError):
             mo.empirical_mu_bounds(lambda s: s, 5.0, 10)
+
+    @pytest.mark.parametrize("n", [100, 14_999, 15_000, 15_001, 20_000, 100_000])
+    @pytest.mark.parametrize("r_max", [50.0, 7.1])  # at 7.1, n * (r_max / n) != r_max for some n
+    def test_blocks_equal_one_pass(self, n, r_max):
+        # the blocked grid is np.linspace point for point, so the extremes are equal
+        mu = mo.make_mu("bounded-ramp", a=1.0, b=2.0)
+        seen = []
+
+        def fn(s):
+            seen.append(s.copy())
+            return mu.fn(0.0, 0.0, s)
+
+        r = np.linspace(0.0, r_max, n + 1)
+        slopes = np.diff(mu.fn(0.0, 0.0, r**2) * r) / np.diff(r)
+        got = mo.empirical_mu_bounds(fn, r_max, n)
+        assert got == (float(slopes.min()), float(slopes.max()))
+        # blocks share their end points
+        assert np.array_equal(np.concatenate([seen[0]] + [s[1:] for s in seen[1:]]), r**2)
 
 
 class TestGalerkinOperator:
@@ -225,6 +243,45 @@ class TestQuadratureOracle:
         assert np.abs(op.jacobian(w).toarray() - J).max() <= 1e-12 * np.abs(J).max()
 
 
+def _jacobian_by_B(op, w):
+    """B^T diag(omega_bar) B with B = kron(E_t, Dbar_x), as one sparse product:
+    the general form of the Jacobian, against which the axis-factored map
+    is checked."""
+    g = op._gradients(w)
+    s = g * g
+    t, x = op._t_grid, op._x_grid
+    omega = op.mu.fn(t, x, s) + 2.0 * s * op.mu.dfn_ds(t, x, s)
+    omega_bar = (omega * op._w).reshape(g.shape[0], -1, op.n_quad).sum(axis=2)
+    B = sp.kron(sp.csr_matrix(op._E_t), sp.csr_matrix(op._D_x[:: op.n_quad]), format="csr")
+    return (B.T @ sp.diags(omega_bar.reshape(-1)) @ B).toarray()
+
+
+class TestFixedPatternJacobian:
+    """The Jacobian's data is a fixed map of omega_bar on one pattern per
+    operator; it must equal the general product B^T diag(omega_bar) B."""
+
+    @pytest.mark.parametrize("mu", [mo.make_mu("one-plus-inv"), MU_TXS], ids=["registry", "tx"])
+    @pytest.mark.parametrize("side", ["Y", "X"])
+    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    def test_matches_general_product(self, kind, side, mu, rng):
+        op = mo.GalerkinOperator(_oracle_pair(kind), side, mu)
+        for _ in range(2):
+            w = rng.standard_normal(op.dim)
+            expect = _jacobian_by_B(op, w)
+            got = op.jacobian(w)
+            assert got.has_canonical_format
+            assert np.abs(got.toarray() - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("side", ["Y", "X"])
+    def test_one_pattern_per_operator(self, quasi8, side, rng):
+        op = quasi8.op_Y if side == "Y" else quasi8.op_X
+        J1 = op.jacobian(rng.standard_normal(op.dim))
+        J2 = op.jacobian(rng.standard_normal(op.dim))
+        assert np.array_equal(J1.indptr, J2.indptr)
+        assert np.array_equal(J1.indices, J2.indices)
+        assert not np.array_equal(J1.data, J2.data)
+
+
 class TestJacobianFactor:
     """The banded Cholesky factor of a test-side Jacobian against a dense
     solve; every test space is discontinuous in time, so the reordered
@@ -239,6 +296,33 @@ class TestJacobianFactor:
         b = rng.standard_normal(op.dim)
         expect = np.linalg.solve(J.toarray(), b)
         assert np.abs(fact.solve(b) - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    def test_two_jacobians_on_one_pattern(self, kind, rng):
+        # the symbolic step is made once; each numeric step matches a dense solve
+        op = mo.GalerkinOperator(_oracle_pair(kind), "Y", MU_TXS)
+        pattern = op.jacobian_pattern
+        assert op.jacobian_pattern is pattern
+        for _ in range(2):
+            J = op.jacobian(rng.standard_normal(op.dim))
+            fact = pattern.factor(J)
+            assert fact.bandwidth <= 3
+            b = rng.standard_normal(op.dim)
+            expect = np.linalg.solve(J.toarray(), b)
+            assert np.abs(fact.solve(b) - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_pattern_refuses_bad_data(self, quasi8, rng):
+        op = quasi8.op_Y
+        J = op.jacobian(rng.standard_normal(op.dim))
+        asym = J.copy()
+        off = np.flatnonzero(asym.indices != np.repeat(np.arange(op.dim), np.diff(asym.indptr)))
+        asym.data[off[0]] *= 1.0 + 1e-6
+        with pytest.raises(NotSpdError, match="not symmetric"):
+            op.jacobian_pattern.factor(asym)
+        with pytest.raises(NotSpdError, match="positive definite"):
+            op.jacobian_pattern.factor(-J)
+        with pytest.raises(DimensionMismatchError, match="pattern"):
+            op.jacobian_pattern.factor(quasi8.op_X.jacobian(rng.standard_normal(quasi8.op_X.dim)))
 
 
 class TestZarantonello:

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -159,22 +158,22 @@ class TestDenseSizeGuard:
 def test_riesz_machinery_factors_no_lu(monkeypatch, rng):
     """Riesz solves, dual norms and C_J run on dense transforms alone.
 
-    The sparse factorization left in the package is `banded_cholesky`,
-    which the reference solver's Newton steps use for the test-side
-    Jacobian (general sparse LU is gone), so it is the one counted: the
-    Riesz machinery makes no call, a reference solve makes some, which
-    shows that the counter is live.
+    The sparse factorization left in the package is the banded Cholesky
+    factorization, which the reference solver's Newton steps use for the
+    test-side Jacobian (general sparse LU is gone).  Every banded factor,
+    whether made by `banded_cholesky` or from a pattern an operator holds,
+    is made by the numeric step `BandedPattern.factor`, so that is the one
+    counted: the Riesz machinery makes no call, a reference solve makes
+    some, which shows that the counter is live.
     """
     calls = []
-    orig = core_linalg.banded_cholesky
+    orig = core_linalg.BandedPattern.factor
 
     def counting(*args, **kwargs):
         calls.append(1)
         return orig(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("psaddle") and getattr(mod, "banded_cholesky", None) is orig:
-            monkeypatch.setattr(mod, "banded_cholesky", counting)
+    monkeypatch.setattr(core_linalg.BandedPattern, "factor", counting)
     ctx = RieszContext(_blocks_pair("jittered"))
     ctx.riesz_X_solve(rng.standard_normal(ctx.pair.dim_X))
     ctx.riesz_Y_solve(rng.standard_normal(ctx.pair.dim_Y))

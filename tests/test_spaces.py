@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psaddle import spaces
+from psaddle.core_linalg import spd_factorize
 from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.spaces import (
     CONT_P1,
@@ -226,6 +227,26 @@ class TestTensorPair:
         for spec in (CONT_P1, DISC_P0, DISC_P1):
             E = embedding_matrix((m, spec), (f, spec))  # raises if not exact
             assert E.shape[1] == spec.dim(m)
+
+    def test_embedding_names_first_failing_column(self):
+        # the source hats at 0.5, 0.75 and 1 bend at 0.75, where the coarse
+        # target cannot; the hat at 0 is linear on [0, 0.5] and contained
+        source = Mesh1D((0.0, 0.5, 0.75, 1.0))
+        with pytest.raises(InvalidSpaceError, match="source basis function 1 "):
+            embedding_matrix((source, CONT_P1), (Mesh1D.uniform(2), CONT_P1))
+
+    def test_embedding_matches_column_solves(self):
+        # one multi-column solve against one solve per column
+        m = Mesh1D((0.0, 0.2, 0.45, 0.7, 1.0))
+        f = uniform_refine(m)
+        for spec in (CONT_P1, CONT_P1_DIRICHLET, DISC_P0, DISC_P1):
+            fact = spd_factorize(assemble_1d("mass", (f, spec)))
+            C = assemble_1d("mass", (f, spec), (m, spec))
+            loop = np.column_stack(
+                [fact.solve(C[:, j].toarray().ravel()) for j in range(C.shape[1])]
+            )
+            E = embedding_matrix((m, spec), (f, spec))
+            assert np.abs(E - loop).max() <= 1e-14 * np.abs(loop).max()
 
     def test_not_nested_rejected(self):
         a = Mesh1D.uniform(3)

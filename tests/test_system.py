@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from psaddle import core_linalg
 from psaddle import monotone as mo
+from psaddle import quality as ql
 from psaddle import system as sy
 from psaddle.errors import NotConvergedError
 from psaddle.riesz import RieszContext
@@ -338,6 +340,49 @@ class TestSolveReference:
         start = quasi8.ctx.norm_X_delta(quasi8.reference().u)
         sigma = quasi8.bundle.S_constants.sigma
         assert err <= sigma**3000 * start * (1 + 1e-6)
+
+    def test_one_symbolic_factorization_per_pattern(self, quasi_problem, monkeypatch):
+        # the bandwidth-reducing order depends on the pattern alone, and each
+        # operator's Jacobians share one pattern: at most one order per
+        # operator over a whole reference solve (here only the test side's
+        # Jacobian is factored; the trial side's is applied)
+        calls = []
+        rcm = core_linalg.reverse_cuthill_mckee
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return rcm(*args, **kwargs)
+
+        monkeypatch.setattr(core_linalg, "reverse_cuthill_mckee", counting)
+        s = sy.Discretization(default_pair(8, 8), quasi_problem.mu, quasi_problem.data)
+        sy.solve_reference(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, tol=1e-12)
+        assert 1 <= len(calls) <= 2
+
+    def test_warm_start_from_coarse_solution(self, quasi8, quasi_problem, monkeypatch):
+        fine = sy.Discretization(
+            ql._surrogate_pair(quasi8.pair, 2), quasi_problem.mu, quasi_problem.data
+        )
+        two = ql.TwoLevel(quasi8.pair, fine.pair, ctx_coarse=quasi8.ctx, ctx_fine=fine.ctx)
+        x0 = two.prolong_X(quasi8.reference().u)
+        calls = []
+        direction = sy.schur_newton_direction
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return direction(*args, **kwargs)
+
+        monkeypatch.setattr(sy, "schur_newton_direction", counting)
+        tol = 1e-11
+        args = (fine.rhs, fine.pair, fine.op_Y, fine.op_X, fine.ctx)
+        cold = sy.solve_reference(*args, tol=tol)
+        cold_calls, calls[:] = len(calls), []
+        warm = sy.solve_reference(*args, tol=tol, x0=x0)
+        assert len(calls) < cold_calls
+        rY, rX = sy.residual(warm, fine.rhs, fine.ctx, fine.op_Y, fine.op_X)
+        assert fine.ctx.dual_norm_Y(rY) + fine.ctx.dual_norm_X(rX) <= tol
+        # both lie within L_Ninv * tol of the discrete solution
+        diff = fine.ctx.norm_Y(warm.lam - cold.lam) + fine.ctx.norm_X_delta(warm.u - cold.u)
+        assert diff <= fine.bundle.L_Ninv * 2.0 * tol
 
 
 def _dense_saddle_direction(s, jac_Y, jac_X, r):
