@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from psaddle.core_linalg import BandedPattern, banded_cholesky, banded_pattern
+from psaddle.core_linalg import BandedCholesky, BandedPattern, banded_pattern
 from psaddle.errors import NotConvergedError, PsaddleError
 from psaddle.spaces import TensorSpacePair, gauss_points, quadrature_matrix
 
@@ -277,7 +277,7 @@ class GalerkinOperator:
         The weight mu(s) + 2 s mu'(s) equals the slope of r -> mu(r^2) r at
         r = |dw/dx| and therefore lies in [m_mu, M_mu]; the Jacobian is SPD.
         Every Jacobian of one operator is CSR on the same pattern, sharing
-        its index arrays, so `jacobian_pattern.factor` factors any of them.
+        its index arrays, so `jacobian_pattern` factors any of them.
         """
         if self.mu.dfn_ds is None:
             raise PsaddleError("mu has no derivative; Newton is unavailable")
@@ -289,6 +289,12 @@ class GalerkinOperator:
         P_t, St_x, perm, indptr, indices = self._jacobian_map
         data = (St_x @ (P_t @ omega_bar).T).ravel()[perm]
         return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
+
+    def jacobian_factor(self, w: np.ndarray) -> BandedCholesky:
+        """Banded Cholesky factor of `jacobian(w)`: the numeric step on the
+        held symbolic step of the pattern.  Raises NotSpdError if the
+        Jacobian is not SPD."""
+        return self.jacobian_pattern.factor(self.jacobian(w))
 
 
 @dataclass
@@ -332,22 +338,19 @@ def zarantonello_solve(
 
 def newton_solve(
     apply_G,
-    jacobian,
+    jacobian_factor,
     f: np.ndarray,
     x0: np.ndarray,
     residual_norm=None,
     tol: float = 1e-12,
     max_iter: int = 50,
-    factor=banded_cholesky,
 ) -> IterationResult:
     """Damped Newton with step halving until the residual norm decreases.
 
     Reference-solution oracle: independent of the fixed-point solver path.
-    `jacobian(x)` must return a sparse symmetric positive definite matrix,
-    as `GalerkinOperator.jacobian` does; each step factors it by `factor`,
-    `banded_cholesky` unless the caller passes the numeric step of a
-    pattern it holds (`op.jacobian_pattern.factor`).  Both raise
-    NotSpdError on a matrix that is not SPD.
+    `jacobian_factor(x)` must return a factor of the symmetric positive
+    definite Jacobian at x with a `solve` method, as
+    `GalerkinOperator.jacobian_factor` does.
     `residual_norm` defaults to the Euclidean norm of the residual vector;
     pass a dual norm for stopping criteria in the right metric.
     """
@@ -358,7 +361,7 @@ def newton_solve(
     for it in range(1, max_iter + 1):
         if rn <= tol:
             return IterationResult(x, it - 1, rn, True)
-        d = factor(jacobian(x)).solve(-r)
+        d = jacobian_factor(x).solve(-r)
         alpha = 1.0
         for _ in range(40):
             x_new = x + alpha * d

@@ -373,9 +373,8 @@ def check_pjotr(
     op_fine = mo.GalerkinOperator(fine, "Y", mu)
     start = two.prolong_Y(state.lam)
     res = mo.newton_solve(
-        op_fine.apply, op_fine.jacobian, target, start,
+        op_fine.apply, op_fine.jacobian_factor, target, start,
         residual_norm=two.ctx_fine.dual_norm_Y, tol=solve_tol,
-        factor=op_fine.jacobian_pattern.factor,
     )
     lam_hat = res.x
 

@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from psaddle import monotone as mo
-from psaddle.core_linalg import banded_cholesky
 from psaddle.errors import NotConvergedError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
@@ -290,9 +289,8 @@ class SchurOperator:
         """lambda(z) = A_Y^{-1}(f - D z), warm-started."""
         target = self.f - self.ctx.apply_D(z)
         res = mo.newton_solve(
-            self.op_Y.apply, self.op_Y.jacobian, target, self._lam,
+            self.op_Y.apply, self.op_Y.jacobian_factor, target, self._lam,
             residual_norm=self.ctx.dual_norm_Y, tol=self.inner_tol,
-            factor=self.op_Y.jacobian_pattern.factor,
         )
         self._lam = res.x
         return res.x
@@ -353,25 +351,23 @@ def pcg_iteration_cap(mu: mo.MuCoefficient) -> int:
 
 def schur_newton_direction(
     ctx: RieszContext,
-    jac_Y,
+    fact_Y,
     jac_X,
     r: np.ndarray,
     max_iter: int,
-    factor=banded_cholesky,
 ) -> tuple[np.ndarray, int]:
     """delta with (jac_X + trace + D^T jac_Y^{-1} D) delta = r, by conjugate
     gradients preconditioned with the trial Riesz map R_X^{-1}.
 
     The operator is applied matrix-free: each iteration costs one
-    `riesz_X_solve`, one solve with the banded Cholesky factor of jac_Y
-    (made by `factor`; a caller holding jac_Y's pattern passes its numeric
-    step), and sparse products with jac_X, D, D^T and the trace block.
+    `riesz_X_solve`, one solve with fact_Y, the factor of the test-side
+    Jacobian jac_Y (`GalerkinOperator.jacobian_factor`), and sparse
+    products with jac_X, D, D^T and the trace block.
     Stops when the residual's R_X^{-1} norm falls to PCG_RTOL times its
     start and returns delta with the iteration count.  Raises
     NotConvergedError after max_iter iterations, or on a non-positive
     curvature p^T J p, which means the operator is not positive definite.
     """
-    fact_Y = factor(jac_Y)
     A_X = jac_X + ctx.trace
 
     def apply_J(p):
@@ -444,8 +440,7 @@ def solve_reference(
             if product_residual(state) <= tol:
                 return state
             delta, _ = schur_newton_direction(
-                ctx, op_Y.jacobian(schur._lam), op_X.jacobian(z), -sz, pcg_cap,
-                factor=op_Y.jacobian_pattern.factor,
+                ctx, op_Y.jacobian_factor(schur._lam), op_X.jacobian(z), -sz, pcg_cap,
             )
             alpha = 1.0
             for _ in range(40):
