@@ -44,8 +44,14 @@ __all__ = [
 class MuCoefficient:
     """Scalar nonlinearity mu(t, x, s) with its monotonicity bounds.
 
-    `fn` must broadcast over numpy arrays; `dfn_ds` is the partial derivative
-    with respect to s and is only needed by the Newton oracle.
+    `fn(t, x, s)` must broadcast over numpy arrays; `dfn_ds` is the partial
+    derivative with respect to s and is only needed by the Newton oracle.
+    The Galerkin kernels call both with t of shape (n_tq, 1, 1), x of shape
+    (1, n_el, n_quad) and s of shape (n_tq, n_el, 1): every temporal Gauss
+    point, every spatial Gauss point grouped by element, and the squared
+    gradient, which is constant on a spatial element.  Either may ignore t
+    or x, or return a scalar; a result that does not vary along the last
+    axis is integrated once per element.
     """
 
     fn: Callable
@@ -167,33 +173,37 @@ class GalerkinOperator:
     and axis (3 by default: exact for the linear case, and well below test
     tolerances for the smooth nonlinearities bundled here).
 
-    Both are contractions with quadrature matrices built once per operator:
-    E_t holds the temporal basis at every temporal Gauss point, D_x the
-    spatial basis derivatives at every spatial Gauss point, and
-    w = outer(w_t, w_x) the tensor weights.  With W the coefficients as a
+    Every spatial basis is piecewise linear, so dw/dx is constant on each
+    spatial element, and both kernels work on element gradients.  E_t holds
+    the temporal basis at every temporal Gauss point and Dbar_x the spatial
+    basis derivatives, one row per spatial element; both are quadrature
+    matrices built once per operator.  With W the coefficients as a
     (dim_t, dim_x) array,
 
-        G        = E_t W D_x^T                       (gradient at every point)
-        apply(W) = E_t^T [mu(t_q, x_q, G^2) * G * w] D_x
+        G        = E_t W Dbar_x^T                    (n_tq, n_el)
+        apply(W) = E_t^T (m o G) Dbar_x
         jac(W)   = B^T diag(omega_bar) B,            B = kron(E_t, Dbar_x)
 
-    where omega = mu + 2 s mu'(s) at s = G^2, omega_bar sums w * omega over
-    the Gauss points of each spatial element, and Dbar_x keeps one row of
-    D_x per spatial element (a P1 gradient is constant there).  mu is
-    evaluated on the full tensor grid, so it may depend on t and x.  The
-    Jacobian is never formed as that product: its sparsity pattern does not
-    depend on W, and its data is a fixed linear map of omega_bar that
-    factors by axis (`_jacobian_map`), built on the first `jacobian` call
-    and kept with the symbolic Cholesky of the pattern; the Uzawa solvers
-    only apply the operator and never pay for either.
+    where m and omega_bar are the quadrature sums, per temporal Gauss point
+    and spatial element, of mu and of omega = mu + 2 s mu'(s) at s = G^2
+    (`_element_integrals`).  mu is evaluated on broadcast shapes: t as
+    (n_tq, 1, 1), x as (1, n_el, n_quad) and s as (n_tq, n_el, 1).  A mu
+    that ignores x, like every registry coefficient, is evaluated once per
+    element and its weights are summed over the element's Gauss points
+    beforehand; one that depends on x gets every Gauss point.  The Jacobian
+    is never formed as that product: its sparsity pattern does not depend
+    on W, and its data is a fixed linear map of omega_bar that factors by
+    axis (`_jacobian_map`), built on the first `jacobian` call and kept with
+    the symbolic Cholesky of the pattern; the Uzawa solvers only apply the
+    operator and never pay for either.  `kronecker_mapped` applies the
+    operator followed by a Kronecker map, such as the test-space Riesz map,
+    with the map folded into the output contraction.
 
-    E_t and D_x are stored dense, O(n^2) entries for n elements per axis.
-    Single-threaded, a dense `apply` beats one with sparse E_t and D_x up
-    to n = 32 (about 4x at n = 8, 1.7x at n = 32) and loses from about
-    n = 64 (1.5x slower at n = 128).  No shipped command goes above 128
-    elements per axis: `convergence` surrogates reach 128 and `pjotr`
-    refines 8 elements at most 4 times.  So there is one dense path; a
-    change that raises that ceiling should measure sparse E_t and D_x again.
+    E_t and Dbar_x are stored dense, O(n^2) entries for n elements per axis.
+    No shipped command goes above 128 elements per axis: `convergence`
+    surrogates reach 128 and `pjotr` refines 8 elements at most 4 times.  So
+    there is one dense path; a change that raises that ceiling should
+    measure sparse E_t and Dbar_x.
     """
 
     def __init__(self, pair: TensorSpacePair, side: str, mu: MuCoefficient, n_quad: int = 3):
@@ -215,22 +225,66 @@ class GalerkinOperator:
 
         t_q, w_t = gauss_points(mesh_t, n_quad)
         x_q, w_x = gauss_points(pair.mesh_x, n_quad)
-        self._t_grid = t_q[:, None]
-        self._x_grid = x_q[None, :]
-        self._w = np.outer(w_t, w_x)
+        n_el = pair.mesh_x.n_elements
+        self._t = t_q[:, None, None]
+        self._x = x_q.reshape(1, n_el, n_quad)
+        self._w_t = w_t[:, None]
+        self._w_x = w_x.reshape(n_el, n_quad)
+        self._w_el = self._w_t * self._w_x.sum(axis=1)
         self._E_t = quadrature_matrix(mesh_t, spec_t, n_quad)
-        self._D_x = quadrature_matrix(pair.mesh_x, pair.spec_x, n_quad, derivative=True)
+        # one point per element: a P1 derivative is the same at every point
+        self._Dbar_x = quadrature_matrix(pair.mesh_x, pair.spec_x, 1, derivative=True)
 
-    def _gradients(self, w: np.ndarray) -> np.ndarray:
-        """d/dx of the expansion at every tensor Gauss point, (n_tq, n_xq)."""
+    def _element_integrals(self, w: np.ndarray, fn) -> tuple[np.ndarray, np.ndarray]:
+        """Element gradients G of w, (n_tq, n_el), and the quadrature sums of
+        fn(t, x, G^2) over each temporal Gauss point and spatial element.
+
+        The weights are summed over an element's Gauss points wherever fn
+        does not vary along them: fn may return an array with a trailing
+        axis of length 1 or n_quad, or a scalar.
+        """
         W = np.asarray(w, dtype=float).reshape(self.dim_t, self.dim_x)
-        return (self._E_t @ W) @ self._D_x.T
+        G = (self._E_t @ W) @ self._Dbar_x.T
+        values = np.asarray(fn(self._t, self._x, (G * G)[:, :, None]), dtype=float)
+        if values.ndim == 3 and values.shape[2] > 1:
+            return G, (values * self._w_x).sum(axis=2) * self._w_t
+        return G, values.reshape(values.shape[:2]) * self._w_el
+
+    def _flux(self, w: np.ndarray) -> np.ndarray:
+        """m o G, the weighted flux per temporal Gauss point and spatial element."""
+        G, m = self._element_integrals(w, self.mu.fn)
+        return m * G
+
+    def _test(self, F: np.ndarray) -> np.ndarray:
+        """E_t^T F Dbar_x: a flux tested with every basis function, flat."""
+        return (self._E_t.T @ (F @ self._Dbar_x)).reshape(-1)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Dual coefficients (A w)(basis function)."""
-        g = self._gradients(w)
-        F = self.mu.fn(self._t_grid, self._x_grid, g * g) * g * self._w
-        return (self._E_t.T @ (F @ self._D_x)).reshape(-1)
+        return self._test(self._flux(w))
+
+    def kronecker_mapped(self, left: np.ndarray, right: np.ndarray):
+        """The operator followed by the Kronecker map H -> left H right of
+        the (dim_t, dim_x) output coefficients, i.e. left (x) right^T on
+        time-major vectors; with the two dense inverses of a RieszContext
+        that map is R_Y^{-1}.
+
+        Returns `mapped(w, with_apply=False)`, which gives the mapped
+        output, and with `with_apply` the pair (A w, mapped output) from one
+        evaluation of the flux.  The products left E_t^T and Dbar_x right
+        are formed here, once per map.
+        """
+        left_E = np.asarray(left, dtype=float) @ self._E_t.T
+        D_right = self._Dbar_x @ np.asarray(right, dtype=float)
+
+        def mapped(w: np.ndarray, with_apply: bool = False):
+            F = self._flux(w)
+            out = (left_E @ F @ D_right).reshape(-1)
+            if with_apply:
+                return self._test(F), out
+            return out
+
+        return mapped
 
     @cached_property
     def _jacobian_map(self) -> tuple:
@@ -255,7 +309,7 @@ class GalerkinOperator:
             return first.astype(np.int32), second.astype(np.int32), products
 
         a, b, P_t = pairs(self._E_t)
-        i, j, St_x = pairs(self._D_x[:: self.n_quad])
+        i, j, St_x = pairs(self._Dbar_x)
         rows = (a[None, :] * self.dim_x + i[:, None]).ravel()
         cols = (b[None, :] * self.dim_x + j[:, None]).ravel()
         perm = np.lexsort((cols, rows)).astype(np.int32)
@@ -281,11 +335,10 @@ class GalerkinOperator:
         """
         if self.mu.dfn_ds is None:
             raise PsaddleError("mu has no derivative; Newton is unavailable")
-        g = self._gradients(w)
-        s = g * g
-        t, x = self._t_grid, self._x_grid
-        omega = self.mu.fn(t, x, s) + 2.0 * s * self.mu.dfn_ds(t, x, s)
-        omega_bar = (omega * self._w).reshape(g.shape[0], -1, self.n_quad).sum(axis=2)
+        mu = self.mu
+        _, omega_bar = self._element_integrals(
+            w, lambda t, x, s: mu.fn(t, x, s) + 2.0 * s * mu.dfn_ds(t, x, s)
+        )
         P_t, St_x, perm, indptr, indices = self._jacobian_map
         data = (St_x @ (P_t @ omega_bar).T).ravel()[perm]
         return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))

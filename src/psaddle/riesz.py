@@ -16,7 +16,8 @@ Both Riesz solves are exact and go through dense transforms built once per
 pair, without a sparse LU:
 
 * R_Y^{-1} h = (M_t^Y)^{-1} H A_x^{-1}, two products with dense inverses
-  taken from the pair's SPD factorizations.
+  taken from the pair's SPD factorizations (`inv_M_t_Y`, `inv_A_x`; the
+  Uzawa sweep folds them into the operator's output contraction).
 * R_X^{-1} by fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 6,
   1964).  With A_x V = M_x V Lambda, V^T M_x V = I, the spatial modes
   decouple: V^T S V = Lambda^{-1}, so mode k carries the temporal block
@@ -80,13 +81,15 @@ class RieszContext:
         return np.asarray(self.pair.M_t_Y @ (self.pair.A_x @ Y.T).T).reshape(-1)
 
     @cached_property
-    def _inv_M_t_Y(self) -> np.ndarray:
+    def inv_M_t_Y(self) -> np.ndarray:
+        """Dense (M_t^Y)^{-1}, the temporal factor of R_Y^{-1}."""
         n = self.pair.dim_t_Y
         check_dense_size("RieszContext inverse of M_t^Y", (n, n))
         return self.fact_M_t_Y.solve(np.eye(n))
 
     @cached_property
-    def _inv_A_x(self) -> np.ndarray:
+    def inv_A_x(self) -> np.ndarray:
+        """Dense A_x^{-1}, the spatial factor of R_Y^{-1}."""
         n = self.pair.dim_x
         check_dense_size("RieszContext inverse of A_x", (n, n))
         return self.fact_A_x.solve(np.eye(n))
@@ -94,7 +97,7 @@ class RieszContext:
     def riesz_Y_solve(self, h) -> np.ndarray:
         """(M_t^Y (x) A_x)^{-1} h = (M_t^Y)^{-1} H A_x^{-1}: the Y-representer
         of a Y-functional."""
-        return (self._inv_M_t_Y @ self._as_Y(h) @ self._inv_A_x).reshape(-1)
+        return (self.inv_M_t_Y @ self._as_Y(h) @ self.inv_A_x).reshape(-1)
 
     def apply_D(self, u) -> np.ndarray:
         """Temporal derivative of a trial function as a Y-functional."""

@@ -2,8 +2,14 @@
 
 Each outer step freezes u, runs L damped fixed-point steps on the test-space
 block (warm-started from the previous outer iterate), then takes one damped
-step on the Schur residual of u.  The number L of inner steps comes from the
-convergence theory: with
+step on the Schur residual of u.  The inner steps run on test-space
+representers,
+
+    lambda <- lambda - theta_A* (R_Y^{-1} A_Y lambda - R_Y^{-1} (f - D u)),
+
+with the second representer computed once per outer step and R_Y^{-1}
+folded into the operator's own output contraction.  The number L of inner
+steps comes from the convergence theory: with
 
     C_3 = (1/sigma_hat)((sigma_hat - sigma_S)/theta_S* + 1/m_A)
 
@@ -124,9 +130,9 @@ class UzawaTrace:
     Row k is written after the inner loop of outer step k, i.e. at the
     monitored pair (lambda^(k+1), u^(k)): eta and the residual norms refer
     to that pair, err_lambda to lambda^(k+1), err_u to u^(k).  Each row also
-    books the work done in that outer step: inner_count Riesz solves on the
-    test space, one Riesz solve on the trial space, and napply nonlinear
-    operator applications.
+    books the work done in that outer step: inner_count inner steps, each
+    an operator application mapped by the test-space Riesz map, one Riesz
+    solve on the trial space, and napply nonlinear operator applications.
     """
 
     k: list = field(default_factory=list)
@@ -183,6 +189,14 @@ def run_inexact_uzawa(
     Outer update:
         u <- u - theta_S* R_X^{-1} [A_X u + trace term + g - D^T lambda]
 
+    The inner update runs on representers: with C = R_Y^{-1} (f - D u),
+    one test-space Riesz solve per outer step, it is
+        lambda <- lambda - theta_A* (R_Y^{-1} A_Y lambda - C),
+    where R_Y^{-1} = (M_t^Y)^{-1} (x) A_x^{-1} is folded into the operator's
+    output contraction (`GalerkinOperator.kronecker_mapped`).  The
+    monitored pair takes r_Y = (f - D u) - A_Y lambda and its representer
+    C - R_Y^{-1} A_Y lambda from one evaluation of the flux.
+
     Stops when eta, evaluated at (lambda^(k+1), u^(k)), drops below cfg.tol.
     The returned state, and the `best` of a NotConvergedError on the
     outer-iteration cap, is the last monitored pair, the one trace.eta[-1]
@@ -190,23 +204,24 @@ def run_inexact_uzawa(
     against it (test mode).
     """
     f, g = rhs
-    solve_Y = ctx.riesz_Y_solve
+    riesz_A_Y = op_Y.kronecker_mapped(ctx.inv_M_t_Y, ctx.inv_A_x)
     lam = np.zeros(pair.dim_Y)
     u = np.zeros(pair.dim_X)
     trace = UzawaTrace()
 
     for k in range(cfg.max_outer):
         target = f - ctx.apply_D(u)
+        C = ctx.riesz_Y_solve(target)
         napply = 0
         for _ in range(cfg.L):
-            r_inner = op_Y.apply(lam) - target
+            lam = lam - cfg.theta_star_A * (riesz_A_Y(lam) - C)
             napply += 1
-            lam = lam - cfg.theta_star_A * solve_Y(r_inner)
 
-        r_Y = target - op_Y.apply(lam)
+        A_lam, riesz_A_lam = riesz_A_Y(lam, with_apply=True)
+        r_Y = target - A_lam
+        dY = C - riesz_A_lam
         r_X = g - ctx.apply_Dt(lam) + op_X.apply(u) + ctx.apply_trace_term(u)
         napply += 2
-        dY = solve_Y(r_Y)
         dX = ctx.riesz_X_solve(r_X)
         eta = math.sqrt(max(r_Y @ dY, 0.0)) + math.sqrt(max(r_X @ dX, 0.0))
 

@@ -98,6 +98,23 @@ class TestBandedCholesky:
         b = rng.standard_normal(3)
         assert np.abs(cl.banded_cholesky(A).solve(b) - b / 2.0).max() <= 1e-15
 
+    @pytest.mark.parametrize("one_sided", [False, True])
+    def test_transpose_map_against_bisection(self, one_sided, rng):
+        # every entry's transpose position, or nnz where it is not stored,
+        # against a bisection over the sorted keys row * n + col
+        n = 60
+        mask = np.triu(rng.uniform(size=(n, n)) < 0.1, 1)
+        mask = mask | mask.T | np.eye(n, dtype=bool)
+        if one_sided:
+            mask &= ~np.triu(rng.uniform(size=(n, n)) < 0.3, 1)
+        A = sp.csr_matrix(mask.astype(float))
+        assert ((A != A.T).nnz > 0) == one_sided
+        row = np.repeat(np.arange(n), np.diff(A.indptr))
+        key, tkey = row * n + A.indices, A.indices * n + row
+        expect = np.searchsorted(key, tkey)
+        expect[np.append(key, -1)[expect] != tkey] = A.nnz
+        assert np.array_equal(cl.banded_pattern(A).transpose, expect)
+
     def test_oversize_band_refused_before_allocation(self):
         # an arrow matrix: one row and column couple every unknown, so no
         # ordering has a band narrower than about n

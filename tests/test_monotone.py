@@ -17,8 +17,11 @@ from psaddle.spaces import (
     Mesh1D,
     assemble_matrices,
     default_pair,
+    gauss_points,
+    quadrature_matrix,
     refine_times,
 )
+from psaddle.riesz import RieszContext
 
 
 class TestConstants:
@@ -223,18 +226,32 @@ def _oracle_pair(kind):
     return assemble_matrices((mesh_t, CONT_P1), test_t, (mesh_x, CONT_P1_DIRICHLET))
 
 
+# mu returning a Python scalar: the kernels must broadcast it themselves
+MU_SCALAR = mo.MuCoefficient(
+    fn=lambda t, x, s: 2.5, dfn_ds=lambda t, x, s: 0.0, m_mu=2.5, M_mu=2.5, name="scalar",
+)
+
+# mus that ignore t and x: an s-shaped constant, a function of s alone, a scalar
+BROADCAST_MUS = {
+    "constant": mo.make_mu("constant", c=2.0),
+    "one-plus-inv": mo.make_mu("one-plus-inv"),
+    "scalar": MU_SCALAR,
+}
+
+
+def _temporal_side(pair, side):
+    return (pair.mesh_t_Y, pair.spec_t_Y) if side == "Y" else (pair.mesh_t_X, pair.spec_t_X)
+
+
 class TestQuadratureOracle:
     """Both kernels against a loop over elements and Gauss points, with a
-    mu that depends on t and x."""
+    mu that depends on t and x, and with mus that ignore them."""
 
     @pytest.mark.parametrize("side", ["Y", "X"])
     @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
     def test_apply_and_jacobian(self, kind, side, rng):
         pair = _oracle_pair(kind)
-        if side == "Y":
-            mesh_t, spec_t = pair.mesh_t_Y, pair.spec_t_Y
-        else:
-            mesh_t, spec_t = pair.mesh_t_X, pair.spec_t_X
+        mesh_t, spec_t = _temporal_side(pair, side)
         op = mo.GalerkinOperator(pair, side, MU_TXS)
         w = rng.standard_normal(op.dim)
         F, J = _oracle(mesh_t, spec_t.family, pair.mesh_x, MU_TXS,
@@ -242,17 +259,70 @@ class TestQuadratureOracle:
         assert np.abs(op.apply(w) - F).max() <= 1e-12 * np.abs(F).max()
         assert np.abs(op.jacobian(w).toarray() - J).max() <= 1e-12 * np.abs(J).max()
 
+    @pytest.mark.parametrize("mu_name", sorted(BROADCAST_MUS))
+    @pytest.mark.parametrize("side", ["Y", "X"])
+    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    def test_broadcast_mu(self, kind, side, mu_name, rng):
+        mu = BROADCAST_MUS[mu_name]
+        pair = _oracle_pair(kind)
+        mesh_t, spec_t = _temporal_side(pair, side)
+        op = mo.GalerkinOperator(pair, side, mu)
+        w = rng.standard_normal(op.dim)
+        F, J = _oracle(mesh_t, spec_t.family, pair.mesh_x, mu, w.reshape(op.dim_t, op.dim_x))
+        assert np.abs(op.apply(w) - F).max() <= 1e-12 * np.abs(F).max()
+        assert np.abs(op.jacobian(w).toarray() - J).max() <= 1e-12 * np.abs(J).max()
+
+
+class TestKroneckerMapped:
+    """The operator followed by a Kronecker map, folded into its output
+    contraction, against the map applied to `apply`."""
+
+    @pytest.mark.parametrize("mu", [mo.make_mu("one-plus-inv"), MU_TXS], ids=["registry", "tx"])
+    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    def test_riesz_map_on_test_space(self, kind, mu, rng):
+        pair = _oracle_pair(kind)
+        ctx = RieszContext(pair)
+        op = mo.GalerkinOperator(pair, "Y", mu)
+        mapped = op.kronecker_mapped(ctx.inv_M_t_Y, ctx.inv_A_x)
+        for _ in range(2):
+            w = rng.standard_normal(op.dim)
+            plain = op.apply(w)
+            expect = ctx.riesz_Y_solve(plain)
+            assert np.abs(mapped(w) - expect).max() <= 1e-12 * np.abs(expect).max()
+            got_plain, got_mapped = mapped(w, with_apply=True)
+            assert np.abs(got_plain - plain).max() <= 1e-12 * np.abs(plain).max()
+            assert np.abs(got_mapped - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("side", ["Y", "X"])
+    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    def test_rectangular_map(self, kind, side, rng):
+        # (left (x) right) acts on the time-major coefficients as left H right
+        op = mo.GalerkinOperator(_oracle_pair(kind), side, MU_TXS)
+        left = rng.standard_normal((op.dim_t + 1, op.dim_t))
+        right = rng.standard_normal((op.dim_x, op.dim_x + 2))
+        w = rng.standard_normal(op.dim)
+        expect = np.kron(left, right.T) @ op.apply(w)
+        got = op.kronecker_mapped(left, right)(w)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
 
 def _jacobian_by_B(op, w):
-    """B^T diag(omega_bar) B with B = kron(E_t, Dbar_x), as one sparse product:
-    the general form of the Jacobian, against which the axis-factored map
-    is checked."""
-    g = op._gradients(w)
+    """B^T diag(omega_bar) B with B = kron(E_t, Dbar_x), as one sparse product
+    with mu on the full tensor Gauss grid, built from the public quadrature
+    of `spaces`: the general form of the Jacobian, against which the
+    axis-factored map is checked."""
+    pair, n_quad = op.pair, op.n_quad
+    mesh_t, spec_t = _temporal_side(pair, op.side)
+    t_q, w_t = gauss_points(mesh_t, n_quad)
+    x_q, w_x = gauss_points(pair.mesh_x, n_quad)
+    E_t = quadrature_matrix(mesh_t, spec_t, n_quad)
+    D_x = quadrature_matrix(pair.mesh_x, pair.spec_x, n_quad, derivative=True)
+    g = (E_t @ w.reshape(op.dim_t, op.dim_x)) @ D_x.T
     s = g * g
-    t, x = op._t_grid, op._x_grid
+    t, x = t_q[:, None], x_q[None, :]
     omega = op.mu.fn(t, x, s) + 2.0 * s * op.mu.dfn_ds(t, x, s)
-    omega_bar = (omega * op._w).reshape(g.shape[0], -1, op.n_quad).sum(axis=2)
-    B = sp.kron(sp.csr_matrix(op._E_t), sp.csr_matrix(op._D_x[:: op.n_quad]), format="csr")
+    omega_bar = (omega * np.outer(w_t, w_x)).reshape(g.shape[0], -1, n_quad).sum(axis=2)
+    B = sp.kron(sp.csr_matrix(E_t), sp.csr_matrix(D_x[::n_quad]), format="csr")
     return (B.T @ sp.diags(omega_bar.reshape(-1)) @ B).toarray()
 
 

@@ -81,6 +81,24 @@ class TestRunInexactUzawa:
         assert trace.napply == [7 + 2] * 5
         assert trace.riesz_X_solves == [1] * 5
 
+    @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
+    def test_one_riesz_Y_solve_per_outer_step(self, setup_name, request, monkeypatch):
+        # the inner steps apply R_Y^{-1} inside the operator's contraction;
+        # only the representer of f - D u is solved for, once per outer step
+        s = request.getfixturevalue(setup_name)
+        calls = []
+        orig = type(s.ctx).riesz_Y_solve
+
+        def counting(self, h):
+            calls.append(1)
+            return orig(self, h)
+
+        monkeypatch.setattr(type(s.ctx), "riesz_Y_solve", counting)
+        cfg = uz.make_config(s.bundle, tol=0.0, max_outer=4, L_practical=5)
+        _, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
+        assert len(trace.k) == 4
+        assert len(calls) == 4
+
     def test_stops_on_eta(self, heat8):
         cfg = uz.make_config(heat8.bundle, tol=1e-2, max_outer=5000, L_practical=6)
         state, trace = uz.run_inexact_uzawa(
