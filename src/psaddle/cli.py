@@ -299,7 +299,7 @@ def _aposteriori_band(cfg: ExperimentConfig, disc: sy.Discretization, out: str,
         dlam = scale * gen.normal_vector(pair.dim_Y)
         du = scale * gen.normal_vector(pair.dim_X)
         state = sy.SaddleState(reference.lam + dlam, reference.u + du)
-        eta, _, _ = uz.aposteriori_estimate(state, disc.rhs, disc.op_Y, disc.op_X, ctx)
+        eta, _, _ = sy.aposteriori_estimate(state, disc.rhs, disc.op_Y, disc.op_X, ctx)
         true = ctx.norm_Y(dlam) + ctx.norm_X_delta(du)
         rows.append((i, eta, true, true / eta))
     write_csv(

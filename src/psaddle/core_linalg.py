@@ -1,9 +1,15 @@
-"""Sparse SPD factorizations and extremal eigenvalue tools.
+"""One SPD factorization and the extremal eigenvalue tools.
 
-Matrices are scipy CSR/CSC throughout (compressed-row storage with unique,
-sorted indices).  All factorizations are direct: at desk scale every SPD
-system here is banded once reordered, so direct solves are exact up to
-round-off and remove inner-solver tolerances from every downstream check.
+Matrices are scipy CSR throughout (compressed-row storage with unique,
+sorted indices).  Every SPD matrix is factored by one path, a banded
+Cholesky in reverse Cuthill-McKee order (`banded_cholesky`, or its symbolic
+and numeric steps `banded_pattern` and `BandedPattern.factor`), with one
+symmetry check and one NotSpdError for a matrix that is not symmetric
+positive definite.  At desk scale every SPD system here is banded once
+reordered, so direct solves are exact up to round-off and remove
+inner-solver tolerances from every downstream check.  Extremal generalized
+eigenvalues come from one dense reduced pencil, under the same size guard
+as every other dense array.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from psaddle.errors import DimensionMismatchError, NotConvergedError, NotSpdError, PsaddleError
@@ -22,8 +27,6 @@ from psaddle.errors import DimensionMismatchError, NotConvergedError, NotSpdErro
 __all__ = [
     "MAX_DENSE_BYTES",
     "check_dense_size",
-    "SpdFactorization",
-    "spd_factorize",
     "BandedCholesky",
     "BandedPattern",
     "banded_pattern",
@@ -59,56 +62,6 @@ def as_csr(matrix) -> sp.csr_matrix:
 
 # Largest asymmetry |A - A^T| an SPD factorization accepts, relative to max |A|.
 _SYMMETRY_RTOL = 1e-10
-
-
-def _check_symmetric(matrix: sp.spmatrix) -> None:
-    diff = abs(matrix - matrix.T)
-    scale = abs(matrix).max() or 1.0
-    if diff.count_nonzero() and diff.max() > _SYMMETRY_RTOL * scale:
-        raise NotSpdError(
-            f"matrix is not symmetric: max asymmetry {diff.max():.3e} "
-            f"(scale {scale:.3e})"
-        )
-
-
-@dataclass(frozen=True)
-class SpdFactorization:
-    """Direct factorization of a symmetric positive definite matrix.
-
-    Produced with SuperLU in symmetric mode and no row pivoting, so the
-    diagonal of U carries the inertia: any non-positive entry means the
-    matrix was not positive definite and construction fails.
-    """
-
-    matrix: sp.csr_matrix
-    _lu: spla.SuperLU = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=float))
-
-
-def spd_factorize(matrix) -> SpdFactorization:
-    """Factor a symmetric positive definite matrix for repeated solves."""
-    m = as_csr(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise NotSpdError(f"matrix is not square: {m.shape}")
-    _check_symmetric(m)
-    try:
-        lu = spla.splu(
-            m.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-    except RuntimeError as exc:  # singular to machine precision
-        raise NotSpdError(f"factorization failed: {exc}") from exc
-    if np.any(lu.U.diagonal() <= 0.0):
-        raise NotSpdError("matrix is not positive definite (non-positive pivot)")
-    return SpdFactorization(matrix=m, _lu=lu)
 
 
 @dataclass(frozen=True)
@@ -265,9 +218,6 @@ def extremal_generalized_eigen(
     B,
     which: str = "smallest",
     constraint_kernel: np.ndarray | None = None,
-    dense_cutoff: int = 1500,
-    tol: float = 1e-10,
-    max_iter: int = 500,
 ) -> tuple[float, np.ndarray]:
     """Extremal eigenpair of A x = lam B x, optionally deflating a known kernel.
 
@@ -276,8 +226,9 @@ def extremal_generalized_eigen(
     the subspace to remove before the extremal value is sought (e.g. the
     time-constant functions for the temporal inf-sup factor).
 
-    Small pencils are reduced to the orthogonal complement and solved
-    densely; larger ones go through LOBPCG with the kernel as constraint.
+    The pencil is reduced to the orthogonal complement of the kernel and
+    solved densely; a pencil whose dense (n, n) array would exceed
+    MAX_DENSE_BYTES is refused before anything is allocated.
     """
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be smallest|largest, got {which!r}")
@@ -286,42 +237,15 @@ def extremal_generalized_eigen(
     n = A.shape[0]
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"pencil shapes {A.shape} vs {B.shape}")
-
-    if n <= dense_cutoff:
-        Q = _complement_basis(constraint_kernel, n)
-        Ared = Q.T @ (A @ Q)
-        Bred = Q.T @ (B @ Q)
-        Ared = 0.5 * (Ared + Ared.T)
-        Bred = 0.5 * (Bred + Bred.T)
-        vals, vecs = sla.eigh(Ared, Bred)
-        idx = 0 if which == "smallest" else -1
-        lam = float(vals[idx])
-        vec = Q @ vecs[:, idx]
-        return lam, vec
-
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((n, 3))
-    Y = None
-    if constraint_kernel is not None and constraint_kernel.size:
-        Y = np.atleast_2d(np.asarray(constraint_kernel, dtype=float))
-        if Y.shape[0] != n:
-            Y = Y.T
-    try:
-        vals, vecs = spla.lobpcg(
-            A, X, B=B, Y=Y, largest=(which == "largest"), tol=tol, maxiter=max_iter
-        )
-    except Exception as exc:
-        raise NotConvergedError(f"lobpcg failed: {exc}") from exc
-    idx = int(np.argmax(vals)) if which == "largest" else int(np.argmin(vals))
-    lam = float(vals[idx])
-    vec = vecs[:, idx]
-    ray = float(vec @ (A @ vec)) / float(vec @ (B @ vec))
-    if abs(ray - lam) > 1e-6 * max(abs(lam), 1e-30):
-        raise NotConvergedError(
-            f"eigen iteration did not converge: ritz {lam}, rayleigh {ray}",
-            best=(lam, vec),
-        )
-    return lam, vec
+    check_dense_size("generalized eigen pencil", (n, n))
+    Q = _complement_basis(constraint_kernel, n)
+    Ared = Q.T @ (A @ Q)
+    Bred = Q.T @ (B @ Q)
+    Ared = 0.5 * (Ared + Ared.T)
+    Bred = 0.5 * (Bred + Bred.T)
+    vals, vecs = sla.eigh(Ared, Bred)
+    idx = 0 if which == "smallest" else -1
+    return float(vals[idx]), Q @ vecs[:, idx]
 
 
 def condition_number_estimate(

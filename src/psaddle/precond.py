@@ -13,8 +13,8 @@ to (A_x + alpha M_x) A_x^{-1} (A_x + alpha M_x), so the preconditioner
     (T (x) I) blockdiag[(A_x + alpha M_x)^{-1} A_x (A_x + alpha M_x)^{-1}] (T^T (x) I)
 
 applies with one pair of banded solves per block.  At desk scale the block
-inverses are exact sparse factorizations, so the spectral-equivalence step
-of the block construction holds with equality.
+inverses are exact banded Cholesky factorizations, so the spectral-equivalence
+step of the block construction holds with equality.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from psaddle.core_linalg import SpdFactorization, condition_number_estimate, spd_factorize
+from psaddle.core_linalg import BandedCholesky, banded_cholesky, condition_number_estimate
 from psaddle.errors import InvalidSpaceError
 from psaddle.spaces import (
     CONT_P1,
@@ -131,7 +131,7 @@ class RXOperator:
 
     def __init__(self, pair: TensorSpacePair):
         self.pair = pair
-        self.fact_A_x = spd_factorize(pair.A_x)
+        self.fact_A_x = banded_cholesky(pair.A_x)
         self.MtAt = (pair.M_t_X + pair.A_t_X).tocsr()
         self.dim = pair.dim_X
 
@@ -168,7 +168,7 @@ class BlockDiagPrecond:
         Y = self.basis.T.T @ H
         Z = np.empty_like(Y)
         for w in range(self.basis.dim):
-            fact: SpdFactorization = self._facts[self._alpha_index[w]]
+            fact: BandedCholesky = self._facts[self._alpha_index[w]]
             Z[w] = fact.solve(p.A_x @ fact.solve(Y[w]))
         return (self.basis.T @ Z).reshape(-1)
 
@@ -184,7 +184,7 @@ def make_precond(basis: TimeWaveletBasis, pair: TensorSpacePair) -> BlockDiagPre
         key = round(float(alpha), 12)
         if key not in uniq:
             uniq[key] = len(facts)
-            facts.append(spd_factorize(pair.A_x + alpha * pair.M_x))
+            facts.append(banded_cholesky(pair.A_x + alpha * pair.M_x))
         index[w] = uniq[key]
     return BlockDiagPrecond(basis=basis, pair=pair, _facts=tuple(facts), _alpha_index=index)
 

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from psaddle import monotone as mo
 from psaddle import system as sy
-from psaddle.core_linalg import check_dense_size, extremal_generalized_eigen, spd_factorize
+from psaddle.core_linalg import banded_cholesky, check_dense_size, extremal_generalized_eigen
 from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
@@ -87,9 +87,7 @@ def gamma_t(
     M_Y = assemble_1d("mass", Y_t)
     B = assemble_1d("dtrial", Y_t, X_t)
     A_t = assemble_1d("stiffness", X_t)
-    fact = spd_factorize(M_Y)
-    Binv = np.column_stack([fact.solve(np.asarray(B[:, [j]].todense()).ravel())
-                            for j in range(B.shape[1])])
+    Binv = banded_cholesky(M_Y).solve(B.toarray())
     num = B.T.toarray() @ Binv  # B^T M_Y^{-1} B
     kernel = np.ones((A_t.shape[0], 1))
     lam, _ = extremal_generalized_eigen(

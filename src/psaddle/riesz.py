@@ -13,11 +13,12 @@ and S = M_x A_x^{-1} M_x.  `RieszContext` holds these blocks (`D`, `Dt`,
 products with the cached sparse matrices.
 
 Both Riesz solves are exact and go through dense transforms built once per
-pair, without a sparse LU:
+pair:
 
 * R_Y^{-1} h = (M_t^Y)^{-1} H A_x^{-1}, two products with dense inverses
-  taken from the pair's SPD factorizations (`inv_M_t_Y`, `inv_A_x`; the
-  Uzawa sweep folds them into the operator's output contraction).
+  taken from the banded Cholesky factors of the 1D matrices M_t^Y and A_x
+  (`inv_M_t_Y`, `inv_A_x`; the Uzawa sweep folds them into the operator's
+  output contraction).
 * R_X^{-1} by fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 6,
   1964).  With A_x V = M_x V Lambda, V^T M_x V = I, the spatial modes
   decouple: V^T S V = Lambda^{-1}, so mode k carries the temporal block
@@ -38,7 +39,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from psaddle.core_linalg import SpdFactorization, check_dense_size, spd_factorize
+from psaddle.core_linalg import BandedCholesky, banded_cholesky, check_dense_size
 from psaddle.errors import DimensionMismatchError, InvalidSpaceError, NotSpdError
 from psaddle.spaces import TensorSpacePair, embed_X_into_Y, trace_at_time
 
@@ -47,7 +48,7 @@ __all__ = ["RieszContext", "estimate_C_J"]
 
 @dataclass
 class RieszContext:
-    """Factorizations and norm machinery bound to one tensor pair.
+    """Banded Cholesky factors and norm machinery bound to one tensor pair.
 
     The mesh-dependent trial norm always refers to the test space currently
     bound in `pair`; rebuilding the context is the way to change it.  The
@@ -55,12 +56,12 @@ class RieszContext:
     """
 
     pair: TensorSpacePair
-    fact_M_t_Y: SpdFactorization = field(init=False, repr=False)
-    fact_A_x: SpdFactorization = field(init=False, repr=False)
+    fact_M_t_Y: BandedCholesky = field(init=False, repr=False)
+    fact_A_x: BandedCholesky = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.fact_M_t_Y = spd_factorize(self.pair.M_t_Y)
-        self.fact_A_x = spd_factorize(self.pair.A_x)
+        self.fact_M_t_Y = banded_cholesky(self.pair.M_t_Y)
+        self.fact_A_x = banded_cholesky(self.pair.A_x)
 
     # -- Kronecker helpers (time-major layout) ------------------------------
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from psaddle.core_linalg import as_csr, check_dense_size, spd_factorize
+from psaddle.core_linalg import as_csr, banded_cholesky, check_dense_size
 from psaddle.errors import InvalidSpaceError
 
 FAMILIES = ("continuous-p1", "discontinuous-p0", "discontinuous-p1")
@@ -299,7 +299,7 @@ def embedding_matrix(
     """
     M_target = assemble_1d("mass", target)
     C = assemble_1d("mass", target, source)
-    E = spd_factorize(M_target).solve(C.toarray())
+    E = banded_cholesky(M_target).solve(C.toarray())
     if require_exact:
         # ||phi_j - proj||^2 = M_source[j,j] - E_j^T M_target E_j, for every j at once
         norm2 = assemble_1d("mass", source).diagonal()

@@ -1,4 +1,4 @@
-"""Inexact Uzawa iteration with inner fixed-point loops, plus its a posteriori bound.
+"""Inexact Uzawa iteration with inner fixed-point loops.
 
 Each outer step freezes u, runs L damped fixed-point steps on the test-space
 block (warm-started from the previous outer iterate), then takes one damped
@@ -20,7 +20,9 @@ The stopping rule is the computable two-sided residual estimate
 
     eta = ||r_Y||_{(Y^d)'} + ||r_X||_{(X^d)'},
 
-which brackets the true product error within [1/L_N, L_Ninv].
+which brackets the true product error within [1/L_N, L_Ninv]
+(`system.aposteriori_estimate`; the loop evaluates it from the representers
+it already holds).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from psaddle import monotone as mo
 from psaddle.errors import NotConvergedError, PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import TensorSpacePair
-from psaddle.system import ConstantsBundle, SaddleState, residual
+from psaddle.system import ConstantsBundle, SaddleState
 
 __all__ = [
     "UzawaConfig",
@@ -42,7 +44,6 @@ __all__ = [
     "plan_inner_count",
     "make_config",
     "run_inexact_uzawa",
-    "aposteriori_estimate",
 ]
 
 
@@ -154,22 +155,6 @@ class UzawaTrace:
                 self.k[i], self.eta[i], self.res_Y[i], self.res_X[i],
                 self.err_u[i], self.err_lambda[i], self.inner_count[i],
             )
-
-
-def aposteriori_estimate(
-    state: SaddleState,
-    rhs: tuple[np.ndarray, np.ndarray],
-    op_Y: mo.GalerkinOperator,
-    op_X: mo.GalerkinOperator,
-    ctx: RieszContext,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """eta = ||r_Y||_{(Y^d)'} + ||r_X||_{(X^d)'} for the residual pair.
-
-    Guarantee for nonzero error: 1/L_N <= (true product error)/eta <= L_Ninv.
-    """
-    r_Y, r_X = residual(state, rhs, ctx, op_Y, op_X)
-    eta = ctx.dual_norm_Y(r_Y) + ctx.dual_norm_X(r_X)
-    return eta, r_Y, r_X
 
 
 def run_inexact_uzawa(

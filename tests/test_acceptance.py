@@ -138,7 +138,7 @@ def test_criterion_05_aposteriori_band(problem_name, request):
         dlam = scale * rng.standard_normal(s.pair.dim_Y)
         du = scale * rng.standard_normal(s.pair.dim_X)
         state = sy.SaddleState(s.reference().lam + dlam, s.reference().u + du)
-        eta, _, _ = uz.aposteriori_estimate(
+        eta, _, _ = sy.aposteriori_estimate(
             state, s.rhs, s.op_Y, s.op_X, s.ctx
         )
         ratio = (s.ctx.norm_Y(dlam) + s.ctx.norm_X_delta(du)) / eta

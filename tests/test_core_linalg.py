@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,42 @@ def random_spd(rng, n, shift=None):
     return Q @ Q.T + (shift if shift is not None else n) * np.eye(n)
 
 
+def _module_paths(tree: ast.Module):
+    """Every dotted module path a file reaches through an import, and every
+    attribute chain on an imported name resolved through its import alias."""
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.name
+                root = a.name.split(".")[0]
+                alias[a.asname or root] = a.name if a.asname else root
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                yield f"{node.module}.{a.name}"
+                alias[a.asname or a.name] = f"{node.module}.{a.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in alias:
+                yield ".".join([alias[node.id], *reversed(chain)])
+
+
+def test_package_uses_no_scipy_sparse_linalg():
+    # the banded Cholesky and the dense pencil are the package's only
+    # factorization and eigen paths; SuperLU and LOBPCG stay out
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted(Path(cl.__file__).parent.glob("*.py"))
+        for name in _module_paths(ast.parse(path.read_text()))
+        if (name + ".").startswith("scipy.sparse.linalg.")
+    ]
+    assert offenders == []
+
+
 class TestDenseSizeGuard:
     def test_at_limit_passes(self):
         cl.check_dense_size("limit", (cl.MAX_DENSE_BYTES // 8,))
@@ -23,43 +61,21 @@ class TestDenseSizeGuard:
             cl.check_dense_size("gram", (n, n))
 
 
-class TestSpdSolve:
-    def test_identity(self):
-        fact = cl.spd_factorize(sp.eye(2, format="csr"))
-        assert np.allclose(fact.solve(np.array([1.0, 2.0])), [1.0, 2.0])
-
-    def test_diagonal(self):
-        fact = cl.spd_factorize(sp.diags([2.0, 4.0]))
-        assert np.allclose(fact.solve(np.array([2.0, 4.0])), [1.0, 1.0])
-
-    def test_random_spd_multiply_back(self, rng):
-        A = random_spd(rng, 5)
-        fact = cl.spd_factorize(sp.csr_matrix(A))
-        b = rng.standard_normal(5)
-        x = fact.solve(b)
-        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-
-    @pytest.mark.parametrize("n", [10, 50, 200])
-    def test_roundtrip_dims(self, n, rng):
-        A = sp.csr_matrix(random_spd(rng, n))
-        fact = cl.spd_factorize(A)
-        b = rng.standard_normal(n)
-        assert np.linalg.norm(A @ fact.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
-
-    def test_indefinite_rejected(self):
-        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(NotSpdError):
-            cl.spd_factorize(A)
-
-    def test_asymmetric_rejected(self):
-        A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
-        with pytest.raises(NotSpdError):
-            cl.spd_factorize(A)
-
-
 class TestBandedCholesky:
     """Dense-band Cholesky in reverse Cuthill-McKee order; the Galerkin
     Jacobians it serves are checked in test_monotone."""
+
+    @pytest.mark.parametrize("case", ["identity", "diagonal", 5, 10, 50, 200])
+    def test_solve_multiplies_back(self, case, rng):
+        # an integer case is a random SPD matrix of that size
+        if case == "identity":
+            A, b = sp.eye(2, format="csr"), np.array([1.0, 2.0])
+        elif case == "diagonal":
+            A, b = sp.diags([2.0, 4.0]), np.array([2.0, 4.0])
+        else:
+            A, b = sp.csr_matrix(random_spd(rng, case)), rng.standard_normal(case)
+        x = cl.banded_cholesky(A).solve(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_shuffled_band_against_dense_solve(self, rng):
         # a random SPD band matrix under a random symmetric permutation:
@@ -176,11 +192,22 @@ class TestExtremalEigen:
         assert lam > 1e-10
         assert abs(np.sum(vec)) / np.linalg.norm(vec) < 1e-6
 
+    def test_oversize_pencil_refused_before_allocation(self):
+        n = 12_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(PsaddleError, match="generalized eigen pencil .* above the"):
+                cl.extremal_generalized_eigen(sp.eye(n), sp.eye(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 class TestConditionEstimate:
     def test_perfect_preconditioner(self, rng):
         A = random_spd(rng, 30)
-        fact = cl.spd_factorize(sp.csr_matrix(A))
+        fact = cl.banded_cholesky(sp.csr_matrix(A))
         kappa = cl.condition_number_estimate(lambda v: A @ v, fact.solve, 30)
         assert abs(kappa - 1.0) <= 0.05
 

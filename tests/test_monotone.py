@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psaddle import monotone as mo
-from psaddle.core_linalg import banded_cholesky, spd_factorize
+from psaddle.core_linalg import banded_cholesky
 from psaddle.errors import DimensionMismatchError, NotSpdError, PsaddleError
 from psaddle.spaces import (
     CONT_P1,
@@ -401,7 +401,7 @@ class TestZarantonello:
         # G = R: with constants (1, 1) the first step lands on R^{-1} f
         pair = default_pair(3, 3)
         R = sp.kron(pair.M_t_Y, pair.A_x).tocsr()
-        fact = spd_factorize(R)
+        fact = banded_cholesky(R)
         f = rng.standard_normal(pair.dim_Y)
         res = mo.zarantonello_solve(
             lambda x: R @ x, fact.solve, f, np.zeros(pair.dim_Y),

@@ -76,9 +76,17 @@ class TestRieszX:
         u = rng.standard_normal(ctx3.pair.dim_X)
         assert np.allclose(ctx3.apply_R_X(u), RX @ u, atol=1e-12)
 
-    def test_indefinite_spatial_mass_refused(self):
+    @pytest.mark.parametrize("block", ["M_x", "A_x", "M_t_Y"])
+    def test_indefinite_spatial_mass_refused(self, block):
+        # the context factors A_x and M_t^Y when it is built; the spatial
+        # mass meets its first factorization in the mode transform
         pair = default_pair(2, 3)
-        ctx = RieszContext(dataclasses.replace(pair, M_x=-pair.M_x))
+        negated = dataclasses.replace(pair, **{block: -getattr(pair, block)})
+        if block != "M_x":
+            with pytest.raises(NotSpdError, match="positive definite"):
+                RieszContext(negated)
+            return
+        ctx = RieszContext(negated)
         with pytest.raises(NotSpdError):
             ctx.riesz_X_solve(np.zeros(pair.dim_X))
 
@@ -158,12 +166,14 @@ class TestDenseSizeGuard:
 def test_riesz_machinery_factors_no_lu(monkeypatch, rng):
     """Riesz solves, dual norms and C_J run on dense transforms alone.
 
-    The sparse factorization left in the package is the banded Cholesky
-    factorization, which the reference solver's Newton steps use for the
-    test-side Jacobian (general sparse LU is gone).  Every banded factor,
-    whether made by `banded_cholesky` or from a pattern an operator holds,
-    is made by the numeric step `BandedPattern.factor`, so that is the one
-    counted: the Riesz machinery makes no call, a reference solve makes
+    The one sparse factorization in the package is the banded Cholesky
+    factorization (general sparse LU is gone).  The context factors the 1D
+    matrices M_t^Y and A_x with it when it is built, and the reference
+    solver's Newton steps factor the test-side Jacobian.  Every banded
+    factor, whether made by `banded_cholesky` or from a pattern an operator
+    holds, is made by the numeric step `BandedPattern.factor`, so that is
+    the one counted, from after the context and the discretization are
+    built: the Riesz machinery makes no call, a reference solve makes
     some, which shows that the counter is live.
     """
     calls = []
@@ -173,15 +183,16 @@ def test_riesz_machinery_factors_no_lu(monkeypatch, rng):
         calls.append(1)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(core_linalg.BandedPattern, "factor", counting)
     ctx = RieszContext(_blocks_pair("jittered"))
+    problem = sy.heat_problem()
+    disc = sy.Discretization(default_pair(2, 2), problem.mu, problem.data)
+    monkeypatch.setattr(core_linalg.BandedPattern, "factor", counting)
     ctx.riesz_X_solve(rng.standard_normal(ctx.pair.dim_X))
     ctx.riesz_Y_solve(rng.standard_normal(ctx.pair.dim_Y))
     ctx.dual_norm_X(rng.standard_normal(ctx.pair.dim_X))
     estimate_C_J(ctx)
     assert calls == []
-    problem = sy.heat_problem()
-    sy.Discretization(default_pair(2, 2), problem.mu, problem.data).reference()
+    disc.reference()
     assert calls
 
 

@@ -345,7 +345,9 @@ class TestSolveReference:
         # the bandwidth-reducing order depends on the pattern alone, and each
         # operator's Jacobians share one pattern: at most one order per
         # operator over a whole reference solve (here only the test side's
-        # Jacobian is factored; the trial side's is applied)
+        # Jacobian is factored; the trial side's is applied).  The counter
+        # starts after the discretization is built, whose Riesz context
+        # factors its two 1D matrices on their own patterns
         calls = []
         rcm = core_linalg.reverse_cuthill_mckee
 
@@ -353,8 +355,8 @@ class TestSolveReference:
             calls.append(1)
             return rcm(*args, **kwargs)
 
-        monkeypatch.setattr(core_linalg, "reverse_cuthill_mckee", counting)
         s = sy.Discretization(default_pair(8, 8), quasi_problem.mu, quasi_problem.data)
+        monkeypatch.setattr(core_linalg, "reverse_cuthill_mckee", counting)
         sy.solve_reference(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, tol=1e-12)
         assert 1 <= len(calls) <= 2
 

@@ -107,7 +107,7 @@ class TestRunInexactUzawa:
         assert trace.converged
         assert trace.eta[-1] <= 1e-2
         # the returned state is the monitored pair, consistent with eta
-        eta, _, _ = uz.aposteriori_estimate(
+        eta, _, _ = sy.aposteriori_estimate(
             state, heat8.rhs, heat8.op_Y, heat8.op_X, heat8.ctx
         )
         assert abs(eta - trace.eta[-1]) <= 1e-12
@@ -125,7 +125,7 @@ class TestRunInexactUzawa:
             )
         # on the cap, too, the returned pair is the monitored one
         for returned in (state, err.value.best):
-            eta, _, _ = uz.aposteriori_estimate(
+            eta, _, _ = sy.aposteriori_estimate(
                 returned, heat8.rhs, heat8.op_Y, heat8.op_X, heat8.ctx
             )
             assert abs(eta - trace.eta[-1]) <= 1e-12
@@ -143,7 +143,7 @@ class TestAposteriori:
     def test_zero_everything(self, heat8):
         rhs0 = (np.zeros(heat8.pair.dim_Y), np.zeros(heat8.pair.dim_X))
         state = sy.SaddleState(np.zeros(heat8.pair.dim_Y), np.zeros(heat8.pair.dim_X))
-        eta, rY, rX = uz.aposteriori_estimate(
+        eta, rY, rX = sy.aposteriori_estimate(
             state, rhs0, heat8.op_Y, heat8.op_X, heat8.ctx
         )
         assert eta == 0.0
@@ -151,7 +151,7 @@ class TestAposteriori:
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_exact_solution_floor(self, setup_name, request):
         s = request.getfixturevalue(setup_name)
-        eta, _, _ = uz.aposteriori_estimate(
+        eta, _, _ = sy.aposteriori_estimate(
             s.reference(), s.rhs, s.op_Y, s.op_X, s.ctx
         )
         assert eta <= 1e-10
@@ -166,7 +166,7 @@ class TestAposteriori:
             dlam = scale * rng.standard_normal(s.pair.dim_Y)
             du = scale * rng.standard_normal(s.pair.dim_X)
             state = sy.SaddleState(s.reference().lam + dlam, s.reference().u + du)
-            eta, _, _ = uz.aposteriori_estimate(
+            eta, _, _ = sy.aposteriori_estimate(
                 state, s.rhs, s.op_Y, s.op_X, s.ctx
             )
             true = s.ctx.norm_Y(dlam) + s.ctx.norm_X_delta(du)
