@@ -61,6 +61,25 @@ class TestDenseSizeGuard:
             cl.check_dense_size("gram", (n, n))
 
 
+class TestSpdSolve:
+    """SPD refusals on the two-step path: a pattern held from an SPD matrix
+    and the numeric `factor` on new data of that pattern."""
+
+    @staticmethod
+    def _held_pattern():
+        return cl.banded_pattern(cl.as_csr(np.array([[2.0, 1.0], [1.0, 2.0]])))
+
+    def test_indefinite_rejected(self):
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NotSpdError, match="positive definite"):
+            self._held_pattern().factor(A)
+
+    def test_asymmetric_rejected(self):
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 2.0]]))
+        with pytest.raises(NotSpdError, match="not symmetric"):
+            self._held_pattern().factor(A)
+
+
 class TestBandedCholesky:
     """Dense-band Cholesky in reverse Cuthill-McKee order; the Galerkin
     Jacobians it serves are checked in test_monotone."""
