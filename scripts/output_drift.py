@@ -7,7 +7,8 @@ in each checkout (its own src/ and configs/, single-threaded BLAS), then
 prints, for every CSV written on both sides: whether the rows and the
 integer and string columns are equal, and the largest relative drift
 |a - b| / max(|a|, |b|) of each float column.  Standard output and exit
-codes of the subcommands are compared too.
+codes of the subcommands are compared too.  The last line names the
+largest float drift over all CSVs with the file and column it sits in.
 
 Exits with status 1 if a subcommand's exit code differs, a CSV is
 written on one side only, or row counts, headers, or integer or string
@@ -77,14 +78,16 @@ def is_float(value: str) -> bool:
     return True
 
 
-def compare_csv(parent: str, change: str) -> tuple[bool, list[str]]:
-    """(exact parts equal, report lines) for one CSV on both sides."""
+def compare_csv(parent: str, change: str) -> tuple[bool, list[str], tuple[float, str]]:
+    """(exact parts equal, report lines, (largest float drift, its column))
+    for one CSV on both sides."""
     head_p, rows_p = read_csv(parent)
     head_c, rows_c = read_csv(change)
+    worst = (0.0, "")
     if head_p != head_c or len(rows_p) != len(rows_c):
-        return False, [f"  header or row count differs: {len(rows_p)} vs {len(rows_c)} rows"]
+        return False, [f"  header or row count differs: {len(rows_p)} vs {len(rows_c)} rows"], worst
     if any(len(r) != len(head_p) for r in rows_p + rows_c):
-        return False, ["  ragged rows"]
+        return False, ["  ragged rows"], worst
     ok, lines = True, [f"  rows equal ({len(rows_p)})"]
     for j, name in enumerate(head_p):
         pairs = [(rp[j], rc[j]) for rp, rc in zip(rows_p, rows_c)]
@@ -98,7 +101,8 @@ def compare_csv(parent: str, change: str) -> tuple[bool, list[str]]:
         else:
             drift = max((relative_drift(a, b) for a, b in pairs), default=0.0)
             lines.append(f"  {name}: max relative drift {drift:.3g}")
-    return ok, lines
+            worst = max(worst, (drift, name))
+    return ok, lines, worst
 
 
 def main(argv=None) -> int:
@@ -108,6 +112,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     ok = True
+    worst = (0.0, "")
     with tempfile.TemporaryDirectory() as work:
         runs = {}
         for side, checkout in (("parent", args.parent_dir), ("change", args.change_dir)):
@@ -124,12 +129,15 @@ def main(argv=None) -> int:
             ok = False
             print(f"{missing}: written on one side only")
         for rel in sorted(files_p & files_c):
-            equal, lines = compare_csv(os.path.join(work, "parent", rel),
-                                       os.path.join(work, "change", rel))
+            equal, lines, (drift, column) = compare_csv(os.path.join(work, "parent", rel),
+                                                        os.path.join(work, "change", rel))
             ok &= equal
+            worst = max(worst, (drift, f"{rel} {column}"))
             print(rel)
             print("\n".join(lines))
     print("rows and integer/string columns: " + ("equal" if ok else "DIFFER"))
+    drift, where = worst
+    print(f"largest float drift: {drift:.3g}" + (f" ({where})" if drift > 0.0 else ""))
     return 0 if ok else 1
 
 

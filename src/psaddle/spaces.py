@@ -11,7 +11,7 @@ index = t_dof * dim_x + x_dof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -316,7 +316,11 @@ def embedding_matrix(
 
 @dataclass(frozen=True)
 class TensorSpacePair:
-    """Assembled matrices of the trial/test pair X = X_t (x) X_x, Y = Y_t (x) X_x."""
+    """Assembled matrices of the trial/test pair X = X_t (x) X_x, Y = Y_t (x) X_x.
+
+    The dimensions are computed once per pair: the fields they derive from
+    are frozen.
+    """
 
     mesh_t_X: Mesh1D
     spec_t_X: BasisSpec
@@ -335,23 +339,23 @@ class TensorSpacePair:
     embed_t: np.ndarray | None  # X_t coefficients -> Y_t coefficients
     x_in_y: bool
 
-    @property
+    @cached_property
     def dim_t_X(self) -> int:
         return self.spec_t_X.dim(self.mesh_t_X)
 
-    @property
+    @cached_property
     def dim_t_Y(self) -> int:
         return self.spec_t_Y.dim(self.mesh_t_Y)
 
-    @property
+    @cached_property
     def dim_x(self) -> int:
         return self.spec_x.dim(self.mesh_x)
 
-    @property
+    @cached_property
     def dim_X(self) -> int:
         return self.dim_t_X * self.dim_x
 
-    @property
+    @cached_property
     def dim_Y(self) -> int:
         return self.dim_t_Y * self.dim_x
 

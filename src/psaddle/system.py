@@ -13,9 +13,11 @@ downstream of (L_A, m_A) lives in `derive_constants`.  `Discretization`
 bundles one problem on one pair with everything a solve needs.  D and the
 trace term come from `RieszContext`; the right-hand side is a 16-point
 contraction with the quadrature matrices of `spaces`.  The reference solver
-is Newton's method on the Schur operator; each Newton step is a conjugate
-gradient solve with its Jacobian, preconditioned by the trial Riesz map,
-so no saddle matrix is ever formed or factored.
+is damped Newton on the saddle system, backtracking on the squared product
+dual residual; each step factors the test-side Jacobian once, eliminates
+lambda with it and solves for u by conjugate gradients on the Schur
+Jacobian, preconditioned by the trial Riesz map, so no saddle matrix is
+ever formed or factored.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from psaddle.spaces import (
     Mesh1D,
     BasisSpec,
     TensorSpacePair,
+    embed_X_into_Y,
     gauss_points,
     quadrature_matrix,
 )
@@ -430,60 +433,101 @@ def solve_reference(
 ) -> SaddleState:
     """High-accuracy discrete solution used as the test oracle.
 
-    Outer damped Newton on the Schur operator with exact (Newton) inner
-    solves, started from the trial coefficients x0 (zero by default), such
-    as a coarser solution prolonged onto this pair.  Each outer step solves
-    J_S delta = -S(z) with the Schur Jacobian J_S = A_X'(z) + trace +
-    D^T A_Y'(lam)^{-1} D by `schur_newton_direction`, capped at
-    `pcg_iteration_cap` iterations.
-    Falls back to a long fixed-point run on the Schur operator if Newton or
-    its PCG fails.  The returned state has a posteriori estimate eta (the
-    product dual residual, `aposteriori_estimate`) at most tol.
+    Damped Newton on the whole saddle system for w = (lambda, u), started
+    from u = x0 (zero by default; for instance a coarser solution prolonged
+    onto this pair) and lambda = u embedded in the test space when X^d lies
+    in Y^d, where the continuous solution has lambda = u, and zero
+    otherwise.  With the residuals r_Y = f - A_Y lam - D u and
+    r_X = g - D^T lam + A_X u + trace term u, each step factors
+    A_Y' = A_Y'(lam) once and solves the linearized saddle system by
+    elimination:
+
+        J_S du   = D^T A_Y'^{-1} r_Y - r_X,     (`schur_newton_direction`)
+        dlam     = A_Y'^{-1} (r_Y - D du),
+
+    with the Schur Jacobian J_S = A_X'(u) + trace + D^T A_Y'^{-1} D, so the
+    PCG cap is `pcg_iteration_cap`.  The step length halves until the merit
+
+        phi = ||r_Y||^2_{(Y^d)'} + ||r_X||^2_{(X^d)'}
+
+    (the squares of the two terms of `aposteriori_estimate`) passes the
+    Armijo test phi(w + a d) <= (1 - 2 c a) phi with c = 1e-4, or the
+    estimate eta has reached tol.  The loop stops on eta <= tol.
+
+    The step is a descent direction of phi under the inexact PCG solve.
+    Write r = (r_Y, r_X) and R = diag(R_Y, R_X), so phi = r^T R^{-1} r and
+    r'(w) d = -N'(w) d.  PCG leaves J_S du = b - rho with b its right-hand
+    side and ||rho||_{X'} <= PCG_RTOL ||b||_{X'}; the back-substitution is
+    exact, so N'(w) d = r + (0, rho) and
+
+        phi'(w) d = -2 phi - 2 r_X^T R_X^{-1} rho
+                 <= -2 phi + 2 ||r_X||_{X'} PCG_RTOL ||b||_{X'}.
+
+    Since R_X >= D^T R_Y^{-1} D, ||D^T y||_{X'} <= ||y||_{R_Y}, and since
+    A_Y' >= m_mu R_Y, ||A_Y'^{-1} r_Y||_{R_Y} <= ||r_Y||_{Y'} / m_mu; so
+    ||b||_{X'} <= max(1, 1/m_mu)(||r_Y||_{Y'} + ||r_X||_{X'}) <=
+    max(1, 1/m_mu) sqrt(2 phi), and
+
+        phi'(w) d <= -2 phi (1 - sqrt(2) max(1, 1/m_mu) PCG_RTOL) < 0
+
+    for PCG_RTOL = 1e-10 and every m_mu above 1.5e-10.  With the exact
+    direction phi'(w) d = -2 phi, so the Armijo test holds for small enough
+    a, and near the solution, where phi(w + d) = O(phi^2), for a = 1.
+
+    Falls back to a long fixed-point run on the Schur operator if a
+    direction or the line search fails.  The returned state has a
+    posteriori estimate eta (the product dual residual,
+    `aposteriori_estimate`) at most tol.
     """
-    z = np.zeros(pair.dim_X) if x0 is None else np.array(x0, dtype=float)
-    inner_tol = max(tol / 20.0, 1e-15)
-    schur = SchurOperator(pair, ctx, op_Y, op_X, rhs, inner_tol=inner_tol)
+    u = np.zeros(pair.dim_X) if x0 is None else np.array(x0, dtype=float)
+    lam = embed_X_into_Y(pair, u) if pair.x_in_y else np.zeros(pair.dim_Y)
     pcg_cap = pcg_iteration_cap(op_Y.mu)
 
+    def evaluate(state):
+        """(eta, phi, r_Y, r_X) at state."""
+        r_Y, r_X = residual(state, rhs, ctx, op_Y, op_X)
+        n_Y, n_X = ctx.dual_norm_Y(r_Y), ctx.dual_norm_X(r_X)
+        return n_Y + n_X, n_Y * n_Y + n_X * n_X, r_Y, r_X
+
+    state = SaddleState(lam, u)
+    eta, phi, r_Y, r_X = evaluate(state)
     try:
-        sz = schur.apply(z)
-        rn = ctx.dual_norm_X(sz)
         for _ in range(max_outer):
-            state = SaddleState(schur._lam.copy(), z.copy())
-            if aposteriori_estimate(state, rhs, op_Y, op_X, ctx)[0] <= tol:
+            if eta <= tol:
                 return state
-            delta, _ = schur_newton_direction(
-                ctx, op_Y.jacobian_factor(schur._lam), op_X.jacobian(z), -sz, pcg_cap,
+            fact_Y = op_Y.jacobian_factor(state.lam)
+            b = ctx.apply_Dt(fact_Y.solve(r_Y)) - r_X
+            du, _ = schur_newton_direction(
+                ctx, fact_Y, op_X.jacobian(state.u), b, pcg_cap
             )
+            dlam = fact_Y.solve(r_Y - ctx.apply_D(du))
             alpha = 1.0
             for _ in range(40):
-                z_new = z + alpha * delta
-                sz_new = schur.apply(z_new)
-                rn_new = ctx.dual_norm_X(sz_new)
-                if rn_new < rn or rn_new <= tol / 4:
+                trial = SaddleState(state.lam + alpha * dlam, state.u + alpha * du)
+                eta_t, phi_t, r_Y_t, r_X_t = evaluate(trial)
+                if phi_t <= (1.0 - 2e-4 * alpha) * phi or eta_t <= tol:
                     break
                 alpha *= 0.5
             else:
-                raise NotConvergedError("outer newton stalled", best=z)
-            z, sz, rn = z_new, sz_new, rn_new
-        state = SaddleState(schur._lam.copy(), z.copy())
-        if aposteriori_estimate(state, rhs, op_Y, op_X, ctx)[0] <= tol:
+                raise NotConvergedError("saddle newton stalled", best=state)
+            state, eta, phi, r_Y, r_X = trial, eta_t, phi_t, r_Y_t, r_X_t
+        if eta <= tol:
             return state
-        raise NotConvergedError("outer newton hit the iteration cap", best=state)
+        raise NotConvergedError("saddle newton hit the iteration cap", best=state)
     except NotConvergedError:
         # long fixed-point fallback on the Schur operator.  Its step norm is
         # theta* ||S(x)||_{X'} at the iterate before the last step, and that
         # step leaves ||S|| at most L_S / m_S times as large (Lipschitz over
         # strong monotonicity); so this stop leaves the X residual <= tol / 2
+        schur = SchurOperator(pair, ctx, op_Y, op_X, rhs, inner_tol=max(tol / 20.0, 1e-15))
         c = mo.constants_from_mu(op_Y.mu)
         s_consts = derive_constants(c.L, c.m).S_constants
         step_tol = s_consts.theta_star * (s_consts.m / s_consts.L) * tol / 2.0
         res = mo.zarantonello_solve(
-            schur.apply, ctx.riesz_X_solve, np.zeros(pair.dim_X), z,
+            schur.apply, ctx.riesz_X_solve, np.zeros(pair.dim_X), state.u,
             s_consts, tol=step_tol, max_iter=500_000,
         )
-        lam = schur.inner_solve(res.x)
-        state = SaddleState(lam, res.x)
+        state = SaddleState(schur.inner_solve(res.x), res.x)
         if aposteriori_estimate(state, rhs, op_Y, op_X, ctx)[0] > tol:
             raise NotConvergedError("reference solve failed", best=state)
         return state

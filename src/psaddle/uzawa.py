@@ -8,8 +8,10 @@ representers,
     lambda <- lambda - theta_A* (R_Y^{-1} A_Y lambda - R_Y^{-1} (f - D u)),
 
 with the second representer computed once per outer step and R_Y^{-1}
-folded into the operator's own output contraction.  The number L of inner
-steps comes from the convergence theory: with
+folded into the operator's own output contraction.  lambda does not change
+between the monitored pair of one outer step and the first inner step of
+the next, so that step reuses the monitored pair's R_Y^{-1} A_Y lambda.
+The number L of inner steps comes from the convergence theory: with
 
     C_3 = (1/sigma_hat)((sigma_hat - sigma_S)/theta_S* + 1/m_A)
 
@@ -131,9 +133,13 @@ class UzawaTrace:
     Row k is written after the inner loop of outer step k, i.e. at the
     monitored pair (lambda^(k+1), u^(k)): eta and the residual norms refer
     to that pair, err_lambda to lambda^(k+1), err_u to u^(k).  Each row also
-    books the work done in that outer step: inner_count inner steps, each
-    an operator application mapped by the test-space Riesz map, one Riesz
-    solve on the trial space, and napply nonlinear operator applications.
+    books the work done in that outer step: inner_count inner steps, one
+    Riesz solve on the trial space, and napply = inner_count + 1 nonlinear
+    operator applications.  Those are inner_count - 1 applications mapped
+    by the test-space Riesz map (the first inner step reuses the monitored
+    pair of the step before, or A_Y 0 = 0 at k = 0), one test-side
+    application for the monitored pair, giving A_Y lambda and its mapped
+    image, and one trial-side application A_X u.
     """
 
     k: list = field(default_factory=list)
@@ -180,7 +186,8 @@ def run_inexact_uzawa(
     where R_Y^{-1} = (M_t^Y)^{-1} (x) A_x^{-1} is folded into the operator's
     output contraction (`GalerkinOperator.kronecker_mapped`).  The
     monitored pair takes r_Y = (f - D u) - A_Y lambda and its representer
-    C - R_Y^{-1} A_Y lambda from one evaluation of the flux.
+    C - R_Y^{-1} A_Y lambda from one evaluation of the flux, and the next
+    outer step's first inner update reuses that R_Y^{-1} A_Y lambda.
 
     Stops when eta, evaluated at (lambda^(k+1), u^(k)), drops below cfg.tol.
     The returned state, and the `best` of a NotConvergedError on the
@@ -191,31 +198,32 @@ def run_inexact_uzawa(
     f, g = rhs
     riesz_A_Y = op_Y.kronecker_mapped(ctx.inv_M_t_Y, ctx.inv_A_x)
     lam = np.zeros(pair.dim_Y)
+    riesz_A_lam = np.zeros(pair.dim_Y)  # R_Y^{-1} A_Y lam; A_Y 0 = 0
     u = np.zeros(pair.dim_X)
     trace = UzawaTrace()
 
     for k in range(cfg.max_outer):
         target = f - ctx.apply_D(u)
         C = ctx.riesz_Y_solve(target)
-        napply = 0
-        for _ in range(cfg.L):
+        lam = lam - cfg.theta_star_A * (riesz_A_lam - C)
+        for _ in range(cfg.L - 1):
             lam = lam - cfg.theta_star_A * (riesz_A_Y(lam) - C)
-            napply += 1
 
         A_lam, riesz_A_lam = riesz_A_Y(lam, with_apply=True)
         r_Y = target - A_lam
         dY = C - riesz_A_lam
         r_X = g - ctx.apply_Dt(lam) + op_X.apply(u) + ctx.apply_trace_term(u)
-        napply += 2
         dX = ctx.riesz_X_solve(r_X)
-        eta = math.sqrt(max(r_Y @ dY, 0.0)) + math.sqrt(max(r_X @ dX, 0.0))
+        res_Y = math.sqrt(max(r_Y @ dY, 0.0))
+        res_X = math.sqrt(max(r_X @ dX, 0.0))
+        eta = res_Y + res_X
 
         trace.k.append(k)
         trace.eta.append(eta)
-        trace.res_Y.append(math.sqrt(max(r_Y @ dY, 0.0)))
-        trace.res_X.append(math.sqrt(max(r_X @ dX, 0.0)))
+        trace.res_Y.append(res_Y)
+        trace.res_X.append(res_X)
         trace.inner_count.append(cfg.L)
-        trace.napply.append(napply)
+        trace.napply.append(cfg.L + 1)
         trace.riesz_X_solves.append(1)
         if reference is not None:
             trace.err_u.append(ctx.norm_X_delta(reference.u - u))

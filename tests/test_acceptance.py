@@ -121,7 +121,7 @@ def test_criterion_04_apriori_envelope(problem_name, request):
         assert trace.err_lambda[i] / C3 <= cfg.sigma_hat_S ** (k + 1) * C4 + 1e-9
         assert trace.err_u[i] <= cfg.sigma_hat_S**k * C4 + 1e-9
     assert trace.inner_count == [cfg.L] * len(trace.k)
-    assert trace.napply == [cfg.L + 2] * len(trace.k)
+    assert trace.napply == [cfg.L + 1] * len(trace.k)
     _report(4, f"a priori envelope, L={cfg.L} [{problem_name}]")
 
 

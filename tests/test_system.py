@@ -386,6 +386,60 @@ class TestSolveReference:
         diff = fine.ctx.norm_Y(warm.lam - cold.lam) + fine.ctx.norm_X_delta(warm.u - cold.u)
         assert diff <= fine.bundle.L_Ninv * 2.0 * tol
 
+    @pytest.mark.parametrize("pair_name", ["quasi8", "jittered32"])
+    def test_no_inner_newton_solve(self, pair_name, quasi_problem, monkeypatch):
+        # the saddle Newton loop eliminates lambda with the factored test
+        # Jacobian; no complete inner solve of A_Y lambda = f - D u is run
+        pair = default_pair(8, 8) if pair_name == "quasi8" else _jittered_pair(32, 21)
+        s = sy.Discretization(pair, quasi_problem.mu, quasi_problem.data)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("solve_reference ran an inner newton_solve")
+
+        monkeypatch.setattr(mo, "newton_solve", refused)
+        tol = 1e-12
+        state = sy.solve_reference(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, tol=tol)
+        assert sy.aposteriori_estimate(state, s.rhs, s.op_Y, s.op_X, s.ctx)[0] <= tol
+
+    def test_one_jacobian_factor_per_direction(self, quasi_problem, monkeypatch):
+        s = sy.Discretization(default_pair(8, 8), quasi_problem.mu, quasi_problem.data)
+        factors, directions = [], []
+        factor, direction = s.op_Y.jacobian_factor, sy.schur_newton_direction
+
+        def counting_factor(*args, **kwargs):
+            factors.append(1)
+            return factor(*args, **kwargs)
+
+        def counting_direction(*args, **kwargs):
+            directions.append(1)
+            return direction(*args, **kwargs)
+
+        s.op_Y.jacobian_factor = counting_factor
+        monkeypatch.setattr(sy, "schur_newton_direction", counting_direction)
+        sy.solve_reference(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, tol=1e-12)
+        assert len(directions) >= 2
+        assert len(factors) == len(directions)
+
+    def test_linear_problem_one_direction(self, heat8, monkeypatch):
+        # mu = 1: the saddle system is linear, so one Newton step solves it up
+        # to the PCG tolerance, and PCG is exact after its first iteration
+        calls = []
+        direction = sy.schur_newton_direction
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return direction(*args, **kwargs)
+
+        monkeypatch.setattr(sy, "schur_newton_direction", counting)
+        tol = 1e-12
+        state = sy.solve_reference(
+            heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, tol=tol
+        )
+        assert calls == [1]
+        assert sy.aposteriori_estimate(
+            state, heat8.rhs, heat8.op_Y, heat8.op_X, heat8.ctx
+        )[0] <= tol
+
 
 def _dense_saddle_direction(s, jac_Y, jac_X, r):
     """delta from the saddle linearization [[A_Y', D], [D^T, -(A_X' + trace)]]

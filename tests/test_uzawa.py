@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,32 @@ class TestPlanInnerCount:
             )
 
 
+def _uzawa_fresh_inner_steps(s, cfg):
+    """Reference Uzawa loop whose L inner steps each apply the mapped
+    operator afresh; returns the last monitored lambda and the eta, res_Y
+    and res_X traces of cfg.max_outer outer steps."""
+    f, g = s.rhs
+    ctx = s.ctx
+    riesz_A_Y = s.op_Y.kronecker_mapped(ctx.inv_M_t_Y, ctx.inv_A_x)
+    lam, u = np.zeros(s.pair.dim_Y), np.zeros(s.pair.dim_X)
+    eta, res_Y, res_X = [], [], []
+    for _ in range(cfg.max_outer):
+        target = f - ctx.apply_D(u)
+        C = ctx.riesz_Y_solve(target)
+        for _ in range(cfg.L):
+            lam = lam - cfg.theta_star_A * (riesz_A_Y(lam) - C)
+        A_lam, riesz_A_lam = riesz_A_Y(lam, with_apply=True)
+        r_Y = target - A_lam
+        dY = C - riesz_A_lam
+        r_X = g - ctx.apply_Dt(lam) + s.op_X.apply(u) + ctx.apply_trace_term(u)
+        dX = ctx.riesz_X_solve(r_X)
+        res_Y.append(math.sqrt(max(r_Y @ dY, 0.0)))
+        res_X.append(math.sqrt(max(r_X @ dX, 0.0)))
+        eta.append(res_Y[-1] + res_X[-1])
+        u = u - cfg.theta_star_S * dX
+    return lam, eta, res_Y, res_X
+
+
 class TestRunInexactUzawa:
     def test_zero_data_zero_start(self, heat8):
         rhs0 = (np.zeros(heat8.pair.dim_Y), np.zeros(heat8.pair.dim_X))
@@ -78,8 +106,21 @@ class TestRunInexactUzawa:
             heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, cfg
         )
         assert trace.inner_count == [7] * 5
-        assert trace.napply == [7 + 2] * 5
+        assert trace.napply == [7 + 1] * 5
         assert trace.riesz_X_solves == [1] * 5
+
+    @pytest.mark.parametrize("L", [1, 5])
+    @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
+    def test_reused_inner_step_matches_fresh_steps(self, setup_name, L, request):
+        # reusing the monitored pair's mapped application for the next first
+        # inner step changes no arithmetic: the traces agree bit for bit
+        s = request.getfixturevalue(setup_name)
+        cfg = uz.make_config(s.bundle, tol=0.0, max_outer=15, L_practical=L)
+        state, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
+        lam, eta, res_Y, res_X = _uzawa_fresh_inner_steps(s, cfg)
+        assert (trace.eta, trace.res_Y, trace.res_X) == (eta, res_Y, res_X)
+        assert np.array_equal(state.lam, lam)
+        assert trace.napply == [L + 1] * 15
 
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_one_riesz_Y_solve_per_outer_step(self, setup_name, request, monkeypatch):
