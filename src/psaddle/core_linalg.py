@@ -1,4 +1,5 @@
-"""One SPD factorization and the extremal eigenvalue tools.
+"""One SPD factorization, one conjugate-gradient loop, and the extremal
+eigenvalue tools.
 
 Matrices are scipy CSR throughout (compressed-row storage with unique,
 sorted indices).  Every SPD matrix is factored by one path, a banded
@@ -7,9 +8,11 @@ and numeric steps `banded_pattern` and `BandedPattern.factor`), with one
 symmetry check and one NotSpdError for a matrix that is not symmetric
 positive definite.  At desk scale every SPD system here is banded once
 reordered, so direct solves are exact up to round-off and remove
-inner-solver tolerances from every downstream check.  Extremal generalized
-eigenvalues come from one dense reduced pencil, under the same size guard
-as every other dense array.
+inner-solver tolerances from every downstream check.  Operators that are
+only available matrix-free are solved by preconditioned conjugate gradients
+(`pcg`) under a proven iteration cap (`cg_iteration_cap`).  Extremal
+generalized eigenvalues come from one dense reduced pencil, under the same
+size guard as every other dense array.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
     "BandedPattern",
     "banded_pattern",
     "banded_cholesky",
+    "cg_iteration_cap",
+    "pcg",
     "extremal_generalized_eigen",
     "condition_number_estimate",
 ]
@@ -197,6 +202,68 @@ def banded_cholesky(matrix) -> BandedCholesky:
     """
     m = as_csr(matrix)
     return banded_pattern(m).factor(m)
+
+
+def cg_iteration_cap(kappa: float, rtol: float) -> int:
+    """Iterations after which `pcg` meets its stop rule, for an operator A
+    and preconditioner P with c P <= A <= C P in the Loewner order and
+    kappa = C / c.
+
+    CG bounds the error in the A norm, ||e_k|| <= 2 rho^k ||e_0|| with
+    rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1).  The stop reads the
+    residual in the P^{-1} norm, ||r_k||^2 = e_k^T A P^{-1} A e_k, which
+    lies between c and C times ||e_k||^2; so ||r_k|| / ||r_0|| <=
+    2 sqrt(kappa) rho^k, and ||r_k|| <= rtol ||r_0|| holds after
+
+        ceil(ln(2 sqrt(kappa) / rtol) / ln(1 / rho))
+
+    iterations: 23 for kappa = 4 and rtol = 1e-10.  For kappa = 1, rho = 0
+    and the first iteration is exact in exact arithmetic; the cap is never
+    below 2, because an A and P that agree in exact arithmetic agree only
+    up to round-off, which also puts kappa a little above or below 1.
+    """
+    root = math.sqrt(kappa)
+    if root <= 1.0:
+        return 2
+    iterations = math.log(2.0 * root / rtol) / math.log((root + 1.0) / (root - 1.0))
+    return max(2, math.ceil(iterations))
+
+
+def pcg(apply_A, apply_Pinv, b: np.ndarray, rtol: float, max_iter: int) -> tuple[np.ndarray, int]:
+    """x with A x = b by conjugate gradients preconditioned with P^{-1}.
+
+    Both operators are applied matrix-free and must be SPD.  Starts from
+    x = 0 and stops when the residual's P^{-1} norm falls to rtol times its
+    start, or at once on a start of zero; returns x with the iteration
+    count.  Raises NotConvergedError, with the last iterate as `best`,
+    after max_iter iterations, or on a non-positive curvature p^T A p,
+    which means A is not positive definite.
+    """
+    x = np.zeros_like(b, dtype=float)
+    res = np.array(b, dtype=float)
+    prec = apply_Pinv(res)
+    rz = float(res @ prec)
+    stop = rtol**2 * rz
+    if rz <= 0.0:
+        return x, 0
+    p = prec
+    for it in range(1, max_iter + 1):
+        q = apply_A(p)
+        curvature = float(p @ q)
+        if curvature <= 0.0:
+            raise NotConvergedError("pcg met non-positive curvature", best=x)
+        alpha = rz / curvature
+        x += alpha * p
+        res -= alpha * q
+        prec = apply_Pinv(res)
+        rz_new = float(res @ prec)
+        if rz_new <= stop:
+            return x, it
+        p = prec + (rz_new / rz) * p
+        rz = rz_new
+    raise NotConvergedError(
+        f"pcg hit its proven cap of {max_iter} iterations", best=x, iterations=max_iter,
+    )
 
 
 def _complement_basis(kernel: np.ndarray, dim: int) -> np.ndarray:

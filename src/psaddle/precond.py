@@ -230,13 +230,13 @@ def kappa_study(
     n_x: int = 8,
     T: float = 1.0,
     variant: str = "vanishing-moment",
-    first_level: int = 1,
 ) -> list[tuple[int, int, float]]:
-    """Condition numbers of the preconditioned trial Gram per dyadic level."""
+    """Condition numbers of the preconditioned trial Gram per dyadic level,
+    on 2, 4, ..., 2^levels temporal elements."""
     from psaddle.spaces import default_pair
 
     out = []
-    for level in range(first_level, first_level + levels):
+    for level in range(1, levels + 1):
         pair = default_pair(2**level, n_x, T=T)
         op = assemble_RX_operator(pair)
         basis = build_time_wavelets(pair.mesh_t_X, variant=variant)

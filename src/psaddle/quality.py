@@ -5,8 +5,14 @@ true dual norm of the temporal derivative) are approximated on a reference
 pair two uniform refinements finer in both axes; inequality checks that rely
 on the surrogate carry a 1.05 slack factor in the tests.
 
-The dense Gram and inf-sup pencils are Kronecker sums of small factors; the
-factors T and S of each pair's trial Gram come from its `RieszContext`.
+On tensor pairs every Gram is a sum of Kronecker products of 1D matrices,
+and nothing here forms one as a dense array.  The temporal and spatial
+factors T and S of a pair's trial Gram come from its `RieszContext`;
+`TwoLevel` adds the same factors for coarse trial functions measured in the
+fine test space.  The best approximation is a matrix-free conjugate-gradient
+solve (`core_linalg.pcg`) under a cap proven from the inf-sup constant, and
+the square of that constant is the product of the smallest eigenvalues of
+one temporal and one spatial pencil.
 """
 
 from __future__ import annotations
@@ -20,7 +26,12 @@ import scipy.sparse as sp
 
 from psaddle import monotone as mo
 from psaddle import system as sy
-from psaddle.core_linalg import banded_cholesky, check_dense_size, extremal_generalized_eigen
+from psaddle.core_linalg import (
+    banded_cholesky,
+    cg_iteration_cap,
+    extremal_generalized_eigen,
+    pcg,
+)
 from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
@@ -119,10 +130,10 @@ def gamma_x(X_x: tuple[Mesh1D, BasisSpec], levels_finer: int = 2) -> float:
 class TwoLevel:
     """Cross-pair machinery between a coarse pair and a finer reference pair.
 
-    Holds the tensor prolongations and the cross derivative/mass matrices
-    in both directions; with the Kronecker factors of the fine trial Gram
-    (from `ctx_fine`), best approximations and mixed-level dual norms are
-    assembled from small dense factors instead of large sparse solves.
+    Holds the tensor prolongations, the cross derivative/mass matrices in
+    both directions, and the factors T_f, S_f of the fine test dual norm of
+    d_t on the coarse trial space; best approximations and mixed-level dual
+    norms are applied through these 1D factors, never as Kronecker arrays.
     """
 
     def __init__(self, coarse: TensorSpacePair, fine: TensorSpacePair,
@@ -217,55 +228,91 @@ class TwoLevel:
         h2 = float(wT @ (self.fine.M_x @ wT))
         return math.sqrt(max(y2 + d2 + h2, 0.0))
 
-    # -- fine trial Gram in Kronecker factors ---------------------------------
+    # -- coarse trial functions in the fine test dual norm --------------------
 
     @cached_property
-    def coarse_gram_in_fine_norm(self) -> np.ndarray:
-        """P_X^T R_X^fine P_X assembled from the Kronecker factors of
-        R_X = M_t^X (x) A_x + T (x) S + e_T e_T^T (x) M_x."""
-        n = self.coarse.dim_X
-        check_dense_size("TwoLevel.coarse_gram_in_fine_norm", (n, n))
-        p, ctx = self.fine, self.ctx_fine
-        e_T = np.zeros((p.dim_t_X, p.dim_t_X))
-        e_T[-1, -1] = 1.0
-        Et, Ex = self.E_t_X, self.E_x
-        G = np.zeros((n, n))
-        for Ft, Fx in ((p.M_t_X.toarray(), p.A_x.toarray()), (ctx.T_t, ctx.S_x),
-                       (e_T, p.M_x.toarray())):
-            G += np.kron(Et.T @ Ft @ Et, Ex.T @ Fx @ Ex)
-        return G
+    def T_f(self) -> np.ndarray:
+        """B^T (M_t^{Y,f})^{-1} B with B = `B_fineY_coarseX`: the temporal
+        factor of ||d_t P c||^2_{(Y_f)'} = c^T (T_f (x) S_f) c."""
+        B = self.B_fineY_coarseX
+        return B.T @ self.ctx_fine.fact_M_t_Y.solve(B)
+
+    @cached_property
+    def S_f(self) -> np.ndarray:
+        """M^T (A_x^f)^{-1} M with M = `M_fineX_coarseX`: the spatial factor
+        of ||d_t P c||^2_{(Y_f)'}."""
+        M = self.M_fineX_coarseX
+        return M.T @ self.ctx_fine.fact_A_x.solve(M)
 
     def best_approx_X(self, u_fine: np.ndarray) -> tuple[np.ndarray, float]:
-        """Best approximation from the coarse trial space in the fine norm."""
+        """Best approximation from the coarse trial space in the fine norm:
+        coefficients c with G c = P^T R_X^f u and the error of P c.
+
+        P is the tensor prolongation.  The trial spaces nest, so each term
+        of P^T R_X^f P = G is the matching coarse 1D matrix but the
+        derivative term:
+
+            G = M_t^X (x) A_x + T_f (x) S_f + e_T e_T^T (x) M_x.
+
+        G is applied matrix-free and solved by `pcg` to PCG_RTOL,
+        preconditioned by the coarse Riesz map R_X^c, which has T_c (x) S_c
+        in place of T_f (x) S_f.  The test spaces nest too, and a dual norm
+        over a larger space is larger, so T_c <= T_f and S_c <= S_f in the
+        Loewner order; products of ordered positive semi-definite factors
+        are ordered, so T_c (x) S_c <= T_f (x) S_f.  Both forms vanish on
+        the time-constant functions 1 (x) v and depend only on a function's
+        part off them, where `gamma_direct` is the smallest ratio of the
+        two; so T_f (x) S_f <= T_c (x) S_c / gamma^2.  With gamma <= 1 and
+        the other two terms shared,
+
+            R_X^c <= G <= R_X^c / gamma^2,
+
+        and the cap is `cg_iteration_cap(1 / gamma^2, PCG_RTOL)`; gamma = 0
+        proves no cap and raises InvalidSpaceError.  The right-hand side
+        goes through the embeddings, so a pair whose trial spaces do not
+        nest raises InvalidSpaceError too.
+        """
         rhs_fine = self.ctx_fine.apply_R_X(u_fine)
         R = rhs_fine.reshape(self.fine.dim_t_X, self.fine.dim_x)
         rhs = (self.E_t_X.T @ R @ self.E_x).reshape(-1)
-        coeffs = np.linalg.solve(self.coarse_gram_in_fine_norm, rhs)
+        ctx = self.ctx_coarse
+
+        def apply_G(c):
+            C = c.reshape(self.coarse.dim_t_X, self.coarse.dim_x)
+            cross = (self.T_f @ C @ self.S_f).reshape(-1)
+            return ctx.apply_R_YX(c) + cross + ctx.apply_trace_term(c)
+
+        gamma = gamma_direct(self)
+        if gamma == 0.0:
+            raise InvalidSpaceError("the coarse test space misses a derivative: inf-sup 0")
+        cap = cg_iteration_cap(1.0 / gamma**2, sy.PCG_RTOL)
+        coeffs, _ = pcg(apply_G, ctx.riesz_X_solve, rhs, sy.PCG_RTOL, cap)
         err = self.ctx_fine.norm_X_delta(u_fine - self.prolong_X(coeffs))
         return coeffs, err
 
 
 def gamma_direct(two: TwoLevel) -> float:
     """Inf-sup ratio of the coarse discrete dual norm of d_t over the fine
-    (surrogate-continuous) one, time-constant trial functions deflated."""
-    c = two.coarse
-    check_dense_size("gamma_direct pencil kron(T_c, S_c), kron(T_f, S_f)",
-                     (2, c.dim_X, c.dim_X))
-    num = np.kron(two.ctx_coarse.T_t, two.ctx_coarse.S_x)
+    (surrogate-continuous) one, time-constant trial functions deflated.
 
-    # the same factors for coarse trial functions in the fine test space
-    ctxf = two.ctx_fine
-    Bx = two.B_fineY_coarseX           # (dim fine Y_t, dim coarse X_t)
-    T_f = Bx.T @ ctxf.fact_M_t_Y.solve(Bx)
-    Mx = two.M_fineX_coarseX           # (dim fine X_x, dim coarse X_x)
-    S_f = Mx.T @ ctxf.fact_A_x.solve(Mx)
-    den = np.kron(T_f, S_f)
+    gamma^2 is the smallest eigenvalue of the pencil (T_c (x) S_c,
+    T_f (x) S_f) on the complement of the time-constants 1 (x) I.  That
+    complement is Q_t (x) I, with Q_t an orthonormal basis of the
+    complement of the constants in time, and the reduced pencil is
+    (Q_t^T T_c Q_t (x) S_c, Q_t^T T_f Q_t (x) S_f).  The eigenvalues of a
+    Kronecker pencil with positive definite right-hand factors are the
+    products of its factors' eigenvalues (Horn and Johnson, Topics in
+    Matrix Analysis, Thm 4.2.12, applied to B^{-1/2} A B^{-1/2}); all are
+    nonnegative, so gamma^2 is the product of the two smallest:
 
-    kernel = np.kron(np.ones((c.dim_t_X, 1)), np.eye(c.dim_x))
-    lam, _ = extremal_generalized_eigen(
-        sp.csr_matrix(num), sp.csr_matrix(den), "smallest", constraint_kernel=kernel
+        gamma^2 = lambda_min(T_c, T_f; constants deflated) * lambda_min(S_c, S_f).
+    """
+    constants = np.ones((two.coarse.dim_t_X, 1))
+    lam_t, _ = extremal_generalized_eigen(
+        two.ctx_coarse.T_t, two.T_f, "smallest", constraint_kernel=constants
     )
-    return math.sqrt(max(lam, 0.0))
+    lam_x, _ = extremal_generalized_eigen(two.ctx_coarse.S_x, two.S_f, "smallest")
+    return math.sqrt(max(lam_t * lam_x, 0.0))
 
 
 def infsup_report(pair: TensorSpacePair, two: TwoLevel | None = None) -> InfSupReport:
@@ -347,12 +394,11 @@ def check_pjotr(
     mu: mo.MuCoefficient,
     bundle: sy.ConstantsBundle,
     rho: float = 1.0,
-    solve_tol: float = 1e-10,
 ) -> PjotrReport:
     """A posteriori quasi-optimality condition for the data at hand.
 
     Solves the auxiliary problem A lambda = ell - d_t u on the enriched test
-    space (Newton to solve_tol in the dual norm), compares the defect of the
+    space (Newton to 1e-10 in the dual norm), compares the defect of the
     coarse auxiliary variable against the computable right-hand side.
     """
     coarse, fine = two.coarse, two.fine
@@ -372,7 +418,7 @@ def check_pjotr(
     start = two.prolong_Y(state.lam)
     res = mo.newton_solve(
         op_fine.apply, op_fine.jacobian_factor, target, start,
-        residual_norm=two.ctx_fine.dual_norm_Y, tol=solve_tol,
+        residual_norm=two.ctx_fine.dual_norm_Y, tol=1e-10,
     )
     lam_hat = res.x
 
@@ -410,15 +456,13 @@ def pjotr_at_level(
     data: sy.ProblemData,
     mu: mo.MuCoefficient,
     rho: float = 1.0,
-    surrogate_extra: int = 2,
-    solve_tol: float = 1e-12,
 ) -> PjotrReport:
     """The condition with the test space refined `level` times in time,
-    re-solving the saddle system there since the Galerkin solution depends
-    on the test space."""
+    re-solving the saddle system there (to 1e-12) since the Galerkin
+    solution depends on the test space."""
     disc = sy.Discretization(_pair_with_enriched_test(base_pair, level), mu, data)
-    two = TwoLevel(disc.pair, _surrogate_pair(disc.pair, surrogate_extra), ctx_coarse=disc.ctx)
-    report = check_pjotr(disc.reference(solve_tol), data, two, mu, disc.bundle, rho=rho)
+    two = TwoLevel(disc.pair, _surrogate_pair(disc.pair), ctx_coarse=disc.ctx)
+    report = check_pjotr(disc.reference(1e-12), data, two, mu, disc.bundle, rho=rho)
     return replace(report, level=level)
 
 
@@ -428,16 +472,12 @@ def enrich_until_pjotr(
     mu: mo.MuCoefficient,
     rho: float = 1.0,
     max_levels: int = 6,
-    surrogate_extra: int = 2,
-    solve_tol: float = 1e-12,
 ) -> list[PjotrReport]:
     """Enlarge the test space (uniform temporal refinements) until the
     condition holds; returns the report of every level tried, in order."""
     reports = []
     for level in range(max_levels + 1):
-        reports.append(
-            pjotr_at_level(base_pair, level, data, mu, rho, surrogate_extra, solve_tol)
-        )
+        reports.append(pjotr_at_level(base_pair, level, data, mu, rho))
         if reports[-1].satisfied:
             break
     return reports

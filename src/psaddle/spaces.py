@@ -287,30 +287,28 @@ def assemble_1d(
 def embedding_matrix(
     source: tuple[Mesh1D, BasisSpec],
     target: tuple[Mesh1D, BasisSpec],
-    require_exact: bool = True,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Coefficient map expressing each source basis function in the target.
 
     Computed as the L2 projection onto the target space; when the source
     space is contained in the target the projection is the identity map on
-    functions and the per-column residual vanishes (checked when
-    require_exact is set).
+    functions and the per-column residual vanishes.  Raises
+    InvalidSpaceError for a column whose squared residual exceeds 1e-12
+    times the squared norm of its basis function.
     """
     M_target = assemble_1d("mass", target)
     C = assemble_1d("mass", target, source)
     E = banded_cholesky(M_target).solve(C.toarray())
-    if require_exact:
-        # ||phi_j - proj||^2 = M_source[j,j] - E_j^T M_target E_j, for every j at once
-        norm2 = assemble_1d("mass", source).diagonal()
-        res2 = norm2 - (E * (M_target @ E)).sum(axis=0)
-        bad = np.flatnonzero(res2 > tol * np.maximum(norm2, 1e-30))
-        if bad.size:
-            j = bad[0]
-            raise InvalidSpaceError(
-                f"source basis function {j} is not contained in the target "
-                f"space (residual^2 {res2[j]:.3e})"
-            )
+    # ||phi_j - proj||^2 = M_source[j,j] - E_j^T M_target E_j, for every j at once
+    norm2 = assemble_1d("mass", source).diagonal()
+    res2 = norm2 - (E * (M_target @ E)).sum(axis=0)
+    bad = np.flatnonzero(res2 > 1e-12 * np.maximum(norm2, 1e-30))
+    if bad.size:
+        j = bad[0]
+        raise InvalidSpaceError(
+            f"source basis function {j} is not contained in the target "
+            f"space (residual^2 {res2[j]:.3e})"
+        )
     return E
 
 
@@ -392,7 +390,7 @@ def assemble_matrices(
     A_x = assemble_1d("stiffness", X_x)
 
     try:
-        embed_t = embedding_matrix(X_t, Y_t, require_exact=True)
+        embed_t = embedding_matrix(X_t, Y_t)
         x_in_y = True
     except InvalidSpaceError:
         embed_t = None

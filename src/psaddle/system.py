@@ -15,7 +15,7 @@ trace term come from `RieszContext`; the right-hand side is a 16-point
 contraction with the quadrature matrices of `spaces`.  The reference solver
 is damped Newton on the saddle system, backtracking on the squared product
 dual residual; each step factors the test-side Jacobian once, eliminates
-lambda with it and solves for u by conjugate gradients on the Schur
+lambda with it and solves for u by `core_linalg.pcg` on the Schur
 Jacobian, preconditioned by the trial Riesz map, so no saddle matrix is
 ever formed or factored.
 """
@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from psaddle import monotone as mo
+from psaddle.core_linalg import cg_iteration_cap, pcg
 from psaddle.errors import NotConvergedError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
@@ -348,25 +349,13 @@ def pcg_iteration_cap(mu: mo.MuCoefficient) -> int:
         c R_X <= J_S <= C R_X,   c = min(m_mu, 1/M_mu, 1),  C = max(M_mu, 1/m_mu, 1),
 
     and R_X^{-1} J_S has condition kappa <= C / c: 4 for one-plus-inv, 1 for
-    mu = 1.  CG bounds the error in the J_S norm, ||e_k|| <= 2 rho^k ||e_0||
-    with rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1).  The stop reads the
-    residual in the R_X^{-1} norm, ||r_k||^2 = e_k^T J_S R_X^{-1} J_S e_k,
-    which lies between c and C times ||e_k||^2; so ||r_k|| / ||r_0|| <=
-    2 sqrt(kappa) rho^k, and ||r_k|| <= PCG_RTOL ||r_0|| holds after
-
-        ceil(ln(2 sqrt(kappa) / PCG_RTOL) / ln(1 / rho))
-
-    iterations: 23 for kappa = 4.  For kappa = 1, rho = 0
-    and the first iteration is exact in exact arithmetic; the cap allows a
-    second, because the assembled J_S and R_X agree only up to round-off
-    (at 128 x 128 with mu = 1 the first iteration reaches 1e-12, not 1e-13).
+    mu = 1.  The cap is `cg_iteration_cap(kappa, PCG_RTOL)`: 23 for
+    kappa = 4, and 2 for kappa = 1 (at 128 x 128 with mu = 1 the first
+    iteration reaches 1e-12, not 1e-13).
     """
     c = min(mu.m_mu, 1.0 / mu.M_mu, 1.0)
     C = max(mu.M_mu, 1.0 / mu.m_mu, 1.0)
-    root = math.sqrt(C / c)
-    if root == 1.0:
-        return 2
-    return math.ceil(math.log(2.0 * root / PCG_RTOL) / math.log((root + 1.0) / (root - 1.0)))
+    return cg_iteration_cap(C / c, PCG_RTOL)
 
 
 def schur_newton_direction(
@@ -376,49 +365,22 @@ def schur_newton_direction(
     r: np.ndarray,
     max_iter: int,
 ) -> tuple[np.ndarray, int]:
-    """delta with (jac_X + trace + D^T jac_Y^{-1} D) delta = r, by conjugate
-    gradients preconditioned with the trial Riesz map R_X^{-1}.
+    """delta with (jac_X + trace + D^T jac_Y^{-1} D) delta = r, by `pcg`
+    preconditioned with the trial Riesz map R_X^{-1} to PCG_RTOL.
 
     The operator is applied matrix-free: each iteration costs one
     `riesz_X_solve`, one solve with fact_Y, the factor of the test-side
     Jacobian jac_Y (`GalerkinOperator.jacobian_factor`), and sparse
-    products with jac_X, D, D^T and the trace block.
-    Stops when the residual's R_X^{-1} norm falls to PCG_RTOL times its
-    start and returns delta with the iteration count.  Raises
-    NotConvergedError after max_iter iterations, or on a non-positive
-    curvature p^T J p, which means the operator is not positive definite.
+    products with jac_X, D, D^T and the trace block.  Returns delta with
+    the iteration count; raises NotConvergedError after max_iter
+    iterations or on a non-positive curvature.
     """
     A_X = jac_X + ctx.trace
 
     def apply_J(p):
         return A_X @ p + ctx.apply_Dt(fact_Y.solve(ctx.apply_D(p)))
 
-    delta = np.zeros_like(r, dtype=float)
-    res = np.array(r, dtype=float)
-    prec = ctx.riesz_X_solve(res)
-    rz = float(res @ prec)
-    stop = PCG_RTOL**2 * rz
-    if rz <= 0.0:
-        return delta, 0
-    p = prec
-    for it in range(1, max_iter + 1):
-        q = apply_J(p)
-        curvature = float(p @ q)
-        if curvature <= 0.0:
-            raise NotConvergedError("newton-pcg met non-positive curvature", best=delta)
-        alpha = rz / curvature
-        delta += alpha * p
-        res -= alpha * q
-        prec = ctx.riesz_X_solve(res)
-        rz_new = float(res @ prec)
-        if rz_new <= stop:
-            return delta, it
-        p = prec + (rz_new / rz) * p
-        rz = rz_new
-    raise NotConvergedError(
-        f"newton-pcg hit its proven cap of {max_iter} iterations", best=delta,
-        iterations=max_iter,
-    )
+    return pcg(apply_J, ctx.riesz_X_solve, r, PCG_RTOL, max_iter)
 
 
 def solve_reference(

@@ -130,6 +130,18 @@ class TestSubcommands:
         rows = np.genfromtxt(os.path.join(out, "precond.csv"), delimiter=",", names=True)
         assert np.all(rows["kappa"] >= 1.0)
 
+    def test_infsup_gamma_direct_on_every_level(self, tmp_path):
+        # level 4 (64 x 64, dim_X 4095) once fell to a dense-size threshold
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "heat.cfg")
+        cfg = cli.parse_config(config)
+        cfg.values["disc.levels"] = 5
+        out = str(tmp_path / "out")
+        assert cli.run_subcommand("infsup", cfg, out) == 0
+        rows = np.genfromtxt(os.path.join(out, "infsup.csv"), delimiter=",", names=True)
+        assert rows.size == 5
+        assert np.all(np.isfinite(rows["gamma_direct"]))
+        assert np.all(rows["gamma_direct"] >= rows["gamma_lower"] - 1e-8)
+
     def test_pjotr_csv(self, tmp_path):
         text = MINIMAL + "problem.forcing = manufactured\n"
         cfg = cli.parse_config(write_config(tmp_path, text))

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from psaddle import core_linalg as cl
-from psaddle.errors import NotSpdError, PsaddleError
+from psaddle.errors import NotConvergedError, NotSpdError, PsaddleError
 
 
 def random_spd(rng, n, shift=None):
@@ -49,6 +49,62 @@ def test_package_uses_no_scipy_sparse_linalg():
         if (name + ".").startswith("scipy.sparse.linalg.")
     ]
     assert offenders == []
+
+
+def test_package_forms_no_dense_kronecker_product():
+    # tensor Grams and pencils are applied through their 1D factors
+    offenders = [
+        path.name
+        for path in sorted(Path(cl.__file__).parent.glob("*.py"))
+        if "numpy.kron" in _module_paths(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+
+
+class TestPcg:
+    def test_matches_dense_solve(self, rng):
+        A = random_spd(rng, 40)
+        b = rng.standard_normal(40)
+        x, its = cl.pcg(lambda v: A @ v, lambda r: r / np.diag(A), b, 1e-12, 200)
+        expect = np.linalg.solve(A, b)
+        assert np.abs(x - expect).max() <= 1e-9 * np.abs(expect).max()
+        assert 1 <= its <= 40
+
+    def test_exact_preconditioner_stops_within_cap(self, rng):
+        A = random_spd(rng, 30)
+        Ainv = np.linalg.inv(A)
+        b = rng.standard_normal(30)
+        cap = cl.cg_iteration_cap(1.0, 1e-10)
+        x, its = cl.pcg(lambda v: A @ v, lambda r: Ainv @ r, b, 1e-10, cap)
+        assert its <= 2
+        assert np.abs(A @ x - b).max() <= 1e-10 * np.abs(b).max()
+
+    def test_zero_rhs_returns_at_once(self):
+        x, its = cl.pcg(lambda v: 2.0 * v, lambda r: r, np.zeros(5), 1e-10, 10)
+        assert its == 0 and not np.any(x)
+
+    def test_cap_raises_with_best(self, rng):
+        A = random_spd(rng, 30, shift=1e-3)
+        with pytest.raises(NotConvergedError, match="cap of 2 iterations") as err:
+            cl.pcg(lambda v: A @ v, lambda r: r, rng.standard_normal(30), 1e-12, 2)
+        assert err.value.iterations == 2
+        assert err.value.best.shape == (30,) and np.any(err.value.best)
+
+    def test_non_positive_curvature_raises(self):
+        with pytest.raises(NotConvergedError, match="non-positive curvature") as err:
+            cl.pcg(lambda v: -v, lambda r: r, np.ones(4), 1e-10, 10)
+        assert not np.any(err.value.best)
+
+
+class TestCgIterationCap:
+    def test_closed_form(self):
+        # kappa = 4: ceil(ln(4e10) / ln 3) = 23
+        assert cl.cg_iteration_cap(4.0, 1e-10) == 23
+        assert cl.cg_iteration_cap(1.0, 1e-10) == 2
+
+    def test_round_off_around_one_keeps_two(self):
+        for kappa in (1.0 - 1e-15, 1.0 + 1e-12):
+            assert cl.cg_iteration_cap(kappa, 1e-10) == 2
 
 
 class TestDenseSizeGuard:

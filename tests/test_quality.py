@@ -7,13 +7,15 @@ import pytest
 from psaddle import monotone as mo
 from psaddle import quality as ql
 from psaddle import system as sy
-from psaddle.errors import PsaddleError
+from psaddle.core_linalg import cg_iteration_cap, extremal_generalized_eigen, pcg
+from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.spaces import (
     CONT_P1,
     CONT_P1_DIRICHLET,
     DISC_P0,
     DISC_P1,
     Mesh1D,
+    assemble_matrices,
     default_pair,
     refine_times,
 )
@@ -88,6 +90,65 @@ class TestGammaX:
         assert np.allclose(vals, expect, atol=2e-6)
 
 
+def _dense_gamma_direct(two):
+    """gamma_direct from the dense pencil (T_c (x) S_c, T_f (x) S_f) with
+    the time-constants deflated: the oracle for the value factored by axis."""
+    c = two.coarse
+    num = np.kron(two.ctx_coarse.T_t, two.ctx_coarse.S_x)
+    Bx = two.B_fineY_coarseX
+    T_f = Bx.T @ two.ctx_fine.fact_M_t_Y.solve(Bx)
+    Mx = two.M_fineX_coarseX
+    S_f = Mx.T @ two.ctx_fine.fact_A_x.solve(Mx)
+    kernel = np.kron(np.ones((c.dim_t_X, 1)), np.eye(c.dim_x))
+    lam, _ = extremal_generalized_eigen(
+        num, np.kron(T_f, S_f), "smallest", constraint_kernel=kernel
+    )
+    return math.sqrt(max(lam, 0.0))
+
+
+def _dense_best_approx(two, u_fine):
+    """Best approximation by a dense solve with P^T R_X^f P assembled from
+    the fine pair's Kronecker factors: the oracle for the matrix-free path."""
+    p, ctx = two.fine, two.ctx_fine
+    e_T = np.zeros((p.dim_t_X, p.dim_t_X))
+    e_T[-1, -1] = 1.0
+    Et, Ex = two.E_t_X, two.E_x
+    G = sum(
+        np.kron(Et.T @ Ft @ Et, Ex.T @ Fx @ Ex)
+        for Ft, Fx in ((p.M_t_X.toarray(), p.A_x.toarray()), (ctx.T_t, ctx.S_x),
+                       (e_T, p.M_x.toarray()))
+    )
+    R = ctx.apply_R_X(u_fine).reshape(p.dim_t_X, p.dim_x)
+    coeffs = np.linalg.solve(G, (Et.T @ R @ Ex).reshape(-1))
+    return coeffs, ctx.norm_X_delta(u_fine - two.prolong_X(coeffs))
+
+
+def _jittered_pair(n_t, n_x, seed):
+    rng = np.random.default_rng(seed)
+
+    def mesh(n):
+        h = 1.0 / n
+        inner = [(i + rng.uniform(-0.3, 0.3)) * h for i in range(1, n)]
+        return Mesh1D(tuple([0.0, *inner, 1.0]))
+
+    mesh_t = mesh(n_t)
+    return assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P1), (mesh(n_x), CONT_P1_DIRICHLET))
+
+
+_ORACLE_PAIRS = {
+    "default4": lambda: default_pair(4, 4),
+    "default8": lambda: default_pair(8, 8),
+    "jittered": lambda: _jittered_pair(6, 5, 3),
+    "test-refined-in-time": lambda: ql._pair_with_enriched_test(default_pair(4, 4), 1),
+}
+
+
+@pytest.fixture(params=sorted(_ORACLE_PAIRS))
+def oracle_two(request):
+    pair = _ORACLE_PAIRS[request.param]()
+    return ql.TwoLevel(pair, ql._surrogate_pair(pair, 2))
+
+
 class TestGammaDirect:
     @pytest.mark.parametrize("n", [4, 8])
     def test_tensor_lower_bound(self, n, heat_problem):
@@ -98,22 +159,72 @@ class TestGammaDirect:
         assert report.gamma_direct >= report.gamma_lower - 1e-8
         assert 0.0 < report.gamma_direct <= 1.0 + 1e-10
 
+    def test_matches_dense_kronecker_pencil(self, oracle_two):
+        expect = _dense_gamma_direct(oracle_two)
+        assert abs(ql.gamma_direct(oracle_two) - expect) <= 1e-10 * expect
 
-class TestDenseSizeGuard:
-    def test_oversize_coarse_pair_refused_before_allocation(self):
-        # dim_X = 16383 at 128 x 128: each dense coarse Gram would be 2.1 GB
+
+class TestBestApprox:
+    def test_matches_dense_gram_solve(self, oracle_two, rng, monkeypatch):
+        runs = []
+
+        def recording_pcg(*args):
+            x, its = pcg(*args)
+            runs.append((its, args[-1]))
+            return x, its
+
+        monkeypatch.setattr(ql, "pcg", recording_pcg)
+        two = oracle_two
+        gamma = ql.gamma_direct(two)
+        norm = two.ctx_fine.norm_X_delta
+        near = two.prolong_X(rng.standard_normal(two.coarse.dim_X))
+        for u in (rng.standard_normal(two.fine.dim_X),
+                  near + 1e-3 * rng.standard_normal(two.fine.dim_X)):
+            coeffs, err = two.best_approx_X(u)
+            expect, expect_err = _dense_best_approx(two, u)
+            # in the minimised norm ||P c||_X = ||c||_G the stop proves
+            # ||c - c*||_G <= ||r||_{R^-1} <= rtol ||b||_{R^-1} <= rtol / gamma ||c*||_G
+            # (R_X^c <= G <= R_X^c / gamma^2); the error is quadratic in it
+            diff = norm(two.prolong_X(coeffs - expect))
+            assert diff <= sy.PCG_RTOL / gamma * norm(two.prolong_X(expect))
+            assert abs(err - expect_err) <= 1e-10 * expect_err
+        cap = cg_iteration_cap(1.0 / gamma**2, sy.PCG_RTOL)
+        assert [r[1] for r in runs] == [cap, cap]
+        assert all(1 <= its <= cap for its, _ in runs)
+
+    def test_non_nested_trial_spaces_refused(self):
+        coarse = default_pair(3, 4)
+        two = ql.TwoLevel(coarse, default_pair(4, 4))
+        with pytest.raises(InvalidSpaceError):
+            two.best_approx_X(np.ones(two.fine.dim_X))
+
+    def test_vanishing_infsup_refused(self, monkeypatch):
+        # gamma = 0 (a test space that misses derivatives, such as P0 on
+        # half the trial elements) proves no CG cap
+        monkeypatch.setattr(ql, "gamma_direct", lambda two: 0.0)
+        pair = default_pair(4, 4)
+        two = ql.TwoLevel(pair, ql._surrogate_pair(pair, 2))
+        with pytest.raises(InvalidSpaceError, match="inf-sup 0"):
+            two.best_approx_X(np.ones(two.fine.dim_X))
+
+
+class TestLargePairMatrixFree:
+    def test_128_pair_in_bounded_memory(self, rng):
+        # dim_X = 16383 at 128 x 128: a dense coarse Gram would take 2.1 GB
         pair = default_pair(128, 128)
-        two = ql.TwoLevel(pair, pair)
+        c = rng.standard_normal(pair.dim_X)
         tracemalloc.start()
         try:
-            with pytest.raises(PsaddleError, match="coarse_gram_in_fine_norm"):
-                two.coarse_gram_in_fine_norm
-            with pytest.raises(PsaddleError, match="gamma_direct"):
-                ql.gamma_direct(two)
+            two = ql.TwoLevel(pair, pair)
+            gamma = ql.gamma_direct(two)
+            coeffs, err = two.best_approx_X(two.prolong_X(c))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert abs(gamma - 1.0) <= 1e-10
+        assert np.abs(coeffs - c).max() <= 1e-10 * np.abs(c).max()
+        assert err <= 1e-10 * two.ctx_fine.norm_X_delta(two.prolong_X(c))
+        assert peak < 16 * 2**20
 
 
 @pytest.fixture(scope="module")
