@@ -52,7 +52,6 @@ _SCHEMA = {
     "quality.rho": (float, 1.0, None),
     "quality.max_enrich": (int, 4, None),
     "output.dir": (str, "out", None),
-    "output.precision": (int, 17, None),
     "seed": (int, 20260808, None),
 }
 
@@ -102,7 +101,7 @@ def parse_config(path: str) -> ExperimentConfig:
     if values["disc.nt"] < 1 or values["disc.nx"] < 1:
         problems.append("disc.nt and disc.nx must be >= 1")
     for key, lo in (("disc.levels", 1), ("solver.max_outer", 1), ("solver.L_practical", 0),
-                    ("quality.max_enrich", 0), ("output.precision", 1)):
+                    ("quality.max_enrich", 0)):
         if values[key] < lo:
             problems.append(f"{key} must be >= {lo}")
     for key, lo, hi in (
@@ -167,15 +166,15 @@ def _problem_from_config(cfg: ExperimentConfig):
     return mu, prob.data
 
 
-def _fmt(value, precision: int = 17) -> str:
+def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return f"%.{precision}g" % float(value)
+    return "%.17g" % float(value)
 
 
-def write_csv(path: str, header: tuple, rows, precision: int = 17) -> None:
+def write_csv(path: str, header: tuple, rows) -> None:
     """Atomic CSV write: header row, 17-significant-digit floats."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
@@ -183,7 +182,7 @@ def write_csv(path: str, header: tuple, rows, precision: int = 17) -> None:
         with os.fdopen(fd, "w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v, precision) for v in row) + "\n")
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -258,15 +257,11 @@ def _run_uzawa(cfg: ExperimentConfig, disc: sy.Discretization, out: str,
     _, trace = uz.run_inexact_uzawa(
         disc.rhs, pair, disc.op_Y, disc.op_X, disc.ctx, ucfg, reference=reference
     )
-    write_csv(
-        os.path.join(out, "uzawa_trace.csv"), uz.UzawaTrace.COLUMNS, trace.rows(),
-        cfg["output.precision"],
-    )
+    write_csv(os.path.join(out, "uzawa_trace.csv"), uz.UzawaTrace.COLUMNS, trace.rows())
     write_csv(
         os.path.join(out, "solve_summary.csv"),
         ("dim_Y", "dim_X", "outer_iterations", "inner_count", "eta_final", "converged"),
         [(pair.dim_Y, pair.dim_X, len(trace.k), ucfg.L, trace.eta[-1], trace.converged)],
-        cfg["output.precision"],
     )
     if not trace.converged:
         raise NotConvergedError(
@@ -302,8 +297,7 @@ def _aposteriori_band(cfg: ExperimentConfig, disc: sy.Discretization, out: str) 
         true = ctx.norm_Y(dlam) + ctx.norm_X_delta(du)
         rows.append((i, eta, true, true / eta))
     write_csv(
-        os.path.join(out, "aposteriori_band.csv"),
-        ("sample", "eta", "true_error", "ratio"), rows, cfg["output.precision"],
+        os.path.join(out, "aposteriori_band.csv"), ("sample", "eta", "true_error", "ratio"), rows
     )
 
 
@@ -339,7 +333,7 @@ def cmd_convergence(cfg: ExperimentConfig, out: str) -> int:
     write_csv(
         os.path.join(out, "convergence.csv"),
         ("level", "nt", "nx", "err_X", "rate", "quasi_opt_ratio", "quasi_opt_bound", "lambda_minus_u_Y"),
-        rows, cfg["output.precision"],
+        rows,
     )
     return 0
 
@@ -358,7 +352,7 @@ def cmd_infsup(cfg: ExperimentConfig, out: str) -> int:
     write_csv(
         os.path.join(out, "infsup.csv"),
         ("level", "nt", "nx", "gamma_t", "gamma_x", "gamma_lower", "gamma_direct"),
-        rows, cfg["output.precision"],
+        rows,
     )
     return 0
 
@@ -371,7 +365,7 @@ def cmd_pjotr(cfg: ExperimentConfig, out: str) -> int:
     )
     write_csv(
         os.path.join(out, "pjotr.csv"), ("level", "lhs", "rhs", "satisfied"),
-        [(r.level, r.lhs, r.rhs, r.satisfied) for r in reports], cfg["output.precision"],
+        [(r.level, r.lhs, r.rhs, r.satisfied) for r in reports],
     )
     if reports and not reports[-1].satisfied:
         raise NotConvergedError(
@@ -382,10 +376,7 @@ def cmd_pjotr(cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_precond(cfg: ExperimentConfig, out: str) -> int:
     results = pc.kappa_study(cfg["disc.levels"], n_x=cfg["disc.nx"], T=cfg["problem.T"])
-    write_csv(
-        os.path.join(out, "precond.csv"), ("level", "dim", "kappa"),
-        results, cfg["output.precision"],
-    )
+    write_csv(os.path.join(out, "precond.csv"), ("level", "dim", "kappa"), results)
     return 0
 
 

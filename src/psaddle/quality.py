@@ -291,6 +291,15 @@ class TwoLevel:
         return coeffs, err
 
 
+# Round-off floor of gamma^2 in `gamma_direct`.  T_c <= T_f and S_c <= S_f,
+# so both pencils have their eigenvalues in [0, 1] and this absolute floor is
+# relative too.  An inf-sup constant that vanishes in exact arithmetic reads
+# about 1e-16 from the eigen solves (6.5e-17 for lambda_t with a P0 test space
+# on half the trial elements of a 4 x 4 pair), and a gamma^2 of 1e-12 already
+# gives `best_approx_X` a cap of 1.9e7 PCG iterations.
+_GAMMA2_ROUND_OFF = 1e-12
+
+
 def gamma_direct(two: TwoLevel) -> float:
     """Inf-sup ratio of the coarse discrete dual norm of d_t over the fine
     (surrogate-continuous) one, time-constant trial functions deflated.
@@ -306,13 +315,17 @@ def gamma_direct(two: TwoLevel) -> float:
     nonnegative, so gamma^2 is the product of the two smallest:
 
         gamma^2 = lambda_min(T_c, T_f; constants deflated) * lambda_min(S_c, S_f).
+
+    A product at or below _GAMMA2_ROUND_OFF is round-off of an exact zero
+    and reads as 0.
     """
     constants = np.ones((two.coarse.dim_t_X, 1))
     lam_t, _ = extremal_generalized_eigen(
         two.ctx_coarse.T_t, two.T_f, "smallest", constraint_kernel=constants
     )
     lam_x, _ = extremal_generalized_eigen(two.ctx_coarse.S_x, two.S_f, "smallest")
-    return math.sqrt(max(lam_t * lam_x, 0.0))
+    gamma2 = lam_t * lam_x
+    return math.sqrt(gamma2) if gamma2 > _GAMMA2_ROUND_OFF else 0.0
 
 
 def infsup_report(pair: TensorSpacePair, two: TwoLevel | None = None) -> InfSupReport:

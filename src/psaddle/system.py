@@ -56,6 +56,7 @@ __all__ = [
     "PCG_RTOL",
     "pcg_iteration_cap",
     "schur_newton_direction",
+    "NEWTON_MAX_STEPS",
     "solve_reference",
     "Discretization",
     "heat_problem",
@@ -288,6 +289,8 @@ class SchurOperator:
 
     The inner inverse is evaluated by Newton's method to `inner_tol` in the
     test dual norm; the previous inner solution warm-starts the next call.
+    No solver builds it: it is the reduced operator whose constants
+    (L_S, m_S) the error theory states, checked by the tests.
     """
 
     def __init__(
@@ -383,6 +386,18 @@ def schur_newton_direction(
     return pcg(apply_J, ctx.riesz_X_solve, r, PCG_RTOL, max_iter)
 
 
+# Cap on the damped Newton steps of `solve_reference`.
+NEWTON_MAX_STEPS = 60
+
+
+def _newton_direction(ctx, fact_Y, jac_X, b, pcg_cap, fail):
+    """`schur_newton_direction`, with a PCG failure raised as fail(reason)."""
+    try:
+        return schur_newton_direction(ctx, fact_Y, jac_X, b, pcg_cap)[0]
+    except NotConvergedError as err:
+        raise fail(f"direction failed ({err})") from err
+
+
 def solve_reference(
     rhs: tuple[np.ndarray, np.ndarray],
     pair: TensorSpacePair,
@@ -390,7 +405,6 @@ def solve_reference(
     op_X: mo.GalerkinOperator,
     ctx: RieszContext,
     tol: float = 1e-12,
-    max_outer: int = 60,
     x0: np.ndarray | None = None,
 ) -> SaddleState:
     """High-accuracy discrete solution used as the test oracle.
@@ -436,10 +450,12 @@ def solve_reference(
     direction phi'(w) d = -2 phi, so the Armijo test holds for small enough
     a, and near the solution, where phi(w + d) = O(phi^2), for a = 1.
 
-    Falls back to a long fixed-point run on the Schur operator if a
-    direction or the line search fails.  The returned state has a
-    posteriori estimate eta (the product dual residual,
-    `aposteriori_estimate`) at most tol.
+    The returned state has a posteriori estimate eta (the product dual
+    residual, `aposteriori_estimate`) at most tol.  Otherwise the solve
+    raises NotConvergedError at the first failure: a PCG direction that
+    fails, a line search still short of the Armijo test after 40 halvings,
+    or NEWTON_MAX_STEPS steps.  Its `best` is the last accepted state,
+    which has the lowest merit seen, and its message gives eta and tol.
     """
     u = np.zeros(pair.dim_X) if x0 is None else np.array(x0, dtype=float)
     lam = embed_X_into_Y(pair, u) if pair.x_in_y else np.zeros(pair.dim_Y)
@@ -451,48 +467,33 @@ def solve_reference(
         n_Y, n_X = ctx.dual_norm_Y(r_Y), ctx.dual_norm_X(r_X)
         return n_Y + n_X, n_Y * n_Y + n_X * n_X, r_Y, r_X
 
+    def fail(reason):
+        return NotConvergedError(
+            f"saddle newton {reason} at eta {eta:.3e} > tol {tol:.3e}", best=state
+        )
+
     state = SaddleState(lam, u)
     eta, phi, r_Y, r_X = evaluate(state)
-    try:
-        for _ in range(max_outer):
-            if eta <= tol:
-                return state
-            fact_Y = op_Y.jacobian_factor(state.lam)
-            b = ctx.apply_Dt(fact_Y.solve(r_Y)) - r_X
-            du, _ = schur_newton_direction(
-                ctx, fact_Y, op_X.jacobian(state.u), b, pcg_cap
-            )
-            dlam = fact_Y.solve(r_Y - ctx.apply_D(du))
-            alpha = 1.0
-            for _ in range(40):
-                trial = SaddleState(state.lam + alpha * dlam, state.u + alpha * du)
-                eta_t, phi_t, r_Y_t, r_X_t = evaluate(trial)
-                if phi_t <= (1.0 - 2e-4 * alpha) * phi or eta_t <= tol:
-                    break
-                alpha *= 0.5
-            else:
-                raise NotConvergedError("saddle newton stalled", best=state)
-            state, eta, phi, r_Y, r_X = trial, eta_t, phi_t, r_Y_t, r_X_t
+    for _ in range(NEWTON_MAX_STEPS):
         if eta <= tol:
             return state
-        raise NotConvergedError("saddle newton hit the iteration cap", best=state)
-    except NotConvergedError:
-        # long fixed-point fallback on the Schur operator.  Its step norm is
-        # theta* ||S(x)||_{X'} at the iterate before the last step, and that
-        # step leaves ||S|| at most L_S / m_S times as large (Lipschitz over
-        # strong monotonicity); so this stop leaves the X residual <= tol / 2
-        schur = SchurOperator(pair, ctx, op_Y, op_X, rhs, inner_tol=max(tol / 20.0, 1e-15))
-        c = mo.constants_from_mu(op_Y.mu)
-        s_consts = derive_constants(c.L, c.m).S_constants
-        step_tol = s_consts.theta_star * (s_consts.m / s_consts.L) * tol / 2.0
-        res = mo.zarantonello_solve(
-            schur.apply, ctx.riesz_X_solve, np.zeros(pair.dim_X), state.u,
-            s_consts, tol=step_tol, max_iter=500_000,
-        )
-        state = SaddleState(schur.inner_solve(res.x), res.x)
-        if aposteriori_estimate(state, rhs, op_Y, op_X, ctx)[0] > tol:
-            raise NotConvergedError("reference solve failed", best=state)
+        fact_Y = op_Y.jacobian_factor(state.lam)
+        b = ctx.apply_Dt(fact_Y.solve(r_Y)) - r_X
+        du = _newton_direction(ctx, fact_Y, op_X.jacobian(state.u), b, pcg_cap, fail)
+        dlam = fact_Y.solve(r_Y - ctx.apply_D(du))
+        alpha = 1.0
+        for _ in range(40):
+            trial = SaddleState(state.lam + alpha * dlam, state.u + alpha * du)
+            eta_t, phi_t, r_Y_t, r_X_t = evaluate(trial)
+            if phi_t <= (1.0 - 2e-4 * alpha) * phi or eta_t <= tol:
+                break
+            alpha *= 0.5
+        else:
+            raise fail("line search stalled")
+        state, eta, phi, r_Y, r_X = trial, eta_t, phi_t, r_Y_t, r_X_t
+    if eta <= tol:
         return state
+    raise fail(f"hit its cap of {NEWTON_MAX_STEPS} steps")
 
 
 class Discretization:

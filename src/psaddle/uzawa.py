@@ -171,7 +171,6 @@ def run_inexact_uzawa(
     ctx: RieszContext,
     cfg: UzawaConfig,
     reference: SaddleState | None = None,
-    raise_on_cap: bool = False,
 ) -> tuple[SaddleState, UzawaTrace]:
     """Inexact Uzawa iteration.
 
@@ -190,9 +189,9 @@ def run_inexact_uzawa(
     outer step's first inner update reuses that R_Y^{-1} A_Y lambda.
 
     Stops when eta, evaluated at (lambda^(k+1), u^(k)), drops below cfg.tol.
-    The returned state, and the `best` of a NotConvergedError on the
-    outer-iteration cap, is the last monitored pair, the one trace.eta[-1]
-    belongs to.  If `reference` is given the trace records true errors
+    The returned state is the last monitored pair, the one trace.eta[-1]
+    belongs to, also on the outer-iteration cap, where trace.converged
+    stays False.  If `reference` is given the trace records true errors
     against it (test mode).
     """
     f, g = rhs
@@ -240,9 +239,4 @@ def run_inexact_uzawa(
         # r_X equals the u-update bracket, so the step reuses dX
         u = u - cfg.theta_star_S * dX
 
-    if raise_on_cap:
-        raise NotConvergedError(
-            f"uzawa did not reach tol={cfg.tol} in {cfg.max_outer} outer iterations",
-            best=state,
-        )
     return state, trace

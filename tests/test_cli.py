@@ -173,7 +173,6 @@ class TestMainEntry:
     @pytest.mark.parametrize("subcommand,line", [
         ("solve", "solver.max_outer = 0"),
         ("solve", "solver.L_practical = -1"),
-        ("solve", "output.precision = -1"),
         ("pjotr", "quality.max_enrich = -1"),
     ])
     def test_exit_code_value_out_of_range(self, subcommand, line, tmp_path, capsys):

@@ -207,6 +207,18 @@ class TestBestApprox:
         with pytest.raises(InvalidSpaceError, match="inf-sup 0"):
             two.best_approx_X(np.ones(two.fine.dim_X))
 
+    def test_round_off_infsup_refused(self):
+        # a P0 test space on half the trial elements misses derivatives;
+        # the eigen solves read gamma^2 ~ 5e-17 instead of 0
+        pair = assemble_matrices(
+            (Mesh1D.uniform(4), CONT_P1), (Mesh1D.uniform(2), DISC_P0),
+            (Mesh1D.uniform(4), CONT_P1_DIRICHLET),
+        )
+        two = ql.TwoLevel(pair, ql._surrogate_pair(pair, 2))
+        assert ql.gamma_direct(two) == 0.0
+        with pytest.raises(InvalidSpaceError, match="inf-sup 0"):
+            two.best_approx_X(np.ones(two.fine.dim_X))
+
 
 class TestLargePairMatrixFree:
     def test_128_pair_in_bounded_memory(self, rng):

@@ -498,7 +498,7 @@ class TestNewtonPCG:
             )
             assert 1 <= its <= cap
 
-    def test_fallback_when_pcg_fails(self, heat8, monkeypatch):
+    def test_direction_failure_raises_at_once(self, heat8, monkeypatch):
         calls = []
 
         def failing(*args, **kwargs):
@@ -506,13 +506,29 @@ class TestNewtonPCG:
             raise NotConvergedError("forced failure")
 
         monkeypatch.setattr(sy, "schur_newton_direction", failing)
-        tol = 1e-12
-        state = sy.solve_reference(
-            heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, tol=tol
-        )
+        # the default start: u = 0 and lambda = u embedded, also 0
+        start = sy.SaddleState(np.zeros(heat8.pair.dim_Y), np.zeros(heat8.pair.dim_X))
+        eta0, _, _ = sy.aposteriori_estimate(start, heat8.rhs, heat8.op_Y, heat8.op_X, heat8.ctx)
+        with pytest.raises(NotConvergedError, match="direction failed") as err:
+            sy.solve_reference(heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx)
         assert calls == [1]
-        rY, rX = sy.residual(state, heat8.rhs, heat8.ctx, heat8.op_Y, heat8.op_X)
-        assert heat8.ctx.dual_norm_Y(rY) + heat8.ctx.dual_norm_X(rX) <= tol
+        best = err.value.best
+        eta, _, _ = sy.aposteriori_estimate(best, heat8.rhs, heat8.op_Y, heat8.op_X, heat8.ctx)
+        assert eta == eta0
+
+    @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
+    def test_below_round_off_floor_fails_fast(self, setup_name, request, monkeypatch):
+        s = request.getfixturevalue(setup_name)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no fixed-point run on the Schur operator")
+
+        monkeypatch.setattr(mo, "zarantonello_solve", forbidden)
+        monkeypatch.setattr(sy, "SchurOperator", forbidden)
+        with pytest.raises(NotConvergedError, match="tol 0.000e") as err:
+            sy.solve_reference(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, tol=0.0)
+        eta, _, _ = sy.aposteriori_estimate(err.value.best, s.rhs, s.op_Y, s.op_X, s.ctx)
+        assert eta <= 1e-15
 
 
 class TestDiscretization:
