@@ -28,7 +28,6 @@ from psaddle import system as sy
 from psaddle import uzawa as uz
 from psaddle.errors import ConfigError, NotConvergedError, PsaddleError
 from psaddle.rng import SplitMix64
-from psaddle.spaces import embed_X_into_Y
 
 SUBCOMMANDS = ("solve", "convergence", "uzawa-trace", "infsup", "pjotr", "precond", "constants")
 
@@ -309,13 +308,13 @@ def _convergence_row(pair, mu, data) -> tuple[float, float, float, float]:
     before the next level starts."""
     disc = sy.Discretization(pair, mu, data)
     state = disc.reference(1e-11)
-    fine = sy.Discretization(ql._surrogate_pair(pair, 2), mu, data)
+    fine = sy.Discretization(ql._surrogate_pair(pair), mu, data)
     two = ql.TwoLevel(pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
     fstate = fine.reference(1e-11, x0=two.prolong_X(state.u))
     report = ql.infsup_report(pair)
     ratio, bound = ql.quasi_opt_ratio(fstate.u, state, two, disc.bundle, report)
     err = fine.ctx.norm_X_delta(fstate.u - two.prolong_X(state.u))
-    lam_u = disc.ctx.norm_Y(state.lam - embed_X_into_Y(pair, state.u))
+    lam_u, _ = ql.estimator_terms(state, disc.ctx, data)
     return err, ratio, bound, lam_u
 
 
@@ -344,7 +343,7 @@ def cmd_infsup(cfg: ExperimentConfig, out: str) -> int:
     for level in range(cfg["disc.levels"]):
         pair = _pair_from_config(cfg, level)
         nt, nx = pair.mesh_t_X.n_elements, pair.mesh_x.n_elements
-        report = ql.infsup_report(pair, ql.TwoLevel(pair, ql._surrogate_pair(pair, 2)))
+        report = ql.infsup_report(pair, ql.TwoLevel(pair, ql._surrogate_pair(pair)))
         rows.append((
             level, nt, nx, report.gamma_t, report.gamma_x, report.gamma_lower,
             report.gamma_direct,

@@ -31,9 +31,9 @@ __all__ = [
     "MuCoefficient",
     "MonotoneConstants",
     "GalerkinOperator",
+    "GALERKIN_QUAD_POINTS",
     "make_mu",
     "constants_from_mu",
-    "inverse_constants",
     "empirical_mu_bounds",
     "zarantonello_solve",
     "newton_solve",
@@ -127,11 +127,6 @@ def constants_from_mu(mu: MuCoefficient) -> MonotoneConstants:
     return MonotoneConstants(L=3.0 * mu.M_mu, m=mu.m_mu)
 
 
-def inverse_constants(c: MonotoneConstants) -> MonotoneConstants:
-    """Constants of the inverse map: L_inv = 1/m, m_inv = m / L^2."""
-    return MonotoneConstants(L=1.0 / c.m, m=c.m / c.L**2)
-
-
 # Grid intervals per block of `empirical_mu_bounds`: its arrays stay below
 # glibc's default mmap threshold of 128 KiB, so the temporaries reuse heap
 # memory instead of mapping and faulting in fresh pages on every call.
@@ -164,14 +159,19 @@ def empirical_mu_bounds(mu_fn, r_max: float, n: int = 100_000) -> tuple[float, f
     return m_hat, M_hat
 
 
+# Gauss points per element and axis of the Galerkin operators.
+GALERKIN_QUAD_POINTS = 3
+
+
 class GalerkinOperator:
     """Galerkin action of the quasi-linear operator on Y^delta or X^delta.
 
     `side` selects the temporal axis of the tensor space the operator is
     restricted to; the spatial axis is shared.  Application and the Gateaux
-    derivative use tensor Gauss quadrature with n_quad points per element
-    and axis (3 by default: exact for the linear case, and well below test
-    tolerances for the smooth nonlinearities bundled here).
+    derivative use tensor Gauss quadrature with `GALERKIN_QUAD_POINTS` = 3
+    points per element and axis, held as `n_quad` (exact for the linear
+    case, and well below test tolerances for the smooth nonlinearities
+    bundled here).
 
     Every spatial basis is piecewise linear, so dw/dx is constant on each
     spatial element, and both kernels work on element gradients.  E_t holds
@@ -206,13 +206,13 @@ class GalerkinOperator:
     measure sparse E_t and Dbar_x.
     """
 
-    def __init__(self, pair: TensorSpacePair, side: str, mu: MuCoefficient, n_quad: int = 3):
+    def __init__(self, pair: TensorSpacePair, side: str, mu: MuCoefficient):
         if side not in ("Y", "X"):
             raise PsaddleError(f"side must be 'Y' or 'X', got {side!r}")
         self.pair = pair
         self.side = side
         self.mu = mu
-        self.n_quad = n_quad
+        self.n_quad = n_quad = GALERKIN_QUAD_POINTS
 
         if side == "Y":
             mesh_t, spec_t = pair.mesh_t_Y, pair.spec_t_Y

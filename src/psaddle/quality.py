@@ -2,17 +2,22 @@
 
 Continuous-level quantities (the exact solution, its best approximation, the
 true dual norm of the temporal derivative) are approximated on a reference
-pair two uniform refinements finer in both axes; inequality checks that rely
-on the surrogate carry a 1.05 slack factor in the tests.
+pair `SURROGATE_REFINEMENTS` uniform refinements finer in both axes;
+inequality checks that rely on the surrogate carry a 1.05 slack factor in
+the tests.
 
 On tensor pairs every Gram is a sum of Kronecker products of 1D matrices,
 and nothing here forms one as a dense array.  The temporal and spatial
-factors T and S of a pair's trial Gram come from its `RieszContext`;
-`TwoLevel` adds the same factors for coarse trial functions measured in the
-fine test space.  The best approximation is a matrix-free conjugate-gradient
-solve (`core_linalg.pcg`) under a cap proven from the inf-sup constant, and
-the square of that constant is the product of the smallest eigenvalues of
-one temporal and one spatial pencil.
+factors T and S of a pair's trial Gram, and the derivative coupling D, come
+from its `RieszContext`.  The coarse trial and test spaces nest in the
+reference pair's, so `TwoLevel` reads every cross-level quantity off the
+fine pair's blocks through the 1D embeddings and assembles nothing itself.
+The best approximation is a matrix-free conjugate-gradient solve
+(`core_linalg.pcg`) under a cap proven from the inf-sup constant, and the
+square of that constant is the product of the smallest eigenvalues of one
+temporal and one spatial pencil.  `estimator_terms` is the one home of the
+two computable terms ||lambda - u||_{Y^d} and ||u0 - u(0)||_H that the
+quasi-optimality check, the a posteriori condition and the estimator share.
 """
 
 from __future__ import annotations
@@ -63,7 +68,14 @@ __all__ = [
     "pjotr_at_level",
     "enrich_until_pjotr",
     "efficiency_reliability",
+    "estimator_terms",
+    "SURROGATE_REFINEMENTS",
 ]
+
+# Uniform refinements, in both axes, from a pair to the reference pair that
+# stands in for the continuous level (`gamma_x`'s projector norm and the
+# surrogate of `_surrogate_pair`).
+SURROGATE_REFINEMENTS = 2
 
 
 @dataclass(frozen=True)
@@ -107,15 +119,15 @@ def gamma_t(
     return math.sqrt(max(lam, 0.0))
 
 
-def gamma_x(X_x: tuple[Mesh1D, BasisSpec], levels_finer: int = 2) -> float:
+def gamma_x(X_x: tuple[Mesh1D, BasisSpec]) -> float:
     """Spatial inf-sup factor 1/||P||_V with P the H-orthogonal projector.
 
-    The projector norm is measured against a reference space `levels_finer`
-    uniform refinements finer, via the generalized eigenproblem for its
-    V-norm.
+    The projector norm is measured against a reference space
+    `SURROGATE_REFINEMENTS` uniform refinements finer, via the generalized
+    eigenproblem for its V-norm.
     """
     mesh, spec = X_x
-    fine_mesh = refine_times(mesh, levels_finer)
+    fine_mesh = refine_times(mesh, SURROGATE_REFINEMENTS)
     E = embedding_matrix(X_x, (fine_mesh, spec))
     M_f = assemble_1d("mass", (fine_mesh, spec))
     A_f = assemble_1d("stiffness", (fine_mesh, spec))
@@ -130,10 +142,16 @@ def gamma_x(X_x: tuple[Mesh1D, BasisSpec], levels_finer: int = 2) -> float:
 class TwoLevel:
     """Cross-pair machinery between a coarse pair and a finer reference pair.
 
-    Holds the tensor prolongations, the cross derivative/mass matrices in
-    both directions, and the factors T_f, S_f of the fine test dual norm of
-    d_t on the coarse trial space; best approximations and mixed-level dual
-    norms are applied through these 1D factors, never as Kronecker arrays.
+    Holds only the 1D embeddings of the coarse temporal trial, temporal test
+    and spatial spaces into the fine ones, and the tensor prolongations they
+    make.  Both the trial and the test spaces nest, so every cross-level
+    block is a fine-level block composed with embeddings: d_t of a coarse
+    trial function in the fine test space is B_t^f E_t_X (x) M_x^f E_x, and
+    d_t of a fine trial function in the coarse test space is
+    E_t_Y^T B_t^f (x) E_x^T M_x^f.  So the factors T_f, S_f of the fine test
+    dual norm of d_t on the coarse trial space and the mixed-level norms
+    come from the fine pair's `RieszContext` (the one assembly of D, T and
+    S) and are applied by axis, never as Kronecker arrays.
     """
 
     def __init__(self, coarse: TensorSpacePair, fine: TensorSpacePair,
@@ -173,56 +191,16 @@ class TwoLevel:
         L = np.asarray(lam).reshape(self.coarse.dim_t_Y, self.coarse.dim_x)
         return (self.E_t_Y @ L @ self.E_x.T).reshape(-1)
 
-    # -- cross matrices ------------------------------------------------------
-
-    @cached_property
-    def B_coarseY_fineX(self) -> np.ndarray:
-        """int (fine trial)' (coarse test) dt."""
-        return assemble_1d(
-            "dtrial",
-            (self.coarse.mesh_t_Y, self.coarse.spec_t_Y),
-            (self.fine.mesh_t_X, self.fine.spec_t_X),
-        ).toarray()
-
-    @cached_property
-    def M_coarseX_fineX(self) -> np.ndarray:
-        return assemble_1d(
-            "mass",
-            (self.coarse.mesh_x, self.coarse.spec_x),
-            (self.fine.mesh_x, self.fine.spec_x),
-        ).toarray()
-
-    @cached_property
-    def B_fineY_coarseX(self) -> np.ndarray:
-        """int (coarse trial)' (fine test) dt."""
-        return assemble_1d(
-            "dtrial",
-            (self.fine.mesh_t_Y, self.fine.spec_t_Y),
-            (self.coarse.mesh_t_X, self.coarse.spec_t_X),
-        ).toarray()
-
-    @cached_property
-    def M_fineX_coarseX(self) -> np.ndarray:
-        return assemble_1d(
-            "mass",
-            (self.fine.mesh_x, self.fine.spec_x),
-            (self.coarse.mesh_x, self.coarse.spec_x),
-        ).toarray()
-
-    def deriv_moments_on_coarse_Y(self, w_fine: np.ndarray) -> np.ndarray:
-        """(E_Y^d)' d_t w for a fine trial function w, as coarse Y moments."""
-        W = np.asarray(w_fine).reshape(self.fine.dim_t_X, self.fine.dim_x)
-        return (self.B_coarseY_fineX @ W @ self.M_coarseX_fineX.T).reshape(-1)
-
-    def deriv_moments_on_fine_Y(self, u_coarse: np.ndarray) -> np.ndarray:
-        """d_t of a coarse trial function tested against the fine test basis."""
-        U = np.asarray(u_coarse).reshape(self.coarse.dim_t_X, self.coarse.dim_x)
-        return (self.B_fineY_coarseX @ U @ self.M_fineX_coarseX.T).reshape(-1)
-
     def norm_X_delta_of_fine(self, w_fine: np.ndarray) -> float:
-        """Mesh-dependent norm with the COARSE test space, for fine functions."""
+        """Mesh-dependent norm with the COARSE test space, for fine functions.
+
+        The coarse test space nests in the fine one, so d_t w tested against
+        the coarse test basis is the fine moments restricted through the
+        embeddings: E_t_Y^T (B_t^f W M_x^f) E_x.
+        """
         y2 = float(w_fine @ self.ctx_fine.apply_R_YX(w_fine))
-        mom = self.deriv_moments_on_coarse_Y(w_fine)
+        fine_mom = self.ctx_fine.apply_D(w_fine).reshape(self.fine.dim_t_Y, self.fine.dim_x)
+        mom = (self.E_t_Y.T @ fine_mom @ self.E_x).reshape(-1)
         d2 = float(mom @ self.ctx_coarse.riesz_Y_solve(mom))
         wT = trace_at_time(self.fine, w_fine, self.fine.T)
         h2 = float(wT @ (self.fine.M_x @ wT))
@@ -232,17 +210,20 @@ class TwoLevel:
 
     @cached_property
     def T_f(self) -> np.ndarray:
-        """B^T (M_t^{Y,f})^{-1} B with B = `B_fineY_coarseX`: the temporal
-        factor of ||d_t P c||^2_{(Y_f)'} = c^T (T_f (x) S_f) c."""
-        B = self.B_fineY_coarseX
-        return B.T @ self.ctx_fine.fact_M_t_Y.solve(B)
+        """E_t_X^T T^f E_t_X with T^f = `ctx_fine.T_t`: the temporal factor of
+        ||d_t P c||^2_{(Y_f)'} = c^T (T_f (x) S_f) c.
+
+        The coarse trial space nests in the fine one, so d_t of a coarse
+        trial function tested in the fine test space is B_t^f E_t_X, and
+        T_f = (B_t^f E_t_X)^T (M_t^{Y,f})^{-1} B_t^f E_t_X.
+        """
+        return self.E_t_X.T @ self.ctx_fine.T_t @ self.E_t_X
 
     @cached_property
     def S_f(self) -> np.ndarray:
-        """M^T (A_x^f)^{-1} M with M = `M_fineX_coarseX`: the spatial factor
-        of ||d_t P c||^2_{(Y_f)'}."""
-        M = self.M_fineX_coarseX
-        return M.T @ self.ctx_fine.fact_A_x.solve(M)
+        """E_x^T S^f E_x with S^f = `ctx_fine.S_x`: the spatial factor of
+        ||d_t P c||^2_{(Y_f)'}, (M_x^f E_x)^T (A_x^f)^{-1} M_x^f E_x."""
+        return self.E_x.T @ self.ctx_fine.S_x @ self.E_x
 
     def best_approx_X(self, u_fine: np.ndarray) -> tuple[np.ndarray, float]:
         """Best approximation from the coarse trial space in the fine norm:
@@ -378,12 +359,11 @@ def check_trial_norm_quasi_opt(
     _, best_err = two.best_approx_X(u_ref)
     diff_fine = u_ref - two.prolong_X(state.u)
     lhs_X = two.norm_X_delta_of_fine(diff_fine)
-    lhs_H = trace_H_distance(data, two.coarse, state.u)
+    lam_u, lhs_H = estimator_terms(state, two.ctx_coarse, data)
     bound = bundle.C_1 * best_err
 
-    lam_minus_u = state.lam - embed_X_into_Y(two.coarse, state.u)
     factor = math.sqrt(1.0 + bundle.L_A**2) / bundle.m_A
-    cor_lhs = two.ctx_coarse.norm_Y(lam_minus_u) + factor * lhs_H
+    cor_lhs = lam_u + factor * lhs_H
     cor_bound = 2.0 * bundle.C_1 * factor * best_err
     return TrialNormQuasiOpt(
         lhs_Xdelta=lhs_X, lhs_H=lhs_H, bound=bound,
@@ -391,13 +371,22 @@ def check_trial_norm_quasi_opt(
     )
 
 
-def trace_H_distance(data: sy.ProblemData, pair: TensorSpacePair, u: np.ndarray) -> float:
-    """||u0 - u(0, .)||_{L2} with the closed-form initial value."""
+def estimator_terms(
+    state: sy.SaddleState, ctx: RieszContext, data: sy.ProblemData
+) -> tuple[float, float]:
+    """(||lambda - u||_{Y^d}, ||u0 - u(0, .)||_H) on the pair of `ctx`.
+
+    The two computable terms of the a posteriori estimator, the second with
+    the closed-form initial value.  The trial space must lie in the test
+    space.
+    """
+    pair = ctx.pair
+    lam_u = ctx.norm_Y(state.lam - embed_X_into_Y(pair, state.u))
     u0_sq = sy.u0_l2_norm2(data, pair)
     b0 = sy.u0_moments(data, pair)
-    tr = trace_at_time(pair, u, 0.0)
+    tr = trace_at_time(pair, state.u, 0.0)
     val = u0_sq - 2.0 * float(b0 @ tr) + float(tr @ (pair.M_x @ tr))
-    return math.sqrt(max(val, 0.0))
+    return lam_u, math.sqrt(max(val, 0.0))
 
 
 def check_pjotr(
@@ -425,7 +414,7 @@ def check_pjotr(
         )
     else:
         ell_fine = np.zeros(fine.dim_Y)
-    target = ell_fine - two.deriv_moments_on_fine_Y(state.u)
+    target = ell_fine - two.ctx_fine.apply_D(two.prolong_X(state.u))
 
     op_fine = mo.GalerkinOperator(fine, "Y", mu)
     start = two.prolong_Y(state.lam)
@@ -436,12 +425,9 @@ def check_pjotr(
     lam_hat = res.x
 
     lhs = two.ctx_fine.norm_Y(lam_hat - two.prolong_Y(state.lam))
-    lam_minus_u = state.lam - embed_X_into_Y(coarse, state.u)
+    lam_u, trace_H = estimator_terms(state, two.ctx_coarse, data)
     factor = math.sqrt(1.0 + bundle.L_A**2) / bundle.m_A
-    rhs = rho * (
-        two.ctx_coarse.norm_Y(lam_minus_u)
-        + factor * trace_H_distance(data, coarse, state.u)
-    )
+    rhs = rho * (lam_u + factor * trace_H)
     return PjotrReport(rho=rho, lhs=lhs, rhs=rhs, satisfied=bool(lhs <= rhs))
 
 
@@ -454,12 +440,14 @@ def _pair_with_enriched_test(base: TensorSpacePair, level: int) -> TensorSpacePa
     )
 
 
-def _surrogate_pair(pair: TensorSpacePair, extra: int = 2) -> TensorSpacePair:
-    """Reference pair `extra` uniform refinements finer in both axes."""
+def _surrogate_pair(pair: TensorSpacePair) -> TensorSpacePair:
+    """Reference pair `SURROGATE_REFINEMENTS` uniform refinements finer in
+    both axes."""
+    k = SURROGATE_REFINEMENTS
     return assemble_matrices(
-        (refine_times(pair.mesh_t_X, extra), CONT_P1),
-        (refine_times(pair.mesh_t_Y, extra), DISC_P1),
-        (refine_times(pair.mesh_x, extra), CONT_P1_DIRICHLET),
+        (refine_times(pair.mesh_t_X, k), CONT_P1),
+        (refine_times(pair.mesh_t_Y, k), DISC_P1),
+        (refine_times(pair.mesh_x, k), CONT_P1_DIRICHLET),
     )
 
 
@@ -506,14 +494,12 @@ def efficiency_reliability(
 ) -> tuple[float, float, float]:
     """True-error-to-estimator ratio against its two-sided theory bounds.
 
-    estimator^2 = ||lambda - u||_{Y^d}^2 + ||u0 - u(0)||_H^2; valid once the
-    a posteriori condition holds with the given rho.
+    estimator^2 = ||lambda - u||_{Y^d}^2 + ||u0 - u(0)||_H^2 from
+    `estimator_terms`; valid once the a posteriori condition holds with the
+    given rho.
     """
-    lam_minus_u = state.lam - embed_X_into_Y(two.coarse, state.u)
-    est = math.sqrt(
-        two.ctx_coarse.norm_Y(lam_minus_u) ** 2
-        + trace_H_distance(data, two.coarse, state.u) ** 2
-    )
+    lam_u, trace_H = estimator_terms(state, two.ctx_coarse, data)
+    est = math.sqrt(lam_u**2 + trace_H**2)
     if est <= 1e-14:
         raise PsaddleError("estimator vanished; ratio undefined")
     err = two.ctx_fine.norm_X_delta(u_ref - two.prolong_X(state.u))

@@ -178,6 +178,7 @@ class RieszContext:
     @cached_property
     def S_x(self) -> np.ndarray:
         """S = M_x A_x^{-1} M_x, dense (dim_x, dim_x)."""
+        check_dense_size("RieszContext.S_x", (self.pair.dim_x, self.pair.dim_x))
         M = self.pair.M_x.toarray()
         return M @ self.fact_A_x.solve(M)
 

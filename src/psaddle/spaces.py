@@ -228,15 +228,6 @@ def quadrature_matrix(
     return out[:, :, :dim].reshape(n * n_quad, dim)
 
 
-def eval_function(
-    mesh: Mesh1D, spec: BasisSpec, coeffs: np.ndarray, pts, derivative: bool = False
-) -> np.ndarray:
-    """Point values of the expansion sum_j coeffs[j] phi_j."""
-    pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    B = eval_basis_at_points(mesh, spec, pts, derivative=derivative)
-    return B @ np.asarray(coeffs, dtype=float)
-
-
 def _mesh_contains(fine: Mesh1D, coarse: Mesh1D, tol: float = 1e-12) -> bool:
     f = fine.points
     c = coarse.points
@@ -296,6 +287,7 @@ def embedding_matrix(
     InvalidSpaceError for a column whose squared residual exceeds 1e-12
     times the squared norm of its basis function.
     """
+    check_dense_size("embedding_matrix", (target[1].dim(target[0]), source[1].dim(source[0])))
     M_target = assemble_1d("mass", target)
     C = assemble_1d("mass", target, source)
     E = banded_cholesky(M_target).solve(C.toarray())

@@ -11,13 +11,13 @@ Schur operator S z = A_X z + trace term + g - D^T A_Y^{-1}(f - D z), which
 is Lipschitz continuous and strongly monotone; the whole constant calculus
 downstream of (L_A, m_A) lives in `derive_constants`.  `Discretization`
 bundles one problem on one pair with everything a solve needs.  D and the
-trace term come from `RieszContext`; the right-hand side is a 16-point
-contraction with the quadrature matrices of `spaces`.  The reference solver
-is damped Newton on the saddle system, backtracking on the squared product
-dual residual; each step factors the test-side Jacobian once, eliminates
-lambda with it and solves for u by `core_linalg.pcg` on the Schur
-Jacobian, preconditioned by the trial Riesz map, so no saddle matrix is
-ever formed or factored.
+trace term come from `RieszContext`; the right-hand side is a contraction
+with the quadrature matrices of `spaces` on `RHS_QUAD_POINTS` = 16 Gauss
+points per element and axis.  The reference solver is damped Newton on the
+saddle system, backtracking on the squared product dual residual; each
+step factors the test-side Jacobian once, eliminates lambda with it and
+solves for u by `core_linalg.pcg` on the Schur Jacobian, preconditioned by
+the trial Riesz map, so no saddle matrix is ever formed or factored.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ __all__ = [
     "Discretization",
     "heat_problem",
     "quasilinear_problem",
-    "interpolate_onto",
+    "RHS_QUAD_POINTS",
 ]
 
 C_PF_UNIT_INTERVAL = 1.0 / math.pi  # Poincare-Friedrichs constant of (0, 1)
@@ -143,6 +143,9 @@ class ProblemData:
         return self.ell_f0 is not None or self.ell_f1 is not None
 
 
+# Gauss points per element and axis of every right-hand-side moment.
+RHS_QUAD_POINTS = 16
+
 # Largest number of tensor Gauss points on which the densities are evaluated
 # at once; 2^20 points take 8 MiB per grid-sized temporary.
 _DENSITY_GRID_POINTS = 1 << 20
@@ -154,7 +157,6 @@ def _spatial_moments(
     spec_x: BasisSpec,
     f0: Callable | None,
     f1: Callable | None,
-    n_quad: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """f0 diag(w_x) Q_x + f1 diag(w_x) D_x with f0, f1 on the tensor Gauss
     grid of mesh_t x mesh_x, and the temporal weights w_t.
@@ -163,11 +165,11 @@ def _spatial_moments(
     and contracted in blocks of temporal Gauss rows of at most
     _DENSITY_GRID_POINTS points; the block size does not change the result.
     """
-    t_q, w_t = gauss_points(mesh_t, n_quad)
-    x_q, w_x = gauss_points(mesh_x, n_quad)
+    t_q, w_t = gauss_points(mesh_t, RHS_QUAD_POINTS)
+    x_q, w_x = gauss_points(mesh_x, RHS_QUAD_POINTS)
     x = x_q[None, :]
     terms = [
-        (fn, w_x[:, None] * quadrature_matrix(mesh_x, spec_x, n_quad, derivative))
+        (fn, w_x[:, None] * quadrature_matrix(mesh_x, spec_x, RHS_QUAD_POINTS, derivative))
         for fn, derivative in ((f0, False), (f1, True))
         if fn is not None
     ]
@@ -182,10 +184,10 @@ def _spatial_moments(
 
 
 def _temporal_moments(
-    mesh_t: Mesh1D, spec_t: BasisSpec, F: np.ndarray, w_t: np.ndarray, n_quad: int
+    mesh_t: Mesh1D, spec_t: BasisSpec, F: np.ndarray, w_t: np.ndarray
 ) -> np.ndarray:
     """E_t^T diag(w_t) F, flattened time-major."""
-    E_t = quadrature_matrix(mesh_t, spec_t, n_quad)
+    E_t = quadrature_matrix(mesh_t, spec_t, RHS_QUAD_POINTS)
     return ((w_t[:, None] * E_t).T @ F).reshape(-1)
 
 
@@ -196,49 +198,47 @@ def assemble_functional(
     spec_x: BasisSpec,
     f0: Callable | None,
     f1: Callable | None,
-    n_quad: int = 16,
 ) -> np.ndarray:
     """Moments int f0 (psi_a chi_b) + f1 (psi_a chi_b') over the cylinder:
     E_t^T diag(w_t) [f0 diag(w_x) Q_x + f1 diag(w_x) D_x] with f0, f1 on the
     tensor Gauss grid; the weights sit in the thin quadrature matrices, so
     the densities are the only grid-sized arrays."""
-    F, w_t = _spatial_moments(mesh_t, mesh_x, spec_x, f0, f1, n_quad)
-    return _temporal_moments(mesh_t, spec_t, F, w_t, n_quad)
+    F, w_t = _spatial_moments(mesh_t, mesh_x, spec_x, f0, f1)
+    return _temporal_moments(mesh_t, spec_t, F, w_t)
 
 
-def u0_moments(data: ProblemData, pair: TensorSpacePair, n_quad: int = 16) -> np.ndarray:
+def u0_moments(data: ProblemData, pair: TensorSpacePair) -> np.ndarray:
     """Spatial moments int u0 chi_m dx: Q_x^T (u0 w_x)."""
     if data.u0 is None:
         return np.zeros(pair.dim_x)
-    x_q, w_x = gauss_points(pair.mesh_x, n_quad)
-    return quadrature_matrix(pair.mesh_x, pair.spec_x, n_quad).T @ (data.u0(x_q) * w_x)
+    x_q, w_x = gauss_points(pair.mesh_x, RHS_QUAD_POINTS)
+    Q_x = quadrature_matrix(pair.mesh_x, pair.spec_x, RHS_QUAD_POINTS)
+    return Q_x.T @ (data.u0(x_q) * w_x)
 
 
-def u0_l2_norm2(data: ProblemData, pair: TensorSpacePair, n_quad: int = 16) -> float:
+def u0_l2_norm2(data: ProblemData, pair: TensorSpacePair) -> float:
     """int u0^2 dx by quadrature on the spatial mesh."""
     if data.u0 is None:
         return 0.0
-    x_q, w_x = gauss_points(pair.mesh_x, n_quad)
+    x_q, w_x = gauss_points(pair.mesh_x, RHS_QUAD_POINTS)
     return float(data.u0(x_q) ** 2 @ w_x)
 
 
-def assemble_rhs(
-    data: ProblemData, pair: TensorSpacePair, n_quad: int = 16
-) -> tuple[np.ndarray, np.ndarray]:
+def assemble_rhs(data: ProblemData, pair: TensorSpacePair) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side (f, g) = (ell on Y^d, -(ell + initial trace) on X^d)."""
     if data.has_ell:
-        args = (pair.mesh_x, pair.spec_x, data.ell_f0, data.ell_f1, n_quad)
+        args = (pair.mesh_x, pair.spec_x, data.ell_f0, data.ell_f1)
         F_Y = _spatial_moments(pair.mesh_t_Y, *args)
         # the densities are evaluated once when both temporal meshes coincide
         F_X = F_Y if pair.mesh_t_X == pair.mesh_t_Y else _spatial_moments(pair.mesh_t_X, *args)
-        f = _temporal_moments(pair.mesh_t_Y, pair.spec_t_Y, *F_Y, n_quad)
-        ell_X = _temporal_moments(pair.mesh_t_X, pair.spec_t_X, *F_X, n_quad)
+        f = _temporal_moments(pair.mesh_t_Y, pair.spec_t_Y, *F_Y)
+        ell_X = _temporal_moments(pair.mesh_t_X, pair.spec_t_X, *F_X)
     else:
         f = np.zeros(pair.dim_Y)
         ell_X = np.zeros(pair.dim_X)
     g = -ell_X
     if data.u0 is not None:
-        b0 = u0_moments(data, pair, n_quad)
+        b0 = u0_moments(data, pair)
         G = g.reshape(pair.dim_t_X, pair.dim_x)
         G[0] -= b0  # temporal trial basis is nodal: only phi_0 is nonzero at t=0
         g = G.reshape(-1)
@@ -569,10 +569,3 @@ def quasilinear_problem(mu_name: str = "one-plus-inv", **mu_params) -> Manufactu
         data=ProblemData(ell_f0=u_t, ell_f1=f1, u0=lambda x: np.sin(np.pi * x)),
         u_exact=u, u_exact_t=u_t, u_exact_x=u_x,
     )
-
-
-def interpolate_onto(pair: TensorSpacePair, fn: Callable) -> np.ndarray:
-    """Nodal interpolation of (t, x) -> value onto the trial space."""
-    t_nodes = pair.mesh_t_X.points
-    x_nodes = pair.mesh_x.points[1:-1]
-    return fn(t_nodes[:, None], x_nodes[None, :]).reshape(-1)

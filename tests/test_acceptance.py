@@ -192,7 +192,7 @@ def test_criterion_07_infsup():
 
     for n in (4, 8):
         pair = default_pair(n, n)
-        two = ql.TwoLevel(pair, ql._surrogate_pair(pair, 2))
+        two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
         rep = ql.infsup_report(pair, two)
         assert rep.gamma_direct >= rep.gamma_lower - 1e-8
     _report(7, "inf-sup diagnostics")
@@ -205,7 +205,7 @@ def test_criterion_08_convergence_quasi_optimality(heat_problem):
     errs = []
     for n in (4, 8, 16, 32):
         disc = _discretization(heat_problem, default_pair(n, n))
-        fine = _discretization(heat_problem, ql._surrogate_pair(disc.pair, 2))
+        fine = _discretization(heat_problem, ql._surrogate_pair(disc.pair))
         state, fstate = disc.reference(1e-11), fine.reference(1e-11)
         bundle = disc.bundle
         two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
@@ -249,7 +249,7 @@ def test_criterion_10_pjotr_loop(heat_problem):
     assert report.satisfied and level <= 4
 
     disc = _discretization(heat_problem, ql._pair_with_enriched_test(base, level))
-    fine = _discretization(heat_problem, ql._surrogate_pair(disc.pair, 2))
+    fine = _discretization(heat_problem, ql._surrogate_pair(disc.pair))
     two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
     ratio, lo, hi = ql.efficiency_reliability(
         fine.reference(1e-11).u, disc.reference(), two, disc.bundle, heat_problem.data,

@@ -54,14 +54,6 @@ class TestConstants:
         assert abs(c.theta_star - 1.0 / 9.0) < 1e-15
         assert abs(c.sigma - math.sqrt(8.0) / 3.0) < 1e-15
 
-    @pytest.mark.parametrize(
-        "L,m,expect",
-        [((1.0), 1.0, (1.0, 1.0)), (3.0, 1.0, (1.0, 1.0 / 9.0)), (2.0, 1.0, (1.0, 0.25))],
-    )
-    def test_inverse_constants(self, L, m, expect):
-        inv = mo.inverse_constants(mo.MonotoneConstants(L=L, m=m))
-        assert (inv.L, inv.m) == expect
-
     @settings(max_examples=50, deadline=None)
     @given(m=st.floats(0.01, 10.0), ratio=st.floats(1.0, 50.0))
     def test_constants_invariants(self, m, ratio):

@@ -197,7 +197,7 @@ class TestAlternativeNormSandwich:
         pair = default_pair(8, 8)
         ctx = RieszContext(pair)
         op = pc.assemble_RX_operator(pair)
-        two = ql.TwoLevel(pair, ql._surrogate_pair(pair, 2))
+        two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
         C_PF = 1.0 / math.pi
         C_J = estimate_C_J(two.ctx_fine)
         g_x = ql.gamma_x((pair.mesh_x, pair.spec_x))

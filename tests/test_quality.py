@@ -15,6 +15,7 @@ from psaddle.spaces import (
     DISC_P0,
     DISC_P1,
     Mesh1D,
+    assemble_1d,
     assemble_matrices,
     default_pair,
     refine_times,
@@ -38,7 +39,6 @@ class TestGammaT:
         val = ql.gamma_t((trial_mesh, CONT_P1), (test_mesh, DISC_P1))
         assert 0.0 < val < 1.0
 
-        from psaddle.spaces import assemble_1d
         import scipy.linalg as sla
 
         M_Y = assemble_1d("mass", (test_mesh, DISC_P1)).toarray()
@@ -63,9 +63,9 @@ class TestGammaX:
     def test_rank_one_projector_vs_dense_oracle(self):
         # one interior node: the projector maps onto a single hat function
         mesh = Mesh1D((0.0, 0.5, 1.0))
-        val = ql.gamma_x((mesh, CONT_P1_DIRICHLET), levels_finer=2)
+        val = ql.gamma_x((mesh, CONT_P1_DIRICHLET))
 
-        from psaddle.spaces import assemble_1d, embedding_matrix
+        from psaddle.spaces import embedding_matrix
 
         fine = refine_times(mesh, 2)
         E = embedding_matrix((mesh, CONT_P1_DIRICHLET), (fine, CONT_P1_DIRICHLET))
@@ -90,15 +90,29 @@ class TestGammaX:
         assert np.allclose(vals, expect, atol=2e-6)
 
 
+def _assembled_cross_blocks(two):
+    """The cross-level 1D blocks assembled directly on the two meshes:
+    d_t of a coarse trial function against the fine test basis, and the
+    coarse spatial basis against the fine one."""
+    f, c = two.fine, two.coarse
+    B = assemble_1d("dtrial", (f.mesh_t_Y, f.spec_t_Y), (c.mesh_t_X, c.spec_t_X)).toarray()
+    M = assemble_1d("mass", (f.mesh_x, f.spec_x), (c.mesh_x, c.spec_x)).toarray()
+    return B, M
+
+
+def _assembled_T_f_S_f(two):
+    """B^T (M_t^{Y,f})^{-1} B and M^T (A_x^f)^{-1} M from the assembled blocks."""
+    B, M = _assembled_cross_blocks(two)
+    return B.T @ two.ctx_fine.fact_M_t_Y.solve(B), M.T @ two.ctx_fine.fact_A_x.solve(M)
+
+
 def _dense_gamma_direct(two):
     """gamma_direct from the dense pencil (T_c (x) S_c, T_f (x) S_f) with
-    the time-constants deflated: the oracle for the value factored by axis."""
+    the time-constants deflated: the oracle for the value factored by axis.
+    T_f and S_f are assembled here, independently of `TwoLevel`."""
     c = two.coarse
     num = np.kron(two.ctx_coarse.T_t, two.ctx_coarse.S_x)
-    Bx = two.B_fineY_coarseX
-    T_f = Bx.T @ two.ctx_fine.fact_M_t_Y.solve(Bx)
-    Mx = two.M_fineX_coarseX
-    S_f = Mx.T @ two.ctx_fine.fact_A_x.solve(Mx)
+    T_f, S_f = _assembled_T_f_S_f(two)
     kernel = np.kron(np.ones((c.dim_t_X, 1)), np.eye(c.dim_x))
     lam, _ = extremal_generalized_eigen(
         num, np.kron(T_f, S_f), "smallest", constraint_kernel=kernel
@@ -143,17 +157,73 @@ _ORACLE_PAIRS = {
 }
 
 
+def _p0_half_pair():
+    """A P0 test space on half the trial elements: it misses derivatives."""
+    return assemble_matrices(
+        (Mesh1D.uniform(4), CONT_P1), (Mesh1D.uniform(2), DISC_P0),
+        (Mesh1D.uniform(4), CONT_P1_DIRICHLET),
+    )
+
+
 @pytest.fixture(params=sorted(_ORACLE_PAIRS))
 def oracle_two(request):
     pair = _ORACLE_PAIRS[request.param]()
-    return ql.TwoLevel(pair, ql._surrogate_pair(pair, 2))
+    return ql.TwoLevel(pair, ql._surrogate_pair(pair))
+
+
+class TestCrossLevelBlocks:
+    """The spaces nest, so `TwoLevel` reads every cross-level block off the
+    fine pair through the embeddings; each is checked against the block
+    assembled directly on the two meshes."""
+
+    @pytest.mark.parametrize("name", [*sorted(_ORACLE_PAIRS), "p0-half"])
+    def test_T_f_S_f_match_assembled(self, name):
+        pair = _p0_half_pair() if name == "p0-half" else _ORACLE_PAIRS[name]()
+        two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
+        T_f, S_f = _assembled_T_f_S_f(two)
+        for got, expect in ((two.T_f, T_f), (two.S_f, S_f)):
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_pjotr_derivative_moments_match_assembled(self, oracle_two, rng, monkeypatch):
+        # without forcing the auxiliary target is minus d_t u tested in the
+        # fine test space; the Newton solve stops on receiving it
+        class Captured(Exception):
+            pass
+
+        def capture(apply, jacobian_factor, target, *args, **kwargs):
+            raise Captured(target)
+
+        monkeypatch.setattr(mo, "newton_solve", capture)
+        two, c = oracle_two, oracle_two.coarse
+        state = sy.SaddleState(rng.standard_normal(c.dim_Y), rng.standard_normal(c.dim_X))
+        mu, bundle = mo.make_mu("constant", c=1.0), sy.derive_constants(3.0, 1.0)
+        with pytest.raises(Captured) as caught:
+            ql.check_pjotr(state, sy.ProblemData(), two, mu, bundle)
+        B, M = _assembled_cross_blocks(two)
+        expect = (B @ state.u.reshape(c.dim_t_X, c.dim_x) @ M.T).reshape(-1)
+        got = -caught.value.args[0]
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_coarse_test_norm_of_fine_function_matches_assembled(self, oracle_two, rng):
+        two = oracle_two
+        f, c = two.fine, two.coarse
+        w = rng.standard_normal(f.dim_X)
+        W = w.reshape(f.dim_t_X, f.dim_x)
+        B = assemble_1d("dtrial", (c.mesh_t_Y, c.spec_t_Y), (f.mesh_t_X, f.spec_t_X)).toarray()
+        M = assemble_1d("mass", (c.mesh_x, c.spec_x), (f.mesh_x, f.spec_x)).toarray()
+        mom = (B @ W @ M.T).reshape(-1)
+        expect = math.sqrt(
+            w @ two.ctx_fine.apply_R_YX(w) + mom @ two.ctx_coarse.riesz_Y_solve(mom)
+            + W[-1] @ (f.M_x @ W[-1])
+        )
+        assert abs(two.norm_X_delta_of_fine(w) - expect) <= 1e-12 * expect
 
 
 class TestGammaDirect:
     @pytest.mark.parametrize("n", [4, 8])
     def test_tensor_lower_bound(self, n, heat_problem):
         pair = default_pair(n, n)
-        two = ql.TwoLevel(pair, ql._surrogate_pair(pair, 2))
+        two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
         report = ql.infsup_report(pair, two)
         assert report.gamma_direct is not None
         assert report.gamma_direct >= report.gamma_lower - 1e-8
@@ -203,18 +273,15 @@ class TestBestApprox:
         # half the trial elements) proves no CG cap
         monkeypatch.setattr(ql, "gamma_direct", lambda two: 0.0)
         pair = default_pair(4, 4)
-        two = ql.TwoLevel(pair, ql._surrogate_pair(pair, 2))
+        two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
         with pytest.raises(InvalidSpaceError, match="inf-sup 0"):
             two.best_approx_X(np.ones(two.fine.dim_X))
 
     def test_round_off_infsup_refused(self):
         # a P0 test space on half the trial elements misses derivatives;
         # the eigen solves read gamma^2 ~ 5e-17 instead of 0
-        pair = assemble_matrices(
-            (Mesh1D.uniform(4), CONT_P1), (Mesh1D.uniform(2), DISC_P0),
-            (Mesh1D.uniform(4), CONT_P1_DIRICHLET),
-        )
-        two = ql.TwoLevel(pair, ql._surrogate_pair(pair, 2))
+        pair = _p0_half_pair()
+        two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
         assert ql.gamma_direct(two) == 0.0
         with pytest.raises(InvalidSpaceError, match="inf-sup 0"):
             two.best_approx_X(np.ones(two.fine.dim_X))
@@ -246,7 +313,7 @@ def heat_levels():
     out = []
     for n in (4, 8, 16):
         disc = sy.Discretization(default_pair(n, n), problem.mu, problem.data)
-        fine = sy.Discretization(ql._surrogate_pair(disc.pair, 2), problem.mu, problem.data)
+        fine = sy.Discretization(ql._surrogate_pair(disc.pair), problem.mu, problem.data)
         two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
         out.append((disc.pair, disc.reference(1e-11), fine.reference(1e-11), two))
     return problem, disc.bundle, out
@@ -366,7 +433,7 @@ class TestPjotr:
         state = disc.reference(1e-12)
         assert disc.ctx.norm_X_delta(state.u - u_exact_coeffs) <= 1e-9
 
-        two = ql.TwoLevel(pair, ql._surrogate_pair(pair, 2), ctx_coarse=disc.ctx)
+        two = ql.TwoLevel(pair, ql._surrogate_pair(pair), ctx_coarse=disc.ctx)
         rep = ql.check_pjotr(state, data, two, mu, disc.bundle, rho=1.0)
         # the trace distance is a difference of O(1) quantities, so the
         # degenerate value sits at the sqrt-of-cancellation floor
@@ -381,7 +448,7 @@ class TestEfficiencyReliability:
         # only check the formula wiring through a tiny solve
         problem = sy.heat_problem()
         disc = sy.Discretization(default_pair(2, 2), problem.mu, problem.data)
-        fine = sy.Discretization(ql._surrogate_pair(disc.pair, 2), problem.mu, problem.data)
+        fine = sy.Discretization(ql._surrogate_pair(disc.pair), problem.mu, problem.data)
         two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
         ratio, lo, up = ql.efficiency_reliability(
             fine.reference(1e-11).u, disc.reference(1e-11), two, bundle, problem.data, rho=1.0

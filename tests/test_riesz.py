@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from psaddle.spaces import (
     Mesh1D,
     assemble_matrices,
     default_pair,
+    embedding_matrix,
     refine_times,
 )
 from psaddle import system as sy
@@ -162,6 +164,25 @@ class TestDenseSizeGuard:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("name", ["RieszContext.S_x", "embedding_matrix"])
+    def test_cross_level_blocks_guarded(self, name, monkeypatch):
+        # S_x and the 1D embeddings carry the cross-level work of
+        # quality.TwoLevel: a limit one byte below each array refuses it by
+        # name, and a limit at its size lets it through
+        pair = default_pair(8, 8)
+        ctx = RieszContext(pair)
+        coarse_x = (pair.mesh_x, pair.spec_x)
+        fine_x = (refine_times(pair.mesh_x, 2), CONT_P1_DIRICHLET)
+        build, entries = {
+            "RieszContext.S_x": (lambda: ctx.S_x, pair.dim_x**2),
+            "embedding_matrix": (lambda: embedding_matrix(coarse_x, fine_x), 31 * pair.dim_x),
+        }[name]
+        monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * entries - 1)
+        with pytest.raises(PsaddleError, match=rf"dense array {re.escape(name)} of shape"):
+            build()
+        monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * entries)
+        assert build().size == entries
+
 
 def test_riesz_machinery_factors_no_lu(monkeypatch, rng):
     """Riesz solves, dual norms and C_J run on dense transforms alone.
@@ -288,7 +309,9 @@ class TestEstimateCJ:
     def test_lower_bound_from_heat_solution(self, heat_problem):
         pair = default_pair(16, 16)
         ctx = RieszContext(pair)
-        u = sy.interpolate_onto(pair, heat_problem.u_exact)
+        # nodal interpolation onto the trial space
+        t_nodes, x_nodes = pair.mesh_t_X.points, pair.mesh_x.points[1:-1]
+        u = heat_problem.u_exact(t_nodes[:, None], x_nodes[None, :]).reshape(-1)
         du = ctx.apply_D(u)
         den = math.sqrt(u @ ctx.apply_R_YX(u) + du @ ctx.riesz_Y_solve(du))
         ratio = ctx.norm_H_of_trace(u, 0.0) / den

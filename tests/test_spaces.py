@@ -18,7 +18,6 @@ from psaddle.spaces import (
     embed_X_into_Y,
     embedding_matrix,
     eval_basis_at_points,
-    eval_function,
     gauss_points,
     gauss_rule,
     quadrature_matrix,
@@ -187,10 +186,11 @@ class TestTensorPair:
         xs = np.array([0.3, 0.61])
         for t in (0.0, pair.T):
             direct = np.zeros_like(xs)
+            phi_t = eval_basis_at_points(pair.mesh_t_X, pair.spec_t_X, np.array([t])).toarray()[0]
+            chi_x = eval_basis_at_points(pair.mesh_x, pair.spec_x, xs)
             for j in range(pair.dim_t_X):
-                phi_t = eval_function(pair.mesh_t_X, pair.spec_t_X, np.eye(pair.dim_t_X)[j], [t])[0]
-                direct += phi_t * eval_function(pair.mesh_x, pair.spec_x, U[j], xs)
-            via_trace = eval_function(pair.mesh_x, pair.spec_x, trace_at_time(pair, u, t), xs)
+                direct += phi_t[j] * (chi_x @ U[j])
+            via_trace = chi_x @ trace_at_time(pair, u, t)
             assert np.allclose(direct, via_trace, atol=1e-13)
 
     def test_embed_zero(self):

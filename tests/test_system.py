@@ -362,7 +362,7 @@ class TestSolveReference:
 
     def test_warm_start_from_coarse_solution(self, quasi8, quasi_problem, monkeypatch):
         fine = sy.Discretization(
-            ql._surrogate_pair(quasi8.pair, 2), quasi_problem.mu, quasi_problem.data
+            ql._surrogate_pair(quasi8.pair), quasi_problem.mu, quasi_problem.data
         )
         two = ql.TwoLevel(quasi8.pair, fine.pair, ctx_coarse=quasi8.ctx, ctx_fine=fine.ctx)
         x0 = two.prolong_X(quasi8.reference().u)
