@@ -253,7 +253,7 @@ def _run_uzawa(cfg: ExperimentConfig, disc: sy.Discretization, out: str,
                reference: sy.SaddleState | None = None) -> int:
     pair = disc.pair
     ucfg = _uzawa_config(cfg, disc.bundle)
-    _, trace = uz.run_inexact_uzawa(
+    state, trace = uz.run_inexact_uzawa(
         disc.rhs, pair, disc.op_Y, disc.op_X, disc.ctx, ucfg, reference=reference
     )
     write_csv(os.path.join(out, "uzawa_trace.csv"), uz.UzawaTrace.COLUMNS, trace.rows())
@@ -265,7 +265,8 @@ def _run_uzawa(cfg: ExperimentConfig, disc: sy.Discretization, out: str,
     if not trace.converged:
         raise NotConvergedError(
             f"uzawa stopped at eta={trace.eta[-1]:.3e} > tol={ucfg.tol} "
-            f"after {ucfg.max_outer} outer iterations"
+            f"after {ucfg.max_outer} outer iterations",
+            best=state, iterations=len(trace.k),
         )
     return 0
 

@@ -2,15 +2,18 @@
 
 Each outer step freezes u, runs L damped fixed-point steps on the test-space
 block (warm-started from the previous outer iterate), then takes one damped
-step on the Schur residual of u.  The inner steps run on test-space
-representers,
+step on the Schur residual of u.  The inner steps are
 
     lambda <- lambda - theta_A* (R_Y^{-1} A_Y lambda - R_Y^{-1} (f - D u)),
 
-with the second representer computed once per outer step and R_Y^{-1}
-folded into the operator's own output contraction.  lambda does not change
-between the monitored pair of one outer step and the first inner step of
-the next, so that step reuses the monitored pair's R_Y^{-1} A_Y lambda.
+and they run in element-gradient coordinates: the sweep holds the element
+gradients G = E_t Lambda Dbar_x^T of lambda, which the operator's flux reads
+anyway, and in them R_Y^{-1} A_Y lambda is the L2 projection of the flux
+(`GradientMaps`).  So no inner step maps back to coefficients, no Riesz
+solve on the test space runs in the loop, and lambda is read off G only
+where it is returned or measured.  lambda does not change between the
+monitored pair of one outer step and the first inner step of the next, so
+that step reuses the monitored pair's projected flux.
 The number L of inner steps comes from the convergence theory: with
 
     C_3 = (1/sigma_hat)((sigma_hat - sigma_S)/theta_S* + 1/m_A)
@@ -23,7 +26,7 @@ The stopping rule is the computable two-sided residual estimate
     eta = ||r_Y||_{(Y^d)'} + ||r_X||_{(X^d)'},
 
 which brackets the true product error within [1/L_N, L_Ninv]
-(`system.aposteriori_estimate`; the loop evaluates it from the representers
+(`system.aposteriori_estimate`; the loop evaluates it from the quantities
 it already holds).
 """
 
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from psaddle import monotone as mo
+from psaddle.core_linalg import check_dense_size
 from psaddle.errors import NotConvergedError, PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import TensorSpacePair
@@ -43,6 +47,7 @@ from psaddle.system import ConstantsBundle, SaddleState
 __all__ = [
     "UzawaConfig",
     "UzawaTrace",
+    "GradientMaps",
     "plan_inner_count",
     "make_config",
     "run_inexact_uzawa",
@@ -134,12 +139,11 @@ class UzawaTrace:
     monitored pair (lambda^(k+1), u^(k)): eta and the residual norms refer
     to that pair, err_lambda to lambda^(k+1), err_u to u^(k).  Each row also
     books the work done in that outer step: inner_count inner steps, one
-    Riesz solve on the trial space, and napply = inner_count + 1 nonlinear
-    operator applications.  Those are inner_count - 1 applications mapped
-    by the test-space Riesz map (the first inner step reuses the monitored
-    pair of the step before, or A_Y 0 = 0 at k = 0), one test-side
-    application for the monitored pair, giving A_Y lambda and its mapped
-    image, and one trial-side application A_X u.
+    Riesz solve on the trial space and none on the test space, and
+    napply = inner_count + 1 flux evaluations.  Those are inner_count - 1
+    test-side fluxes for the inner steps (the first inner step reuses the
+    monitored pair of the step before, or A_Y 0 = 0 at k = 0), one for the
+    monitored pair, and one trial-side application A_X u.
     """
 
     k: list = field(default_factory=list)
@@ -163,6 +167,106 @@ class UzawaTrace:
             )
 
 
+class GradientMaps:
+    """The test-side maps of the Uzawa sweep in element-gradient coordinates.
+
+    Notation: Lambda is lambda as a (dim_t_Y, dim_x) array, G = E_t Lambda
+    Dbar_x^T its element gradients (`GalerkinOperator.gradients`), W_t =
+    diag(w_t) the temporal Gauss weights and W_x = diag(h) the element
+    lengths, and <X, Z>_W = sum w_t h X Z on (n_tq, n_el) arrays.  The
+    3-point rule integrates the degree-2 products exactly, so
+
+        M_t^Y = E_t^T W_t E_t,        A_x = Dbar_x^T W_x Dbar_x.           (*)
+
+    Norm identity.  By (*), ||G||_W^2 = tr(Lambda^T M_t^Y Lambda A_x) =
+    ||lambda||_Y^2: lambda -> G is an isometry of Y^delta into the weighted
+    arrays.  So the dual norm of a residual, the Y-norm of its representer,
+    is the weighted sum of squares of the representer's gradients (`norm2`).
+
+    Projection identity.  With P_t = E_t (M_t^Y)^{-1} E_t^T and
+    P_x = Dbar_x A_x^{-1} Dbar_x^T,
+
+        gradients of R_Y^{-1} A_Y lambda = P_t F(G) P_x,
+
+    where F = m o G is the operator's weighted flux.  Indeed A_Y lambda has
+    the dual coefficients E_t^T F Dbar_x, its representer is
+    (M_t^Y)^{-1} E_t^T F Dbar_x A_x^{-1}, and its gradients are the product
+    above.  It is the L2 projection of the flux: Pi(H) = P_t W_t H W_x P_x
+    maps into the gradients of Y^delta, is the identity on them (by (*),
+    P_t W_t E_t = E_t and Dbar_x^T W_x P_x = Dbar_x^T) and is self-adjoint
+    in <.,.>_W, so it is the <.,.>_W-orthogonal projection onto them; and
+    P_t F P_x = Pi(Phi) for F = W_t Phi W_x, Phi the element-averaged flux
+    mu(G^2) G.  The representer of f - D u
+    has the gradients E_t (M_t^Y)^{-1} (F_f - B_t U M_x) A_x^{-1} Dbar_x^T
+    (`representer`).  Both lie in the range of lambda -> G, so the sweep
+    stays there and is the image of the coefficient iteration.
+
+    Left inverses.  By (*), (M_t^Y)^{-1} E_t^T W_t is a left inverse of E_t
+    and W_x Dbar_x A_x^{-1} a right inverse of Dbar_x^T, so
+
+        Lambda = (M_t^Y)^{-1} E_t^T W_t G W_x Dbar_x A_x^{-1}             (`lam`)
+
+    on the range, and D^T lambda = B_t^T Lambda M_x is read from G through
+    the same two maps (`apply_Dt`).  D u and the trace row go through D's
+    dense 1D factors (`RieszContext.D_factors`).
+
+    In floating point (*) holds to rounding, so the sweep matches the
+    coefficient iteration to rounding, not bit for bit.  Every map is dense;
+    the larger ones are guarded by `check_dense_size`.
+    """
+
+    def __init__(self, op_Y: mo.GalerkinOperator, ctx: RieszContext):
+        E, Dbar = op_Y.E_t, op_Y.Dbar_x
+        n_tq, n_el = E.shape[0], Dbar.shape[0]
+        check_dense_size("GradientMaps.P_t", (n_tq, n_tq))
+        check_dense_size("GradientMaps.P_x", (n_el, n_el))
+        check_dense_size("GradientMaps.read_t", (E.shape[1], n_tq))
+        check_dense_size("GradientMaps.read_x", (n_el, Dbar.shape[1]))
+        self.B_t, self.M_x = ctx.D_factors
+        inv_t_E = ctx.inv_M_t_Y @ E.T        # (M_t^Y)^{-1} E_t^T
+        inv_x_D = ctx.inv_A_x @ Dbar.T       # A_x^{-1} Dbar_x^T
+        self.P_t = E @ inv_t_E
+        self.P_x = Dbar @ inv_x_D
+        self.to_t = E @ ctx.inv_M_t_Y
+        self.to_x = inv_x_D
+        self.read_t = inv_t_E * op_Y.w_t
+        self.read_x = op_Y.h_x[:, None] * (Dbar @ ctx.inv_A_x)
+        self.Dt_t = self.B_t.T @ self.read_t
+        self.Dt_x = self.read_x @ self.M_x
+        self.weights = (op_Y.w_t[:, None] * op_Y.h_x).reshape(-1)
+        self.op_Y = op_Y
+        self.shape = (n_tq, n_el)
+
+    def mapped_flux(self, G: np.ndarray) -> np.ndarray:
+        """P_t F(G) P_x: the gradients of R_Y^{-1} A_Y lambda."""
+        return self.P_t @ self.op_Y.flux(G) @ self.P_x
+
+    def representer(self, H: np.ndarray) -> np.ndarray:
+        """Gradients of R_Y^{-1} h for a functional h as (dim_t_Y, dim_x) H."""
+        return self.to_t @ H @ self.to_x
+
+    def norm2(self, G: np.ndarray) -> float:
+        """sum w_t h G^2: the squared Y-norm of the function with gradients G."""
+        v = G.reshape(-1)
+        return float(v @ (self.weights * v))
+
+    def lam(self, G: np.ndarray) -> np.ndarray:
+        """The coefficients of lambda, flat, read off its gradients."""
+        return (self.read_t @ G @ self.read_x).reshape(-1)
+
+    def apply_D(self, U: np.ndarray) -> np.ndarray:
+        """D u = B_t U M_x on a (dim_t_X, dim_x) array."""
+        return self.B_t @ U @ self.M_x
+
+    def apply_Dt(self, G: np.ndarray) -> np.ndarray:
+        """D^T lambda = B_t^T Lambda M_x, read from the gradients of lambda."""
+        return self.Dt_t @ G @ self.Dt_x
+
+    def trace_row(self, U: np.ndarray) -> np.ndarray:
+        """The last temporal row U[-1] M_x of the trace term; the rest is 0."""
+        return U[-1] @ self.M_x
+
+
 def run_inexact_uzawa(
     rhs: tuple[np.ndarray, np.ndarray],
     pair: TensorSpacePair,
@@ -179,14 +283,16 @@ def run_inexact_uzawa(
     Outer update:
         u <- u - theta_S* R_X^{-1} [A_X u + trace term + g - D^T lambda]
 
-    The inner update runs on representers: with C = R_Y^{-1} (f - D u),
-    one test-space Riesz solve per outer step, it is
-        lambda <- lambda - theta_A* (R_Y^{-1} A_Y lambda - C),
-    where R_Y^{-1} = (M_t^Y)^{-1} (x) A_x^{-1} is folded into the operator's
-    output contraction (`GalerkinOperator.kronecker_mapped`).  The
-    monitored pair takes r_Y = (f - D u) - A_Y lambda and its representer
-    C - R_Y^{-1} A_Y lambda from one evaluation of the flux, and the next
-    outer step's first inner update reuses that R_Y^{-1} A_Y lambda.
+    The test-side state is G, the element gradients of lambda, and the
+    inner update is its image under lambda -> G (`GradientMaps`):
+        G <- G - theta_A* (P_t F(G) P_x - C),
+    with C the gradients of R_Y^{-1} (f - D u), formed once per outer step
+    from the dense inverses of M_t^Y and A_x, so the loop makes no Riesz
+    solve on the test space.  The monitored pair takes
+    res_Y^2 = sum w_t h (C - P_t F P_x)^2 from one flux evaluation, and the
+    next outer step's first inner update reuses that P_t F P_x.  D^T lambda
+    is read from G; lambda itself is read off G only for the returned state
+    and, in test mode, for err_lambda.
 
     Stops when eta, evaluated at (lambda^(k+1), u^(k)), drops below cfg.tol.
     The returned state is the last monitored pair, the one trace.eta[-1]
@@ -195,25 +301,26 @@ def run_inexact_uzawa(
     against it (test mode).
     """
     f, g = rhs
-    riesz_A_Y = op_Y.kronecker_mapped(ctx.inv_M_t_Y, ctx.inv_A_x)
-    lam = np.zeros(pair.dim_Y)
-    riesz_A_lam = np.zeros(pair.dim_Y)  # R_Y^{-1} A_Y lam; A_Y 0 = 0
+    maps = GradientMaps(op_Y, ctx)
+    F_f = np.asarray(f, dtype=float).reshape(pair.dim_t_Y, pair.dim_x)
+    n = pair.dim_x
+    G = np.zeros(maps.shape)
+    mapped = np.zeros(maps.shape)  # P_t F(0) P_x = 0
     u = np.zeros(pair.dim_X)
     trace = UzawaTrace()
 
     for k in range(cfg.max_outer):
-        target = f - ctx.apply_D(u)
-        C = ctx.riesz_Y_solve(target)
-        lam = lam - cfg.theta_star_A * (riesz_A_lam - C)
+        U = u.reshape(pair.dim_t_X, n)
+        C = maps.representer(F_f - maps.apply_D(U))
+        G = G - cfg.theta_star_A * (mapped - C)
         for _ in range(cfg.L - 1):
-            lam = lam - cfg.theta_star_A * (riesz_A_Y(lam) - C)
+            G = G - cfg.theta_star_A * (maps.mapped_flux(G) - C)
 
-        A_lam, riesz_A_lam = riesz_A_Y(lam, with_apply=True)
-        r_Y = target - A_lam
-        dY = C - riesz_A_lam
-        r_X = g - ctx.apply_Dt(lam) + op_X.apply(u) + ctx.apply_trace_term(u)
+        mapped = maps.mapped_flux(G)
+        r_X = g - maps.apply_Dt(G).reshape(-1) + op_X.apply(u)
+        r_X[-n:] += maps.trace_row(U)
         dX = ctx.riesz_X_solve(r_X)
-        res_Y = math.sqrt(max(r_Y @ dY, 0.0))
+        res_Y = math.sqrt(maps.norm2(C - mapped))
         res_X = math.sqrt(max(r_X @ dX, 0.0))
         eta = res_Y + res_X
 
@@ -226,17 +333,16 @@ def run_inexact_uzawa(
         trace.riesz_X_solves.append(1)
         if reference is not None:
             trace.err_u.append(ctx.norm_X_delta(reference.u - u))
-            trace.err_lambda.append(ctx.norm_Y(reference.lam - lam))
+            trace.err_lambda.append(ctx.norm_Y(reference.lam - maps.lam(G)))
         else:
             trace.err_u.append(float("nan"))
             trace.err_lambda.append(float("nan"))
 
-        state = SaddleState(lam, u)
         if eta <= cfg.tol:
             trace.converged = True
-            return state, trace
+            break
+        if k + 1 < cfg.max_outer:
+            # r_X equals the u-update bracket, so the step reuses dX
+            u = u - cfg.theta_star_S * dX
 
-        # r_X equals the u-update bracket, so the step reuses dX
-        u = u - cfg.theta_star_S * dX
-
-    return state, trace
+    return SaddleState(maps.lam(G), u), trace

@@ -6,7 +6,7 @@ import pytest
 
 from psaddle import cli
 from psaddle import system as sy
-from psaddle.errors import ConfigError
+from psaddle.errors import ConfigError, NotConvergedError
 from psaddle.rng import SplitMix64
 
 
@@ -108,6 +108,22 @@ class TestSubcommands:
         assert cli.run_subcommand("uzawa-trace", cfg, out) == 0
         assert calls == [1e-12]
         assert os.path.exists(os.path.join(out, "aposteriori_band.csv"))
+
+    def test_uzawa_cap_raises_with_best_state(self, tmp_path):
+        # the error carries the last monitored pair, the one the trace's
+        # last eta belongs to
+        text = MINIMAL + "solver.tol = 1e-13\nsolver.max_outer = 3\nsolver.L_practical = 2\n"
+        cfg = cli.parse_config(write_config(tmp_path, text))
+        out = str(tmp_path / "out")
+        with pytest.raises(NotConvergedError) as err:
+            cli.run_subcommand("solve", cfg, out)
+        with open(os.path.join(out, "uzawa_trace.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert err.value.iterations == len(rows) == 3
+        disc = cli._discretization(cfg)
+        eta, _, _ = sy.aposteriori_estimate(err.value.best, disc.rhs, disc.op_Y, disc.op_X,
+                                            disc.ctx)
+        assert abs(eta - float(rows[-1]["eta"])) <= 1e-12 * eta
 
     def test_convergence_csv_decreasing(self, tmp_path):
         text = MINIMAL.replace("disc.nt = 2", "disc.nt = 4").replace(

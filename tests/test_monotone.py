@@ -17,6 +17,7 @@ from psaddle.spaces import (
     Mesh1D,
     assemble_matrices,
     default_pair,
+    eval_basis_at_points,
     gauss_points,
     quadrature_matrix,
     refine_times,
@@ -266,24 +267,31 @@ class TestQuadratureOracle:
 
 
 class TestKroneckerMapped:
-    """The operator followed by a Kronecker map, folded into its output
-    contraction, against the map applied to `apply`."""
+    """The operator followed by a Kronecker map, contracted from its element
+    flux (`gradients`, then `flux`), against the map applied to `apply`."""
 
     @pytest.mark.parametrize("mu", [mo.make_mu("one-plus-inv"), MU_TXS], ids=["registry", "tx"])
     @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
     def test_riesz_map_on_test_space(self, kind, mu, rng):
+        # R_Y^{-1} A_Y w = (M_t^Y)^{-1} E_t^T F Dbar_x A_x^{-1}, and the
+        # gradients are the test function's x-derivative at every temporal
+        # Gauss point, one value per spatial element
         pair = _oracle_pair(kind)
         ctx = RieszContext(pair)
         op = mo.GalerkinOperator(pair, "Y", mu)
-        mapped = op.kronecker_mapped(ctx.inv_M_t_Y, ctx.inv_A_x)
+        t_q, _ = gauss_points(pair.mesh_t_Y, op.n_quad)
+        mids = 0.5 * (pair.mesh_x.points[:-1] + pair.mesh_x.points[1:])
+        E_t = eval_basis_at_points(pair.mesh_t_Y, pair.spec_t_Y, t_q)
+        Dbar_x = eval_basis_at_points(pair.mesh_x, pair.spec_x, mids, derivative=True)
         for _ in range(2):
             w = rng.standard_normal(op.dim)
-            plain = op.apply(w)
-            expect = ctx.riesz_Y_solve(plain)
-            assert np.abs(mapped(w) - expect).max() <= 1e-12 * np.abs(expect).max()
-            got_plain, got_mapped = mapped(w, with_apply=True)
-            assert np.abs(got_plain - plain).max() <= 1e-12 * np.abs(plain).max()
-            assert np.abs(got_mapped - expect).max() <= 1e-12 * np.abs(expect).max()
+            G = op.gradients(w)
+            expect_G = E_t @ (Dbar_x @ w.reshape(op.dim_t, op.dim_x).T).T
+            assert np.abs(G - expect_G).max() <= 1e-12 * np.abs(expect_G).max()
+            F = op.flux(G)
+            got = (ctx.inv_M_t_Y @ op.E_t.T @ F @ op.Dbar_x @ ctx.inv_A_x).reshape(-1)
+            expect = ctx.riesz_Y_solve(op.apply(w))
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
     @pytest.mark.parametrize("side", ["Y", "X"])
     @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
@@ -294,7 +302,8 @@ class TestKroneckerMapped:
         right = rng.standard_normal((op.dim_x, op.dim_x + 2))
         w = rng.standard_normal(op.dim)
         expect = np.kron(left, right.T) @ op.apply(w)
-        got = op.kronecker_mapped(left, right)(w)
+        F = op.flux(op.gradients(w))
+        got = (left @ op.E_t.T @ F @ op.Dbar_x @ right).reshape(-1)
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 

@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from psaddle import core_linalg
 from psaddle import system as sy
 from psaddle import uzawa as uz
 from psaddle.errors import PsaddleError
+from psaddle.spaces import (
+    CONT_P1,
+    CONT_P1_DIRICHLET,
+    DISC_P0,
+    DISC_P1,
+    Mesh1D,
+    assemble_matrices,
+    refine_times,
+)
 
 
 class TestPlanInnerCount:
@@ -46,30 +56,41 @@ class TestPlanInnerCount:
             )
 
 
-def _uzawa_fresh_inner_steps(s, cfg):
-    """Reference Uzawa loop whose L inner steps each apply the mapped
-    operator afresh; returns the last monitored lambda and the eta, res_Y
-    and res_X traces of cfg.max_outer outer steps."""
+def _uzawa_on_coefficients(s, cfg):
+    """Textbook Uzawa loop on coefficients: every inner step applies A_Y
+    and solves with R_Y, and the couplings are the context's CSR blocks.
+    Returns the last monitored lambda and the eta, res_Y and res_X traces
+    of cfg.max_outer outer steps."""
     f, g = s.rhs
     ctx = s.ctx
-    riesz_A_Y = s.op_Y.kronecker_mapped(ctx.inv_M_t_Y, ctx.inv_A_x)
     lam, u = np.zeros(s.pair.dim_Y), np.zeros(s.pair.dim_X)
     eta, res_Y, res_X = [], [], []
     for _ in range(cfg.max_outer):
         target = f - ctx.apply_D(u)
-        C = ctx.riesz_Y_solve(target)
         for _ in range(cfg.L):
-            lam = lam - cfg.theta_star_A * (riesz_A_Y(lam) - C)
-        A_lam, riesz_A_lam = riesz_A_Y(lam, with_apply=True)
-        r_Y = target - A_lam
-        dY = C - riesz_A_lam
+            lam = lam - cfg.theta_star_A * ctx.riesz_Y_solve(s.op_Y.apply(lam) - target)
+        r_Y = target - s.op_Y.apply(lam)
         r_X = g - ctx.apply_Dt(lam) + s.op_X.apply(u) + ctx.apply_trace_term(u)
         dX = ctx.riesz_X_solve(r_X)
-        res_Y.append(math.sqrt(max(r_Y @ dY, 0.0)))
+        res_Y.append(ctx.dual_norm_Y(r_Y))
         res_X.append(math.sqrt(max(r_X @ dX, 0.0)))
         eta.append(res_Y[-1] + res_X[-1])
         u = u - cfg.theta_star_S * dX
     return lam, eta, res_Y, res_X
+
+
+def _assert_matches_coefficient_loop(s, cfg):
+    """The sweep in gradient coordinates against `_uzawa_on_coefficients`:
+    the same steps and work, floats to rounding (the summation order
+    differs by design)."""
+    state, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
+    lam, eta, res_Y, res_X = _uzawa_on_coefficients(s, cfg)
+    assert len(trace.k) == len(eta)
+    assert trace.napply == [cfg.L + 1] * len(eta)
+    np.testing.assert_allclose(trace.eta, eta, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.res_X, res_X, rtol=1e-12, atol=0)
+    assert np.all(np.abs(np.subtract(trace.res_Y, res_Y)) <= 1e-12 * np.asarray(eta))
+    assert np.abs(state.lam - lam).max() <= 1e-12 * np.abs(lam).max()
 
 
 class TestRunInexactUzawa:
@@ -100,32 +121,41 @@ class TestRunInexactUzawa:
             assert trace.err_lambda[i] / C3 <= cfg.sigma_hat_S ** (k + 1) * C4 + 1e-9
             assert trace.err_u[i] <= cfg.sigma_hat_S**k * C4 + 1e-9
 
-    def test_cost_bookkeeping(self, heat8):
+    def test_cost_bookkeeping(self, heat8, monkeypatch):
+        # napply books the flux evaluations the loop makes, on both sides
+        calls = []
+        flux = type(heat8.op_Y).flux
+
+        def counting(self, G):
+            calls.append(1)
+            return flux(self, G)
+
+        monkeypatch.setattr(type(heat8.op_Y), "flux", counting)
         cfg = uz.make_config(heat8.bundle, tol=0.0, max_outer=5, L_practical=7)
         _, trace = uz.run_inexact_uzawa(
             heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, cfg
         )
         assert trace.inner_count == [7] * 5
         assert trace.napply == [7 + 1] * 5
+        assert len(calls) == sum(trace.napply)
         assert trace.riesz_X_solves == [1] * 5
 
     @pytest.mark.parametrize("L", [1, 5])
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_reused_inner_step_matches_fresh_steps(self, setup_name, L, request):
-        # reusing the monitored pair's mapped application for the next first
-        # inner step changes no arithmetic: the traces agree bit for bit
+        # the sweep on element gradients, which reuses the monitored pair's
+        # projected flux for the next first inner step, against the textbook
+        # loop on coefficients with a fresh application and Riesz solve per
+        # inner step
         s = request.getfixturevalue(setup_name)
-        cfg = uz.make_config(s.bundle, tol=0.0, max_outer=15, L_practical=L)
-        state, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
-        lam, eta, res_Y, res_X = _uzawa_fresh_inner_steps(s, cfg)
-        assert (trace.eta, trace.res_Y, trace.res_X) == (eta, res_Y, res_X)
-        assert np.array_equal(state.lam, lam)
-        assert trace.napply == [L + 1] * 15
+        _assert_matches_coefficient_loop(
+            s, uz.make_config(s.bundle, tol=0.0, max_outer=15, L_practical=L)
+        )
 
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
-    def test_one_riesz_Y_solve_per_outer_step(self, setup_name, request, monkeypatch):
-        # the inner steps apply R_Y^{-1} inside the operator's contraction;
-        # only the representer of f - D u is solved for, once per outer step
+    def test_no_riesz_Y_solve_per_outer_step(self, setup_name, request, monkeypatch):
+        # the sweep works on element gradients with the dense inverses of
+        # M_t^Y and A_x folded into its maps: it never solves with R_Y
         s = request.getfixturevalue(setup_name)
         calls = []
         orig = type(s.ctx).riesz_Y_solve
@@ -138,7 +168,7 @@ class TestRunInexactUzawa:
         cfg = uz.make_config(s.bundle, tol=0.0, max_outer=4, L_practical=5)
         _, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
         assert len(trace.k) == 4
-        assert len(calls) == 4
+        assert len(calls) == 0
 
     def test_stops_on_eta(self, heat8):
         cfg = uz.make_config(heat8.bundle, tol=1e-2, max_outer=5000, L_practical=6)
@@ -172,6 +202,99 @@ class TestRunInexactUzawa:
         )
         tail = trace.eta[10:]
         assert all(tail[i + 1] <= tail[i] * (1 + 1e-9) for i in range(len(tail) - 1))
+
+
+def _jittered(n, rng):
+    pts = np.linspace(0.0, 1.0, n + 1)
+    pts[1:-1] += rng.uniform(-0.2, 0.2, n - 1) / n
+    return Mesh1D(tuple(pts))
+
+
+def _pair(kind):
+    """A pair for every temporal test space the pair accepts."""
+    mesh_t, mesh_x = Mesh1D.uniform(4), Mesh1D.uniform(5)
+    if kind == "jittered":
+        rng = np.random.default_rng(5)
+        mesh_t, mesh_x = _jittered(6, rng), _jittered(5, rng)
+    test_t = {
+        "disc-p1": (mesh_t, DISC_P1),
+        "disc-p0": (mesh_t, DISC_P0),
+        "cont-p1": (mesh_t, CONT_P1),
+        "test-refined": (refine_times(mesh_t, 1), DISC_P1),
+        "jittered": (mesh_t, DISC_P1),
+    }[kind]
+    return assemble_matrices((mesh_t, CONT_P1), test_t, (mesh_x, CONT_P1_DIRICHLET))
+
+
+PAIR_KINDS = ["disc-p1", "disc-p0", "cont-p1", "test-refined", "jittered"]
+
+
+def _close(got, expect, rtol):
+    return np.abs(got - expect).max() <= rtol * np.abs(expect).max()
+
+
+@pytest.fixture(scope="module", params=PAIR_KINDS)
+def quasi_pair(request):
+    problem = sy.quasilinear_problem()
+    return sy.Discretization(_pair(request.param), problem.mu, problem.data)
+
+
+class TestGradientMaps:
+    """The identities the sweep in element-gradient coordinates rests on,
+    against the coefficient forms of the context, on every temporal test
+    space."""
+
+    def test_projection_and_norm_identities(self, quasi_pair, rng):
+        s = quasi_pair
+        maps = uz.GradientMaps(s.op_Y, s.ctx)
+        for _ in range(2):
+            lam = rng.standard_normal(s.pair.dim_Y)
+            h = rng.standard_normal(s.pair.dim_Y)
+            G = s.op_Y.gradients(lam)
+            # E_t (R_Y^{-1} A_Y lambda) Dbar_x^T = P_t F P_x
+            expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(s.op_Y.apply(lam)))
+            assert _close(maps.mapped_flux(G), expect, 1e-12)
+            expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(h))
+            assert _close(maps.representer(h.reshape(s.pair.dim_t_Y, -1)), expect, 1e-12)
+            assert abs(maps.norm2(G) - s.ctx.norm_Y(lam) ** 2) <= 1e-12 * maps.norm2(G)
+
+    def test_lambda_read_back(self, quasi_pair, rng):
+        s = quasi_pair
+        maps = uz.GradientMaps(s.op_Y, s.ctx)
+        lam = rng.standard_normal(s.pair.dim_Y)
+        assert _close(maps.lam(s.op_Y.gradients(lam)), lam, 1e-13)
+
+    def test_couplings_from_1d_factors(self, quasi_pair, rng):
+        s = quasi_pair
+        maps = uz.GradientMaps(s.op_Y, s.ctx)
+        lam = rng.standard_normal(s.pair.dim_Y)
+        u = rng.standard_normal(s.pair.dim_X)
+        U = u.reshape(s.pair.dim_t_X, s.pair.dim_x)
+        assert _close(maps.apply_D(U).reshape(-1), s.ctx.apply_D(u), 1e-13)
+        got = maps.apply_Dt(s.op_Y.gradients(lam)).reshape(-1)
+        assert _close(got, s.ctx.apply_Dt(lam), 1e-13)
+        trace = s.ctx.apply_trace_term(u).reshape(U.shape)
+        assert not trace[:-1].any()
+        assert _close(maps.trace_row(U), trace[-1], 1e-13)
+
+    def test_dense_maps_guarded(self, heat8, monkeypatch):
+        # P_t is the largest map at this size: a limit one byte below it
+        # refuses the sweep by name before anything is built
+        ctx = heat8.ctx
+        ctx.inv_M_t_Y, ctx.inv_A_x, ctx.D_factors
+        n_tq = heat8.op_Y.E_t.shape[0]
+        monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * n_tq**2 - 1)
+        with pytest.raises(PsaddleError, match=r"dense array GradientMaps\.P_t of shape"):
+            uz.GradientMaps(heat8.op_Y, ctx)
+
+    @pytest.mark.parametrize("kind", ["disc-p0", "test-refined"])
+    def test_sweep_matches_coefficient_loop(self, kind):
+        # test spaces that no shipped config solves on
+        problem = sy.quasilinear_problem()
+        s = sy.Discretization(_pair(kind), problem.mu, problem.data)
+        _assert_matches_coefficient_loop(
+            s, uz.make_config(s.bundle, tol=0.0, max_outer=12, L_practical=3)
+        )
 
 
 class TestAposteriori:
