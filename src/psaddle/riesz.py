@@ -10,8 +10,7 @@ whose Gram operator is R_X = M_t^X (x) A_x + T (x) S + e_T e_T^T (x) M_x,
 with T (x) S = D^T R_Y^{-1} D for D = B_t (x) M_x, T = B_t^T (M_t^Y)^{-1} B_t
 and S = M_x A_x^{-1} M_x.  `RieszContext` holds these blocks (`D`, `Dt`,
 `trace`, `T_t`, `S_x`); `apply_D`, `apply_Dt` and `apply_trace_term` are
-products with the cached sparse matrices, and `D_factors` holds the dense
-1D factors B_t and M_x of D, through which the Uzawa sweep applies D.
+products with the cached sparse matrices.
 
 Both Riesz solves are exact and go through dense transforms built once per
 pair:
@@ -168,20 +167,6 @@ class RieszContext:
         n = self.pair.dim_t_X
         e_T = sp.csr_matrix(([1.0], ([n - 1], [n - 1])), shape=(n, n))
         return sp.kron(e_T, self.pair.M_x, format="csr")
-
-    @cached_property
-    def D_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (B_t, M_x), the 1D factors of D = B_t (x) M_x.
-
-        On a (dim_t_X, dim_x) array U, D acts as B_t U M_x, D^T on a
-        (dim_t_Y, dim_x) array as B_t^T H M_x, and the trace term adds
-        U[-1] M_x to the last temporal row.  The Uzawa sweep applies them so;
-        the CSR blocks above serve the reference solve and the norms.
-        """
-        p = self.pair
-        check_dense_size("RieszContext.D_factors B_t", (p.dim_t_Y, p.dim_t_X))
-        check_dense_size("RieszContext.D_factors M_x", (p.dim_x, p.dim_x))
-        return p.B_t.toarray(), p.M_x.toarray()
 
     @cached_property
     def T_t(self) -> np.ndarray:

@@ -196,10 +196,13 @@ class GradientMaps:
     P_t W_t E_t = E_t and Dbar_x^T W_x P_x = Dbar_x^T) and is self-adjoint
     in <.,.>_W, so it is the <.,.>_W-orthogonal projection onto them; and
     P_t F P_x = Pi(Phi) for F = W_t Phi W_x, Phi the element-averaged flux
-    mu(G^2) G.  The representer of f - D u
-    has the gradients E_t (M_t^Y)^{-1} (F_f - B_t U M_x) A_x^{-1} Dbar_x^T
-    (`representer`).  Both lie in the range of lambda -> G, so the sweep
-    stays there and is the image of the coefficient iteration.
+    mu(G^2) G.  The representer of a functional h, as a (dim_t_Y, dim_x)
+    array H, has the gradients E_t (M_t^Y)^{-1} H A_x^{-1} Dbar_x^T
+    (`representer`), so that of D u, H = B_t U M_x, has the gradients
+    K_t U K_x with K_t = E_t (M_t^Y)^{-1} B_t and K_x = M_x A_x^{-1}
+    Dbar_x^T (`representer_of_D`).  All of these lie in the range of
+    lambda -> G, so the sweep stays there and is the image of the
+    coefficient iteration.
 
     Left inverses.  By (*), (M_t^Y)^{-1} E_t^T W_t is a left inverse of E_t
     and W_x Dbar_x A_x^{-1} a right inverse of Dbar_x^T, so
@@ -207,8 +210,9 @@ class GradientMaps:
         Lambda = (M_t^Y)^{-1} E_t^T W_t G W_x Dbar_x A_x^{-1}             (`lam`)
 
     on the range, and D^T lambda = B_t^T Lambda M_x is read from G through
-    the same two maps (`apply_Dt`).  D u and the trace row go through D's
-    dense 1D factors (`RieszContext.D_factors`).
+    the same two maps (`apply_Dt`).  So D enters the sweep only composed
+    with these maps, built once from the sparse 1D factors B_t and M_x of
+    the pair; the trace term is the CSR block of `RieszContext`.
 
     In floating point (*) holds to rounding, so the sweep matches the
     coefficient iteration to rounding, not bit for bit.  Every map is dense;
@@ -222,17 +226,19 @@ class GradientMaps:
         check_dense_size("GradientMaps.P_x", (n_el, n_el))
         check_dense_size("GradientMaps.read_t", (E.shape[1], n_tq))
         check_dense_size("GradientMaps.read_x", (n_el, Dbar.shape[1]))
-        self.B_t, self.M_x = ctx.D_factors
         inv_t_E = ctx.inv_M_t_Y @ E.T        # (M_t^Y)^{-1} E_t^T
         inv_x_D = ctx.inv_A_x @ Dbar.T       # A_x^{-1} Dbar_x^T
         self.P_t = E @ inv_t_E
         self.P_x = Dbar @ inv_x_D
         self.to_t = E @ ctx.inv_M_t_Y
         self.to_x = inv_x_D
+        B_t, M_x = ctx.pair.B_t, ctx.pair.M_x
+        self.K_t = (B_t.T @ self.to_t.T).T
+        self.K_x = M_x @ self.to_x
         self.read_t = inv_t_E * op_Y.w_t
         self.read_x = op_Y.h_x[:, None] * (Dbar @ ctx.inv_A_x)
-        self.Dt_t = self.B_t.T @ self.read_t
-        self.Dt_x = self.read_x @ self.M_x
+        self.Dt_t = B_t.T @ self.read_t
+        self.Dt_x = (M_x.T @ self.read_x.T).T
         self.weights = (op_Y.w_t[:, None] * op_Y.h_x).reshape(-1)
         self.op_Y = op_Y
         self.shape = (n_tq, n_el)
@@ -245,6 +251,10 @@ class GradientMaps:
         """Gradients of R_Y^{-1} h for a functional h as (dim_t_Y, dim_x) H."""
         return self.to_t @ H @ self.to_x
 
+    def representer_of_D(self, U: np.ndarray) -> np.ndarray:
+        """Gradients of R_Y^{-1} D u for u as a (dim_t_X, dim_x) array U."""
+        return self.K_t @ U @ self.K_x
+
     def norm2(self, G: np.ndarray) -> float:
         """sum w_t h G^2: the squared Y-norm of the function with gradients G."""
         v = G.reshape(-1)
@@ -254,17 +264,9 @@ class GradientMaps:
         """The coefficients of lambda, flat, read off its gradients."""
         return (self.read_t @ G @ self.read_x).reshape(-1)
 
-    def apply_D(self, U: np.ndarray) -> np.ndarray:
-        """D u = B_t U M_x on a (dim_t_X, dim_x) array."""
-        return self.B_t @ U @ self.M_x
-
     def apply_Dt(self, G: np.ndarray) -> np.ndarray:
         """D^T lambda = B_t^T Lambda M_x, read from the gradients of lambda."""
         return self.Dt_t @ G @ self.Dt_x
-
-    def trace_row(self, U: np.ndarray) -> np.ndarray:
-        """The last temporal row U[-1] M_x of the trace term; the rest is 0."""
-        return U[-1] @ self.M_x
 
 
 def run_inexact_uzawa(
@@ -286,9 +288,10 @@ def run_inexact_uzawa(
     The test-side state is G, the element gradients of lambda, and the
     inner update is its image under lambda -> G (`GradientMaps`):
         G <- G - theta_A* (P_t F(G) P_x - C),
-    with C the gradients of R_Y^{-1} (f - D u), formed once per outer step
-    from the dense inverses of M_t^Y and A_x, so the loop makes no Riesz
-    solve on the test space.  The monitored pair takes
+    with C the gradients of R_Y^{-1} (f - D u): those of R_Y^{-1} f once
+    per solve, less those of R_Y^{-1} D u once per outer step, both from
+    the dense inverses of M_t^Y and A_x, so the loop makes no Riesz solve
+    on the test space.  The monitored pair takes
     res_Y^2 = sum w_t h (C - P_t F P_x)^2 from one flux evaluation, and the
     next outer step's first inner update reuses that P_t F P_x.  D^T lambda
     is read from G; lambda itself is read off G only for the returned state
@@ -302,23 +305,20 @@ def run_inexact_uzawa(
     """
     f, g = rhs
     maps = GradientMaps(op_Y, ctx)
-    F_f = np.asarray(f, dtype=float).reshape(pair.dim_t_Y, pair.dim_x)
-    n = pair.dim_x
+    C_f = maps.representer(np.reshape(f, (pair.dim_t_Y, pair.dim_x)))
     G = np.zeros(maps.shape)
     mapped = np.zeros(maps.shape)  # P_t F(0) P_x = 0
     u = np.zeros(pair.dim_X)
     trace = UzawaTrace()
 
     for k in range(cfg.max_outer):
-        U = u.reshape(pair.dim_t_X, n)
-        C = maps.representer(F_f - maps.apply_D(U))
+        C = C_f - maps.representer_of_D(u.reshape(pair.dim_t_X, pair.dim_x))
         G = G - cfg.theta_star_A * (mapped - C)
         for _ in range(cfg.L - 1):
             G = G - cfg.theta_star_A * (maps.mapped_flux(G) - C)
 
         mapped = maps.mapped_flux(G)
-        r_X = g - maps.apply_Dt(G).reshape(-1) + op_X.apply(u)
-        r_X[-n:] += maps.trace_row(U)
+        r_X = g - maps.apply_Dt(G).reshape(-1) + op_X.apply(u) + ctx.apply_trace_term(u)
         dX = ctx.riesz_X_solve(r_X)
         res_Y = math.sqrt(maps.norm2(C - mapped))
         res_X = math.sqrt(max(r_X @ dX, 0.0))

@@ -264,24 +264,22 @@ class TestGradientMaps:
         lam = rng.standard_normal(s.pair.dim_Y)
         assert _close(maps.lam(s.op_Y.gradients(lam)), lam, 1e-13)
 
-    def test_couplings_from_1d_factors(self, quasi_pair, rng):
+    def test_couplings_through_maps(self, quasi_pair, rng):
         s = quasi_pair
         maps = uz.GradientMaps(s.op_Y, s.ctx)
         lam = rng.standard_normal(s.pair.dim_Y)
         u = rng.standard_normal(s.pair.dim_X)
-        U = u.reshape(s.pair.dim_t_X, s.pair.dim_x)
-        assert _close(maps.apply_D(U).reshape(-1), s.ctx.apply_D(u), 1e-13)
         got = maps.apply_Dt(s.op_Y.gradients(lam)).reshape(-1)
         assert _close(got, s.ctx.apply_Dt(lam), 1e-13)
-        trace = s.ctx.apply_trace_term(u).reshape(U.shape)
-        assert not trace[:-1].any()
-        assert _close(maps.trace_row(U), trace[-1], 1e-13)
+        got = maps.representer_of_D(u.reshape(s.pair.dim_t_X, s.pair.dim_x))
+        expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(s.ctx.apply_D(u)))
+        assert _close(got, expect, 1e-12)
 
     def test_dense_maps_guarded(self, heat8, monkeypatch):
         # P_t is the largest map at this size: a limit one byte below it
         # refuses the sweep by name before anything is built
         ctx = heat8.ctx
-        ctx.inv_M_t_Y, ctx.inv_A_x, ctx.D_factors
+        ctx.inv_M_t_Y, ctx.inv_A_x
         n_tq = heat8.op_Y.E_t.shape[0]
         monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * n_tq**2 - 1)
         with pytest.raises(PsaddleError, match=r"dense array GradientMaps\.P_t of shape"):
