@@ -97,15 +97,14 @@ def parse_config(path: str) -> ExperimentConfig:
                 continue
             values[key] = parsed
 
-    if values["disc.nt"] < 1 or values["disc.nx"] < 1:
-        problems.append("disc.nt and disc.nx must be >= 1")
-    for key, lo in (("disc.levels", 1), ("solver.max_outer", 1), ("solver.L_practical", 0),
-                    ("quality.max_enrich", 0)):
+    # the spatial trial space needs an interior node: two elements at least
+    for key, lo in (("disc.nt", 1), ("disc.nx", 2), ("disc.levels", 1), ("solver.max_outer", 1),
+                    ("solver.L_practical", 0), ("quality.max_enrich", 0)):
         if values[key] < lo:
             problems.append(f"{key} must be >= {lo}")
-    for key, lo, hi in (
-        ("disc.t_breakpoints", 0.0, values["problem.T"]),
-        ("disc.x_breakpoints", 0.0, 1.0),
+    for key, lo, hi, n_min in (
+        ("disc.t_breakpoints", 0.0, values["problem.T"], 2),
+        ("disc.x_breakpoints", 0.0, 1.0, 3),
     ):
         if values[key]:
             try:
@@ -113,8 +112,8 @@ def parse_config(path: str) -> ExperimentConfig:
             except ValueError:
                 problems.append(f"key {key!r} expects comma-separated floats")
                 continue
-            if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
-                problems.append(f"key {key!r} must be strictly increasing with >= 2 entries")
+            if len(pts) < n_min or any(b <= a for a, b in zip(pts, pts[1:])):
+                problems.append(f"key {key!r} must be strictly increasing with >= {n_min} entries")
             elif abs(pts[0] - lo) > 1e-12 or abs(pts[-1] - hi) > 1e-12:
                 problems.append(f"key {key!r} must span [{lo}, {hi}]")
     if values["solver.tol"] < 0:
@@ -125,6 +124,11 @@ def parse_config(path: str) -> ExperimentConfig:
         problems.append("quality.rho must be >= 0")
     if values["problem.mu"] == "constant" and values["problem.mu_c"] <= 0:
         problems.append("problem.mu_c must be > 0")
+    if values["problem.mu"] == "bounded-ramp":
+        if values["problem.mu_a"] <= 0:
+            problems.append("problem.mu_a must be > 0")
+        if values["problem.mu_b"] < 0:
+            problems.append("problem.mu_b must be >= 0")
     if problems:
         raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
     return ExperimentConfig(values=values)
@@ -312,7 +316,7 @@ def _convergence_row(pair, mu, data) -> tuple[float, float, float, float]:
     fine = sy.Discretization(ql._surrogate_pair(pair), mu, data)
     two = ql.TwoLevel(pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
     fstate = fine.reference(1e-11, x0=two.prolong_X(state.u))
-    report = ql.infsup_report(pair)
+    report = ql.infsup_report(two)
     ratio, bound = ql.quasi_opt_ratio(fstate.u, state, two, disc.bundle, report)
     err = fine.ctx.norm_X_delta(fstate.u - two.prolong_X(state.u))
     lam_u, _ = ql.estimator_terms(state, disc.ctx, data)
@@ -344,7 +348,7 @@ def cmd_infsup(cfg: ExperimentConfig, out: str) -> int:
     for level in range(cfg["disc.levels"]):
         pair = _pair_from_config(cfg, level)
         nt, nx = pair.mesh_t_X.n_elements, pair.mesh_x.n_elements
-        report = ql.infsup_report(pair, ql.TwoLevel(pair, ql._surrogate_pair(pair)))
+        report = ql.infsup_report(ql.TwoLevel(pair, ql._surrogate_pair(pair)))
         rows.append((
             level, nt, nx, report.gamma_t, report.gamma_x, report.gamma_lower,
             report.gamma_direct,

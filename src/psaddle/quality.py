@@ -15,7 +15,10 @@ fine pair's blocks through the 1D embeddings and assembles nothing itself.
 The best approximation is a matrix-free conjugate-gradient solve
 (`core_linalg.pcg`) under a cap proven from the inf-sup constant, and the
 square of that constant is the product of the smallest eigenvalues of one
-temporal and one spatial pencil.  `estimator_terms` is the one home of the
+temporal and one spatial pencil, each solved once per `TwoLevel`.  Every
+inf-sup factor is read off blocks the pairs already hold: gamma_t off the
+coarse `RieszContext.T_t` and the temporal stiffness, gamma_x off the
+spatial pencil of `gamma_direct`.  `estimator_terms` is the one home of the
 two computable terms ||lambda - u||_{Y^d} and ||u0 - u(0)||_H that the
 quasi-optimality check, the a posteriori condition and the estimator share.
 """
@@ -27,26 +30,17 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from psaddle import monotone as mo
 from psaddle import system as sy
-from psaddle.core_linalg import (
-    banded_cholesky,
-    cg_iteration_cap,
-    extremal_generalized_eigen,
-    pcg,
-)
+from psaddle.core_linalg import cg_iteration_cap, extremal_generalized_eigen, pcg
 from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
     CONT_P1,
     CONT_P1_DIRICHLET,
     DISC_P1,
-    BasisSpec,
-    Mesh1D,
     TensorSpacePair,
-    assemble_1d,
     assemble_matrices,
     embed_X_into_Y,
     embedding_matrix,
@@ -73,8 +67,9 @@ __all__ = [
 ]
 
 # Uniform refinements, in both axes, from a pair to the reference pair that
-# stands in for the continuous level (`gamma_x`'s projector norm and the
-# surrogate of `_surrogate_pair`).
+# stands in for the continuous level (`_surrogate_pair`).  The inf-sup
+# factors measured against that pair, gamma_x and `gamma_direct`, take it
+# through their `TwoLevel`.
 SURROGATE_REFINEMENTS = 2
 
 
@@ -82,7 +77,7 @@ SURROGATE_REFINEMENTS = 2
 class InfSupReport:
     gamma_t: float
     gamma_x: float
-    gamma_direct: float | None = None
+    gamma_direct: float
 
     @property
     def gamma_lower(self) -> float:
@@ -98,45 +93,22 @@ class PjotrReport:
     level: int | None = None
 
 
-def gamma_t(
-    X_t: tuple[Mesh1D, BasisSpec], Y_t: tuple[Mesh1D, BasisSpec]
-) -> float:
-    """Temporal inf-sup factor: worst ratio of the discrete dual norm of the
-    derivative over its true L2 norm, time-constants deflated.
+def gamma_t(ctx: RieszContext) -> float:
+    """Temporal inf-sup factor of the pair of `ctx`: worst ratio of the
+    discrete dual norm of the derivative over its true L2 norm,
+    time-constants deflated.
 
-    Equals 1 exactly when the derivative image of the trial space lies in
-    the test space (true for the default pairing).
+    gamma_t^2 is the smallest eigenvalue of the pencil (T, A_t) off the
+    constants, with T = B_t^T (M_t^Y)^{-1} B_t = `ctx.T_t` and A_t the
+    temporal trial stiffness `pair.A_t_X`.  Equals 1 exactly when the
+    derivative image of the trial space lies in the test space (true for
+    the default pairing).
     """
-    M_Y = assemble_1d("mass", Y_t)
-    B = assemble_1d("dtrial", Y_t, X_t)
-    A_t = assemble_1d("stiffness", X_t)
-    Binv = banded_cholesky(M_Y).solve(B.toarray())
-    num = B.T.toarray() @ Binv  # B^T M_Y^{-1} B
-    kernel = np.ones((A_t.shape[0], 1))
+    constants = np.ones((ctx.pair.dim_t_X, 1))
     lam, _ = extremal_generalized_eigen(
-        sp.csr_matrix(num), A_t, "smallest", constraint_kernel=kernel
+        ctx.T_t, ctx.pair.A_t_X, "smallest", constraint_kernel=constants
     )
     return math.sqrt(max(lam, 0.0))
-
-
-def gamma_x(X_x: tuple[Mesh1D, BasisSpec]) -> float:
-    """Spatial inf-sup factor 1/||P||_V with P the H-orthogonal projector.
-
-    The projector norm is measured against a reference space
-    `SURROGATE_REFINEMENTS` uniform refinements finer, via the generalized
-    eigenproblem for its V-norm.
-    """
-    mesh, spec = X_x
-    fine_mesh = refine_times(mesh, SURROGATE_REFINEMENTS)
-    E = embedding_matrix(X_x, (fine_mesh, spec))
-    M_f = assemble_1d("mass", (fine_mesh, spec))
-    A_f = assemble_1d("stiffness", (fine_mesh, spec))
-    G = E.T @ (M_f @ E)  # coarse mass in fine coordinates
-    P = E @ np.linalg.solve(G, E.T @ M_f.toarray())
-    lam, _ = extremal_generalized_eigen(
-        sp.csr_matrix(P.T @ (A_f @ P)), A_f, "largest"
-    )
-    return 1.0 / math.sqrt(lam)
 
 
 class TwoLevel:
@@ -225,6 +197,23 @@ class TwoLevel:
         ||d_t P c||^2_{(Y_f)'}, (M_x^f E_x)^T (A_x^f)^{-1} M_x^f E_x."""
         return self.E_x.T @ self.ctx_fine.S_x @ self.E_x
 
+    @cached_property
+    def lam_t(self) -> float:
+        """lambda_min(T_c, T_f) with the time-constants deflated: the
+        temporal pencil of `gamma_direct`, solved once per pair."""
+        constants = np.ones((self.coarse.dim_t_X, 1))
+        lam, _ = extremal_generalized_eigen(
+            self.ctx_coarse.T_t, self.T_f, "smallest", constraint_kernel=constants
+        )
+        return lam
+
+    @cached_property
+    def lam_x(self) -> float:
+        """lambda_min(S_c, S_f): the spatial pencil of `gamma_direct` and
+        `gamma_x`, solved once per pair."""
+        lam, _ = extremal_generalized_eigen(self.ctx_coarse.S_x, self.S_f, "smallest")
+        return lam
+
     def best_approx_X(self, u_fine: np.ndarray) -> tuple[np.ndarray, float]:
         """Best approximation from the coarse trial space in the fine norm:
         coefficients c with G c = P^T R_X^f u and the error of P c.
@@ -298,22 +287,37 @@ def gamma_direct(two: TwoLevel) -> float:
         gamma^2 = lambda_min(T_c, T_f; constants deflated) * lambda_min(S_c, S_f).
 
     A product at or below _GAMMA2_ROUND_OFF is round-off of an exact zero
-    and reads as 0.
+    and reads as 0.  Both minima are cached on `two` (`lam_t`, `lam_x`).
     """
-    constants = np.ones((two.coarse.dim_t_X, 1))
-    lam_t, _ = extremal_generalized_eigen(
-        two.ctx_coarse.T_t, two.T_f, "smallest", constraint_kernel=constants
-    )
-    lam_x, _ = extremal_generalized_eigen(two.ctx_coarse.S_x, two.S_f, "smallest")
-    gamma2 = lam_t * lam_x
+    gamma2 = two.lam_t * two.lam_x
     return math.sqrt(gamma2) if gamma2 > _GAMMA2_ROUND_OFF else 0.0
 
 
-def infsup_report(pair: TensorSpacePair, two: TwoLevel | None = None) -> InfSupReport:
-    gt = gamma_t((pair.mesh_t_X, pair.spec_t_X), (pair.mesh_t_Y, pair.spec_t_Y))
-    gx = gamma_x((pair.mesh_x, pair.spec_x))
-    gd = gamma_direct(two) if two is not None else None
-    return InfSupReport(gamma_t=gt, gamma_x=gx, gamma_direct=gd)
+def gamma_x(two: TwoLevel) -> float:
+    """Spatial inf-sup factor 1/||P||_V, with P the H-orthogonal projector
+    onto the coarse spatial space, measured on the fine one.
+
+    The spaces nest, so with the embedding E, E^T M_f E = M_c and
+    E^T A_f E = A_c, and P = E M_c^{-1} E^T M_f.  Then
+
+        ||P||_V^2 = lambda_max(P^T A_f P, A_f)
+                  = lambda_max(E^T M_f A_f^{-1} M_f E, M_c A_c^{-1} M_c)
+                  = lambda_max(S_f, S_c),
+
+    the second step because A_f^{-1} K C K^T (K = M_f E,
+    C = M_c^{-1} A_c M_c^{-1}) has the nonzero eigenvalues of
+    C K^T A_f^{-1} K = S_c^{-1} S_f.  So gamma_x^2 = lambda_min(S_c, S_f),
+    the spatial pencil `gamma_direct` solves.
+    """
+    return math.sqrt(two.lam_x)
+
+
+def infsup_report(two: TwoLevel) -> InfSupReport:
+    """The inf-sup factors of `two.coarse`, each read off blocks the pair
+    and `two` already hold."""
+    return InfSupReport(
+        gamma_t=gamma_t(two.ctx_coarse), gamma_x=gamma_x(two), gamma_direct=gamma_direct(two)
+    )
 
 
 def quasi_opt_ratio(
@@ -361,10 +365,8 @@ def check_trial_norm_quasi_opt(
     lhs_X = two.norm_X_delta_of_fine(diff_fine)
     lam_u, lhs_H = estimator_terms(state, two.ctx_coarse, data)
     bound = bundle.C_1 * best_err
-
-    factor = math.sqrt(1.0 + bundle.L_A**2) / bundle.m_A
-    cor_lhs = lam_u + factor * lhs_H
-    cor_bound = 2.0 * bundle.C_1 * factor * best_err
+    cor_lhs = lam_u + bundle.trace_weight * lhs_H
+    cor_bound = 2.0 * bundle.C_1 * bundle.trace_weight * best_err
     return TrialNormQuasiOpt(
         lhs_Xdelta=lhs_X, lhs_H=lhs_H, bound=bound,
         aux_lhs=cor_lhs, aux_bound=cor_bound, best_err=best_err,
@@ -426,8 +428,7 @@ def check_pjotr(
 
     lhs = two.ctx_fine.norm_Y(lam_hat - two.prolong_Y(state.lam))
     lam_u, trace_H = estimator_terms(state, two.ctx_coarse, data)
-    factor = math.sqrt(1.0 + bundle.L_A**2) / bundle.m_A
-    rhs = rho * (lam_u + factor * trace_H)
+    rhs = rho * (lam_u + bundle.trace_weight * trace_H)
     return PjotrReport(rho=rho, lhs=lhs, rhs=rhs, satisfied=bool(lhs <= rhs))
 
 
@@ -506,6 +507,6 @@ def efficiency_reliability(
     L_A, m_A = bundle.L_A, bundle.m_A
     lower = m_A / math.sqrt(1.0 + L_A**2 + m_A**2)
     upper = bundle.L_Beinv * math.sqrt(
-        L_A**2 * rho**2 + (L_A * rho * math.sqrt(1.0 + L_A**2) / m_A + 1.0) ** 2
+        L_A**2 * rho**2 + (L_A * rho * bundle.trace_weight + 1.0) ** 2
     )
     return err / est, lower, upper

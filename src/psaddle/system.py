@@ -100,6 +100,13 @@ class ConstantsBundle:
     def S_constants(self) -> mo.MonotoneConstants:
         return mo.MonotoneConstants(L=self.L_S, m=self.m_S)
 
+    @property
+    def trace_weight(self) -> float:
+        """sqrt(1 + L_A^2) / m_A: the weight of ||u0 - u(0)||_H beside
+        ||lambda - u||_{Y^d} in the auxiliary-variable bound, the a posteriori
+        condition and the estimator's reliability constant."""
+        return math.sqrt(1.0 + self.L_A**2) / self.m_A
+
 
 def derive_constants(L_A: float, m_A: float) -> ConstantsBundle:
     """Closed-form constants of the saddle operator and its inverse.

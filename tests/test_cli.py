@@ -190,6 +190,11 @@ class TestMainEntry:
         ("solve", "solver.max_outer = 0"),
         ("solve", "solver.L_practical = -1"),
         ("pjotr", "quality.max_enrich = -1"),
+        # the key in question leads: its name is what the error must carry
+        ("solve", "problem.mu_a = -1.0\nproblem.mu = bounded-ramp"),
+        ("solve", "problem.mu_b = -1.0\nproblem.mu = bounded-ramp"),
+        ("solve", "disc.nx = 1"),
+        ("infsup", "disc.x_breakpoints = 0,1"),
     ])
     def test_exit_code_value_out_of_range(self, subcommand, line, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL + line + "\n")

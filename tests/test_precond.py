@@ -200,7 +200,7 @@ class TestAlternativeNormSandwich:
         two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
         C_PF = 1.0 / math.pi
         C_J = estimate_C_J(two.ctx_fine)
-        g_x = ql.gamma_x((pair.mesh_x, pair.spec_x))
+        g_x = ql.gamma_x(two)
         for _ in range(20):
             z = rng.standard_normal(pair.dim_X)
             alt2 = z @ op.apply(z)

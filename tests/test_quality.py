@@ -9,6 +9,7 @@ from psaddle import quality as ql
 from psaddle import system as sy
 from psaddle.core_linalg import cg_iteration_cap, extremal_generalized_eigen, pcg
 from psaddle.errors import InvalidSpaceError, PsaddleError
+from psaddle.riesz import RieszContext
 from psaddle.spaces import (
     CONT_P1,
     CONT_P1_DIRICHLET,
@@ -18,25 +19,60 @@ from psaddle.spaces import (
     assemble_1d,
     assemble_matrices,
     default_pair,
+    embedding_matrix,
     refine_times,
 )
+
+
+def _jittered_pair(n_t, n_x, seed):
+    rng = np.random.default_rng(seed)
+
+    def mesh(n):
+        h = 1.0 / n
+        inner = [(i + rng.uniform(-0.3, 0.3)) * h for i in range(1, n)]
+        return Mesh1D(tuple([0.0, *inner, 1.0]))
+
+    mesh_t = mesh(n_t)
+    return assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P1), (mesh(n_x), CONT_P1_DIRICHLET))
+
+
+_ORACLE_PAIRS = {
+    "default4": lambda: default_pair(4, 4),
+    "default8": lambda: default_pair(8, 8),
+    "jittered": lambda: _jittered_pair(6, 5, 3),
+    "test-refined-in-time": lambda: ql._pair_with_enriched_test(default_pair(4, 4), 1),
+}
+
+
+def _temporal_ctx(X_t, Y_t):
+    """Context of a pair with the given temporal spaces; gamma_t reads no
+    spatial block."""
+    return RieszContext(assemble_matrices(X_t, Y_t, (Mesh1D.uniform(2), CONT_P1_DIRICHLET)))
+
+
+def _spatial_two(mesh_x):
+    """A one-element-in-time pair on `mesh_x` against its surrogate; gamma_x
+    reads only the spatial blocks."""
+    m = Mesh1D((0.0, 1.0))
+    pair = assemble_matrices((m, CONT_P1), (m, DISC_P1), (mesh_x, CONT_P1_DIRICHLET))
+    return ql.TwoLevel(pair, ql._surrogate_pair(pair))
 
 
 class TestGammaT:
     def test_default_pairing_is_one(self):
         m = Mesh1D.uniform(8)
-        val = ql.gamma_t((m, CONT_P1), (m, DISC_P1))
+        val = ql.gamma_t(_temporal_ctx((m, CONT_P1), (m, DISC_P1)))
         assert abs(val - 1.0) <= 1e-8
 
     def test_single_element_p0_test(self):
         m = Mesh1D((0.0, 1.0))
-        assert abs(ql.gamma_t((m, CONT_P1), (m, DISC_P0)) - 1.0) <= 1e-10
+        assert abs(ql.gamma_t(_temporal_ctx((m, CONT_P1), (m, DISC_P0))) - 1.0) <= 1e-10
 
     def test_trial_finer_than_test_vs_svd_oracle(self):
         # dense oracle: smallest singular ratio of the dual-norm pencil
         trial_mesh = refine_times(Mesh1D((0.0, 1.0)), 3)
         test_mesh = refine_times(Mesh1D((0.0, 1.0)), 2)
-        val = ql.gamma_t((trial_mesh, CONT_P1), (test_mesh, DISC_P1))
+        val = ql.gamma_t(_temporal_ctx((trial_mesh, CONT_P1), (test_mesh, DISC_P1)))
         assert 0.0 < val < 1.0
 
         import scipy.linalg as sla
@@ -57,31 +93,31 @@ class TestGammaT:
 
 class TestGammaX:
     def test_at_most_one(self):
-        val = ql.gamma_x((Mesh1D.uniform(8), CONT_P1_DIRICHLET))
+        val = ql.gamma_x(_spatial_two(Mesh1D.uniform(8)))
         assert val <= 1.0 + 1e-12
 
-    def test_rank_one_projector_vs_dense_oracle(self):
-        # one interior node: the projector maps onto a single hat function
-        mesh = Mesh1D((0.0, 0.5, 1.0))
-        val = ql.gamma_x((mesh, CONT_P1_DIRICHLET))
-
-        from psaddle.spaces import embedding_matrix
-
-        fine = refine_times(mesh, 2)
-        E = embedding_matrix((mesh, CONT_P1_DIRICHLET), (fine, CONT_P1_DIRICHLET))
-        M_f = assemble_1d("mass", (fine, CONT_P1_DIRICHLET)).toarray()
-        A_f = assemble_1d("stiffness", (fine, CONT_P1_DIRICHLET)).toarray()
-        phi = E[:, 0]
-        # P v = (<v, phi>_M / <phi, phi>_M) phi
-        P = np.outer(phi, M_f @ phi) / (phi @ M_f @ phi)
+    @pytest.mark.parametrize("name", ["one-interior-node", *sorted(_ORACLE_PAIRS)])
+    def test_projector_vs_dense_oracle(self, name):
+        # the definition: 1/||P||_V with the H-orthogonal projector
+        # P = E M_c^{-1} E^T M_f onto the coarse space, measured on the fine
+        # one, and ||P||_V^2 = lambda_max(P^T A_f P, A_f), all dense
+        if name == "one-interior-node":
+            two = _spatial_two(Mesh1D((0.0, 0.5, 1.0)))
+        else:
+            pair = _ORACLE_PAIRS[name]()
+            two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
+        c, f = two.coarse, two.fine
+        E = embedding_matrix((c.mesh_x, c.spec_x), (f.mesh_x, f.spec_x))
+        M_c, M_f, A_f = c.M_x.toarray(), f.M_x.toarray(), f.A_x.toarray()
+        P = E @ np.linalg.solve(M_c, E.T @ M_f)
         import scipy.linalg as sla
 
         lam = sla.eigh(P.T @ A_f @ P, A_f, eigvals_only=True)[-1]
-        assert abs(val - 1.0 / math.sqrt(lam)) <= 1e-10
+        assert abs(ql.gamma_x(two) - 1.0 / math.sqrt(lam)) <= 1e-10
 
     def test_bounded_below_across_levels(self):
         vals = [
-            ql.gamma_x((Mesh1D.uniform(4 * 2**k), CONT_P1_DIRICHLET))
+            ql.gamma_x(_spatial_two(Mesh1D.uniform(4 * 2**k)))
             for k in range(5)
         ]
         assert min(vals) >= 0.5
@@ -135,26 +171,6 @@ def _dense_best_approx(two, u_fine):
     R = ctx.apply_R_X(u_fine).reshape(p.dim_t_X, p.dim_x)
     coeffs = np.linalg.solve(G, (Et.T @ R @ Ex).reshape(-1))
     return coeffs, ctx.norm_X_delta(u_fine - two.prolong_X(coeffs))
-
-
-def _jittered_pair(n_t, n_x, seed):
-    rng = np.random.default_rng(seed)
-
-    def mesh(n):
-        h = 1.0 / n
-        inner = [(i + rng.uniform(-0.3, 0.3)) * h for i in range(1, n)]
-        return Mesh1D(tuple([0.0, *inner, 1.0]))
-
-    mesh_t = mesh(n_t)
-    return assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P1), (mesh(n_x), CONT_P1_DIRICHLET))
-
-
-_ORACLE_PAIRS = {
-    "default4": lambda: default_pair(4, 4),
-    "default8": lambda: default_pair(8, 8),
-    "jittered": lambda: _jittered_pair(6, 5, 3),
-    "test-refined-in-time": lambda: ql._pair_with_enriched_test(default_pair(4, 4), 1),
-}
 
 
 def _p0_half_pair():
@@ -224,7 +240,7 @@ class TestGammaDirect:
     def test_tensor_lower_bound(self, n, heat_problem):
         pair = default_pair(n, n)
         two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
-        report = ql.infsup_report(pair, two)
+        report = ql.infsup_report(two)
         assert report.gamma_direct is not None
         assert report.gamma_direct >= report.gamma_lower - 1e-8
         assert 0.0 < report.gamma_direct <= 1.0 + 1e-10
@@ -232,6 +248,26 @@ class TestGammaDirect:
     def test_matches_dense_kronecker_pencil(self, oracle_two):
         expect = _dense_gamma_direct(oracle_two)
         assert abs(ql.gamma_direct(oracle_two) - expect) <= 1e-10 * expect
+
+    def test_each_pencil_solved_once(self, rng, monkeypatch):
+        # gamma_t's (T_c, A_t), then (T_c, T_f) and (S_c, S_f), which
+        # gamma_x, gamma_direct and the best approximation's cap all share
+        pencils = []
+
+        def counting(A, B, *args, **kwargs):
+            pencils.append((A, B))
+            return extremal_generalized_eigen(A, B, *args, **kwargs)
+
+        monkeypatch.setattr(ql, "extremal_generalized_eigen", counting)
+        pair = default_pair(4, 4)
+        two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
+        ql.infsup_report(two)
+        two.best_approx_X(rng.standard_normal(two.fine.dim_X))
+        ctx = two.ctx_coarse
+        expect = [(ctx.T_t, pair.A_t_X), (ctx.T_t, two.T_f), (ctx.S_x, two.S_f)]
+        assert len(pencils) == 3
+        for A, B in expect:
+            assert sum(a is A and b is B for a, b in pencils) == 1
 
 
 class TestBestApprox:
@@ -325,18 +361,18 @@ class TestQuasiOpt:
         pair, state, fstate, two = levels[0]
         u_in = two.prolong_X(state.u)  # exactly representable on the fine pair
         with pytest.raises(PsaddleError):
-            ql.quasi_opt_ratio(u_in, state, two, bundle, ql.infsup_report(pair))
+            ql.quasi_opt_ratio(u_in, state, two, bundle, ql.infsup_report(two))
 
     def test_ratio_below_bound_all_levels(self, heat_levels):
         problem, bundle, levels = heat_levels
         for pair, state, fstate, two in levels:
-            report = ql.infsup_report(pair, two)
+            report = ql.infsup_report(two)
             ratio, bound = ql.quasi_opt_ratio(fstate.u, state, two, bundle, report)
             assert 1.0 - 1e-9 <= ratio <= bound
 
     def test_bound_formula(self):
         bundle = sy.derive_constants(3.0, 1.0)
-        report = ql.InfSupReport(gamma_t=1.0, gamma_x=1.0)
+        report = ql.InfSupReport(gamma_t=1.0, gamma_x=1.0, gamma_direct=1.0)
         bound = 2.0 * (1.0 + bundle.L_Ninv * bundle.L_N / report.gamma_lower**2)
         assert abs(bound - 154.0) < 1e-12
 
