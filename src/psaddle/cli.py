@@ -95,6 +95,12 @@ def parse_config(path: str) -> ExperimentConfig:
             if allowed is not None and parsed not in allowed:
                 problems.append(f"line {lineno}: key {key!r} must be one of {allowed}, got {parsed!r}")
                 continue
+            # nan in solver.sigma_hat selects the default
+            if typ is float and not math.isfinite(parsed) and not (
+                key == "solver.sigma_hat" and math.isnan(parsed)
+            ):
+                problems.append(f"line {lineno}: key {key!r} must be finite, got {val!r}")
+                continue
             values[key] = parsed
 
     # the spatial trial space needs an interior node: two elements at least
@@ -129,6 +135,19 @@ def parse_config(path: str) -> ExperimentConfig:
             problems.append("problem.mu_a must be > 0")
         if values["problem.mu_b"] < 0:
             problems.append("problem.mu_b must be >= 0")
+    sigma_hat = values["solver.sigma_hat"]
+    if not math.isnan(sigma_hat):
+        try:
+            c = mo.constants_from_mu(_mu_from_config(ExperimentConfig(values)))
+        except PsaddleError:
+            pass  # the mu parameters are refused above
+        else:
+            sigma_S = sy.derive_constants(c.L, c.m).S_constants.sigma
+            if not sigma_S < sigma_hat < 1.0:
+                problems.append(
+                    f"solver.sigma_hat must lie in (sigma_S, 1) = ({sigma_S!r}, 1) "
+                    f"for the configured mu, got {sigma_hat!r}"
+                )
     if problems:
         raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
     return ExperimentConfig(values=values)

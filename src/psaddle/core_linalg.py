@@ -158,19 +158,14 @@ def banded_pattern(matrix: sp.csr_matrix) -> BandedPattern:
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
     nnz = indices.size
-    # Entry k carries k + 1.  Transposing that index array and putting it
-    # back in CSR order (a counting sort) puts, at (i, j), 1 + the position
-    # of entry (j, i); adding nnz + 1 on the pattern itself (a merge of two
-    # sorted patterns) lifts every stored entry above nnz, in CSR order,
-    # and leaves a transpose without a stored counterpart at or below nnz.
-    shape = (n, n)
-    index = sp.csr_matrix((np.arange(1, nnz + 1), indices, indptr), shape=shape)
-    lifted = sp.csr_matrix((np.full(nnz, nnz + 1), indices, indptr), shape=shape)
-    merged = (index.T.tocsr() + lifted).data
-    transpose = merged[merged > nnz] - (nnz + 2)
-    transpose[transpose < 0] = nnz
     row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     col = indices.astype(np.int64)
+    # In CSR order the keys row * n + col ascend strictly, so the position
+    # of entry (j, i) is found by bisection; a key that is not there, or
+    # lies past the last one, meets the sentinel -1 and maps to nnz.
+    key, tkey = row * n + col, col * n + row
+    transpose = np.searchsorted(key, tkey)
+    transpose[np.append(key, -1)[transpose] != tkey] = nnz
     perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
     position = np.empty(n, dtype=np.int64)
     position[perm] = np.arange(n)

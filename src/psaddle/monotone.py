@@ -77,8 +77,7 @@ def make_mu(name: str, **params) -> MuCoefficient:
         if c <= 0:
             raise PsaddleError("constant mu must be positive")
         return MuCoefficient(
-            fn=lambda t, x, s: np.full_like(np.asarray(s, dtype=float), c),
-            dfn_ds=lambda t, x, s: np.zeros_like(np.asarray(s, dtype=float)),
+            fn=lambda t, x, s: c, dfn_ds=lambda t, x, s: 0.0,
             m_mu=c, M_mu=c, name=f"constant({c})",
         )
     if name == "one-plus-inv":
@@ -179,27 +178,32 @@ class GalerkinOperator:
     basis derivatives, one row per spatial element; both are quadrature
     matrices built once per operator, held with the temporal Gauss weights
     w_t and the element lengths h_x.  With W the coefficients as a
-    (dim_t, dim_x) array,
+    (dim_t, dim_x) array and W_q = w_t (x) h_x the weights per temporal
+    Gauss point and spatial element,
 
         G        = E_t W Dbar_x^T                    (n_tq, n_el), `gradients`
-        F        = m o G                             `flux`
-        apply(W) = E_t^T F Dbar_x
-        jac(W)   = B^T diag(omega_bar) B,            B = kron(E_t, Dbar_x)
+        Phi      = mu_bar o G                        `flux`
+        apply(W) = E_t^T (W_q o Phi) Dbar_x
+        jac(W)   = B^T diag(W_q o omega_bar) B,      B = kron(E_t, Dbar_x)
 
-    where m and omega_bar are the quadrature sums, per temporal Gauss point
-    and spatial element, of mu and of omega = mu + 2 s mu'(s) at s = G^2
-    (`_integrals`).  mu is evaluated on broadcast shapes: t as
+    where mu_bar and omega_bar are the element averages, per temporal Gauss
+    point and spatial element, of mu and of omega = mu + 2 s mu'(s) at
+    s = G^2 (`_averages`).  mu is evaluated on broadcast shapes: t as
     (n_tq, 1, 1), x as (1, n_el, n_quad) and s as (n_tq, n_el, 1).  A mu
     that ignores x, like every registry coefficient, is evaluated once per
-    element and its weights are summed over the element's Gauss points
-    beforehand; one that depends on x gets every Gauss point.  The Jacobian
-    is never formed as that product: its sparsity pattern does not depend
-    on W, and its data is a fixed linear map of omega_bar that factors by
-    axis (`_jacobian_map`), built on the first `jacobian` call and kept with
-    the symbolic Cholesky of the pattern; the Uzawa sweep only evaluates
-    the flux and never pays for either.  `gradients` and `flux` are public
-    because that sweep keeps its test-side iterate as element gradients and
-    contracts the flux with its own maps (`uzawa.GradientMaps`).
+    element, where its average is its value; one that depends on x gets
+    every Gauss point, averaged with the spatial weights over h_x.  The
+    flux carries no quadrature weight: `apply` and `jacobian` multiply by
+    W_q themselves, once, and the Uzawa sweep folds the weights into its
+    own maps.  The Jacobian is never formed as that product: its sparsity
+    pattern does not depend on W, and its data is a fixed linear map of
+    W_q o omega_bar that factors by axis (`_jacobian_map`), built on the
+    first `jacobian` call and kept with the symbolic Cholesky of the
+    pattern; the Uzawa sweep only evaluates the flux and never pays for
+    either.  `gradients` and `flux` are public because that sweep keeps its
+    iterates in coordinates where the operator reads element gradients and
+    contracts the flux with its own maps (`uzawa.GradientMaps` on the test
+    side, `uzawa.TrialModes` on the trial side).
 
     E_t and Dbar_x are stored dense, O(n^2) entries for n elements per axis.
     No shipped command goes above 128 elements per axis: `convergence`
@@ -233,6 +237,7 @@ class GalerkinOperator:
         self._w_x = w_x.reshape(n_el, n_quad)
         self.w_t = w_t
         self.h_x = self._w_x.sum(axis=1)
+        self._w_avg = self._w_x / self.h_x[:, None]
         self._w_el = w_t[:, None] * self.h_x
         self.E_t = quadrature_matrix(mesh_t, spec_t, n_quad)
         # one point per element: a P1 derivative is the same at every point
@@ -243,32 +248,34 @@ class GalerkinOperator:
         W = np.asarray(w, dtype=float).reshape(self.dim_t, self.dim_x)
         return (self.E_t @ W) @ self.Dbar_x.T
 
-    def _integrals(self, G: np.ndarray, fn) -> np.ndarray:
-        """Quadrature sums of fn(t, x, G^2) over each temporal Gauss point
-        and spatial element, (n_tq, n_el).
+    def _averages(self, G: np.ndarray, fn) -> np.ndarray:
+        """Element averages of fn(t, x, G^2) at each temporal Gauss point:
+        (n_tq, n_el), or anything that broadcasts to it.
 
-        The weights are summed over an element's Gauss points wherever fn
-        does not vary along them: fn may return an array with a trailing
-        axis of length 1 or n_quad, or a scalar.
+        fn may return an array with a trailing axis of length 1 or n_quad,
+        or a scalar; only an axis of length n_quad is averaged, since a
+        value that does not vary over an element is its own average.
         """
         values = np.asarray(fn(self._t, self._x, (G * G)[:, :, None]), dtype=float)
         if values.ndim == 3 and values.shape[2] > 1:
-            return (values * self._w_x).sum(axis=2) * self.w_t[:, None]
-        return values.reshape(values.shape[:2]) * self._w_el
+            return (values * self._w_avg).sum(axis=2)
+        return values.reshape(values.shape[:2])
 
     def flux(self, G: np.ndarray) -> np.ndarray:
-        """m o G, the weighted flux of the element gradients G."""
-        return self._integrals(G, self.mu.fn) * G
+        """mu_bar o G, the element-averaged flux of the element gradients G,
+        without quadrature weights."""
+        return self._averages(G, self.mu.fn) * G
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        """Dual coefficients (A w)(basis function): E_t^T flux(G) Dbar_x."""
-        F = self.flux(self.gradients(w))
+        """Dual coefficients (A w)(basis function): E_t^T (W_q o flux(G)) Dbar_x."""
+        F = self._w_el * self.flux(self.gradients(w))
         return (self.E_t.T @ (F @ self.Dbar_x)).reshape(-1)
 
     @cached_property
     def _jacobian_map(self) -> tuple:
         """(P_t, St_x, perm, indptr, indices): the fixed linear map
         omega_bar -> Jacobian data, factored by axis, and the CSR pattern.
+        Here omega_bar carries its quadrature weights W_q.
 
         J = sum_e kron(T_e, S_e) with T_e = E_t^T diag(omega_bar[:, e]) E_t
         and S_e = Dbar_x[e]^T Dbar_x[e].  Over the temporal pairs (a, b)
@@ -315,7 +322,7 @@ class GalerkinOperator:
         if self.mu.dfn_ds is None:
             raise PsaddleError("mu has no derivative; Newton is unavailable")
         mu = self.mu
-        omega_bar = self._integrals(
+        omega_bar = self._w_el * self._averages(
             self.gradients(w), lambda t, x, s: mu.fn(t, x, s) + 2.0 * s * mu.dfn_ds(t, x, s)
         )
         P_t, St_x, perm, indptr, indices = self._jacobian_map

@@ -27,6 +27,9 @@ pair:
   D_k = lambda_k + Theta / lambda_k and w = W^T e_T, which Sherman-Morrison
   inverts in closed form.  A solve is four dense products and O(dim_X)
   scalings; the set-up is two symmetric-definite eigenproblems, one per axis.
+  The transforms are public as `modes`: the Uzawa sweep keeps its trial
+  iterate in them (`uzawa.TrialModes`), where R_X^{-1} is the scaling and
+  the rank-one correction alone (`riesz_X_in_modes`).
 """
 
 from __future__ import annotations
@@ -185,12 +188,16 @@ class RieszContext:
     # -- the linear parabolic Riesz solve -------------------------------------
 
     @cached_property
-    def _modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(W, V, scale, w, corr) of the fast diagonalization of R_X.
 
-        scale[j, k] = 1 / (lambda_k + theta_j / lambda_k) is D_k^{-1} and
-        corr[:, k] = D_k^{-1} w / (1 + w^T D_k^{-1} w) its Sherman-Morrison
-        correction for the trace term.
+        W^T M_t^X W = I, W^T T W = diag(theta), V^T M_x V = I and
+        V^T A_x V = diag(lambda).  scale[j, k] = 1 / (lambda_k + theta_j /
+        lambda_k) is D_k^{-1}, w = W^T e_T the last row of W, and
+        corr[:, k] = D_k^{-1} w / (1 + w^T D_k^{-1} w) the Sherman-Morrison
+        correction for the trace term.  So a functional H, as a
+        (dim_t_X, dim_x) array, has the representer W Z V^T with
+        Z = scale o H^ - corr o (w^T (scale o H^)) for H^ = W^T H V.
         """
         p = self.pair
         check_dense_size("RieszContext spatial eigenbasis V", (p.dim_x, p.dim_x))
@@ -205,13 +212,20 @@ class RieszContext:
         corr = scale * w[:, None] / (1.0 + w**2 @ scale)
         return W, V, scale, w, corr
 
-    def riesz_X_solve(self, h) -> np.ndarray:
-        """R_X^{-1} h by fast diagonalization: into the modes, D_k^{-1} plus
-        the rank-one trace correction per spatial mode, back again."""
-        W, V, scale, w, corr = self._modes
-        Z = scale * (W.T @ self._as_X(h) @ V)
+    def riesz_X_in_modes(self, H: np.ndarray) -> np.ndarray:
+        """R_X^{-1} within the modes: the modal coefficients Z of the
+        representer of the functional with modal form H = W^T H V, by
+        D_k^{-1} plus the rank-one trace correction per spatial mode."""
+        _, _, scale, w, corr = self.modes
+        Z = scale * H
         Z -= corr * (w @ Z)
-        return (W @ Z @ V.T).reshape(-1)
+        return Z
+
+    def riesz_X_solve(self, h) -> np.ndarray:
+        """R_X^{-1} h by fast diagonalization: into the modes, solve there
+        (`riesz_X_in_modes`), back again."""
+        W, V = self.modes[:2]
+        return (W @ self.riesz_X_in_modes(W.T @ self._as_X(h) @ V) @ V.T).reshape(-1)
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -240,5 +254,5 @@ def estimate_C_J(ctx: RieszContext) -> float:
     and the numerator is e_t e_t^T per mode, a rank-one pencil whose one
     eigenvalue is (G_k^{-1})[t, t] = sum_j W[t, j]^2 / (lambda_k + theta_j/lambda_k).
     """
-    W, _, scale, _, _ = ctx._modes
+    W, _, scale, _, _ = ctx.modes
     return math.sqrt(float((W[[0, -1]] ** 2 @ scale).max()))

@@ -13,7 +13,11 @@ anyway, and in them R_Y^{-1} A_Y lambda is the L2 projection of the flux
 solve on the test space runs in the loop, and lambda is read off G only
 where it is returned or measured.  lambda does not change between the
 monitored pair of one outer step and the first inner step of the next, so
-that step reuses the monitored pair's projected flux.
+that step reuses the monitored pair's projected flux.  The trial iterate u
+lives in the modes of R_X (`TrialModes`), where R_X^{-1} is a scaling and
+a rank-one correction and the trace term a rank-one product, so the outer
+step makes no Riesz solve and no sparse product either; u is formed only
+where it is returned or measured.
 The number L of inner steps comes from the convergence theory: with
 
     C_3 = (1/sigma_hat)((sigma_hat - sigma_S)/theta_S* + 1/m_A)
@@ -48,6 +52,7 @@ __all__ = [
     "UzawaConfig",
     "UzawaTrace",
     "GradientMaps",
+    "TrialModes",
     "plan_inner_count",
     "make_config",
     "run_inexact_uzawa",
@@ -139,7 +144,8 @@ class UzawaTrace:
     monitored pair (lambda^(k+1), u^(k)): eta and the residual norms refer
     to that pair, err_lambda to lambda^(k+1), err_u to u^(k).  Each row also
     books the work done in that outer step: inner_count inner steps, one
-    Riesz solve on the trial space and none on the test space, and
+    Riesz solve on the trial space, applied in the modes of R_X
+    (`RieszContext.riesz_X_in_modes`), and none on the test space, and
     napply = inner_count + 1 flux evaluations.  Those are inner_count - 1
     test-side fluxes for the inner steps (the first inner step reuses the
     monitored pair of the step before, or A_Y 0 = 0 at k = 0), one for the
@@ -183,36 +189,37 @@ class GradientMaps:
     arrays.  So the dual norm of a residual, the Y-norm of its representer,
     is the weighted sum of squares of the representer's gradients (`norm2`).
 
-    Projection identity.  With P_t = E_t (M_t^Y)^{-1} E_t^T and
-    P_x = Dbar_x A_x^{-1} Dbar_x^T,
+    Projection identity.  With the weights folded into the maps,
+    P_t = E_t (M_t^Y)^{-1} E_t^T W_t and P_x = W_x Dbar_x A_x^{-1} Dbar_x^T,
 
-        gradients of R_Y^{-1} A_Y lambda = P_t F(G) P_x,
+        gradients of R_Y^{-1} A_Y lambda = P_t Phi(G) P_x,
 
-    where F = m o G is the operator's weighted flux.  Indeed A_Y lambda has
-    the dual coefficients E_t^T F Dbar_x, its representer is
-    (M_t^Y)^{-1} E_t^T F Dbar_x A_x^{-1}, and its gradients are the product
-    above.  It is the L2 projection of the flux: Pi(H) = P_t W_t H W_x P_x
-    maps into the gradients of Y^delta, is the identity on them (by (*),
-    P_t W_t E_t = E_t and Dbar_x^T W_x P_x = Dbar_x^T) and is self-adjoint
-    in <.,.>_W, so it is the <.,.>_W-orthogonal projection onto them; and
-    P_t F P_x = Pi(Phi) for F = W_t Phi W_x, Phi the element-averaged flux
-    mu(G^2) G.  The representer of a functional h, as a (dim_t_Y, dim_x)
-    array H, has the gradients E_t (M_t^Y)^{-1} H A_x^{-1} Dbar_x^T
-    (`representer`), so that of D u, H = B_t U M_x, has the gradients
-    K_t U K_x with K_t = E_t (M_t^Y)^{-1} B_t and K_x = M_x A_x^{-1}
-    Dbar_x^T (`representer_of_D`).  All of these lie in the range of
-    lambda -> G, so the sweep stays there and is the image of the
-    coefficient iteration.
+    where Phi = mu_bar(G^2) G is the operator's element-averaged flux
+    (`GalerkinOperator.flux`, no weights).  Indeed A_Y lambda has the dual
+    coefficients E_t^T W_t Phi W_x Dbar_x, its representer is
+    (M_t^Y)^{-1} E_t^T W_t Phi W_x Dbar_x A_x^{-1}, and its gradients are
+    the product above.  It is the L2 projection of the flux: Pi(H) =
+    P_t H P_x maps into the gradients of Y^delta, is the identity on them
+    (by (*), P_t E_t = E_t and Dbar_x^T P_x = Dbar_x^T) and is self-adjoint
+    in <.,.>_W (W_t P_t and P_x W_x are symmetric), so it is the
+    <.,.>_W-orthogonal projection onto them.  The representer of a
+    functional h, as a (dim_t_Y, dim_x) array H, has the gradients
+    E_t (M_t^Y)^{-1} H A_x^{-1} Dbar_x^T (`representer`), so that of D u,
+    H = B_t U M_x, has the gradients K_t U K_x with K_t = E_t (M_t^Y)^{-1}
+    B_t and K_x = M_x A_x^{-1} Dbar_x^T (`K_t`, `K_x`).  All of these lie in
+    the range of lambda -> G, so the sweep stays there and is the image of
+    the coefficient iteration.
 
     Left inverses.  By (*), (M_t^Y)^{-1} E_t^T W_t is a left inverse of E_t
     and W_x Dbar_x A_x^{-1} a right inverse of Dbar_x^T, so
 
         Lambda = (M_t^Y)^{-1} E_t^T W_t G W_x Dbar_x A_x^{-1}             (`lam`)
 
-    on the range, and D^T lambda = B_t^T Lambda M_x is read from G through
-    the same two maps (`apply_Dt`).  So D enters the sweep only composed
-    with these maps, built once from the sparse 1D factors B_t and M_x of
-    the pair; the trace term is the CSR block of `RieszContext`.
+    on the range, and D^T lambda = B_t^T Lambda M_x = Dt_t G Dt_x is read
+    from G through the same two maps (`Dt_t`, `Dt_x`).  So D enters the
+    sweep only composed with these maps, built once from the sparse 1D
+    factors B_t and M_x of the pair; `TrialModes` composes them with the
+    modes of R_X, and the sweep applies them only there.
 
     In floating point (*) holds to rounding, so the sweep matches the
     coefficient iteration to rounding, not bit for bit.  Every map is dense;
@@ -226,34 +233,23 @@ class GradientMaps:
         check_dense_size("GradientMaps.P_x", (n_el, n_el))
         check_dense_size("GradientMaps.read_t", (E.shape[1], n_tq))
         check_dense_size("GradientMaps.read_x", (n_el, Dbar.shape[1]))
-        inv_t_E = ctx.inv_M_t_Y @ E.T        # (M_t^Y)^{-1} E_t^T
-        inv_x_D = ctx.inv_A_x @ Dbar.T       # A_x^{-1} Dbar_x^T
-        self.P_t = E @ inv_t_E
-        self.P_x = Dbar @ inv_x_D
         self.to_t = E @ ctx.inv_M_t_Y
-        self.to_x = inv_x_D
+        self.to_x = ctx.inv_A_x @ Dbar.T     # A_x^{-1} Dbar_x^T
         B_t, M_x = ctx.pair.B_t, ctx.pair.M_x
         self.K_t = (B_t.T @ self.to_t.T).T
         self.K_x = M_x @ self.to_x
-        self.read_t = inv_t_E * op_Y.w_t
-        self.read_x = op_Y.h_x[:, None] * (Dbar @ ctx.inv_A_x)
+        self.read_t = (ctx.inv_M_t_Y @ E.T) * op_Y.w_t
+        self.read_x = op_Y.h_x[:, None] * self.to_x.T
+        self.P_t = E @ self.read_t
+        self.P_x = self.read_x @ Dbar.T
         self.Dt_t = B_t.T @ self.read_t
         self.Dt_x = (M_x.T @ self.read_x.T).T
         self.weights = (op_Y.w_t[:, None] * op_Y.h_x).reshape(-1)
-        self.op_Y = op_Y
         self.shape = (n_tq, n_el)
-
-    def mapped_flux(self, G: np.ndarray) -> np.ndarray:
-        """P_t F(G) P_x: the gradients of R_Y^{-1} A_Y lambda."""
-        return self.P_t @ self.op_Y.flux(G) @ self.P_x
 
     def representer(self, H: np.ndarray) -> np.ndarray:
         """Gradients of R_Y^{-1} h for a functional h as (dim_t_Y, dim_x) H."""
         return self.to_t @ H @ self.to_x
-
-    def representer_of_D(self, U: np.ndarray) -> np.ndarray:
-        """Gradients of R_Y^{-1} D u for u as a (dim_t_X, dim_x) array U."""
-        return self.K_t @ U @ self.K_x
 
     def norm2(self, G: np.ndarray) -> float:
         """sum w_t h G^2: the squared Y-norm of the function with gradients G."""
@@ -264,8 +260,82 @@ class GradientMaps:
         """The coefficients of lambda, flat, read off its gradients."""
         return (self.read_t @ G @ self.read_x).reshape(-1)
 
+
+class TrialModes:
+    """The trial-side maps of the Uzawa sweep in the modes of R_X.
+
+    Notation: (W, V, scale, w, corr) = `RieszContext.modes`, with
+    W^T M_t^X W = I, W^T T W = Theta, V^T M_x V = I and V^T A_x V = Lambda.
+    A trial function u, as a (dim_t_X, dim_x) array U, is held by its modal
+    coefficients Z with U = W Z V^T (`coefficients`), and a functional on
+    the trial space, as a (dim_t_X, dim_x) array H, by H^ = W^T H V
+    (`to_modes`).  The pairing carries over: h . u = tr(H^T W Z V^T) =
+    sum H^ o Z.
+
+    Riesz map.  R_X U = M_t^X U A_x + T U S + e_T e_T^T U M_x with
+    S = M_x A_x^{-1} M_x, and V^T S V = Lambda^{-1} since A_x^{-1} =
+    V Lambda^{-1} V^T.  So W^T (R_X U) V = Z Lambda + Theta Z Lambda^{-1} +
+    w w^T Z with w = W^T e_T: spatial mode k carries D_k + w w^T, and
+    Sherman-Morrison gives R_X^{-1} in the modes as
+    Z = scale o H^ - corr o (w^T (scale o H^))
+    (`RieszContext.riesz_X_in_modes`), with no transform at all.  By the
+    pairing, the dual norm of r is then r . R_X^{-1} r = sum R^ o Z.
+
+    Trace term.  e_T e_T^T U M_x maps to W^T e_T e_T^T W Z V^T M_x V =
+    w (w^T Z) (`trace_term`), because V^T M_x V = I.
+
+    Couplings.  With `GradientMaps`' K_t, K_x, Dt_t and Dt_x, the
+    gradients of R_Y^{-1} D u are K_t U K_x = (K_t W) Z (V^T K_x)
+    (`representer_of_D`) and D^T lambda in the modes is
+    W^T Dt_t G Dt_x V = (W^T Dt_t) G (Dt_x V) (`apply_Dt`).
+
+    Operator.  The element gradients of u on the trial side are
+    E_t^X U Dbar_x^T = (E_t^X W) Z (Dbar_x V)^T, and A_X u has the dual
+    coefficients (E_t^X)^T W_t Phi W_x Dbar_x, Phi the operator's flux; in
+    the modes they are (W_t E_t^X W)^T Phi (W_x Dbar_x V) (`apply`).
+
+    Every map here has the shape of a dense array the operator, the
+    gradient maps or the mode transforms already hold, so none needs a
+    size guard of its own.  In floating point the identities hold to
+    rounding.
+    """
+
+    def __init__(self, op_X: mo.GalerkinOperator, ctx: RieszContext, maps: GradientMaps):
+        W, V, _, self.w, _ = ctx.modes
+        self.W, self.V = W, V
+        self.K_t = maps.K_t @ W
+        self.K_x = V.T @ maps.K_x
+        self.Dt_t = W.T @ maps.Dt_t
+        self.Dt_x = maps.Dt_x @ V
+        self.E_t = op_X.E_t @ W
+        self.Dbar_x = op_X.Dbar_x @ V
+        self.E_t_w = op_X.w_t[:, None] * self.E_t
+        self.Dbar_x_w = op_X.h_x[:, None] * self.Dbar_x
+        self.op_X = op_X
+
+    def to_modes(self, H: np.ndarray) -> np.ndarray:
+        """W^T H V: a trial-space functional H, (dim_t_X, dim_x), in the modes."""
+        return self.W.T @ H @ self.V
+
+    def coefficients(self, Z: np.ndarray) -> np.ndarray:
+        """The coefficients W Z V^T of u, flat, from its modal coefficients Z."""
+        return (self.W @ Z @ self.V.T).reshape(-1)
+
+    def trace_term(self, Z: np.ndarray) -> np.ndarray:
+        """w (w^T Z): the trace term (gamma_T)' M_x gamma_T u in the modes."""
+        return self.w[:, None] * (self.w @ Z)
+
+    def apply(self, Z: np.ndarray) -> np.ndarray:
+        """A_X u in the modes, from the modal coefficients Z of u."""
+        Phi = self.op_X.flux(self.E_t @ Z @ self.Dbar_x.T)
+        return self.E_t_w.T @ Phi @ self.Dbar_x_w
+
+    def representer_of_D(self, Z: np.ndarray) -> np.ndarray:
+        """Gradients of R_Y^{-1} D u from the modal coefficients Z of u."""
+        return self.K_t @ Z @ self.K_x
+
     def apply_Dt(self, G: np.ndarray) -> np.ndarray:
-        """D^T lambda = B_t^T Lambda M_x, read from the gradients of lambda."""
+        """D^T lambda in the modes, read from the gradients G of lambda."""
         return self.Dt_t @ G @ self.Dt_x
 
 
@@ -287,15 +357,22 @@ def run_inexact_uzawa(
 
     The test-side state is G, the element gradients of lambda, and the
     inner update is its image under lambda -> G (`GradientMaps`):
-        G <- G - theta_A* (P_t F(G) P_x - C),
+        G <- G - theta_A* P_t Phi(G) P_x + theta_A* C,
     with C the gradients of R_Y^{-1} (f - D u): those of R_Y^{-1} f once
     per solve, less those of R_Y^{-1} D u once per outer step, both from
     the dense inverses of M_t^Y and A_x, so the loop makes no Riesz solve
-    on the test space.  The monitored pair takes
-    res_Y^2 = sum w_t h (C - P_t F P_x)^2 from one flux evaluation, and the
-    next outer step's first inner update reuses that P_t F P_x.  D^T lambda
-    is read from G; lambda itself is read off G only for the returned state
-    and, in test mode, for err_lambda.
+    on the test space.  theta_A* is folded into the temporal map once per
+    solve and into C once per outer step.  The monitored pair takes
+    res_Y^2 = sum w_t h (C - P_t Phi P_x)^2 from one flux evaluation, and
+    the next outer step's first inner update reuses that product.
+
+    The trial-side state is Z, the modal coefficients of u (`TrialModes`):
+    the bracket of the outer update is formed in the modes, from g^ =
+    W^T g V once per solve, and R_X^{-1} is a scaling and a rank-one
+    correction there, so the loop makes no Riesz solve and no sparse
+    product on the trial side either.  D^T lambda is read from G; lambda
+    and u themselves are formed only for the returned state and, in test
+    mode, for err_lambda and err_u.
 
     Stops when eta, evaluated at (lambda^(k+1), u^(k)), drops below cfg.tol.
     The returned state is the last monitored pair, the one trace.eta[-1]
@@ -304,24 +381,28 @@ def run_inexact_uzawa(
     against it (test mode).
     """
     f, g = rhs
+    theta = cfg.theta_star_A
     maps = GradientMaps(op_Y, ctx)
+    modes = TrialModes(op_X, ctx, maps)
+    P_t, P_x, flux = theta * maps.P_t, maps.P_x, op_Y.flux
     C_f = maps.representer(np.reshape(f, (pair.dim_t_Y, pair.dim_x)))
+    g_hat = modes.to_modes(np.reshape(g, (pair.dim_t_X, pair.dim_x)))
     G = np.zeros(maps.shape)
-    mapped = np.zeros(maps.shape)  # P_t F(0) P_x = 0
-    u = np.zeros(pair.dim_X)
+    mapped = np.zeros(maps.shape)  # theta P_t Phi(0) P_x = 0
+    Z = np.zeros((pair.dim_t_X, pair.dim_x))
     trace = UzawaTrace()
 
     for k in range(cfg.max_outer):
-        C = C_f - maps.representer_of_D(u.reshape(pair.dim_t_X, pair.dim_x))
-        G = G - cfg.theta_star_A * (mapped - C)
+        C = theta * (C_f - modes.representer_of_D(Z))
+        G = G - (mapped - C)
         for _ in range(cfg.L - 1):
-            G = G - cfg.theta_star_A * (maps.mapped_flux(G) - C)
+            G = G - (P_t @ flux(G) @ P_x - C)
 
-        mapped = maps.mapped_flux(G)
-        r_X = g - maps.apply_Dt(G).reshape(-1) + op_X.apply(u) + ctx.apply_trace_term(u)
-        dX = ctx.riesz_X_solve(r_X)
-        res_Y = math.sqrt(maps.norm2(C - mapped))
-        res_X = math.sqrt(max(r_X @ dX, 0.0))
+        mapped = P_t @ flux(G) @ P_x
+        R = g_hat - modes.apply_Dt(G) + modes.apply(Z) + modes.trace_term(Z)
+        dZ = ctx.riesz_X_in_modes(R)
+        res_Y = math.sqrt(maps.norm2(C - mapped)) / theta
+        res_X = math.sqrt(max(float(np.vdot(R, dZ)), 0.0))
         eta = res_Y + res_X
 
         trace.k.append(k)
@@ -332,7 +413,7 @@ def run_inexact_uzawa(
         trace.napply.append(cfg.L + 1)
         trace.riesz_X_solves.append(1)
         if reference is not None:
-            trace.err_u.append(ctx.norm_X_delta(reference.u - u))
+            trace.err_u.append(ctx.norm_X_delta(reference.u - modes.coefficients(Z)))
             trace.err_lambda.append(ctx.norm_Y(reference.lam - maps.lam(G)))
         else:
             trace.err_u.append(float("nan"))
@@ -342,7 +423,7 @@ def run_inexact_uzawa(
             trace.converged = True
             break
         if k + 1 < cfg.max_outer:
-            # r_X equals the u-update bracket, so the step reuses dX
-            u = u - cfg.theta_star_S * dX
+            # R is the u-update bracket in the modes, so the step reuses dZ
+            Z = Z - cfg.theta_star_S * dZ
 
-    return SaddleState(maps.lam(G), u), trace
+    return SaddleState(maps.lam(G), modes.coefficients(Z)), trace

@@ -195,6 +195,16 @@ class TestMainEntry:
         ("solve", "problem.mu_b = -1.0\nproblem.mu = bounded-ramp"),
         ("solve", "disc.nx = 1"),
         ("infsup", "disc.x_breakpoints = 0,1"),
+        # non-finite floats; nan stays the default of solver.sigma_hat
+        ("solve", "solver.tol = nan"),
+        ("solve", "problem.T = nan"),
+        ("solve", "problem.mu_c = inf"),
+        ("constants", "quality.rho = inf"),
+        ("solve", "solver.sigma_hat = inf"),
+        # sigma_hat outside (sigma_S, 1) for the configured mu
+        ("solve", "solver.sigma_hat = 0.5"),
+        ("constants", "solver.sigma_hat = 1.0"),
+        ("solve", "solver.sigma_hat = 0.9995\nproblem.mu = one-plus-inv"),
     ])
     def test_exit_code_value_out_of_range(self, subcommand, line, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL + line + "\n")

@@ -189,10 +189,28 @@ class TestBandedCholesky:
         b = rng.standard_normal(3)
         assert np.abs(cl.banded_cholesky(A).solve(b) - b / 2.0).max() <= 1e-15
 
+    def test_one_sided_entry_past_the_last_key(self):
+        # entry (0, 2) has no stored transpose, and the key of (2, 0) lies
+        # past every stored key: the map gives nnz, and the nonzero meets
+        # an implicit zero in the symmetry check
+        A = sp.csr_matrix(
+            (np.array([2.0, 1.0, 2.0, 2.0]), np.array([0, 2, 1, 2]), np.array([0, 2, 3, 4])),
+            shape=(3, 3),
+        )
+        A_last = sp.csr_matrix(
+            (np.array([2.0, 1.0, 2.0]), np.array([0, 2, 1]), np.array([0, 2, 3, 3])),
+            shape=(3, 3),
+        )
+        assert np.array_equal(cl.banded_pattern(A).transpose, [0, 4, 2, 3])
+        assert np.array_equal(cl.banded_pattern(A_last).transpose, [0, 3, 2])
+        with pytest.raises(NotSpdError, match="not symmetric"):
+            cl.banded_cholesky(A)
+
     @pytest.mark.parametrize("one_sided", [False, True])
     def test_transpose_map_against_bisection(self, one_sided, rng):
         # every entry's transpose position, or nnz where it is not stored,
-        # against a bisection over the sorted keys row * n + col
+        # against a dense table of the stored positions (the map itself
+        # bisects over the sorted keys row * n + col)
         n = 60
         mask = np.triu(rng.uniform(size=(n, n)) < 0.1, 1)
         mask = mask | mask.T | np.eye(n, dtype=bool)
@@ -201,9 +219,9 @@ class TestBandedCholesky:
         A = sp.csr_matrix(mask.astype(float))
         assert ((A != A.T).nnz > 0) == one_sided
         row = np.repeat(np.arange(n), np.diff(A.indptr))
-        key, tkey = row * n + A.indices, A.indices * n + row
-        expect = np.searchsorted(key, tkey)
-        expect[np.append(key, -1)[expect] != tkey] = A.nnz
+        position = np.full((n, n), A.nnz)
+        position[row, A.indices] = np.arange(A.nnz)
+        expect = position[A.indices, row]
         assert np.array_equal(cl.banded_pattern(A).transpose, expect)
 
     def test_oversize_band_refused_before_allocation(self):

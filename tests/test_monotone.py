@@ -266,14 +266,21 @@ class TestQuadratureOracle:
         assert np.abs(op.jacobian(w).toarray() - J).max() <= 1e-12 * np.abs(J).max()
 
 
+def _weighted_quadrature(op):
+    """E_t and Dbar_x with the quadrature weights folded in, W_t E_t and
+    W_x Dbar_x: the flux carries none, so these contract it to `apply`."""
+    return op.w_t[:, None] * op.E_t, op.h_x[:, None] * op.Dbar_x
+
+
 class TestKroneckerMapped:
     """The operator followed by a Kronecker map, contracted from its element
-    flux (`gradients`, then `flux`), against the map applied to `apply`."""
+    flux (`gradients`, then `flux`) with the weighted quadrature matrices,
+    against the map applied to `apply`."""
 
     @pytest.mark.parametrize("mu", [mo.make_mu("one-plus-inv"), MU_TXS], ids=["registry", "tx"])
     @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
     def test_riesz_map_on_test_space(self, kind, mu, rng):
-        # R_Y^{-1} A_Y w = (M_t^Y)^{-1} E_t^T F Dbar_x A_x^{-1}, and the
+        # R_Y^{-1} A_Y w = (M_t^Y)^{-1} E_t^T W_t Phi W_x Dbar_x A_x^{-1}, and the
         # gradients are the test function's x-derivative at every temporal
         # Gauss point, one value per spatial element
         pair = _oracle_pair(kind)
@@ -289,7 +296,8 @@ class TestKroneckerMapped:
             expect_G = E_t @ (Dbar_x @ w.reshape(op.dim_t, op.dim_x).T).T
             assert np.abs(G - expect_G).max() <= 1e-12 * np.abs(expect_G).max()
             F = op.flux(G)
-            got = (ctx.inv_M_t_Y @ op.E_t.T @ F @ op.Dbar_x @ ctx.inv_A_x).reshape(-1)
+            E_w, Dbar_w = _weighted_quadrature(op)
+            got = (ctx.inv_M_t_Y @ E_w.T @ F @ Dbar_w @ ctx.inv_A_x).reshape(-1)
             expect = ctx.riesz_Y_solve(op.apply(w))
             assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
@@ -303,7 +311,8 @@ class TestKroneckerMapped:
         w = rng.standard_normal(op.dim)
         expect = np.kron(left, right.T) @ op.apply(w)
         F = op.flux(op.gradients(w))
-        got = (left @ op.E_t.T @ F @ op.Dbar_x @ right).reshape(-1)
+        E_w, Dbar_w = _weighted_quadrature(op)
+        got = (left @ E_w.T @ F @ Dbar_w @ right).reshape(-1)
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 

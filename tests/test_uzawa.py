@@ -170,6 +170,30 @@ class TestRunInexactUzawa:
         assert len(trace.k) == 4
         assert len(calls) == 0
 
+    @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
+    def test_no_trial_side_solve_or_sparse_product(self, setup_name, request, monkeypatch):
+        # the trial iterate lives in the modes of R_X: the loop never calls
+        # the Riesz solve, the CSR trace term or the operator's application
+        s = request.getfixturevalue(setup_name)
+        calls = []
+
+        def counting(owner, name):
+            orig = getattr(owner, name)
+
+            def counted(self, *args):
+                calls.append(name)
+                return orig(self, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(type(s.ctx), "riesz_X_solve")
+        counting(type(s.ctx), "apply_trace_term")
+        counting(type(s.op_X), "apply")
+        cfg = uz.make_config(s.bundle, tol=0.0, max_outer=4, L_practical=5)
+        _, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
+        assert len(trace.k) == 4
+        assert calls == []
+
     def test_stops_on_eta(self, heat8):
         cfg = uz.make_config(heat8.bundle, tol=1e-2, max_outer=5000, L_practical=6)
         state, trace = uz.run_inexact_uzawa(
@@ -251,9 +275,9 @@ class TestGradientMaps:
             lam = rng.standard_normal(s.pair.dim_Y)
             h = rng.standard_normal(s.pair.dim_Y)
             G = s.op_Y.gradients(lam)
-            # E_t (R_Y^{-1} A_Y lambda) Dbar_x^T = P_t F P_x
+            # E_t (R_Y^{-1} A_Y lambda) Dbar_x^T = P_t Phi P_x
             expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(s.op_Y.apply(lam)))
-            assert _close(maps.mapped_flux(G), expect, 1e-12)
+            assert _close(maps.P_t @ s.op_Y.flux(G) @ maps.P_x, expect, 1e-12)
             expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(h))
             assert _close(maps.representer(h.reshape(s.pair.dim_t_Y, -1)), expect, 1e-12)
             assert abs(maps.norm2(G) - s.ctx.norm_Y(lam) ** 2) <= 1e-12 * maps.norm2(G)
@@ -269,9 +293,9 @@ class TestGradientMaps:
         maps = uz.GradientMaps(s.op_Y, s.ctx)
         lam = rng.standard_normal(s.pair.dim_Y)
         u = rng.standard_normal(s.pair.dim_X)
-        got = maps.apply_Dt(s.op_Y.gradients(lam)).reshape(-1)
+        got = (maps.Dt_t @ s.op_Y.gradients(lam) @ maps.Dt_x).reshape(-1)
         assert _close(got, s.ctx.apply_Dt(lam), 1e-13)
-        got = maps.representer_of_D(u.reshape(s.pair.dim_t_X, s.pair.dim_x))
+        got = maps.K_t @ u.reshape(s.pair.dim_t_X, s.pair.dim_x) @ maps.K_x
         expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(s.ctx.apply_D(u)))
         assert _close(got, expect, 1e-12)
 
@@ -285,7 +309,7 @@ class TestGradientMaps:
         with pytest.raises(PsaddleError, match=r"dense array GradientMaps\.P_t of shape"):
             uz.GradientMaps(heat8.op_Y, ctx)
 
-    @pytest.mark.parametrize("kind", ["disc-p0", "test-refined"])
+    @pytest.mark.parametrize("kind", ["disc-p0", "cont-p1", "test-refined", "jittered"])
     def test_sweep_matches_coefficient_loop(self, kind):
         # test spaces that no shipped config solves on
         problem = sy.quasilinear_problem()
@@ -293,6 +317,53 @@ class TestGradientMaps:
         _assert_matches_coefficient_loop(
             s, uz.make_config(s.bundle, tol=0.0, max_outer=12, L_practical=3)
         )
+
+
+class TestTrialModes:
+    """The identities the trial side of the sweep rests on, in the modes of
+    R_X, against the coefficient forms of the context and the operator, on
+    every temporal test space."""
+
+    @staticmethod
+    def _setup(s, rng):
+        maps = uz.GradientMaps(s.op_Y, s.ctx)
+        modes = uz.TrialModes(s.op_X, s.ctx, maps)
+        Z = rng.standard_normal((s.pair.dim_t_X, s.pair.dim_x))
+        return maps, modes, Z, modes.coefficients(Z)
+
+    def _to_modes(self, modes, s, h):
+        return modes.to_modes(h.reshape(s.pair.dim_t_X, s.pair.dim_x))
+
+    def test_riesz_solve_and_dual_norm(self, quasi_pair, rng):
+        s = quasi_pair
+        _, modes, _, _ = self._setup(s, rng)
+        h = rng.standard_normal(s.pair.dim_X)
+        H = self._to_modes(modes, s, h)
+        Z = s.ctx.riesz_X_in_modes(H)
+        assert _close(modes.coefficients(Z), s.ctx.riesz_X_solve(h), 1e-12)
+        expect = s.ctx.dual_norm_X(h) ** 2
+        assert abs(float(np.vdot(H, Z)) - expect) <= 1e-12 * expect
+
+    def test_trace_term(self, quasi_pair, rng):
+        s = quasi_pair
+        _, modes, Z, u = self._setup(s, rng)
+        expect = self._to_modes(modes, s, s.ctx.apply_trace_term(u))
+        assert _close(modes.trace_term(Z), expect, 1e-12)
+
+    def test_operator(self, quasi_pair, rng):
+        s = quasi_pair
+        _, modes, Z, u = self._setup(s, rng)
+        expect = self._to_modes(modes, s, s.op_X.apply(u))
+        assert _close(modes.apply(Z), expect, 1e-12)
+
+    def test_couplings(self, quasi_pair, rng):
+        s = quasi_pair
+        maps, modes, Z, u = self._setup(s, rng)
+        lam = rng.standard_normal(s.pair.dim_Y)
+        expect = self._to_modes(modes, s, s.ctx.apply_Dt(lam))
+        assert _close(modes.apply_Dt(s.op_Y.gradients(lam)), expect, 1e-12)
+        expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(s.ctx.apply_D(u)))
+        assert _close(modes.representer_of_D(Z), expect, 1e-12)
 
 
 class TestAposteriori:
