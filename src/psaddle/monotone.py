@@ -52,6 +52,11 @@ class MuCoefficient:
     gradient, which is constant on a spatial element.  Either may ignore t
     or x, or return a scalar; a result that does not vary along the last
     axis is integrated once per element.
+
+    Bounds with m_mu = M_mu = c declare mu = c (`constant`), and the kernels
+    and the Uzawa sweep then use c in place of fn; so such a coefficient
+    refuses an fn that is not c on a small grid of (t, x, s) points
+    (`_CONSTANT_MU_GRID`), a sampled check behind that premise.
     """
 
     fn: Callable
@@ -63,6 +68,34 @@ class MuCoefficient:
     def __post_init__(self):
         if not (0 < self.m_mu <= self.M_mu):
             raise PsaddleError(f"invalid mu bounds ({self.m_mu}, {self.M_mu})")
+        if self.constant is not None:
+            if not np.all(np.asarray(self.fn(*_CONSTANT_MU_GRID)) == self.constant):
+                raise PsaddleError(
+                    f"mu {self.name!r} declares bounds ({self.m_mu}, {self.M_mu}) but is not "
+                    f"the constant {self.constant} on the sampled (t, x, s) grid"
+                )
+
+    @cached_property
+    def constant(self) -> float | None:
+        """c if mu is the constant c, read off the bounds: m_mu if
+        m_mu = M_mu, else None (cached: the flux reads it on every call).
+
+        Proof.  With m_mu = M_mu = c, the bounds at s = 0 read
+        c r <= mu(t, x, r^2) r <= c r, so mu(t, x, r^2) = c for every r > 0,
+        and at r = 0 the flux mu r is 0 = c r whatever mu is.  So the flux
+        is c times the gradient, the operator is c times the Riesz map of
+        the Y-norm, and the Jacobian weight mu + 2 s mu' is c too.
+        """
+        return self.m_mu if self.m_mu == self.M_mu else None
+
+
+# (t, x, s) sample points of the check behind `MuCoefficient.constant`,
+# shaped the way the Galerkin kernels broadcast them
+_CONSTANT_MU_GRID = (
+    np.array([0.0, 0.5, 1.0])[:, None, None],
+    np.array([0.0, 0.5, 1.0])[None, :, None],
+    np.array([0.0, 0.25, 1.0, 3.0, 10.0, 100.0])[None, None, :],
+)
 
 
 def make_mu(name: str, **params) -> MuCoefficient:
@@ -263,7 +296,11 @@ class GalerkinOperator:
 
     def flux(self, G: np.ndarray) -> np.ndarray:
         """mu_bar o G, the element-averaged flux of the element gradients G,
-        without quadrature weights."""
+        without quadrature weights; c G for a constant mu = c
+        (`MuCoefficient.constant`), with no call of fn."""
+        c = self.mu.constant
+        if c is not None:
+            return c * G
         return self._averages(G, self.mu.fn) * G
 
     def apply(self, w: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -46,7 +47,18 @@ from psaddle.core_linalg import BandedCholesky, banded_cholesky, check_dense_siz
 from psaddle.errors import DimensionMismatchError, InvalidSpaceError, NotSpdError
 from psaddle.spaces import TensorSpacePair, embed_X_into_Y, trace_at_time
 
-__all__ = ["RieszContext", "estimate_C_J"]
+__all__ = ["RieszContext", "RieszModes", "estimate_C_J"]
+
+
+class RieszModes(NamedTuple):
+    """The fast diagonalization of R_X (`RieszContext.modes`)."""
+
+    W: np.ndarray      # temporal eigenbasis, W^T M_t^X W = I
+    V: np.ndarray      # spatial eigenbasis, V^T M_x V = I
+    lam: np.ndarray    # spatial eigenvalues, V^T A_x V = diag(lam)
+    scale: np.ndarray  # D_k^{-1} per temporal and spatial mode
+    w: np.ndarray      # W^T e_T
+    corr: np.ndarray   # Sherman-Morrison correction of the trace term
 
 
 @dataclass
@@ -188,14 +200,14 @@ class RieszContext:
     # -- the linear parabolic Riesz solve -------------------------------------
 
     @cached_property
-    def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(W, V, scale, w, corr) of the fast diagonalization of R_X.
+    def modes(self) -> RieszModes:
+        """(W, V, lam, scale, w, corr) of the fast diagonalization of R_X.
 
         W^T M_t^X W = I, W^T T W = diag(theta), V^T M_x V = I and
-        V^T A_x V = diag(lambda).  scale[j, k] = 1 / (lambda_k + theta_j /
-        lambda_k) is D_k^{-1}, w = W^T e_T the last row of W, and
-        corr[:, k] = D_k^{-1} w / (1 + w^T D_k^{-1} w) the Sherman-Morrison
-        correction for the trace term.  So a functional H, as a
+        V^T A_x V = diag(lambda), lambda held as `lam`.  scale[j, k] =
+        1 / (lambda_k + theta_j / lambda_k) is D_k^{-1}, w = W^T e_T the
+        last row of W, and corr[:, k] = D_k^{-1} w / (1 + w^T D_k^{-1} w)
+        the Sherman-Morrison correction for the trace term.  So a functional H, as a
         (dim_t_X, dim_x) array, has the representer W Z V^T with
         Z = scale o H^ - corr o (w^T (scale o H^)) for H^ = W^T H V.
         """
@@ -210,21 +222,21 @@ class RieszContext:
         scale = 1.0 / (lam[None, :] + theta[:, None] / lam[None, :])
         w = W[-1]
         corr = scale * w[:, None] / (1.0 + w**2 @ scale)
-        return W, V, scale, w, corr
+        return RieszModes(W, V, lam, scale, w, corr)
 
     def riesz_X_in_modes(self, H: np.ndarray) -> np.ndarray:
         """R_X^{-1} within the modes: the modal coefficients Z of the
         representer of the functional with modal form H = W^T H V, by
         D_k^{-1} plus the rank-one trace correction per spatial mode."""
-        _, _, scale, w, corr = self.modes
-        Z = scale * H
-        Z -= corr * (w @ Z)
+        m = self.modes
+        Z = m.scale * H
+        Z -= m.corr * (m.w @ Z)
         return Z
 
     def riesz_X_solve(self, h) -> np.ndarray:
         """R_X^{-1} h by fast diagonalization: into the modes, solve there
         (`riesz_X_in_modes`), back again."""
-        W, V = self.modes[:2]
+        W, V = self.modes.W, self.modes.V
         return (W @ self.riesz_X_in_modes(W.T @ self._as_X(h) @ V) @ V.T).reshape(-1)
 
     # -- diagnostics -----------------------------------------------------------
@@ -254,5 +266,5 @@ def estimate_C_J(ctx: RieszContext) -> float:
     and the numerator is e_t e_t^T per mode, a rank-one pencil whose one
     eigenvalue is (G_k^{-1})[t, t] = sum_j W[t, j]^2 / (lambda_k + theta_j/lambda_k).
     """
-    W, _, scale, _, _ = ctx.modes
-    return math.sqrt(float((W[[0, -1]] ** 2 @ scale).max()))
+    m = ctx.modes
+    return math.sqrt(float((m.W[[0, -1]] ** 2 @ m.scale).max()))

@@ -18,6 +18,15 @@ lives in the modes of R_X (`TrialModes`), where R_X^{-1} is a scaling and
 a rank-one correction and the trace term a rank-one product, so the outer
 step makes no Riesz solve and no sparse product either; u is formed only
 where it is returned or measured.
+
+For a constant mu = c (`MuCoefficient.constant`), the linear member of the
+class, both operators are c times Riesz maps, exactly under the 3-point
+rule: A_Y = c R_Y on the test space, so R_Y^{-1} A_Y lambda = c lambda and
+its gradients are c G, and A_X = c (M_t^X (x) A_x), which is c Z o Lambda
+in the modes of R_X.  The sweep then makes no flux evaluation and no
+product with P_t or P_x; it picks that step once per solve, from the
+coefficient, and runs the one loop either way.
+
 The number L of inner steps comes from the convergence theory: with
 
     C_3 = (1/sigma_hat)((sigma_hat - sigma_S)/theta_S* + 1/m_A)
@@ -146,10 +155,12 @@ class UzawaTrace:
     books the work done in that outer step: inner_count inner steps, one
     Riesz solve on the trial space, applied in the modes of R_X
     (`RieszContext.riesz_X_in_modes`), and none on the test space, and
-    napply = inner_count + 1 flux evaluations.  Those are inner_count - 1
-    test-side fluxes for the inner steps (the first inner step reuses the
-    monitored pair of the step before, or A_Y 0 = 0 at k = 0), one for the
-    monitored pair, and one trial-side application A_X u.
+    napply = inner_count + 1 operator applications.  Those are
+    inner_count - 1 test-side applications for the inner steps (the first
+    inner step reuses the monitored pair of the step before, or A_Y 0 = 0
+    at k = 0), one for the monitored pair, and one trial-side application
+    A_X u.  Each is a flux evaluation between dense products, or, for a
+    constant mu, a scaling (`run_inexact_uzawa`).
     """
 
     k: list = field(default_factory=list)
@@ -293,6 +304,12 @@ class TrialModes:
     E_t^X U Dbar_x^T = (E_t^X W) Z (Dbar_x V)^T, and A_X u has the dual
     coefficients (E_t^X)^T W_t Phi W_x Dbar_x, Phi the operator's flux; in
     the modes they are (W_t E_t^X W)^T Phi (W_x Dbar_x V) (`apply`).
+    For a constant mu = c, Phi = c E_t^X U Dbar_x^T, and the 3-point rule
+    integrates the degree-2 products exactly, (E_t^X)^T W_t E_t^X = M_t^X
+    and Dbar_x^T W_x Dbar_x = A_x, so A_X u = c M_t^X U A_x, in the modes
+    c W^T M_t^X W Z V^T A_x V = c Z Lambda: `apply` scales each spatial
+    mode k by c lambda_k, with lambda from the eigensolve of
+    `RieszContext.modes`, and makes no flux evaluation.
 
     Every map here has the shape of a dense array the operator, the
     gradient maps or the mode transforms already hold, so none needs a
@@ -301,8 +318,11 @@ class TrialModes:
     """
 
     def __init__(self, op_X: mo.GalerkinOperator, ctx: RieszContext, maps: GradientMaps):
-        W, V, _, self.w, _ = ctx.modes
+        m = ctx.modes
+        W, V, self.w = m.W, m.V, m.w
         self.W, self.V = W, V
+        c = op_X.mu.constant
+        self.c_lam = None if c is None else c * m.lam
         self.K_t = maps.K_t @ W
         self.K_x = V.T @ maps.K_x
         self.Dt_t = W.T @ maps.Dt_t
@@ -326,7 +346,10 @@ class TrialModes:
         return self.w[:, None] * (self.w @ Z)
 
     def apply(self, Z: np.ndarray) -> np.ndarray:
-        """A_X u in the modes, from the modal coefficients Z of u."""
+        """A_X u in the modes, from the modal coefficients Z of u: c Z Lambda
+        for a constant mu = c."""
+        if self.c_lam is not None:
+            return Z * self.c_lam
         Phi = self.op_X.flux(self.E_t @ Z @ self.Dbar_x.T)
         return self.E_t_w.T @ Phi @ self.Dbar_x_w
 
@@ -366,6 +389,16 @@ def run_inexact_uzawa(
     res_Y^2 = sum w_t h (C - P_t Phi P_x)^2 from one flux evaluation, and
     the next outer step's first inner update reuses that product.
 
+    For a constant mu = c (`MuCoefficient.constant`) the inner update is
+        G <- G - (theta_A* c G - theta_A* C),
+    with no flux and no product with P_t or P_x.  Proof: the flux is
+    Phi(G) = c G, so theta_A* P_t Phi(G) P_x = theta_A* c Pi(G), and G stays
+    in the range of the projection Pi (`GradientMaps`), where Pi(G) = G:
+    it starts at 0 and every update adds multiples of G and of C, which
+    lies in the range too.  The monitored pair's product is theta_A* c G
+    likewise, and `TrialModes.apply` is c Z Lambda.  The step is picked
+    once per solve; the loop is the same.
+
     The trial-side state is Z, the modal coefficients of u (`TrialModes`):
     the bracket of the outer update is formed in the modes, from g^ =
     W^T g V once per solve, and R_X^{-1} is a scaling and a rank-one
@@ -384,11 +417,23 @@ def run_inexact_uzawa(
     theta = cfg.theta_star_A
     maps = GradientMaps(op_Y, ctx)
     modes = TrialModes(op_X, ctx, maps)
-    P_t, P_x, flux = theta * maps.P_t, maps.P_x, op_Y.flux
+    c = op_Y.mu.constant
+    if c is None:
+        P_t, P_x, flux = theta * maps.P_t, maps.P_x, op_Y.flux
+
+        def step(G):
+            """theta_A* times the gradients of R_Y^{-1} A_Y lambda."""
+            return P_t @ flux(G) @ P_x
+    else:
+        theta_c = theta * c
+
+        def step(G):
+            """theta_A* times the gradients of R_Y^{-1} A_Y lambda = c lambda."""
+            return theta_c * G
     C_f = maps.representer(np.reshape(f, (pair.dim_t_Y, pair.dim_x)))
     g_hat = modes.to_modes(np.reshape(g, (pair.dim_t_X, pair.dim_x)))
     G = np.zeros(maps.shape)
-    mapped = np.zeros(maps.shape)  # theta P_t Phi(0) P_x = 0
+    mapped = np.zeros(maps.shape)  # step(0) = 0
     Z = np.zeros((pair.dim_t_X, pair.dim_x))
     trace = UzawaTrace()
 
@@ -396,9 +441,9 @@ def run_inexact_uzawa(
         C = theta * (C_f - modes.representer_of_D(Z))
         G = G - (mapped - C)
         for _ in range(cfg.L - 1):
-            G = G - (P_t @ flux(G) @ P_x - C)
+            G = G - (step(G) - C)
 
-        mapped = P_t @ flux(G) @ P_x
+        mapped = step(G)
         R = g_hat - modes.apply_Dt(G) + modes.apply(Z) + modes.trace_term(Z)
         dZ = ctx.riesz_X_in_modes(R)
         res_Y = math.sqrt(maps.norm2(C - mapped)) / theta

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,43 @@ class TestConstants:
     def test_invalid_constants(self):
         with pytest.raises(PsaddleError):
             mo.MonotoneConstants(L=1.0, m=2.0)
+
+
+class TestConstantMu:
+    """m_mu = M_mu declares mu = c, and the kernels then use c for fn."""
+
+    def test_constant_read_off_the_bounds(self):
+        assert mo.make_mu("constant", c=2.0).constant == 2.0
+        assert mo.make_mu("bounded-ramp", a=1.5, b=0.0).constant == 1.5
+        assert mo.make_mu("bounded-ramp", a=1.5, b=1.0).constant is None
+        assert mo.make_mu("one-plus-inv").constant is None
+
+    @pytest.mark.parametrize("fn", [
+        lambda t, x, s: 1.0 + s,
+        lambda t, x, s: 1.0 + 0.0 * s + t,
+        lambda t, x, s: np.where(x > 0.75, 2.0, 1.0),
+    ], ids=["s", "t", "x"])
+    def test_declared_constant_that_is_not_refused(self, fn):
+        with pytest.raises(PsaddleError, match="not the constant 1.0"):
+            mo.MuCoefficient(fn=fn, m_mu=1.0, M_mu=1.0)
+
+    @pytest.mark.parametrize("mu", [
+        mo.make_mu("constant", c=2.0), mo.make_mu("bounded-ramp", a=1.5, b=0.0),
+    ], ids=["constant", "bounded-ramp-b0"])
+    def test_flux_skips_fn_bit_for_bit(self, mu, rng):
+        calls = []
+
+        def counted(t, x, s):
+            calls.append(1)
+            return mu.fn(t, x, s)
+
+        op = mo.GalerkinOperator(default_pair(3, 4), "Y", dataclasses.replace(mu, fn=counted))
+        G = rng.standard_normal((op.E_t.shape[0], op.Dbar_x.shape[0]))
+        old = op._averages(G, mu.fn) * G
+        calls.clear()
+        got = op.flux(G)
+        assert calls == []
+        assert got.dtype == old.dtype and got.tobytes() == old.tobytes()
 
 
 class TestEmpiricalBounds:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from psaddle import core_linalg
+from psaddle import monotone as mo
 from psaddle import system as sy
 from psaddle import uzawa as uz
 from psaddle.errors import PsaddleError
@@ -121,24 +123,38 @@ class TestRunInexactUzawa:
             assert trace.err_lambda[i] / C3 <= cfg.sigma_hat_S ** (k + 1) * C4 + 1e-9
             assert trace.err_u[i] <= cfg.sigma_hat_S**k * C4 + 1e-9
 
-    def test_cost_bookkeeping(self, heat8, monkeypatch):
-        # napply books the flux evaluations the loop makes, on both sides
+    @staticmethod
+    def _count_operator_calls(s, monkeypatch):
+        """Run 5 outer steps with L = 7, counting the calls of the
+        operator's flux and application; returns the trace and the calls."""
         calls = []
-        flux = type(heat8.op_Y).flux
+        Op = type(s.op_Y)
+        for name in ("flux", "apply"):
+            orig = getattr(Op, name)
 
-        def counting(self, G):
-            calls.append(1)
-            return flux(self, G)
+            def counted(self, arg, orig=orig, name=name):
+                calls.append(name)
+                return orig(self, arg)
 
-        monkeypatch.setattr(type(heat8.op_Y), "flux", counting)
-        cfg = uz.make_config(heat8.bundle, tol=0.0, max_outer=5, L_practical=7)
-        _, trace = uz.run_inexact_uzawa(
-            heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, cfg
-        )
+            monkeypatch.setattr(Op, name, counted)
+        cfg = uz.make_config(s.bundle, tol=0.0, max_outer=5, L_practical=7)
+        _, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
         assert trace.inner_count == [7] * 5
         assert trace.napply == [7 + 1] * 5
-        assert len(calls) == sum(trace.napply)
         assert trace.riesz_X_solves == [1] * 5
+        return trace, calls
+
+    def test_cost_bookkeeping(self, quasi8, monkeypatch):
+        # napply books the flux evaluations the loop makes, on both sides
+        trace, calls = self._count_operator_calls(quasi8, monkeypatch)
+        assert calls == ["flux"] * sum(trace.napply)
+
+    def test_cost_bookkeeping_linear(self, heat8, monkeypatch):
+        # for a constant mu, napply books the same applications, and each
+        # is a scaling: no flux evaluation and no application at all
+        assert heat8.op_Y.mu.constant is not None
+        _, calls = self._count_operator_calls(heat8, monkeypatch)
+        assert calls == []
 
     @pytest.mark.parametrize("L", [1, 5])
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
@@ -263,6 +279,13 @@ def quasi_pair(request):
     return sy.Discretization(_pair(request.param), problem.mu, problem.data)
 
 
+@pytest.fixture(scope="module", params=PAIR_KINDS)
+def heat_pair(request):
+    # mu = 2 rather than 1, so that a dropped c shows
+    problem = sy.quasilinear_problem("constant", c=2.0)
+    return sy.Discretization(_pair(request.param), problem.mu, problem.data)
+
+
 class TestGradientMaps:
     """The identities the sweep in element-gradient coordinates rests on,
     against the coefficient forms of the context, on every temporal test
@@ -281,6 +304,17 @@ class TestGradientMaps:
             expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(h))
             assert _close(maps.representer(h.reshape(s.pair.dim_t_Y, -1)), expect, 1e-12)
             assert abs(maps.norm2(G) - s.ctx.norm_Y(lam) ** 2) <= 1e-12 * maps.norm2(G)
+
+    def test_linear_step(self, heat_pair, rng):
+        # for mu = c, the projected flux is c G: A_Y = c R_Y on the test space
+        s = heat_pair
+        c = s.op_Y.mu.constant
+        maps = uz.GradientMaps(s.op_Y, s.ctx)
+        lam = rng.standard_normal(s.pair.dim_Y)
+        G = s.op_Y.gradients(lam)
+        assert _close(c * G, maps.P_t @ s.op_Y.flux(G) @ maps.P_x, 1e-12)
+        expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(s.op_Y.apply(lam)))
+        assert _close(c * G, expect, 1e-12)
 
     def test_lambda_read_back(self, quasi_pair, rng):
         s = quasi_pair
@@ -319,6 +353,18 @@ class TestGradientMaps:
         )
 
 
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_linear_sweep_matches_coefficient_loop(kind):
+    # bounded-ramp with b = 0 declares m_mu = M_mu, the registry's other
+    # route to a constant mu, so the sweep takes its linear step
+    problem = sy.quasilinear_problem("bounded-ramp", a=1.5, b=0.0)
+    s = sy.Discretization(_pair(kind), problem.mu, problem.data)
+    assert s.op_Y.mu.constant == 1.5
+    _assert_matches_coefficient_loop(
+        s, uz.make_config(s.bundle, tol=0.0, max_outer=12, L_practical=3)
+    )
+
+
 class TestTrialModes:
     """The identities the trial side of the sweep rests on, in the modes of
     R_X, against the coefficient forms of the context and the operator, on
@@ -355,6 +401,22 @@ class TestTrialModes:
         _, modes, Z, u = self._setup(s, rng)
         expect = self._to_modes(modes, s, s.op_X.apply(u))
         assert _close(modes.apply(Z), expect, 1e-12)
+
+    def test_linear_operator(self, heat_pair, rng):
+        # for mu = c, c Z o Lambda against the flux path on the same fn,
+        # declared with bounds that do not pin it, and against op_X.apply
+        s = heat_pair
+        c = s.op_X.mu.constant
+        _, modes, Z, u = self._setup(s, rng)
+        got = modes.apply(Z)
+        assert np.array_equal(got, Z * (c * s.ctx.modes.lam))
+        loose = dataclasses.replace(s.op_X.mu, M_mu=2.0 * c)
+        flux_path = uz.TrialModes(
+            mo.GalerkinOperator(s.pair, "X", loose), s.ctx, uz.GradientMaps(s.op_Y, s.ctx)
+        )
+        assert flux_path.c_lam is None
+        assert _close(got, flux_path.apply(Z), 1e-12)
+        assert _close(got, self._to_modes(modes, s, s.op_X.apply(u)), 1e-12)
 
     def test_couplings(self, quasi_pair, rng):
         s = quasi_pair
