@@ -53,10 +53,10 @@ class MuCoefficient:
     or x, or return a scalar; a result that does not vary along the last
     axis is integrated once per element.
 
-    Bounds with m_mu = M_mu = c declare mu = c (`constant`), and the kernels
-    and the Uzawa sweep then use c in place of fn; so such a coefficient
-    refuses an fn that is not c on a small grid of (t, x, s) points
-    (`_CONSTANT_MU_GRID`), a sampled check behind that premise.
+    Bounds with m_mu = M_mu = c declare mu = c (`constant`), and the Uzawa
+    sweep then uses c in place of fn; so such a coefficient refuses an fn
+    that is not c on a small grid of (t, x, s) points (`_CONSTANT_MU_GRID`),
+    a sampled check behind that premise.
     """
 
     fn: Callable
@@ -75,10 +75,10 @@ class MuCoefficient:
                     f"the constant {self.constant} on the sampled (t, x, s) grid"
                 )
 
-    @cached_property
+    @property
     def constant(self) -> float | None:
         """c if mu is the constant c, read off the bounds: m_mu if
-        m_mu = M_mu, else None (cached: the flux reads it on every call).
+        m_mu = M_mu, else None.
 
         Proof.  With m_mu = M_mu = c, the bounds at s = 0 read
         c r <= mu(t, x, r^2) r <= c r, so mu(t, x, r^2) = c for every r > 0,
@@ -296,11 +296,7 @@ class GalerkinOperator:
 
     def flux(self, G: np.ndarray) -> np.ndarray:
         """mu_bar o G, the element-averaged flux of the element gradients G,
-        without quadrature weights; c G for a constant mu = c
-        (`MuCoefficient.constant`), with no call of fn."""
-        c = self.mu.constant
-        if c is not None:
-            return c * G
+        without quadrature weights."""
         return self._averages(G, self.mu.fn) * G
 
     def apply(self, w: np.ndarray) -> np.ndarray:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -69,7 +68,7 @@ class TestConstants:
 
 
 class TestConstantMu:
-    """m_mu = M_mu declares mu = c, and the kernels then use c for fn."""
+    """m_mu = M_mu declares mu = c, and a coefficient that declares it is c."""
 
     def test_constant_read_off_the_bounds(self):
         assert mo.make_mu("constant", c=2.0).constant == 2.0
@@ -85,24 +84,6 @@ class TestConstantMu:
     def test_declared_constant_that_is_not_refused(self, fn):
         with pytest.raises(PsaddleError, match="not the constant 1.0"):
             mo.MuCoefficient(fn=fn, m_mu=1.0, M_mu=1.0)
-
-    @pytest.mark.parametrize("mu", [
-        mo.make_mu("constant", c=2.0), mo.make_mu("bounded-ramp", a=1.5, b=0.0),
-    ], ids=["constant", "bounded-ramp-b0"])
-    def test_flux_skips_fn_bit_for_bit(self, mu, rng):
-        calls = []
-
-        def counted(t, x, s):
-            calls.append(1)
-            return mu.fn(t, x, s)
-
-        op = mo.GalerkinOperator(default_pair(3, 4), "Y", dataclasses.replace(mu, fn=counted))
-        G = rng.standard_normal((op.E_t.shape[0], op.Dbar_x.shape[0]))
-        old = op._averages(G, mu.fn) * G
-        calls.clear()
-        got = op.flux(G)
-        assert calls == []
-        assert got.dtype == old.dtype and got.tobytes() == old.tobytes()
 
 
 class TestEmpiricalBounds:
