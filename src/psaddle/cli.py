@@ -13,11 +13,11 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,20 +55,9 @@ _SCHEMA = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @property
-    def out_dir(self) -> str:
-        return self.values["output.dir"]
-
-
-def parse_config(path: str) -> ExperimentConfig:
-    """Parse and fully validate a config file; report every violation."""
+def parse_config(path: str) -> dict:
+    """Parse and fully validate a config file; report every violation.
+    Returns the value of every schema key, by key."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     values = {k: v[1] for k, v in _SCHEMA.items()}
@@ -138,7 +127,7 @@ def parse_config(path: str) -> ExperimentConfig:
     sigma_hat = values["solver.sigma_hat"]
     if not math.isnan(sigma_hat):
         try:
-            c = mo.constants_from_mu(_mu_from_config(ExperimentConfig(values)))
+            c = mo.constants_from_mu(_mu_from_config(values))
         except PsaddleError:
             pass  # the mu parameters are refused above
         else:
@@ -150,23 +139,29 @@ def parse_config(path: str) -> ExperimentConfig:
                 )
     if problems:
         raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
-    return ExperimentConfig(values=values)
+    return values
 
 
-def _mu_from_config(cfg: ExperimentConfig) -> mo.MuCoefficient:
+def _mu_params(cfg: dict) -> dict:
+    """The keyword parameters of the configured mu for `make_mu`."""
     name = cfg["problem.mu"]
     if name == "constant":
-        return mo.make_mu("constant", c=cfg["problem.mu_c"])
+        return {"c": cfg["problem.mu_c"]}
     if name == "bounded-ramp":
-        return mo.make_mu("bounded-ramp", a=cfg["problem.mu_a"], b=cfg["problem.mu_b"])
-    return mo.make_mu(name)
+        return {"a": cfg["problem.mu_a"], "b": cfg["problem.mu_b"]}
+    return {}
 
 
-def _problem_from_config(cfg: ExperimentConfig):
+def _mu_from_config(cfg: dict) -> mo.MuCoefficient:
+    return mo.make_mu(cfg["problem.mu"], **_mu_params(cfg))
+
+
+def _problem_from_config(cfg: dict):
     """(mu, data) for the configured problem.
 
     Startup validation: the registry bounds are checked against the sampled
-    extremal slopes before anything downstream uses them.
+    extremal slopes before anything downstream uses them.  `problem.u0`
+    applies under either forcing: `zero` drops the initial value.
     """
     mu = _mu_from_config(cfg)
     m_hat, M_hat = mo.empirical_mu_bounds(lambda s: mu.fn(0.0, 0.0, s), r_max=50.0, n=20_000)
@@ -176,16 +171,14 @@ def _problem_from_config(cfg: ExperimentConfig):
             f"slopes ({m_hat:.6g}, {M_hat:.6g})"
         )
     if cfg["problem.forcing"] == "zero":
-        u0 = (lambda x: np.sin(np.pi * x)) if cfg["problem.u0"] == "sine" else None
-        return mu, sy.ProblemData(u0=u0)
-    if cfg["problem.mu"] == "constant" and cfg["problem.mu_c"] == 1.0:
-        return mu, sy.heat_problem().data  # exact zero forcing for the heat case
-    prob = sy.quasilinear_problem(cfg["problem.mu"], **(
-        {"c": cfg["problem.mu_c"]} if cfg["problem.mu"] == "constant"
-        else {"a": cfg["problem.mu_a"], "b": cfg["problem.mu_b"]}
-        if cfg["problem.mu"] == "bounded-ramp" else {}
-    ))
-    return mu, prob.data
+        data = sy.ProblemData(u0=lambda x: np.sin(np.pi * x))
+    elif cfg["problem.mu"] == "constant" and cfg["problem.mu_c"] == 1.0:
+        data = sy.heat_problem().data  # exact zero forcing for the heat case
+    else:
+        data = sy.quasilinear_problem(cfg["problem.mu"], **_mu_params(cfg)).data
+    if cfg["problem.u0"] == "zero":
+        data = dataclasses.replace(data, u0=None)
+    return mu, data
 
 
 def _fmt(value) -> str:
@@ -212,7 +205,7 @@ def write_csv(path: str, header: tuple, rows) -> None:
         raise
 
 
-def _pair_from_config(cfg: ExperimentConfig, level: int = 0):
+def _pair_from_config(cfg: dict, level: int = 0):
     """Tensor pair from either explicit breakpoints or uniform element counts,
     uniformly refined `level` times."""
     from psaddle.spaces import (
@@ -234,12 +227,12 @@ def _pair_from_config(cfg: ExperimentConfig, level: int = 0):
     )
 
 
-def _discretization(cfg: ExperimentConfig) -> sy.Discretization:
+def _discretization(cfg: dict) -> sy.Discretization:
     mu, data = _problem_from_config(cfg)
     return sy.Discretization(_pair_from_config(cfg), mu, data)
 
 
-def _uzawa_config(cfg: ExperimentConfig, bundle) -> uz.UzawaConfig:
+def _uzawa_config(cfg: dict, bundle) -> uz.UzawaConfig:
     sig = cfg["solver.sigma_hat"]
     L_prac = cfg["solver.L_practical"] or None
     return uz.make_config(
@@ -251,7 +244,7 @@ def _uzawa_config(cfg: ExperimentConfig, bundle) -> uz.UzawaConfig:
     )
 
 
-def cmd_constants(cfg: ExperimentConfig, out: str) -> int:
+def cmd_constants(cfg: dict, out: str) -> int:
     c = mo.constants_from_mu(_mu_from_config(cfg))
     bundle = sy.derive_constants(c.L, c.m)
     ucfg = _uzawa_config(cfg, bundle)
@@ -272,7 +265,7 @@ def cmd_constants(cfg: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def _run_uzawa(cfg: ExperimentConfig, disc: sy.Discretization, out: str,
+def _run_uzawa(cfg: dict, disc: sy.Discretization, out: str,
                reference: sy.SaddleState | None = None) -> int:
     pair = disc.pair
     ucfg = _uzawa_config(cfg, disc.bundle)
@@ -294,18 +287,18 @@ def _run_uzawa(cfg: ExperimentConfig, disc: sy.Discretization, out: str,
     return 0
 
 
-def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
+def cmd_solve(cfg: dict, out: str) -> int:
     return _run_uzawa(cfg, _discretization(cfg), out)
 
 
-def cmd_uzawa_trace(cfg: ExperimentConfig, out: str) -> int:
+def cmd_uzawa_trace(cfg: dict, out: str) -> int:
     disc = _discretization(cfg)
     status = _run_uzawa(cfg, disc, out, reference=disc.reference(1e-12))
     _aposteriori_band(cfg, disc, out)
     return status
 
 
-def _aposteriori_band(cfg: ExperimentConfig, disc: sy.Discretization, out: str) -> None:
+def _aposteriori_band(cfg: dict, disc: sy.Discretization, out: str) -> None:
     """Twenty seeded perturbations of the reference: true error over eta per sample."""
     pair, ctx = disc.pair, disc.ctx
     reference = disc.reference(1e-12)
@@ -342,7 +335,7 @@ def _convergence_row(pair, mu, data) -> tuple[float, float, float, float]:
     return err, ratio, bound, lam_u
 
 
-def cmd_convergence(cfg: ExperimentConfig, out: str) -> int:
+def cmd_convergence(cfg: dict, out: str) -> int:
     mu, data = _problem_from_config(cfg)
     rows = []
     errs = []
@@ -361,7 +354,7 @@ def cmd_convergence(cfg: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def cmd_infsup(cfg: ExperimentConfig, out: str) -> int:
+def cmd_infsup(cfg: dict, out: str) -> int:
     _problem_from_config(cfg)  # validates the configured mu
     rows = []
     for level in range(cfg["disc.levels"]):
@@ -380,7 +373,7 @@ def cmd_infsup(cfg: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def cmd_pjotr(cfg: ExperimentConfig, out: str) -> int:
+def cmd_pjotr(cfg: dict, out: str) -> int:
     mu, data = _problem_from_config(cfg)
     reports = ql.enrich_until_pjotr(
         _pair_from_config(cfg), data, mu, rho=cfg["quality.rho"],
@@ -397,7 +390,7 @@ def cmd_pjotr(cfg: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def cmd_precond(cfg: ExperimentConfig, out: str) -> int:
+def cmd_precond(cfg: dict, out: str) -> int:
     results = pc.kappa_study(cfg["disc.levels"], n_x=cfg["disc.nx"], T=cfg["problem.T"])
     write_csv(os.path.join(out, "precond.csv"), ("level", "dim", "kappa"), results)
     return 0
@@ -414,10 +407,10 @@ _DISPATCH = {
 }
 
 
-def run_subcommand(name: str, cfg: ExperimentConfig, out_dir: str | None = None) -> int:
+def run_subcommand(name: str, cfg: dict, out_dir: str | None = None) -> int:
     if name not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {name!r}; choose from {SUBCOMMANDS}")
-    out = out_dir or cfg.out_dir
+    out = out_dir or cfg["output.dir"]
     os.makedirs(out, exist_ok=True)
     return _DISPATCH[name](cfg, out)
 

@@ -324,6 +324,15 @@ def condition_number_estimate(
     (A, P) in the A-inner product, which only needs applications of A and
     of P^{-1}; the basis is fully reorthogonalized, so for iteration counts
     reaching `dim` the extremal Ritz values are exact up to round-off.
+
+    The estimate is a lower bound.  The Ritz values lie inside the spectrum
+    and their extremes move outward with each step, and the loop stops on a
+    flat window of ratios, usually before the Krylov space fills.  For the
+    wavelet-preconditioned trial Gram of `precond.kappa_study` it reads
+    4.8027 against the dense pencil's 4.8406 (-0.78%) at 16 x 4 elements
+    and 6.2875 against 6.2964 (-0.14%) at 32 x 8.  Running to exhaustion
+    gives the exact value, at 15 and 40 times the CPU time at 32 x 8 and
+    64 x 8 (one thread).
     """
     rng = np.random.default_rng(seed)
     jmax = min(dim, max_iter)

@@ -373,7 +373,6 @@ class GalerkinOperator:
 class IterationResult:
     x: np.ndarray
     iterations: int
-    final_step_norm: float
     converged: bool
 
 
@@ -401,7 +400,6 @@ def zarantonello_solve(
     """
     theta = constants.theta_star
     x = np.asarray(x0, dtype=float).copy()
-    step_norm = np.inf
     for it in range(1, max_iter + 1):
         res = apply_G(x) - f
         d = riesz_solve(res)
@@ -410,8 +408,8 @@ def zarantonello_solve(
         if callback is not None:
             callback(it, x, step_norm)
         if step_norm <= tol:
-            return IterationResult(x, it, step_norm, True)
-    return IterationResult(x, max_iter, step_norm, False)
+            return IterationResult(x, it, True)
+    return IterationResult(x, max_iter, False)
 
 
 def newton_solve(
@@ -419,7 +417,7 @@ def newton_solve(
     jacobian_factor,
     f: np.ndarray,
     x0: np.ndarray,
-    residual_norm=None,
+    residual_norm,
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> IterationResult:
@@ -429,22 +427,21 @@ def newton_solve(
     `jacobian_factor(x)` must return a factor of the symmetric positive
     definite Jacobian at x with a `solve` method, as
     `GalerkinOperator.jacobian_factor` does.
-    `residual_norm` defaults to the Euclidean norm of the residual vector;
-    pass a dual norm for stopping criteria in the right metric.
+    `residual_norm` measures the residual for the stopping test and the
+    line search, a dual norm such as `RieszContext.dual_norm_Y`.
     """
-    norm = residual_norm or (lambda r: float(np.linalg.norm(r)))
     x = np.asarray(x0, dtype=float).copy()
     r = apply_G(x) - f
-    rn = norm(r)
+    rn = residual_norm(r)
     for it in range(1, max_iter + 1):
         if rn <= tol:
-            return IterationResult(x, it - 1, rn, True)
+            return IterationResult(x, it - 1, True)
         d = jacobian_factor(x).solve(-r)
         alpha = 1.0
         for _ in range(40):
             x_new = x + alpha * d
             r_new = apply_G(x_new) - f
-            rn_new = norm(r_new)
+            rn_new = residual_norm(r_new)
             if rn_new < rn or rn_new <= tol:
                 break
             alpha *= 0.5
@@ -452,7 +449,7 @@ def newton_solve(
             raise NotConvergedError("newton line search stalled", best=x)
         x, r, rn = x_new, r_new, rn_new
     if rn <= tol:
-        return IterationResult(x, max_iter, rn, True)
+        return IterationResult(x, max_iter, True)
     raise NotConvergedError(
         f"newton did not reach tol={tol:.1e} (residual {rn:.3e})", best=x,
         iterations=max_iter,

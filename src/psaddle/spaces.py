@@ -38,10 +38,10 @@ class Mesh1D:
         object.__setattr__(self, "breakpoints", tuple(float(x) for x in b))
 
     @staticmethod
-    def uniform(n_elements: int, length: float = 1.0, start: float = 0.0) -> "Mesh1D":
+    def uniform(n_elements: int, length: float = 1.0) -> "Mesh1D":
         if n_elements < 1:
             raise InvalidSpaceError("need at least one element")
-        return Mesh1D(tuple(np.linspace(start, start + length, n_elements + 1)))
+        return Mesh1D(tuple(np.linspace(0.0, length, n_elements + 1)))
 
     @property
     def points(self) -> np.ndarray:
@@ -122,10 +122,6 @@ class QuadratureRule:
     weights: tuple[float, ...]
     order: int  # exact for polynomials up to this degree
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
 
 @lru_cache(maxsize=None)
 def gauss_rule(n_points: int) -> QuadratureRule:
@@ -193,10 +189,7 @@ def eval_basis_at_points(
     if derivative:
         vals = reference_derivatives(spec)[None, :] / h[:, None]
     else:
-        if spec.family == "discontinuous-p0":
-            vals = np.ones((pts.size, 1))
-        else:
-            vals = np.stack([1.0 - xi, xi], axis=1)
+        vals = reference_values(spec, xi).T
     rows = np.repeat(np.arange(pts.size), spec.n_local)
     cols = dofs.reshape(-1)
     data = np.broadcast_to(vals, (pts.size, spec.n_local)).reshape(-1)

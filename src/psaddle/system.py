@@ -74,9 +74,6 @@ class SaddleState:
     lam: np.ndarray
     u: np.ndarray
 
-    def __sub__(self, other: "SaddleState") -> "SaddleState":
-        return SaddleState(self.lam - other.lam, self.u - other.u)
-
 
 @dataclass(frozen=True)
 class ConstantsBundle:
@@ -397,14 +394,6 @@ def schur_newton_direction(
 NEWTON_MAX_STEPS = 60
 
 
-def _newton_direction(ctx, fact_Y, jac_X, b, pcg_cap, fail):
-    """`schur_newton_direction`, with a PCG failure raised as fail(reason)."""
-    try:
-        return schur_newton_direction(ctx, fact_Y, jac_X, b, pcg_cap)[0]
-    except NotConvergedError as err:
-        raise fail(f"direction failed ({err})") from err
-
-
 def solve_reference(
     rhs: tuple[np.ndarray, np.ndarray],
     pair: TensorSpacePair,
@@ -486,7 +475,10 @@ def solve_reference(
             return state
         fact_Y = op_Y.jacobian_factor(state.lam)
         b = ctx.apply_Dt(fact_Y.solve(r_Y)) - r_X
-        du = _newton_direction(ctx, fact_Y, op_X.jacobian(state.u), b, pcg_cap, fail)
+        try:
+            du, _ = schur_newton_direction(ctx, fact_Y, op_X.jacobian(state.u), b, pcg_cap)
+        except NotConvergedError as err:
+            raise fail(f"direction failed ({err})") from err
         dlam = fact_Y.solve(r_Y - ctx.apply_D(du))
         alpha = 1.0
         for _ in range(40):
@@ -543,7 +535,6 @@ class ManufacturedProblem:
     data: ProblemData
     u_exact: Callable      # (t, x) -> value
     u_exact_t: Callable
-    u_exact_x: Callable
 
 
 def heat_problem() -> ManufacturedProblem:
@@ -555,7 +546,6 @@ def heat_problem() -> ManufacturedProblem:
         data=ProblemData(u0=lambda x: np.sin(np.pi * x)),
         u_exact=u,
         u_exact_t=lambda t, x: -np.pi**2 * u(t, x),
-        u_exact_x=lambda t, x: np.pi * np.cos(np.pi * x) * np.exp(-np.pi**2 * t),
     )
 
 
@@ -574,5 +564,5 @@ def quasilinear_problem(mu_name: str = "one-plus-inv", **mu_params) -> Manufactu
         name=f"quasilinear-{mu.name}",
         mu=mu,
         data=ProblemData(ell_f0=u_t, ell_f1=f1, u0=lambda x: np.sin(np.pi * x)),
-        u_exact=u, u_exact_t=u_t, u_exact_x=u_x,
+        u_exact=u, u_exact_t=u_t,
     )

@@ -75,7 +75,6 @@ class UzawaConfig:
     L: int
     theta_star_A: float
     theta_star_S: float
-    sigma_A: float
     sigma_S: float
     tol: float = 1e-8
     max_outer: int = 200
@@ -139,8 +138,7 @@ def make_config(
         L = int(L_practical)
     return UzawaConfig(
         sigma_hat_S=sigma_hat_S, C_3=C_3, L=L,
-        theta_star_A=cA.theta_star, theta_star_S=cS.theta_star,
-        sigma_A=cA.sigma, sigma_S=cS.sigma,
+        theta_star_A=cA.theta_star, theta_star_S=cS.theta_star, sigma_S=cS.sigma,
         tol=tol, max_outer=max_outer,
     )
 
@@ -152,15 +150,13 @@ class UzawaTrace:
     Row k is written after the inner loop of outer step k, i.e. at the
     monitored pair (lambda^(k+1), u^(k)): eta and the residual norms refer
     to that pair, err_lambda to lambda^(k+1), err_u to u^(k).  Each row also
-    books the work done in that outer step: inner_count inner steps, one
-    Riesz solve on the trial space, applied in the modes of R_X
-    (`RieszContext.riesz_X_in_modes`), and none on the test space, and
-    napply = inner_count + 1 operator applications.  Those are
-    inner_count - 1 test-side applications for the inner steps (the first
-    inner step reuses the monitored pair of the step before, or A_Y 0 = 0
-    at k = 0), one for the monitored pair, and one trial-side application
-    A_X u.  Each is a flux evaluation between dense products, or, for a
-    constant mu, a scaling (`run_inexact_uzawa`).
+    books the inner_count inner steps of that outer step.  `napply` is
+    derived from it: inner_count + 1 operator applications per step, that
+    is inner_count - 1 test-side applications for the inner steps (the
+    first inner step reuses the monitored pair of the step before, or
+    A_Y 0 = 0 at k = 0), one for the monitored pair, and one trial-side
+    application A_X u.  Each is a flux evaluation between dense products,
+    or, for a constant mu, a scaling (`run_inexact_uzawa`).
     """
 
     k: list = field(default_factory=list)
@@ -170,11 +166,13 @@ class UzawaTrace:
     err_u: list = field(default_factory=list)
     err_lambda: list = field(default_factory=list)
     inner_count: list = field(default_factory=list)
-    napply: list = field(default_factory=list)
-    riesz_X_solves: list = field(default_factory=list)
     converged: bool = False
 
     COLUMNS = ("k", "eta", "res_Y", "res_X", "err_u", "err_lambda", "inner_count")
+
+    @property
+    def napply(self) -> list:
+        return [n + 1 for n in self.inner_count]
 
     def rows(self):
         for i in range(len(self.k)):
@@ -455,8 +453,6 @@ def run_inexact_uzawa(
         trace.res_Y.append(res_Y)
         trace.res_X.append(res_X)
         trace.inner_count.append(cfg.L)
-        trace.napply.append(cfg.L + 1)
-        trace.riesz_X_solves.append(1)
         if reference is not None:
             trace.err_u.append(ctx.norm_X_delta(reference.u - modes.coefficients(Z)))
             trace.err_lambda.append(ctx.norm_Y(reference.lam - maps.lam(G)))

@@ -93,6 +93,23 @@ class TestSubcommands:
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "0"
 
+    def test_u0_applies_under_manufactured_forcing(self, tmp_path):
+        # the manufactured forcing of one-plus-inv assumes a sine initial
+        # value; problem.u0 = zero must still drop it
+        traces = []
+        for u0 in ("sine", "zero"):
+            text = MINIMAL.replace("constant", "one-plus-inv") + (
+                "problem.forcing = manufactured\n"
+                f"problem.u0 = {u0}\nsolver.tol = 0\nsolver.max_outer = 3\n"
+                "solver.L_practical = 2\n"
+            )
+            cfg = cli.parse_config(write_config(tmp_path, text))
+            out = str(tmp_path / u0)
+            with pytest.raises(NotConvergedError):
+                cli.run_subcommand("solve", cfg, out)
+            traces.append(open(os.path.join(out, "uzawa_trace.csv")).read())
+        assert traces[0] != traces[1]
+
     def test_uzawa_trace_solves_reference_once(self, tmp_path, monkeypatch):
         calls = []
         solve = sy.solve_reference
@@ -150,7 +167,7 @@ class TestSubcommands:
         # level 4 (64 x 64, dim_X 4095) once fell to a dense-size threshold
         config = os.path.join(os.path.dirname(__file__), "..", "configs", "heat.cfg")
         cfg = cli.parse_config(config)
-        cfg.values["disc.levels"] = 5
+        cfg["disc.levels"] = 5
         out = str(tmp_path / "out")
         assert cli.run_subcommand("infsup", cfg, out) == 0
         rows = np.genfromtxt(os.path.join(out, "infsup.csv"), delimiter=",", names=True)
