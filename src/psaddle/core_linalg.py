@@ -331,8 +331,9 @@ def condition_number_estimate(
     wavelet-preconditioned trial Gram of `precond.kappa_study` it reads
     4.8027 against the dense pencil's 4.8406 (-0.78%) at 16 x 4 elements
     and 6.2875 against 6.2964 (-0.14%) at 32 x 8.  Running to exhaustion
-    gives the exact value, at 15 and 40 times the CPU time at 32 x 8 and
-    64 x 8 (one thread).
+    gives the exact value, at about 10 and 20 times the CPU time at 32 x 8
+    and 64 x 8 (one thread): each step reads only the two extremal Ritz
+    values, by bisection on the Lanczos tridiagonal.
     """
     rng = np.random.default_rng(seed)
     jmax = min(dim, max_iter)
@@ -363,11 +364,10 @@ def condition_number_estimate(
             w = w - (w @ aqi) * qi
         aw = apply_A(w)
         beta = np.sqrt(max(w @ aw, 0.0))
-        T = sp.diags(
-            [betas, alphas, betas], offsets=[-1, 0, 1], format="csr"
-        ).toarray()
-        ritz = np.linalg.eigvalsh(T) if T.size else np.array([alphas[0]])
-        lo, hi = float(ritz[0]), float(ritz[-1])
+        lo, hi = (
+            float(sla.eigvalsh_tridiagonal(alphas, betas, select="i", select_range=(i, i))[0])
+            for i in (0, j)
+        )
         if lo > 0:
             est = hi / lo
             extremes = (lo, hi)

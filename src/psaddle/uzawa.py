@@ -24,7 +24,10 @@ class, both operators are c times Riesz maps, exactly under the 3-point
 rule: A_Y = c R_Y on the test space, so R_Y^{-1} A_Y lambda = c lambda and
 its gradients are c G, and A_X = c (M_t^X (x) A_x), which is c Z o Lambda
 in the modes of R_X.  The sweep then makes no flux evaluation and no
-product with P_t or P_x; it picks that step once per solve, from the
+product with P_t or P_x, and its L inner steps, an affine recursion with a
+constant factor q = 1 - theta_A* c, collapse into one update in closed
+form, G <- G + s_L (C - theta_A* c G) with s_L = (1 - q^L)/(theta_A* c)
+(`run_inexact_uzawa`).  It picks that sweep once per solve, from the
 coefficient, and runs the one loop either way.
 
 The number L of inner steps comes from the convergence theory: with
@@ -80,6 +83,12 @@ class UzawaConfig:
     max_outer: int = 200
 
     def __post_init__(self):
+        for name in ("theta_star_A", "theta_star_S"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise PsaddleError(f"{name} must be finite and positive, got {value}")
+        if not (self.tol >= 0.0):
+            raise PsaddleError(f"tol must be non-negative, got {self.tol}")
         if not (self.sigma_S < self.sigma_hat_S < 1.0):
             raise PsaddleError(
                 f"sigma_hat_S must lie in (sigma_S, 1) = ({self.sigma_S}, 1), "
@@ -155,8 +164,10 @@ class UzawaTrace:
     is inner_count - 1 test-side applications for the inner steps (the
     first inner step reuses the monitored pair of the step before, or
     A_Y 0 = 0 at k = 0), one for the monitored pair, and one trial-side
-    application A_X u.  Each is a flux evaluation between dense products,
-    or, for a constant mu, a scaling (`run_inexact_uzawa`).
+    application A_X u.  Each is a flux evaluation between dense products.
+    For a constant mu the L test-side applications are one closed-form
+    update and A_X u is a scaling (`run_inexact_uzawa`); the count still
+    books inner_count + 1, the work of the general sweep.
     """
 
     k: list = field(default_factory=list)
@@ -360,6 +371,16 @@ class TrialModes:
         return self.Dt_t @ G @ self.Dt_x
 
 
+def _geometric_factors(theta_c: float, L: int) -> tuple[float, float]:
+    """q^L and (1 - q^L)/theta_c for q = 1 - theta_c, without cancellation
+    (proof in `run_inexact_uzawa`)."""
+    if theta_c < 1.0:
+        log_q_L = L * math.log1p(-theta_c)
+        return math.exp(log_q_L), -math.expm1(log_q_L) / theta_c
+    q_L = (1.0 - theta_c) ** L
+    return q_L, (1.0 - q_L) / theta_c
+
+
 def run_inexact_uzawa(
     rhs: tuple[np.ndarray, np.ndarray],
     pair: TensorSpacePair,
@@ -388,14 +409,34 @@ def run_inexact_uzawa(
     the next outer step's first inner update reuses that product.
 
     For a constant mu = c (`MuCoefficient.constant`) the inner update is
-        G <- G - (theta_A* c G - theta_A* C),
+        G <- G - (theta_A* c G - C) = q G + C,   q = 1 - theta_A* c,
     with no flux and no product with P_t or P_x.  Proof: the flux is
     Phi(G) = c G, so theta_A* P_t Phi(G) P_x = theta_A* c Pi(G), and G stays
     in the range of the projection Pi (`GradientMaps`), where Pi(G) = G:
     it starts at 0 and every update adds multiples of G and of C, which
-    lies in the range too.  The monitored pair's product is theta_A* c G
-    likewise, and `TrialModes.apply` is c Z Lambda.  The step is picked
-    once per solve; the loop is the same.
+    lies in the range too.  `TrialModes.apply` is c Z Lambda likewise.
+
+    Closed form.  C is fixed during the L inner steps of one outer step,
+    so by induction from G_0, with theta c = theta_A* c,
+        G_L = q^L G_0 + (1 + q + ... + q^(L-1)) C = G_0 + s_L d,
+        d = C - theta c G_0,   s_L = (1 - q^L)/(theta c),
+    since (1 - q) s_L = 1 - q^L and q^L G_0 = G_0 - theta c s_L G_0.  The
+    monitored pair's residual is
+        C - theta c G_L = d - theta c s_L d = q^L d,
+    so res_Y = q^L ||d||_W / theta_A*, and theta c G_L is never formed: the
+    sweep is one update per outer step.  Bounds: theta_A* = m_A/L_A^2
+    (`MonotoneConstants.theta_star`), and A_Y = c R_Y gives m_A <= c <=
+    L_A for any constants valid for the operator, so 0 < theta c =
+    m_A c/L_A^2 <= m_A/L_A <= 1 and q lies in [0, 1); the paper's
+    constants (m_A, L_A) = (c, 3c) give theta c = 1/9.  Evaluation
+    (`_geometric_factors`): for theta c < 1, q^L = exp(L log1p(-theta c))
+    and 1 - q^L = -expm1(L log1p(-theta c)), both to rounding, where
+    1 - q**L loses about log10(1/(theta c)) digits to cancellation.  At
+    theta c = 1, q = 0 and log1p(-1) = -inf, so theta c >= 1 (q = 0, or a
+    hand-built config outside the bounds) takes the power q**L, and
+    1 - q^L has no cancellation there while the recursion contracts
+    (|q| < 1).  The update is the L-step recursion to rounding, not bit
+    for bit.  The sweep is picked once per solve; the loop is the same.
 
     The trial-side state is Z, the modal coefficients of u (`TrialModes`):
     the bracket of the outer update is formed in the modes, from g^ =
@@ -418,33 +459,36 @@ def run_inexact_uzawa(
     c = op_Y.mu.constant
     if c is None:
         P_t, P_x, flux = theta * maps.P_t, maps.P_x, op_Y.flux
+        mapped = np.zeros(maps.shape)  # theta_A* P_t Phi(0) P_x = 0
 
-        def step(G):
-            """theta_A* times the gradients of R_Y^{-1} A_Y lambda."""
-            return P_t @ flux(G) @ P_x
+        def sweep(G, C):
+            """The L inner steps; G_L and ||C - theta_A* P_t Phi(G_L) P_x||_W."""
+            nonlocal mapped
+            G = G - (mapped - C)
+            for _ in range(cfg.L - 1):
+                G = G - (P_t @ flux(G) @ P_x - C)
+            mapped = P_t @ flux(G) @ P_x
+            return G, math.sqrt(maps.norm2(C - mapped))
     else:
         theta_c = theta * c
+        q_L, s_L = _geometric_factors(theta_c, cfg.L)
 
-        def step(G):
-            """theta_A* times the gradients of R_Y^{-1} A_Y lambda = c lambda."""
-            return theta_c * G
+        def sweep(G, C):
+            """The L inner steps in closed form; G_L and ||C - theta_A* c G_L||_W."""
+            d = C - theta_c * G
+            return G + s_L * d, q_L * math.sqrt(maps.norm2(d))
     C_f = maps.representer(np.reshape(f, (pair.dim_t_Y, pair.dim_x)))
     g_hat = modes.to_modes(np.reshape(g, (pair.dim_t_X, pair.dim_x)))
     G = np.zeros(maps.shape)
-    mapped = np.zeros(maps.shape)  # step(0) = 0
     Z = np.zeros((pair.dim_t_X, pair.dim_x))
     trace = UzawaTrace()
 
     for k in range(cfg.max_outer):
         C = theta * (C_f - modes.representer_of_D(Z))
-        G = G - (mapped - C)
-        for _ in range(cfg.L - 1):
-            G = G - (step(G) - C)
-
-        mapped = step(G)
+        G, r_Y = sweep(G, C)
         R = g_hat - modes.apply_Dt(G) + modes.apply(Z) + modes.trace_term(Z)
         dZ = ctx.riesz_X_in_modes(R)
-        res_Y = math.sqrt(maps.norm2(C - mapped)) / theta
+        res_Y = r_Y / theta
         res_X = math.sqrt(max(float(np.vdot(R, dZ)), 0.0))
         eta = res_Y + res_X
 

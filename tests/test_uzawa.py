@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from psaddle.spaces import (
     DISC_P1,
     Mesh1D,
     assemble_matrices,
+    default_pair,
     refine_times,
 )
 
@@ -57,6 +59,23 @@ class TestPlanInnerCount:
                 sigma_S=0.99,
             )
 
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["theta_star_A", "theta_star_S"])
+    def test_config_refuses_damping(self, name, value):
+        # the closed-form linear sweep divides by theta_A* c, and a damping
+        # that is not finite and positive is no step of the iteration
+        cfg = uz.make_config(sy.derive_constants(3.0, 1.0))
+        with pytest.raises(PsaddleError, match=f"{name} must be finite and positive"):
+            dataclasses.replace(cfg, **{name: value})
+
+    @pytest.mark.parametrize("tol", [-1e-8, math.nan])
+    def test_config_refuses_tol(self, tol):
+        # a NaN tol would never stop the loop on eta; tol = 0 runs every step
+        bundle = sy.derive_constants(3.0, 1.0)
+        assert uz.make_config(bundle, tol=0.0).tol == 0.0
+        with pytest.raises(PsaddleError, match="tol must be non-negative"):
+            uz.make_config(bundle, tol=tol)
+
 
 def _uzawa_on_coefficients(s, cfg):
     """Textbook Uzawa loop on coefficients: every inner step applies A_Y
@@ -93,6 +112,14 @@ def _assert_matches_coefficient_loop(s, cfg):
     np.testing.assert_allclose(trace.res_X, res_X, rtol=1e-12, atol=0)
     assert np.all(np.abs(np.subtract(trace.res_Y, res_Y)) <= 1e-12 * np.asarray(eta))
     assert np.abs(state.lam - lam).max() <= 1e-12 * np.abs(lam).max()
+
+
+@pytest.fixture(scope="module")
+def ramp8():
+    # bounded-ramp with b = 0 declares m_mu = M_mu = 1.5: a constant mu
+    # other than the heat problem's c = 1
+    problem = sy.quasilinear_problem("bounded-ramp", a=1.5, b=0.0)
+    return sy.Discretization(default_pair(8, 8), problem.mu, problem.data)
 
 
 class TestRunInexactUzawa:
@@ -155,17 +182,50 @@ class TestRunInexactUzawa:
         _, calls = self._count_operator_calls(heat8, monkeypatch)
         assert calls == []
 
-    @pytest.mark.parametrize("L", [1, 5])
-    @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
+    @pytest.mark.parametrize("L", [1, 2, 5, 40])
+    @pytest.mark.parametrize("setup_name", ["heat8", "quasi8", "ramp8"])
     def test_reused_inner_step_matches_fresh_steps(self, setup_name, L, request):
         # the sweep on element gradients, which reuses the monitored pair's
-        # projected flux for the next first inner step, against the textbook
-        # loop on coefficients with a fresh application and Riesz solve per
-        # inner step
+        # projected flux for the next first inner step, or for a constant mu
+        # (heat8, ramp8) takes the L inner steps as one closed-form update,
+        # against the textbook loop on coefficients with a fresh application
+        # and Riesz solve per inner step
         s = request.getfixturevalue(setup_name)
         _assert_matches_coefficient_loop(
             s, uz.make_config(s.bundle, tol=0.0, max_outer=15, L_practical=L)
         )
+
+    @pytest.mark.parametrize("setup_name", ["heat8", "ramp8"])
+    def test_closed_form_at_q_zero(self, setup_name, request):
+        # theta_A* = 1/c makes q = 1 - theta_A* c zero: one inner step solves
+        # the test-side block, and log1p(-1) is no way to get there
+        s = request.getfixturevalue(setup_name)
+        c = s.op_Y.mu.constant
+        cfg = uz.make_config(s.bundle, tol=0.0, max_outer=12, L_practical=3)
+        cfg = dataclasses.replace(cfg, theta_star_A=1.0 / c)
+        assert uz._geometric_factors(cfg.theta_star_A * c, cfg.L)[0] == 0.0
+        _assert_matches_coefficient_loop(s, cfg)
+
+    def test_closed_form_small_damping(self, heat8):
+        # theta_A* c = 1e-6: a naive 1 - q**L would lose about six digits
+        # of the update, far beyond the loop's rtol of 1e-12
+        c = heat8.op_Y.mu.constant
+        cfg = uz.make_config(heat8.bundle, tol=0.0, max_outer=12, L_practical=10)
+        _assert_matches_coefficient_loop(
+            heat8, dataclasses.replace(cfg, theta_star_A=1e-6 / c)
+        )
+
+    @pytest.mark.parametrize("theta_c", [1e-9, 1e-6, 1.0 / 9.0, 0.5, 1.0, 1.5])
+    def test_geometric_factors_exact(self, theta_c):
+        # q^L and (1 - q^L)/(theta c) against exact rational arithmetic on
+        # the same double theta c
+        t = Fraction(theta_c)
+        for L in (1, 2, 10, 40):
+            q_L, s_L = uz._geometric_factors(theta_c, L)
+            exact_q_L = (1 - t) ** L
+            exact_s_L = sum((1 - t) ** j for j in range(L))
+            assert abs(Fraction(q_L) - exact_q_L) <= 1e-15 * abs(exact_q_L)
+            assert abs(Fraction(s_L) - exact_s_L) <= 1e-15 * exact_s_L
 
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_no_riesz_Y_solve_per_outer_step(self, setup_name, request, monkeypatch):
