@@ -160,12 +160,15 @@ def _problem_from_config(cfg: dict):
     """(mu, data) for the configured problem.
 
     Startup validation: the registry bounds are checked against the sampled
-    extremal slopes before anything downstream uses them.  `problem.u0`
-    applies under either forcing: `zero` drops the initial value.
+    extremal slopes before anything downstream uses them, at a slack
+    relative to M_mu, since the rounding of a finite-difference slope grows
+    with its size.  `problem.u0` applies under either forcing: `zero` drops
+    the initial value.
     """
     mu = _mu_from_config(cfg)
     m_hat, M_hat = mo.empirical_mu_bounds(lambda s: mu.fn(0.0, 0.0, s), r_max=50.0, n=20_000)
-    if m_hat < mu.m_mu - 1e-6 or M_hat > mu.M_mu + 1e-6:
+    slack = 1e-6 * mu.M_mu
+    if m_hat < mu.m_mu - slack or M_hat > mu.M_mu + slack:
         raise ConfigError(
             f"declared mu bounds ({mu.m_mu}, {mu.M_mu}) are violated by sampled "
             f"slopes ({m_hat:.6g}, {M_hat:.6g})"
@@ -410,9 +413,7 @@ _DISPATCH = {
 def run_subcommand(name: str, cfg: dict, out_dir: str | None = None) -> int:
     if name not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {name!r}; choose from {SUBCOMMANDS}")
-    out = out_dir or cfg["output.dir"]
-    os.makedirs(out, exist_ok=True)
-    return _DISPATCH[name](cfg, out)
+    return _DISPATCH[name](cfg, out_dir or cfg["output.dir"])
 
 
 def main(argv=None) -> int:

@@ -12,13 +12,14 @@ to (A_x + alpha M_x) A_x^{-1} (A_x + alpha M_x), so the preconditioner
 
     (T (x) I) blockdiag[(A_x + alpha M_x)^{-1} A_x (A_x + alpha M_x)^{-1}] (T^T (x) I)
 
-applies with one pair of banded solves per block.  At desk scale the block
+applies with one pair of banded solves per distinct alpha, each on all the
+wavelets that share it as a block right-hand side.  At desk scale the block
 inverses are exact banded Cholesky factorizations, so the spectral-equivalence
 step of the block construction holds with equality.
 
-`RXOperator` applies R matrix-free, `make_precond` builds the preconditioner
-on a `build_time_wavelets` basis, and `kappa_study` reports the condition
-number of the preconditioned Gram per dyadic level.
+`RXOperator` applies R matrix-free, `BlockDiagPrecond` builds the
+preconditioner on a `build_time_wavelets` basis, and `kappa_study` reports
+the condition number of the preconditioned Gram per dyadic level.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from psaddle.core_linalg import BandedCholesky, banded_cholesky, condition_number_estimate
+from psaddle.core_linalg import banded_cholesky, condition_number_estimate
 from psaddle.errors import InvalidSpaceError
 from psaddle.spaces import (
     CONT_P1,
@@ -145,14 +146,27 @@ class RXOperator:
         return (np.asarray(first) + np.asarray(second)).reshape(-1)
 
 
-@dataclass(frozen=True)
 class BlockDiagPrecond:
-    """Per-wavelet diffusion-reaction solves realizing the optimal preconditioner."""
+    """Per-wavelet diffusion-reaction solves realizing the optimal preconditioner.
 
-    basis: TimeWaveletBasis
-    pair: TensorSpacePair
-    _facts: tuple
-    _alpha_index: np.ndarray
+    The wavelets are grouped by alpha, rounded to 12 decimals, and
+    A_x + alpha M_x is factored once per group at its first alpha; `apply`
+    solves each factor once, on all of its group's rows as a block
+    right-hand side.
+    """
+
+    def __init__(self, basis: TimeWaveletBasis, pair: TensorSpacePair):
+        if basis.dim != pair.dim_t_X:
+            raise InvalidSpaceError("wavelet basis and temporal trial axis disagree")
+        self.basis = basis
+        self.pair = pair
+        groups: dict[float, list[int]] = {}
+        for w, alpha in enumerate(basis.alphas):
+            groups.setdefault(round(float(alpha), 12), []).append(w)
+        self._groups = tuple(
+            (banded_cholesky(pair.A_x + basis.alphas[rows[0]] * pair.M_x), np.array(rows))
+            for rows in groups.values()
+        )
 
     @property
     def dim(self) -> int:
@@ -163,26 +177,9 @@ class BlockDiagPrecond:
         H = np.asarray(h, dtype=float).reshape(self.basis.dim, p.dim_x)
         Y = self.basis.T.T @ H
         Z = np.empty_like(Y)
-        for w in range(self.basis.dim):
-            fact: BandedCholesky = self._facts[self._alpha_index[w]]
-            Z[w] = fact.solve(p.A_x @ fact.solve(Y[w]))
+        for fact, rows in self._groups:
+            Z[rows] = fact.solve(p.A_x @ fact.solve(Y[rows].T)).T
         return (self.basis.T @ Z).reshape(-1)
-
-
-def make_precond(basis: TimeWaveletBasis, pair: TensorSpacePair) -> BlockDiagPrecond:
-    """Factor A_x + alpha M_x once per distinct alpha."""
-    if basis.dim != pair.dim_t_X:
-        raise InvalidSpaceError("wavelet basis and temporal trial axis disagree")
-    uniq: dict[float, int] = {}
-    index = np.empty(basis.dim, dtype=int)
-    facts = []
-    for w, alpha in enumerate(basis.alphas):
-        key = round(float(alpha), 12)
-        if key not in uniq:
-            uniq[key] = len(facts)
-            facts.append(banded_cholesky(pair.A_x + alpha * pair.M_x))
-        index[w] = uniq[key]
-    return BlockDiagPrecond(basis=basis, pair=pair, _facts=tuple(facts), _alpha_index=index)
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,7 @@ def kappa_study(levels: int, n_x: int = 8, T: float = 1.0) -> list[tuple[int, in
         pair = default_pair(2**level, n_x, T=T)
         op = RXOperator(pair)
         basis = build_time_wavelets(pair.mesh_t_X)
-        prec = make_precond(basis, pair)
+        prec = BlockDiagPrecond(basis, pair)
         kappa = condition_number_estimate(op.apply, prec.apply, op.dim)
         out.append((level, op.dim, float(kappa)))
     return out

@@ -33,7 +33,7 @@ import numpy as np
 
 from psaddle import monotone as mo
 from psaddle import system as sy
-from psaddle.core_linalg import cg_iteration_cap, extremal_generalized_eigen, pcg
+from psaddle.core_linalg import cg_iteration_cap, pcg, smallest_generalized_eigenvalue
 from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
@@ -105,9 +105,7 @@ def gamma_t(ctx: RieszContext) -> float:
     the default pairing).
     """
     constants = np.ones((ctx.pair.dim_t_X, 1))
-    lam, _ = extremal_generalized_eigen(
-        ctx.T_t, ctx.pair.A_t_X, "smallest", constraint_kernel=constants
-    )
+    lam = smallest_generalized_eigenvalue(ctx.T_t, ctx.pair.A_t_X, constraint_kernel=constants)
     return math.sqrt(max(lam, 0.0))
 
 
@@ -202,17 +200,15 @@ class TwoLevel:
         """lambda_min(T_c, T_f) with the time-constants deflated: the
         temporal pencil of `gamma_direct`, solved once per pair."""
         constants = np.ones((self.coarse.dim_t_X, 1))
-        lam, _ = extremal_generalized_eigen(
-            self.ctx_coarse.T_t, self.T_f, "smallest", constraint_kernel=constants
+        return smallest_generalized_eigenvalue(
+            self.ctx_coarse.T_t, self.T_f, constraint_kernel=constants
         )
-        return lam
 
     @cached_property
     def lam_x(self) -> float:
         """lambda_min(S_c, S_f): the spatial pencil of `gamma_direct` and
         `gamma_x`, solved once per pair."""
-        lam, _ = extremal_generalized_eigen(self.ctx_coarse.S_x, self.S_f, "smallest")
-        return lam
+        return smallest_generalized_eigenvalue(self.ctx_coarse.S_x, self.S_f)
 
     def best_approx_X(self, u_fine: np.ndarray) -> tuple[np.ndarray, float]:
         """Best approximation from the coarse trial space in the fine norm:

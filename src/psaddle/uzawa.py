@@ -136,12 +136,20 @@ def make_config(
     """Config with the theoretical L, or a practical override.
 
     The default sigma_hat is the midpoint (1 + sigma_S)/2 of the admissible
-    range.  L_practical replaces the theoretical inner count; the a priori
-    envelope is only guaranteed for the theoretical one.
+    range; where sigma_S lies so close to 1 that the midpoint rounds to 1,
+    no target is representable and the config is refused.  L_practical
+    replaces the theoretical inner count; the a priori envelope is only
+    guaranteed for the theoretical one.
     """
     cA, cS = bundle.A_constants, bundle.S_constants
     if sigma_hat_S is None:
         sigma_hat_S = 0.5 * (1.0 + cS.sigma)
+        if not cS.sigma < sigma_hat_S < 1.0:
+            raise PsaddleError(
+                f"sigma_S = {cS.sigma!r} of (L_S, m_S) = ({bundle.L_S!r}, {bundle.m_S!r}) "
+                "is too close to 1: no outer-rate target in (sigma_S, 1) can be "
+                "represented in double precision"
+            )
     C_3, L = plan_inner_count(bundle, sigma_hat_S)
     if L_practical is not None:
         L = int(L_practical)

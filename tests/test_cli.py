@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from psaddle import cli
+from psaddle import monotone as mo
 from psaddle import system as sy
 from psaddle.errors import ConfigError, NotConvergedError
 from psaddle.rng import SplitMix64
@@ -77,6 +78,15 @@ class TestSubcommands:
         assert "L_N = 4" in out
         assert "m_S = 0.1111111111111111" in out
         assert os.path.exists(tmp_path / "out" / "constants.csv")
+
+    def test_constants_bounded_ramp(self, tmp_path, capsys):
+        # bounds (a, a + 9b/8) = (2, 11); a and b swapped would give 30.75 and 8
+        text = MINIMAL + "problem.mu = bounded-ramp\nproblem.mu_a = 2\nproblem.mu_b = 8\n"
+        cfg = cli.parse_config(write_config(tmp_path, text))
+        assert cli.run_subcommand("constants", cfg, str(tmp_path / "out")) == 0
+        out = capsys.readouterr().out
+        assert "L_A = 33\n" in out
+        assert "m_A = 2\n" in out
 
     def test_unknown_subcommand(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, MINIMAL))
@@ -228,6 +238,31 @@ class TestMainEntry:
         assert cli.main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
+
+
+    def test_large_constant_mu_passes_startup_check(self, tmp_path):
+        # the finite-difference slopes of mu = 1e6 round by about 2e-6
+        path = write_config(tmp_path, MINIMAL + "problem.mu_c = 1e6\n")
+        assert cli.main(["infsup", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+    def test_violated_mu_bounds_leave_no_output_dir(self, tmp_path, monkeypatch, capsys):
+        # one-plus-inv has slopes up to 2; declare 1.5
+        def understated(name, **params):
+            return mo.MuCoefficient(fn=lambda t, x, s: 1.0 + 1.0 / (1.0 + s), m_mu=0.875, M_mu=1.5)
+
+        monkeypatch.setattr(mo, "make_mu", understated)
+        path = write_config(tmp_path, MINIMAL)
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "declared mu bounds" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_unrepresentable_default_sigma_hat(self, tmp_path, capsys):
+        # sigma_S = 1 - 2^-53 here, so the midpoint default rounds to 1
+        path = write_config(tmp_path, MINIMAL + "problem.mu_c = 1e-4\n")
+        assert cli.main(["constants", "--config", path, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "no outer-rate target" in err
+        assert "sigma_hat_S=1.0" not in err
 
 
 def _solve_summary(cfg_name, tmp_path):

@@ -113,14 +113,14 @@ class TestRXOperator:
 class TestBlockDiagPrecond:
     def test_zero(self):
         pair = default_pair(4, 4)
-        prec = pc.make_precond(pc.build_time_wavelets(pair.mesh_t_X), pair)
+        prec = pc.BlockDiagPrecond(pc.build_time_wavelets(pair.mesh_t_X), pair)
         assert np.all(prec.apply(np.zeros(prec.dim)) == 0.0)
 
     def test_alpha_zero_limit_reduces_to_stiffness_inverse(self, rng):
         # with T = Id and alpha = 0 every block is A_x^{-1}
         pair = default_pair(1, 6)
         basis = pc.TimeWaveletBasis(T=np.eye(2), alphas=np.zeros(2))
-        prec = pc.make_precond(basis, pair)
+        prec = pc.BlockDiagPrecond(basis, pair)
         h = rng.standard_normal(prec.dim)
         H = h.reshape(2, pair.dim_x)
         Ax = pair.A_x.toarray()
@@ -129,7 +129,7 @@ class TestBlockDiagPrecond:
 
     def test_spd_quadratic_form(self, rng):
         pair = default_pair(8, 6)
-        prec = pc.make_precond(pc.build_time_wavelets(pair.mesh_t_X), pair)
+        prec = pc.BlockDiagPrecond(pc.build_time_wavelets(pair.mesh_t_X), pair)
         for _ in range(10):
             h = rng.standard_normal(prec.dim)
             assert h @ prec.apply(h) > 0.0
@@ -193,7 +193,7 @@ class TestKappaStudy:
         # dense pencil, and here within 2% of it (4.8027 against 4.8406)
         pair = default_pair(16, 4)
         op = pc.RXOperator(pair)
-        prec = pc.make_precond(pc.build_time_wavelets(pair.mesh_t_X), pair)
+        prec = pc.BlockDiagPrecond(pc.build_time_wavelets(pair.mesh_t_X), pair)
         eye = np.eye(op.dim)
         R = np.column_stack([op.apply(col) for col in eye])
         Pinv = np.column_stack([prec.apply(col) for col in eye])

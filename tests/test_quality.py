@@ -7,7 +7,7 @@ import pytest
 from psaddle import monotone as mo
 from psaddle import quality as ql
 from psaddle import system as sy
-from psaddle.core_linalg import cg_iteration_cap, extremal_generalized_eigen, pcg
+from psaddle.core_linalg import cg_iteration_cap, pcg, smallest_generalized_eigenvalue
 from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
@@ -150,9 +150,7 @@ def _dense_gamma_direct(two):
     num = np.kron(two.ctx_coarse.T_t, two.ctx_coarse.S_x)
     T_f, S_f = _assembled_T_f_S_f(two)
     kernel = np.kron(np.ones((c.dim_t_X, 1)), np.eye(c.dim_x))
-    lam, _ = extremal_generalized_eigen(
-        num, np.kron(T_f, S_f), "smallest", constraint_kernel=kernel
-    )
+    lam = smallest_generalized_eigenvalue(num, np.kron(T_f, S_f), constraint_kernel=kernel)
     return math.sqrt(max(lam, 0.0))
 
 
@@ -256,9 +254,9 @@ class TestGammaDirect:
 
         def counting(A, B, *args, **kwargs):
             pencils.append((A, B))
-            return extremal_generalized_eigen(A, B, *args, **kwargs)
+            return smallest_generalized_eigenvalue(A, B, *args, **kwargs)
 
-        monkeypatch.setattr(ql, "extremal_generalized_eigen", counting)
+        monkeypatch.setattr(ql, "smallest_generalized_eigenvalue", counting)
         pair = default_pair(4, 4)
         two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
         ql.infsup_report(two)

@@ -1,0 +1,83 @@
+"""Tests of the comparison scripts under scripts/, loaded by path."""
+
+import importlib.util
+import os
+
+import pytest
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def drift():
+    return load("output_drift")
+
+
+@pytest.fixture(scope="module")
+def lines():
+    return load("code_lines")
+
+
+def write_pair(tmp_path, parent, change):
+    paths = []
+    for side, text in (("parent", parent), ("change", change)):
+        path = tmp_path / f"{side}.csv"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
+
+
+class TestCompareCsv:
+    def test_equal(self, drift, tmp_path):
+        text = "level,kappa\n1,1.5\n2,2.25\n"
+        ok, _, worst = drift.compare_csv(*write_pair(tmp_path, text, text))
+        assert ok
+        assert worst[0] == 0.0
+
+    def test_float_drift_is_reported_not_judged(self, drift, tmp_path):
+        ok, report, (value, column) = drift.compare_csv(*write_pair(
+            tmp_path, "level,kappa\n1,2\n2,4.0\n", "level,kappa\n1,2\n2,4.4\n"
+        ))
+        assert ok
+        assert column == "kappa"
+        assert abs(value - 0.4 / 4.4) <= 1e-15
+        assert "  level: integer/string equal" in report
+
+    def test_integer_column_differs(self, drift, tmp_path):
+        ok, report, _ = drift.compare_csv(*write_pair(
+            tmp_path, "level,kappa\n1,1.5\n2,2.5\n", "level,kappa\n1,1.5\n3,2.5\n"
+        ))
+        assert not ok
+        assert "  level: integer/string DIFFERS" in report
+
+    def test_row_count_differs(self, drift, tmp_path):
+        ok, report, _ = drift.compare_csv(*write_pair(
+            tmp_path, "level,kappa\n1,1.5\n", "level,kappa\n1,1.5\n2,2.5\n"
+        ))
+        assert not ok
+        assert report == ["  header or row count differs: 1 vs 2 rows"]
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks(lines):
+    source = '''"""Module docstring
+on two lines."""
+
+# a comment
+x = 1  # trailing comment
+text = """a string
+that is not a docstring"""
+
+
+def f():
+    """Function docstring."""
+    return x
+'''
+    # x = 1, the two lines of text, def f(): and return x
+    assert lines.code_lines(source) == 5
