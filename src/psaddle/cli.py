@@ -328,13 +328,11 @@ def _convergence_row(pair, mu, data) -> tuple[float, float, float, float]:
     before the next level starts."""
     disc = sy.Discretization(pair, mu, data)
     state = disc.reference(1e-11)
-    fine = sy.Discretization(ql._surrogate_pair(pair), mu, data)
-    two = ql.TwoLevel(pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
+    fine, two = ql.surrogate(disc)
     fstate = fine.reference(1e-11, x0=two.prolong_X(state.u))
     report = ql.infsup_report(two)
-    ratio, bound = ql.quasi_opt_ratio(fstate.u, state, two, disc.bundle, report)
-    err = fine.ctx.norm_X_delta(fstate.u - two.prolong_X(state.u))
-    lam_u, _ = ql.estimator_terms(state, disc.ctx, data)
+    ratio, bound, err = ql.quasi_opt_ratio(fstate.u, state, two, disc.bundle, report)
+    lam_u, _ = ql.estimator_terms(state, disc)
     return err, ratio, bound, lam_u
 
 

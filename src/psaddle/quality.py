@@ -4,7 +4,12 @@ Continuous-level quantities (the exact solution, its best approximation, the
 true dual norm of the temporal derivative) are approximated on a reference
 pair `SURROGATE_REFINEMENTS` uniform refinements finer in both axes;
 inequality checks that rely on the surrogate carry a 1.05 slack factor in
-the tests.
+the tests.  `surrogate` is the one constructor of that reference: the same
+problem (a `system.Discretization`, which keeps mu and the data) on the
+reference pair, and the `TwoLevel` that shares both Riesz contexts.  The
+study functions take the coarse `Discretization` in place of its loose
+parts (context, mu, data, constants), and `check_pjotr` reads ell and the
+test-side operator off the fine one, assembling nothing itself.
 
 On tensor pairs every Gram is a sum of Kronecker products of 1D matrices,
 and nothing here forms one as a dense array.  The temporal and spatial
@@ -63,6 +68,7 @@ __all__ = [
     "enrich_until_pjotr",
     "efficiency_reliability",
     "estimator_terms",
+    "surrogate",
     "SURROGATE_REFINEMENTS",
 ]
 
@@ -322,16 +328,18 @@ def quasi_opt_ratio(
     two: TwoLevel,
     bundle: sy.ConstantsBundle,
     report: InfSupReport,
-) -> tuple[float, float]:
-    """Measured error over best-approximation error, against the theory bound
-    2 (1 + L_Ninv L_N / gamma^2) with gamma the tensor lower bound."""
+) -> tuple[float, float, float]:
+    """(ratio, bound, error): the measured error ||u_ref - P u||_{X^d} on
+    the fine pair over the best-approximation error, the theory bound
+    2 (1 + L_Ninv L_N / gamma^2) with gamma the tensor lower bound, and
+    the measured error itself."""
     _, best_err = two.best_approx_X(u_ref)
     if best_err <= 1e-12:
         raise PsaddleError("reference essentially lies in the trial space; ratio undefined")
     err = two.ctx_fine.norm_X_delta(u_ref - two.prolong_X(state.u))
     gamma = report.gamma_lower
     bound = 2.0 * (1.0 + bundle.L_Ninv * bundle.L_N / gamma**2)
-    return err / best_err, bound
+    return err / best_err, bound, err
 
 
 @dataclass(frozen=True)
@@ -348,18 +356,18 @@ def check_trial_norm_quasi_opt(
     u_ref: np.ndarray,
     state: sy.SaddleState,
     two: TwoLevel,
-    bundle: sy.ConstantsBundle,
-    data: sy.ProblemData,
+    disc: sy.Discretization,
 ) -> TrialNormQuasiOpt:
     """Quasi-optimality in the mesh-dependent norm, plus the induced bound on
     the auxiliary-variable gap, with the fine-space surrogate standing in for
-    the continuous solution."""
+    the continuous solution; `disc` is the problem on `two.coarse`."""
     if not two.coarse.x_in_y:
         raise InvalidSpaceError("trial space must lie inside the test space")
     _, best_err = two.best_approx_X(u_ref)
     diff_fine = u_ref - two.prolong_X(state.u)
     lhs_X = two.norm_X_delta_of_fine(diff_fine)
-    lam_u, lhs_H = estimator_terms(state, two.ctx_coarse, data)
+    lam_u, lhs_H = estimator_terms(state, disc)
+    bundle = disc.bundle
     bound = bundle.C_1 * best_err
     cor_lhs = lam_u + bundle.trace_weight * lhs_H
     cor_bound = 2.0 * bundle.C_1 * bundle.trace_weight * best_err
@@ -369,17 +377,15 @@ def check_trial_norm_quasi_opt(
     )
 
 
-def estimator_terms(
-    state: sy.SaddleState, ctx: RieszContext, data: sy.ProblemData
-) -> tuple[float, float]:
-    """(||lambda - u||_{Y^d}, ||u0 - u(0, .)||_H) on the pair of `ctx`.
+def estimator_terms(state: sy.SaddleState, disc: sy.Discretization) -> tuple[float, float]:
+    """(||lambda - u||_{Y^d}, ||u0 - u(0, .)||_H) on the pair of `disc`.
 
     The two computable terms of the a posteriori estimator, the second with
     the closed-form initial value.  The trial space must lie in the test
     space.
     """
-    pair = ctx.pair
-    lam_u = ctx.norm_Y(state.lam - embed_X_into_Y(pair, state.u))
+    pair, data = disc.pair, disc.data
+    lam_u = disc.ctx.norm_Y(state.lam - embed_X_into_Y(pair, state.u))
     u0_sq = sy.u0_l2_norm2(data, pair)
     b0 = sy.u0_moments(data, pair)
     tr = trace_at_time(pair, state.u, 0.0)
@@ -389,42 +395,33 @@ def estimator_terms(
 
 def check_pjotr(
     state: sy.SaddleState,
-    data: sy.ProblemData,
+    disc: sy.Discretization,
+    fine: sy.Discretization,
     two: TwoLevel,
-    mu: mo.MuCoefficient,
-    bundle: sy.ConstantsBundle,
     rho: float = 1.0,
 ) -> PjotrReport:
     """A posteriori quasi-optimality condition for the data at hand.
 
     Solves the auxiliary problem A lambda = ell - d_t u on the enriched test
-    space (Newton to 1e-10 in the dual norm), compares the defect of the
-    coarse auxiliary variable against the computable right-hand side.
+    space of `fine` (Newton to 1e-10 in the dual norm), with ell and A the
+    fine problem's `rhs[0]` and `op_Y`, and compares the defect of the
+    coarse auxiliary variable against the computable right-hand side on
+    `disc`.
     """
-    coarse, fine = two.coarse, two.fine
-    if not coarse.x_in_y:
+    if not disc.pair.x_in_y:
         raise InvalidSpaceError("condition requires the trial space inside the test space")
 
-    if data.has_ell:
-        ell_fine = sy.assemble_functional(
-            fine.mesh_t_Y, fine.spec_t_Y, fine.mesh_x, fine.spec_x,
-            data.ell_f0, data.ell_f1,
-        )
-    else:
-        ell_fine = np.zeros(fine.dim_Y)
-    target = ell_fine - two.ctx_fine.apply_D(two.prolong_X(state.u))
-
-    op_fine = mo.GalerkinOperator(fine, "Y", mu)
+    target = fine.rhs[0] - two.ctx_fine.apply_D(two.prolong_X(state.u))
     start = two.prolong_Y(state.lam)
     res = mo.newton_solve(
-        op_fine.apply, op_fine.jacobian_factor, target, start,
+        fine.op_Y.apply, fine.op_Y.jacobian_factor, target, start,
         residual_norm=two.ctx_fine.dual_norm_Y, tol=1e-10,
     )
     lam_hat = res.x
 
     lhs = two.ctx_fine.norm_Y(lam_hat - two.prolong_Y(state.lam))
-    lam_u, trace_H = estimator_terms(state, two.ctx_coarse, data)
-    rhs = rho * (lam_u + bundle.trace_weight * trace_H)
+    lam_u, trace_H = estimator_terms(state, disc)
+    rhs = rho * (lam_u + disc.bundle.trace_weight * trace_H)
     return PjotrReport(rho=rho, lhs=lhs, rhs=rhs, satisfied=bool(lhs <= rhs))
 
 
@@ -448,6 +445,13 @@ def _surrogate_pair(pair: TensorSpacePair) -> TensorSpacePair:
     )
 
 
+def surrogate(disc: sy.Discretization) -> tuple[sy.Discretization, TwoLevel]:
+    """(fine, two): the problem of `disc` on its surrogate pair, and the
+    `TwoLevel` between the two pairs that shares both Riesz contexts."""
+    fine = sy.Discretization(_surrogate_pair(disc.pair), disc.mu, disc.data)
+    return fine, TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
+
+
 def pjotr_at_level(
     base_pair: TensorSpacePair,
     level: int,
@@ -459,8 +463,8 @@ def pjotr_at_level(
     re-solving the saddle system there (to 1e-12) since the Galerkin
     solution depends on the test space."""
     disc = sy.Discretization(_pair_with_enriched_test(base_pair, level), mu, data)
-    two = TwoLevel(disc.pair, _surrogate_pair(disc.pair), ctx_coarse=disc.ctx)
-    report = check_pjotr(disc.reference(1e-12), data, two, mu, disc.bundle, rho=rho)
+    fine, two = surrogate(disc)
+    report = check_pjotr(disc.reference(1e-12), disc, fine, two, rho=rho)
     return replace(report, level=level)
 
 
@@ -485,21 +489,21 @@ def efficiency_reliability(
     u_ref: np.ndarray,
     state: sy.SaddleState,
     two: TwoLevel,
-    bundle: sy.ConstantsBundle,
-    data: sy.ProblemData,
+    disc: sy.Discretization,
     rho: float = 1.0,
 ) -> tuple[float, float, float]:
     """True-error-to-estimator ratio against its two-sided theory bounds.
 
     estimator^2 = ||lambda - u||_{Y^d}^2 + ||u0 - u(0)||_H^2 from
     `estimator_terms`; valid once the a posteriori condition holds with the
-    given rho.
+    given rho; `disc` is the problem on `two.coarse`.
     """
-    lam_u, trace_H = estimator_terms(state, two.ctx_coarse, data)
+    lam_u, trace_H = estimator_terms(state, disc)
     est = math.sqrt(lam_u**2 + trace_H**2)
     if est <= 1e-14:
         raise PsaddleError("estimator vanished; ratio undefined")
     err = two.ctx_fine.norm_X_delta(u_ref - two.prolong_X(state.u))
+    bundle = disc.bundle
     L_A, m_A = bundle.L_A, bundle.m_A
     lower = m_A / math.sqrt(1.0 + L_A**2 + m_A**2)
     upper = bundle.L_Beinv * math.sqrt(

@@ -47,7 +47,6 @@ __all__ = [
     "ConstantsBundle",
     "ManufacturedProblem",
     "derive_constants",
-    "assemble_functional",
     "assemble_rhs",
     "apply_N",
     "residual",
@@ -195,22 +194,6 @@ def _temporal_moments(
     return ((w_t[:, None] * E_t).T @ F).reshape(-1)
 
 
-def assemble_functional(
-    mesh_t: Mesh1D,
-    spec_t: BasisSpec,
-    mesh_x: Mesh1D,
-    spec_x: BasisSpec,
-    f0: Callable | None,
-    f1: Callable | None,
-) -> np.ndarray:
-    """Moments int f0 (psi_a chi_b) + f1 (psi_a chi_b') over the cylinder:
-    E_t^T diag(w_t) [f0 diag(w_x) Q_x + f1 diag(w_x) D_x] with f0, f1 on the
-    tensor Gauss grid; the weights sit in the thin quadrature matrices, so
-    the densities are the only grid-sized arrays."""
-    F, w_t = _spatial_moments(mesh_t, mesh_x, spec_x, f0, f1)
-    return _temporal_moments(mesh_t, spec_t, F, w_t)
-
-
 def u0_moments(data: ProblemData, pair: TensorSpacePair) -> np.ndarray:
     """Spatial moments int u0 chi_m dx: Q_x^T (u0 w_x)."""
     if data.u0 is None:
@@ -229,7 +212,13 @@ def u0_l2_norm2(data: ProblemData, pair: TensorSpacePair) -> float:
 
 
 def assemble_rhs(data: ProblemData, pair: TensorSpacePair) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (f, g) = (ell on Y^d, -(ell + initial trace) on X^d)."""
+    """Right-hand side (f, g) = (ell on Y^d, -(ell + initial trace) on X^d).
+
+    The moments of ell, int f0 (psi_a chi_b) + f1 (psi_a chi_b') over the
+    cylinder, are E_t^T diag(w_t) [f0 diag(w_x) Q_x + f1 diag(w_x) D_x]
+    with f0, f1 on the tensor Gauss grid; the weights sit in the thin
+    quadrature matrices, so the densities are the only grid-sized arrays.
+    """
     if data.has_ell:
         args = (pair.mesh_x, pair.spec_x, data.ell_f0, data.ell_f1)
         F_Y = _spatial_moments(pair.mesh_t_Y, *args)
@@ -498,13 +487,14 @@ def solve_reference(
 class Discretization:
     """One problem (mu, ell, u0) on one trial/test pair.
 
-    Holds what the error theory is stated for: the Riesz context, the
-    Galerkin operators on both spaces, the right-hand side, the constants
-    bundle of mu, and the discrete solution, solved once per tolerance.
+    Holds what the error theory is stated for: mu and the data, the Riesz
+    context, the Galerkin operators on both spaces, the right-hand side,
+    the constants bundle of mu, and the discrete solution, solved once per
+    tolerance.
     """
 
     def __init__(self, pair: TensorSpacePair, mu: mo.MuCoefficient, data: ProblemData):
-        self.pair = pair
+        self.pair, self.mu, self.data = pair, mu, data
         self.ctx = RieszContext(pair)
         self.op_Y = mo.GalerkinOperator(pair, "Y", mu)
         self.op_X = mo.GalerkinOperator(pair, "X", mu)

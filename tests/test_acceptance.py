@@ -202,17 +202,15 @@ def test_criterion_08_convergence_quasi_optimality(heat_problem):
     errs = []
     for n in (4, 8, 16, 32):
         disc = _discretization(heat_problem, default_pair(n, n))
-        fine = _discretization(heat_problem, ql._surrogate_pair(disc.pair))
+        fine, two = ql.surrogate(disc)
         state, fstate = disc.reference(1e-11), fine.reference(1e-11)
-        bundle = disc.bundle
-        two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
         report = ql.infsup_report(two)
-        ratio, bound = ql.quasi_opt_ratio(fstate.u, state, two, bundle, report)
+        ratio, bound, err = ql.quasi_opt_ratio(fstate.u, state, two, disc.bundle, report)
         assert ratio <= bound
-        qo = ql.check_trial_norm_quasi_opt(fstate.u, state, two, bundle, heat_problem.data)
+        qo = ql.check_trial_norm_quasi_opt(fstate.u, state, two, disc)
         assert max(qo.lhs_Xdelta, qo.lhs_H) <= 1.05 * qo.bound
         assert qo.aux_lhs <= 1.05 * qo.aux_bound
-        errs.append(fine.ctx.norm_X_delta(fstate.u - two.prolong_X(state.u)))
+        errs.append(err)
     levels = np.arange(len(errs))
     rate = -np.polyfit(levels, np.log2(errs), 1)[0]
     assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
@@ -246,11 +244,9 @@ def test_criterion_10_pjotr_loop(heat_problem):
     assert report.satisfied and level <= 4
 
     disc = _discretization(heat_problem, ql._pair_with_enriched_test(base, level))
-    fine = _discretization(heat_problem, ql._surrogate_pair(disc.pair))
-    two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
+    fine, two = ql.surrogate(disc)
     ratio, lo, hi = ql.efficiency_reliability(
-        fine.reference(1e-11).u, disc.reference(), two, disc.bundle, heat_problem.data,
-        rho=1.0,
+        fine.reference(1e-11).u, disc.reference(), two, disc, rho=1.0
     )
     assert lo / 1.05 <= ratio <= hi * 1.05
     _report(10, f"a posteriori enrichment level {level}, eff/rel ratio {ratio:.3f}")

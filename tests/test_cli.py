@@ -208,6 +208,20 @@ class TestMainEntry:
         path = write_config(tmp_path, text)
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 3
 
+    def test_exit_code_pjotr_unsatisfied(self, tmp_path, capsys):
+        # with rho = 0 the right-hand side is 0 and the defect is positive,
+        # so the condition fails at the only level allowed
+        text = MINIMAL + "quality.rho = 0.0\nquality.max_enrich = 0\n"
+        path = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert cli.main(["pjotr", "--config", path, "--out", str(out)]) == 3
+        assert "unsatisfied up to enrichment level 0" in capsys.readouterr().err
+        with open(out / "pjotr.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert rows[0]["level"] == "0" and rows[0]["satisfied"] == "0"
+        assert float(rows[0]["rhs"]) == 0.0 and float(rows[0]["lhs"]) > 0.0
+
     def test_exit_code_success(self, tmp_path):
         text = MINIMAL + "solver.tol = 1e-1\nsolver.max_outer = 2000\nsolver.L_practical = 4\n"
         path = write_config(tmp_path, text)
@@ -232,6 +246,11 @@ class TestMainEntry:
         ("solve", "solver.sigma_hat = 0.5"),
         ("constants", "solver.sigma_hat = 1.0"),
         ("solve", "solver.sigma_hat = 0.9995\nproblem.mu = one-plus-inv"),
+        ("solve", "problem.T = 0"),
+        ("pjotr", "quality.rho = -1"),
+        ("solve", "problem.mu_c = 0"),
+        # a line without '=' is named as it stands
+        ("constants", "disc.nt 4"),
     ])
     def test_exit_code_value_out_of_range(self, subcommand, line, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL + line + "\n")

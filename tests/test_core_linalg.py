@@ -9,10 +9,7 @@ import scipy.sparse as sp
 from psaddle import core_linalg as cl
 from psaddle.errors import NotConvergedError, NotSpdError, PsaddleError
 
-
-def random_spd(rng, n, shift=None):
-    Q = rng.standard_normal((n, n))
-    return Q @ Q.T + (shift if shift is not None else n) * np.eye(n)
+from helpers import random_spd
 
 
 def _module_paths(tree: ast.Module):

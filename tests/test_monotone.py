@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from psaddle import monotone as mo
 from psaddle.core_linalg import banded_cholesky
-from psaddle.errors import DimensionMismatchError, NotSpdError, PsaddleError
+from psaddle.errors import DimensionMismatchError, NotConvergedError, NotSpdError, PsaddleError
 from psaddle.spaces import (
     CONT_P1,
     CONT_P1_DIRICHLET,
     DISC_P0,
     DISC_P1,
-    Mesh1D,
     assemble_matrices,
     default_pair,
     eval_basis_at_points,
@@ -23,6 +22,8 @@ from psaddle.spaces import (
     refine_times,
 )
 from psaddle.riesz import RieszContext
+
+from helpers import jittered_mesh
 
 
 class TestConstants:
@@ -221,15 +222,9 @@ def _oracle(mesh_t, family_t, mesh_x, mu, W):
     return F.reshape(-1), J
 
 
-def _jitter(n, rng):
-    pts = np.linspace(0.0, 1.0, n + 1)
-    pts[1:-1] += rng.uniform(-0.2, 0.2, n - 1) / n
-    return Mesh1D(tuple(pts))
-
-
 def _oracle_pair(kind):
     rng = np.random.default_rng(7)
-    mesh_t, mesh_x = _jitter(3, rng), _jitter(4, rng)
+    mesh_t, mesh_x = jittered_mesh(3, rng), jittered_mesh(4, rng)
     test_t = {
         "jittered": (mesh_t, DISC_P1),
         "p0-test": (mesh_t, DISC_P0),
@@ -491,6 +486,16 @@ class TestNewton:
         )
         assert res.converged
         assert quasi8.ctx.dual_norm_Y(quasi8.op_Y.apply(res.x) - f) <= 1e-12
+
+    def test_iteration_cap_raises(self, quasi8, rng):
+        f = rng.standard_normal(quasi8.pair.dim_Y) * 0.5
+        with pytest.raises(NotConvergedError, match="newton did not reach tol") as err:
+            mo.newton_solve(
+                quasi8.op_Y.apply, quasi8.op_Y.jacobian_factor, f,
+                np.zeros(quasi8.pair.dim_Y), residual_norm=quasi8.ctx.dual_norm_Y,
+                tol=0.0, max_iter=1,
+            )
+        assert err.value.iterations == 1
 
     def test_cross_solver_agreement(self, quasi8, rng):
         # Newton and a long fixed-point run agree on the same equation

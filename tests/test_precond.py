@@ -11,10 +11,7 @@ from psaddle.errors import InvalidSpaceError
 from psaddle.riesz import RieszContext, estimate_C_J
 from psaddle.spaces import CONT_P1, Mesh1D, assemble_1d, default_pair
 
-
-def random_spd(rng, n, shift=None):
-    Q = rng.standard_normal((n, n))
-    return Q @ Q.T + (shift if shift is not None else n) * np.eye(n)
+from helpers import random_spd
 
 
 class TestTimeWavelets:

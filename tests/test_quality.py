@@ -210,9 +210,10 @@ class TestCrossLevelBlocks:
         monkeypatch.setattr(mo, "newton_solve", capture)
         two, c = oracle_two, oracle_two.coarse
         state = sy.SaddleState(rng.standard_normal(c.dim_Y), rng.standard_normal(c.dim_X))
-        mu, bundle = mo.make_mu("constant", c=1.0), sy.derive_constants(3.0, 1.0)
+        mu, data = mo.make_mu("constant", c=1.0), sy.ProblemData()
+        disc, fine = (sy.Discretization(p, mu, data) for p in (c, two.fine))
         with pytest.raises(Captured) as caught:
-            ql.check_pjotr(state, sy.ProblemData(), two, mu, bundle)
+            ql.check_pjotr(state, disc, fine, two)
         B, M = _assembled_cross_blocks(two)
         expect = (B @ state.u.reshape(c.dim_t_X, c.dim_x) @ M.T).reshape(-1)
         got = -caught.value.args[0]
@@ -347,25 +348,24 @@ def heat_levels():
     out = []
     for n in (4, 8, 16):
         disc = sy.Discretization(default_pair(n, n), problem.mu, problem.data)
-        fine = sy.Discretization(ql._surrogate_pair(disc.pair), problem.mu, problem.data)
-        two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
-        out.append((disc.pair, disc.reference(1e-11), fine.reference(1e-11), two))
+        fine, two = ql.surrogate(disc)
+        out.append((disc, fine, disc.reference(1e-11), fine.reference(1e-11), two))
     return problem, disc.bundle, out
 
 
 class TestQuasiOpt:
     def test_reference_in_trial_space_flagged(self, heat_levels):
         problem, bundle, levels = heat_levels
-        pair, state, fstate, two = levels[0]
+        disc, fine, state, fstate, two = levels[0]
         u_in = two.prolong_X(state.u)  # exactly representable on the fine pair
         with pytest.raises(PsaddleError):
             ql.quasi_opt_ratio(u_in, state, two, bundle, ql.infsup_report(two))
 
     def test_ratio_below_bound_all_levels(self, heat_levels):
         problem, bundle, levels = heat_levels
-        for pair, state, fstate, two in levels:
+        for disc, fine, state, fstate, two in levels:
             report = ql.infsup_report(two)
-            ratio, bound = ql.quasi_opt_ratio(fstate.u, state, two, bundle, report)
+            ratio, bound, _ = ql.quasi_opt_ratio(fstate.u, state, two, bundle, report)
             assert 1.0 - 1e-9 <= ratio <= bound
 
     def test_bound_formula(self):
@@ -384,8 +384,8 @@ class TestTrialNormQuasiOpt:
 
     def test_inequalities_hold(self, heat_levels):
         problem, bundle, levels = heat_levels
-        for pair, state, fstate, two in levels:
-            rep = ql.check_trial_norm_quasi_opt(fstate.u, state, two, bundle, problem.data)
+        for disc, fine, state, fstate, two in levels:
+            rep = ql.check_trial_norm_quasi_opt(fstate.u, state, two, disc)
             assert max(rep.lhs_Xdelta, rep.lhs_H) <= 1.05 * rep.bound
             assert rep.aux_lhs <= 1.05 * rep.aux_bound
 
@@ -421,10 +421,10 @@ class TestPjotr:
 
     def test_rho_extremes(self, heat_levels):
         problem, bundle, levels = heat_levels
-        pair, state, fstate, two = levels[0]
-        big = ql.check_pjotr(state, problem.data, two, problem.mu, bundle, rho=1e12)
+        disc, fine, state, fstate, two = levels[0]
+        big = ql.check_pjotr(state, disc, fine, two, rho=1e12)
         assert big.satisfied  # any positive rhs dominates
-        zero = ql.check_pjotr(state, problem.data, two, problem.mu, bundle, rho=0.0)
+        zero = ql.check_pjotr(state, disc, fine, two, rho=0.0)
         assert not zero.satisfied  # lhs > 0 can never fall below zero
 
     def test_enrichment_terminates(self, heat_problem):
@@ -467,8 +467,8 @@ class TestPjotr:
         state = disc.reference(1e-12)
         assert disc.ctx.norm_X_delta(state.u - u_exact_coeffs) <= 1e-9
 
-        two = ql.TwoLevel(pair, ql._surrogate_pair(pair), ctx_coarse=disc.ctx)
-        rep = ql.check_pjotr(state, data, two, mu, disc.bundle, rho=1.0)
+        fine, two = ql.surrogate(disc)
+        rep = ql.check_pjotr(state, disc, fine, two, rho=1.0)
         # the trace distance is a difference of O(1) quantities, so the
         # degenerate value sits at the sqrt-of-cancellation floor
         assert rep.lhs <= 1e-6 and rep.rhs <= 1e-6
@@ -476,24 +476,21 @@ class TestPjotr:
 
 class TestEfficiencyReliability:
     def test_bound_values(self):
-        bundle = sy.derive_constants(3.0, 1.0)
         lower = 1.0 / math.sqrt(11.0)
         upper = 18.0 * math.sqrt(9.0 + (3.0 * math.sqrt(10.0) + 1.0) ** 2)
         # only check the formula wiring through a tiny solve
         problem = sy.heat_problem()
         disc = sy.Discretization(default_pair(2, 2), problem.mu, problem.data)
-        fine = sy.Discretization(ql._surrogate_pair(disc.pair), problem.mu, problem.data)
-        two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
+        assert disc.bundle == sy.derive_constants(3.0, 1.0)
+        fine, two = ql.surrogate(disc)
         ratio, lo, up = ql.efficiency_reliability(
-            fine.reference(1e-11).u, disc.reference(1e-11), two, bundle, problem.data, rho=1.0
+            fine.reference(1e-11).u, disc.reference(1e-11), two, disc, rho=1.0
         )
         assert abs(lo - lower) < 1e-14
         assert abs(up - upper) < 1e-11
 
     def test_ratio_within_bounds_three_levels(self, heat_levels):
         problem, bundle, levels = heat_levels
-        for pair, state, fstate, two in levels:
-            ratio, lo, up = ql.efficiency_reliability(
-                fstate.u, state, two, bundle, problem.data, rho=1.0
-            )
+        for disc, fine, state, fstate, two in levels:
+            ratio, lo, up = ql.efficiency_reliability(fstate.u, state, two, disc, rho=1.0)
             assert lo / 1.05 <= ratio <= up * 1.05

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from psaddle import cli
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
 
@@ -63,6 +65,14 @@ class TestCompareCsv:
         ))
         assert not ok
         assert report == ["  header or row count differs: 1 vs 2 rows"]
+
+
+def test_drift_runs_every_subcommand_on_existing_configs(drift):
+    # a subcommand missing here would escape the byte-identity comparison
+    assert set(drift.SUBCOMMANDS) == set(cli.SUBCOMMANDS)
+    configs = os.path.join(SCRIPTS, "..", "configs")
+    for name in drift.CONFIGS:
+        assert os.path.isfile(os.path.join(configs, f"{name}.cfg"))
 
 
 def test_code_lines_skips_docstrings_comments_and_blanks(lines):

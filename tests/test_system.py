@@ -18,7 +18,6 @@ from psaddle.spaces import (
     CONT_P1_DIRICHLET,
     DISC_P0,
     DISC_P1,
-    Mesh1D,
     assemble_matrices,
     default_pair,
     embed_X_into_Y,
@@ -26,6 +25,8 @@ from psaddle.spaces import (
     refine_times,
     uniform_refine,
 )
+
+from helpers import jittered_mesh
 
 
 class TestDeriveConstants:
@@ -165,10 +166,11 @@ def _functional_oracle(mesh_t, family_t, dim_t, mesh_x, f0, f1):
     return out.reshape(-1)
 
 
-def _jittered(n, rng):
-    pts = np.linspace(0.0, 1.0, n + 1)
-    pts[1:-1] += rng.uniform(-0.2, 0.2, n - 1) / n
-    return Mesh1D(tuple(pts))
+def _functional(trial_t, Y_t, mesh_x):
+    """The moments of ell = (F0, F1) in the test space of the pair with
+    temporal trial mesh `trial_t` and temporal test space `Y_t`."""
+    pair = assemble_matrices((trial_t, CONT_P1), Y_t, (mesh_x, CONT_P1_DIRICHLET))
+    return sy.assemble_rhs(sy.ProblemData(ell_f0=F0, ell_f1=F1), pair)[0]
 
 
 class TestQuadratureOracle:
@@ -178,14 +180,14 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("kind", ["cont-p1", "disc-p1", "disc-p0", "test-refined-twice"])
     def test_assemble_functional(self, kind):
         rng = np.random.default_rng(11)
-        mesh_t, mesh_x = _jittered(3, rng), _jittered(4, rng)
+        trial_t, mesh_x = jittered_mesh(3, rng), jittered_mesh(4, rng)
         mesh_t, spec_t = {
-            "cont-p1": (mesh_t, CONT_P1),
-            "disc-p1": (mesh_t, DISC_P1),
-            "disc-p0": (mesh_t, DISC_P0),
-            "test-refined-twice": (refine_times(mesh_t, 2), DISC_P1),
+            "cont-p1": (trial_t, CONT_P1),
+            "disc-p1": (trial_t, DISC_P1),
+            "disc-p0": (trial_t, DISC_P0),
+            "test-refined-twice": (refine_times(trial_t, 2), DISC_P1),
         }[kind]
-        got = sy.assemble_functional(mesh_t, spec_t, mesh_x, CONT_P1_DIRICHLET, F0, F1)
+        got = _functional(trial_t, (mesh_t, spec_t), mesh_x)
         expect = _functional_oracle(mesh_t, spec_t.family, spec_t.dim(mesh_t), mesh_x, F0, F1)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -193,15 +195,15 @@ class TestQuadratureOracle:
         # 5 temporal Gauss rows of the 64-point spatial grid per block: 48
         # rows make 10 blocks, the last one short
         rng = np.random.default_rng(11)
-        mesh_t, mesh_x = _jittered(3, rng), _jittered(4, rng)
+        mesh_t, mesh_x = jittered_mesh(3, rng), jittered_mesh(4, rng)
         monkeypatch.setattr(sy, "_DENSITY_GRID_POINTS", 5 * 64)
-        got = sy.assemble_functional(mesh_t, DISC_P1, mesh_x, CONT_P1_DIRICHLET, F0, F1)
+        got = _functional(mesh_t, (mesh_t, DISC_P1), mesh_x)
         expect = _functional_oracle(mesh_t, DISC_P1.family, DISC_P1.dim(mesh_t), mesh_x, F0, F1)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_u0_moments_and_norm(self):
         rng = np.random.default_rng(12)
-        mesh_t, mesh_x = _jittered(3, rng), _jittered(5, rng)
+        mesh_t, mesh_x = jittered_mesh(3, rng), jittered_mesh(5, rng)
         pair = assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P1), (mesh_x, CONT_P1_DIRICHLET))
         data = sy.ProblemData(u0=U0)
         xis, wts = _gauss16()
@@ -360,11 +362,14 @@ class TestSolveReference:
         sy.solve_reference(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, tol=1e-12)
         assert 1 <= len(calls) <= 2
 
-    def test_warm_start_from_coarse_solution(self, quasi8, quasi_problem, monkeypatch):
-        fine = sy.Discretization(
-            ql._surrogate_pair(quasi8.pair), quasi_problem.mu, quasi_problem.data
-        )
-        two = ql.TwoLevel(quasi8.pair, fine.pair, ctx_coarse=quasi8.ctx, ctx_fine=fine.ctx)
+    def test_step_cap_raises_with_best_state(self, quasi8, monkeypatch):
+        monkeypatch.setattr(sy, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(NotConvergedError, match="hit its cap of 1 steps") as err:
+            sy.solve_reference(quasi8.rhs, quasi8.pair, quasi8.op_Y, quasi8.op_X, quasi8.ctx)
+        assert isinstance(err.value.best, sy.SaddleState)
+
+    def test_warm_start_from_coarse_solution(self, quasi8, monkeypatch):
+        fine, two = ql.surrogate(quasi8)
         x0 = two.prolong_X(quasi8.reference().u)
         calls = []
         direction = sy.schur_newton_direction
@@ -455,7 +460,7 @@ def _dense_saddle_direction(s, jac_Y, jac_X, r):
 
 def _jittered_pair(n, seed):
     rng = np.random.default_rng(seed)
-    mesh_t, mesh_x = _jittered(n, rng), _jittered(n, rng)
+    mesh_t, mesh_x = jittered_mesh(n, rng), jittered_mesh(n, rng)
     return assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P1), (mesh_x, CONT_P1_DIRICHLET))
 
 

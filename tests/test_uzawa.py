@@ -21,6 +21,8 @@ from psaddle.spaces import (
     refine_times,
 )
 
+from helpers import jittered_mesh
+
 
 class TestPlanInnerCount:
     def test_heat_case_l84(self):
@@ -303,18 +305,12 @@ class TestRunInexactUzawa:
         assert all(tail[i + 1] <= tail[i] * (1 + 1e-9) for i in range(len(tail) - 1))
 
 
-def _jittered(n, rng):
-    pts = np.linspace(0.0, 1.0, n + 1)
-    pts[1:-1] += rng.uniform(-0.2, 0.2, n - 1) / n
-    return Mesh1D(tuple(pts))
-
-
 def _pair(kind):
     """A pair for every temporal test space the pair accepts."""
     mesh_t, mesh_x = Mesh1D.uniform(4), Mesh1D.uniform(5)
     if kind == "jittered":
         rng = np.random.default_rng(5)
-        mesh_t, mesh_x = _jittered(6, rng), _jittered(5, rng)
+        mesh_t, mesh_x = jittered_mesh(6, rng), jittered_mesh(5, rng)
     test_t = {
         "disc-p1": (mesh_t, DISC_P1),
         "disc-p0": (mesh_t, DISC_P0),
