@@ -200,10 +200,10 @@ class GalerkinOperator:
 
     `side` selects the temporal axis of the tensor space the operator is
     restricted to; the spatial axis is shared.  Application and the Gateaux
-    derivative use tensor Gauss quadrature with `GALERKIN_QUAD_POINTS` = 3
-    points per element and axis, held as `n_quad` (exact for the linear
-    case, and well below test tolerances for the smooth nonlinearities
-    bundled here).
+    derivative use tensor Gauss quadrature with n_quad =
+    `GALERKIN_QUAD_POINTS` = 3 points per element and axis (exact for the
+    linear case, and well below test tolerances for the smooth
+    nonlinearities bundled here).
 
     Every spatial basis is piecewise linear, so dw/dx is constant on each
     spatial element, and both kernels work on element gradients.  E_t holds
@@ -251,7 +251,7 @@ class GalerkinOperator:
         self.pair = pair
         self.side = side
         self.mu = mu
-        self.n_quad = n_quad = GALERKIN_QUAD_POINTS
+        n_quad = GALERKIN_QUAD_POINTS
 
         if side == "Y":
             mesh_t, spec_t = pair.mesh_t_Y, pair.spec_t_Y

@@ -32,6 +32,7 @@ import scipy.linalg as sla
 
 from psaddle.core_linalg import banded_cholesky, condition_number_estimate
 from psaddle.errors import InvalidSpaceError
+from psaddle.riesz import RieszContext
 from psaddle.spaces import (
     CONT_P1,
     Mesh1D,
@@ -129,21 +130,20 @@ def build_time_wavelets(mesh: Mesh1D, variant: str = "vanishing-moment") -> Time
 
 
 class RXOperator:
-    """Matrix-free application of M_t (x) A_x + (M_t + A_t) (x) M_x A_x^{-1} M_x."""
+    """Matrix-free application of M_t (x) A_x + (M_t + A_t) (x) S with
+    S = M_x A_x^{-1} M_x: the first term is `RieszContext.apply_R_YX`, and
+    S is `RieszContext.S_x`."""
 
     def __init__(self, pair: TensorSpacePair):
         self.pair = pair
-        self.fact_A_x = banded_cholesky(pair.A_x)
+        self.ctx = RieszContext(pair)
         self.MtAt = (pair.M_t_X + pair.A_t_X).tocsr()
         self.dim = pair.dim_X
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         p = self.pair
         V = np.asarray(v, dtype=float).reshape(p.dim_t_X, p.dim_x)
-        first = p.M_t_X @ (p.A_x @ V.T).T
-        inner = self.fact_A_x.solve((p.M_x @ V.T))
-        second = self.MtAt @ (p.M_x @ inner).T
-        return (np.asarray(first) + np.asarray(second)).reshape(-1)
+        return self.ctx.apply_R_YX(v) + (self.MtAt @ (V @ self.ctx.S_x)).reshape(-1)
 
 
 class BlockDiagPrecond:

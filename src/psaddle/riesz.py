@@ -8,9 +8,12 @@ space carries the Y^delta-dependent norm
 
 whose Gram operator is R_X = M_t^X (x) A_x + T (x) S + e_T e_T^T (x) M_x,
 with T (x) S = D^T R_Y^{-1} D for D = B_t (x) M_x, T = B_t^T (M_t^Y)^{-1} B_t
-and S = M_x A_x^{-1} M_x.  `RieszContext` holds these blocks (`D`, `Dt`,
-`trace`, `T_t`, `S_x`); `apply_D`, `apply_Dt` and `apply_trace_term` are
-products with the cached sparse matrices.
+and S = M_x A_x^{-1} M_x.  No Kronecker product is formed: on coefficients
+held as (dim_t, dim_x) arrays, (L (x) R) vec(U) = vec(L U R^T) (Van Loan,
+J. Comput. Appl. Math. 123, 2000), so `apply_D` is B_t U M_x, `apply_Dt`
+is B_t^T Lambda M_x, `apply_trace_term` is M_x on the last temporal block
+of U, and `apply_R_X` is M_t^X U A_x + T U S plus that trace term, with
+the dense 1D factors `T_t` and `S_x` held by the context.
 
 Both Riesz solves are exact and go through dense transforms built once per
 pair:
@@ -115,17 +118,30 @@ class RieszContext:
         of a Y-functional."""
         return (self.inv_M_t_Y @ self._as_Y(h) @ self.inv_A_x).reshape(-1)
 
+    @cached_property
+    def B_t_T(self) -> sp.csr_matrix:
+        """B_t^T in CSR: products with the transposed view are slower."""
+        return self.pair.B_t.T.tocsr()
+
     def apply_D(self, u) -> np.ndarray:
-        """Temporal derivative of a trial function as a Y-functional."""
-        return self.D @ self._as_X(u).ravel()
+        """D u = B_t U M_x: the temporal derivative of a trial function as a
+        Y-functional."""
+        U = self._as_X(u)
+        return np.asarray(self.pair.B_t @ (self.pair.M_x @ U.T).T).reshape(-1)
 
     def apply_Dt(self, lam) -> np.ndarray:
-        """Adjoint of apply_D: a functional on the trial space."""
-        return self.Dt @ self._as_Y(lam).ravel()
+        """D^T lambda = B_t^T Lambda M_x, the adjoint of apply_D: a functional
+        on the trial space."""
+        L = self._as_Y(lam)
+        return np.asarray((self.pair.M_x @ (self.B_t_T @ L).T).T).reshape(-1)
 
     def apply_trace_term(self, u) -> np.ndarray:
-        """(gamma_T)' M_x gamma_T u as a functional on the trial space."""
-        return self.trace @ self._as_X(u).ravel()
+        """(gamma_T)' M_x gamma_T u = e_T e_T^T U M_x as a functional on the
+        trial space: M_x applied to the last temporal block."""
+        U = self._as_X(u)
+        out = np.zeros_like(U)
+        out[-1] = self.pair.M_x @ U[-1]
+        return out.reshape(-1)
 
     def apply_R_YX(self, u) -> np.ndarray:
         """Y-inner-product Gram (M_t^X (x) A_x) on trial coefficients."""
@@ -133,10 +149,12 @@ class RieszContext:
         return np.asarray(self.pair.M_t_X @ (self.pair.A_x @ U.T).T).reshape(-1)
 
     def apply_R_X(self, u) -> np.ndarray:
-        """Gram operator of the mesh-dependent trial norm."""
+        """Gram operator of the mesh-dependent trial norm:
+        M_t^X U A_x + T U S + e_T e_T^T U M_x."""
+        U = self._as_X(u)
         return (
             self.apply_R_YX(u)
-            + self.apply_Dt(self.riesz_Y_solve(self.apply_D(u)))
+            + (self.T_t @ U @ self.S_x).reshape(-1)
             + self.apply_trace_term(u)
         )
 
@@ -152,36 +170,14 @@ class RieszContext:
         return math.sqrt(max(float(h @ self.riesz_X_solve(h)), 0.0))
 
     def norm_X_delta(self, u) -> float:
-        """sqrt(||u||_Y^2 + ||d_t u||_{(Y^d)'}^2 + ||u(T)||_H^2)."""
-        du = self.apply_D(u)
-        deriv2 = float(du @ self.riesz_Y_solve(du))
-        uT = trace_at_time(self.pair, u, self.pair.T)
-        return math.sqrt(
-            max(float(u @ self.apply_R_YX(u)) + deriv2 + float(uT @ (self.pair.M_x @ uT)), 0.0)
-        )
+        """sqrt(||u||_Y^2 + ||d_t u||_{(Y^d)'}^2 + ||u(T)||_H^2) = sqrt(u . R_X u)."""
+        return math.sqrt(max(float(u @ self.apply_R_X(u)), 0.0))
 
     def norm_H_of_trace(self, u, t) -> float:
         ut = trace_at_time(self.pair, u, t)
         return math.sqrt(max(float(ut @ (self.pair.M_x @ ut)), 0.0))
 
-    # -- the blocks of the saddle system --------------------------------------
-
-    @cached_property
-    def D(self) -> sp.csr_matrix:
-        """D = B_t (x) M_x, the matrix of `apply_D`."""
-        return sp.kron(self.pair.B_t, self.pair.M_x, format="csr")
-
-    @cached_property
-    def Dt(self) -> sp.csr_matrix:
-        """D^T in CSR, the matrix of `apply_Dt`."""
-        return self.D.T.tocsr()
-
-    @cached_property
-    def trace(self) -> sp.csr_matrix:
-        """e_T e_T^T (x) M_x, the matrix of `apply_trace_term`."""
-        n = self.pair.dim_t_X
-        e_T = sp.csr_matrix(([1.0], ([n - 1], [n - 1])), shape=(n, n))
-        return sp.kron(e_T, self.pair.M_x, format="csr")
+    # -- the dense 1D factors of T (x) S -------------------------------------
 
     @cached_property
     def T_t(self) -> np.ndarray:

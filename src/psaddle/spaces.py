@@ -238,11 +238,15 @@ def _integration_mesh(a: Mesh1D, b: Mesh1D) -> Mesh1D:
     raise InvalidSpaceError("meshes are not nested; cannot integrate products exactly")
 
 
+# Gauss points per element of `assemble_1d`: exact up to degree 5, which
+# covers every product of two basis functions of degree at most 1.
+ASSEMBLY_QUAD_POINTS = 3
+
+
 def assemble_1d(
     kind: str,
     test: tuple[Mesh1D, BasisSpec],
     trial: tuple[Mesh1D, BasisSpec] | None = None,
-    n_quad: int = 3,
 ) -> sp.csr_matrix:
     """Exact 1D matrices: entries integral of test_i op trial_j.
 
@@ -252,13 +256,14 @@ def assemble_1d(
       "dtrial"      test_i * trial_j'   (temporal derivative coupling)
 
     The product is integrated elementwise on the finer of the two meshes,
-    which must be nested, so Gauss quadrature of the stated order is exact.
+    which must be nested, with `ASSEMBLY_QUAD_POINTS` Gauss points, so the
+    quadrature is exact.
     """
     if trial is None:
         trial = test
     mesh_t, spec_t = test
     mesh_u, spec_u = trial
-    pts, w = gauss_points(_integration_mesh(mesh_t, mesh_u), n_quad)
+    pts, w = gauss_points(_integration_mesh(mesh_t, mesh_u), ASSEMBLY_QUAD_POINTS)
 
     dt = kind == "stiffness"
     du = kind in ("stiffness", "dtrial")

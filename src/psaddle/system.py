@@ -366,15 +366,15 @@ def schur_newton_direction(
 
     The operator is applied matrix-free: each iteration costs one
     `riesz_X_solve`, one solve with fact_Y, the factor of the test-side
-    Jacobian jac_Y (`GalerkinOperator.jacobian_factor`), and sparse
-    products with jac_X, D, D^T and the trace block.  Returns delta with
-    the iteration count; raises NotConvergedError after max_iter
-    iterations or on a non-positive curvature.
+    Jacobian jac_Y (`GalerkinOperator.jacobian_factor`), one sparse
+    product with jac_X, and `apply_D`, `apply_Dt` and `apply_trace_term`,
+    products with the 1D factors of the pair.  Returns delta with the
+    iteration count; raises NotConvergedError after max_iter iterations or
+    on a non-positive curvature.
     """
-    A_X = jac_X + ctx.trace
 
     def apply_J(p):
-        return A_X @ p + ctx.apply_Dt(fact_Y.solve(ctx.apply_D(p)))
+        return jac_X @ p + ctx.apply_trace_term(p) + ctx.apply_Dt(fact_Y.solve(ctx.apply_D(p)))
 
     return pcg(apply_J, ctx.riesz_X_solve, r, PCG_RTOL, max_iter)
 

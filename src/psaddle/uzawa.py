@@ -232,22 +232,21 @@ class GradientMaps:
     in <.,.>_W (W_t P_t and P_x W_x are symmetric), so it is the
     <.,.>_W-orthogonal projection onto them.  The representer of a
     functional h, as a (dim_t_Y, dim_x) array H, has the gradients
-    E_t (M_t^Y)^{-1} H A_x^{-1} Dbar_x^T (`representer`), so that of D u,
-    H = B_t U M_x, has the gradients K_t U K_x with K_t = E_t (M_t^Y)^{-1}
-    B_t and K_x = M_x A_x^{-1} Dbar_x^T (`K_t`, `K_x`).  All of these lie in
-    the range of lambda -> G, so the sweep stays there and is the image of
-    the coefficient iteration.
+    to_t H to_x with to_t = E_t (M_t^Y)^{-1} and to_x = A_x^{-1} Dbar_x^T
+    (`representer`).  All of these lie in the range of lambda -> G, so the
+    sweep stays there and is the image of the coefficient iteration.
 
     Left inverses.  By (*), (M_t^Y)^{-1} E_t^T W_t is a left inverse of E_t
     and W_x Dbar_x A_x^{-1} a right inverse of Dbar_x^T, so
 
-        Lambda = (M_t^Y)^{-1} E_t^T W_t G W_x Dbar_x A_x^{-1}             (`lam`)
+        Lambda = read_t G read_x
+               = (M_t^Y)^{-1} E_t^T W_t G W_x Dbar_x A_x^{-1}             (`lam`)
 
-    on the range, and D^T lambda = B_t^T Lambda M_x = Dt_t G Dt_x is read
-    from G through the same two maps (`Dt_t`, `Dt_x`).  So D enters the
-    sweep only composed with these maps, built once from the sparse 1D
-    factors B_t and M_x of the pair; `TrialModes` composes them with the
-    modes of R_X, and the sweep applies them only there.
+    on the range.  D = B_t (x) M_x enters the sweep only through these
+    maps: the representer of D u has the gradients to_t B_t U M_x to_x, and
+    D^T lambda = B_t^T read_t G read_x M_x.  `TrialModes` composes B_t and
+    M_x with them and with the modes of R_X into its K_t, K_x, Dt_t and
+    Dt_x, and the sweep applies the couplings only there.
 
     In floating point (*) holds to rounding, so the sweep matches the
     coefficient iteration to rounding, not bit for bit.  Every map is dense;
@@ -263,15 +262,10 @@ class GradientMaps:
         check_dense_size("GradientMaps.read_x", (n_el, Dbar.shape[1]))
         self.to_t = E @ ctx.inv_M_t_Y
         self.to_x = ctx.inv_A_x @ Dbar.T     # A_x^{-1} Dbar_x^T
-        B_t, M_x = ctx.pair.B_t, ctx.pair.M_x
-        self.K_t = (B_t.T @ self.to_t.T).T
-        self.K_x = M_x @ self.to_x
         self.read_t = (ctx.inv_M_t_Y @ E.T) * op_Y.w_t
         self.read_x = op_Y.h_x[:, None] * self.to_x.T
         self.P_t = E @ self.read_t
         self.P_x = self.read_x @ Dbar.T
-        self.Dt_t = B_t.T @ self.read_t
-        self.Dt_x = (M_x.T @ self.read_x.T).T
         self.weights = (op_Y.w_t[:, None] * op_Y.h_x).reshape(-1)
         self.shape = (n_tq, n_el)
 
@@ -312,10 +306,13 @@ class TrialModes:
     Trace term.  e_T e_T^T U M_x maps to W^T e_T e_T^T W Z V^T M_x V =
     w (w^T Z) (`trace_term`), because V^T M_x V = I.
 
-    Couplings.  With `GradientMaps`' K_t, K_x, Dt_t and Dt_x, the
-    gradients of R_Y^{-1} D u are K_t U K_x = (K_t W) Z (V^T K_x)
-    (`representer_of_D`) and D^T lambda in the modes is
-    W^T Dt_t G Dt_x V = (W^T Dt_t) G (Dt_x V) (`apply_Dt`).
+    Couplings.  They are built here, from the 1D factors B_t and M_x of
+    D = B_t (x) M_x and the maps to_t, to_x, read_t and read_x of
+    `GradientMaps`.  The gradients of R_Y^{-1} D u are
+    to_t B_t U M_x to_x = (K_t W) Z (V^T K_x) with K_t = to_t B_t and
+    K_x = M_x to_x (`representer_of_D`), and D^T lambda in the modes is
+    W^T B_t^T read_t G read_x M_x V = (W^T Dt_t) G (Dt_x V) with
+    Dt_t = B_t^T read_t and Dt_x = read_x M_x (`apply_Dt`).
 
     Operator.  The element gradients of u on the trial side are
     E_t^X U Dbar_x^T = (E_t^X W) Z (Dbar_x V)^T, and A_X u has the dual
@@ -340,10 +337,11 @@ class TrialModes:
         self.W, self.V = W, V
         c = op_X.mu.constant
         self.c_lam = None if c is None else c * m.lam
-        self.K_t = maps.K_t @ W
-        self.K_x = V.T @ maps.K_x
-        self.Dt_t = W.T @ maps.Dt_t
-        self.Dt_x = maps.Dt_x @ V
+        B_t, M_x = ctx.pair.B_t, ctx.pair.M_x
+        self.K_t = (B_t.T @ maps.to_t.T).T @ W
+        self.K_x = V.T @ (M_x @ maps.to_x)
+        self.Dt_t = W.T @ (B_t.T @ maps.read_t)
+        self.Dt_x = (M_x.T @ maps.read_x.T).T @ V
         self.E_t = op_X.E_t @ W
         self.Dbar_x = op_X.Dbar_x @ V
         self.E_t_w = op_X.w_t[:, None] * self.E_t

@@ -300,7 +300,7 @@ class TestKroneckerMapped:
         pair = _oracle_pair(kind)
         ctx = RieszContext(pair)
         op = mo.GalerkinOperator(pair, "Y", mu)
-        t_q, _ = gauss_points(pair.mesh_t_Y, op.n_quad)
+        t_q, _ = gauss_points(pair.mesh_t_Y, mo.GALERKIN_QUAD_POINTS)
         mids = 0.5 * (pair.mesh_x.points[:-1] + pair.mesh_x.points[1:])
         E_t = eval_basis_at_points(pair.mesh_t_Y, pair.spec_t_Y, t_q)
         Dbar_x = eval_basis_at_points(pair.mesh_x, pair.spec_x, mids, derivative=True)
@@ -335,7 +335,7 @@ def _jacobian_by_B(op, w):
     with mu on the full tensor Gauss grid, built from the public quadrature
     of `spaces`: the general form of the Jacobian, against which the
     axis-factored map is checked."""
-    pair, n_quad = op.pair, op.n_quad
+    pair, n_quad = op.pair, mo.GALERKIN_QUAD_POINTS
     mesh_t, spec_t = _temporal_side(pair, op.side)
     t_q, w_t = gauss_points(mesh_t, n_quad)
     x_q, w_x = gauss_points(pair.mesh_x, n_quad)

@@ -129,24 +129,28 @@ class TestRieszAgainstDenseGram:
         assert _rel_err(ctx.riesz_Y_solve(h), np.linalg.solve(RY, h)) <= 1e-12
 
 
+def _oversize_pair(kind):
+    mesh_t = Mesh1D.uniform(1)
+    if kind == "space":
+        # dim_x = 11599: V and A_x^{-1} would take 1.08 GB each
+        return assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P0),
+                                 (Mesh1D.uniform(11600), CONT_P1_DIRICHLET))
+    # dim_t_Y = 16384 on a test mesh refined 13 times: (M_t^Y)^{-1} would
+    # take 2.1 GB; the trial side stays small (dim_X = 2)
+    return assemble_matrices((mesh_t, CONT_P1), (refine_times(mesh_t, 13), DISC_P1),
+                             (Mesh1D.uniform(2), CONT_P1_DIRICHLET))
+
+
 class TestDenseSizeGuard:
     """An oversize pair is refused before any dense transform is allocated."""
 
     @pytest.mark.parametrize("kind", ["space", "time"])
     def test_oversize_pair_refused_before_allocation(self, kind):
-        if kind == "space":
-            # dim_x = 11599: V and A_x^{-1} would take 1.08 GB each
-            mesh_t = Mesh1D.uniform(1)
-            pair = assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P0),
-                                     (Mesh1D.uniform(11600), CONT_P1_DIRICHLET))
-            refused = ("riesz_X_solve", "riesz_Y_solve", "estimate_C_J")
-        else:
-            # dim_t_Y = 16384 on a test mesh refined 13 times: (M_t^Y)^{-1}
-            # would take 2.1 GB; the trial side stays small
-            mesh_t = Mesh1D.uniform(1)
-            pair = assemble_matrices((mesh_t, CONT_P1), (refine_times(mesh_t, 13), DISC_P1),
-                                     (Mesh1D.uniform(2), CONT_P1_DIRICHLET))
-            refused = ("riesz_Y_solve",)
+        pair = _oversize_pair(kind)
+        refused = {
+            "space": ("riesz_X_solve", "riesz_Y_solve", "estimate_C_J"),
+            "time": ("riesz_Y_solve",),
+        }[kind]
         ctx = RieszContext(pair)
         calls = {
             "riesz_X_solve": (ctx.riesz_X_solve, np.zeros(pair.dim_X)),
@@ -163,6 +167,25 @@ class TestDenseSizeGuard:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_trial_gram_on_oversize_test_space(self, rng):
+        # the trial Gram and its norm reach (M_t^Y)^{-1} only through
+        # T = B_t^T (M_t^Y)^{-1} B_t, taken from the banded factor, so a
+        # test space too large for the dense inverse leaves them working
+        pair = _oversize_pair("time")
+        ctx = RieszContext(pair)
+        h = rng.standard_normal(pair.dim_X)
+        tracemalloc.start()
+        try:
+            v = ctx.riesz_X_solve(h)
+            norm2 = ctx.norm_X_delta(v) ** 2
+            Rv = ctx.apply_R_X(v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(norm2 - h @ v) <= 1e-12 * (h @ v)
+        assert np.abs(Rv - h).max() <= 1e-12 * np.abs(h).max()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("name", ["RieszContext.S_x", "embedding_matrix"])
     def test_cross_level_blocks_guarded(self, name, monkeypatch):

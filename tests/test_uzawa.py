@@ -377,17 +377,6 @@ class TestGradientMaps:
         lam = rng.standard_normal(s.pair.dim_Y)
         assert _close(maps.lam(s.op_Y.gradients(lam)), lam, 1e-13)
 
-    def test_couplings_through_maps(self, quasi_pair, rng):
-        s = quasi_pair
-        maps = uz.GradientMaps(s.op_Y, s.ctx)
-        lam = rng.standard_normal(s.pair.dim_Y)
-        u = rng.standard_normal(s.pair.dim_X)
-        got = (maps.Dt_t @ s.op_Y.gradients(lam) @ maps.Dt_x).reshape(-1)
-        assert _close(got, s.ctx.apply_Dt(lam), 1e-13)
-        got = maps.K_t @ u.reshape(s.pair.dim_t_X, s.pair.dim_x) @ maps.K_x
-        expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(s.ctx.apply_D(u)))
-        assert _close(got, expect, 1e-12)
-
     def test_dense_maps_guarded(self, heat8, monkeypatch):
         # P_t is the largest map at this size: a limit one byte below it
         # refuses the sweep by name before anything is built
