@@ -12,9 +12,7 @@ inner-solver tolerances from every downstream check.  Operators that are
 only available matrix-free are solved by preconditioned conjugate gradients
 (`pcg`) under a proven iteration cap (`cg_iteration_cap`).  The smallest
 generalized eigenvalue of a pencil comes from one dense reduced pencil,
-under the same size guard as every other dense array, and the condition
-number of a matrix-free preconditioned operator from a Lanczos recurrence
-(`condition_number_estimate`).
+under the same size guard as every other dense array.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ __all__ = [
     "cg_iteration_cap",
     "pcg",
     "smallest_generalized_eigenvalue",
-    "condition_number_estimate",
 ]
 
 
@@ -265,14 +262,12 @@ def pcg(apply_A, apply_Pinv, b: np.ndarray, rtol: float, max_iter: int) -> tuple
 
 def _complement_basis(kernel: np.ndarray | None, dim: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the columns of an
-    (dim, k) `kernel`; the identity for None."""
+    (dim, k) `kernel`, which must be linearly independent: the last
+    dim - k columns of its complete QR factor.  The identity for None."""
     if kernel is None:
         return np.eye(dim)
-    q, _ = np.linalg.qr(kernel)
-    full = np.eye(dim) - q @ q.T
-    u, s, _ = np.linalg.svd(full)
-    rank = int(np.sum(s > 1e-12))
-    return u[:, :rank]
+    q, _ = np.linalg.qr(kernel, mode="complete")
+    return q[:, kernel.shape[1]:]
 
 
 def smallest_generalized_eigenvalue(A, B, constraint_kernel: np.ndarray | None = None) -> float:
@@ -300,86 +295,3 @@ def smallest_generalized_eigenvalue(A, B, constraint_kernel: np.ndarray | None =
     Bred = 0.5 * (Bred + Bred.T)
     vals, _ = sla.eigh(Ared, Bred)
     return float(vals[0])
-
-
-def condition_number_estimate(
-    apply_A,
-    apply_Pinv,
-    dim: int,
-    tol: float = 0.02,
-    max_iter: int = 400,
-) -> float:
-    """lambda_max / lambda_min of the preconditioned operator P^{-1} A.
-
-    Both operators must be SPD.  Runs a Lanczos recurrence for the pencil
-    (A, P) in the A-inner product, from a fixed seeded start vector, which
-    only needs applications of A and of P^{-1}; the basis is fully
-    reorthogonalized, so for iteration counts reaching `dim` the extremal
-    Ritz values are exact up to round-off.
-
-    The estimate is a lower bound.  The Ritz values lie inside the spectrum
-    and their extremes move outward with each step, and the loop stops on a
-    flat window of ratios, usually before the Krylov space fills.  For the
-    wavelet-preconditioned trial Gram of `precond.kappa_study` it reads
-    4.8027 against the dense pencil's 4.8406 (-0.78%) at 16 x 4 elements
-    and 6.2875 against 6.2964 (-0.14%) at 32 x 8.  Running to exhaustion
-    (tol = 0) gives the exact value and needs max_iter >= dim, or the
-    estimate stops at the cap with NotConvergedError: at 64 x 8 the
-    dimension is 455, above the default 400.  Exhaustion takes 0.18 s at
-    32 x 8 and 0.61 s at 64 x 8 (one thread of a Xeon core), 12 and 30
-    times the default stop.  Each step reads only the two extremal Ritz
-    values, by bisection on the Lanczos tridiagonal.
-    """
-    rng = np.random.default_rng(0)
-    jmax = min(dim, max_iter)
-
-    q = rng.standard_normal(dim)
-    aq = apply_A(q)
-    beta = np.sqrt(q @ aq)
-    if beta <= 0:
-        raise NotSpdError("operator A is not positive definite on the start vector")
-    q, aq = q / beta, aq / beta
-
-    Qs, AQs = [q], [aq]
-    alphas, betas = [], []
-    window: list[float] = []
-    extremes = None
-    for j in range(jmax):
-        w = apply_Pinv(AQs[j])
-        alpha = w @ AQs[j]
-        alphas.append(alpha)
-        w = w - alpha * Qs[j]
-        if j > 0:
-            w = w - betas[j - 1] * Qs[j - 1]
-        # full reorthogonalization in the A-inner product
-        for qi, aqi in zip(Qs, AQs):
-            w = w - (w @ aqi) * qi
-        aw = apply_A(w)
-        beta = np.sqrt(max(w @ aw, 0.0))
-        lo, hi = (
-            float(sla.eigvalsh_tridiagonal(alphas, betas, select="i", select_range=(i, i))[0])
-            for i in (0, j)
-        )
-        if lo > 0:
-            extremes = (lo, hi)
-            window.append(hi / lo)
-            if len(window) > 8:
-                window.pop(0)
-            # Ritz extremes converge monotonically, so demand a flat window
-            flat = max(window) - min(window) <= 0.25 * tol * window[-1]
-            if j >= 12 and len(window) == 8 and flat:
-                break
-        if beta <= 1e-14 * abs(alphas[0]):
-            break  # invariant subspace found: Ritz values exact
-        betas.append(beta)
-        Qs.append(w / beta)
-        AQs.append(aw / beta)
-    else:
-        if jmax < dim:
-            raise NotConvergedError(
-                f"spectral bound estimate hit the iteration cap ({jmax})", best=extremes
-            )
-    if extremes is None or not np.isfinite(extremes[1] / extremes[0]):
-        raise NotConvergedError("spectral bound estimate did not stabilize")
-    lo, hi = extremes
-    return hi / lo

@@ -19,7 +19,9 @@ step of the block construction holds with equality.
 
 `RXOperator` applies R matrix-free, `BlockDiagPrecond` builds the
 preconditioner on a `build_time_wavelets` basis, and `kappa_study` reports
-the condition number of the preconditioned Gram per dyadic level.
+the exact condition number of the preconditioned Gram per dyadic level,
+which both operators split into one temporal block per spatial mode
+(`mode_kappa`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from psaddle.core_linalg import banded_cholesky, condition_number_estimate
+from psaddle.core_linalg import banded_cholesky, check_dense_size
 from psaddle.errors import InvalidSpaceError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
@@ -48,6 +50,7 @@ __all__ = [
     "build_time_wavelets",
     "RXOperator",
     "check_spectral_inequality",
+    "mode_kappa",
     "kappa_study",
 ]
 
@@ -104,6 +107,7 @@ def build_time_wavelets(mesh: Mesh1D, variant: str = "vanishing-moment") -> Time
     length = mesh.end - mesh.start
     fine = mesh.points - mesh.start
     dim = mesh.n_elements + 1
+    check_dense_size("wavelet transform T", (dim, dim))
 
     cols = [
         _hat_values(0, 0, fine, length),
@@ -121,11 +125,10 @@ def build_time_wavelets(mesh: Mesh1D, variant: str = "vanishing-moment") -> Time
             cols.append(psi)
     T = np.column_stack(cols)
 
-    M_t = assemble_1d("mass", (mesh, CONT_P1)).toarray()
-    A_t = assemble_1d("stiffness", (mesh, CONT_P1)).toarray()
-    l2 = np.sqrt(np.einsum("ij,jk,ki->i", T.T, M_t, T))
-    T = T / l2[None, :]
-    h1 = np.sqrt(1.0 + np.einsum("ij,jk,ki->i", T.T, A_t, T))
+    M_t = assemble_1d("mass", (mesh, CONT_P1))
+    A_t = assemble_1d("stiffness", (mesh, CONT_P1))
+    T = T / np.sqrt((T * (M_t @ T)).sum(axis=0))
+    h1 = np.sqrt(1.0 + (T * (A_t @ T)).sum(axis=0))
     return TimeWaveletBasis(T=T, alphas=h1)
 
 
@@ -218,22 +221,67 @@ def check_spectral_inequality(A: np.ndarray, M: np.ndarray, alpha: float) -> Spe
     return SpectralMargins(lower=lower, upper=upper, upper_no_factor=upper_no_factor)
 
 
-def kappa_study(levels: int, n_x: int = 8, T: float = 1.0) -> list[tuple[int, int, float]]:
-    """Condition numbers of the preconditioned trial Gram per dyadic level,
-    on 2, 4, ..., 2^levels temporal elements, with the default
-    vanishing-moment wavelets.
+def _check_mode_blocks(dim_t: int, dim_x: int) -> None:
+    check_dense_size("kappa mode blocks", (2, dim_x, dim_t, dim_t))
 
-    Each kappa is `condition_number_estimate`'s, which is a lower bound:
-    against the dense pencil it reads 4.8027 for 4.8406 (-0.78%) at
-    level 4 with n_x = 4, and 6.2875 for 6.2964 (-0.14%) at level 5 with
-    n_x = 8.
+
+def mode_kappa(op: RXOperator, apply_P) -> float:
+    """Exact condition number lambda_max / lambda_min of P R, for R the
+    operator `op` and P, applied by `apply_P`, the wavelet preconditioner
+    or any other operator of the same spatial-mode structure.
+
+    With A_x V = M_x V Lambda and V^T M_x V = I (`RieszContext.modes.V`),
+    A_x = M_x V Lambda V^T M_x and S = M_x V Lambda^{-1} V^T M_x, and each
+    block of the preconditioner is (A_x + alpha M_x)^{-1} A_x
+    (A_x + alpha M_x)^{-1} = V diag(lambda / (lambda + alpha)^2) V^T.  So
+    on coefficients held as (dim_t, dim_x) arrays, column k of
+
+        R(Y V^T) V           is R_k Y e_k,  R_k = lambda_k M_t + (M_t + A_t) / lambda_k,
+        P(Y (M_x V)^T) M_x V is P_k Y e_k,  P_k = T diag(lambda_k / (lambda_k + alpha_j)^2) T^T:
+
+    both operators are block diagonal in the spatial modes, and spec(P R)
+    is the union of the spec(P_k R_k).  Y = e_j 1^T, one application of
+    each operator per temporal dof j, gives column j of every R_k and every
+    P_k.  With P_k = L L^T, P_k R_k is similar to L^T R_k L, so kappa comes
+    from dim_x symmetric eigenproblems of size dim_t.  The blocks are
+    refused above MAX_DENSE_BYTES.
     """
+    p = op.pair
+    _check_mode_blocks(p.dim_t_X, p.dim_x)
+    V = op.ctx.modes.V
+    MV = p.M_x @ V
+    R = np.empty((p.dim_x, p.dim_t_X, p.dim_t_X))
+    P = np.empty_like(R)
+    V_1, MV_1 = V.sum(axis=1), MV.sum(axis=1)
+    X = np.zeros((p.dim_t_X, p.dim_x))
+    for j in range(p.dim_t_X):
+        X[j] = V_1
+        R[:, :, j] = (op.apply(X.reshape(-1)).reshape(X.shape) @ V).T
+        X[j] = MV_1
+        P[:, :, j] = (apply_P(X.reshape(-1)).reshape(X.shape) @ MV).T
+        X[j] = 0.0
+    lo, hi = math.inf, 0.0
+    for R_k, P_k in zip(R, P):
+        L = np.linalg.cholesky(P_k)
+        ev = sla.eigvalsh(L.T @ R_k @ L)
+        lo, hi = min(lo, ev[0]), max(hi, ev[-1])
+    return float(hi / lo)
+
+
+def kappa_study(levels: int, n_x: int = 8, T: float = 1.0) -> list[tuple[int, int, float]]:
+    """Exact condition numbers of the preconditioned trial Gram per dyadic
+    level (`mode_kappa`), on 2, 4, ..., 2^levels temporal elements, with the
+    default vanishing-moment wavelets.
+
+    The mode blocks of the finest level are sized before the first level
+    is computed, so a study too large for MAX_DENSE_BYTES is refused at
+    once: at n_x = 8 the ceiling is level 11.
+    """
+    _check_mode_blocks(2**levels + 1, n_x - 1)  # dim_t_X and dim_x of the finest pair
     out = []
     for level in range(1, levels + 1):
         pair = default_pair(2**level, n_x, T=T)
         op = RXOperator(pair)
-        basis = build_time_wavelets(pair.mesh_t_X)
-        prec = BlockDiagPrecond(basis, pair)
-        kappa = condition_number_estimate(op.apply, prec.apply, op.dim)
-        out.append((level, op.dim, float(kappa)))
+        prec = BlockDiagPrecond(build_time_wavelets(pair.mesh_t_X), pair)
+        out.append((level, op.dim, mode_kappa(op, prec.apply)))
     return out

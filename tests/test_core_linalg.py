@@ -288,26 +288,3 @@ class TestExtremalEigen:
         assert peak < 16 * 2**20
 
 
-class TestConditionEstimate:
-    def test_perfect_preconditioner(self, rng):
-        A = random_spd(rng, 30)
-        fact = cl.banded_cholesky(sp.csr_matrix(A))
-        kappa = cl.condition_number_estimate(lambda v: A @ v, fact.solve, 30)
-        assert abs(kappa - 1.0) <= 0.05
-
-    def test_diagonal(self):
-        A = np.diag([1.0, 100.0])
-        kappa = cl.condition_number_estimate(lambda v: A @ v, lambda v: v, 2)
-        assert abs(kappa - 100.0) <= 5.0
-
-    def test_random_pair_vs_dense_oracle(self, rng):
-        n = 60
-        A = random_spd(rng, n)
-        P = random_spd(rng, n)
-        import scipy.linalg as sla
-
-        vals = sla.eigh(A, P, eigvals_only=True)
-        expect = vals[-1] / vals[0]
-        Pinv = np.linalg.inv(P)
-        kappa = cl.condition_number_estimate(lambda v: A @ v, lambda v: Pinv @ v, n)
-        assert abs(kappa - expect) <= 0.05 * expect

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ import scipy.linalg as sla
 
 from psaddle import precond as pc
 from psaddle import quality as ql
-from psaddle.core_linalg import condition_number_estimate
-from psaddle.errors import InvalidSpaceError
+from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.riesz import RieszContext, estimate_C_J
 from psaddle.spaces import CONT_P1, Mesh1D, assemble_1d, default_pair
 
@@ -174,21 +174,19 @@ class TestKappaStudy:
         assert min(kappas) >= 1.0
         assert max(kappas) / min(kappas) <= 2.0
 
-    def test_exact_inverse_control(self, rng):
+    def test_exact_inverse_control(self):
         # control run: preconditioning with the exact inverse gives kappa = 1
         pair = default_pair(4, 4)
         op = pc.RXOperator(pair)
         dense = np.column_stack([op.apply(col) for col in np.eye(op.dim)])
-        kappa = condition_number_estimate(
-            op.apply, lambda v: np.linalg.solve(dense, v), op.dim
-        )
-        assert abs(kappa - 1.0) <= 0.05
+        kappa = pc.mode_kappa(op, lambda v: np.linalg.solve(dense, v))
+        assert abs(kappa - 1.0) <= 1e-10
 
-    def test_estimate_from_below(self):
-        # the Lanczos estimate stops on a flat window of Ritz ratios, whose
-        # extremes lie inside the spectrum: at most the exact kappa of the
-        # dense pencil, and here within 2% of it (4.8027 against 4.8406)
-        pair = default_pair(16, 4)
+    @pytest.mark.parametrize("levels, n_x", [(4, 4), (5, 8)])
+    def test_equals_dense_pencil(self, levels, n_x):
+        # the finest level's kappa against the dense pencil of the same
+        # operators: 4.8406 at 16 x 4 and 6.2964 at 32 x 8
+        pair = default_pair(2**levels, n_x)
         op = pc.RXOperator(pair)
         prec = pc.BlockDiagPrecond(pc.build_time_wavelets(pair.mesh_t_X), pair)
         eye = np.eye(op.dim)
@@ -197,8 +195,21 @@ class TestKappaStudy:
         P = np.linalg.inv(0.5 * (Pinv + Pinv.T))
         ev = sla.eigh(0.5 * (R + R.T), 0.5 * (P + P.T), eigvals_only=True)
         exact = ev[-1] / ev[0]
-        est = condition_number_estimate(op.apply, prec.apply, op.dim)
-        assert 0.98 * exact <= est <= (1 + 1e-10) * exact
+        level, dim, kappa = pc.kappa_study(levels, n_x=n_x)[-1]
+        assert (level, dim) == (levels, op.dim)
+        assert abs(kappa - exact) <= 1e-12 * exact
+
+    def test_oversize_level_refused_up_front(self):
+        # level 12 at n_x = 8: the mode blocks would take 1.88 GB; the
+        # refusal comes before any level is computed
+        tracemalloc.start()
+        try:
+            with pytest.raises(PsaddleError, match="kappa mode blocks"):
+                pc.kappa_study(12, n_x=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestAlternativeNormSandwich:
