@@ -21,7 +21,7 @@ pair:
 * R_Y^{-1} h = (M_t^Y)^{-1} H A_x^{-1}, two products with dense inverses
   taken from the banded Cholesky factors of the 1D matrices M_t^Y and A_x
   (`inv_M_t_Y`, `inv_A_x`; the Uzawa sweep folds them into its maps on
-  element gradients, `uzawa.GradientMaps`).
+  element gradients, `uzawa.GradientMaps`, for a mu with a flux).
 * R_X^{-1} by fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 6,
   1964).  With A_x V = M_x V Lambda, V^T M_x V = I, the spatial modes
   decouple: V^T S V = Lambda^{-1}, so mode k carries the temporal block
@@ -30,9 +30,11 @@ pair:
   D_k = lambda_k + Theta / lambda_k and w = W^T e_T, which Sherman-Morrison
   inverts in closed form.  A solve is four dense products and O(dim_X)
   scalings; the set-up is two symmetric-definite eigenproblems, one per axis.
-  The transforms are public as `modes`: the Uzawa sweep keeps its trial
-  iterate in them (`uzawa.TrialModes`), where R_X^{-1} is the scaling and
-  the rank-one correction alone (`riesz_X_in_modes`).
+  The transforms and both spectra are public as `modes`: the Uzawa sweep
+  keeps its trial iterate in them (`uzawa.TrialModes`), where R_X^{-1} is
+  the scaling and the rank-one correction alone (`riesz_X_in_modes`), and
+  for a constant mu its test iterate in joint modes built on W, theta and
+  V (`uzawa.JointModes`), where both couplings are scalings.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ class RieszModes(NamedTuple):
     """The fast diagonalization of R_X (`RieszContext.modes`)."""
 
     W: np.ndarray      # temporal eigenbasis, W^T M_t^X W = I
+    theta: np.ndarray  # temporal eigenvalues, W^T T W = diag(theta), ascending
     V: np.ndarray      # spatial eigenbasis, V^T M_x V = I
     lam: np.ndarray    # spatial eigenvalues, V^T A_x V = diag(lam)
     scale: np.ndarray  # D_k^{-1} per temporal and spatial mode
@@ -197,7 +200,7 @@ class RieszContext:
 
     @cached_property
     def modes(self) -> RieszModes:
-        """(W, V, lam, scale, w, corr) of the fast diagonalization of R_X.
+        """(W, theta, V, lam, scale, w, corr) of the fast diagonalization of R_X.
 
         W^T M_t^X W = I, W^T T W = diag(theta), V^T M_x V = I and
         V^T A_x V = diag(lambda), lambda held as `lam`.  scale[j, k] =
@@ -218,7 +221,7 @@ class RieszContext:
         scale = 1.0 / (lam[None, :] + theta[:, None] / lam[None, :])
         w = W[-1]
         corr = scale * w[:, None] / (1.0 + w**2 @ scale)
-        return RieszModes(W, V, lam, scale, w, corr)
+        return RieszModes(W, theta, V, lam, scale, w, corr)
 
     def riesz_X_in_modes(self, H: np.ndarray) -> np.ndarray:
         """R_X^{-1} within the modes: the modal coefficients Z of the

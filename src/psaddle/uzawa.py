@@ -4,31 +4,38 @@ Each outer step freezes u, runs L damped fixed-point steps on the test-space
 block (warm-started from the previous outer iterate), then takes one damped
 step on the Schur residual of u.  The inner steps are
 
-    lambda <- lambda - theta_A* (R_Y^{-1} A_Y lambda - R_Y^{-1} (f - D u)),
+    lambda <- lambda - theta_A* (R_Y^{-1} A_Y lambda - R_Y^{-1} (f - D u)).
 
-and they run in element-gradient coordinates: the sweep holds the element
-gradients G = E_t Lambda Dbar_x^T of lambda, which the operator's flux reads
-anyway, and in them R_Y^{-1} A_Y lambda is the L2 projection of the flux
-(`GradientMaps`).  So no inner step maps back to coefficients, no Riesz
-solve on the test space runs in the loop, and lambda is read off G only
-where it is returned or measured.  lambda does not change between the
-monitored pair of one outer step and the first inner step of the next, so
-that step reuses the monitored pair's projected flux.  The trial iterate u
-lives in the modes of R_X (`TrialModes`), where R_X^{-1} is a scaling and
-a rank-one correction and the trace term a rank-one product, so the outer
-step makes no Riesz solve and no sparse product either; u is formed only
-where it is returned or measured.
+The test side runs in coordinates picked once per solve, from the
+coefficient; each provides the representers of f and of D u, D^T lambda in
+the modes of R_X, the Y-norm and the read-back of lambda, and the one loop
+of `run_inexact_uzawa` runs on either:
 
-For a constant mu = c (`MuCoefficient.constant`), the linear member of the
-class, both operators are c times Riesz maps, exactly under the 3-point
-rule: A_Y = c R_Y on the test space, so R_Y^{-1} A_Y lambda = c lambda and
-its gradients are c G, and A_X = c (M_t^X (x) A_x), which is c Z o Lambda
-in the modes of R_X.  The sweep then makes no flux evaluation and no
-product with P_t or P_x, and its L inner steps, an affine recursion with a
-constant factor q = 1 - theta_A* c, collapse into one update in closed
-form, G <- G + s_L (C - theta_A* c G) with s_L = (1 - q^L)/(theta_A* c)
-(`run_inexact_uzawa`).  It picks that sweep once per solve, from the
-coefficient, and runs the one loop either way.
+* For a mu with a flux, the element gradients G = E_t Lambda Dbar_x^T of
+  lambda, which the operator's flux reads anyway; in them R_Y^{-1} A_Y
+  lambda is the L2 projection of the flux (`GradientMaps`).  lambda does
+  not change between the monitored pair of one outer step and the first
+  inner step of the next, so that step reuses the monitored pair's
+  projected flux.
+* For a constant mu = c (`MuCoefficient.constant`), the linear member of
+  the class, both operators are c times Riesz maps, exactly under the
+  3-point rule: A_Y = c R_Y on the test space, so R_Y^{-1} A_Y lambda =
+  c lambda, and A_X = c (M_t^X (x) A_x), which is c Z o Lambda in the modes
+  of R_X.  The test side then runs in joint space-time modes (`JointModes`),
+  in which the Y-norm is a sum of squares and both couplings are
+  scalings; the L inner steps, an affine recursion with a constant factor
+  q = 1 - theta_A* c, collapse into one update in closed form, and the
+  outer step makes no matrix product besides the two rank-one products
+  w^T Z of the trace term and of the Sherman-Morrison correction, and no
+  flux evaluation.
+
+So no inner step maps back to coefficients, no Riesz solve on the test
+space runs in the loop, and lambda is read off its coordinates only where
+it is returned or measured.  The trial iterate u lives in the modes of R_X
+(`TrialModes`), where R_X^{-1} is a scaling and a rank-one correction and
+the trace term a rank-one product, so the outer step makes no Riesz solve
+and no sparse product either; u is formed only where it is returned or
+measured.
 
 The number L of inner steps comes from the convergence theory: with
 
@@ -52,6 +59,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from psaddle import monotone as mo
 from psaddle.core_linalg import check_dense_size
@@ -64,6 +72,7 @@ __all__ = [
     "UzawaConfig",
     "UzawaTrace",
     "GradientMaps",
+    "JointModes",
     "TrialModes",
     "plan_inner_count",
     "make_config",
@@ -173,9 +182,10 @@ class UzawaTrace:
     first inner step reuses the monitored pair of the step before, or
     A_Y 0 = 0 at k = 0), one for the monitored pair, and one trial-side
     application A_X u.  Each is a flux evaluation between dense products.
-    For a constant mu the L test-side applications are one closed-form
-    update and A_X u is a scaling (`run_inexact_uzawa`); the count still
-    books inner_count + 1, the work of the general sweep.
+    For a constant mu the count still books inner_count + 1, the work of
+    the general sweep, but the loop evaluates no flux: the L test-side
+    applications are one closed-form update in joint modes and A_X u is a
+    scaling (`run_inexact_uzawa`).
     """
 
     k: list = field(default_factory=list)
@@ -242,11 +252,15 @@ class GradientMaps:
         Lambda = read_t G read_x
                = (M_t^Y)^{-1} E_t^T W_t G W_x Dbar_x A_x^{-1}             (`lam`)
 
-    on the range.  D = B_t (x) M_x enters the sweep only through these
-    maps: the representer of D u has the gradients to_t B_t U M_x to_x, and
-    D^T lambda = B_t^T read_t G read_x M_x.  `TrialModes` composes B_t and
-    M_x with them and with the modes of R_X into its K_t, K_x, Dt_t and
-    Dt_x, and the sweep applies the couplings only there.
+    on the range.
+
+    Couplings.  D = B_t (x) M_x enters the sweep only through these maps,
+    composed with the modes (W, V) of R_X (`TrialModes`, U = W Z V^T): the
+    gradients of R_Y^{-1} D u are to_t B_t U M_x to_x = (K_t W) Z (V^T K_x)
+    with K_t = to_t B_t and K_x = M_x to_x (`representer_of_D`), and D^T
+    lambda = B_t^T read_t G read_x M_x is, in the modes, W^T B_t^T read_t G
+    read_x M_x V = (W^T Dt_t) G (Dt_x V) with Dt_t = B_t^T read_t and Dt_x =
+    read_x M_x (`apply_Dt`).
 
     In floating point (*) holds to rounding, so the sweep matches the
     coefficient iteration to rounding, not bit for bit.  Every map is dense;
@@ -268,6 +282,12 @@ class GradientMaps:
         self.P_x = self.read_x @ Dbar.T
         self.weights = (op_Y.w_t[:, None] * op_Y.h_x).reshape(-1)
         self.shape = (n_tq, n_el)
+        W, V = ctx.modes.W, ctx.modes.V
+        B_t, M_x = ctx.pair.B_t, ctx.pair.M_x
+        self.K_t = (B_t.T @ self.to_t.T).T @ W
+        self.K_x = V.T @ (M_x @ self.to_x)
+        self.Dt_t = W.T @ (B_t.T @ self.read_t)
+        self.Dt_x = (M_x.T @ self.read_x.T).T @ V
 
     def representer(self, H: np.ndarray) -> np.ndarray:
         """Gradients of R_Y^{-1} h for a functional h as (dim_t_Y, dim_x) H."""
@@ -282,11 +302,124 @@ class GradientMaps:
         """The coefficients of lambda, flat, read off its gradients."""
         return (self.read_t @ G @ self.read_x).reshape(-1)
 
+    def representer_of_D(self, Z: np.ndarray) -> np.ndarray:
+        """Gradients of R_Y^{-1} D u from the modal coefficients Z of u."""
+        return self.K_t @ Z @ self.K_x
+
+    def apply_Dt(self, G: np.ndarray) -> np.ndarray:
+        """D^T lambda in the modes of R_X, read from the gradients G of lambda."""
+        return self.Dt_t @ G @ self.Dt_x
+
+
+class JointModes:
+    """The test-side maps of the Uzawa sweep for a constant mu, in joint
+    space-time modes.
+
+    Notation: (W, theta, V, lam) from `RieszContext.modes`, with W^T M_t^X W
+    = I, W^T T W = Theta = diag(theta) for T = B_t^T (M_t^Y)^{-1} B_t,
+    V^T M_x V = I and V^T A_x V = diag(lam); U = W Z V^T as in `TrialModes`.
+    S = L^{-T} for the Cholesky factor M_t^Y = L L^T, so S^T M_t^Y S = I and
+    S S^T = (M_t^Y)^{-1}.
+
+    Temporal modes of the test space.  K = S^T B_t W satisfies
+
+        K^T K = W^T B_t^T S S^T B_t W = W^T T W = Theta,
+
+    so the columns of K are orthogonal, K_j of length sqrt(theta_j).
+    theta_j counts as positive (j in P, `p` of them) by numpy's
+    `matrix_rank` tolerance for the Hermitian Theta, theta_max dim_t_X eps:
+    eigh returns the zero eigenvalue to about eps theta_max.  The
+    columns K_j / sqrt(theta_j), j in P, are orthonormal; one complete QR
+    completes them to an orthogonal O of order dim_t_Y, whose first p
+    columns they are.  Then O^T K_j = sqrt(theta_j) e_i for the i-th j in
+    P, and K_j = 0 for theta_j = 0: those W_j span ker B_t, which holds
+    the constants, and on every temporal test space of the pair nothing
+    else, so P holds all but the first `n0` = 1 temporal modes.  In short,
+    O^T K = [diag sqrt(theta_P) ; 0] on the columns in P; the maps below
+    read n0 off theta and do not assume it is 1.
+
+    Coordinates.  lambda, as a (dim_t_Y, dim_x) array Lambda, is held by Xi
+    with Lambda = S O Xi V^T; Xi_P are its first p rows.
+
+    Norm.  ||lambda||_Y^2 = tr(Lambda^T M_t^Y Lambda A_x) =
+    tr(Xi^T O^T S^T M_t^Y S O Xi V^T A_x V) = sum_jk lam_k Xi_jk^2.
+
+    Representers.  For a functional h as a (dim_t_Y, dim_x) array H,
+    R_Y^{-1} h = (M_t^Y)^{-1} H A_x^{-1} = S O (O^T S^T H V / lam) V^T,
+    because S S^T = (M_t^Y)^{-1}, O O^T = I and A_x^{-1} = V diag(1/lam) V^T:
+    Xi = O^T S^T H V / lam.  For
+    h = D u = B_t U M_x, H V = B_t W Z V^T M_x V = B_t W Z, so
+    Xi = O^T K Z / lam = [sqrt(theta_P) o Z_P ; 0] / lam.
+
+    Adjoint.  D^T lambda = B_t^T Lambda M_x is, in the modes of R_X,
+    W^T B_t^T S O Xi V^T M_x V = (O^T K)^T Xi: sqrt(theta_j) times row i of
+    Xi in row j, the i-th of P, and zero in the row of the constants.
+
+    Scaling.  The maps hold X = Xi diag(sqrt(lam)) in place of Xi, so that
+    the norm is the Euclidean one, ||lambda||_Y^2 = sum X_jk^2 (`norm2`),
+    and both couplings are one and the same elementwise scaling, by
+    Dc_ik = sqrt(theta_j / lam_k) for the i-th j in P: X of R_Y^{-1} D u
+    is [Dc o Z_P ; 0] (`representer_of_D`), and D^T lambda has Dc o X_P in
+    the rows P (`apply_Dt`).  The dense maps read V_s = V diag(lam)^{-1/2}:
+    X = (S O)^T H V_s for a functional H (`representer`; once per solve,
+    for f), and Lambda = S O X V_s^T (`lam`).
+
+    So both couplings are scalings, and S O is the one dense map, used for
+    the representer of f and the read-back of lambda and guarded by
+    `check_dense_size`.  Every elementwise factor is held at the full shape
+    of its operand: numpy broadcasts a row over many short rows far more
+    slowly than it multiplies arrays of one shape.  In floating point the
+    identities hold to rounding.
+    """
+
+    def __init__(self, ctx: RieszContext):
+        p, m = ctx.pair, ctx.modes
+        n = p.dim_t_Y
+        check_dense_size("JointModes.SO", (n, n))
+        L = sla.cholesky(p.M_t_Y.toarray(), lower=True)
+        self.S = sla.solve_triangular(L, np.eye(n), lower=True, trans="T")
+        K = self.S.T @ (p.B_t @ m.W)
+        theta = m.theta  # ascending, so P is a trailing range of modes
+        self.n0 = int(np.count_nonzero(theta <= theta.max() * theta.size * np.finfo(float).eps))
+        self.p = theta.size - self.n0
+        sv = np.sqrt(theta[self.n0 :])
+        self.O = np.linalg.qr(K[:, self.n0 :], mode="complete")[0]
+        self.O[:, : self.p] = K[:, self.n0 :] / sv
+        self.SO = self.S @ self.O
+        self.V_s = m.V / np.sqrt(m.lam)
+        self.Dc = sv[:, None] / np.sqrt(m.lam)
+        self.shape = (n, p.dim_x)
+        self.shape_X = (p.dim_t_X, p.dim_x)
+
+    def representer(self, H: np.ndarray) -> np.ndarray:
+        """X of R_Y^{-1} h for a functional h as (dim_t_Y, dim_x) H."""
+        return self.SO.T @ H @ self.V_s
+
+    def norm2(self, X: np.ndarray) -> float:
+        """sum X_jk^2: the squared Y-norm of the function with scaled modes X."""
+        return float(np.vdot(X, X))
+
+    def lam(self, X: np.ndarray) -> np.ndarray:
+        """The coefficients S O X V_s^T of lambda, flat, from its scaled modes X."""
+        return (self.SO @ X @ self.V_s.T).reshape(-1)
+
+    def representer_of_D(self, Z: np.ndarray) -> np.ndarray:
+        """X of R_Y^{-1} D u from the modal coefficients Z of u."""
+        X = np.zeros(self.shape)
+        X[: self.p] = self.Dc * Z[self.n0 :]
+        return X
+
+    def apply_Dt(self, X: np.ndarray) -> np.ndarray:
+        """D^T lambda in the modes of R_X, read from the scaled modes X of lambda."""
+        H = np.zeros(self.shape_X)
+        H[self.n0 :] = self.Dc * X[: self.p]
+        return H
+
 
 class TrialModes:
     """The trial-side maps of the Uzawa sweep in the modes of R_X.
 
-    Notation: (W, V, scale, w, corr) = `RieszContext.modes`, with
+    Notation: (W, V, lam, scale, w, corr) from `RieszContext.modes`, with
     W^T M_t^X W = I, W^T T W = Theta, V^T M_x V = I and V^T A_x V = Lambda.
     A trial function u, as a (dim_t_X, dim_x) array U, is held by its modal
     coefficients Z with U = W Z V^T (`coefficients`), and a functional on
@@ -306,14 +439,6 @@ class TrialModes:
     Trace term.  e_T e_T^T U M_x maps to W^T e_T e_T^T W Z V^T M_x V =
     w (w^T Z) (`trace_term`), because V^T M_x V = I.
 
-    Couplings.  They are built here, from the 1D factors B_t and M_x of
-    D = B_t (x) M_x and the maps to_t, to_x, read_t and read_x of
-    `GradientMaps`.  The gradients of R_Y^{-1} D u are
-    to_t B_t U M_x to_x = (K_t W) Z (V^T K_x) with K_t = to_t B_t and
-    K_x = M_x to_x (`representer_of_D`), and D^T lambda in the modes is
-    W^T B_t^T read_t G read_x M_x V = (W^T Dt_t) G (Dt_x V) with
-    Dt_t = B_t^T read_t and Dt_x = read_x M_x (`apply_Dt`).
-
     Operator.  The element gradients of u on the trial side are
     E_t^X U Dbar_x^T = (E_t^X W) Z (Dbar_x V)^T, and A_X u has the dual
     coefficients (E_t^X)^T W_t Phi W_x Dbar_x, Phi the operator's flux; in
@@ -325,23 +450,20 @@ class TrialModes:
     mode k by c lambda_k, with lambda from the eigensolve of
     `RieszContext.modes`, and makes no flux evaluation.
 
-    Every map here has the shape of a dense array the operator, the
-    gradient maps or the mode transforms already hold, so none needs a
-    size guard of its own.  In floating point the identities hold to
-    rounding.
+    The couplings with the test side are in the test-side coordinates
+    (`GradientMaps`, `JointModes`).  Every map here has the shape of a
+    dense array the operator or the mode transforms already hold, so none
+    needs a size guard of its own.  In floating point the identities hold
+    to rounding.
     """
 
-    def __init__(self, op_X: mo.GalerkinOperator, ctx: RieszContext, maps: GradientMaps):
+    def __init__(self, op_X: mo.GalerkinOperator, ctx: RieszContext):
         m = ctx.modes
         W, V, self.w = m.W, m.V, m.w
         self.W, self.V = W, V
         c = op_X.mu.constant
-        self.c_lam = None if c is None else c * m.lam
-        B_t, M_x = ctx.pair.B_t, ctx.pair.M_x
-        self.K_t = (B_t.T @ maps.to_t.T).T @ W
-        self.K_x = V.T @ (M_x @ maps.to_x)
-        self.Dt_t = W.T @ (B_t.T @ maps.read_t)
-        self.Dt_x = (M_x.T @ maps.read_x.T).T @ V
+        # at the full shape of Z: a broadcast row is the slower product
+        self.c_lam = None if c is None else c * np.broadcast_to(m.lam, (W.shape[1], V.shape[1]))
         self.E_t = op_X.E_t @ W
         self.Dbar_x = op_X.Dbar_x @ V
         self.E_t_w = op_X.w_t[:, None] * self.E_t
@@ -367,14 +489,6 @@ class TrialModes:
             return Z * self.c_lam
         Phi = self.op_X.flux(self.E_t @ Z @ self.Dbar_x.T)
         return self.E_t_w.T @ Phi @ self.Dbar_x_w
-
-    def representer_of_D(self, Z: np.ndarray) -> np.ndarray:
-        """Gradients of R_Y^{-1} D u from the modal coefficients Z of u."""
-        return self.K_t @ Z @ self.K_x
-
-    def apply_Dt(self, G: np.ndarray) -> np.ndarray:
-        """D^T lambda in the modes, read from the gradients G of lambda."""
-        return self.Dt_t @ G @ self.Dt_x
 
 
 def _geometric_factors(theta_c: float, L: int) -> tuple[float, float]:
@@ -403,36 +517,47 @@ def run_inexact_uzawa(
     Outer update:
         u <- u - theta_S* R_X^{-1} [A_X u + trace term + g - D^T lambda]
 
-    The test-side state is G, the element gradients of lambda, and the
-    inner update is its image under lambda -> G (`GradientMaps`):
-        G <- G - theta_A* P_t Phi(G) P_x + theta_A* C,
-    with C the gradients of R_Y^{-1} (f - D u): those of R_Y^{-1} f once
-    per solve, less those of R_Y^{-1} D u once per outer step, both from
-    the dense inverses of M_t^Y and A_x, so the loop makes no Riesz solve
-    on the test space.  theta_A* is folded into the temporal map once per
-    solve and into C once per outer step.  The monitored pair takes
-    res_Y^2 = sum w_t h (C - P_t Phi P_x)^2 from one flux evaluation, and
-    the next outer step's first inner update reuses that product.
+    The test-side state y holds lambda in coordinates picked once per solve
+    from the coefficient, `GradientMaps` for a mu with a flux and
+    `JointModes` for a constant mu; both provide the representers of f and
+    of D u, D^T lambda in the modes of R_X, the Y-norm and the read-back of
+    lambda, so the loop is the same.  In either, C is the image of
+    theta_A* R_Y^{-1} (f - D u): that of R_Y^{-1} f once per solve, less
+    that of R_Y^{-1} D u once per outer step, so the loop makes no Riesz
+    solve on the test space.
 
-    For a constant mu = c (`MuCoefficient.constant`) the inner update is
-        G <- G - (theta_A* c G - C) = q G + C,   q = 1 - theta_A* c,
-    with no flux and no product with P_t or P_x.  Proof: the flux is
-    Phi(G) = c G, so theta_A* P_t Phi(G) P_x = theta_A* c Pi(G), and G stays
-    in the range of the projection Pi (`GradientMaps`), where Pi(G) = G:
-    it starts at 0 and every update adds multiples of G and of C, which
-    lies in the range too.  `TrialModes.apply` is c Z Lambda likewise.
+    Flux.  y = G, the element gradients of lambda, and the inner update is
+    the image of the coefficient update under lambda -> G (`GradientMaps`):
+        G <- G - theta_A* P_t Phi(G) P_x + C,
+    with theta_A* folded into the temporal map once per solve.  The
+    monitored pair takes res_Y^2 = sum w_t h (C - P_t Phi P_x)^2 /
+    theta_A*^2 from one flux evaluation, and the next outer step's first
+    inner update reuses that product.
+
+    Constant mu = c (`MuCoefficient.constant`).  y holds Xi, the joint
+    modes of lambda (`JointModes`), and the inner update is
+        Xi <- Xi - (theta_A* c Xi - C) = q Xi + C,   q = 1 - theta_A* c,
+    because A_Y = c R_Y on the test space, exactly under the 3-point rule:
+    R_Y^{-1} A_Y lambda = c lambda, whose modes are c Xi.  `TrialModes.apply`
+    is c Z Lambda likewise, so the loop evaluates no flux.
 
     Closed form.  C is fixed during the L inner steps of one outer step,
-    so by induction from G_0, with theta c = theta_A* c,
-        G_L = q^L G_0 + (1 + q + ... + q^(L-1)) C = G_0 + s_L d,
-        d = C - theta c G_0,   s_L = (1 - q^L)/(theta c),
-    since (1 - q) s_L = 1 - q^L and q^L G_0 = G_0 - theta c s_L G_0.  The
-    monitored pair's residual is
-        C - theta c G_L = d - theta c s_L d = q^L d,
-    so res_Y = q^L ||d||_W / theta_A*, and theta c G_L is never formed: the
-    sweep is one update per outer step.  Bounds: theta_A* = m_A/L_A^2
-    (`MonotoneConstants.theta_star`), and A_Y = c R_Y gives m_A <= c <=
-    L_A for any constants valid for the operator, so 0 < theta c =
+    so by induction from Xi_0, with theta c = theta_A* c,
+        Xi_L = q^L Xi_0 + (1 + q + ... + q^(L-1)) C = Xi_0 + s_L d,
+        d = C - theta c Xi_0,   s_L = (1 - q^L)/(theta c),
+    since (1 - q) s_L = 1 - q^L and q^L Xi_0 = Xi_0 - theta c s_L Xi_0.
+    The monitored pair's residual is
+        C - theta c Xi_L = d - theta c s_L d = q^L d,
+    so res_Y = q^L ||d||_lam / theta_A* with ||d||_lam^2 = sum lam_k d_jk^2
+    (`JointModes.norm2`), and theta c Xi_L is never formed: the sweep is one
+    update per outer step, and with both couplings scalings in the joint
+    modes the outer step makes no matrix product besides w^T Z in the trace
+    term and in the Sherman-Morrison correction.  y is Xi scaled as
+    X = Xi diag(sqrt(lam)) (`JointModes`), a fixed linear map, so the
+    recursion and its closed form hold for X alike, with the Euclidean norm
+    in place of ||.||_lam.  Bounds: theta_A* =
+    m_A/L_A^2 (`MonotoneConstants.theta_star`), and A_Y = c R_Y gives m_A <=
+    c <= L_A for any constants valid for the operator, so 0 < theta c =
     m_A c/L_A^2 <= m_A/L_A <= 1 and q lies in [0, 1); the paper's
     constants (m_A, L_A) = (c, 3c) give theta c = 1/9.  Evaluation
     (`_geometric_factors`): for theta c < 1, q^L = exp(L log1p(-theta c))
@@ -442,13 +567,13 @@ def run_inexact_uzawa(
     hand-built config outside the bounds) takes the power q**L, and
     1 - q^L has no cancellation there while the recursion contracts
     (|q| < 1).  The update is the L-step recursion to rounding, not bit
-    for bit.  The sweep is picked once per solve; the loop is the same.
+    for bit.
 
     The trial-side state is Z, the modal coefficients of u (`TrialModes`):
     the bracket of the outer update is formed in the modes, from g^ =
     W^T g V once per solve, and R_X^{-1} is a scaling and a rank-one
     correction there, so the loop makes no Riesz solve and no sparse
-    product on the trial side either.  D^T lambda is read from G; lambda
+    product on the trial side either.  D^T lambda is read from y; lambda
     and u themselves are formed only for the returned state and, in test
     mode, for err_lambda and err_u.
 
@@ -460,12 +585,11 @@ def run_inexact_uzawa(
     """
     f, g = rhs
     theta = cfg.theta_star_A
-    maps = GradientMaps(op_Y, ctx)
-    modes = TrialModes(op_X, ctx, maps)
     c = op_Y.mu.constant
     if c is None:
-        P_t, P_x, flux = theta * maps.P_t, maps.P_x, op_Y.flux
-        mapped = np.zeros(maps.shape)  # theta_A* P_t Phi(0) P_x = 0
+        coords = GradientMaps(op_Y, ctx)
+        P_t, P_x, flux = theta * coords.P_t, coords.P_x, op_Y.flux
+        mapped = np.zeros(coords.shape)  # theta_A* P_t Phi(0) P_x = 0
 
         def sweep(G, C):
             """The L inner steps; G_L and ||C - theta_A* P_t Phi(G_L) P_x||_W."""
@@ -474,25 +598,27 @@ def run_inexact_uzawa(
             for _ in range(cfg.L - 1):
                 G = G - (P_t @ flux(G) @ P_x - C)
             mapped = P_t @ flux(G) @ P_x
-            return G, math.sqrt(maps.norm2(C - mapped))
+            return G, math.sqrt(coords.norm2(C - mapped))
     else:
+        coords = JointModes(ctx)
         theta_c = theta * c
         q_L, s_L = _geometric_factors(theta_c, cfg.L)
 
-        def sweep(G, C):
-            """The L inner steps in closed form; G_L and ||C - theta_A* c G_L||_W."""
-            d = C - theta_c * G
-            return G + s_L * d, q_L * math.sqrt(maps.norm2(d))
-    C_f = maps.representer(np.reshape(f, (pair.dim_t_Y, pair.dim_x)))
+        def sweep(X, C):
+            """The L inner steps in closed form; X_L and ||C - theta_A* c X_L||."""
+            d = C - theta_c * X
+            return X + s_L * d, q_L * math.sqrt(coords.norm2(d))
+    modes = TrialModes(op_X, ctx)
+    C_f = coords.representer(np.reshape(f, (pair.dim_t_Y, pair.dim_x)))
     g_hat = modes.to_modes(np.reshape(g, (pair.dim_t_X, pair.dim_x)))
-    G = np.zeros(maps.shape)
+    y = np.zeros(coords.shape)
     Z = np.zeros((pair.dim_t_X, pair.dim_x))
     trace = UzawaTrace()
 
     for k in range(cfg.max_outer):
-        C = theta * (C_f - modes.representer_of_D(Z))
-        G, r_Y = sweep(G, C)
-        R = g_hat - modes.apply_Dt(G) + modes.apply(Z) + modes.trace_term(Z)
+        C = theta * (C_f - coords.representer_of_D(Z))
+        y, r_Y = sweep(y, C)
+        R = g_hat - coords.apply_Dt(y) + modes.apply(Z) + modes.trace_term(Z)
         dZ = ctx.riesz_X_in_modes(R)
         res_Y = r_Y / theta
         res_X = math.sqrt(max(float(np.vdot(R, dZ)), 0.0))
@@ -505,7 +631,7 @@ def run_inexact_uzawa(
         trace.inner_count.append(cfg.L)
         if reference is not None:
             trace.err_u.append(ctx.norm_X_delta(reference.u - modes.coefficients(Z)))
-            trace.err_lambda.append(ctx.norm_Y(reference.lam - maps.lam(G)))
+            trace.err_lambda.append(ctx.norm_Y(reference.lam - coords.lam(y)))
         else:
             trace.err_u.append(float("nan"))
             trace.err_lambda.append(float("nan"))
@@ -517,4 +643,4 @@ def run_inexact_uzawa(
             # R is the u-update bracket in the modes, so the step reuses dZ
             Z = Z - cfg.theta_star_S * dZ
 
-    return SaddleState(maps.lam(G), modes.coefficients(Z)), trace
+    return SaddleState(coords.lam(y), modes.coefficients(Z)), trace

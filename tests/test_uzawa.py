@@ -103,7 +103,7 @@ def _uzawa_on_coefficients(s, cfg):
 
 
 def _assert_matches_coefficient_loop(s, cfg):
-    """The sweep in gradient coordinates against `_uzawa_on_coefficients`:
+    """The sweep in its test-side coordinates against `_uzawa_on_coefficients`:
     the same steps and work, floats to rounding (the summation order
     differs by design)."""
     state, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
@@ -189,7 +189,8 @@ class TestRunInexactUzawa:
     def test_reused_inner_step_matches_fresh_steps(self, setup_name, L, request):
         # the sweep on element gradients, which reuses the monitored pair's
         # projected flux for the next first inner step, or for a constant mu
-        # (heat8, ramp8) takes the L inner steps as one closed-form update,
+        # (heat8, ramp8) in joint modes, which takes the L inner steps as one
+        # closed-form update,
         # against the textbook loop on coefficients with a fresh application
         # and Riesz solve per inner step
         s = request.getfixturevalue(setup_name)
@@ -232,7 +233,8 @@ class TestRunInexactUzawa:
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_no_riesz_Y_solve_per_outer_step(self, setup_name, request, monkeypatch):
         # the sweep works on element gradients with the dense inverses of
-        # M_t^Y and A_x folded into its maps: it never solves with R_Y
+        # M_t^Y and A_x folded into its maps, or in joint modes for a
+        # constant mu (heat8): it never solves with R_Y
         s = request.getfixturevalue(setup_name)
         calls = []
         orig = type(s.ctx).riesz_Y_solve
@@ -270,6 +272,32 @@ class TestRunInexactUzawa:
         _, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
         assert len(trace.k) == 4
         assert calls == []
+
+    def test_linear_solve_needs_no_flux(self, heat8, monkeypatch):
+        # for a constant mu the test side runs in joint modes: the solve
+        # builds no gradient maps and evaluates no flux
+        def refuse(*args):
+            raise AssertionError("called on the constant-mu path")
+
+        monkeypatch.setattr(uz, "GradientMaps", refuse)
+        monkeypatch.setattr(type(heat8.op_Y), "flux", refuse)
+        cfg = uz.make_config(heat8.bundle, tol=0.0, max_outer=4, L_practical=5)
+        _, trace = uz.run_inexact_uzawa(
+            heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, heat8.ctx, cfg
+        )
+        assert len(trace.k) == 4
+
+    def test_joint_modes_guarded(self, heat8, monkeypatch):
+        # S O is the largest dense array of the constant-mu solve: a limit
+        # one byte below it refuses the solve by name
+        ctx = heat8.ctx
+        ctx.modes
+        n = heat8.pair.dim_t_Y
+        assert n**2 > max(heat8.pair.dim_t_X, heat8.pair.dim_x) ** 2
+        monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * n**2 - 1)
+        cfg = uz.make_config(heat8.bundle, tol=0.0, max_outer=2)
+        with pytest.raises(PsaddleError, match=r"dense array JointModes\.SO of shape"):
+            uz.run_inexact_uzawa(heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, ctx, cfg)
 
     def test_stops_on_eta(self, heat8):
         cfg = uz.make_config(heat8.bundle, tol=1e-2, max_outer=5000, L_practical=6)
@@ -409,6 +437,73 @@ def test_linear_sweep_matches_coefficient_loop(kind):
     )
 
 
+class TestJointModes:
+    """The identities the sweep for a constant mu rests on, in joint
+    space-time modes, against the coefficient forms of the context, on
+    every temporal test space."""
+
+    @staticmethod
+    def _setup(s):
+        return uz.JointModes(s.ctx), uz.TrialModes(s.op_X, s.ctx)
+
+    @staticmethod
+    def _to_joint(jm, s, lam):
+        # Xi = (S O)^T M_t^Y Lambda M_x V inverts Lambda = S O Xi V^T, since
+        # (S O)^T M_t^Y S O = I and V^T M_x V = I; the maps hold
+        # X = Xi diag(sqrt(lam))
+        m = s.ctx.modes
+        Lam = lam.reshape(s.pair.dim_t_Y, s.pair.dim_x)
+        return jm.SO.T @ (s.pair.M_t_Y @ Lam) @ (s.pair.M_x @ m.V) * np.sqrt(m.lam)
+
+    def test_temporal_transforms(self, heat_pair):
+        s = heat_pair
+        jm, _ = self._setup(s)
+        n = s.pair.dim_t_Y
+        assert _close(jm.S.T @ (s.pair.M_t_Y @ jm.S), np.eye(n), 1e-12)
+        assert _close(jm.O.T @ jm.O, np.eye(n), 1e-12)
+        m = s.ctx.modes
+        K = jm.S.T @ (s.pair.B_t @ m.W)
+        expect = np.zeros_like(K)
+        expect[np.arange(jm.p), jm.n0 + np.arange(jm.p)] = np.sqrt(m.theta[jm.n0 :])
+        assert _close(jm.O.T @ K, expect, 1e-12)
+
+    def test_kernel_is_the_constants(self, heat_pair):
+        # ker B_t has dimension 1, and its temporal mode is constant
+        s = heat_pair
+        jm, _ = self._setup(s)
+        assert jm.n0 == 1 and jm.p == s.pair.dim_t_X - 1
+        w0 = s.ctx.modes.W[:, 0]
+        assert _close(w0, np.full_like(w0, w0[0]), 1e-12)
+        assert np.abs(s.pair.B_t @ np.ones(s.pair.dim_t_X)).max() <= 1e-12
+
+    def test_norm_and_read_back(self, heat_pair, rng):
+        s = heat_pair
+        jm, _ = self._setup(s)
+        lam = rng.standard_normal(s.pair.dim_Y)
+        Xi = self._to_joint(jm, s, lam)
+        assert _close(jm.lam(Xi), lam, 1e-12)
+        expect = s.ctx.norm_Y(lam) ** 2
+        assert abs(jm.norm2(Xi) - expect) <= 1e-12 * expect
+
+    def test_representers(self, heat_pair, rng):
+        s = heat_pair
+        jm, modes = self._setup(s)
+        h = rng.standard_normal(s.pair.dim_Y)
+        expect = self._to_joint(jm, s, s.ctx.riesz_Y_solve(h))
+        assert _close(jm.representer(h.reshape(s.pair.dim_t_Y, -1)), expect, 1e-12)
+        Z = rng.standard_normal((s.pair.dim_t_X, s.pair.dim_x))
+        u = modes.coefficients(Z)
+        expect = self._to_joint(jm, s, s.ctx.riesz_Y_solve(s.ctx.apply_D(u)))
+        assert _close(jm.representer_of_D(Z), expect, 1e-12)
+
+    def test_adjoint(self, heat_pair, rng):
+        s = heat_pair
+        jm, modes = self._setup(s)
+        lam = rng.standard_normal(s.pair.dim_Y)
+        expect = modes.to_modes(s.ctx.apply_Dt(lam).reshape(s.pair.dim_t_X, -1))
+        assert _close(jm.apply_Dt(self._to_joint(jm, s, lam)), expect, 1e-12)
+
+
 class TestTrialModes:
     """The identities the trial side of the sweep rests on, in the modes of
     R_X, against the coefficient forms of the context and the operator, on
@@ -417,7 +512,7 @@ class TestTrialModes:
     @staticmethod
     def _setup(s, rng):
         maps = uz.GradientMaps(s.op_Y, s.ctx)
-        modes = uz.TrialModes(s.op_X, s.ctx, maps)
+        modes = uz.TrialModes(s.op_X, s.ctx)
         Z = rng.standard_normal((s.pair.dim_t_X, s.pair.dim_x))
         return maps, modes, Z, modes.coefficients(Z)
 
@@ -455,21 +550,21 @@ class TestTrialModes:
         got = modes.apply(Z)
         assert np.array_equal(got, Z * (c * s.ctx.modes.lam))
         loose = dataclasses.replace(s.op_X.mu, M_mu=2.0 * c)
-        flux_path = uz.TrialModes(
-            mo.GalerkinOperator(s.pair, "X", loose), s.ctx, uz.GradientMaps(s.op_Y, s.ctx)
-        )
+        flux_path = uz.TrialModes(mo.GalerkinOperator(s.pair, "X", loose), s.ctx)
         assert flux_path.c_lam is None
         assert _close(got, flux_path.apply(Z), 1e-12)
         assert _close(got, self._to_modes(modes, s, s.op_X.apply(u)), 1e-12)
 
     def test_couplings(self, quasi_pair, rng):
+        # the couplings of `GradientMaps` between element gradients and the
+        # modes of R_X
         s = quasi_pair
         maps, modes, Z, u = self._setup(s, rng)
         lam = rng.standard_normal(s.pair.dim_Y)
         expect = self._to_modes(modes, s, s.ctx.apply_Dt(lam))
-        assert _close(modes.apply_Dt(s.op_Y.gradients(lam)), expect, 1e-12)
+        assert _close(maps.apply_Dt(s.op_Y.gradients(lam)), expect, 1e-12)
         expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(s.ctx.apply_D(u)))
-        assert _close(modes.representer_of_D(Z), expect, 1e-12)
+        assert _close(maps.representer_of_D(Z), expect, 1e-12)
 
 
 class TestAposteriori:
