@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from psaddle import monotone as mo
 from psaddle import system as sy
@@ -139,21 +140,21 @@ class TwoLevel:
         self.ctx_fine = ctx_fine or RieszContext(fine)
 
     @cached_property
-    def E_t_X(self) -> np.ndarray:
+    def E_t_X(self) -> sp.csr_matrix:
         return embedding_matrix(
             (self.coarse.mesh_t_X, self.coarse.spec_t_X),
             (self.fine.mesh_t_X, self.fine.spec_t_X),
         )
 
     @cached_property
-    def E_t_Y(self) -> np.ndarray:
+    def E_t_Y(self) -> sp.csr_matrix:
         return embedding_matrix(
             (self.coarse.mesh_t_Y, self.coarse.spec_t_Y),
             (self.fine.mesh_t_Y, self.fine.spec_t_Y),
         )
 
     @cached_property
-    def E_x(self) -> np.ndarray:
+    def E_x(self) -> sp.csr_matrix:
         return embedding_matrix(
             (self.coarse.mesh_x, self.coarse.spec_x),
             (self.fine.mesh_x, self.fine.spec_x),

@@ -30,6 +30,9 @@ pair:
   D_k = lambda_k + Theta / lambda_k and w = W^T e_T, which Sherman-Morrison
   inverts in closed form.  A solve is four dense products and O(dim_X)
   scalings; the set-up is two symmetric-definite eigenproblems, one per axis.
+  The balanced Gram R_X(c) = c M_t^X (x) A_x + T (x) S / c + e_T e_T^T (x) M_x,
+  which preconditions the reference solver's Schur Jacobian, has the same
+  transforms with lambda_k -> c lambda_k (`riesz_X_solver`).
   The transforms and both spectra are public as `modes`: the Uzawa sweep
   keeps its trial iterate in them (`uzawa.TrialModes`), where R_X^{-1} is
   the scaling and the rank-one correction alone (`riesz_X_in_modes`), and
@@ -218,25 +221,38 @@ class RieszContext:
             theta, W = sla.eigh(self.T_t, p.M_t_X.toarray())
         except np.linalg.LinAlgError as exc:  # a mass matrix is not positive definite
             raise NotSpdError(f"mode transform failed: {exc}") from exc
-        scale = 1.0 / (lam[None, :] + theta[:, None] / lam[None, :])
         w = W[-1]
-        corr = scale * w[:, None] / (1.0 + w**2 @ scale)
+        scale, corr = _mode_scaling(lam, theta, w)
         return RieszModes(W, theta, V, lam, scale, w, corr)
 
     def riesz_X_in_modes(self, H: np.ndarray) -> np.ndarray:
         """R_X^{-1} within the modes: the modal coefficients Z of the
         representer of the functional with modal form H = W^T H V, by
         D_k^{-1} plus the rank-one trace correction per spatial mode."""
-        m = self.modes
-        Z = m.scale * H
-        Z -= m.corr * (m.w @ Z)
-        return Z
+        return _solve_in_modes(self.modes, H)
 
     def riesz_X_solve(self, h) -> np.ndarray:
         """R_X^{-1} h by fast diagonalization: into the modes, solve there
         (`riesz_X_in_modes`), back again."""
-        W, V = self.modes.W, self.modes.V
-        return (W @ self.riesz_X_in_modes(W.T @ self._as_X(h) @ V) @ V.T).reshape(-1)
+        return _solve_through_modes(self.modes, self._as_X(h))
+
+    def riesz_X_solver(self, c: float):
+        """h -> R_X(c)^{-1} h for the balanced trial Gram
+
+            R_X(c) = c M_t^X (x) A_x + T (x) S / c + e_T e_T^T (x) M_x,   c > 0;
+
+        `riesz_X_solve` itself for c = 1.  V^T A_x V = diag(lambda) and
+        V^T S V = diag(1/lambda), so mode k carries c lambda_k M_t^X +
+        T / (c lambda_k) + e_T e_T^T: the temporal block of R_X with
+        lambda_k -> c lambda_k.  So the solve goes through the transforms W
+        and V of `modes`, with scale and corr built from c lambda.
+        """
+        if c == 1.0:
+            return self.riesz_X_solve
+        m = self.modes
+        scale, corr = _mode_scaling(c * m.lam, m.theta, m.w)
+        balanced = m._replace(scale=scale, corr=corr)
+        return lambda h: _solve_through_modes(balanced, self._as_X(h))
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -254,6 +270,26 @@ class RieszContext:
         z0 = trace_at_time(self.pair, z, 0.0)
         rhs += float(z0 @ (self.pair.M_x @ z0))
         return lhs, rhs
+
+
+def _mode_scaling(lam: np.ndarray, theta: np.ndarray, w: np.ndarray):
+    """(scale, corr) of a mode transform: D_k^{-1} = 1 / (lambda_k +
+    theta_j / lambda_k) and the Sherman-Morrison correction of the trace."""
+    scale = 1.0 / (lam[None, :] + theta[:, None] / lam[None, :])
+    corr = scale * w[:, None] / (1.0 + w**2 @ scale)
+    return scale, corr
+
+
+def _solve_in_modes(m: RieszModes, H: np.ndarray) -> np.ndarray:
+    """D_k^{-1} and the rank-one trace correction per spatial mode."""
+    Z = m.scale * H
+    Z -= m.corr * (m.w @ Z)
+    return Z
+
+
+def _solve_through_modes(m: RieszModes, H: np.ndarray) -> np.ndarray:
+    """W Z V^T with Z = `_solve_in_modes` of W^T H V, flattened."""
+    return (m.W @ _solve_in_modes(m, m.W.T @ H @ m.V) @ m.V.T).reshape(-1)
 
 
 def estimate_C_J(ctx: RieszContext) -> float:

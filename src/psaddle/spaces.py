@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from psaddle.core_linalg import as_csr, banded_cholesky, check_dense_size
+from psaddle.core_linalg import as_csr, check_dense_size
 from psaddle.errors import InvalidSpaceError
 
 FAMILIES = ("continuous-p1", "discontinuous-p0", "discontinuous-p1")
@@ -276,22 +276,51 @@ def assemble_1d(
 def embedding_matrix(
     source: tuple[Mesh1D, BasisSpec],
     target: tuple[Mesh1D, BasisSpec],
-) -> np.ndarray:
-    """Coefficient map expressing each source basis function in the target.
+) -> sp.csr_matrix:
+    """Coefficient map expressing each source basis function in the target,
+    as CSR.
 
-    Computed as the L2 projection onto the target space; when the source
-    space is contained in the target the projection is the identity map on
-    functions and the per-column residual vanishes.  Raises
+    Every target family is nodal: a coefficient is the function's value at
+    the dof's node (its local node 0 or 1, or the midpoint for P0), taken
+    from inside an element that owns the dof.  So column j holds source
+    basis function j evaluated at the target nodes, each by the local
+    formula of the source element that contains the midpoint of the target
+    element; a source basis function has at most n_local nonzero values on
+    a target element, two per column when both spaces share the mesh.
+    When the source space is contained in the target this interpolant is
+    the function itself and the per-column residual ||phi_j - E_j||^2, the
+    squared L2 norm of phi_j minus its interpolant, vanishes.  Raises
     InvalidSpaceError for a column whose squared residual exceeds 1e-12
-    times the squared norm of its basis function.
+    times the squared norm of its basis function, and for meshes that do
+    not nest.
     """
-    check_dense_size("embedding_matrix", (target[1].dim(target[0]), source[1].dim(source[0])))
-    M_target = assemble_1d("mass", target)
-    C = assemble_1d("mass", target, source)
-    E = banded_cholesky(M_target).solve(C.toarray())
-    # ||phi_j - proj||^2 = M_source[j,j] - E_j^T M_target E_j, for every j at once
-    norm2 = assemble_1d("mass", source).diagonal()
-    res2 = norm2 - (E * (M_target @ E)).sum(axis=0)
+    (mesh_s, spec_s), (mesh_t, spec_t) = source, target
+    left, right = mesh_t.points[:-1], mesh_t.points[1:]
+    mid = 0.5 * (left + right)
+    elem = np.clip(np.searchsorted(mesh_s.points, mid, side="right") - 1, 0, mesh_s.n_elements - 1)
+    nodes = np.stack([mid] if spec_t.family == "discontinuous-p0" else [left, right])
+    n_local = spec_s.n_local
+    # one slot per target element and local node: its target dof and the
+    # values there of the local functions of the source element
+    slot_dofs = element_dofs(mesh_t, spec_t).T.reshape(-1)
+    xi = (nodes - mesh_s.points[elem]) / mesh_s.lengths[elem]
+    vals = reference_values(spec_s, xi.reshape(-1)).T.reshape(-1)
+    cols = np.tile(element_dofs(mesh_s, spec_s)[elem], (len(nodes), 1)).reshape(-1)
+    # a node that elements share is read from its first slot only
+    first = np.zeros(slot_dofs.size, dtype=bool)
+    first[np.unique(slot_dofs, return_index=True)[1]] = True
+    rows = np.repeat(slot_dofs, n_local)
+    keep = np.repeat(first & (slot_dofs >= 0), n_local) & (cols >= 0) & (vals != 0.0)
+    E = sp.csr_matrix(
+        (vals[keep], (rows[keep], cols[keep])),
+        shape=(spec_t.dim(mesh_t), spec_s.dim(mesh_s)),
+    )
+    # ||phi_j||^2 and ||phi_j - E_j||^2 by the exact quadrature of `assemble_1d`
+    pts, w = gauss_points(_integration_mesh(mesh_t, mesh_s), ASSEMBLY_QUAD_POINTS)
+    phi = eval_basis_at_points(mesh_s, spec_s, pts)
+    residual = phi - eval_basis_at_points(mesh_t, spec_t, pts) @ E
+    norm2 = phi.multiply(phi).T @ w
+    res2 = residual.multiply(residual).T @ w
     bad = np.flatnonzero(res2 > 1e-12 * np.maximum(norm2, 1e-30))
     if bad.size:
         j = bad[0]
@@ -324,7 +353,7 @@ class TensorSpacePair:
     M_x: sp.csr_matrix    # spatial mass on X_x
     A_x: sp.csr_matrix    # spatial stiffness on X_x
 
-    embed_t: np.ndarray | None  # X_t coefficients -> Y_t coefficients
+    embed_t: sp.csr_matrix | None  # X_t coefficients -> Y_t coefficients
     x_in_y: bool
 
     @cached_property

@@ -11,19 +11,22 @@ Schur operator S z = A_X z + trace term + g - D^T A_Y^{-1}(f - D z), which
 is Lipschitz continuous and strongly monotone; the whole constant calculus
 downstream of (L_A, m_A) lives in `derive_constants`.  `Discretization`
 bundles one problem on one pair with everything a solve needs.  D and the
-trace term come from `RieszContext`; the right-hand side is a contraction
-with the quadrature matrices of `spaces` on `RHS_QUAD_POINTS` = 16 Gauss
+trace term come from `RieszContext`; the right-hand side is contracted per
+element, axis by axis, with the local basis on `RHS_QUAD_POINTS` = 16 Gauss
 points per element and axis.  The reference solver is damped Newton on the
 saddle system, backtracking on the squared product dual residual; each
 step factors the test-side Jacobian once, eliminates lambda with it and
 solves for u by `core_linalg.pcg` on the Schur Jacobian, preconditioned by
-the trial Riesz map, so no saddle matrix is ever formed or factored.
+the balanced trial Riesz map R_X(c_bar), c_bar = sqrt(m_mu M_mu), so no
+saddle matrix is ever formed or factored and the PCG condition number is
+at most M_mu / m_mu.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -36,9 +39,13 @@ from psaddle.spaces import (
     Mesh1D,
     BasisSpec,
     TensorSpacePair,
+    element_dofs,
     embed_X_into_Y,
     gauss_points,
+    gauss_rule,
     quadrature_matrix,
+    reference_derivatives,
+    reference_values,
 )
 
 __all__ = [
@@ -53,6 +60,7 @@ __all__ = [
     "aposteriori_estimate",
     "SchurOperator",
     "PCG_RTOL",
+    "balanced_weight",
     "pcg_iteration_cap",
     "schur_newton_direction",
     "NEWTON_MAX_STEPS",
@@ -150,8 +158,54 @@ class ProblemData:
 RHS_QUAD_POINTS = 16
 
 # Largest number of tensor Gauss points on which the densities are evaluated
-# at once; 2^20 points take 8 MiB per grid-sized temporary.
-_DENSITY_GRID_POINTS = 1 << 20
+# at once; 2^19 points take 4 MiB per grid-sized temporary.
+_DENSITY_GRID_POINTS = 1 << 19
+
+
+def _element_moments(values: np.ndarray, mesh: Mesh1D, spec: BasisSpec,
+                     derivative: bool = False) -> np.ndarray:
+    """Per-element moments of the columns of `values`, given along the
+    first axis at the RHS_QUAD_POINTS Gauss points of each element of mesh,
+    element-major: shape (n_elements, n_local, n_columns), entry [e, a] =
+    sum_q w_eq values_eq phi_a(x_eq) (or phi_a').
+
+    On element e the weights are h_e times the reference weights w_q, and
+    phi_a(x_eq) is the reference value phi_a(xi_q), phi_a' the reference
+    derivative over h_e; so the local moment is one contraction with the
+    (n_quad, n_local) reference basis times w_q, scaled by h_e for values,
+    with nothing to scale for derivatives, where h_e cancels.
+    """
+    local = np.matmul(
+        _weighted_local_basis(spec, derivative).T,
+        values.reshape(mesh.n_elements, RHS_QUAD_POINTS, -1),
+    )
+    if not derivative:
+        local *= mesh.lengths[:, None, None]
+    return local
+
+
+@lru_cache(maxsize=None)
+def _weighted_local_basis(spec: BasisSpec, derivative: bool) -> np.ndarray:
+    """(RHS_QUAD_POINTS, n_local) reference weights times the reference
+    basis values, or derivatives, at the reference Gauss points."""
+    rule = gauss_rule(RHS_QUAD_POINTS)
+    w = np.asarray(rule.weights)[:, None]
+    if derivative:
+        return w * reference_derivatives(spec)[None, :]
+    return w * reference_values(spec, rule.points).T
+
+
+def _assemble_elements(local: np.ndarray, mesh: Mesh1D, spec: BasisSpec) -> np.ndarray:
+    """Sum per-element moments (n_elements, n_local, n_columns) into the
+    global dofs (dim, n_columns).  Each local index a numbers distinct dofs
+    over the elements, so one indexed add per a suffices."""
+    dofs = element_dofs(mesh, spec)
+    dim = spec.dim(mesh)
+    # row `dim` absorbs the dropped boundary dofs, which are numbered -1
+    out = np.zeros((dim + 1, local.shape[2]))
+    for a in range(spec.n_local):
+        out[dofs[:, a]] += local[:, a]
+    return out[:dim]
 
 
 def _spatial_moments(
@@ -160,38 +214,39 @@ def _spatial_moments(
     spec_x: BasisSpec,
     f0: Callable | None,
     f1: Callable | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """f0 diag(w_x) Q_x + f1 diag(w_x) D_x with f0, f1 on the tensor Gauss
-    grid of mesh_t x mesh_x, and the temporal weights w_t.
-
-    The rows of the result are independent, so the densities are evaluated
-    and contracted in blocks of temporal Gauss rows of at most
-    _DENSITY_GRID_POINTS points; the block size does not change the result.
-    """
-    t_q, w_t = gauss_points(mesh_t, RHS_QUAD_POINTS)
-    x_q, w_x = gauss_points(mesh_x, RHS_QUAD_POINTS)
-    x = x_q[None, :]
-    terms = [
-        (fn, w_x[:, None] * quadrature_matrix(mesh_x, spec_x, RHS_QUAD_POINTS, derivative))
-        for fn, derivative in ((f0, False), (f1, True))
-        if fn is not None
-    ]
-    F = np.zeros((t_q.size, spec_x.dim(mesh_x)))
-    rows = max(1, _DENSITY_GRID_POINTS // x_q.size)
-    for start in range(0, t_q.size, rows):
-        block = slice(start, start + rows)
-        t = t_q[block, None]
-        for fn, Q in terms:
-            F[block] += np.broadcast_to(fn(t, x), (t.size, x_q.size)) @ Q
-    return F, w_t
-
-
-def _temporal_moments(
-    mesh_t: Mesh1D, spec_t: BasisSpec, F: np.ndarray, w_t: np.ndarray
 ) -> np.ndarray:
-    """E_t^T diag(w_t) F, flattened time-major."""
-    E_t = quadrature_matrix(mesh_t, spec_t, RHS_QUAD_POINTS)
-    return ((w_t[:, None] * E_t).T @ F).reshape(-1)
+    """f0 diag(w_x) Q_x + f1 diag(w_x) D_x with f0, f1 on the tensor Gauss
+    grid of mesh_t x mesh_x, contracted per spatial element.
+
+    Q_x and D_x, the basis and its derivative at the spatial Gauss points,
+    have n_local nonzeros per row, all on the dofs of the row's element;
+    so each term is the per-element contraction with the local basis
+    (`_element_moments`), summed into the dofs (`_assemble_elements`).
+    The densities are evaluated space-major, on (x, t) grids of at most
+    _DENSITY_GRID_POINTS points, one block of temporal Gauss points at a
+    time; the block size does not change the result.
+    """
+    t_q, _ = gauss_points(mesh_t, RHS_QUAD_POINTS)
+    x_q, _ = gauss_points(mesh_x, RHS_QUAD_POINTS)
+    x = x_q[:, None]
+    FT = np.empty((spec_x.dim(mesh_x), t_q.size))
+    cols = max(1, _DENSITY_GRID_POINTS // x_q.size)
+    for start in range(0, t_q.size, cols):
+        block = slice(start, start + cols)
+        t = t_q[None, block]
+        local = 0.0
+        for fn, derivative in ((f0, False), (f1, True)):
+            if fn is not None:
+                values = np.broadcast_to(fn(t, x), (x_q.size, t.size))
+                local = local + _element_moments(values, mesh_x, spec_x, derivative)
+        FT[:, block] = _assemble_elements(local, mesh_x, spec_x)
+    return np.ascontiguousarray(FT.T)
+
+
+def _temporal_moments(mesh_t: Mesh1D, spec_t: BasisSpec, F: np.ndarray) -> np.ndarray:
+    """E_t^T diag(w_t) F, contracted per temporal element; flattened
+    time-major."""
+    return _assemble_elements(_element_moments(F, mesh_t, spec_t), mesh_t, spec_t).reshape(-1)
 
 
 def u0_moments(data: ProblemData, pair: TensorSpacePair) -> np.ndarray:
@@ -216,16 +271,20 @@ def assemble_rhs(data: ProblemData, pair: TensorSpacePair) -> tuple[np.ndarray, 
 
     The moments of ell, int f0 (psi_a chi_b) + f1 (psi_a chi_b') over the
     cylinder, are E_t^T diag(w_t) [f0 diag(w_x) Q_x + f1 diag(w_x) D_x]
-    with f0, f1 on the tensor Gauss grid; the weights sit in the thin
-    quadrature matrices, so the densities are the only grid-sized arrays.
+    with f0, f1 on the tensor Gauss grid, E_t, Q_x and D_x the basis values
+    and derivatives at the Gauss points.  Each of these has its nonzeros on
+    the dofs of one element per row, so both products are contracted per
+    element with the local basis (`_spatial_moments`, `_temporal_moments`)
+    and no quadrature matrix is formed; the density blocks are the only
+    grid-sized arrays.
     """
     if data.has_ell:
         args = (pair.mesh_x, pair.spec_x, data.ell_f0, data.ell_f1)
         F_Y = _spatial_moments(pair.mesh_t_Y, *args)
         # the densities are evaluated once when both temporal meshes coincide
         F_X = F_Y if pair.mesh_t_X == pair.mesh_t_Y else _spatial_moments(pair.mesh_t_X, *args)
-        f = _temporal_moments(pair.mesh_t_Y, pair.spec_t_Y, *F_Y)
-        ell_X = _temporal_moments(pair.mesh_t_X, pair.spec_t_X, *F_X)
+        f = _temporal_moments(pair.mesh_t_Y, pair.spec_t_Y, F_Y)
+        ell_X = _temporal_moments(pair.mesh_t_X, pair.spec_t_X, F_X)
     else:
         f = np.zeros(pair.dim_Y)
         ell_X = np.zeros(pair.dim_X)
@@ -326,6 +385,13 @@ class SchurOperator:
 PCG_RTOL = 1e-10
 
 
+def balanced_weight(mu: mo.MuCoefficient) -> float:
+    """c_bar = sqrt(m_mu M_mu), the weight of the balanced trial Gram
+    R_X(c_bar) that preconditions the Schur Jacobian (`pcg_iteration_cap`);
+    c for mu = c, so 1 for every heat problem."""
+    return math.sqrt(mu.m_mu * mu.M_mu)
+
+
 def pcg_iteration_cap(mu: mo.MuCoefficient) -> int:
     """Proven bound on the PCG iterations of one `solve_reference` Newton step.
 
@@ -339,19 +405,29 @@ def pcg_iteration_cap(mu: mo.MuCoefficient) -> int:
         m_mu R_YX <= A_X' <= M_mu R_YX,    m_mu R_Y <= A_Y' <= M_mu R_Y,
 
     and inverting the second, D^T R_Y^{-1} D / M_mu <= D^T A_Y'^{-1} D <=
-    D^T R_Y^{-1} D / m_mu.  The trace block is the same in J_S and in
-    R_X = R_YX + D^T R_Y^{-1} D + trace, hence
+    D^T R_Y^{-1} D / m_mu.  The preconditioner is the balanced trial Gram
 
-        c R_X <= J_S <= C R_X,   c = min(m_mu, 1/M_mu, 1),  C = max(M_mu, 1/m_mu, 1),
+        R_X(c) = c R_YX + D^T R_Y^{-1} D / c + trace,   c = `balanced_weight`
+                                                          = sqrt(m_mu M_mu)
 
-    and R_X^{-1} J_S has condition kappa <= C / c: 4 for one-plus-inv, 1 for
-    mu = 1.  The cap is `cg_iteration_cap(kappa, PCG_RTOL)`: 23 for
-    kappa = 4, and 2 for kappa = 1 (at 128 x 128 with mu = 1 the first
+    (Schoeberl and Zulehner, SIAM J. Matrix Anal. Appl. 29, 2007; Mardal
+    and Winther, Numer. Linear Algebra Appl. 18, 2011).  With r = m_mu / M_mu
+    <= 1 each term of J_S lies between sqrt(r) and 1/sqrt(r) times its term
+    of R_X(c): m_mu = sqrt(r) c and M_mu = c / sqrt(r) for the first,
+    1/M_mu = sqrt(r) / c and 1/m_mu = 1 / (sqrt(r) c) for the second, and
+    sqrt(r) <= 1 <= 1/sqrt(r) for the trace block, which J_S and R_X(c)
+    share.  Summing,
+
+        sqrt(m_mu / M_mu) R_X(c) <= J_S <= sqrt(M_mu / m_mu) R_X(c),
+
+    and R_X(c)^{-1} J_S has condition kappa <= M_mu / m_mu: 16/7 for
+    one-plus-inv, and 1 for mu = c, where J_S = R_X(c) (unweighted, R_X
+    itself would give max(M_mu, 1/m_mu, 1) / min(m_mu, 1/M_mu, 1): 4 and
+    100 for mu = 10).  The cap is `cg_iteration_cap(kappa, PCG_RTOL)`: 16 for
+    kappa = 16/7, and 2 for kappa = 1 (at 128 x 128 with mu = 1 the first
     iteration reaches 1e-12, not 1e-13).
     """
-    c = min(mu.m_mu, 1.0 / mu.M_mu, 1.0)
-    C = max(mu.M_mu, 1.0 / mu.m_mu, 1.0)
-    return cg_iteration_cap(C / c, PCG_RTOL)
+    return cg_iteration_cap(mu.M_mu / mu.m_mu, PCG_RTOL)
 
 
 def schur_newton_direction(
@@ -360,23 +436,26 @@ def schur_newton_direction(
     jac_X,
     r: np.ndarray,
     max_iter: int,
+    c_bar: float,
 ) -> tuple[np.ndarray, int]:
     """delta with (jac_X + trace + D^T jac_Y^{-1} D) delta = r, by `pcg`
-    preconditioned with the trial Riesz map R_X^{-1} to PCG_RTOL.
+    preconditioned with the balanced trial Riesz map R_X(c_bar)^{-1}
+    (`RieszContext.riesz_X_solver`, `pcg_iteration_cap`) to PCG_RTOL;
+    c_bar = `balanced_weight(mu)`, and c_bar = 1 is R_X^{-1} itself.
 
-    The operator is applied matrix-free: each iteration costs one
-    `riesz_X_solve`, one solve with fact_Y, the factor of the test-side
-    Jacobian jac_Y (`GalerkinOperator.jacobian_factor`), one sparse
-    product with jac_X, and `apply_D`, `apply_Dt` and `apply_trace_term`,
-    products with the 1D factors of the pair.  Returns delta with the
-    iteration count; raises NotConvergedError after max_iter iterations or
-    on a non-positive curvature.
+    The operator is applied matrix-free: each iteration costs one solve
+    with R_X(c_bar) by fast diagonalization, one solve with fact_Y, the
+    factor of the test-side Jacobian jac_Y (`GalerkinOperator.jacobian_factor`),
+    one sparse product with jac_X, and `apply_D`, `apply_Dt` and
+    `apply_trace_term`, products with the 1D factors of the pair.  Returns
+    delta with the iteration count; raises NotConvergedError after
+    max_iter iterations or on a non-positive curvature.
     """
 
     def apply_J(p):
         return jac_X @ p + ctx.apply_trace_term(p) + ctx.apply_Dt(fact_Y.solve(ctx.apply_D(p)))
 
-    return pcg(apply_J, ctx.riesz_X_solve, r, PCG_RTOL, max_iter)
+    return pcg(apply_J, ctx.riesz_X_solver(c_bar), r, PCG_RTOL, max_iter)
 
 
 # Cap on the damped Newton steps of `solve_reference`.
@@ -406,8 +485,9 @@ def solve_reference(
         J_S du   = D^T A_Y'^{-1} r_Y - r_X,     (`schur_newton_direction`)
         dlam     = A_Y'^{-1} (r_Y - D du),
 
-    with the Schur Jacobian J_S = A_X'(u) + trace + D^T A_Y'^{-1} D, so the
-    PCG cap is `pcg_iteration_cap`.  The step length halves until the merit
+    with the Schur Jacobian J_S = A_X'(u) + trace + D^T A_Y'^{-1} D, solved
+    by PCG preconditioned with R_X(c_bar), c_bar = `balanced_weight(mu)`, so
+    the PCG cap is `pcg_iteration_cap`.  The step length halves until the merit
 
         phi = ||r_Y||^2_{(Y^d)'} + ||r_X||^2_{(X^d)'}
 
@@ -418,20 +498,25 @@ def solve_reference(
     The step is a descent direction of phi under the inexact PCG solve.
     Write r = (r_Y, r_X) and R = diag(R_Y, R_X), so phi = r^T R^{-1} r and
     r'(w) d = -N'(w) d.  PCG leaves J_S du = b - rho with b its right-hand
-    side and ||rho||_{X'} <= PCG_RTOL ||b||_{X'}; the back-substitution is
-    exact, so N'(w) d = r + (0, rho) and
+    side and ||rho||_c <= PCG_RTOL ||b||_c in the norm ||v||_c^2 =
+    v^T R_X(c_bar)^{-1} v of its preconditioner.  With k = max(c_bar, 1/c_bar),
+    R_X / k <= R_X(c_bar) <= k R_X term by term, so ||v||_c and the dual
+    norm ||v||_{X'} are within a factor sqrt(k) of each other and
+    ||rho||_{X'} <= k PCG_RTOL ||b||_{X'}.  The back-substitution is exact,
+    so N'(w) d = r + (0, rho) and
 
         phi'(w) d = -2 phi - 2 r_X^T R_X^{-1} rho
-                 <= -2 phi + 2 ||r_X||_{X'} PCG_RTOL ||b||_{X'}.
+                 <= -2 phi + 2 ||r_X||_{X'} k PCG_RTOL ||b||_{X'}.
 
     Since R_X >= D^T R_Y^{-1} D, ||D^T y||_{X'} <= ||y||_{R_Y}, and since
     A_Y' >= m_mu R_Y, ||A_Y'^{-1} r_Y||_{R_Y} <= ||r_Y||_{Y'} / m_mu; so
     ||b||_{X'} <= max(1, 1/m_mu)(||r_Y||_{Y'} + ||r_X||_{X'}) <=
     max(1, 1/m_mu) sqrt(2 phi), and
 
-        phi'(w) d <= -2 phi (1 - sqrt(2) max(1, 1/m_mu) PCG_RTOL) < 0
+        phi'(w) d <= -2 phi (1 - sqrt(2) max(1, 1/m_mu) k PCG_RTOL) < 0
 
-    for PCG_RTOL = 1e-10 and every m_mu above 1.5e-10.  With the exact
+    for PCG_RTOL = 1e-10 whenever max(1, 1/m_mu) k < 7e9; c_bar lies in
+    [m_mu, M_mu], so bounds within [1e-4, 1e4] suffice.  With the exact
     direction phi'(w) d = -2 phi, so the Armijo test holds for small enough
     a, and near the solution, where phi(w + d) = O(phi^2), for a = 1.
 
@@ -445,6 +530,7 @@ def solve_reference(
     u = np.zeros(pair.dim_X) if x0 is None else np.array(x0, dtype=float)
     lam = embed_X_into_Y(pair, u) if pair.x_in_y else np.zeros(pair.dim_Y)
     pcg_cap = pcg_iteration_cap(op_Y.mu)
+    c_bar = balanced_weight(op_Y.mu)
 
     def evaluate(state):
         """(eta, phi, r_Y, r_X) at state."""
@@ -465,7 +551,9 @@ def solve_reference(
         fact_Y = op_Y.jacobian_factor(state.lam)
         b = ctx.apply_Dt(fact_Y.solve(r_Y)) - r_X
         try:
-            du, _ = schur_newton_direction(ctx, fact_Y, op_X.jacobian(state.u), b, pcg_cap)
+            du, _ = schur_newton_direction(
+                ctx, fact_Y, op_X.jacobian(state.u), b, pcg_cap, c_bar
+            )
         except NotConvergedError as err:
             raise fail(f"direction failed ({err})") from err
         dlam = fact_Y.solve(r_Y - ctx.apply_D(du))

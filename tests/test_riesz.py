@@ -29,13 +29,14 @@ def ctx3():
     return RieszContext(default_pair(3, 3))
 
 
-def dense_RX(pair):
+def dense_RX(pair, c=1.0):
+    """R_X(c) = c M_t^X (x) A_x + D^T R_Y^{-1} D / c + trace, dense."""
     RY = np.kron(pair.M_t_Y.toarray(), pair.A_x.toarray())
     D = np.kron(pair.B_t.toarray(), pair.M_x.toarray())
-    G = np.kron(pair.M_t_X.toarray(), pair.A_x.toarray())
+    G = c * np.kron(pair.M_t_X.toarray(), pair.A_x.toarray())
     tail = (pair.dim_t_X - 1) * pair.dim_x
     G[tail:, tail:] += pair.M_x.toarray()
-    return G + D.T @ np.linalg.solve(RY, D)
+    return G + D.T @ np.linalg.solve(RY, D) / c
 
 
 class TestRieszY:
@@ -121,6 +122,18 @@ class TestRieszAgainstDenseGram:
         assert _rel_err(ctx.riesz_X_solve(h), np.linalg.solve(dense_RX(ctx.pair), h)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["jittered", "enriched", "p0"])
+    @pytest.mark.parametrize("c", [0.01, 1.3, 100.0])
+    def test_balanced_riesz_X_solver(self, kind, c, rng):
+        ctx = RieszContext(_blocks_pair(kind))
+        h = rng.standard_normal(ctx.pair.dim_X)
+        expect = np.linalg.solve(dense_RX(ctx.pair, c), h)
+        assert _rel_err(ctx.riesz_X_solver(c)(h), expect) <= 1e-12
+
+    def test_balanced_weight_one_is_riesz_X_solve(self, ctx3):
+        # c = 1 keeps the unweighted solve, bit for bit
+        assert ctx3.riesz_X_solver(1.0) == ctx3.riesz_X_solve
+
+    @pytest.mark.parametrize("kind", ["jittered", "enriched", "p0"])
     def test_riesz_Y_solve(self, kind, rng):
         pair = _blocks_pair(kind)
         ctx = RieszContext(pair)
@@ -187,24 +200,38 @@ class TestDenseSizeGuard:
         assert np.abs(Rv - h).max() <= 1e-12 * np.abs(h).max()
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize("name", ["RieszContext.S_x", "embedding_matrix"])
+    @pytest.mark.parametrize("name", ["RieszContext.S_x"])
     def test_cross_level_blocks_guarded(self, name, monkeypatch):
-        # S_x and the 1D embeddings carry the cross-level work of
-        # quality.TwoLevel: a limit one byte below each array refuses it by
-        # name, and a limit at its size lets it through
+        # S_x carries the cross-level work of quality.TwoLevel: a limit one
+        # byte below the array refuses it by name, and a limit at its size
+        # lets it through
         pair = default_pair(8, 8)
         ctx = RieszContext(pair)
-        coarse_x = (pair.mesh_x, pair.spec_x)
-        fine_x = (refine_times(pair.mesh_x, 2), CONT_P1_DIRICHLET)
         build, entries = {
             "RieszContext.S_x": (lambda: ctx.S_x, pair.dim_x**2),
-            "embedding_matrix": (lambda: embedding_matrix(coarse_x, fine_x), 31 * pair.dim_x),
         }[name]
         monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * entries - 1)
         with pytest.raises(PsaddleError, match=rf"dense array {re.escape(name)} of shape"):
             build()
         monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * entries)
         assert build().size == entries
+
+    def test_embedding_sparse_on_long_time_mesh(self):
+        # the 1D embeddings are CSR with at most two nonzeros per column on
+        # a shared mesh, so a pair with 4096 temporal elements builds in a
+        # few MiB (a dense embed_t alone would take 256 MiB)
+        tracemalloc.start()
+        try:
+            pair = default_pair(4096, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert pair.x_in_y and pair.embed_t.getnnz(axis=0).max() == 2
+        coarse_x = (pair.mesh_x, pair.spec_x)
+        fine_x = (refine_times(pair.mesh_x, 2), CONT_P1_DIRICHLET)
+        E = embedding_matrix(coarse_x, fine_x)
+        assert E.shape == (31, pair.dim_x) and E.nnz == 7 * pair.dim_x
 
 
 def test_riesz_machinery_factors_no_lu(monkeypatch, rng):

@@ -236,7 +236,8 @@ class TestTensorPair:
             embedding_matrix((source, CONT_P1), (Mesh1D.uniform(2), CONT_P1))
 
     def test_embedding_matches_column_solves(self):
-        # one multi-column solve against one solve per column
+        # the nodal values against the L2 projection, one solve per column:
+        # on a contained source space both are the function itself
         m = Mesh1D((0.0, 0.2, 0.45, 0.7, 1.0))
         f = uniform_refine(m)
         for spec in (CONT_P1, CONT_P1_DIRICHLET, DISC_P0, DISC_P1):

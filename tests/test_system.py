@@ -22,6 +22,8 @@ from psaddle.spaces import (
     default_pair,
     embed_X_into_Y,
     eval_basis_at_points,
+    gauss_points,
+    quadrature_matrix,
     refine_times,
     uniform_refine,
 )
@@ -107,7 +109,8 @@ class TestAssembleRhs:
 
     def test_density_grid_memory_bounded(self, quasi_problem):
         # the 128 x 128 pair of the convergence study's last surrogate: its
-        # Gauss grid has 2^22 points, evaluated in blocks of 2^20
+        # Gauss grid has 2^22 points, evaluated in blocks of 2^19 and
+        # contracted per element, so no (16n x n) quadrature matrix is built
         pair = default_pair(128, 128)
         tracemalloc.start()
         try:
@@ -115,7 +118,7 @@ class TestAssembleRhs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 32 * 2**20
 
 
 F0 = lambda t, x: np.exp(t * x) * np.sin(3.0 * x + t)
@@ -192,8 +195,8 @@ class TestQuadratureOracle:
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_assemble_functional_in_blocks(self, monkeypatch):
-        # 5 temporal Gauss rows of the 64-point spatial grid per block: 48
-        # rows make 10 blocks, the last one short
+        # 5 temporal Gauss points of the 64-point spatial grid per block: 48
+        # points make 10 blocks, the last one short
         rng = np.random.default_rng(11)
         mesh_t, mesh_x = jittered_mesh(3, rng), jittered_mesh(4, rng)
         monkeypatch.setattr(sy, "_DENSITY_GRID_POINTS", 5 * 64)
@@ -219,6 +222,39 @@ class TestQuadratureOracle:
         got = sy.u0_moments(data, pair)
         assert np.abs(got - moments).max() <= 1e-13 * np.abs(moments).max()
         assert abs(sy.u0_l2_norm2(data, pair) - norm2) <= 1e-13 * norm2
+
+
+def _dense_quadrature_moments(mesh_t, spec_t, mesh_x, f0, f1):
+    """E_t^T diag(w_t) [f0 diag(w_x) Q_x + f1 diag(w_x) D_x] with the dense
+    quadrature matrices on the 16-point tensor Gauss grid."""
+    n = sy.RHS_QUAD_POINTS
+    t_q, w_t = gauss_points(mesh_t, n)
+    x_q, w_x = gauss_points(mesh_x, n)
+    T, X = t_q[:, None], x_q[None, :]
+    F = np.zeros((t_q.size, CONT_P1_DIRICHLET.dim(mesh_x)))
+    for fn, derivative in ((f0, False), (f1, True)):
+        if fn is not None:
+            Q = quadrature_matrix(mesh_x, CONT_P1_DIRICHLET, n, derivative)
+            F += np.broadcast_to(fn(T, X), (t_q.size, x_q.size)) @ (w_x[:, None] * Q)
+    E_t = quadrature_matrix(mesh_t, spec_t, n)
+    return ((w_t[:, None] * E_t).T @ F).reshape(-1)
+
+
+class TestElementMoments:
+    """The per-element right-hand side against the dense-quadrature formula."""
+
+    @pytest.mark.parametrize("spec_t", [DISC_P1, CONT_P1, DISC_P0], ids=lambda s: s.family)
+    @pytest.mark.parametrize("terms", ["f0", "f1", "both"])
+    def test_matches_dense_quadrature(self, spec_t, terms):
+        rng = np.random.default_rng(13)
+        mesh_t, mesh_x = jittered_mesh(5, rng), jittered_mesh(6, rng)
+        f0 = F0 if terms in ("f0", "both") else None
+        f1 = F1 if terms in ("f1", "both") else None
+        pair = assemble_matrices((mesh_t, CONT_P1), (mesh_t, spec_t), (mesh_x, CONT_P1_DIRICHLET))
+        f, g = sy.assemble_rhs(sy.ProblemData(ell_f0=f0, ell_f1=f1), pair)
+        for got, spec in ((f, spec_t), (-g, CONT_P1)):
+            expect = _dense_quadrature_moments(mesh_t, spec, mesh_x, f0, f1)
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 class TestApplyN:
@@ -458,6 +494,23 @@ def _dense_saddle_direction(s, jac_Y, jac_X, r):
     return np.linalg.solve(K, np.concatenate([np.zeros(pair.dim_Y), -r]))[pair.dim_Y:]
 
 
+def _schur_jacobian(s, lam, u):
+    """p -> J_S p = A_X'(u) p + trace + D^T A_Y'(lam)^{-1} D p."""
+    ctx, jac_X, fact_Y = s.ctx, s.op_X.jacobian(u), s.op_Y.jacobian_factor(lam)
+    return lambda p: (
+        jac_X @ p + ctx.apply_trace_term(p) + ctx.apply_Dt(fact_Y.solve(ctx.apply_D(p)))
+    )
+
+
+def _balanced_gram(ctx, c, p):
+    """R_X(c) p = c M_t^X P A_x + T P S / c + the trace term."""
+    P = p.reshape(ctx.pair.dim_t_X, ctx.pair.dim_x)
+    return (
+        c * ctx.apply_R_YX(p) + (ctx.T_t @ P @ ctx.S_x).reshape(-1) / c
+        + ctx.apply_trace_term(p)
+    )
+
+
 def _jittered_pair(n, seed):
     rng = np.random.default_rng(seed)
     mesh_t, mesh_x = jittered_mesh(n, rng), jittered_mesh(n, rng)
@@ -468,9 +521,12 @@ class TestNewtonPCG:
     """One Newton step of solve_reference: PCG on the Schur Jacobian."""
 
     def test_iteration_cap_closed_form(self):
-        # kappa = 4 for one-plus-inv: ceil(ln(4e10) / ln 3) = 23
-        assert sy.pcg_iteration_cap(mo.make_mu("one-plus-inv")) == 23
-        assert sy.pcg_iteration_cap(mo.make_mu("constant", c=1.0)) == 2
+        # kappa = M_mu / m_mu = 16/7 for one-plus-inv, r = sqrt(16/7):
+        # ceil(ln(2 r 1e10) / ln((r + 1) / (r - 1))) = ceil(15.17) = 16
+        assert sy.pcg_iteration_cap(mo.make_mu("one-plus-inv")) == 16
+        # kappa = 1 for every constant mu
+        for c in (0.01, 1.0, 100.0):
+            assert sy.pcg_iteration_cap(mo.make_mu("constant", c=c)) == 2
 
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_direction_matches_dense_saddle_solve(self, setup_name, request, rng):
@@ -479,8 +535,10 @@ class TestNewtonPCG:
         jac_Y = s.op_Y.jacobian(w_Y)
         jac_X = s.op_X.jacobian(rng.standard_normal(s.pair.dim_X))
         r = rng.standard_normal(s.pair.dim_X)
+        mu = s.op_Y.mu
         got, _ = sy.schur_newton_direction(
-            s.ctx, s.op_Y.jacobian_factor(w_Y), jac_X, r, sy.pcg_iteration_cap(s.op_Y.mu)
+            s.ctx, s.op_Y.jacobian_factor(w_Y), jac_X, r, sy.pcg_iteration_cap(mu),
+            sy.balanced_weight(mu),
         )
         expect = _dense_saddle_direction(s, jac_Y, jac_X, r)
         assert np.abs(got - expect).max() <= 1e-10 * np.abs(expect).max()
@@ -499,9 +557,61 @@ class TestNewtonPCG:
                                           rng.standard_normal(s.pair.dim_X))):
             _, its = sy.schur_newton_direction(
                 s.ctx, s.op_Y.jacobian_factor(lam), s.op_X.jacobian(u),
-                rng.standard_normal(s.pair.dim_X), max_iter=10 * cap,
+                rng.standard_normal(s.pair.dim_X), 10 * cap, sy.balanced_weight(s.op_Y.mu),
             )
             assert 1 <= its <= cap
+
+    @pytest.mark.parametrize("setup_name", ["quasi8", "jittered32"])
+    def test_schur_jacobian_within_balanced_bounds(self, setup_name, request, rng):
+        # the Loewner bounds behind pcg_iteration_cap, sampled:
+        # sqrt(m/M) <= p^T J_S p / p^T R_X(c_bar) p <= sqrt(M/m)
+        if setup_name == "jittered32":
+            problem = sy.quasilinear_problem()
+            s = sy.Discretization(_jittered_pair(32, 21), problem.mu, problem.data)
+        else:
+            s = request.getfixturevalue(setup_name)
+        mu = s.op_Y.mu
+        c_bar, r = sy.balanced_weight(mu), mu.m_mu / mu.M_mu
+        ref = s.reference()
+        for lam, u in ((ref.lam, ref.u), (rng.standard_normal(s.pair.dim_Y),
+                                          rng.standard_normal(s.pair.dim_X))):
+            apply_J = _schur_jacobian(s, lam, u)
+            for _ in range(20):
+                p = rng.standard_normal(s.pair.dim_X)
+                q = (p @ apply_J(p)) / (p @ _balanced_gram(s.ctx, c_bar, p))
+                assert math.sqrt(r) - 1e-12 <= q <= 1.0 / math.sqrt(r) + 1e-12
+
+    @pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
+    def test_constant_mu_jacobian_is_balanced_gram(self, c, rng):
+        # mu = c: A_X' = c R_YX and A_Y' = c R_Y, so J_S = R_X(c) exactly
+        s = sy.Discretization(default_pair(8, 8), mo.make_mu("constant", c=c),
+                              sy.heat_problem().data)
+        assert sy.balanced_weight(s.mu) == c
+        apply_J = _schur_jacobian(s, rng.standard_normal(s.pair.dim_Y),
+                                  rng.standard_normal(s.pair.dim_X))
+        for _ in range(5):
+            p = rng.standard_normal(s.pair.dim_X)
+            expect = _balanced_gram(s.ctx, c, p)
+            assert np.abs(apply_J(p) - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("c", [0.01, 0.1, 1.0, 10.0, 100.0])
+    def test_constant_mu_pcg_scale_invariant(self, c, monkeypatch):
+        # R_X(c) is the Schur Jacobian itself, so PCG stops after one
+        # iteration up to round-off, whatever the scale c (the unweighted
+        # R_X would take up to 76 iterations per Newton step over these c)
+        iterations = []
+        direction = sy.schur_newton_direction
+
+        def counting(*args, **kwargs):
+            out = direction(*args, **kwargs)
+            iterations.append(out[1])
+            return out
+
+        monkeypatch.setattr(sy, "schur_newton_direction", counting)
+        s = sy.Discretization(default_pair(32, 32), mo.make_mu("constant", c=c),
+                              sy.heat_problem().data)
+        s.reference(1e-10)
+        assert iterations and max(iterations) <= 2
 
     def test_direction_failure_raises_at_once(self, heat8, monkeypatch):
         calls = []
