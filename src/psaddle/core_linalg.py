@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from psaddle.errors import DimensionMismatchError, NotConvergedError, NotSpdError, PsaddleError
@@ -85,9 +86,12 @@ class BandedCholesky:
         return self._cb.shape[0] - 1
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b for a vector or a (n, k) block of right-hand sides."""
         b = np.asarray(b, dtype=float)
         x = np.empty_like(b)
-        x[self.perm] = sla.cho_solve_banded((self._cb, False), b[self.perm], check_finite=False)
+        x[self.perm], info = dpbtrs(self._cb, b[self.perm], lower=0, overwrite_b=1)
+        if info != 0:
+            raise PsaddleError(f"banded Cholesky solve failed: LAPACK dpbtrs info {info}")
         return x
 
 

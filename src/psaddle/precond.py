@@ -1,4 +1,5 @@
-"""Kronecker-structured optimal preconditioner for the trial-space Riesz map.
+"""Kronecker-structured optimal preconditioner for the trial-space Riesz map,
+and the exact condition number it attains.
 
 In the tensor setting the Gram matrix of the alternative trial norm is
 
@@ -8,20 +9,35 @@ Transforming the temporal axis to a wavelet basis that is stable in both
 the L2 and H1 norms turns the temporal factors diagonal up to spectral
 equivalence, leaving one diffusion-reaction block A_x + alpha_psi^2
 M_x A_x^{-1} M_x per wavelet.  Each block is in turn spectrally equivalent
-to (A_x + alpha M_x) A_x^{-1} (A_x + alpha M_x), so the preconditioner
+to (A_x + alpha M_x) A_x^{-1} (A_x + alpha M_x), so the preconditioner is
 
-    (T (x) I) blockdiag[(A_x + alpha M_x)^{-1} A_x (A_x + alpha M_x)^{-1}] (T^T (x) I)
+    P = (T (x) I) blockdiag[(A_x + alpha_j M_x)^{-1} A_x (A_x + alpha_j M_x)^{-1}] (T^T (x) I).
 
-applies with one pair of banded solves per distinct alpha, each on all the
-wavelets that share it as a block right-hand side.  At desk scale the block
-inverses are exact banded Cholesky factorizations, so the spectral-equivalence
-step of the block construction holds with equality.
+`kappa_study` reports the condition number of P R per dyadic level in
+closed form (`mode_kappa`); neither operator is formed or applied.  With
+A_x V = M_x V Lambda and V^T M_x V = I (the spatial modes of fast
+diagonalization, Lynch, Rice and Thomas, Numer. Math. 6, 1964),
+A_x = M_x V Lambda V^T M_x, M_x A_x^{-1} M_x = M_x V Lambda^{-1} V^T M_x and
+(A_x + alpha M_x)^{-1} A_x (A_x + alpha M_x)^{-1} = V diag(lambda /
+(lambda + alpha)^2) V^T.  With u_k = M_x v_k, so that v_k^T u_l = delta_kl,
 
-`RXOperator` applies R matrix-free, `BlockDiagPrecond` builds the
-preconditioner on a `build_time_wavelets` basis, and `kappa_study` reports
-the exact condition number of the preconditioned Gram per dyadic level,
-which both operators split into one temporal block per spatial mode
-(`mode_kappa`).
+    R = sum_k R_k (x) u_k u_k^T,  R_k = lambda_k M_t + (M_t + A_t) / lambda_k,
+    P = sum_k P_k (x) v_k v_k^T,  P_k = T F_k T^T,  F_k = diag(lambda_k / (lambda_k + alpha_j)^2),
+
+and P R = sum_k P_k R_k (x) v_k u_k^T, whose factors v_k u_k^T are
+complementary projections (V V^T M_x = I): spec(P R) is the union of the
+spec(P_k R_k).  With S_k = T F_k^{1/2}, P_k R_k = S_k B_k S_k^{-1} for the
+symmetric
+
+    B_k = F_k^{1/2} T^T R_k T F_k^{1/2} = D_k (lambda_k^2 G_M + G_MA) D_k,
+
+D_k = diag(1 / (lambda_k + alpha_j)), G_M = T^T M_t T and
+G_MA = T^T (M_t + A_t) T the wavelet Grams.  So kappa takes the spatial
+eigenvalues lambda_k, the two Grams, formed once per level with T held as
+CSR (each wavelet has local support: 2.6% nonzero at 1025 temporal dofs),
+and one symmetric eigenproblem of the temporal size per spatial mode.  On
+a tensor-product spatial domain the spatial modes are products of 1D
+modes and lambda_k becomes their sum.
 """
 
 from __future__ import annotations
@@ -33,9 +49,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from psaddle.core_linalg import banded_cholesky, check_dense_size
+from psaddle.core_linalg import check_dense_size
 from psaddle.errors import InvalidSpaceError
-from psaddle.riesz import RieszContext
 from psaddle.spaces import (
     CONT_P1,
     Mesh1D,
@@ -46,10 +61,8 @@ from psaddle.spaces import (
 
 __all__ = [
     "TimeWaveletBasis",
-    "BlockDiagPrecond",
     "SpectralMargins",
     "build_time_wavelets",
-    "RXOperator",
     "check_spectral_inequality",
     "mode_kappa",
     "kappa_study",
@@ -87,10 +100,6 @@ class TimeWaveletBasis:
 
     T: np.ndarray
     alphas: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.T.shape[0]
 
 
 def build_time_wavelets(mesh: Mesh1D, variant: str = "vanishing-moment") -> TimeWaveletBasis:
@@ -133,63 +142,6 @@ def build_time_wavelets(mesh: Mesh1D, variant: str = "vanishing-moment") -> Time
     return TimeWaveletBasis(T=T, alphas=h1)
 
 
-class RXOperator:
-    """Matrix-free application of M_t (x) A_x + (M_t + A_t) (x) S with
-    S = M_x A_x^{-1} M_x: the first term is `RieszContext.apply_R_YX`, and
-    S is `RieszContext.S_x`."""
-
-    def __init__(self, pair: TensorSpacePair):
-        self.pair = pair
-        self.ctx = RieszContext(pair)
-        self.MtAt = (pair.M_t_X + pair.A_t_X).tocsr()
-        self.dim = pair.dim_X
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        p = self.pair
-        V = np.asarray(v, dtype=float).reshape(p.dim_t_X, p.dim_x)
-        return self.ctx.apply_R_YX(v) + (self.MtAt @ (V @ self.ctx.S_x)).reshape(-1)
-
-
-class BlockDiagPrecond:
-    """Per-wavelet diffusion-reaction solves realizing the optimal preconditioner.
-
-    The wavelets are grouped by alpha, rounded to 12 decimals, and
-    A_x + alpha M_x is factored once per group at its first alpha; `apply`
-    solves each factor once, on all of its group's rows as a block
-    right-hand side.  The transform T and its transpose are held in CSR:
-    each wavelet has local support, so T is sparse (2.6% nonzero at 1025
-    temporal dofs).
-    """
-
-    def __init__(self, basis: TimeWaveletBasis, pair: TensorSpacePair):
-        if basis.dim != pair.dim_t_X:
-            raise InvalidSpaceError("wavelet basis and temporal trial axis disagree")
-        self.basis = basis
-        self.pair = pair
-        self._T = sp.csr_matrix(basis.T)
-        self._T_T = self._T.T.tocsr()
-        groups: dict[float, list[int]] = {}
-        for w, alpha in enumerate(basis.alphas):
-            groups.setdefault(round(float(alpha), 12), []).append(w)
-        self._groups = tuple(
-            (banded_cholesky(pair.A_x + basis.alphas[rows[0]] * pair.M_x), np.array(rows))
-            for rows in groups.values()
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim * self.pair.dim_x
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        p = self.pair
-        H = np.asarray(h, dtype=float).reshape(self.basis.dim, p.dim_x)
-        Y = self._T_T @ H
-        Z = np.empty_like(Y)
-        for fact, rows in self._groups:
-            Z[rows] = fact.solve(p.A_x @ fact.solve(Y[rows].T)).T
-        return (self._T @ Z).reshape(-1)
-
-
 @dataclass(frozen=True)
 class SpectralMargins:
     """Eigenvalue margins of the diffusion-reaction spectral sandwich.
@@ -226,67 +178,63 @@ def check_spectral_inequality(A: np.ndarray, M: np.ndarray, alpha: float) -> Spe
     return SpectralMargins(lower=lower, upper=upper, upper_no_factor=upper_no_factor)
 
 
-def _check_mode_blocks(dim_t: int, dim_x: int) -> None:
-    check_dense_size("kappa mode blocks", (2, dim_x, dim_t, dim_t))
+def _check_temporal_arrays(dim_t: int) -> None:
+    # the most held at once: the two wavelet Grams, one mode block and the
+    # eigensolver's Fortran-ordered copy of it
+    check_dense_size("kappa temporal arrays", (4, dim_t, dim_t))
 
 
-def mode_kappa(op: RXOperator, apply_P) -> float:
-    """Exact condition number lambda_max / lambda_min of P R, for R the
-    operator `op` and P, applied by `apply_P`, the wavelet preconditioner
-    or any other operator of the same spatial-mode structure.
+def _wavelet_grams(pair: TensorSpacePair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alphas and the Grams G_M = T^T M_t T and G_MA = T^T (M_t + A_t) T of
+    the default `build_time_wavelets` basis of the temporal trial mesh.
+    The dense transform is freed on return, before the loop over the modes."""
+    basis = build_time_wavelets(pair.mesh_t_X)
+    T = sp.csr_matrix(basis.T)
+    G_M = (T.T @ pair.M_t_X @ T).toarray()
+    G_MA = (T.T @ (pair.M_t_X + pair.A_t_X) @ T).toarray()
+    return basis.alphas, G_M, G_MA
 
-    With A_x V = M_x V Lambda and V^T M_x V = I (`RieszContext.modes.V`),
-    A_x = M_x V Lambda V^T M_x and S = M_x V Lambda^{-1} V^T M_x, and each
-    block of the preconditioner is (A_x + alpha M_x)^{-1} A_x
-    (A_x + alpha M_x)^{-1} = V diag(lambda / (lambda + alpha)^2) V^T.  So
-    on coefficients held as (dim_t, dim_x) arrays, column k of
 
-        R(Y V^T) V           is R_k Y e_k,  R_k = lambda_k M_t + (M_t + A_t) / lambda_k,
-        P(Y (M_x V)^T) M_x V is P_k Y e_k,  P_k = T diag(lambda_k / (lambda_k + alpha_j)^2) T^T:
+def mode_kappa(pair: TensorSpacePair, lam: np.ndarray) -> float:
+    """Exact condition number lambda_max / lambda_min of P R on `pair`, for
+    R the Gram of the alternative trial norm and P the preconditioner on
+    the default wavelet basis of its temporal trial mesh; `lam` holds the
+    eigenvalues of its spatial pencil (A_x, M_x).
 
-    both operators are block diagonal in the spatial modes, and spec(P R)
-    is the union of the spec(P_k R_k).  Y = e_j 1^T, one application of
-    each operator per temporal dof j, gives column j of every R_k and every
-    P_k.  With P_k = L L^T, P_k R_k is similar to L^T R_k L, so kappa comes
-    from dim_x symmetric eigenproblems of size dim_t.  The blocks are
-    refused above MAX_DENSE_BYTES.
+    spec(P R) is the union over the spatial modes k of the spectra of the
+    symmetric blocks B_k of the module docstring.  The dense temporal
+    arrays are refused above MAX_DENSE_BYTES.
     """
-    p = op.pair
-    _check_mode_blocks(p.dim_t_X, p.dim_x)
-    V = op.ctx.modes.V
-    MV = p.M_x @ V
-    R = np.empty((p.dim_x, p.dim_t_X, p.dim_t_X))
-    P = np.empty_like(R)
-    V_1, MV_1 = V.sum(axis=1), MV.sum(axis=1)
-    X = np.zeros((p.dim_t_X, p.dim_x))
-    for j in range(p.dim_t_X):
-        X[j] = V_1
-        R[:, :, j] = (op.apply(X.reshape(-1)).reshape(X.shape) @ V).T
-        X[j] = MV_1
-        P[:, :, j] = (apply_P(X.reshape(-1)).reshape(X.shape) @ MV).T
-        X[j] = 0.0
+    _check_temporal_arrays(pair.dim_t_X)
+    alphas, G_M, G_MA = _wavelet_grams(pair)
     lo, hi = math.inf, 0.0
-    for R_k, P_k in zip(R, P):
-        L = np.linalg.cholesky(P_k)
-        ev = sla.eigvalsh(L.T @ R_k @ L)
+    for lam_k in lam:
+        d = 1.0 / (lam_k + alphas)
+        B = lam_k**2 * G_M
+        B += G_MA
+        B *= d
+        B *= d[:, None]
+        ev = sla.eigvalsh(B, overwrite_a=True, check_finite=False)
         lo, hi = min(lo, ev[0]), max(hi, ev[-1])
     return float(hi / lo)
 
 
 def kappa_study(levels: int, n_x: int = 8, T: float = 1.0) -> list[tuple[int, int, float]]:
     """Exact condition numbers of the preconditioned trial Gram per dyadic
-    level (`mode_kappa`), on 2, 4, ..., 2^levels temporal elements, with the
-    default vanishing-moment wavelets.
+    level (`mode_kappa`), on 2, 4, ..., 2^levels temporal elements and n_x
+    spatial ones, with the default vanishing-moment wavelets.
 
-    The mode blocks of the finest level are sized before the first level
-    is computed, so a study too large for MAX_DENSE_BYTES is refused at
-    once: at n_x = 8 the ceiling is level 11.
+    Every level shares the spatial mesh, so the spatial eigenvalues are
+    computed once.  The temporal arrays of the finest level are sized
+    before the first level is computed, so a study too large for
+    MAX_DENSE_BYTES is refused at once: the ceiling is level 12, whatever
+    n_x.
     """
-    _check_mode_blocks(2**levels + 1, n_x - 1)  # dim_t_X and dim_x of the finest pair
+    _check_temporal_arrays(2**levels + 1)  # dim_t_X of the finest pair
+    x_pair = default_pair(1, n_x, T=T)
+    lam = sla.eigvalsh(x_pair.A_x.toarray(), x_pair.M_x.toarray())
     out = []
     for level in range(1, levels + 1):
         pair = default_pair(2**level, n_x, T=T)
-        op = RXOperator(pair)
-        prec = BlockDiagPrecond(build_time_wavelets(pair.mesh_t_X), pair)
-        out.append((level, op.dim, mode_kappa(op, prec.apply)))
+        out.append((level, pair.dim_X, mode_kappa(pair, lam)))
     return out

@@ -223,11 +223,11 @@ class TestMainEntry:
         assert float(rows[0]["rhs"]) == 0.0 and float(rows[0]["lhs"]) > 0.0
 
     def test_exit_code_precond_oversize_level(self, tmp_path, capsys):
-        # level 12 at disc.nx = 8 is refused before the first level runs
-        path = write_config(tmp_path, "problem.mu = constant\ndisc.nx = 8\ndisc.levels = 12\n")
+        # level 13 at disc.nx = 8 is refused before the first level runs
+        path = write_config(tmp_path, "problem.mu = constant\ndisc.nx = 8\ndisc.levels = 13\n")
         out = tmp_path / "o"
         assert cli.main(["precond", "--config", path, "--out", str(out)]) == 4
-        assert "kappa mode blocks" in capsys.readouterr().err
+        assert "kappa temporal arrays" in capsys.readouterr().err
         assert not os.path.exists(out / "precond.csv")
 
     def test_exit_code_success(self, tmp_path):

@@ -169,6 +169,20 @@ class TestBandedCholesky:
         expect = np.linalg.solve(A, b)
         assert np.abs(fact.solve(b) - expect).max() <= 1e-12 * np.abs(expect).max()
 
+    def test_block_right_hand_side_against_dense_solve(self, rng):
+        A = random_spd(rng, 30)
+        B = rng.standard_normal((30, 4))
+        expect = np.linalg.solve(A, B)
+        got = cl.banded_cholesky(sp.csr_matrix(A)).solve(B)
+        assert got.shape == B.shape
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_nonzero_lapack_info_raised(self, monkeypatch):
+        # LAPACK reports an illegal argument through info, not by raising
+        monkeypatch.setattr(cl, "dpbtrs", lambda cb, b, **kwargs: (b, -2))
+        with pytest.raises(PsaddleError, match="dpbtrs info -2"):
+            cl.banded_cholesky(sp.eye(3, format="csr")).solve(np.ones(3))
+
     def test_indefinite_rejected(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NotSpdError, match="positive definite"):

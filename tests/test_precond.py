@@ -5,13 +5,50 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from psaddle import core_linalg, riesz
 from psaddle import precond as pc
 from psaddle import quality as ql
 from psaddle.errors import InvalidSpaceError, PsaddleError
 from psaddle.riesz import RieszContext, estimate_C_J
-from psaddle.spaces import CONT_P1, Mesh1D, assemble_1d, default_pair
+from psaddle.spaces import (
+    CONT_P1,
+    CONT_P1_DIRICHLET,
+    DISC_P1,
+    Mesh1D,
+    assemble_1d,
+    assemble_matrices,
+    default_pair,
+)
 
-from helpers import random_spd
+from helpers import jittered_mesh, random_spd
+
+
+def _dense_R(pair):
+    """The Gram of the alternative trial norm,
+    M_t (x) A_x + (M_t + A_t) (x) M_x A_x^{-1} M_x."""
+    Mt, At = pair.M_t_X.toarray(), pair.A_t_X.toarray()
+    Ax, Mx = pair.A_x.toarray(), pair.M_x.toarray()
+    return np.kron(Mt, Ax) + np.kron(Mt + At, Mx @ np.linalg.solve(Ax, Mx))
+
+
+def _dense_precond(pair):
+    """The wavelet preconditioner (T (x) I) blockdiag[(A_x + alpha_j M_x)^{-1}
+    A_x (A_x + alpha_j M_x)^{-1}] (T^T (x) I) on the default wavelets."""
+    basis = pc.build_time_wavelets(pair.mesh_t_X)
+    Ax, Mx = pair.A_x.toarray(), pair.M_x.toarray()
+    blocks = []
+    for alpha in basis.alphas:
+        K = Ax + alpha * Mx
+        blocks.append(np.linalg.solve(K, np.linalg.solve(K, Ax).T))
+    TI = np.kron(basis.T, np.eye(pair.dim_x))
+    return TI @ sla.block_diag(*blocks) @ TI.T
+
+
+def _dense_kappa(pair):
+    """lambda_max / lambda_min of P R, from L^T R L for P = L L^T."""
+    L = np.linalg.cholesky(_dense_precond(pair))
+    ev = sla.eigvalsh(L.T @ _dense_R(pair) @ L)
+    return ev[-1] / ev[0]
 
 
 class TestTimeWavelets:
@@ -85,55 +122,6 @@ class TestTimeWavelets:
             pc.build_time_wavelets(Mesh1D((0.0, 0.3, 1.0)))
 
 
-class TestRXOperator:
-    def test_zero(self):
-        op = pc.RXOperator(default_pair(2, 2))
-        assert np.all(op.apply(np.zeros(op.dim)) == 0.0)
-
-    def test_dense_comparison_tiny(self, rng):
-        # 2 temporal elements x 1 interior spatial node
-        pair = default_pair(2, 2)
-        op = pc.RXOperator(pair)
-        Mt, At = pair.M_t_X.toarray(), pair.A_t_X.toarray()
-        Ax, Mx = pair.A_x.toarray(), pair.M_x.toarray()
-        R = np.kron(Mt, Ax) + np.kron(Mt + At, Mx @ np.linalg.solve(Ax, Mx))
-        v = rng.standard_normal(op.dim)
-        assert np.allclose(op.apply(v), R @ v, atol=1e-13)
-
-    def test_symmetry(self, rng):
-        op = pc.RXOperator(default_pair(4, 5))
-        v = rng.standard_normal(op.dim)
-        w = rng.standard_normal(op.dim)
-        assert abs(v @ op.apply(w) - w @ op.apply(v)) <= 1e-12
-
-
-class TestBlockDiagPrecond:
-    def test_zero(self):
-        pair = default_pair(4, 4)
-        prec = pc.BlockDiagPrecond(pc.build_time_wavelets(pair.mesh_t_X), pair)
-        assert np.all(prec.apply(np.zeros(prec.dim)) == 0.0)
-
-    def test_alpha_zero_limit_reduces_to_stiffness_inverse(self, rng):
-        # with T = Id and alpha = 0 every block is A_x^{-1}
-        pair = default_pair(1, 6)
-        basis = pc.TimeWaveletBasis(T=np.eye(2), alphas=np.zeros(2))
-        prec = pc.BlockDiagPrecond(basis, pair)
-        h = rng.standard_normal(prec.dim)
-        H = h.reshape(2, pair.dim_x)
-        Ax = pair.A_x.toarray()
-        expect = np.vstack([np.linalg.solve(Ax, H[0]), np.linalg.solve(Ax, H[1])])
-        assert np.allclose(prec.apply(h), expect.reshape(-1), atol=1e-12)
-
-    def test_spd_quadratic_form(self, rng):
-        pair = default_pair(8, 6)
-        prec = pc.BlockDiagPrecond(pc.build_time_wavelets(pair.mesh_t_X), pair)
-        for _ in range(10):
-            h = rng.standard_normal(prec.dim)
-            assert h @ prec.apply(h) > 0.0
-        v, w = rng.standard_normal(prec.dim), rng.standard_normal(prec.dim)
-        assert abs(v @ prec.apply(w) - w @ prec.apply(v)) <= 1e-12
-
-
 class TestSpectralInequality:
     def test_alpha_zero_degenerate(self, rng):
         A = random_spd(rng, 4)
@@ -168,44 +156,62 @@ class TestSpectralInequality:
 
 
 class TestKappaStudy:
+    # the finest kappa at 16 x 4 and at 32 x 8
+    PINS = {(4, 4): 4.8406, (5, 8): 6.2964}
+
     def test_uniformity_and_floor(self):
         results = pc.kappa_study(5, n_x=8)
         kappas = [k for (_, _, k) in results]
         assert min(kappas) >= 1.0
         assert max(kappas) / min(kappas) <= 2.0
 
-    def test_exact_inverse_control(self):
-        # control run: preconditioning with the exact inverse gives kappa = 1
-        pair = default_pair(4, 4)
-        op = pc.RXOperator(pair)
-        dense = np.column_stack([op.apply(col) for col in np.eye(op.dim)])
-        kappa = pc.mode_kappa(op, lambda v: np.linalg.solve(dense, v))
-        assert abs(kappa - 1.0) <= 1e-10
+    @pytest.mark.parametrize(
+        "levels, n_x, T", [(2, 2, 1.0), (4, 4, 1.0), (5, 8, 1.0), (3, 5, 2.0)],
+        ids=["2-2", "4-4", "5-8", "3-5-T2"],
+    )
+    def test_equals_dense_pencil(self, levels, n_x, T):
+        # every level of the study against the dense pencil of the
+        # assembled operators; n_x = 2 has a single spatial mode
+        results = pc.kappa_study(levels, n_x=n_x, T=T)
+        assert [level for (level, _, _) in results] == list(range(1, levels + 1))
+        for level, dim, kappa in results:
+            pair = default_pair(2**level, n_x, T=T)
+            exact = _dense_kappa(pair)
+            assert dim == pair.dim_X
+            assert abs(kappa - exact) <= 1e-12 * exact
+        if (levels, n_x) in self.PINS and T == 1.0:
+            assert round(results[-1][2], 4) == self.PINS[levels, n_x]
 
-    @pytest.mark.parametrize("levels, n_x", [(4, 4), (5, 8)])
-    def test_equals_dense_pencil(self, levels, n_x):
-        # the finest level's kappa against the dense pencil of the same
-        # operators: 4.8406 at 16 x 4 and 6.2964 at 32 x 8
-        pair = default_pair(2**levels, n_x)
-        op = pc.RXOperator(pair)
-        prec = pc.BlockDiagPrecond(pc.build_time_wavelets(pair.mesh_t_X), pair)
-        eye = np.eye(op.dim)
-        R = np.column_stack([op.apply(col) for col in eye])
-        Pinv = np.column_stack([prec.apply(col) for col in eye])
-        P = np.linalg.inv(0.5 * (Pinv + Pinv.T))
-        ev = sla.eigh(0.5 * (R + R.T), 0.5 * (P + P.T), eigvals_only=True)
-        exact = ev[-1] / ev[0]
-        level, dim, kappa = pc.kappa_study(levels, n_x=n_x)[-1]
-        assert (level, dim) == (levels, op.dim)
-        assert abs(kappa - exact) <= 1e-12 * exact
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_jittered_spatial_mesh_equals_dense_pencil(self, T, rng):
+        mesh_t = Mesh1D.uniform(8, length=T)
+        pair = assemble_matrices(
+            (mesh_t, CONT_P1), (mesh_t, DISC_P1), (jittered_mesh(6, rng), CONT_P1_DIRICHLET)
+        )
+        lam = sla.eigvalsh(pair.A_x.toarray(), pair.M_x.toarray())
+        exact = _dense_kappa(pair)
+        assert abs(pc.mode_kappa(pair, lam) - exact) <= 1e-12 * exact
+
+    def test_study_needs_no_factorization(self, monkeypatch):
+        """kappa comes from eigenvalues alone: with every banded Cholesky
+        entry point and the Riesz context made to raise, the study still
+        returns the pinned kappa."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kappa study factored a matrix or built a Riesz context")
+
+        monkeypatch.setattr(core_linalg, "banded_cholesky", refuse)
+        monkeypatch.setattr(core_linalg.BandedPattern, "factor", refuse)
+        monkeypatch.setattr(core_linalg.BandedCholesky, "solve", refuse)
+        monkeypatch.setattr(riesz, "RieszContext", refuse)
+        assert round(pc.kappa_study(5, n_x=8)[-1][2], 4) == self.PINS[5, 8]
 
     def test_oversize_level_refused_up_front(self):
-        # level 12 at n_x = 8: the mode blocks would take 1.88 GB; the
-        # refusal comes before any level is computed
+        # level 13: the temporal arrays would take 2.15 GB, whatever n_x;
+        # the refusal comes before any level is computed
         tracemalloc.start()
         try:
-            with pytest.raises(PsaddleError, match="kappa mode blocks"):
-                pc.kappa_study(12, n_x=8)
+            with pytest.raises(PsaddleError, match="kappa temporal arrays"):
+                pc.kappa_study(13, n_x=8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -218,14 +224,14 @@ class TestAlternativeNormSandwich:
         # |||z|||^2 >= gamma_x^2 / (1 + C_J^2) ||z||_{X^d}^2
         pair = default_pair(8, 8)
         ctx = RieszContext(pair)
-        op = pc.RXOperator(pair)
+        R = _dense_R(pair)
         two = ql.TwoLevel(pair, ql._surrogate_pair(pair))
         C_PF = 1.0 / math.pi
         C_J = estimate_C_J(two.ctx_fine)
         g_x = ql.gamma_x(two)
         for _ in range(20):
             z = rng.standard_normal(pair.dim_X)
-            alt2 = z @ op.apply(z)
+            alt2 = z @ R @ z
             fine_norm2 = two.ctx_fine.norm_X_delta(two.prolong_X(z)) ** 2
             disc_norm2 = ctx.norm_X_delta(z) ** 2
             assert alt2 / (1.0 + C_PF**4) <= fine_norm2 * (1 + 1e-10)
