@@ -128,15 +128,14 @@ def parse_config(path: str) -> dict:
     if not math.isnan(sigma_hat):
         try:
             c = mo.constants_from_mu(_mu_from_config(values))
+            bundle = sy.derive_constants(c.L, c.m)
         except PsaddleError:
-            pass  # the mu parameters are refused above
+            pass  # refused above, or by the subcommand's constant calculus (exit 4)
         else:
-            sigma_S = sy.derive_constants(c.L, c.m).S_constants.sigma
-            if not sigma_S < sigma_hat < 1.0:
-                problems.append(
-                    f"solver.sigma_hat must lie in (sigma_S, 1) = ({sigma_S!r}, 1) "
-                    f"for the configured mu, got {sigma_hat!r}"
-                )
+            try:
+                uz.check_rate_target(bundle, sigma_hat)
+            except PsaddleError as exc:
+                problems.append(f"solver.sigma_hat: {exc}")
     if problems:
         raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
     return values
@@ -162,11 +161,15 @@ def _problem_from_config(cfg: dict):
     Startup validation: the registry bounds are checked against the sampled
     extremal slopes before anything downstream uses them, at a slack
     relative to M_mu, since the rounding of a finite-difference slope grows
-    with its size.  `problem.u0` applies under either forcing: `zero` drops
-    the initial value.
+    with its size; a mu whose sampled slopes are not finite or not
+    positive is refused alike (`ConfigError`).  `problem.u0` applies under
+    either forcing: `zero` drops the initial value.
     """
     mu = _mu_from_config(cfg)
-    m_hat, M_hat = mo.empirical_mu_bounds(lambda s: mu.fn(0.0, 0.0, s), r_max=50.0, n=20_000)
+    try:
+        m_hat, M_hat = mo.empirical_mu_bounds(lambda s: mu.fn(0.0, 0.0, s), r_max=50.0, n=20_000)
+    except PsaddleError as exc:
+        raise ConfigError(f"declared mu bounds ({mu.m_mu}, {mu.M_mu}) unchecked: {exc}") from exc
     slack = 1e-6 * mu.M_mu
     if m_hat < mu.m_mu - slack or M_hat > mu.M_mu + slack:
         raise ConfigError(
@@ -237,13 +240,9 @@ def _discretization(cfg: dict) -> sy.Discretization:
 
 def _uzawa_config(cfg: dict, bundle) -> uz.UzawaConfig:
     sig = cfg["solver.sigma_hat"]
-    L_prac = cfg["solver.L_practical"] or None
     return uz.make_config(
-        bundle,
-        sigma_hat_S=None if math.isnan(sig) else sig,
-        tol=cfg["solver.tol"],
-        max_outer=cfg["solver.max_outer"],
-        L_practical=L_prac,
+        bundle, sigma_hat_S=None if math.isnan(sig) else sig, tol=cfg["solver.tol"],
+        max_outer=cfg["solver.max_outer"], L_practical=cfg["solver.L_practical"] or None,
     )
 
 

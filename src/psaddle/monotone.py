@@ -168,10 +168,12 @@ _MU_SAMPLE_BLOCK = 15_000
 def empirical_mu_bounds(mu_fn, r_max: float, n: int = 100_000) -> tuple[float, float]:
     """Extremal finite-difference slopes of g(r) = mu(r^2) r on a uniform grid.
 
-    Validates user-supplied (m_mu, M_mu); fails if the sampled slope is not
-    positive, i.e. the scalar map is not strongly monotone.  The grid is
-    np.linspace(0, r_max, n + 1), point for point, taken in blocks that
-    share their end points.
+    Validates user-supplied (m_mu, M_mu); fails if a sampled slope is not
+    finite, or not positive, i.e. the scalar map is not strongly monotone.
+    A sample that is not finite makes a slope next to it so, and a NaN slope
+    makes its block's extrema NaN, so checking the extrema of each block
+    refuses both.  The grid is np.linspace(0, r_max, n + 1), point for
+    point, taken in blocks that share their end points.
     """
     if n < 100:
         raise PsaddleError("need at least 100 sample points")
@@ -182,10 +184,14 @@ def empirical_mu_bounds(mu_fn, r_max: float, n: int = 100_000) -> tuple[float, f
         r = np.arange(start, stop + 1, dtype=float) * step
         if stop == n:
             r[-1] = r_max
-        g = np.asarray(mu_fn(r**2)) * r
-        slopes = np.diff(g) / np.diff(r)
-        m_hat = min(m_hat, float(slopes.min()))
-        M_hat = max(M_hat, float(slopes.max()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.asarray(mu_fn(r**2)) * r
+            slopes = np.diff(g) / np.diff(r)
+        lo, hi = float(slopes.min()), float(slopes.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise PsaddleError(f"mu(r^2) r or its slope is not finite on [0, {r_max}]")
+        m_hat = min(m_hat, lo)
+        M_hat = max(M_hat, hi)
     if m_hat <= 0:
         raise PsaddleError(f"mu is not strongly monotone on [0, {r_max}] (min slope {m_hat:.3e})")
     return m_hat, M_hat

@@ -354,7 +354,11 @@ class TensorSpacePair:
     A_x: sp.csr_matrix    # spatial stiffness on X_x
 
     embed_t: sp.csr_matrix | None  # X_t coefficients -> Y_t coefficients
-    x_in_y: bool
+
+    @property
+    def x_in_y(self) -> bool:
+        """X_t lies in Y_t, so X in Y: the embedding exists."""
+        return self.embed_t is not None
 
     @cached_property
     def dim_t_X(self) -> int:
@@ -386,7 +390,7 @@ def assemble_matrices(
     Y_t: tuple[Mesh1D, BasisSpec],
     X_x: tuple[Mesh1D, BasisSpec],
 ) -> TensorSpacePair:
-    """Assemble all 1D factor matrices and the containment flag."""
+    """Assemble all 1D factor matrices and the embedding of X_t into Y_t, if any."""
     mesh_t_X, spec_t_X = X_t
     mesh_t_Y, spec_t_Y = Y_t
     mesh_x, spec_x = X_x
@@ -410,17 +414,15 @@ def assemble_matrices(
 
     try:
         embed_t = embedding_matrix(X_t, Y_t)
-        x_in_y = True
     except InvalidSpaceError:
         embed_t = None
-        x_in_y = False
 
     return TensorSpacePair(
         mesh_t_X=mesh_t_X, spec_t_X=spec_t_X,
         mesh_t_Y=mesh_t_Y, spec_t_Y=spec_t_Y,
         mesh_x=mesh_x, spec_x=spec_x,
         M_t_X=M_t_X, A_t_X=A_t_X, M_t_Y=M_t_Y, B_t=B_t, M_x=M_x, A_x=A_x,
-        embed_t=embed_t, x_in_y=x_in_y,
+        embed_t=embed_t,
     )
 
 

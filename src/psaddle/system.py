@@ -33,7 +33,7 @@ import numpy as np
 
 from psaddle import monotone as mo
 from psaddle.core_linalg import cg_iteration_cap, pcg
-from psaddle.errors import NotConvergedError
+from psaddle.errors import NotConvergedError, PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
     Mesh1D,
@@ -121,15 +121,25 @@ def derive_constants(L_A: float, m_A: float) -> ConstantsBundle:
     L_Beinv = (1/m_S) (1 + 1/m_A)
     L_Ninv  = 1/m_A + max(1, 1/m_A) * (1/m_S) (1 + 1/m_A)
     C_1     = 1 + (1/m_S) (1 + sqrt((1 + L_A^2)(1 + 1/m_A^2)))
+
+    A pair is refused unless every derived constant, and the dampings
+    m_A/L_A^2 and m_S/L_S^2 of the Uzawa steps, is finite and positive in
+    double precision.
     """
     if not (0 < m_A <= L_A):
-        raise ValueError(f"need 0 < m_A <= L_A, got ({L_A}, {m_A})")
-    L_N = L_A + 1.0
-    L_S = max(1.0, L_A, 1.0 / m_A)
-    m_S = min(1.0, m_A, m_A / L_A**2)
-    L_Beinv = (1.0 / m_S) * (1.0 + 1.0 / m_A)
-    L_Ninv = 1.0 / m_A + max(1.0, 1.0 / m_A) * L_Beinv
-    C_1 = 1.0 + (1.0 / m_S) * (1.0 + math.sqrt((1.0 + L_A**2) * (1.0 + 1.0 / m_A**2)))
+        raise PsaddleError(f"need 0 < m_A <= L_A, got (L_A, m_A) = ({L_A!r}, {m_A!r})")
+    try:
+        L_N = L_A + 1.0
+        L_S = max(1.0, L_A, 1.0 / m_A)
+        m_S = min(1.0, m_A, m_A / L_A**2)
+        L_Beinv = (1.0 / m_S) * (1.0 + 1.0 / m_A)
+        L_Ninv = 1.0 / m_A + max(1.0, 1.0 / m_A) * L_Beinv
+        C_1 = 1.0 + (1.0 / m_S) * (1.0 + math.sqrt((1.0 + L_A**2) * (1.0 + 1.0 / m_A**2)))
+        derived = (L_S, m_S, L_Beinv, L_Ninv, C_1, m_A / L_A**2, m_S / L_S**2)
+    except (OverflowError, ZeroDivisionError):
+        derived = (0.0,)
+    if not all(0.0 < v < math.inf for v in derived):  # NaN compares False
+        raise PsaddleError(f"constants of (L_A, m_A) = ({L_A!r}, {m_A!r}) are not representable")
     return ConstantsBundle(
         L_A=L_A, m_A=m_A, L_N=L_N, L_S=L_S, m_S=m_S,
         L_Ninv=L_Ninv, L_Beinv=L_Beinv, C_1=C_1,

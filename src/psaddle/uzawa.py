@@ -71,6 +71,7 @@ from psaddle.system import ConstantsBundle, SaddleState
 __all__ = [
     "UzawaConfig",
     "UzawaTrace",
+    "check_rate_target",
     "GradientMaps",
     "JointModes",
     "TrialModes",
@@ -80,59 +81,83 @@ __all__ = [
 ]
 
 
+def check_rate_target(bundle: ConstantsBundle, sigma_hat_S: float) -> None:
+    """Refuse an outer-rate target sigma_hat outside (sigma_S, 1)."""
+    sigma_S = bundle.S_constants.sigma
+    if not sigma_S < sigma_hat_S < 1.0:
+        raise PsaddleError(
+            f"no outer-rate target: sigma_hat_S = {sigma_hat_S!r} lies outside (sigma_S, 1) = "
+            f"({sigma_S!r}, 1) of (L_S, m_S) = ({bundle.L_S!r}, {bundle.m_S!r})"
+        )
+
+
 @dataclass(frozen=True)
 class UzawaConfig:
+    """The independent inputs of an inexact Uzawa solve: the constants
+    bundle, the outer-rate target sigma_hat, the inner count L, the stopping
+    tolerance and the outer-iteration cap.  The step constants theta_A*,
+    theta_S*, sigma_S and C_3 are read off the bundle, so they cannot
+    disagree with it; each read builds them anew, so a loop reads them once.
+    """
+
+    bundle: ConstantsBundle
     sigma_hat_S: float
-    C_3: float
     L: int
-    theta_star_A: float
-    theta_star_S: float
-    sigma_S: float
     tol: float = 1e-8
     max_outer: int = 200
 
     def __post_init__(self):
-        for name in ("theta_star_A", "theta_star_S"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise PsaddleError(f"{name} must be finite and positive, got {value}")
         if not (self.tol >= 0.0):
             raise PsaddleError(f"tol must be non-negative, got {self.tol}")
-        if not (self.sigma_S < self.sigma_hat_S < 1.0):
-            raise PsaddleError(
-                f"sigma_hat_S must lie in (sigma_S, 1) = ({self.sigma_S}, 1), "
-                f"got {self.sigma_hat_S}"
-            )
+        check_rate_target(self.bundle, self.sigma_hat_S)
         if self.L < 1:
             raise PsaddleError("inner iteration count must be at least 1")
         if self.max_outer < 1:
             raise PsaddleError("outer iteration cap must be at least 1")
 
+    @property
+    def theta_star_A(self) -> float:
+        return self.bundle.A_constants.theta_star
 
-def plan_inner_count(bundle: ConstantsBundle, sigma_hat_S: float) -> tuple[float, int]:
-    """C_3 and the smallest admissible inner iteration count L.
+    @property
+    def theta_star_S(self) -> float:
+        return self.bundle.S_constants.theta_star
+
+    @property
+    def sigma_S(self) -> float:
+        return self.bundle.S_constants.sigma
+
+    @property
+    def C_3(self) -> float:
+        return _C_3(self.bundle, self.sigma_hat_S)
+
+
+def _C_3(bundle: ConstantsBundle, sigma_hat_S: float) -> float:
+    """C_3 = (1/sigma_hat)((sigma_hat - sigma_S)/theta_S* + 1/m_A)."""
+    cS = bundle.S_constants
+    return ((sigma_hat_S - cS.sigma) / cS.theta_star + 1.0 / bundle.m_A) / sigma_hat_S
+
+
+def plan_inner_count(bundle: ConstantsBundle, sigma_hat_S: float) -> int:
+    """The smallest admissible inner iteration count L for the target
+    sigma_hat (`check_rate_target`).
 
     Evaluates the defining inequality directly over increasing L rather than
     trusting a logarithm, so the returned L is the smallest valid integer.
     """
+    check_rate_target(bundle, sigma_hat_S)
     cA, cS = bundle.A_constants, bundle.S_constants
-    if not (cS.sigma < sigma_hat_S < 1.0):
-        raise PsaddleError(
-            f"sigma_hat_S={sigma_hat_S} outside (sigma_S, 1) = ({cS.sigma}, 1)"
-        )
-    target = (sigma_hat_S - cS.sigma) / cS.theta_star
-    C_3 = (target + 1.0 / cA.m) / sigma_hat_S
-    budget = C_3 + 1.0 / cA.m
     if cA.sigma == 0.0:
-        return C_3, 1
-    L = 1
-    power = cA.sigma
+        return 1
+    target = (sigma_hat_S - cS.sigma) / cS.theta_star
+    budget = _C_3(bundle, sigma_hat_S) + 1.0 / cA.m
+    L, power = 1, cA.sigma
     while power * budget > target:
         L += 1
         power *= cA.sigma
         if L > 10_000_000:
             raise NotConvergedError("inner iteration count exploded; sigma_hat too tight")
-    return C_3, L
+    return L
 
 
 def make_config(
@@ -146,27 +171,15 @@ def make_config(
 
     The default sigma_hat is the midpoint (1 + sigma_S)/2 of the admissible
     range; where sigma_S lies so close to 1 that the midpoint rounds to 1,
-    no target is representable and the config is refused.  L_practical
-    replaces the theoretical inner count; the a priori envelope is only
+    no target is representable and the config is refused
+    (`check_rate_target`).  L_practical replaces the theoretical inner
+    count, which is then not planned; the a priori envelope is only
     guaranteed for the theoretical one.
     """
-    cA, cS = bundle.A_constants, bundle.S_constants
     if sigma_hat_S is None:
-        sigma_hat_S = 0.5 * (1.0 + cS.sigma)
-        if not cS.sigma < sigma_hat_S < 1.0:
-            raise PsaddleError(
-                f"sigma_S = {cS.sigma!r} of (L_S, m_S) = ({bundle.L_S!r}, {bundle.m_S!r}) "
-                "is too close to 1: no outer-rate target in (sigma_S, 1) can be "
-                "represented in double precision"
-            )
-    C_3, L = plan_inner_count(bundle, sigma_hat_S)
-    if L_practical is not None:
-        L = int(L_practical)
-    return UzawaConfig(
-        sigma_hat_S=sigma_hat_S, C_3=C_3, L=L,
-        theta_star_A=cA.theta_star, theta_star_S=cS.theta_star, sigma_S=cS.sigma,
-        tol=tol, max_outer=max_outer,
-    )
+        sigma_hat_S = 0.5 * (1.0 + bundle.S_constants.sigma)
+    L = plan_inner_count(bundle, sigma_hat_S) if L_practical is None else int(L_practical)
+    return UzawaConfig(bundle, sigma_hat_S, L, tol=tol, max_outer=max_outer)
 
 
 @dataclass
@@ -204,11 +217,7 @@ class UzawaTrace:
         return [n + 1 for n in self.inner_count]
 
     def rows(self):
-        for i in range(len(self.k)):
-            yield (
-                self.k[i], self.eta[i], self.res_Y[i], self.res_X[i],
-                self.err_u[i], self.err_lambda[i], self.inner_count[i],
-            )
+        return zip(*(getattr(self, name) for name in self.COLUMNS))
 
 
 class GradientMaps:
@@ -563,8 +572,9 @@ def run_inexact_uzawa(
     (`_geometric_factors`): for theta c < 1, q^L = exp(L log1p(-theta c))
     and 1 - q^L = -expm1(L log1p(-theta c)), both to rounding, where
     1 - q**L loses about log10(1/(theta c)) digits to cancellation.  At
-    theta c = 1, q = 0 and log1p(-1) = -inf, so theta c >= 1 (q = 0, or a
-    hand-built config outside the bounds) takes the power q**L, and
+    theta c = 1, q = 0 and log1p(-1) = -inf, so theta c >= 1 (q = 0, from
+    the exact constants (c, c), or a bundle whose constants are not the
+    operator's) takes the power q**L, and
     1 - q^L has no cancellation there while the recursion contracts
     (|q| < 1).  The update is the L-step recursion to rounding, not bit
     for bit.
@@ -584,7 +594,7 @@ def run_inexact_uzawa(
     against it (test mode).
     """
     f, g = rhs
-    theta = cfg.theta_star_A
+    theta, theta_S = cfg.theta_star_A, cfg.theta_star_S
     c = op_Y.mu.constant
     if c is None:
         coords = GradientMaps(op_Y, ctx)
@@ -641,6 +651,6 @@ def run_inexact_uzawa(
             break
         if k + 1 < cfg.max_outer:
             # R is the u-update bracket in the modes, so the step reuses dZ
-            Z = Z - cfg.theta_star_S * dZ
+            Z = Z - theta_S * dZ
 
     return SaddleState(coords.lam(y), modes.coefficients(Z)), trace

@@ -283,6 +283,25 @@ class TestMainEntry:
         assert "declared mu bounds" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("mu_c, subcommand, code, message", [
+        # constants the calculus cannot represent: exit 4
+        ("1e160", "constants", 4, "not representable"),
+        ("1e160", "solve", 4, "not representable"),
+        ("1e-300", "constants", 4, "not representable"),
+        ("1e-300", "solve", 4, "not representable"),
+        ("1e308", "constants", 4, "not representable"),
+        # mu(r^2) r overflows on the startup grid: refused before the
+        # constants are derived, exit 2
+        ("1e308", "solve", 2, "not finite"),
+        ("1e308", "infsup", 2, "not finite"),
+    ])
+    def test_exit_code_extreme_mu(self, mu_c, subcommand, code, message, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL + f"problem.mu_c = {mu_c}\n")
+        assert cli.main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_unrepresentable_default_sigma_hat(self, tmp_path, capsys):
         # sigma_S = 1 - 2^-53 here, so the midpoint default rounds to 1
         path = write_config(tmp_path, MINIMAL + "problem.mu_c = 1e-4\n")
@@ -290,6 +309,60 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "no outer-rate target" in err
         assert "sigma_hat_S=1.0" not in err
+
+
+# `psaddle constants` on the shipped configs, to the last bit
+_CONSTANTS_PIN = {
+    "heat.cfg": """\
+L_A = 3
+m_A = 1
+L_N = 4
+L_S = 3
+m_S = 0.1111111111111111
+L_Ninv = 19
+L_Beinv = 18
+C_1 = 50.249223594996216
+C_PF = 0.31830988618379069
+theta_star_A = 0.1111111111111111
+sigma_A = 0.94280904158206336
+theta_star_S = 0.012345679012345678
+sigma_S = 0.99931389357274381
+sigma_hat_S = 0.99965694678637185
+C_3 = 1.0281400170407771
+L = 6
+""",
+    "quasilinear.cfg": """\
+L_A = 6
+m_A = 0.875
+L_N = 7
+L_S = 6
+m_S = 0.024305555555555556
+L_Ninv = 101.9008746355685
+L_Beinv = 88.16326530612244
+C_1 = 422.18914205503967
+C_PF = 0.31830988618379069
+theta_star_A = 0.024305555555555556
+sigma_A = 0.98930917254864714
+theta_star_S = 0.00067515432098765428
+sigma_S = 0.99999179496591006
+sigma_hat_S = 0.99999589748295503
+C_3 = 1.1489382702134416
+L = 10
+""",
+}
+
+
+@pytest.mark.parametrize("cfg_name", sorted(_CONSTANTS_PIN))
+def test_constants_output_pinned(cfg_name, tmp_path, capsys):
+    # every line of stdout, and constants.csv holding the same values
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", cfg_name)
+    out = str(tmp_path / "o")
+    assert cli.main(["constants", "--config", cfg, "--out", out]) == 0
+    expected = _CONSTANTS_PIN[cfg_name]
+    assert capsys.readouterr().out == expected
+    names, values = zip(*(line.split(" = ") for line in expected.splitlines()))
+    with open(os.path.join(out, "constants.csv")) as fh:
+        assert fh.read() == ",".join(names) + "\n" + ",".join(values) + "\n"
 
 
 def _solve_summary(cfg_name, tmp_path):

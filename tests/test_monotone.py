@@ -101,6 +101,17 @@ class TestEmpiricalBounds:
         with pytest.raises(PsaddleError):
             mo.empirical_mu_bounds(lambda s: np.full_like(s, -1.0), 5.0, 1000)
 
+    @pytest.mark.parametrize("fn", [
+        lambda s: np.full_like(s, np.nan),   # not finite anywhere
+        np.exp,                              # exp(r^2) r overflows beyond r = 26.6
+        lambda s: 1e308,                     # 1e308 r overflows beyond r = 1.8
+    ])
+    def test_non_finite_flux_refused(self, fn):
+        # evaluated without a RuntimeWarning (an error under the test
+        # settings), and refused: a NaN never wins a min or max comparison
+        with pytest.raises(PsaddleError, match="not finite"):
+            mo.empirical_mu_bounds(fn, 50.0, 20_000)
+
     def test_too_few_points(self):
         with pytest.raises(PsaddleError):
             mo.empirical_mu_bounds(lambda s: s, 5.0, 10)

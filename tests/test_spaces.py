@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,9 @@ class TestTensorPair:
         # P0 test space cannot represent P1 trial functions
         pair2 = assemble_matrices((m, CONT_P1), (m, DISC_P0), (m, CONT_P1_DIRICHLET))
         assert not pair2.x_in_y
+        # containment is read off the embedding, not stored beside it
+        assert pair.embed_t is not None and pair2.embed_t is None
+        assert "x_in_y" not in {f.name for f in dataclasses.fields(pair)}
 
     def test_derivative_image_in_test_space(self):
         # d/dt of cont-P1 is piecewise constant: contained in disc-P1 and disc-P0

@@ -11,7 +11,7 @@ from psaddle import core_linalg
 from psaddle import monotone as mo
 from psaddle import quality as ql
 from psaddle import system as sy
-from psaddle.errors import NotConvergedError
+from psaddle.errors import NotConvergedError, PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
     CONT_P1,
@@ -63,8 +63,22 @@ class TestDeriveConstants:
         assert abs(b.L_Ninv - expect_Ninv) <= 1e-14 * expect_Ninv
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PsaddleError, match=r"\(L_A, m_A\) = \(1.0, 2.0\)"):
             sy.derive_constants(1.0, 2.0)
+
+    @pytest.mark.parametrize("L, m", [
+        (3e160, 1e160),     # L_A^2 overflows
+        (3e308, 1e308),     # L_A = inf, so m_A / L_A^2 = 0
+        (3e-300, 1e-300),   # L_A^2 underflows to 0
+        (1e150, 1e150),     # only theta_S* = m_S / L_S^2 = 1e-450 underflows
+    ])
+    def test_unrepresentable_constants(self, L, m):
+        with pytest.raises(PsaddleError, match="not representable"):
+            sy.derive_constants(L, m)
+
+    def test_large_representable_pair(self):
+        b = sy.derive_constants(1e50, 1e50)
+        assert b.S_constants.theta_star == pytest.approx(1e-150, rel=1e-14)
 
 
 class TestAssembleRhs:

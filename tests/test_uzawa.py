@@ -28,7 +28,8 @@ class TestPlanInnerCount:
     def test_heat_case_l84(self):
         # direct evaluation of the defining inequality over increasing L
         bundle = sy.derive_constants(3.0, 1.0)
-        C_3, L = uz.plan_inner_count(bundle, 0.9995)
+        L = uz.plan_inner_count(bundle, 0.9995)
+        C_3 = uz.make_config(bundle, 0.9995).C_3
         cA, cS = bundle.A_constants, bundle.S_constants
         target = (0.9995 - cS.sigma) / cS.theta_star
         assert abs(C_3 - (target + 1.0) / 0.9995) < 1e-12
@@ -39,8 +40,7 @@ class TestPlanInnerCount:
     def test_zero_inner_contraction(self):
         # m_A = L_A: sigma_A = 0, a single inner step always suffices
         bundle = sy.derive_constants(2.0, 2.0)
-        _, L = uz.plan_inner_count(bundle, 0.99)
-        assert L == 1
+        assert uz.plan_inner_count(bundle, 0.99) == 1
 
     def test_sigma_hat_out_of_range(self):
         bundle = sy.derive_constants(3.0, 1.0)
@@ -55,20 +55,34 @@ class TestPlanInnerCount:
         assert cfg.sigma_S < cfg.sigma_hat_S < 1.0
         with pytest.raises(PsaddleError, match="outer iteration cap"):
             uz.make_config(bundle, max_outer=0)
-        with pytest.raises(PsaddleError):
-            uz.UzawaConfig(
-                sigma_hat_S=0.5, C_3=1.0, L=1, theta_star_A=0.1, theta_star_S=0.1,
-                sigma_S=0.99,
-            )
+        for sigma_hat in (0.5, bundle.S_constants.sigma, 1.0):
+            with pytest.raises(PsaddleError, match="no outer-rate target"):
+                uz.UzawaConfig(bundle, sigma_hat_S=sigma_hat, L=1)
+            # with a practical L no count is planned, and the config refuses
+            with pytest.raises(PsaddleError, match="no outer-rate target"):
+                uz.make_config(bundle, sigma_hat_S=sigma_hat, L_practical=3)
 
-    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
-    @pytest.mark.parametrize("name", ["theta_star_A", "theta_star_S"])
-    def test_config_refuses_damping(self, name, value):
-        # the closed-form linear sweep divides by theta_A* c, and a damping
-        # that is not finite and positive is no step of the iteration
-        cfg = uz.make_config(sy.derive_constants(3.0, 1.0))
-        with pytest.raises(PsaddleError, match=f"{name} must be finite and positive"):
-            dataclasses.replace(cfg, **{name: value})
+    def test_config_holds_only_independent_inputs(self):
+        # the step constants are read off the bundle, with the expressions
+        # of the constant calculus
+        assert [f.name for f in dataclasses.fields(uz.UzawaConfig)] == [
+            "bundle", "sigma_hat_S", "L", "tol", "max_outer",
+        ]
+        bundle = sy.derive_constants(6.0, 7.0 / 8.0)
+        cfg = uz.make_config(bundle, L_practical=4)
+        cA, cS = bundle.A_constants, bundle.S_constants
+        assert cfg.theta_star_A == cA.m / cA.L**2
+        assert cfg.theta_star_S == cS.m / cS.L**2
+        assert cfg.sigma_S == cS.sigma
+        target = (cfg.sigma_hat_S - cS.sigma) / cS.theta_star
+        assert cfg.C_3 == (target + 1.0 / cA.m) / cfg.sigma_hat_S
+
+    def test_practical_count_is_not_planned(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("plan_inner_count called")
+
+        monkeypatch.setattr(uz, "plan_inner_count", refuse)
+        assert uz.make_config(sy.derive_constants(3.0, 1.0), L_practical=5).L == 5
 
     @pytest.mark.parametrize("tol", [-1e-8, math.nan])
     def test_config_refuses_tol(self, tol):
@@ -86,19 +100,20 @@ def _uzawa_on_coefficients(s, cfg):
     of cfg.max_outer outer steps."""
     f, g = s.rhs
     ctx = s.ctx
+    theta_A, theta_S = cfg.theta_star_A, cfg.theta_star_S
     lam, u = np.zeros(s.pair.dim_Y), np.zeros(s.pair.dim_X)
     eta, res_Y, res_X = [], [], []
     for _ in range(cfg.max_outer):
         target = f - ctx.apply_D(u)
         for _ in range(cfg.L):
-            lam = lam - cfg.theta_star_A * ctx.riesz_Y_solve(s.op_Y.apply(lam) - target)
+            lam = lam - theta_A * ctx.riesz_Y_solve(s.op_Y.apply(lam) - target)
         r_Y = target - s.op_Y.apply(lam)
         r_X = g - ctx.apply_Dt(lam) + s.op_X.apply(u) + ctx.apply_trace_term(u)
         dX = ctx.riesz_X_solve(r_X)
         res_Y.append(ctx.dual_norm_Y(r_Y))
         res_X.append(math.sqrt(max(r_X @ dX, 0.0)))
         eta.append(res_Y[-1] + res_X[-1])
-        u = u - cfg.theta_star_S * dX
+        u = u - theta_S * dX
     return lam, eta, res_Y, res_X
 
 
@@ -198,25 +213,34 @@ class TestRunInexactUzawa:
             s, uz.make_config(s.bundle, tol=0.0, max_outer=15, L_practical=L)
         )
 
-    @pytest.mark.parametrize("setup_name", ["heat8", "ramp8"])
-    def test_closed_form_at_q_zero(self, setup_name, request):
+    @pytest.mark.parametrize("setup_name, max_outer", [
+        pytest.param("heat8", 1, id="heat8"), pytest.param("ramp8", 12, id="ramp8"),
+    ])
+    def test_closed_form_at_q_zero(self, setup_name, max_outer, request):
         # theta_A* = 1/c makes q = 1 - theta_A* c zero: one inner step solves
-        # the test-side block, and log1p(-1) is no way to get there
+        # the test-side block, and log1p(-1) is no way to get there.
+        # (L_A, m_A) = (c, c) are the constants of A_Y = c R_Y, the one pair
+        # with theta_A* = 1/c.  For the heat problem (c = 1) they give
+        # theta_S* = 1 and the first outer step solves the system to
+        # rounding, so later steps would compare rounding noise.
         s = request.getfixturevalue(setup_name)
         c = s.op_Y.mu.constant
-        cfg = uz.make_config(s.bundle, tol=0.0, max_outer=12, L_practical=3)
-        cfg = dataclasses.replace(cfg, theta_star_A=1.0 / c)
+        bundle = sy.derive_constants(c, c)
+        cfg = uz.make_config(bundle, tol=0.0, max_outer=max_outer, L_practical=3)
         assert uz._geometric_factors(cfg.theta_star_A * c, cfg.L)[0] == 0.0
         _assert_matches_coefficient_loop(s, cfg)
 
     def test_closed_form_small_damping(self, heat8):
-        # theta_A* c = 1e-6: a naive 1 - q**L would lose about six digits
-        # of the update, far beyond the loop's rtol of 1e-12
+        # theta_A* c = 1e-5 from the constants (50 c, c/40) of A_Y = c R_Y: a
+        # naive 1 - q**L would lose about five digits of the update, far
+        # beyond the loop's rtol of 1e-12.  (At 1e-6 no pair with
+        # m_A <= c <= L_A leaves a double between sigma_S and 1 for sigma_hat.)
         c = heat8.op_Y.mu.constant
-        cfg = uz.make_config(heat8.bundle, tol=0.0, max_outer=12, L_practical=10)
-        _assert_matches_coefficient_loop(
-            heat8, dataclasses.replace(cfg, theta_star_A=1e-6 / c)
+        cfg = uz.make_config(
+            sy.derive_constants(50.0 * c, c / 40.0), tol=0.0, max_outer=12, L_practical=10
         )
+        assert abs(cfg.theta_star_A * c - 1e-5) <= 1e-20
+        _assert_matches_coefficient_loop(heat8, cfg)
 
     @pytest.mark.parametrize("theta_c", [1e-9, 1e-6, 1.0 / 9.0, 0.5, 1.0, 1.5])
     def test_geometric_factors_exact(self, theta_c):
