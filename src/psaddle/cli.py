@@ -13,6 +13,7 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import math
 import os
@@ -27,6 +28,7 @@ from psaddle import quality as ql
 from psaddle import system as sy
 from psaddle import uzawa as uz
 from psaddle.errors import ConfigError, NotConvergedError, PsaddleError
+from psaddle.riesz import RieszContext
 from psaddle.rng import SplitMix64
 
 SUBCOMMANDS = ("solve", "convergence", "uzawa-trace", "infsup", "pjotr", "precond", "constants")
@@ -211,12 +213,9 @@ def write_csv(path: str, header: tuple, rows) -> None:
         raise
 
 
-def _pair_from_config(cfg: dict, level: int = 0):
-    """Tensor pair from either explicit breakpoints or uniform element counts,
-    uniformly refined `level` times."""
-    from psaddle.spaces import (
-        CONT_P1, CONT_P1_DIRICHLET, DISC_P1, Mesh1D, assemble_matrices, refine_times,
-    )
+def _pair_from_config(cfg: dict):
+    """Tensor pair from either explicit breakpoints or uniform element counts."""
+    from psaddle.spaces import CONT_P1, CONT_P1_DIRICHLET, DISC_P1, Mesh1D, assemble_matrices
 
     if cfg["disc.t_breakpoints"]:
         mesh_t = Mesh1D(tuple(float(v) for v in cfg["disc.t_breakpoints"].split(",")))
@@ -226,8 +225,6 @@ def _pair_from_config(cfg: dict, level: int = 0):
         mesh_x = Mesh1D(tuple(float(v) for v in cfg["disc.x_breakpoints"].split(",")))
     else:
         mesh_x = Mesh1D.uniform(cfg["disc.nx"])
-    mesh_t = refine_times(mesh_t, level)
-    mesh_x = refine_times(mesh_x, level)
     return assemble_matrices(
         (mesh_t, CONT_P1), (mesh_t, DISC_P1), (mesh_x, CONT_P1_DIRICHLET)
     )
@@ -319,56 +316,78 @@ def _aposteriori_band(cfg: dict, disc: sy.Discretization, out: str) -> None:
     )
 
 
-def _convergence_row(pair, mu, data) -> tuple[float, float, float, float]:
-    """Error against the surrogate two refinements finer, quasi-optimality
-    ratio and bound, and ||lambda - u||_Y on one level.  The surrogate's
-    solve starts from the level's solution prolonged.  Both
-    discretizations are local, so a level's factorizations are freed
-    before the next level starts."""
-    disc = sy.Discretization(pair, mu, data)
-    state = disc.reference(1e-11)
-    fine, two = ql.surrogate(disc)
-    fstate = fine.reference(1e-11, x0=two.prolong_X(state.u))
-    report = ql.infsup_report(two)
-    ratio, bound, err = ql.quasi_opt_ratio(fstate.u, state, two, disc.bundle, report)
-    lam_u, _ = ql.estimator_terms(state, disc)
-    return err, ratio, bound, lam_u
+def _ladder(cfg: dict, make, row):
+    """row(l, make(pair_l), make(pair_{l+k})) for l < disc.levels, in order,
+    with k = SURROGATE_REFINEMENTS: row l against its surrogate pair.
+
+    The meshes 0 ... disc.levels + k - 1 are walked once, in order: pair 0
+    is the configured pair and each next pair one uniform refinement of the
+    one before, so pair l+k is bit for bit the surrogate pair of row l.
+    Each pair is made once, and row l is emitted as soon as pair l+k is
+    made.  A made item is dropped as soon as no pending row needs it, so
+    the finest step holds only the two items of its own row.
+    """
+    k, levels = ql.SURROGATE_REFINEMENTS, cfg["disc.levels"]
+    pending = collections.deque()  # items of the rows' coarse pairs, and the newest
+    pair = _pair_from_config(cfg)
+    for m in range(levels + k):
+        pair = ql._surrogate_pair(pair, 1) if m else pair
+        pending.append(make(pair))
+        if m >= k:
+            yield row(m - k, pending.popleft(), pending[-1])
+        if m >= levels:
+            pending.pop()  # no pending row has pair m as its coarse pair
 
 
 def cmd_convergence(cfg: dict, out: str) -> int:
+    """Per level: the error against the surrogate two refinements finer,
+    the quasi-optimality ratio and bound, and ||lambda - u||_Y.  Each pair
+    of the ladder (`_ladder`) is solved once, to 1e-11, starting from the
+    solution on the pair one refinement coarser prolonged; only that pair
+    and its u are kept for the next start, and dropped once prolonged."""
     mu, data = _problem_from_config(cfg)
-    rows = []
+    last = {}  # the pair and u of the last solve, until they start the next
     errs = []
-    for level in range(cfg["disc.levels"]):
-        pair = _pair_from_config(cfg, level)
-        err, ratio, bound, lam_u = _convergence_row(pair, mu, data)
+
+    def solve(pair):
+        disc = sy.Discretization(pair, mu, data)
+        x0 = ql.TwoLevel(last.pop("pair"), pair).prolong_X(last.pop("u")) if last else None
+        last.update(pair=pair, u=disc.reference(1e-11, x0=x0).u)
+        return disc
+
+    def row(level, disc, fine):
+        state = disc.reference(1e-11)
+        two = ql.TwoLevel(disc.pair, fine.pair, ctx_coarse=disc.ctx, ctx_fine=fine.ctx)
+        ratio, bound, err = ql.quasi_opt_ratio(fine.reference(1e-11).u, state, two, disc.bundle,
+                                               ql.infsup_report(two))
+        lam_u, _ = ql.estimator_terms(state, disc)
         errs.append(err)
         rate = math.log2(errs[-2] / errs[-1]) if level > 0 else float("nan")
-        rows.append((level, pair.mesh_t_X.n_elements, pair.mesh_x.n_elements,
-                     err, rate, ratio, bound, lam_u))
+        return (level, disc.pair.mesh_t_X.n_elements, disc.pair.mesh_x.n_elements,
+                err, rate, ratio, bound, lam_u)
+
     write_csv(
         os.path.join(out, "convergence.csv"),
         ("level", "nt", "nx", "err_X", "rate", "quasi_opt_ratio", "quasi_opt_bound", "lambda_minus_u_Y"),
-        rows,
+        list(_ladder(cfg, solve, row)),
     )
     return 0
 
 
 def cmd_infsup(cfg: dict, out: str) -> int:
+    """The inf-sup factors per level against the surrogate pair, each pair
+    of the ladder (`_ladder`) with its one `RieszContext`."""
     _problem_from_config(cfg)  # validates the configured mu
-    rows = []
-    for level in range(cfg["disc.levels"]):
-        pair = _pair_from_config(cfg, level)
-        nt, nx = pair.mesh_t_X.n_elements, pair.mesh_x.n_elements
-        report = ql.infsup_report(ql.TwoLevel(pair, ql._surrogate_pair(pair)))
-        rows.append((
-            level, nt, nx, report.gamma_t, report.gamma_x, report.gamma_lower,
-            report.gamma_direct,
-        ))
+
+    def row(level, ctx, fine):
+        report = ql.infsup_report(ql.TwoLevel(ctx.pair, fine.pair, ctx, fine))
+        return (level, ctx.pair.mesh_t_X.n_elements, ctx.pair.mesh_x.n_elements,
+                report.gamma_t, report.gamma_x, report.gamma_lower, report.gamma_direct)
+
     write_csv(
         os.path.join(out, "infsup.csv"),
         ("level", "nt", "nx", "gamma_t", "gamma_x", "gamma_lower", "gamma_direct"),
-        rows,
+        list(_ladder(cfg, RieszContext, row)),
     )
     return 0
 

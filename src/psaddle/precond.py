@@ -91,14 +91,14 @@ def _hat_values(level: int, node: int, fine_nodes: np.ndarray, length: float) ->
 class TimeWaveletBasis:
     """Wavelet-to-nodal transform with per-function H1 norms.
 
-    Columns of T hold the L2-normalized wavelet functions in fine nodal
-    coordinates, ordered level-major: the two coarsest scaling functions,
-    then detail functions per level.  alphas[j] is the H1(J) norm of column
-    j, so the diagonal of the wavelet mass matrix is the identity and the
-    diagonal of mass + stiffness is alphas^2.
+    Columns of T, a CSR matrix, hold the L2-normalized wavelet functions in
+    fine nodal coordinates, ordered level-major: the two coarsest scaling
+    functions, then detail functions per level.  alphas[j] is the H1(J)
+    norm of column j, so the diagonal of the wavelet mass matrix is the
+    identity and the diagonal of mass + stiffness is alphas^2.
     """
 
-    T: np.ndarray
+    T: sp.csr_matrix
     alphas: np.ndarray
 
 
@@ -110,35 +110,40 @@ def build_time_wavelets(mesh: Mesh1D, variant: str = "vanishing-moment") -> Time
     the two parent hats with weights that cancel its mean (1/4 interior,
     1/2 at a boundary parent), which is what keeps the basis L2-stable
     across levels.
+
+    Each column is evaluated only on the fine nodes of its parents'
+    supports, off which all its hats vanish, so T is built as CSR: O(n J)
+    entries for n elements, J levels.
     """
     if variant not in ("hierarchical", "vanishing-moment"):
         raise InvalidSpaceError(f"unknown wavelet variant {variant!r}")
     J = _dyadic_level(mesh)
     length = mesh.end - mesh.start
     fine = mesh.points - mesh.start
-    dim = mesh.n_elements + 1
-    check_dense_size("wavelet transform T", (dim, dim))
+    n = mesh.n_elements
 
-    cols = [
-        _hat_values(0, 0, fine, length),
-        _hat_values(0, 1, fine, length),
-    ]
+    cols = [(np.arange(n + 1), _hat_values(0, node, fine, length)) for node in (0, 1)]
     for level in range(1, J + 1):
-        n_coarse = 2 ** (level - 1)
+        n_coarse, s = 2 ** (level - 1), 2 ** (J - level + 1)
         for k in range(n_coarse):
-            psi = _hat_values(level, 2 * k + 1, fine, length)
+            # the fine nodes of the parents' supports, off which all three hats vanish
+            idx = np.arange(max((k - 1) * s, 0), min((k + 2) * s, n) + 1)
+            psi = _hat_values(level, 2 * k + 1, fine[idx], length)
             if variant == "vanishing-moment":
                 w_left = 0.5 if k == 0 else 0.25
                 w_right = 0.5 if k + 1 == n_coarse else 0.25
-                psi = psi - w_left * _hat_values(level - 1, k, fine, length)
-                psi = psi - w_right * _hat_values(level - 1, k + 1, fine, length)
-            cols.append(psi)
-    T = np.column_stack(cols)
+                psi = psi - w_left * _hat_values(level - 1, k, fine[idx], length)
+                psi = psi - w_right * _hat_values(level - 1, k + 1, fine[idx], length)
+            cols.append((idx, psi))
+    rows, vals = map(np.concatenate, zip(*cols))
+    col = np.repeat(np.arange(n + 1), [idx.size for idx, _ in cols])
+    T = sp.csr_matrix((vals, (rows, col)), shape=(n + 1, n + 1))
+    T.eliminate_zeros()
 
     M_t = assemble_1d("mass", (mesh, CONT_P1))
     A_t = assemble_1d("stiffness", (mesh, CONT_P1))
-    T = T / np.sqrt((T * (M_t @ T)).sum(axis=0))
-    h1 = np.sqrt(1.0 + (T * (A_t @ T)).sum(axis=0))
+    T.data /= np.sqrt(np.asarray(T.multiply(M_t @ T).sum(axis=0)).ravel())[T.indices]
+    h1 = np.sqrt(1.0 + np.asarray(T.multiply(A_t @ T).sum(axis=0)).ravel())
     return TimeWaveletBasis(T=T, alphas=h1)
 
 
@@ -186,10 +191,9 @@ def _check_temporal_arrays(dim_t: int) -> None:
 
 def _wavelet_grams(pair: TensorSpacePair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """alphas and the Grams G_M = T^T M_t T and G_MA = T^T (M_t + A_t) T of
-    the default `build_time_wavelets` basis of the temporal trial mesh.
-    The dense transform is freed on return, before the loop over the modes."""
+    the default `build_time_wavelets` basis of the temporal trial mesh."""
     basis = build_time_wavelets(pair.mesh_t_X)
-    T = sp.csr_matrix(basis.T)
+    T = basis.T
     G_M = (T.T @ pair.M_t_X @ T).toarray()
     G_MA = (T.T @ (pair.M_t_X + pair.A_t_X) @ T).toarray()
     return basis.alphas, G_M, G_MA

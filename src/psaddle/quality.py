@@ -6,10 +6,13 @@ pair `SURROGATE_REFINEMENTS` uniform refinements finer in both axes;
 inequality checks that rely on the surrogate carry a 1.05 slack factor in
 the tests.  `surrogate` is the one constructor of that reference: the same
 problem (a `system.Discretization`, which keeps mu and the data) on the
-reference pair, and the `TwoLevel` that shares both Riesz contexts.  The
-study functions take the coarse `Discretization` in place of its loose
-parts (context, mu, data, constants), and `check_pjotr` reads ell and the
-test-side operator off the fine one, assembling nothing itself.
+reference pair, and the `TwoLevel` that shares both Riesz contexts; the
+CLI studies reach the same pair bit for bit one refinement at a time
+(`_surrogate_pair(pair, 1)`), so each level's pair is the surrogate of the
+level two coarser.  The study functions take the coarse `Discretization`
+in place of its loose parts (context, mu, data, constants), and
+`check_pjotr` reads ell and the test-side operator off the fine one,
+assembling nothing itself.
 
 On tensor pairs every Gram is a sum of Kronecker products of 1D matrices,
 and nothing here forms one as a dense array.  The temporal and spatial
@@ -119,16 +122,18 @@ def gamma_t(ctx: RieszContext) -> float:
 class TwoLevel:
     """Cross-pair machinery between a coarse pair and a finer reference pair.
 
-    Holds only the 1D embeddings of the coarse temporal trial, temporal test
+    Holds the Riesz contexts of both pairs, the ones given or else built on
+    first use, the 1D embeddings of the coarse temporal trial, temporal test
     and spatial spaces into the fine ones, and the tensor prolongations they
-    make.  Both the trial and the test spaces nest, so every cross-level
-    block is a fine-level block composed with embeddings: d_t of a coarse
-    trial function in the fine test space is B_t^f E_t_X (x) M_x^f E_x, and
-    d_t of a fine trial function in the coarse test space is
-    E_t_Y^T B_t^f (x) E_x^T M_x^f.  So the factors T_f, S_f of the fine test
-    dual norm of d_t on the coarse trial space and the mixed-level norms
-    come from the fine pair's `RieszContext` (the one assembly of D, T and
-    S) and are applied by axis, never as Kronecker arrays.
+    make; a prolongation alone builds no context.  Both the trial and the
+    test spaces nest, so every cross-level block is a fine-level block
+    composed with embeddings: d_t of a coarse trial function in the fine
+    test space is B_t^f E_t_X (x) M_x^f E_x, and d_t of a fine trial
+    function in the coarse test space is E_t_Y^T B_t^f (x) E_x^T M_x^f.  So
+    the factors T_f, S_f of the fine test dual norm of d_t on the coarse
+    trial space and the mixed-level norms come from the fine pair's
+    `RieszContext` (the one assembly of D, T and S) and are applied by
+    axis, never as Kronecker arrays.
     """
 
     def __init__(self, coarse: TensorSpacePair, fine: TensorSpacePair,
@@ -136,8 +141,17 @@ class TwoLevel:
                  ctx_fine: RieszContext | None = None):
         self.coarse = coarse
         self.fine = fine
-        self.ctx_coarse = ctx_coarse or RieszContext(coarse)
-        self.ctx_fine = ctx_fine or RieszContext(fine)
+        self._given = ctx_coarse, ctx_fine
+
+    @cached_property
+    def ctx_coarse(self) -> RieszContext:
+        """The given coarse context, or the coarse pair's, built on first use."""
+        return self._given[0] or RieszContext(self.coarse)
+
+    @cached_property
+    def ctx_fine(self) -> RieszContext:
+        """The given fine context, or the fine pair's, built on first use."""
+        return self._given[1] or RieszContext(self.fine)
 
     @cached_property
     def E_t_X(self) -> sp.csr_matrix:
@@ -435,10 +449,9 @@ def _pair_with_enriched_test(base: TensorSpacePair, level: int) -> TensorSpacePa
     )
 
 
-def _surrogate_pair(pair: TensorSpacePair) -> TensorSpacePair:
-    """Reference pair `SURROGATE_REFINEMENTS` uniform refinements finer in
-    both axes."""
-    k = SURROGATE_REFINEMENTS
+def _surrogate_pair(pair: TensorSpacePair, k: int = SURROGATE_REFINEMENTS) -> TensorSpacePair:
+    """The default pair on the meshes of `pair` refined uniformly k times in
+    both axes: the reference pair for the default k."""
     return assemble_matrices(
         (refine_times(pair.mesh_t_X, k), CONT_P1),
         (refine_times(pair.mesh_t_Y, k), DISC_P1),

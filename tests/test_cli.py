@@ -1,11 +1,15 @@
 import csv
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from psaddle import cli
 from psaddle import monotone as mo
+from psaddle import quality as ql
+from psaddle import riesz
 from psaddle import system as sy
 from psaddle.errors import ConfigError, NotConvergedError
 from psaddle.rng import SplitMix64
@@ -98,7 +102,7 @@ class TestSubcommands:
         cfg = cli.parse_config(write_config(tmp_path, text))
         out = str(tmp_path / "out")
         assert cli.run_subcommand("uzawa-trace", cfg, out) == 0
-        lines = open(os.path.join(out, "uzawa_trace.csv")).read().strip().splitlines()
+        lines = Path(out, "uzawa_trace.csv").read_text().strip().splitlines()
         assert lines[0] == "k,eta,res_Y,res_X,err_u,err_lambda,inner_count"
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "0"
@@ -117,7 +121,7 @@ class TestSubcommands:
             out = str(tmp_path / u0)
             with pytest.raises(NotConvergedError):
                 cli.run_subcommand("solve", cfg, out)
-            traces.append(open(os.path.join(out, "uzawa_trace.csv")).read())
+            traces.append(Path(out, "uzawa_trace.csv").read_text())
         assert traces[0] != traces[1]
 
     def test_uzawa_trace_solves_reference_once(self, tmp_path, monkeypatch):
@@ -166,6 +170,62 @@ class TestSubcommands:
         assert errs[1] < errs[0]
         assert rows["quasi_opt_ratio"][0] <= rows["quasi_opt_bound"][0]
 
+    def test_convergence_ladder_matches_per_level_loop(self, tmp_path):
+        # the ladder solves each pair once, warm from the pair one refinement
+        # coarser; the per-level loop solves each level cold and its own
+        # surrogate warm from the level
+        configs = {
+            "quasilinear": cli.parse_config(
+                os.path.join(os.path.dirname(__file__), "..", "configs", "quasilinear.cfg")),
+            "heat": cli.parse_config(write_config(tmp_path, MINIMAL)),
+        }
+        configs["quasilinear"]["disc.levels"] = 2
+        for name, cfg in configs.items():
+            out = str(tmp_path / name)
+            assert cli.run_subcommand("convergence", cfg, out) == 0
+            with open(os.path.join(out, "convergence.csv")) as fh:
+                got = list(csv.DictReader(fh))
+            expected = _per_level_convergence(cfg)
+            assert len(got) == len(expected) == cfg["disc.levels"]
+            for row, ref in zip(got, expected):
+                assert list(row) == list(ref)
+                for key in ("level", "nt", "nx"):
+                    assert int(row[key]) == ref[key]
+                for key in list(ref)[3:]:
+                    a, b = float(row[key]), ref[key]
+                    assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-10 * abs(b), (
+                        name, row["level"], key)
+
+    @pytest.mark.parametrize("subcommand", ["convergence", "infsup"])
+    def test_ladder_builds_each_pair_once(self, subcommand, tmp_path, monkeypatch):
+        # levels + 2 pairs, one Riesz context each; in the study also one
+        # right-hand side and one solve each, every solve but the first warm
+        calls = {"solve": [], "rhs": 0, "ctx": 0}
+        solve, rhs, ctx_init = sy.solve_reference, sy.assemble_rhs, riesz.RieszContext.__post_init__
+
+        def counting_solve(*args, **kwargs):
+            calls["solve"].append(kwargs["x0"] is not None)
+            return solve(*args, **kwargs)
+
+        def counting_rhs(*args):
+            calls["rhs"] += 1
+            return rhs(*args)
+
+        def counting_ctx(self):
+            calls["ctx"] += 1
+            ctx_init(self)
+
+        monkeypatch.setattr(sy, "solve_reference", counting_solve)
+        monkeypatch.setattr(sy, "assemble_rhs", counting_rhs)
+        monkeypatch.setattr(riesz.RieszContext, "__post_init__", counting_ctx)
+        cfg = cli.parse_config(write_config(tmp_path, MINIMAL))
+        assert cli.run_subcommand(subcommand, cfg, str(tmp_path / "out")) == 0
+        n = cfg["disc.levels"] + ql.SURROGATE_REFINEMENTS
+        assert calls["ctx"] == n
+        if subcommand == "convergence":
+            assert calls["solve"] == [False] + [True] * (n - 1)
+            assert calls["rhs"] == n
+
     def test_precond_csv(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, MINIMAL))
         out = str(tmp_path / "out")
@@ -190,9 +250,33 @@ class TestSubcommands:
         cfg = cli.parse_config(write_config(tmp_path, text))
         out = str(tmp_path / "out")
         assert cli.run_subcommand("pjotr", cfg, out) == 0
-        lines = open(os.path.join(out, "pjotr.csv")).read().strip().splitlines()
+        lines = Path(out, "pjotr.csv").read_text().strip().splitlines()
         assert lines[0] == "level,lhs,rhs,satisfied"
         assert lines[-1].endswith(",1")
+
+
+def _per_level_convergence(cfg):
+    """The rows of `psaddle convergence` by the per-level loop: level l
+    solved cold on the configured pair refined l times, and its surrogate
+    solved from the level's solution prolonged."""
+    mu, data = cli._problem_from_config(cfg)
+    rows, errs = [], []
+    for level in range(cfg["disc.levels"]):
+        disc = sy.Discretization(ql._surrogate_pair(cli._pair_from_config(cfg), level), mu, data)
+        state = disc.reference(1e-11)
+        fine, two = ql.surrogate(disc)
+        fstate = fine.reference(1e-11, x0=two.prolong_X(state.u))
+        report = ql.infsup_report(two)
+        ratio, bound, err = ql.quasi_opt_ratio(fstate.u, state, two, disc.bundle, report)
+        lam_u, _ = ql.estimator_terms(state, disc)
+        errs.append(err)
+        rows.append({
+            "level": level, "nt": disc.pair.mesh_t_X.n_elements,
+            "nx": disc.pair.mesh_x.n_elements, "err_X": err,
+            "rate": math.log2(errs[-2] / errs[-1]) if level else math.nan,
+            "quasi_opt_ratio": ratio, "quasi_opt_bound": bound, "lambda_minus_u_Y": lam_u,
+        })
+    return rows
 
 
 class TestMainEntry:
@@ -397,7 +481,7 @@ class TestDeterminism:
             out = str(tmp_path / name)
             cli.run_subcommand("uzawa-trace", cfg, out)
             outs.append({
-                f: open(os.path.join(out, f), "rb").read()
+                f: Path(out, f).read_bytes()
                 for f in sorted(os.listdir(out))
             })
         assert outs[0].keys() == outs[1].keys()
@@ -411,7 +495,7 @@ class TestDeterminism:
             cfg = cli.parse_config(write_config(tmp_path, base + f"seed = {seed}\n"))
             out = str(tmp_path / f"s{seed}")
             cli.run_subcommand("uzawa-trace", cfg, out)
-            paths.append(open(os.path.join(out, "aposteriori_band.csv"), "rb").read())
+            paths.append(Path(out, "aposteriori_band.csv").read_bytes())
         assert paths[0] != paths[1]
 
     def test_float_formatting_17_digits(self, tmp_path):

@@ -40,7 +40,7 @@ def _dense_precond(pair):
     for alpha in basis.alphas:
         K = Ax + alpha * Mx
         blocks.append(np.linalg.solve(K, np.linalg.solve(K, Ax).T))
-    TI = np.kron(basis.T, np.eye(pair.dim_x))
+    TI = np.kron(basis.T.toarray(), np.eye(pair.dim_x))
     return TI @ sla.block_diag(*blocks) @ TI.T
 
 
@@ -56,9 +56,10 @@ class TestTimeWavelets:
         # single element: no details; the two normalized half-hats have
         # H1 norm sqrt((1/3 + 1) / (1/3)) = 2 exactly
         basis = pc.build_time_wavelets(Mesh1D.uniform(1))
-        assert basis.T.shape == (2, 2)
-        assert abs(basis.T[0, 1]) < 1e-14 and abs(basis.T[1, 0]) < 1e-14
-        assert np.allclose(np.diag(basis.T), math.sqrt(3.0))
+        T = basis.T.toarray()
+        assert T.shape == (2, 2)
+        assert abs(T[0, 1]) < 1e-14 and abs(T[1, 0]) < 1e-14
+        assert np.allclose(np.diag(T), math.sqrt(3.0))
         assert np.allclose(basis.alphas, 2.0, atol=1e-12)
 
     def test_level1_pointwise_oracle(self):
@@ -72,16 +73,16 @@ class TestTimeWavelets:
         M = assemble_1d("mass", (mesh, CONT_P1)).toarray()
         for col, fn in enumerate((scaling0, scaling1, detail)):
             norm = math.sqrt(fn @ M @ fn)
-            assert np.allclose(basis.T[:, col], fn / norm, atol=1e-13)
+            assert np.allclose(basis.T.toarray()[:, col], fn / norm, atol=1e-13)
 
     def test_transform_invertible_and_unit_mass_diagonal(self):
         for J in range(1, 6):
             mesh = Mesh1D.uniform(2**J)
-            basis = pc.build_time_wavelets(mesh)
-            assert basis.T.shape == (2**J + 1, 2**J + 1)
-            assert np.linalg.cond(basis.T) < 1e8
+            T = pc.build_time_wavelets(mesh).T.toarray()
+            assert T.shape == (2**J + 1, 2**J + 1)
+            assert np.linalg.cond(T) < 1e8
             M = assemble_1d("mass", (mesh, CONT_P1)).toarray()
-            Mhat = basis.T.T @ M @ basis.T
+            Mhat = T.T @ M @ T
             assert np.allclose(np.diag(Mhat), 1.0, atol=1e-12)
 
     def test_stability_proxy_across_levels(self):
@@ -90,11 +91,11 @@ class TestTimeWavelets:
         conds_M, conds_MA = [], []
         for J in range(1, 7):
             mesh = Mesh1D.uniform(2**J)
-            basis = pc.build_time_wavelets(mesh)
+            T = pc.build_time_wavelets(mesh).T.toarray()
             M = assemble_1d("mass", (mesh, CONT_P1)).toarray()
             A = assemble_1d("stiffness", (mesh, CONT_P1)).toarray()
-            Mhat = basis.T.T @ M @ basis.T
-            MAhat = basis.T.T @ (M + A) @ basis.T
+            Mhat = T.T @ M @ T
+            MAhat = T.T @ (M + A) @ T
             d = np.sqrt(np.diag(MAhat))
             conds_M.append(np.linalg.cond(Mhat))
             conds_MA.append(np.linalg.cond(MAhat / d[:, None] / d[None, :]))
@@ -110,10 +111,24 @@ class TestTimeWavelets:
         conds = []
         for J in (2, 5):
             mesh = Mesh1D.uniform(2**J)
-            basis = pc.build_time_wavelets(mesh, variant="hierarchical")
+            T = pc.build_time_wavelets(mesh, variant="hierarchical").T.toarray()
             M = assemble_1d("mass", (mesh, CONT_P1)).toarray()
-            conds.append(np.linalg.cond(basis.T.T @ M @ basis.T))
+            conds.append(np.linalg.cond(T.T @ M @ T))
         assert conds[1] > 4.0 * conds[0]
+
+    def test_transform_built_sparse(self):
+        # level 11: a dense transform alone would take 33.6 MB; the CSR one
+        # holds the two full-support scaling functions and O(n) entries per
+        # detail level
+        tracemalloc.start()
+        try:
+            basis = pc.build_time_wavelets(Mesh1D.uniform(2**11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.T.format == "csr"
+        assert basis.T.nnz < 40 * 2**11
+        assert peak < 16 * 2**20
 
     def test_non_dyadic_rejected(self):
         with pytest.raises(InvalidSpaceError):
