@@ -109,7 +109,9 @@ def parse_config(path: str) -> dict:
             except ValueError:
                 problems.append(f"key {key!r} expects comma-separated floats")
                 continue
-            if len(pts) < n_min or any(b <= a for a, b in zip(pts, pts[1:])):
+            if not all(map(math.isfinite, pts)):
+                problems.append(f"key {key!r} must be finite, got {values[key]!r}")
+            elif len(pts) < n_min or any(b <= a for a, b in zip(pts, pts[1:])):
                 problems.append(f"key {key!r} must be strictly increasing with >= {n_min} entries")
             elif abs(pts[0] - lo) > 1e-12 or abs(pts[-1] - hi) > 1e-12:
                 problems.append(f"key {key!r} must span [{lo}, {hi}]")

@@ -1,4 +1,4 @@
-"""Quasi-linear spatial operator, its constant calculus, and fixed-point solvers.
+"""Quasi-linear spatial operator, its constant calculus, and its solvers.
 
 The operator acts on space-time functions w through
 
@@ -11,6 +11,12 @@ where the scalar nonlinearity mu satisfies, for all r >= s >= 0,
 which makes A Lipschitz continuous with constant 3 M_mu and strongly
 monotone with constant m_mu, and the same constants carry over to its
 Galerkin restrictions.
+
+`damped_newton` is the one damped-Newton loop of the package, with Armijo
+backtracking: `newton_solve` runs it on a Galerkin operator (the auxiliary
+variable of the a posteriori condition, the Schur operator's inner
+solve), and `system.solve_reference` on the whole saddle system.
+`zarantonello_solve` is the paper's damped fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "constants_from_mu",
     "empirical_mu_bounds",
     "zarantonello_solve",
+    "damped_newton",
     "newton_solve",
 ]
 
@@ -418,45 +425,87 @@ def zarantonello_solve(
     return IterationResult(x, max_iter, False)
 
 
+def damped_newton(evaluate, direction, x0, tol: float, max_steps: int, name: str):
+    """Damped Newton with Armijo backtracking on a squared residual norm.
+
+    `evaluate(x)` returns (eta, phi, data): the residual norm that stops the
+    loop, the merit phi (its square, or a sum of squares) and whatever the
+    direction needs, such as the residual itself.  `direction(x, data)`
+    returns the line a -> x + a d through x along the Newton direction d,
+    so the iterate may be any type that the line builds.  The loop stops
+    as soon as eta <= tol and returns (x, steps taken).  From a = 1 each
+    step halves a, at most 40 times, until the Armijo test
+
+        phi(x + a d) <= (1 - 2 c a) phi(x),   c = 1e-4,
+
+    or eta <= tol holds there (Armijo, Pacific J. Math. 16, 1966; for
+    monotone operators Heid and Wihler, Math. Comp. 89, 2020).  With an
+    exact Newton direction phi'(x) d = -2 phi, so the test holds for small
+    enough a, and near the solution, where phi(x + d) = O(phi^2), for a = 1.
+
+    Raises NotConvergedError on a direction that raises it, on a line search
+    still short of the test after the last halving, and after max_steps
+    steps, with the message "{name} {reason} at eta ... > tol ...", the
+    last accepted iterate, which has the lowest merit seen, as `best` and
+    the steps taken as `iterations`.
+    """
+    x = x0
+    eta, phi, data = evaluate(x)
+
+    def fail(reason, steps):
+        return NotConvergedError(
+            f"{name} {reason} at eta {eta:.3e} > tol {tol:.3e}", best=x, iterations=steps
+        )
+
+    for step in range(max_steps):
+        if eta <= tol:
+            return x, step
+        try:
+            line = direction(x, data)
+        except NotConvergedError as err:
+            raise fail(f"direction failed ({err})", step) from err
+        alpha = 1.0
+        for _ in range(40):
+            trial = line(alpha)
+            eta_t, phi_t, data_t = evaluate(trial)
+            if phi_t <= (1.0 - 2e-4 * alpha) * phi or eta_t <= tol:
+                break
+            alpha *= 0.5
+        else:
+            raise fail("line search stalled", step)
+        x, eta, phi, data = trial, eta_t, phi_t, data_t
+    if eta <= tol:
+        return x, max_steps
+    raise fail(f"hit its cap of {max_steps} steps", max_steps)
+
+
 def newton_solve(
-    apply_G,
-    jacobian_factor,
+    op: GalerkinOperator,
     f: np.ndarray,
     x0: np.ndarray,
     residual_norm,
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> IterationResult:
-    """Damped Newton with step halving until the residual norm decreases.
+    """op(x) = f by `damped_newton`, eta the residual norm and phi its square.
 
     Reference-solution oracle: independent of the fixed-point solver path.
-    `jacobian_factor(x)` must return a factor of the symmetric positive
-    definite Jacobian at x with a `solve` method, as
-    `GalerkinOperator.jacobian_factor` does.
-    `residual_norm` measures the residual for the stopping test and the
-    line search, a dual norm such as `RieszContext.dual_norm_Y`.
+    Each step factors the Jacobian of op at x once
+    (`GalerkinOperator.jacobian_factor`) and solves it for the exact
+    direction.  `residual_norm` measures the residual for the stopping test
+    and the line search, a dual norm such as `RieszContext.dual_norm_Y`.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    r = apply_G(x) - f
-    rn = residual_norm(r)
-    for it in range(1, max_iter + 1):
-        if rn <= tol:
-            return IterationResult(x, it - 1, True)
-        d = jacobian_factor(x).solve(-r)
-        alpha = 1.0
-        for _ in range(40):
-            x_new = x + alpha * d
-            r_new = apply_G(x_new) - f
-            rn_new = residual_norm(r_new)
-            if rn_new < rn or rn_new <= tol:
-                break
-            alpha *= 0.5
-        else:
-            raise NotConvergedError("newton line search stalled", best=x)
-        x, r, rn = x_new, r_new, rn_new
-    if rn <= tol:
-        return IterationResult(x, max_iter, True)
-    raise NotConvergedError(
-        f"newton did not reach tol={tol:.1e} (residual {rn:.3e})", best=x,
-        iterations=max_iter,
+
+    def evaluate(x):
+        r = op.apply(x) - f
+        rn = residual_norm(r)
+        return rn, rn * rn, r
+
+    def direction(x, r):
+        d = op.jacobian_factor(x).solve(-r)
+        return lambda a: x + a * d
+
+    x, steps = damped_newton(
+        evaluate, direction, np.array(x0, dtype=float), tol, max_iter, "newton"
     )
+    return IterationResult(x, steps, True)

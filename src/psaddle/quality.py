@@ -428,11 +428,9 @@ def check_pjotr(
 
     target = fine.rhs[0] - two.ctx_fine.apply_D(two.prolong_X(state.u))
     start = two.prolong_Y(state.lam)
-    res = mo.newton_solve(
-        fine.op_Y.apply, fine.op_Y.jacobian_factor, target, start,
-        residual_norm=two.ctx_fine.dual_norm_Y, tol=1e-10,
-    )
-    lam_hat = res.x
+    lam_hat = mo.newton_solve(
+        fine.op_Y, target, start, residual_norm=two.ctx_fine.dual_norm_Y, tol=1e-10
+    ).x
 
     lhs = two.ctx_fine.norm_Y(lam_hat - two.prolong_Y(state.lam))
     lam_u, trace_H = estimator_terms(state, disc)

@@ -33,7 +33,9 @@ pair:
   The balanced Gram R_X(c) = c M_t^X (x) A_x + T (x) S / c + e_T e_T^T (x) M_x,
   which preconditions the reference solver's Schur Jacobian, has the same
   transforms with lambda_k -> c lambda_k (`riesz_X_solver`).
-  The transforms and both spectra are public as `modes`: the Uzawa sweep
+  The transforms and both spectra are public as `modes`, and `to_modes`
+  and `from_modes` carry a functional into them and a trial function out
+  of them, the products every solve makes.  The Uzawa sweep
   keeps its trial iterate in them (`uzawa.TrialModes`), where R_X^{-1} is
   the scaling and the rank-one correction alone (`riesz_X_in_modes`), and
   for a constant mu its test iterate in joint modes built on W, theta and
@@ -225,6 +227,16 @@ class RieszContext:
         scale, corr = _mode_scaling(lam, theta, w)
         return RieszModes(W, theta, V, lam, scale, w, corr)
 
+    def to_modes(self, h) -> np.ndarray:
+        """W^T H V: a functional h on the trial space, as a (dim_t_X, dim_x)
+        array H, in the modes of R_X."""
+        return self.modes.W.T @ self._as_X(h) @ self.modes.V
+
+    def from_modes(self, Z: np.ndarray) -> np.ndarray:
+        """W Z V^T, flat: the coefficients of the trial function with modal
+        coefficients Z."""
+        return (self.modes.W @ Z @ self.modes.V.T).reshape(-1)
+
     def riesz_X_in_modes(self, H: np.ndarray) -> np.ndarray:
         """R_X^{-1} within the modes: the modal coefficients Z of the
         representer of the functional with modal form H = W^T H V, by
@@ -234,7 +246,7 @@ class RieszContext:
     def riesz_X_solve(self, h) -> np.ndarray:
         """R_X^{-1} h by fast diagonalization: into the modes, solve there
         (`riesz_X_in_modes`), back again."""
-        return _solve_through_modes(self.modes, self._as_X(h))
+        return self.from_modes(self.riesz_X_in_modes(self.to_modes(h)))
 
     def riesz_X_solver(self, c: float):
         """h -> R_X(c)^{-1} h for the balanced trial Gram
@@ -252,7 +264,7 @@ class RieszContext:
         m = self.modes
         scale, corr = _mode_scaling(c * m.lam, m.theta, m.w)
         balanced = m._replace(scale=scale, corr=corr)
-        return lambda h: _solve_through_modes(balanced, self._as_X(h))
+        return lambda h: self.from_modes(_solve_in_modes(balanced, self.to_modes(h)))
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -285,11 +297,6 @@ def _solve_in_modes(m: RieszModes, H: np.ndarray) -> np.ndarray:
     Z = m.scale * H
     Z -= m.corr * (m.w @ Z)
     return Z
-
-
-def _solve_through_modes(m: RieszModes, H: np.ndarray) -> np.ndarray:
-    """W Z V^T with Z = `_solve_in_modes` of W^T H V, flattened."""
-    return (m.W @ _solve_in_modes(m, m.W.T @ H @ m.V) @ m.V.T).reshape(-1)
 
 
 def estimate_C_J(ctx: RieszContext) -> float:

@@ -25,7 +25,7 @@ BOUNDARIES = ("none", "zero-dirichlet")
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Strictly increasing breakpoints covering an interval."""
+    """Finite, strictly increasing breakpoints covering an interval."""
 
     breakpoints: tuple[float, ...]
 
@@ -33,6 +33,8 @@ class Mesh1D:
         b = np.asarray(self.breakpoints, dtype=float)
         if b.size < 2:
             raise InvalidSpaceError("mesh needs at least 2 breakpoints")
+        if not np.all(np.isfinite(b)):
+            raise InvalidSpaceError("breakpoints must be finite")
         if np.any(np.diff(b) <= 0):
             raise InvalidSpaceError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", tuple(float(x) for x in b))

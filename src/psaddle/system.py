@@ -14,12 +14,12 @@ bundles one problem on one pair with everything a solve needs.  D and the
 trace term come from `RieszContext`; the right-hand side is contracted per
 element, axis by axis, with the local basis on `RHS_QUAD_POINTS` = 16 Gauss
 points per element and axis.  The reference solver is damped Newton on the
-saddle system, backtracking on the squared product dual residual; each
-step factors the test-side Jacobian once, eliminates lambda with it and
-solves for u by `core_linalg.pcg` on the Schur Jacobian, preconditioned by
-the balanced trial Riesz map R_X(c_bar), c_bar = sqrt(m_mu M_mu), so no
-saddle matrix is ever formed or factored and the PCG condition number is
-at most M_mu / m_mu.
+saddle system, by the one backtracking loop `monotone.damped_newton` on the
+squared product dual residual; each step factors the test-side Jacobian
+once, eliminates lambda with it and solves for u by `core_linalg.pcg` on
+the Schur Jacobian, preconditioned by the balanced trial Riesz map
+R_X(c_bar), c_bar = sqrt(m_mu M_mu), so no saddle matrix is ever formed
+or factored and the PCG condition number is at most M_mu / m_mu.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from psaddle import monotone as mo
 from psaddle.core_linalg import cg_iteration_cap, pcg
-from psaddle.errors import NotConvergedError, PsaddleError
+from psaddle.errors import PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
     Mesh1D,
@@ -55,7 +55,6 @@ __all__ = [
     "ManufacturedProblem",
     "derive_constants",
     "assemble_rhs",
-    "apply_N",
     "residual",
     "aposteriori_estimate",
     "SchurOperator",
@@ -307,18 +306,6 @@ def assemble_rhs(data: ProblemData, pair: TensorSpacePair) -> tuple[np.ndarray, 
     return f, g
 
 
-def apply_N(
-    state: SaddleState,
-    ctx: RieszContext,
-    op_Y: mo.GalerkinOperator,
-    op_X: mo.GalerkinOperator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block action (A_Y lam + D u, D^T lam - A_X u - trace term)."""
-    r1 = op_Y.apply(state.lam) + ctx.apply_D(state.u)
-    r2 = ctx.apply_Dt(state.lam) - op_X.apply(state.u) - ctx.apply_trace_term(state.u)
-    return r1, r2
-
-
 def residual(
     state: SaddleState,
     rhs: tuple[np.ndarray, np.ndarray],
@@ -326,8 +313,11 @@ def residual(
     op_Y: mo.GalerkinOperator,
     op_X: mo.GalerkinOperator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    n1, n2 = apply_N(state, ctx, op_Y, op_X)
-    return rhs[0] - n1, rhs[1] - n2
+    """rhs minus the block action (A_Y lam + D u, D^T lam - A_X u - trace term)."""
+    lam, u = state.lam, state.u
+    r_Y = rhs[0] - (op_Y.apply(lam) + ctx.apply_D(u))
+    r_X = rhs[1] - (ctx.apply_Dt(lam) - op_X.apply(u) - ctx.apply_trace_term(u))
+    return r_Y, r_X
 
 
 def aposteriori_estimate(
@@ -374,12 +364,10 @@ class SchurOperator:
     def inner_solve(self, z: np.ndarray) -> np.ndarray:
         """lambda(z) = A_Y^{-1}(f - D z), warm-started."""
         target = self.f - self.ctx.apply_D(z)
-        res = mo.newton_solve(
-            self.op_Y.apply, self.op_Y.jacobian_factor, target, self._lam,
-            residual_norm=self.ctx.dual_norm_Y, tol=self.inner_tol,
-        )
-        self._lam = res.x
-        return res.x
+        self._lam = mo.newton_solve(
+            self.op_Y, target, self._lam, residual_norm=self.ctx.dual_norm_Y, tol=self.inner_tol
+        ).x
+        return self._lam
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         lam = self.inner_solve(z)
@@ -497,13 +485,13 @@ def solve_reference(
 
     with the Schur Jacobian J_S = A_X'(u) + trace + D^T A_Y'^{-1} D, solved
     by PCG preconditioned with R_X(c_bar), c_bar = `balanced_weight(mu)`, so
-    the PCG cap is `pcg_iteration_cap`.  The step length halves until the merit
+    the PCG cap is `pcg_iteration_cap`.  The loop is `monotone.damped_newton`
+    with the estimate eta of `aposteriori_estimate` and the merit
 
-        phi = ||r_Y||^2_{(Y^d)'} + ||r_X||^2_{(X^d)'}
+        phi = ||r_Y||^2_{(Y^d)'} + ||r_X||^2_{(X^d)'},
 
-    (the squares of the two terms of `aposteriori_estimate`) passes the
-    Armijo test phi(w + a d) <= (1 - 2 c a) phi with c = 1e-4, or the
-    estimate eta has reached tol.  The loop stops on eta <= tol.
+    the squares of its two terms, in the Armijo test
+    phi(w + a d) <= (1 - 2 c a) phi, c = 1e-4.
 
     The step is a descent direction of phi under the inexact PCG solve.
     Write r = (r_Y, r_X) and R = diag(R_Y, R_X), so phi = r^T R^{-1} r and
@@ -527,15 +515,13 @@ def solve_reference(
 
     for PCG_RTOL = 1e-10 whenever max(1, 1/m_mu) k < 7e9; c_bar lies in
     [m_mu, M_mu], so bounds within [1e-4, 1e4] suffice.  With the exact
-    direction phi'(w) d = -2 phi, so the Armijo test holds for small enough
-    a, and near the solution, where phi(w + d) = O(phi^2), for a = 1.
+    direction phi'(w) d = -2 phi.
 
-    The returned state has a posteriori estimate eta (the product dual
-    residual, `aposteriori_estimate`) at most tol.  Otherwise the solve
-    raises NotConvergedError at the first failure: a PCG direction that
-    fails, a line search still short of the Armijo test after 40 halvings,
-    or NEWTON_MAX_STEPS steps.  Its `best` is the last accepted state,
-    which has the lowest merit seen, and its message gives eta and tol.
+    The returned state has a posteriori estimate eta at most tol.
+    Otherwise the solve raises the NotConvergedError of `damped_newton` at
+    the first failure: a PCG direction that fails ("direction failed"), a
+    stalled line search, or NEWTON_MAX_STEPS steps.  Its `best` is the
+    last accepted state.
     """
     u = np.zeros(pair.dim_X) if x0 is None else np.array(x0, dtype=float)
     lam = embed_X_into_Y(pair, u) if pair.x_in_y else np.zeros(pair.dim_Y)
@@ -543,43 +529,22 @@ def solve_reference(
     c_bar = balanced_weight(op_Y.mu)
 
     def evaluate(state):
-        """(eta, phi, r_Y, r_X) at state."""
-        r_Y, r_X = residual(state, rhs, ctx, op_Y, op_X)
-        n_Y, n_X = ctx.dual_norm_Y(r_Y), ctx.dual_norm_X(r_X)
-        return n_Y + n_X, n_Y * n_Y + n_X * n_X, r_Y, r_X
+        """(eta, phi, (r_Y, r_X)) at state."""
+        r = residual(state, rhs, ctx, op_Y, op_X)
+        n_Y, n_X = ctx.dual_norm_Y(r[0]), ctx.dual_norm_X(r[1])
+        return n_Y + n_X, n_Y * n_Y + n_X * n_X, r
 
-    def fail(reason):
-        return NotConvergedError(
-            f"saddle newton {reason} at eta {eta:.3e} > tol {tol:.3e}", best=state
-        )
-
-    state = SaddleState(lam, u)
-    eta, phi, r_Y, r_X = evaluate(state)
-    for _ in range(NEWTON_MAX_STEPS):
-        if eta <= tol:
-            return state
+    def direction(state, r):
+        r_Y, r_X = r
         fact_Y = op_Y.jacobian_factor(state.lam)
         b = ctx.apply_Dt(fact_Y.solve(r_Y)) - r_X
-        try:
-            du, _ = schur_newton_direction(
-                ctx, fact_Y, op_X.jacobian(state.u), b, pcg_cap, c_bar
-            )
-        except NotConvergedError as err:
-            raise fail(f"direction failed ({err})") from err
+        du, _ = schur_newton_direction(ctx, fact_Y, op_X.jacobian(state.u), b, pcg_cap, c_bar)
         dlam = fact_Y.solve(r_Y - ctx.apply_D(du))
-        alpha = 1.0
-        for _ in range(40):
-            trial = SaddleState(state.lam + alpha * dlam, state.u + alpha * du)
-            eta_t, phi_t, r_Y_t, r_X_t = evaluate(trial)
-            if phi_t <= (1.0 - 2e-4 * alpha) * phi or eta_t <= tol:
-                break
-            alpha *= 0.5
-        else:
-            raise fail("line search stalled")
-        state, eta, phi, r_Y, r_X = trial, eta_t, phi_t, r_Y_t, r_X_t
-    if eta <= tol:
-        return state
-    raise fail(f"hit its cap of {NEWTON_MAX_STEPS} steps")
+        return lambda a: SaddleState(state.lam + a * dlam, state.u + a * du)
+
+    return mo.damped_newton(
+        evaluate, direction, SaddleState(lam, u), tol, NEWTON_MAX_STEPS, "saddle newton"
+    )[0]
 
 
 class Discretization:

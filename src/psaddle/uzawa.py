@@ -431,10 +431,10 @@ class TrialModes:
     Notation: (W, V, lam, scale, w, corr) from `RieszContext.modes`, with
     W^T M_t^X W = I, W^T T W = Theta, V^T M_x V = I and V^T A_x V = Lambda.
     A trial function u, as a (dim_t_X, dim_x) array U, is held by its modal
-    coefficients Z with U = W Z V^T (`coefficients`), and a functional on
-    the trial space, as a (dim_t_X, dim_x) array H, by H^ = W^T H V
-    (`to_modes`).  The pairing carries over: h . u = tr(H^T W Z V^T) =
-    sum H^ o Z.
+    coefficients Z with U = W Z V^T (`RieszContext.from_modes`), and a
+    functional on the trial space, as a (dim_t_X, dim_x) array H, by
+    H^ = W^T H V (`RieszContext.to_modes`).  The pairing carries over:
+    h . u = tr(H^T W Z V^T) = sum H^ o Z.
 
     Riesz map.  R_X U = M_t^X U A_x + T U S + e_T e_T^T U M_x with
     S = M_x A_x^{-1} M_x, and V^T S V = Lambda^{-1} since A_x^{-1} =
@@ -469,7 +469,6 @@ class TrialModes:
     def __init__(self, op_X: mo.GalerkinOperator, ctx: RieszContext):
         m = ctx.modes
         W, V, self.w = m.W, m.V, m.w
-        self.W, self.V = W, V
         c = op_X.mu.constant
         # at the full shape of Z: a broadcast row is the slower product
         self.c_lam = None if c is None else c * np.broadcast_to(m.lam, (W.shape[1], V.shape[1]))
@@ -478,14 +477,6 @@ class TrialModes:
         self.E_t_w = op_X.w_t[:, None] * self.E_t
         self.Dbar_x_w = op_X.h_x[:, None] * self.Dbar_x
         self.op_X = op_X
-
-    def to_modes(self, H: np.ndarray) -> np.ndarray:
-        """W^T H V: a trial-space functional H, (dim_t_X, dim_x), in the modes."""
-        return self.W.T @ H @ self.V
-
-    def coefficients(self, Z: np.ndarray) -> np.ndarray:
-        """The coefficients W Z V^T of u, flat, from its modal coefficients Z."""
-        return (self.W @ Z @ self.V.T).reshape(-1)
 
     def trace_term(self, Z: np.ndarray) -> np.ndarray:
         """w (w^T Z): the trace term (gamma_T)' M_x gamma_T u in the modes."""
@@ -620,7 +611,7 @@ def run_inexact_uzawa(
             return X + s_L * d, q_L * math.sqrt(coords.norm2(d))
     modes = TrialModes(op_X, ctx)
     C_f = coords.representer(np.reshape(f, (pair.dim_t_Y, pair.dim_x)))
-    g_hat = modes.to_modes(np.reshape(g, (pair.dim_t_X, pair.dim_x)))
+    g_hat = ctx.to_modes(g)
     y = np.zeros(coords.shape)
     Z = np.zeros((pair.dim_t_X, pair.dim_x))
     trace = UzawaTrace()
@@ -640,7 +631,7 @@ def run_inexact_uzawa(
         trace.res_X.append(res_X)
         trace.inner_count.append(cfg.L)
         if reference is not None:
-            trace.err_u.append(ctx.norm_X_delta(reference.u - modes.coefficients(Z)))
+            trace.err_u.append(ctx.norm_X_delta(reference.u - ctx.from_modes(Z)))
             trace.err_lambda.append(ctx.norm_Y(reference.lam - coords.lam(y)))
         else:
             trace.err_u.append(float("nan"))
@@ -653,4 +644,4 @@ def run_inexact_uzawa(
             # R is the u-update bracket in the modes, so the step reuses dZ
             Z = Z - theta_S * dZ
 
-    return SaddleState(coords.lam(y), modes.coefficients(Z)), trace
+    return SaddleState(coords.lam(y), ctx.from_modes(Z)), trace

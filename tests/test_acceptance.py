@@ -88,7 +88,7 @@ def test_criterion_03_zarantonello_contraction(problem_name, request):
     rng = np.random.default_rng(303)
     f = s.rhs[0]
     ref = mo.newton_solve(
-        s.op_Y.apply, s.op_Y.jacobian_factor, f, np.zeros(s.pair.dim_Y),
+        s.op_Y, f, np.zeros(s.pair.dim_Y),
         residual_norm=s.ctx.dual_norm_Y, tol=1e-13,
     )
     sigma = s.bundle.A_constants.sigma

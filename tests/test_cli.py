@@ -328,6 +328,11 @@ class TestMainEntry:
         ("solve", "problem.mu_b = -1.0\nproblem.mu = bounded-ramp"),
         ("solve", "disc.nx = 1"),
         ("infsup", "disc.x_breakpoints = 0,1"),
+        # nan breakpoints, inside or at an end of the list
+        ("solve", "disc.t_breakpoints = 0, nan, 1"),
+        ("constants", "disc.t_breakpoints = 0, nan, 1"),
+        ("solve", "disc.x_breakpoints = 0, 0.5, nan"),
+        ("constants", "disc.x_breakpoints = 0, nan, 1"),
         # non-finite floats; nan stays the default of solver.sigma_hat
         ("solve", "solver.tol = nan"),
         ("solve", "problem.T = nan"),

@@ -204,7 +204,7 @@ class TestCrossLevelBlocks:
         class Captured(Exception):
             pass
 
-        def capture(apply, jacobian_factor, target, *args, **kwargs):
+        def capture(op, target, *args, **kwargs):
             raise Captured(target)
 
         monkeypatch.setattr(mo, "newton_solve", capture)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,10 @@ class TestMesh:
             Mesh1D((0.0,))
         with pytest.raises(InvalidSpaceError):
             Mesh1D((0.0, 0.0, 1.0))
+        # nan compares False, so it passes a strictly-increasing test on its own
+        for bad in ((0.0, math.nan, 1.0), (0.0, 0.5, math.nan), (0.0, 1.0, math.inf)):
+            with pytest.raises(InvalidSpaceError, match="finite"):
+                Mesh1D(bad)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 16))

@@ -271,11 +271,16 @@ class TestElementMoments:
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
+def _apply_N(state, s):
+    """The block action N, read as minus the residual of a zero right-hand side."""
+    r_Y, r_X = sy.residual(state, (0.0, 0.0), s.ctx, s.op_Y, s.op_X)
+    return -r_Y, -r_X
+
+
 class TestApplyN:
     def test_zero_state(self, quasi8):
-        r1, r2 = sy.apply_N(
-            sy.SaddleState(np.zeros(quasi8.pair.dim_Y), np.zeros(quasi8.pair.dim_X)),
-            quasi8.ctx, quasi8.op_Y, quasi8.op_X,
+        r1, r2 = _apply_N(
+            sy.SaddleState(np.zeros(quasi8.pair.dim_Y), np.zeros(quasi8.pair.dim_X)), quasi8
         )
         assert np.all(r1 == 0.0) and np.all(r2 == 0.0)
 
@@ -289,7 +294,7 @@ class TestApplyN:
         Gam[tail:, tail:] = pair.M_x.toarray()
         lam = rng.standard_normal(pair.dim_Y)
         u = rng.standard_normal(pair.dim_X)
-        r1, r2 = sy.apply_N(sy.SaddleState(lam, u), heat8.ctx, heat8.op_Y, heat8.op_X)
+        r1, r2 = _apply_N(sy.SaddleState(lam, u), heat8)
         assert np.allclose(r1, AY @ lam + D @ u, atol=1e-12)
         assert np.allclose(r2, D.T @ lam - AX @ u - Gam @ u, atol=1e-12)
 
@@ -305,8 +310,8 @@ class TestApplyN:
             s2 = sy.SaddleState(
                 rng.standard_normal(s.pair.dim_Y), rng.standard_normal(s.pair.dim_X)
             )
-            a1 = sy.apply_N(s1, s.ctx, s.op_Y, s.op_X)
-            a2 = sy.apply_N(s2, s.ctx, s.op_Y, s.op_X)
+            a1 = _apply_N(s1, s)
+            a2 = _apply_N(s2, s)
             dual = s.ctx.dual_norm_Y(a1[0] - a2[0]) + s.ctx.dual_norm_X(a1[1] - a2[1])
             prim = s.ctx.norm_Y(s1.lam - s2.lam) + s.ctx.norm_X_delta(s1.u - s2.u)
             assert dual <= L_N * prim * (1 + 1e-10)
@@ -658,6 +663,73 @@ class TestNewtonPCG:
             sy.solve_reference(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, tol=0.0)
         eta, _, _ = sy.aposteriori_estimate(err.value.best, s.rhs, s.op_Y, s.op_X, s.ctx)
         assert eta <= 1e-15
+
+
+class TestSharedNewtonLoop:
+    """`solve_reference` and `newton_solve` fail through the one loop,
+    `monotone.damped_newton`, alike: on a line search that stalls because
+    the direction is reversed after one accepted step, and on the step cap,
+    each raises with the last accepted iterate and the steps taken."""
+
+    @staticmethod
+    def _solver(name, s, monkeypatch):
+        """(run(max_steps), merit(x), start) for a solver on s at tol 0."""
+        if name == "solve_reference":
+            def run(max_steps):
+                monkeypatch.setattr(sy, "NEWTON_MAX_STEPS", max_steps)
+                return sy.solve_reference(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, tol=0.0)
+
+            def merit(state):
+                r_Y, r_X = sy.residual(state, s.rhs, s.ctx, s.op_Y, s.op_X)
+                return s.ctx.dual_norm_Y(r_Y) ** 2 + s.ctx.dual_norm_X(r_X) ** 2
+
+            # lambda starts as u embedded, and u at zero
+            return run, merit, sy.SaddleState(np.zeros(s.pair.dim_Y), np.zeros(s.pair.dim_X))
+        f = s.rhs[0]
+
+        def run(max_steps):
+            return mo.newton_solve(
+                s.op_Y, f, np.zeros(s.pair.dim_Y), s.ctx.dual_norm_Y, tol=0.0, max_iter=max_steps
+            )
+
+        return run, lambda x: s.ctx.dual_norm_Y(s.op_Y.apply(x) - f) ** 2, np.zeros(s.pair.dim_Y)
+
+    @pytest.mark.parametrize("failure", ["stall", "cap"])
+    @pytest.mark.parametrize("solver", ["solve_reference", "newton_solve"])
+    def test_failure_reports_last_accepted_iterate(self, solver, failure, quasi8, monkeypatch):
+        run, merit, start = self._solver(solver, quasi8, monkeypatch)
+        evaluated, at_direction = [], []
+        loop = mo.damped_newton
+
+        def recording(evaluate, direction, *args):
+            def evaluate_(x):
+                evaluated.append(x)
+                return evaluate(x)
+
+            def direction_(x, data):
+                at_direction.append(x)
+                line = direction(x, data)
+                if failure == "stall" and len(at_direction) > 1:
+                    return lambda a: line(-a)
+                return line
+
+            return loop(evaluate_, direction_, *args)
+
+        monkeypatch.setattr(mo, "damped_newton", recording)
+        message = r"at eta \d\.\d{3}e[+-]\d+ > tol 0\.000e\+00"
+        with pytest.raises(NotConvergedError, match=message) as err:
+            run(2)
+        best, steps = err.value.best, err.value.iterations
+        if failure == "stall":
+            assert "line search stalled" in str(err.value)
+            # the reversed direction was taken at the last accepted iterate
+            assert steps == 1 and best is at_direction[-1]
+        else:
+            assert "hit its cap of 2 steps" in str(err.value)
+            # the loop leaves each line search on its accepted trial
+            assert steps == 2 and best is evaluated[-1]
+            assert merit(best) < merit(at_direction[-1])
+        assert merit(best) <= merit(start)
 
 
 class TestDiscretization:

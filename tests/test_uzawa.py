@@ -511,20 +511,20 @@ class TestJointModes:
 
     def test_representers(self, heat_pair, rng):
         s = heat_pair
-        jm, modes = self._setup(s)
+        jm, _ = self._setup(s)
         h = rng.standard_normal(s.pair.dim_Y)
         expect = self._to_joint(jm, s, s.ctx.riesz_Y_solve(h))
         assert _close(jm.representer(h.reshape(s.pair.dim_t_Y, -1)), expect, 1e-12)
         Z = rng.standard_normal((s.pair.dim_t_X, s.pair.dim_x))
-        u = modes.coefficients(Z)
+        u = s.ctx.from_modes(Z)
         expect = self._to_joint(jm, s, s.ctx.riesz_Y_solve(s.ctx.apply_D(u)))
         assert _close(jm.representer_of_D(Z), expect, 1e-12)
 
     def test_adjoint(self, heat_pair, rng):
         s = heat_pair
-        jm, modes = self._setup(s)
+        jm, _ = self._setup(s)
         lam = rng.standard_normal(s.pair.dim_Y)
-        expect = modes.to_modes(s.ctx.apply_Dt(lam).reshape(s.pair.dim_t_X, -1))
+        expect = s.ctx.to_modes(s.ctx.apply_Dt(lam))
         assert _close(jm.apply_Dt(self._to_joint(jm, s, lam)), expect, 1e-12)
 
 
@@ -538,31 +538,28 @@ class TestTrialModes:
         maps = uz.GradientMaps(s.op_Y, s.ctx)
         modes = uz.TrialModes(s.op_X, s.ctx)
         Z = rng.standard_normal((s.pair.dim_t_X, s.pair.dim_x))
-        return maps, modes, Z, modes.coefficients(Z)
-
-    def _to_modes(self, modes, s, h):
-        return modes.to_modes(h.reshape(s.pair.dim_t_X, s.pair.dim_x))
+        return maps, modes, Z, s.ctx.from_modes(Z)
 
     def test_riesz_solve_and_dual_norm(self, quasi_pair, rng):
         s = quasi_pair
         _, modes, _, _ = self._setup(s, rng)
         h = rng.standard_normal(s.pair.dim_X)
-        H = self._to_modes(modes, s, h)
+        H = s.ctx.to_modes(h)
         Z = s.ctx.riesz_X_in_modes(H)
-        assert _close(modes.coefficients(Z), s.ctx.riesz_X_solve(h), 1e-12)
+        assert _close(s.ctx.from_modes(Z), s.ctx.riesz_X_solve(h), 1e-12)
         expect = s.ctx.dual_norm_X(h) ** 2
         assert abs(float(np.vdot(H, Z)) - expect) <= 1e-12 * expect
 
     def test_trace_term(self, quasi_pair, rng):
         s = quasi_pair
         _, modes, Z, u = self._setup(s, rng)
-        expect = self._to_modes(modes, s, s.ctx.apply_trace_term(u))
+        expect = s.ctx.to_modes(s.ctx.apply_trace_term(u))
         assert _close(modes.trace_term(Z), expect, 1e-12)
 
     def test_operator(self, quasi_pair, rng):
         s = quasi_pair
         _, modes, Z, u = self._setup(s, rng)
-        expect = self._to_modes(modes, s, s.op_X.apply(u))
+        expect = s.ctx.to_modes(s.op_X.apply(u))
         assert _close(modes.apply(Z), expect, 1e-12)
 
     def test_linear_operator(self, heat_pair, rng):
@@ -577,7 +574,7 @@ class TestTrialModes:
         flux_path = uz.TrialModes(mo.GalerkinOperator(s.pair, "X", loose), s.ctx)
         assert flux_path.c_lam is None
         assert _close(got, flux_path.apply(Z), 1e-12)
-        assert _close(got, self._to_modes(modes, s, s.op_X.apply(u)), 1e-12)
+        assert _close(got, s.ctx.to_modes(s.op_X.apply(u)), 1e-12)
 
     def test_couplings(self, quasi_pair, rng):
         # the couplings of `GradientMaps` between element gradients and the
@@ -585,7 +582,7 @@ class TestTrialModes:
         s = quasi_pair
         maps, modes, Z, u = self._setup(s, rng)
         lam = rng.standard_normal(s.pair.dim_Y)
-        expect = self._to_modes(modes, s, s.ctx.apply_Dt(lam))
+        expect = s.ctx.to_modes(s.ctx.apply_Dt(lam))
         assert _close(maps.apply_Dt(s.op_Y.gradients(lam)), expect, 1e-12)
         expect = s.op_Y.gradients(s.ctx.riesz_Y_solve(s.ctx.apply_D(u)))
         assert _close(maps.representer_of_D(Z), expect, 1e-12)
