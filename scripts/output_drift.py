@@ -7,12 +7,15 @@ in each checkout (its own src/ and configs/, single-threaded BLAS), then
 prints, for every CSV written on both sides: whether the rows and the
 integer and string columns are equal, and the largest relative drift
 |a - b| / max(|a|, |b|) of each float column.  Standard output and exit
-codes of the subcommands are compared too.  The last line names the
-largest float drift over all CSVs with the file and column it sits in.
+codes of the subcommands are compared too, and each subcommand's peak
+resident set size on both sides is printed, read from the child's own
+resource usage.  The last line names the largest float drift over all
+CSVs with the file and column it sits in.
 
 Exits with status 1 if a subcommand's exit code differs, a CSV is
 written on one side only, or row counts, headers, or integer or string
-columns differ; float drift and standard output are reported, not judged.
+columns differ; float drift, standard output and peak RSS are reported,
+not judged.
 """
 
 from __future__ import annotations
@@ -32,19 +35,31 @@ _INT = re.compile(r"[+-]?\d+\Z")
 _SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
+def run_child(argv: list[str], cwd: str, env: dict) -> tuple[int, str, float]:
+    """Run argv to completion; (exit code, stdout, peak RSS in MiB), the
+    peak being ru_maxrss of the child's resource usage from `os.wait4`."""
+    with subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True) as proc:
+        stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    return proc.returncode, stdout, usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def run_outputs(checkout: str, work: str) -> dict:
-    """Run every subcommand on every config; {(config, subcommand): (exit code, stdout)}."""
+    """Run every subcommand on every config; {(config, subcommand): (exit
+    code, stdout, peak RSS in MiB)}."""
     env = {**os.environ, **_SINGLE_THREAD, "PYTHONPATH": os.path.join(checkout, "src")}
     results = {}
     for config in CONFIGS:
         for sub in SUBCOMMANDS:
             out = os.path.join(work, config, sub)
-            proc = subprocess.run(
+            results[config, sub] = run_child(
                 [sys.executable, "-m", "psaddle", sub,
                  "--config", os.path.join(checkout, "configs", f"{config}.cfg"), "--out", out],
-                cwd=checkout, env=env, capture_output=True, text=True,
+                checkout, env,
             )
-            results[config, sub] = (proc.returncode, proc.stdout)
     return results
 
 
@@ -118,11 +133,12 @@ def main(argv=None) -> int:
         for side, checkout in (("parent", args.parent_dir), ("change", args.change_dir)):
             runs[side] = run_outputs(os.path.abspath(checkout), os.path.join(work, side))
         for key in runs["parent"]:
-            code_p, out_p = runs["parent"][key]
-            code_c, out_c = runs["change"][key]
+            code_p, out_p, rss_p = runs["parent"][key]
+            code_c, out_c, rss_c = runs["change"][key]
             ok &= code_p == code_c
             print(f"{key[0]} {key[1]}: exit {code_p} vs {code_c}, "
-                  f"stdout {'identical' if out_p == out_c else 'DIFFERS'}")
+                  f"stdout {'identical' if out_p == out_c else 'DIFFERS'}, "
+                  f"peak RSS {rss_p:.1f} vs {rss_c:.1f} MiB")
         files_p = csv_files(os.path.join(work, "parent"))
         files_c = csv_files(os.path.join(work, "change"))
         for missing in sorted(files_p ^ files_c):

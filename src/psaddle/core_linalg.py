@@ -6,9 +6,13 @@ sorted indices).  Every SPD matrix is factored by one path, a banded
 Cholesky in reverse Cuthill-McKee order (`banded_cholesky`, or its symbolic
 and numeric steps `banded_pattern` and `BandedPattern.factor`), with one
 symmetry check and one NotSpdError for a matrix that is not symmetric
-positive definite.  At desk scale every SPD system here is banded once
-reordered, so direct solves are exact up to round-off and remove
-inner-solver tolerances from every downstream check.  Operators that are
+positive definite.  The symbolic step does its index work in int32, with
+the transpose map from scipy's compiled CSR transpose and row merge, and
+the numeric step checks symmetry in blocks, so neither builds an int64 or
+float temporary the size of the matrix beside the band.  At desk scale
+every SPD system here is banded once reordered, so direct solves are
+exact up to round-off and remove inner-solver tolerances from every
+downstream check.  Operators that are
 only available matrix-free are solved by preconditioned conjugate gradients
 (`pcg`) under a proven iteration cap (`cg_iteration_cap`).  The smallest
 generalized eigenvalue of a pencil comes from one dense reduced pencil,
@@ -95,6 +99,23 @@ class BandedCholesky:
         return x
 
 
+# Entries per block of the symmetry check of `BandedPattern.factor`.
+_SYMMETRY_BLOCK = 1 << 15
+
+
+def _max_asymmetry(data: np.ndarray, transpose: np.ndarray) -> float:
+    """max |a_k - a_T(k)| over the stored entries, with T = `transpose`;
+    an entry whose transpose is not stored (T(k) = nnz) meets an implicit
+    zero.  Taken in blocks, so no temporary spans the entries."""
+    nnz, asym = data.size, 0.0
+    for start in range(0, nnz, _SYMMETRY_BLOCK):
+        block = slice(start, start + _SYMMETRY_BLOCK)
+        other = data.take(transpose[block], mode="clip")
+        other[transpose[block] == nnz] = 0.0
+        asym = max(asym, float(np.abs(data[block] - other).max()))
+    return asym
+
+
 @dataclass(frozen=True)
 class BandedPattern:
     """Symbolic step of `banded_cholesky` for one CSR sparsity pattern.
@@ -131,13 +152,11 @@ class BandedPattern:
         if not same:
             raise DimensionMismatchError("matrix is not on the pattern of this factorization")
         data = matrix.data
-        # an entry whose transpose is not stored meets the appended zero
-        asym = np.abs(data - np.append(data, 0.0)[self.transpose])
-        scale = np.abs(data).max(initial=0.0) or 1.0
-        if asym.max(initial=0.0) > _SYMMETRY_RTOL * scale:
+        asym = _max_asymmetry(data, self.transpose)
+        scale = max(data.max(initial=0.0), -data.min(initial=0.0)) or 1.0  # max |a_k|
+        if asym > _SYMMETRY_RTOL * scale:
             raise NotSpdError(
-                f"matrix is not symmetric: max asymmetry {asym.max():.3e} "
-                f"(scale {scale:.3e})"
+                f"matrix is not symmetric: max asymmetry {asym:.3e} (scale {scale:.3e})"
             )
         size = (self.bandwidth + 1) * self.dim
         band = np.zeros(size + 1)
@@ -152,37 +171,59 @@ class BandedPattern:
         return BandedCholesky(perm=self.perm, _cb=cb)
 
 
+def _transpose_map(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """For every entry of a canonical (n, n) CSR pattern, the position of
+    its transpose among the stored entries, or nnz where that is not
+    stored; int32.
+
+    The transpose, built by scipy's compiled CSR transpose, carries its
+    entries' positions minus nnz (so none is zero, which the merge would
+    drop), and the pattern itself carries nnz + 1.  scipy merges the two
+    row by row into their sum: position + 1 where both are stored, nnz + 1
+    on an entry whose transpose is not stored, and a negative value on a
+    transpose entry outside the pattern.  Each row of the sum is sorted by
+    column, so its positive values are the pattern's entries in CSR order.
+    """
+    nnz = indices.size
+    shape = (n, n)
+    transposed = sp.csr_matrix(
+        (np.arange(-nnz, 0, dtype=np.int32), indices, indptr), shape=shape
+    ).T.tocsr()
+    merged = sp.csr_matrix((np.full(nnz, nnz + 1, dtype=np.int32), indices, indptr), shape=shape)
+    merged = merged + transposed
+    del transposed
+    out = merged.data[merged.data > 0]
+    out -= 1
+    return out
+
+
 def banded_pattern(matrix: sp.csr_matrix) -> BandedPattern:
     """Symbolic step of `banded_cholesky` for the pattern of a canonical
     (sorted, duplicate-free) square CSR matrix; refuses a band array above
-    MAX_DENSE_BYTES."""
+    MAX_DENSE_BYTES before the band or the transpose map is built.  The
+    index work is int32."""
     if matrix.shape[0] != matrix.shape[1]:
         raise NotSpdError(f"matrix is not square: {matrix.shape}")
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
-    nnz = indices.size
-    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    col = indices.astype(np.int64)
-    # In CSR order the keys row * n + col ascend strictly, so the position
-    # of entry (j, i) is found by bisection; a key that is not there, or
-    # lies past the last one, meets the sentinel -1 and maps to nnz.
-    key, tkey = row * n + col, col * n + row
-    transpose = np.searchsorted(key, tkey)
-    transpose[np.append(key, -1)[transpose] != tkey] = nnz
     perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
-    position = np.empty(n, dtype=np.int64)
-    position[perm] = np.arange(n)
-    r, c = position[row], position[col]
-    offset = c - r
+    position = np.empty(n, dtype=np.int32)
+    position[perm] = np.arange(n, dtype=np.int32)
+    # c and r, the entries' column and row in the reordered matrix
+    band_index = position[indices]
+    offset = np.repeat(position, np.diff(indptr))
+    np.subtract(band_index, offset, out=offset)  # c - r
     bandwidth = int(offset.max(initial=0))
     check_dense_size("banded Cholesky band", (bandwidth + 1, n))
     # the size check keeps every band position below 2^27
-    band_index = np.where(
-        offset >= 0, c * (bandwidth + 1) + bandwidth - offset, (bandwidth + 1) * n
-    )
+    band_index *= bandwidth + 1
+    band_index += bandwidth
+    band_index -= offset
+    band_index[offset < 0] = (bandwidth + 1) * n
+    del offset  # before the transpose map's arrays are built
     return BandedPattern(
         indptr=indptr, indices=indices, perm=perm, bandwidth=bandwidth,
-        band_index=band_index.astype(np.int32), transpose=transpose.astype(np.int32),
+        band_index=band_index, transpose=_transpose_map(n, indptr, indices),
     )
 
 

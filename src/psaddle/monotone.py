@@ -207,6 +207,10 @@ def empirical_mu_bounds(mu_fn, r_max: float, n: int = 100_000) -> tuple[float, f
 # Gauss points per element and axis of the Galerkin operators.
 GALERKIN_QUAD_POINTS = 3
 
+# Largest number of Jacobian entries computed at once, rounded to whole
+# spatial pairs; 2^15 entries take 256 KiB.
+_JACOBIAN_BLOCK = 1 << 15
+
 
 class GalerkinOperator:
     """Galerkin action of the quasi-linear operator on Y^delta or X^delta.
@@ -319,9 +323,9 @@ class GalerkinOperator:
 
     @cached_property
     def _jacobian_map(self) -> tuple:
-        """(P_t, St_x, perm, indptr, indices): the fixed linear map
-        omega_bar -> Jacobian data, factored by axis, and the CSR pattern.
-        Here omega_bar carries its quadrature weights W_q.
+        """(P_t, blocks, indptr, indices): the fixed linear map omega_bar ->
+        Jacobian data, factored by axis, and the CSR pattern.  Here
+        omega_bar carries its quadrature weights W_q.
 
         J = sum_e kron(T_e, S_e) with T_e = E_t^T diag(omega_bar[:, e]) E_t
         and S_e = Dbar_x[e]^T Dbar_x[e].  Over the temporal pairs (a, b)
@@ -329,8 +333,9 @@ class GalerkinOperator:
         E_t[q, a_k] E_t[q, b_k], so P_t @ omega_bar lists every T_e; over
         the spatial pairs (i, j), St_x[l, e] = Dbar_x[e, i_l] Dbar_x[e, j_l].
         Then St_x @ (P_t @ omega_bar)^T holds entry ((a_k, i_l), (b_k, j_l))
-        at [l, k], and `perm` gathers it into CSR order on the pattern
-        (indptr, indices) that every Jacobian shares.
+        at [l, k].  `blocks` splits St_x into row blocks of at most
+        _JACOBIAN_BLOCK product entries, each with the CSR positions of its
+        entries, on the pattern (indptr, indices) that every Jacobian shares.
         """
 
         def pairs(Q):
@@ -344,17 +349,32 @@ class GalerkinOperator:
         i, j, St_x = pairs(self.Dbar_x)
         rows = (a[None, :] * self.dim_x + i[:, None]).ravel()
         cols = (b[None, :] * self.dim_x + j[:, None]).ravel()
-        perm = np.lexsort((cols, rows)).astype(np.int32)
-        indptr = np.zeros(self.dim + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
-        return P_t, St_x, perm, indptr, cols[perm]
+        # scipy's compiled COO -> CSR conversion sorts the entries, which
+        # carry their index in the product, so its data is the inverse of
+        # the CSR positions; the coordinates go with the COO matrix
+        order = sp.coo_matrix(
+            (np.arange(rows.size, dtype=np.int32), (rows, cols)), shape=(self.dim, self.dim)
+        )
+        del rows, cols
+        order = order.tocsr()
+        position = np.empty_like(order.data)
+        position[order.data] = np.arange(position.size, dtype=np.int32)
+        n_k = P_t.shape[0]
+        step = max(1, _JACOBIAN_BLOCK // n_k)
+        blocks = [
+            (St_x[l:l + step], position[l * n_k:(l + step) * n_k])
+            for l in range(0, St_x.shape[0], step)
+        ]
+        return P_t, blocks, order.indptr, order.indices
 
     @cached_property
     def jacobian_pattern(self) -> BandedPattern:
         """Symbolic banded Cholesky of the Jacobians' common pattern."""
-        indptr, indices = self._jacobian_map[3:]
+        indptr, indices = self._jacobian_map[2:]
         return banded_pattern(
-            sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(self.dim, self.dim))
+            sp.csr_matrix(
+                (np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(self.dim, self.dim)
+            )
         )
 
     def jacobian(self, w: np.ndarray) -> sp.csr_matrix:
@@ -371,8 +391,11 @@ class GalerkinOperator:
         omega_bar = self._w_el * self._averages(
             self.gradients(w), lambda t, x, s: mu.fn(t, x, s) + 2.0 * s * mu.dfn_ds(t, x, s)
         )
-        P_t, St_x, perm, indptr, indices = self._jacobian_map
-        data = (St_x @ (P_t @ omega_bar).T).ravel()[perm]
+        P_t, blocks, indptr, indices = self._jacobian_map
+        T = np.ascontiguousarray((P_t @ omega_bar).T)
+        data = np.empty(indices.size)
+        for St_block, position in blocks:
+            data[position] = (St_block @ T).ravel()
         return sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
 
     def jacobian_factor(self, w: np.ndarray) -> BandedCholesky:

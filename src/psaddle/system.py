@@ -13,13 +13,15 @@ downstream of (L_A, m_A) lives in `derive_constants`.  `Discretization`
 bundles one problem on one pair with everything a solve needs.  D and the
 trace term come from `RieszContext`; the right-hand side is contracted per
 element, axis by axis, with the local basis on `RHS_QUAD_POINTS` = 16 Gauss
-points per element and axis.  The reference solver is damped Newton on the
-saddle system, by the one backtracking loop `monotone.damped_newton` on the
-squared product dual residual; each step factors the test-side Jacobian
-once, eliminates lambda with it and solves for u by `core_linalg.pcg` on
-the Schur Jacobian, preconditioned by the balanced trial Riesz map
-R_X(c_bar), c_bar = sqrt(m_mu M_mu), so no saddle matrix is ever formed
-or factored and the PCG condition number is at most M_mu / m_mu.
+points per element and axis, streamed by blocks of elements so that its
+memory stays a few density blocks whatever the grid.  The reference
+solver is damped Newton on the saddle system, by the one backtracking
+loop `monotone.damped_newton` on the squared product dual residual; each
+step factors the test-side Jacobian once, eliminates lambda with it and
+solves for u by `core_linalg.pcg` on the Schur Jacobian, preconditioned
+by the balanced trial Riesz map R_X(c_bar), c_bar = sqrt(m_mu M_mu), so
+no saddle matrix is ever formed or factored and the PCG condition number
+is at most M_mu / m_mu.
 """
 
 from __future__ import annotations
@@ -167,16 +169,20 @@ class ProblemData:
 RHS_QUAD_POINTS = 16
 
 # Largest number of tensor Gauss points on which the densities are evaluated
-# at once; 2^19 points take 4 MiB per grid-sized temporary.
-_DENSITY_GRID_POINTS = 1 << 19
+# at once, in blocks of whole elements, at least one per axis.  2^14 points
+# take 128 KiB per grid-sized temporary, glibc's default mmap threshold.
+# Larger blocks fault in fresh pages on every block: on x86-64 Linux the
+# quasilinear `psaddle convergence` took 47 000 minor page faults with
+# 256 KiB blocks (one temporal element at 128^2) and 8 300 with these.
+_DENSITY_GRID_POINTS = 1 << 14
 
 
-def _element_moments(values: np.ndarray, mesh: Mesh1D, spec: BasisSpec,
+def _element_moments(values: np.ndarray, lengths: np.ndarray, spec: BasisSpec,
                      derivative: bool = False) -> np.ndarray:
     """Per-element moments of the columns of `values`, given along the
-    first axis at the RHS_QUAD_POINTS Gauss points of each element of mesh,
-    element-major: shape (n_elements, n_local, n_columns), entry [e, a] =
-    sum_q w_eq values_eq phi_a(x_eq) (or phi_a').
+    first axis at the RHS_QUAD_POINTS Gauss points of each element of
+    `lengths`, element-major: shape (n_elements, n_local, n_columns), entry
+    [e, a] = sum_q w_eq values_eq phi_a(x_eq) (or phi_a').
 
     On element e the weights are h_e times the reference weights w_q, and
     phi_a(x_eq) is the reference value phi_a(xi_q), phi_a' the reference
@@ -186,10 +192,10 @@ def _element_moments(values: np.ndarray, mesh: Mesh1D, spec: BasisSpec,
     """
     local = np.matmul(
         _weighted_local_basis(spec, derivative).T,
-        values.reshape(mesh.n_elements, RHS_QUAD_POINTS, -1),
+        values.reshape(lengths.size, RHS_QUAD_POINTS, -1),
     )
     if not derivative:
-        local *= mesh.lengths[:, None, None]
+        local *= lengths[:, None, None]
     return local
 
 
@@ -204,58 +210,63 @@ def _weighted_local_basis(spec: BasisSpec, derivative: bool) -> np.ndarray:
     return w * reference_values(spec, rule.points).T
 
 
-def _assemble_elements(local: np.ndarray, mesh: Mesh1D, spec: BasisSpec) -> np.ndarray:
-    """Sum per-element moments (n_elements, n_local, n_columns) into the
-    global dofs (dim, n_columns).  Each local index a numbers distinct dofs
-    over the elements, so one indexed add per a suffices."""
-    dofs = element_dofs(mesh, spec)
-    dim = spec.dim(mesh)
-    # row `dim` absorbs the dropped boundary dofs, which are numbered -1
-    out = np.zeros((dim + 1, local.shape[2]))
-    for a in range(spec.n_local):
+def _add_elements(out: np.ndarray, local: np.ndarray, dofs: np.ndarray) -> None:
+    """Add per-element moments (n_elements, n_local, n_columns) into the
+    rows of out that `dofs` (n_elements, n_local) names; out has one row
+    past the dofs, which absorbs the dropped boundary dofs, numbered -1.
+    Each local index a numbers distinct dofs over the elements, so one
+    indexed add per a suffices."""
+    for a in range(dofs.shape[1]):
         out[dofs[:, a]] += local[:, a]
-    return out[:dim]
 
 
-def _spatial_moments(
+def _ell_moments(
     mesh_t: Mesh1D,
+    specs_t: tuple[BasisSpec, ...],
     mesh_x: Mesh1D,
     spec_x: BasisSpec,
     f0: Callable | None,
     f1: Callable | None,
-) -> np.ndarray:
-    """f0 diag(w_x) Q_x + f1 diag(w_x) D_x with f0, f1 on the tensor Gauss
-    grid of mesh_t x mesh_x, contracted per spatial element.
+) -> list[np.ndarray]:
+    """The moments of ell on the tensor space of each temporal basis in
+    specs_t on mesh_t with the spatial basis spec_x, flattened time-major.
 
-    Q_x and D_x, the basis and its derivative at the spatial Gauss points,
-    have n_local nonzeros per row, all on the dofs of the row's element;
-    so each term is the per-element contraction with the local basis
-    (`_element_moments`), summed into the dofs (`_assemble_elements`).
-    The densities are evaluated space-major, on (x, t) grids of at most
-    _DENSITY_GRID_POINTS points, one block of temporal Gauss points at a
-    time; the block size does not change the result.
+    The temporal elements are taken in blocks.  In each block f0 and f1
+    are evaluated space-major on the (x, t) Gauss grid of the block, a few
+    spatial elements at a time, on at most _DENSITY_GRID_POINTS points, and
+    contracted per spatial element into F = f0 diag(w_x) Q_x +
+    f1 diag(w_x) D_x on the block's temporal Gauss points; F is then
+    contracted per temporal element with every basis of specs_t and added
+    into its dofs.  Each dof gets at most two element contributions on
+    either axis, and floating-point addition commutes, so the block sizes
+    do not change a bit of the result.
     """
-    t_q, _ = gauss_points(mesh_t, RHS_QUAD_POINTS)
-    x_q, _ = gauss_points(mesh_x, RHS_QUAD_POINTS)
-    x = x_q[:, None]
-    FT = np.empty((spec_x.dim(mesh_x), t_q.size))
-    cols = max(1, _DENSITY_GRID_POINTS // x_q.size)
-    for start in range(0, t_q.size, cols):
-        block = slice(start, start + cols)
-        t = t_q[None, block]
-        local = 0.0
-        for fn, derivative in ((f0, False), (f1, True)):
-            if fn is not None:
-                values = np.broadcast_to(fn(t, x), (x_q.size, t.size))
-                local = local + _element_moments(values, mesh_x, spec_x, derivative)
-        FT[:, block] = _assemble_elements(local, mesh_x, spec_x)
-    return np.ascontiguousarray(FT.T)
-
-
-def _temporal_moments(mesh_t: Mesh1D, spec_t: BasisSpec, F: np.ndarray) -> np.ndarray:
-    """E_t^T diag(w_t) F, contracted per temporal element; flattened
-    time-major."""
-    return _assemble_elements(_element_moments(F, mesh_t, spec_t), mesh_t, spec_t).reshape(-1)
+    n_q = RHS_QUAD_POINTS
+    t_q, _ = gauss_points(mesh_t, n_q)
+    x_q, _ = gauss_points(mesh_x, n_q)
+    h_t, h_x = mesh_t.lengths, mesh_x.lengths
+    dim_x, dofs_x = spec_x.dim(mesh_x), element_dofs(mesh_x, spec_x)
+    dofs_t = [element_dofs(mesh_t, spec) for spec in specs_t]
+    outs = [np.zeros((spec.dim(mesh_t) + 1, dim_x)) for spec in specs_t]
+    per_x = max(1, min(mesh_x.n_elements, _DENSITY_GRID_POINTS // n_q**2))
+    per_t = max(1, _DENSITY_GRID_POINTS // (n_q**2 * per_x))
+    for start in range(0, mesh_t.n_elements, per_t):
+        els = slice(start, start + per_t)
+        t = t_q[None, start * n_q:(start + per_t) * n_q]
+        FT = np.zeros((dim_x + 1, t.size))
+        for x_start in range(0, mesh_x.n_elements, per_x):
+            els_x = slice(x_start, x_start + per_x)
+            x = x_q[x_start * n_q:(x_start + per_x) * n_q, None]
+            local = 0.0
+            for fn, derivative in ((f0, False), (f1, True)):
+                if fn is not None:
+                    values = np.broadcast_to(fn(t, x), (x.size, t.size))
+                    local = local + _element_moments(values, h_x[els_x], spec_x, derivative)
+            _add_elements(FT, local, dofs_x[els_x])
+        F = np.ascontiguousarray(FT[:dim_x].T)
+        for out, spec, dofs in zip(outs, specs_t, dofs_t):
+            _add_elements(out, _element_moments(F, h_t[els], spec), dofs[els])
+    return [out[:-1].reshape(-1) for out in outs]
 
 
 def u0_moments(data: ProblemData, pair: TensorSpacePair) -> np.ndarray:
@@ -283,17 +294,20 @@ def assemble_rhs(data: ProblemData, pair: TensorSpacePair) -> tuple[np.ndarray, 
     with f0, f1 on the tensor Gauss grid, E_t, Q_x and D_x the basis values
     and derivatives at the Gauss points.  Each of these has its nonzeros on
     the dofs of one element per row, so both products are contracted per
-    element with the local basis (`_spatial_moments`, `_temporal_moments`)
-    and no quadrature matrix is formed; the density blocks are the only
-    grid-sized arrays.
+    element with the local basis, and no quadrature matrix is formed.
+    `_ell_moments` streams them by blocks of temporal elements, contracting
+    each block in space, a few spatial elements at a time, and at once in
+    time, for Y and X together when their temporal meshes coincide, as on
+    every shipped pair; so no array spans the Gauss grid or all temporal
+    Gauss points, and no density block takes more than 128 KiB.
     """
     if data.has_ell:
         args = (pair.mesh_x, pair.spec_x, data.ell_f0, data.ell_f1)
-        F_Y = _spatial_moments(pair.mesh_t_Y, *args)
-        # the densities are evaluated once when both temporal meshes coincide
-        F_X = F_Y if pair.mesh_t_X == pair.mesh_t_Y else _spatial_moments(pair.mesh_t_X, *args)
-        f = _temporal_moments(pair.mesh_t_Y, pair.spec_t_Y, F_Y)
-        ell_X = _temporal_moments(pair.mesh_t_X, pair.spec_t_X, F_X)
+        if pair.mesh_t_X == pair.mesh_t_Y:
+            f, ell_X = _ell_moments(pair.mesh_t_Y, (pair.spec_t_Y, pair.spec_t_X), *args)
+        else:
+            (f,) = _ell_moments(pair.mesh_t_Y, (pair.spec_t_Y,), *args)
+            (ell_X,) = _ell_moments(pair.mesh_t_X, (pair.spec_t_X,), *args)
     else:
         f = np.zeros(pair.dim_Y)
         ell_X = np.zeros(pair.dim_X)

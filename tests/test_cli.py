@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,21 @@ class TestSubcommands:
                     a, b = float(row[key]), ref[key]
                     assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-10 * abs(b), (
                         name, row["level"], key)
+
+    def test_convergence_memory_bounded(self, tmp_path):
+        # the shipped quasilinear study, 8^2 to 32^2 against surrogates up
+        # to 128^2: its traced peak is live data (the ladder's pairs and
+        # operators, the Newton state and one Jacobian factor) plus small
+        # blocks, with no grid-sized or nnz-sized int64 transient
+        cfg = cli.parse_config(
+            os.path.join(os.path.dirname(__file__), "..", "configs", "quasilinear.cfg"))
+        tracemalloc.start()
+        try:
+            assert cli.run_subcommand("convergence", cfg, str(tmp_path / "out")) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     @pytest.mark.parametrize("subcommand", ["convergence", "infsup"])
     def test_ladder_builds_each_pair_once(self, subcommand, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,20 @@ class TestJacobianFactor:
             b = rng.standard_normal(op.dim)
             expect = np.linalg.solve(J.toarray(), b)
             assert np.abs(fact.solve(b) - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_first_factor_memory_bounded(self, rng):
+        # the first factor at the 128 x 128 surrogate also builds the data
+        # map and the symbolic step (nnz 194048); their index work is int32
+        # and no float temporary spans the entries
+        op = mo.GalerkinOperator(default_pair(128, 128), "Y", mo.make_mu("one-plus-inv"))
+        w = 0.1 * rng.standard_normal(op.dim)
+        tracemalloc.start()
+        try:
+            op.jacobian_factor(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_pattern_refuses_bad_data(self, quasi8, rng):
         op = quasi8.op_Y

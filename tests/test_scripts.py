@@ -1,7 +1,10 @@
 """Tests of the comparison scripts under scripts/, loaded by path."""
 
+import ast
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +76,29 @@ def test_drift_runs_every_subcommand_on_existing_configs(drift):
     configs = os.path.join(SCRIPTS, "..", "configs")
     for name in drift.CONFIGS:
         assert os.path.isfile(os.path.join(configs, f"{name}.cfg"))
+
+
+def test_run_child_reads_the_child_peak_rss(tmp_path):
+    # run from a small interpreter, as the script runs: Linux counts the
+    # launching process's resident pages into a child's peak at exec, so
+    # under pytest the floor would be pytest's own size.  The first child
+    # touches 64 MiB; each returns its exit code and stdout with its peak.
+    script = os.path.join(SCRIPTS, "output_drift.py")
+    launcher = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('d', {script!r})\n"
+        "d = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(d)\n"
+        "big = 'import sys; a = bytearray(64 << 20); a[::4096] = bytes(len(a[::4096])); "
+        "print(1); sys.exit(3)'\n"
+        "print([d.run_child([sys.executable, '-c', c], '.', {}) for c in (big, 'pass')])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", launcher], cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    (code, out, rss), (small_code, _, small_rss) = ast.literal_eval(proc.stdout)
+    assert (code, out) == (3, "1\n") and small_code == 0
+    assert 64 <= rss < 128
+    assert 0 < small_rss < 32
 
 
 def test_code_lines_skips_docstrings_comments_and_blanks(lines):

@@ -123,8 +123,10 @@ class TestAssembleRhs:
 
     def test_density_grid_memory_bounded(self, quasi_problem):
         # the 128 x 128 pair of the convergence study's last surrogate: its
-        # Gauss grid has 2^22 points, evaluated in blocks of 2^19 and
-        # contracted per element, so no (16n x n) quadrature matrix is built
+        # Gauss grid has 2^22 points, streamed in blocks of one temporal
+        # and 64 spatial elements (2^14 points) and contracted per element
+        # in space and time, so neither a (16n x n) quadrature matrix nor
+        # an array over every temporal Gauss point is built
         pair = default_pair(128, 128)
         tracemalloc.start()
         try:
@@ -132,7 +134,7 @@ class TestAssembleRhs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 8 * 2**20
 
 
 F0 = lambda t, x: np.exp(t * x) * np.sin(3.0 * x + t)
@@ -209,14 +211,36 @@ class TestQuadratureOracle:
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_assemble_functional_in_blocks(self, monkeypatch):
-        # 5 temporal Gauss points of the 64-point spatial grid per block: 48
-        # points make 10 blocks, the last one short
+        # blocks of one temporal and 3 spatial elements: each of the 3
+        # temporal elements takes 2 spatial blocks, the last one short
         rng = np.random.default_rng(11)
         mesh_t, mesh_x = jittered_mesh(3, rng), jittered_mesh(4, rng)
-        monkeypatch.setattr(sy, "_DENSITY_GRID_POINTS", 5 * 64)
+        monkeypatch.setattr(sy, "_DENSITY_GRID_POINTS", 3 * 16 * 16)
         got = _functional(mesh_t, (mesh_t, DISC_P1), mesh_x)
         expect = _functional_oracle(mesh_t, DISC_P1.family, DISC_P1.dim(mesh_t), mesh_x, F0, F1)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("kind", ["cont-p1", "disc-p1", "disc-p0", "test-refined-twice"])
+    def test_block_size_changes_no_bit(self, kind, monkeypatch):
+        # by default a block holds one temporal and 64 spatial elements, so
+        # 100 spatial elements make 2 blocks per temporal element, the last
+        # one short; each dof gets at most two element contributions per
+        # axis, so one element pair per block gives the same bits
+        rng = np.random.default_rng(14)
+        trial_t, mesh_x = jittered_mesh(5, rng), jittered_mesh(100, rng)
+        Y_t = {
+            "cont-p1": (trial_t, CONT_P1),
+            "disc-p1": (trial_t, DISC_P1),
+            "disc-p0": (trial_t, DISC_P0),
+            "test-refined-twice": (refine_times(trial_t, 2), DISC_P1),
+        }[kind]
+        pair = assemble_matrices((trial_t, CONT_P1), Y_t, (mesh_x, CONT_P1_DIRICHLET))
+        data = sy.ProblemData(ell_f0=F0, ell_f1=F1, u0=U0)
+        assert sy._DENSITY_GRID_POINTS // sy.RHS_QUAD_POINTS**2 == 64
+        f, g = sy.assemble_rhs(data, pair)
+        monkeypatch.setattr(sy, "_DENSITY_GRID_POINTS", 1)
+        f_1, g_1 = sy.assemble_rhs(data, pair)
+        assert np.array_equal(f, f_1) and np.array_equal(g, g_1)
 
     def test_u0_moments_and_norm(self):
         rng = np.random.default_rng(12)
