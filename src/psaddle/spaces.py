@@ -6,6 +6,13 @@ continuous piecewise linear and X_x continuous piecewise linear with zero
 Dirichlet boundary values; test functions live in Y = Y_t (x) X_x where Y_t
 may be discontinuous.  Coefficients are stored time-major:
 index = t_dof * dim_x + x_dof.
+
+Every 1D matrix, and the embedding of X_t into Y_t, is built from element
+blocks: on each element of the finer of two nested meshes, the local
+functions of the elements holding it are evaluated at its Gauss points, and
+the blocks are scattered into one canonical CSR build per matrix.  The
+quadrature is exact, and the embedding's containment check is integrated
+by the same blocks, with no sparse product.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from psaddle.core_linalg import as_csr, check_dense_size
+from psaddle.core_linalg import check_dense_size
 from psaddle.errors import InvalidSpaceError
 
 FAMILIES = ("continuous-p1", "discontinuous-p0", "discontinuous-p1")
@@ -45,17 +52,19 @@ class Mesh1D:
             raise InvalidSpaceError("need at least one element")
         return Mesh1D(tuple(np.linspace(0.0, length, n_elements + 1)))
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.asarray(self.breakpoints)
+        """The breakpoints as a read-only array, built once per mesh."""
+        return _read_only(np.asarray(self.breakpoints))
 
     @property
     def n_elements(self) -> int:
         return len(self.breakpoints) - 1
 
-    @property
+    @cached_property
     def lengths(self) -> np.ndarray:
-        return np.diff(self.points)
+        """Element lengths as a read-only array, built once per mesh."""
+        return _read_only(np.diff(self.points))
 
     @property
     def start(self) -> float:
@@ -64,6 +73,11 @@ class Mesh1D:
     @property
     def end(self) -> float:
         return self.breakpoints[-1]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def uniform_refine(mesh: Mesh1D) -> Mesh1D:
@@ -146,16 +160,14 @@ def gauss_points(mesh: Mesh1D, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
 
 def element_dofs(mesh: Mesh1D, spec: BasisSpec) -> np.ndarray:
     """Global dof indices per element, -1 for dropped boundary dofs."""
-    n = mesh.n_elements
-    if spec.family == "continuous-p1":
-        dofs = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
-        if spec.boundary == "zero-dirichlet":
-            dofs = dofs - 1
-            dofs[-1, 1] = -1
-        return dofs
+    first = np.arange(mesh.n_elements)[:, None]
     if spec.family == "discontinuous-p0":
-        return np.arange(n).reshape(n, 1)
-    return np.stack([2 * np.arange(n), 2 * np.arange(n) + 1], axis=1)
+        return first
+    dofs = (2 if spec.family == "discontinuous-p1" else 1) * first + np.arange(2)
+    if spec.boundary == "zero-dirichlet":
+        dofs -= 1
+        dofs[-1, 1] = -1
+    return dofs
 
 
 def reference_values(spec: BasisSpec, xi: np.ndarray) -> np.ndarray:
@@ -173,42 +185,15 @@ def reference_derivatives(spec: BasisSpec) -> np.ndarray:
     return np.array([-1.0, 1.0])
 
 
-def eval_basis_at_points(
-    mesh: Mesh1D, spec: BasisSpec, pts: np.ndarray, derivative: bool = False
-) -> sp.csr_matrix:
-    """Sparse (n_pts, dim) matrix of basis (or derivative) values.
-
-    Points must lie in the closed interval; points on interior breakpoints
-    are attributed to the element on their right, which is only sound for
-    values of continuous functions or for strictly interior points.
-    """
-    pts = np.asarray(pts, dtype=float)
-    breaks = mesh.points
-    elem = np.clip(np.searchsorted(breaks, pts, side="right") - 1, 0, mesh.n_elements - 1)
-    h = mesh.lengths[elem]
-    xi = (pts - breaks[elem]) / h
-    dofs = element_dofs(mesh, spec)[elem]  # (n_pts, n_local)
-    if derivative:
-        vals = reference_derivatives(spec)[None, :] / h[:, None]
-    else:
-        vals = reference_values(spec, xi).T
-    rows = np.repeat(np.arange(pts.size), spec.n_local)
-    cols = dofs.reshape(-1)
-    data = np.broadcast_to(vals, (pts.size, spec.n_local)).reshape(-1)
-    keep = cols >= 0
-    return sp.csr_matrix(
-        (data[keep], (rows[keep], cols[keep])), shape=(pts.size, spec.dim(mesh))
-    )
-
-
 def quadrature_matrix(
     mesh: Mesh1D, spec: BasisSpec, n_quad: int, derivative: bool = False
 ) -> np.ndarray:
     """Dense (n_elements * n_quad, dim) basis (or derivative) values at the
     points of `gauss_points(mesh, n_quad)`.
 
-    Equal to `eval_basis_at_points(...).toarray()` at those points, which are
-    all interior, but built directly from the element dofs.
+    The points are all interior, so row q of element e holds the local
+    functions of e at its reference Gauss point q, placed at the element's
+    dofs.
     """
     n, dim = mesh.n_elements, spec.dim(mesh)
     check_dense_size(f"quadrature_matrix({spec.family}, {n} elements)", (n * n_quad, dim))
@@ -233,7 +218,7 @@ def _mesh_contains(fine: Mesh1D, coarse: Mesh1D, tol: float = 1e-12) -> bool:
 
 
 def _integration_mesh(a: Mesh1D, b: Mesh1D) -> Mesh1D:
-    if a.n_elements >= b.n_elements and _mesh_contains(a, b):
+    if a == b or (a.n_elements >= b.n_elements and _mesh_contains(a, b)):
         return a
     if _mesh_contains(b, a):
         return b
@@ -245,12 +230,55 @@ def _integration_mesh(a: Mesh1D, b: Mesh1D) -> Mesh1D:
 ASSEMBLY_QUAD_POINTS = 3
 
 
+def _element_values(
+    mesh: Mesh1D, spec: BasisSpec, x: np.ndarray, derivative: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local basis of the element of `mesh` that holds each row of points
+    x, shape (n, n_pts): the element is the one holding the mean of the
+    row's first and last point, and the row may reach beyond it.  Returns
+    the element's dofs (n, n_local), -1 for dropped boundary dofs, and the
+    values (n, n_pts, n_local) of its local functions, or of their
+    derivatives, at the points."""
+    breaks = mesh.points
+    elem = np.searchsorted(breaks[1:-1], 0.5 * (x[:, 0] + x[:, -1]), side="right")
+    h = mesh.lengths[elem, None]
+    shape = (*x.shape, spec.n_local)
+    if derivative:
+        vals = np.broadcast_to((reference_derivatives(spec)[None, :] / h)[:, None, :], shape)
+    else:
+        vals = reference_values(spec, ((x - breaks[elem, None]) / h).reshape(-1)).T.reshape(shape)
+    return element_dofs(mesh, spec)[elem], vals
+
+
+def _csr(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
+) -> sp.csr_matrix:
+    """Canonical CSR matrix of the entries (rows, cols, vals), built once
+    from its index arrays.  Entries with a negative (dropped) row or column
+    are left out; entries at one position are summed in the order given,
+    and zero sums are dropped.  rows and cols broadcast to the shape of
+    vals."""
+    keys = np.where((rows >= 0) & (cols >= 0), rows * shape[1] + cols, -1)
+    keys = np.broadcast_to(keys, vals.shape).reshape(-1)
+    # the left-out entries, keyed -1, sort first
+    order = np.argsort(keys, kind="stable")[np.count_nonzero(keys < 0):]
+    keys = keys[order]
+    new = keys != np.concatenate(([-1], keys[:-1]))
+    data = np.bincount(np.cumsum(new) - 1, weights=vals.reshape(-1)[order])
+    keys = keys[new][data != 0]
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+    return sp.csr_matrix(
+        (data[data != 0], (keys % shape[1]).astype(np.int32), indptr.astype(np.int32)),
+        shape=shape,
+    )
+
+
 def assemble_1d(
     kind: str,
     test: tuple[Mesh1D, BasisSpec],
     trial: tuple[Mesh1D, BasisSpec] | None = None,
 ) -> sp.csr_matrix:
-    """Exact 1D matrices: entries integral of test_i op trial_j.
+    """Exact 1D matrices: entries integral of test_i op trial_j, canonical CSR.
 
     kind:
       "mass"        test_i * trial_j
@@ -259,20 +287,20 @@ def assemble_1d(
 
     The product is integrated elementwise on the finer of the two meshes,
     which must be nested, with `ASSEMBLY_QUAD_POINTS` Gauss points, so the
-    quadrature is exact.
+    quadrature is exact.  On each fine element the local test and trial
+    functions of the coarse elements holding it are evaluated at its Gauss
+    points as (n_elements, n_quad, n_local) blocks; their weighted products
+    are scattered into one CSR build, summed per entry in the order of the
+    Gauss points along the mesh.
     """
-    if trial is None:
-        trial = test
-    mesh_t, spec_t = test
-    mesh_u, spec_u = trial
-    pts, w = gauss_points(_integration_mesh(mesh_t, mesh_u), ASSEMBLY_QUAD_POINTS)
-
-    dt = kind == "stiffness"
-    du = kind in ("stiffness", "dtrial")
-    V = eval_basis_at_points(mesh_t, spec_t, pts, derivative=dt)
-    U = eval_basis_at_points(mesh_u, spec_u, pts, derivative=du)
-    M = (V.multiply(w[:, None])).T @ U
-    return as_csr(M)
+    (mesh_v, spec_v), (mesh_u, spec_u) = test, trial or test
+    x, w = gauss_points(_integration_mesh(mesh_v, mesh_u), ASSEMBLY_QUAD_POINTS)
+    x, w = x.reshape(-1, ASSEMBLY_QUAD_POINTS), w.reshape(-1, ASSEMBLY_QUAD_POINTS, 1)
+    rows, V = _element_values(mesh_v, spec_v, x, derivative=kind == "stiffness")
+    cols, U = _element_values(mesh_u, spec_u, x, derivative=kind in ("stiffness", "dtrial"))
+    blocks = (V * w)[:, :, :, None] * U[:, :, None, :]
+    return _csr(rows[:, None, :, None], cols[:, None, None, :], blocks,
+                (spec_v.dim(mesh_v), spec_u.dim(mesh_u)))
 
 
 def embedding_matrix(
@@ -291,38 +319,48 @@ def embedding_matrix(
     a target element, two per column when both spaces share the mesh.
     When the source space is contained in the target this interpolant is
     the function itself and the per-column residual ||phi_j - E_j||^2, the
-    squared L2 norm of phi_j minus its interpolant, vanishes.  Raises
-    InvalidSpaceError for a column whose squared residual exceeds 1e-12
-    times the squared norm of its basis function, and for meshes that do
-    not nest.
+    squared L2 norm of phi_j minus its interpolant, vanishes.  The residual
+    is integrated per element of the finer mesh by the exact quadrature of
+    `assemble_1d`: on each element, every source function that is nonzero
+    there or in its interpolant is evaluated minus its interpolant at the
+    Gauss points.  Raises InvalidSpaceError for a column whose squared
+    residual exceeds 1e-12 times the squared norm of its basis function,
+    and for meshes that do not nest.
     """
     (mesh_s, spec_s), (mesh_t, spec_t) = source, target
-    left, right = mesh_t.points[:-1], mesh_t.points[1:]
-    mid = 0.5 * (left + right)
-    elem = np.clip(np.searchsorted(mesh_s.points, mid, side="right") - 1, 0, mesh_s.n_elements - 1)
-    nodes = np.stack([mid] if spec_t.family == "discontinuous-p0" else [left, right])
-    n_local = spec_s.n_local
-    # one slot per target element and local node: its target dof and the
-    # values there of the local functions of the source element
-    slot_dofs = element_dofs(mesh_t, spec_t).T.reshape(-1)
-    xi = (nodes - mesh_s.points[elem]) / mesh_s.lengths[elem]
-    vals = reference_values(spec_s, xi.reshape(-1)).T.reshape(-1)
-    cols = np.tile(element_dofs(mesh_s, spec_s)[elem], (len(nodes), 1)).reshape(-1)
-    # a node that elements share is read from its first slot only
-    first = np.zeros(slot_dofs.size, dtype=bool)
-    first[np.unique(slot_dofs, return_index=True)[1]] = True
-    rows = np.repeat(slot_dofs, n_local)
-    keep = np.repeat(first & (slot_dofs >= 0), n_local) & (cols >= 0) & (vals != 0.0)
-    E = sp.csr_matrix(
-        (vals[keep], (rows[keep], cols[keep])),
-        shape=(spec_t.dim(mesh_t), spec_s.dim(mesh_s)),
+    nodes = mesh_t.points[element_dofs(mesh_t, CONT_P1)]  # (left, right) per element
+    if spec_t.family == "discontinuous-p0":
+        nodes = 0.5 * (nodes[:, :1] + nodes[:, 1:])
+    dofs_s, vals = _element_values(mesh_s, spec_s, nodes)
+    # each target dof is read from its first slot, local node 0 of every
+    # target element before local node 1: its source columns and values
+    dofs, first = np.unique(element_dofs(mesh_t, spec_t).T.reshape(-1), return_index=True)
+    first = first[dofs >= 0]
+    n_s = spec_s.n_local
+    row_cols = np.tile(dofs_s, (nodes.shape[1], 1))[first]
+    row_vals = vals.transpose(1, 0, 2).reshape(-1, n_s)[first]
+    dim_t, dim_s = spec_t.dim(mesh_t), spec_s.dim(mesh_s)
+    E = _csr(np.arange(dim_t)[:, None], row_cols, row_vals, (dim_t, dim_s))
+    # the columns that can be nonzero on each fine element: those of phi's
+    # local functions, then those that its target dofs read (the padded row
+    # -1, a dropped target dof, reads none); their terms of phi - E_j at the
+    # Gauss points are summed over equal columns, each counted once
+    x, w = gauss_points(_integration_mesh(mesh_t, mesh_s), ASSEMBLY_QUAD_POINTS)
+    x, w = x.reshape(-1, ASSEMBLY_QUAD_POINTS), w.reshape(-1, ASSEMBLY_QUAD_POINTS, 1)
+    cols_phi, phi = _element_values(mesh_s, spec_s, x)
+    rows_psi, psi = _element_values(mesh_t, spec_t, x)
+    row_cols = np.vstack([row_cols, np.full(n_s, -1)])[rows_psi].reshape(len(x), -1)
+    row_vals = np.vstack([row_vals, np.zeros(n_s)])[rows_psi]
+    cols = np.concatenate([cols_phi, row_cols], axis=1)
+    terms = np.concatenate(
+        [phi, -(psi[:, :, :, None] * row_vals[:, None, :, :]).reshape(*x.shape, -1)], axis=2
     )
-    # ||phi_j||^2 and ||phi_j - E_j||^2 by the exact quadrature of `assemble_1d`
-    pts, w = gauss_points(_integration_mesh(mesh_t, mesh_s), ASSEMBLY_QUAD_POINTS)
-    phi = eval_basis_at_points(mesh_s, spec_s, pts)
-    residual = phi - eval_basis_at_points(mesh_t, spec_t, pts) @ E
-    norm2 = phi.multiply(phi).T @ w
-    res2 = residual.multiply(residual).T @ w
+    same = cols[:, :, None] == cols[:, None, :]
+    residual = terms @ same
+    keep = (cols >= 0) & (same.argmax(axis=2) == np.arange(cols.shape[1]))
+    res2 = np.bincount(cols[keep], (w * residual**2).sum(axis=1)[keep], minlength=dim_s)
+    keep = cols_phi >= 0
+    norm2 = np.bincount(cols_phi[keep], (w * phi**2).sum(axis=1)[keep], minlength=dim_s)
     bad = np.flatnonzero(res2 > 1e-12 * np.maximum(norm2, 1e-30))
     if bad.size:
         j = bad[0]

@@ -17,14 +17,13 @@ from psaddle.spaces import (
     DISC_P1,
     assemble_matrices,
     default_pair,
-    eval_basis_at_points,
     gauss_points,
     quadrature_matrix,
     refine_times,
 )
 from psaddle.riesz import RieszContext
 
-from helpers import jittered_mesh
+from helpers import eval_basis_at_points, jittered_mesh
 
 
 class TestConstants:

@@ -446,7 +446,7 @@ class TestPjotr:
         u_exact_coeffs = coeffs.reshape(-1)
 
         # manufactured data: f0 = du/dt (piecewise in x), f1 = du/dx
-        from psaddle.spaces import eval_basis_at_points
+        from helpers import eval_basis_at_points
 
         def hat(x):
             B = eval_basis_at_points(pair.mesh_x, pair.spec_x, np.asarray(x).reshape(-1))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,13 +21,21 @@ from psaddle.spaces import (
     default_pair,
     embed_X_into_Y,
     embedding_matrix,
-    eval_basis_at_points,
     gauss_points,
     gauss_rule,
     quadrature_matrix,
+    refine_times,
     trace_at_time,
     uniform_refine,
 )
+
+from helpers import assemble_1d_oracle, embedding_oracle, eval_basis_at_points, jittered_mesh
+
+FAMILIES = [CONT_P1, CONT_P1_DIRICHLET, DISC_P0, DISC_P1]
+FAMILY_IDS = ["cont-p1", "cont-p1-dirichlet", "disc-p0", "disc-p1"]
+# (test refinements, trial refinements) of one jittered base mesh
+NESTINGS = {"shared": (0, 0), "test-refined-once": (1, 0), "test-refined-twice": (2, 0),
+            "trial-refined": (0, 1)}
 
 
 def hand_mass_p1(points):
@@ -65,6 +74,15 @@ class TestMesh:
         for bad in ((0.0, math.nan, 1.0), (0.0, 0.5, math.nan), (0.0, 1.0, math.inf)):
             with pytest.raises(InvalidSpaceError, match="finite"):
                 Mesh1D(bad)
+
+    def test_points_and_lengths_read_only_and_built_once(self, rng):
+        m = jittered_mesh(5, rng)
+        assert np.array_equal(m.points, np.asarray(m.breakpoints))
+        assert np.array_equal(m.lengths, np.diff(np.asarray(m.breakpoints)))
+        assert m.points is m.points and m.lengths is m.lengths
+        for arr in (m.points, m.lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 16))
@@ -141,6 +159,39 @@ class TestAssembly:
         # 60000 x 20001 float64 is about 9.6 GB: refused before allocation
         with pytest.raises(PsaddleError, match="bytes"):
             quadrature_matrix(Mesh1D.uniform(20_000), CONT_P1, 3)
+
+    @pytest.mark.parametrize("nesting", NESTINGS.values(), ids=NESTINGS.keys())
+    @pytest.mark.parametrize("trial_spec", FAMILIES, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("test_spec", FAMILIES, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("kind", ["mass", "stiffness", "dtrial"])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_matches_sparse_product_oracle(self, n, kind, test_spec, trial_spec, nesting, rng):
+        # one element leaves the Dirichlet space empty
+        base = jittered_mesh(n, rng)
+        test = (refine_times(base, nesting[0]), test_spec)
+        trial = (refine_times(base, nesting[1]), trial_spec)
+        got = assemble_1d(kind, test, trial)
+        expect = assemble_1d_oracle(kind, test, trial)
+        assert got.has_canonical_format
+        assert got.shape == expect.shape
+        assert np.array_equal(got.indptr, expect.indptr)
+        assert np.array_equal(got.indices, expect.indices)
+        if expect.nnz:
+            assert np.abs(got.data - expect.data).max() <= 1e-15 * np.abs(expect.data).max()
+
+    def test_assemble_matrices_builds_each_matrix_once(self, rng, monkeypatch):
+        # the 1D matrices are small, so each sparse object built costs more
+        # than their arithmetic: at most two per matrix (there are 7)
+        count = [0]
+        for cls in (scipy.sparse._compressed._cs_matrix, scipy.sparse._coo._coo_base):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                count[0] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        mesh_t, mesh_x = jittered_mesh(32, rng), jittered_mesh(32, rng)
+        pair = assemble_matrices((mesh_t, CONT_P1), (mesh_t, DISC_P1), (mesh_x, CONT_P1_DIRICHLET))
+        assert pair.x_in_y
+        assert count[0] <= 2 * 7
 
     def test_unsupported_combination(self):
         m = Mesh1D.uniform(2)
@@ -258,6 +309,27 @@ class TestTensorPair:
             )
             E = embedding_matrix((m, spec), (f, spec))
             assert np.abs(E - loop).max() <= 1e-14 * np.abs(loop).max()
+
+    @pytest.mark.parametrize("nesting", NESTINGS.values(), ids=NESTINGS.keys())
+    @pytest.mark.parametrize("target_spec", FAMILIES, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("source_spec", FAMILIES, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_embedding_matches_oracle(self, n, source_spec, target_spec, nesting, rng):
+        # the same E bit for bit, or the same first failing column
+        base = jittered_mesh(n, rng)
+        source = (refine_times(base, nesting[1]), source_spec)
+        target = (refine_times(base, nesting[0]), target_spec)
+        try:
+            expect = embedding_oracle(source, target)
+        except InvalidSpaceError as err:
+            column = str(err).split(" is not")[0]
+            with pytest.raises(InvalidSpaceError, match=column + " is not contained"):
+                embedding_matrix(source, target)
+            return
+        got = embedding_matrix(source, target)
+        assert got.has_canonical_format and got.shape == expect.shape
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(expect, field))
 
     def test_not_nested_rejected(self):
         a = Mesh1D.uniform(3)

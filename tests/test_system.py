@@ -21,14 +21,13 @@ from psaddle.spaces import (
     assemble_matrices,
     default_pair,
     embed_X_into_Y,
-    eval_basis_at_points,
     gauss_points,
     quadrature_matrix,
     refine_times,
     uniform_refine,
 )
 
-from helpers import jittered_mesh
+from helpers import eval_basis_at_points, jittered_mesh
 
 
 class TestDeriveConstants:
