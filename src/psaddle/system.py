@@ -8,7 +8,8 @@ variable u:
 
 with D the temporal-derivative coupling.  Eliminating lambda yields the
 Schur operator S z = A_X z + trace term + g - D^T A_Y^{-1}(f - D z), which
-is Lipschitz continuous and strongly monotone; the whole constant calculus
+is Lipschitz continuous, strongly monotone and the gradient of a convex
+functional (`SchurOperator`); the whole constant calculus
 downstream of (L_A, m_A) lives in `derive_constants`.  `Discretization`
 bundles one problem on one pair with everything a solve needs.  D and the
 trace term come from `RieszContext`; the right-hand side is contracted per
@@ -123,9 +124,11 @@ def derive_constants(L_A: float, m_A: float) -> ConstantsBundle:
     L_Ninv  = 1/m_A + max(1, 1/m_A) * (1/m_S) (1 + 1/m_A)
     C_1     = 1 + (1/m_S) (1 + sqrt((1 + L_A^2)(1 + 1/m_A^2)))
 
-    A pair is refused unless every derived constant, and the dampings
-    m_A/L_A^2 and m_S/L_S^2 of the Uzawa steps, is finite and positive in
-    double precision.
+    A pair is refused unless every derived constant is finite and positive
+    in double precision.  The dampings theta* = 2/(m + L) of the Uzawa steps
+    (`A_constants`, `S_constants`) need no check of their own: L_A^2 and
+    1/m_A^2 finite put m_A + L_A within [1e-154, 3e154], and m_S <= 1 <= L_S
+    puts 2/(m_S + L_S) in (0, 2].
     """
     if not (0 < m_A <= L_A):
         raise PsaddleError(f"need 0 < m_A <= L_A, got (L_A, m_A) = ({L_A!r}, {m_A!r})")
@@ -136,7 +139,7 @@ def derive_constants(L_A: float, m_A: float) -> ConstantsBundle:
         L_Beinv = (1.0 / m_S) * (1.0 + 1.0 / m_A)
         L_Ninv = 1.0 / m_A + max(1.0, 1.0 / m_A) * L_Beinv
         C_1 = 1.0 + (1.0 / m_S) * (1.0 + math.sqrt((1.0 + L_A**2) * (1.0 + 1.0 / m_A**2)))
-        derived = (L_S, m_S, L_Beinv, L_Ninv, C_1, m_A / L_A**2, m_S / L_S**2)
+        derived = (L_S, m_S, L_Beinv, L_Ninv, C_1)
     except (OverflowError, ZeroDivisionError):
         derived = (0.0,)
     if not all(0.0 < v < math.inf for v in derived):  # NaN compares False
@@ -357,6 +360,24 @@ class SchurOperator:
     test dual norm; the previous inner solution warm-starts the next call.
     No solver builds it: it is the reduced operator whose constants
     (L_S, m_S) the error theory states, checked by the tests.
+
+    Potential.  A_Y and A_X are the gradients of convex functionals Phi_Y
+    and Phi_X, Phi_Y m_A-strongly convex (`monotone.GalerkinOperator`).  So
+    A_Y^{-1} is the gradient of the convex conjugate Phi_Y*, and S is the
+    gradient of
+
+        Psi(z) = Phi_X(z) + (1/2)|gamma_T z|^2 + Phi_Y*(f - D z) + g . z,
+
+    where g = -(ell + gamma_0' u0) on the trial space: the chain rule turns
+    the third term into -D^T A_Y^{-1}(f - D z), and the trace term is the
+    gradient of the second.  Each term is convex, the third as a convex
+    function of an affine map.  For a gradient, strong monotonicity with
+    m_S and Lipschitz continuity with L_S in the X-norm are m_S-strong
+    convexity and an L_S-Lipschitz gradient of Psi (Nesterov, Introductory
+    Lectures on Convex Optimization, 2004, Thms. 2.1.5 and 2.1.9), so the
+    damped Schur step takes the step rule of `monotone.MonotoneConstants`
+    with (L_S, m_S).  The Hessian of Psi at z is the Schur Jacobian
+    A_X'(z) + trace + D^T A_Y'(lambda(z))^{-1} D, symmetric.
     """
 
     def __init__(
@@ -459,7 +480,12 @@ def schur_newton_direction(
     with R_X(c_bar) by fast diagonalization, one solve with fact_Y, the
     factor of the test-side Jacobian jac_Y (`GalerkinOperator.jacobian_factor`),
     one sparse product with jac_X, and `apply_D`, `apply_Dt` and
-    `apply_trace_term`, products with the 1D factors of the pair.  Returns
+    `apply_trace_term`, products with the 1D factors of the pair.  CG
+    needs the operator symmetric positive definite, which it is at every
+    (lambda, u): both Galerkin Jacobians are Hessians of convex potentials,
+    B^T diag(W_q o omega_bar) B with positive weights
+    (`monotone.GalerkinOperator`), and the operator is the Hessian of the
+    Schur potential at u when lambda = lambda(u) (`SchurOperator`).  Returns
     delta with the iteration count; raises NotConvergedError after
     max_iter iterations or on a non-positive curvature.
     """

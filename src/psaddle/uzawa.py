@@ -42,7 +42,10 @@ The number L of inner steps comes from the convergence theory: with
     C_3 = (1/sigma_hat)((sigma_hat - sigma_S)/theta_S* + 1/m_A)
 
 and L the smallest integer with sigma_A^L (C_3 + 1/m_A) <= (sigma_hat - sigma_S)/theta_S*,
-both error components contract R-linearly with factor sigma_hat.
+both error components contract R-linearly with factor sigma_hat
+(`plan_inner_count`).  The dampings theta* and factors sigma are those of a
+potential operator, theta* = 2/(m + L) and sigma = (L - m)/(L + m)
+(`monotone.MonotoneConstants`), on both blocks.
 
 The stopping rule is the computable two-sided residual estimate
 
@@ -143,12 +146,45 @@ def plan_inner_count(bundle: ConstantsBundle, sigma_hat_S: float) -> int:
     sigma_hat (`check_rate_target`).
 
     Evaluates the defining inequality directly over increasing L rather than
-    trusting a logarithm, so the returned L is the smallest valid integer.
+    trusting a logarithm, so the returned L is the smallest valid integer;
+    for sigma_A = 0 (m_A = L_A) that is L = 1.
+
+    A priori envelope.  With (lambda*, u*) the discrete solution and
+    lambda(u) = A_Y^{-1}(f - D u), so lambda* = lambda(u*), let
+    a_k = ||lambda^(k) - lambda*||_Y and b_k = ||u^(k) - u*||_X for the
+    iterates before outer step k.  The proof uses four facts:
+
+      (i)   an inner step contracts towards lambda(u) by sigma_A in the Y-norm;
+      (ii)  the exact Schur step u - theta_S* R_X^{-1} S(u) contracts towards
+            u* by sigma_S in the X-norm;
+      (iii) ||lambda(u) - lambda(v)||_Y <= ||D(u - v)||_{Y'} / m_A, by the
+            strong monotonicity of A_Y;
+      (iv)  ||D v||_{Y'} <= ||v||_X and ||D^T y||_{X'} <= ||y||_Y, since
+            D^T R_Y^{-1} D is a term of R_X (`TrialModes`).
+
+    (i) and (ii) are the contractions of `monotone.MonotoneConstants`;
+    theta_S* enters only as the factor of the perturbation below, so the
+    proof holds for any damping at which (i) and (ii) hold, and uses
+    sigma_S, theta_S*, sigma_A and m_A, not the form of theta*.  The
+    outer bracket is S(u^(k)) + D^T (lambda(u^(k)) - lambda^(k+1)), so
+    u^(k+1) is the exact Schur step plus theta_S* R_X^{-1} D^T
+    (lambda^(k+1) - lambda(u^(k))).  lambda^(k+1) is L inner steps from
+    lambda^(k), so by (i), (iii) and (iv)
+
+        ||lambda^(k+1) - lambda(u^(k))||_Y <= e_k = sigma_A^L (a_k + b_k / m_A),
+        a_(k+1) <= e_k + b_k / m_A,
+        b_(k+1) <= sigma_S b_k + theta_S* e_k,          by (ii) and (iv).
+
+    Suppose a_k <= C_3 sigma_hat^k C_4 and b_k <= sigma_hat^k C_4, as at
+    k = 0 for C_4 = max(a_0 / C_3, b_0).  Then the defining inequality of
+    L gives e_k <= sigma_A^L (C_3 + 1/m_A) sigma_hat^k C_4 <=
+    ((sigma_hat - sigma_S)/theta_S*) sigma_hat^k C_4, hence
+    b_(k+1) <= sigma_hat^(k+1) C_4 and, by the definition of C_3,
+    a_(k+1) <= ((sigma_hat - sigma_S)/theta_S* + 1/m_A) sigma_hat^k C_4
+    = C_3 sigma_hat^(k+1) C_4.
     """
     check_rate_target(bundle, sigma_hat_S)
     cA, cS = bundle.A_constants, bundle.S_constants
-    if cA.sigma == 0.0:
-        return 1
     target = (sigma_hat_S - cS.sigma) / cS.theta_star
     budget = _C_3(bundle, sigma_hat_S) + 1.0 / cA.m
     L, power = 1, cA.sigma
@@ -548,7 +584,7 @@ def run_inexact_uzawa(
     since (1 - q) s_L = 1 - q^L and q^L Xi_0 = Xi_0 - theta c s_L Xi_0.
     The monitored pair's residual is
         C - theta c Xi_L = d - theta c s_L d = q^L d,
-    so res_Y = q^L ||d||_lam / theta_A* with ||d||_lam^2 = sum lam_k d_jk^2
+    so res_Y = |q^L| ||d||_lam / theta_A* with ||d||_lam^2 = sum lam_k d_jk^2
     (`JointModes.norm2`), and theta c Xi_L is never formed: the sweep is one
     update per outer step, and with both couplings scalings in the joint
     modes the outer step makes no matrix product besides w^T Z in the trace
@@ -556,18 +592,20 @@ def run_inexact_uzawa(
     X = Xi diag(sqrt(lam)) (`JointModes`), a fixed linear map, so the
     recursion and its closed form hold for X alike, with the Euclidean norm
     in place of ||.||_lam.  Bounds: theta_A* =
-    m_A/L_A^2 (`MonotoneConstants.theta_star`), and A_Y = c R_Y gives m_A <=
-    c <= L_A for any constants valid for the operator, so 0 < theta c =
-    m_A c/L_A^2 <= m_A/L_A <= 1 and q lies in [0, 1); the paper's
-    constants (m_A, L_A) = (c, 3c) give theta c = 1/9.  Evaluation
-    (`_geometric_factors`): for theta c < 1, q^L = exp(L log1p(-theta c))
-    and 1 - q^L = -expm1(L log1p(-theta c)), both to rounding, where
-    1 - q**L loses about log10(1/(theta c)) digits to cancellation.  At
-    theta c = 1, q = 0 and log1p(-1) = -inf, so theta c >= 1 (q = 0, from
-    the exact constants (c, c), or a bundle whose constants are not the
-    operator's) takes the power q**L, and
-    1 - q^L has no cancellation there while the recursion contracts
-    (|q| < 1).  The update is the L-step recursion to rounding, not bit
+    2/(m_A + L_A) (`MonotoneConstants.theta_star`), and A_Y = c R_Y gives
+    m_A <= c <= L_A for any constants valid for the operator, so theta c =
+    2c/(m_A + L_A) lies in [2 m_A/(m_A + L_A), 2 L_A/(m_A + L_A)], within
+    (0, 2), and |q| <= sigma_A < 1: the recursion contracts, with q < 0 for
+    c > (m_A + L_A)/2.  The paper's constants (m_A, L_A) = (c, 3c) give
+    theta c = 1/2; the constants (c/3, c), valid too, give 3/2.
+    Evaluation (`_geometric_factors`): for theta c < 1, q^L =
+    exp(L log1p(-theta c)) and 1 - q^L = -expm1(L log1p(-theta c)), both to
+    rounding, where 1 - q**L loses about log10(1/(theta c)) digits to
+    cancellation.  For theta c >= 1 the power q**L is taken: at theta c = 1,
+    q = 0 and log1p(-1) = -inf; for 1 < theta c < 2, q lies in (-1, 0)
+    and 1 - q^L loses digits only for even L near theta c = 2, which
+    constants built as the CLI builds them, (c, 3c) for a constant mu,
+    never reach.  The update is the L-step recursion to rounding, not bit
     for bit.
 
     The trial-side state is Z, the modal coefficients of u (`TrialModes`):
@@ -608,7 +646,7 @@ def run_inexact_uzawa(
         def sweep(X, C):
             """The L inner steps in closed form; X_L and ||C - theta_A* c X_L||."""
             d = C - theta_c * X
-            return X + s_L * d, q_L * math.sqrt(coords.norm2(d))
+            return X + s_L * d, abs(q_L) * math.sqrt(coords.norm2(d))
     modes = TrialModes(op_X, ctx)
     C_f = coords.representer(np.reshape(f, (pair.dim_t_Y, pair.dim_x)))
     g_hat = ctx.to_modes(g)

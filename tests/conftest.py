@@ -22,6 +22,14 @@ def quasi8():
 
 
 @pytest.fixture(scope="session")
+def ramp8():
+    # bounded-ramp with b = 0 declares m_mu = M_mu = 1.5: a constant mu
+    # other than the heat problem's c = 1
+    problem = sy.quasilinear_problem("bounded-ramp", a=1.5, b=0.0)
+    return _discretization(problem, 8, 8)
+
+
+@pytest.fixture(scope="session")
 def heat_problem():
     return sy.heat_problem()
 

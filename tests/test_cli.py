@@ -358,7 +358,7 @@ class TestMainEntry:
         # sigma_hat outside (sigma_S, 1) for the configured mu
         ("solve", "solver.sigma_hat = 0.5"),
         ("constants", "solver.sigma_hat = 1.0"),
-        ("solve", "solver.sigma_hat = 0.9995\nproblem.mu = one-plus-inv"),
+        ("solve", "solver.sigma_hat = 0.99\nproblem.mu = one-plus-inv"),
         ("solve", "problem.T = 0"),
         ("pjotr", "quality.rho = -1"),
         ("solve", "problem.mu_c = 0"),
@@ -408,8 +408,12 @@ class TestMainEntry:
         assert not os.path.exists(tmp_path / "o")
 
     def test_unrepresentable_default_sigma_hat(self, tmp_path, capsys):
-        # sigma_S = 1 - 2^-53 here, so the midpoint default rounds to 1
-        path = write_config(tmp_path, MINIMAL + "problem.mu_c = 1e-4\n")
+        # a = 2^-20 makes L_S = 1/a = 2^20, a power of two, and m_S = a/L_A^2
+        # lies in (2^-34, 2^-33): so sigma_S = (L_S - m_S)/(L_S + m_S) rounds
+        # to 1 - 2^-53 here, and the midpoint default rounds to 1
+        path = write_config(tmp_path, MINIMAL + (
+            "problem.mu = bounded-ramp\nproblem.mu_a = 9.5367431640625e-07\nproblem.mu_b = 32\n"
+        ))
         assert cli.main(["constants", "--config", path, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert "no outer-rate target" in err
@@ -428,12 +432,12 @@ L_Ninv = 19
 L_Beinv = 18
 C_1 = 50.249223594996216
 C_PF = 0.31830988618379069
-theta_star_A = 0.1111111111111111
-sigma_A = 0.94280904158206336
-theta_star_S = 0.012345679012345678
-sigma_S = 0.99931389357274381
-sigma_hat_S = 0.99965694678637185
-C_3 = 1.0281400170407771
+theta_star_A = 0.5
+sigma_A = 0.5
+theta_star_S = 0.64285714285714279
+sigma_S = 0.92857142857142849
+sigma_hat_S = 0.96428571428571419
+C_3 = 1.094650205761317
 L = 6
 """,
     "quasilinear.cfg": """\
@@ -446,12 +450,12 @@ L_Ninv = 101.9008746355685
 L_Beinv = 88.16326530612244
 C_1 = 422.18914205503967
 C_PF = 0.31830988618379069
-theta_star_A = 0.024305555555555556
-sigma_A = 0.98930917254864714
-theta_star_S = 0.00067515432098765428
-sigma_S = 0.99999179496591006
-sigma_hat_S = 0.99999589748295503
-C_3 = 1.1489382702134416
+theta_star_A = 0.29090909090909089
+sigma_A = 0.74545454545454548
+theta_star_S = 0.33198847262247838
+sigma_S = 0.9919308357348704
+sigma_hat_S = 0.9959654178674352
+C_3 = 1.1596887802671221
 L = 10
 """,
 }
@@ -480,16 +484,16 @@ def _solve_summary(cfg_name, tmp_path):
 
 class TestHeatConfigPin:
     def test_heat_cfg_outer_iterations(self, tmp_path):
-        # eta/tol is 1.008 after step 703 and 0.9955 after step 704, so the
+        # eta/tol is 1.53 after step 9 and 0.537 after step 10, so the
         # count moves only if the operator kernels change the iterates
         row = _solve_summary("heat.cfg", tmp_path)
-        assert int(row["outer_iterations"]) == 704
+        assert int(row["outer_iterations"]) == 10
         assert int(row["converged"]) == 1
 
     def test_quasilinear_cfg_outer_iterations(self, tmp_path):
-        # eta/tol is 1.00034 after step 2884 and 0.99967 after step 2885
+        # eta/tol is 1.409 after step 5 and 0.949 after step 6
         row = _solve_summary("quasilinear.cfg", tmp_path)
-        assert int(row["outer_iterations"]) == 2885
+        assert int(row["outer_iterations"]) == 6
         assert int(row["converged"]) == 1
 
 

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -52,9 +51,10 @@ class TestConstants:
         assert abs(slopes.max() - mu.M_mu) < 1e-6      # a + 9b/8
 
     def test_theta_sigma(self):
+        # the step rule of a gradient: theta* = 2/(m + L), sigma = (L - m)/(L + m)
         c = mo.MonotoneConstants(L=3.0, m=1.0)
-        assert abs(c.theta_star - 1.0 / 9.0) < 1e-15
-        assert abs(c.sigma - math.sqrt(8.0) / 3.0) < 1e-15
+        assert abs(c.theta_star - 0.5) < 1e-15
+        assert abs(c.sigma - 0.5) < 1e-15
 
     @settings(max_examples=50, deadline=None)
     @given(m=st.floats(0.01, 10.0), ratio=st.floats(1.0, 50.0))
@@ -470,7 +470,7 @@ class TestZarantonello:
 
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_contraction_vs_newton_reference(self, setup_name, request, rng):
-        # per-step error ratio never exceeds sigma = sqrt(1 - m^2/L^2)
+        # per-step error ratio never exceeds sigma = (L - m)/(L + m)
         s = request.getfixturevalue(setup_name)
         f = rng.standard_normal(s.pair.dim_Y) * 0.3
         ref = mo.newton_solve(

@@ -69,15 +69,19 @@ class TestDeriveConstants:
         (3e160, 1e160),     # L_A^2 overflows
         (3e308, 1e308),     # L_A = inf, so m_A / L_A^2 = 0
         (3e-300, 1e-300),   # L_A^2 underflows to 0
-        (1e150, 1e150),     # only theta_S* = m_S / L_S^2 = 1e-450 underflows
     ])
     def test_unrepresentable_constants(self, L, m):
         with pytest.raises(PsaddleError, match="not representable"):
             sy.derive_constants(L, m)
 
-    def test_large_representable_pair(self):
-        b = sy.derive_constants(1e50, 1e50)
-        assert b.S_constants.theta_star == pytest.approx(1e-150, rel=1e-14)
+    @pytest.mark.parametrize("L, m, theta_S", [
+        (1e50, 1e50, 2e-50),
+        # the paper's damping m_S / L_S^2 = 1e-450 would underflow here
+        (1e150, 1e150, 2e-150),
+    ])
+    def test_large_representable_pair(self, L, m, theta_S):
+        b = sy.derive_constants(L, m)
+        assert b.S_constants.theta_star == pytest.approx(theta_S, rel=1e-14, abs=0.0)
 
 
 class TestAssembleRhs:
@@ -369,6 +373,61 @@ class TestSchur:
             dn = s.ctx.norm_X_delta(w - z)
             assert diff @ (w - z) >= m_S * dn**2 - 1e-9
             assert s.ctx.dual_norm_X(diff) <= L_S * dn + 1e-9
+
+
+PREMISE_SETUPS = ["heat8", "quasi8", "ramp8"]
+
+
+class TestPotentialPremise:
+    """The premise of the step rule of `monotone.MonotoneConstants`: A_Y, A_X
+    and the Schur operator are gradients of convex functionals, so their
+    Jacobians are symmetric and the exact damped Schur step contracts by
+    sigma_S; each checked at 20 random states.  These fail only if the
+    premise is false, whatever the step rule."""
+
+    @pytest.mark.parametrize("setup_name", PREMISE_SETUPS)
+    def test_galerkin_jacobians_symmetric(self, setup_name, request):
+        s = request.getfixturevalue(setup_name)
+        rng = np.random.default_rng(1301)
+        for _ in range(20):
+            for op in (s.op_Y, s.op_X):
+                J = op.jacobian(rng.standard_normal(op.dim))
+                assert abs(J - J.T).max() <= 1e-12 * abs(J).max()
+
+    @pytest.mark.parametrize("setup_name", PREMISE_SETUPS)
+    def test_schur_jacobian_symmetric(self, setup_name, request):
+        # J_S = A_X'(u) + trace + D^T A_Y'(lambda(u))^{-1} D, the operator of
+        # `schur_newton_direction`, through v^T J_S w = w^T J_S v
+        s = request.getfixturevalue(setup_name)
+        ctx = s.ctx
+        schur = sy.SchurOperator(s.pair, ctx, s.op_Y, s.op_X, s.rhs, inner_tol=1e-12)
+        rng = np.random.default_rng(1302)
+        for _ in range(20):
+            u = rng.standard_normal(s.pair.dim_X)
+            fact_Y = s.op_Y.jacobian_factor(schur.inner_solve(u))
+            jac_X = s.op_X.jacobian(u)
+
+            def apply_J(p):
+                return jac_X @ p + ctx.apply_trace_term(p) + ctx.apply_Dt(
+                    fact_Y.solve(ctx.apply_D(p))
+                )
+
+            v, w = rng.standard_normal((2, s.pair.dim_X))
+            Jv, Jw = apply_J(v), apply_J(w)
+            assert abs(v @ Jw - w @ Jv) <= 1e-12 * math.sqrt((v @ Jv) * (w @ Jw))
+
+    @pytest.mark.parametrize("setup_name", PREMISE_SETUPS)
+    def test_exact_schur_step_contracts(self, setup_name, request):
+        s = request.getfixturevalue(setup_name)
+        schur = sy.SchurOperator(s.pair, s.ctx, s.op_Y, s.op_X, s.rhs, inner_tol=1e-12)
+        cS = s.bundle.S_constants
+        rng = np.random.default_rng(1303)
+        for _ in range(20):
+            w, z = rng.standard_normal((2, s.pair.dim_X))
+            step = cS.theta_star * s.ctx.riesz_X_solve(schur.apply(w) - schur.apply(z))
+            assert s.ctx.norm_X_delta((w - z) - step) <= (
+                cS.sigma * s.ctx.norm_X_delta(w - z) * (1 + 1e-9)
+            )
 
 
 class TestSolveReference:
