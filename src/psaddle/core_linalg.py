@@ -6,14 +6,14 @@ sorted indices).  Every SPD matrix is factored by one path, a banded
 Cholesky in reverse Cuthill-McKee order (`banded_cholesky`, or its symbolic
 and numeric steps `banded_pattern` and `BandedPattern.factor`), with one
 symmetry check and one NotSpdError for a matrix that is not symmetric
-positive definite.  The symbolic step does its index work in int32, with
-the transpose map from scipy's compiled CSR transpose and row merge, and
-the numeric step checks symmetry in blocks, so neither builds an int64 or
-float temporary the size of the matrix beside the band.  At desk scale
-every SPD system here is banded once reordered, so direct solves are
-exact up to round-off and remove inner-solver tolerances from every
-downstream check.  Operators that are
-only available matrix-free are solved by preconditioned conjugate gradients
+positive definite.  The symbolic step gives every stored entry, in int32,
+its band slot and the band slot of its transpose; the numeric step fills
+one band through each and reads the symmetry check off their difference,
+so no step builds an int64 index array or a float temporary larger than
+the band.  At desk scale every SPD system here is banded once reordered,
+so direct solves are exact up to round-off and remove inner-solver
+tolerances from every downstream check.  Operators that are only
+available matrix-free are solved by preconditioned conjugate gradients
 (`pcg`) under a proven iteration cap (`cg_iteration_cap`).  The smallest
 generalized eigenvalue of a pencil comes from one dense reduced pencil,
 under the same size guard as every other dense array.
@@ -99,33 +99,18 @@ class BandedCholesky:
         return x
 
 
-# Entries per block of the symmetry check of `BandedPattern.factor`.
-_SYMMETRY_BLOCK = 1 << 15
-
-
-def _max_asymmetry(data: np.ndarray, transpose: np.ndarray) -> float:
-    """max |a_k - a_T(k)| over the stored entries, with T = `transpose`;
-    an entry whose transpose is not stored (T(k) = nnz) meets an implicit
-    zero.  Taken in blocks, so no temporary spans the entries."""
-    nnz, asym = data.size, 0.0
-    for start in range(0, nnz, _SYMMETRY_BLOCK):
-        block = slice(start, start + _SYMMETRY_BLOCK)
-        other = data.take(transpose[block], mode="clip")
-        other[transpose[block] == nnz] = 0.0
-        asym = max(asym, float(np.abs(data[block] - other).max()))
-    return asym
-
-
 @dataclass(frozen=True)
 class BandedPattern:
     """Symbolic step of `banded_cholesky` for one CSR sparsity pattern.
 
     Holds what depends on the pattern alone: the reverse Cuthill-McKee
-    order `perm`; for every stored entry its flat position `band_index` in
-    the (bandwidth + 1, n) upper band of the reordered matrix, stored in
-    LAPACK's column-major order, or the one slot past the band for an entry
-    below the diagonal; and the position `transpose` of its transpose among
-    the stored entries, or nnz where that is not stored.  `factor` is the
+    order `perm`; the `bandwidth`, the largest distance of a stored entry
+    from the diagonal of the reordered matrix on either side; and two
+    flat positions per stored entry in the (bandwidth + 1, n) upper band,
+    stored in LAPACK's column-major order.  `band_index` is the entry's
+    own slot, `mirror_index` the slot of its transpose; an entry below the
+    diagonal has no slot of its own and one above has no transposed slot,
+    and both go to the one dump slot past the band.  `factor` is the
     numeric step.
     """
 
@@ -134,7 +119,7 @@ class BandedPattern:
     perm: np.ndarray
     bandwidth: int
     band_index: np.ndarray = field(repr=False)
-    transpose: np.ndarray = field(repr=False)
+    mirror_index: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -143,7 +128,12 @@ class BandedPattern:
     def factor(self, matrix: sp.csr_matrix) -> BandedCholesky:
         """Numeric step: fill the band with the data of a CSR matrix on this
         pattern and factor it.  Raises NotSpdError if the data is not
-        symmetric or the matrix is not positive definite."""
+        symmetric or the matrix is not positive definite.
+
+        The symmetry check fills a second band with every entry on or below
+        the diagonal at the slot of its transpose: slot by slot the two
+        bands hold a_ij and a_ji, or an implicit zero where one of them is
+        not stored, so max |A - A^T| is read off their difference."""
         same = (
             matrix.shape == (self.dim, self.dim)
             and (matrix.indices is self.indices or np.array_equal(matrix.indices, self.indices))
@@ -152,15 +142,19 @@ class BandedPattern:
         if not same:
             raise DimensionMismatchError("matrix is not on the pattern of this factorization")
         data = matrix.data
-        asym = _max_asymmetry(data, self.transpose)
+        size = (self.bandwidth + 1) * self.dim
+        band = np.zeros(size + 1)
+        band[self.band_index] = data
+        mirror = np.zeros(size + 1)
+        mirror[self.mirror_index] = data
+        mirror = mirror[:size]
+        np.subtract(mirror, band[:size], out=mirror)
+        asym = float(np.abs(mirror, out=mirror).max(initial=0.0))
         scale = max(data.max(initial=0.0), -data.min(initial=0.0)) or 1.0  # max |a_k|
         if asym > _SYMMETRY_RTOL * scale:
             raise NotSpdError(
                 f"matrix is not symmetric: max asymmetry {asym:.3e} (scale {scale:.3e})"
             )
-        size = (self.bandwidth + 1) * self.dim
-        band = np.zeros(size + 1)
-        band[self.band_index] = data
         try:
             cb = sla.cholesky_banded(
                 band[:size].reshape(self.bandwidth + 1, self.dim, order="F"),
@@ -171,37 +165,11 @@ class BandedPattern:
         return BandedCholesky(perm=self.perm, _cb=cb)
 
 
-def _transpose_map(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """For every entry of a canonical (n, n) CSR pattern, the position of
-    its transpose among the stored entries, or nnz where that is not
-    stored; int32.
-
-    The transpose, built by scipy's compiled CSR transpose, carries its
-    entries' positions minus nnz (so none is zero, which the merge would
-    drop), and the pattern itself carries nnz + 1.  scipy merges the two
-    row by row into their sum: position + 1 where both are stored, nnz + 1
-    on an entry whose transpose is not stored, and a negative value on a
-    transpose entry outside the pattern.  Each row of the sum is sorted by
-    column, so its positive values are the pattern's entries in CSR order.
-    """
-    nnz = indices.size
-    shape = (n, n)
-    transposed = sp.csr_matrix(
-        (np.arange(-nnz, 0, dtype=np.int32), indices, indptr), shape=shape
-    ).T.tocsr()
-    merged = sp.csr_matrix((np.full(nnz, nnz + 1, dtype=np.int32), indices, indptr), shape=shape)
-    merged = merged + transposed
-    del transposed
-    out = merged.data[merged.data > 0]
-    out -= 1
-    return out
-
-
 def banded_pattern(matrix: sp.csr_matrix) -> BandedPattern:
     """Symbolic step of `banded_cholesky` for the pattern of a canonical
     (sorted, duplicate-free) square CSR matrix; refuses a band array above
-    MAX_DENSE_BYTES before the band or the transpose map is built.  The
-    index work is int32."""
+    MAX_DENSE_BYTES before the band positions are built.  The index work
+    is int32."""
     if matrix.shape[0] != matrix.shape[1]:
         raise NotSpdError(f"matrix is not square: {matrix.shape}")
     n = matrix.shape[0]
@@ -211,19 +179,23 @@ def banded_pattern(matrix: sp.csr_matrix) -> BandedPattern:
     position[perm] = np.arange(n, dtype=np.int32)
     # c and r, the entries' column and row in the reordered matrix
     band_index = position[indices]
-    offset = np.repeat(position, np.diff(indptr))
-    np.subtract(band_index, offset, out=offset)  # c - r
-    bandwidth = int(offset.max(initial=0))
+    mirror_index = np.repeat(position, np.diff(indptr))
+    offset = band_index - mirror_index  # c - r
+    bandwidth = max(int(offset.max(initial=0)), -int(offset.min(initial=0)))
     check_dense_size("banded Cholesky band", (bandwidth + 1, n))
+    # entry (i, j), i <= j, sits at (bandwidth + 1) j + bandwidth - (j - i);
     # the size check keeps every band position below 2^27
     band_index *= bandwidth + 1
     band_index += bandwidth
     band_index -= offset
     band_index[offset < 0] = (bandwidth + 1) * n
-    del offset  # before the transpose map's arrays are built
+    mirror_index *= bandwidth + 1
+    mirror_index += bandwidth
+    mirror_index += offset
+    mirror_index[offset > 0] = (bandwidth + 1) * n
     return BandedPattern(
         indptr=indptr, indices=indices, perm=perm, bandwidth=bandwidth,
-        band_index=band_index, transpose=_transpose_map(n, indptr, indices),
+        band_index=band_index, mirror_index=mirror_index,
     )
 
 

@@ -1,4 +1,5 @@
 import ast
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -204,9 +205,10 @@ class TestBandedCholesky:
         assert np.abs(cl.banded_cholesky(A).solve(b) - b / 2.0).max() <= 1e-15
 
     def test_one_sided_entry_past_the_last_key(self):
-        # entry (0, 2) has no stored transpose, and the key of (2, 0) lies
-        # past every stored key: the map gives nnz, and the nonzero meets
-        # an implicit zero in the symmetry check
+        # entry (0, 2) has no stored transpose, and (2, 0) would lie past
+        # every stored entry: the nonzero meets an implicit zero in the
+        # symmetry check, which comes before the positive definiteness check
+        # (row 2 of A_last is empty)
         A = sp.csr_matrix(
             (np.array([2.0, 1.0, 2.0, 2.0]), np.array([0, 2, 1, 2]), np.array([0, 2, 3, 4])),
             shape=(3, 3),
@@ -215,16 +217,43 @@ class TestBandedCholesky:
             (np.array([2.0, 1.0, 2.0]), np.array([0, 2, 1]), np.array([0, 2, 3, 3])),
             shape=(3, 3),
         )
-        assert np.array_equal(cl.banded_pattern(A).transpose, [0, 4, 2, 3])
-        assert np.array_equal(cl.banded_pattern(A_last).transpose, [0, 3, 2])
-        with pytest.raises(NotSpdError, match="not symmetric"):
-            cl.banded_cholesky(A)
+        for M in (A, A_last):
+            with pytest.raises(NotSpdError, match=r"not symmetric: max asymmetry 1\.000e\+00"):
+                cl.banded_cholesky(M)
+
+    @pytest.mark.parametrize("value", [1.0, 0.0])
+    @pytest.mark.parametrize("n, pairs, entry, width", [(4, 0, (3, 0), 3), (5, 1, (1, 3), 2)])
+    def test_one_sided_entry_sets_the_band(self, n, pairs, entry, width, value, rng):
+        # the one entry without a stored transpose lies farther from the
+        # diagonal than any stored pair: on a diagonal 4 x 4 it is the only
+        # off-diagonal entry, 3 below the diagonal; on a tridiagonal 5 x 5
+        # it lies 2 below the diagonal in reverse Cuthill-McKee order.  The
+        # band reaches it either way: refused when nonzero, solved when it
+        # is a stored zero
+        dense = 4.0 * np.eye(n) + pairs * (np.eye(n, k=1) + np.eye(n, k=-1))
+        coo = sp.coo_matrix(dense)
+        A = cl.as_csr(sp.coo_matrix(
+            (np.append(coo.data, value), (np.append(coo.row, entry[0]), np.append(coo.col, entry[1]))),
+            shape=(n, n),
+        ))
+        assert A.nnz == coo.nnz + 1
+        assert cl.banded_pattern(A).bandwidth == width
+        b = rng.standard_normal(n)
+        if value:
+            with pytest.raises(NotSpdError, match=r"max asymmetry 1\.000e\+00"):
+                cl.banded_cholesky(A)
+        else:
+            expect = np.linalg.solve(dense, b)
+            assert np.abs(cl.banded_cholesky(A).solve(b) - expect).max() <= 1e-15
 
     @pytest.mark.parametrize("one_sided", [False, True])
-    def test_transpose_map_against_bisection(self, one_sided, rng):
-        # every entry's transpose position, or nnz where it is not stored,
-        # against a dense table of the stored positions (the map itself
-        # bisects over the sorted keys row * n + col)
+    def test_symmetry_check_against_dense(self, one_sided, rng):
+        # random symmetric values on a seeded pattern, with one entry moved
+        # by a planted asymmetry: the factorization is refused exactly when
+        # the dense max |A - A^T| exceeds the tolerance relative to max |A|,
+        # and the message carries that value.  On the one-sided pattern the
+        # entries without a stored transpose hold zeros, and the planted
+        # asymmetry sits on one of them
         n = 60
         mask = np.triu(rng.uniform(size=(n, n)) < 0.1, 1)
         mask = mask | mask.T | np.eye(n, dtype=bool)
@@ -233,10 +262,30 @@ class TestBandedCholesky:
         A = sp.csr_matrix(mask.astype(float))
         assert ((A != A.T).nnz > 0) == one_sided
         row = np.repeat(np.arange(n), np.diff(A.indptr))
-        position = np.full((n, n), A.nnz)
-        position[row, A.indices] = np.arange(A.nnz)
-        expect = position[A.indices, row]
-        assert np.array_equal(cl.banded_pattern(A).transpose, expect)
+        scale = 2.0 * n  # the diagonal, which dominates every row
+        values = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+        values = values + values.T + scale * np.eye(n)
+        A.data = np.where(mask[A.indices, row], values[row, A.indices], 0.0)
+        candidates = np.flatnonzero((row != A.indices) & (mask[A.indices, row] != one_sided))
+        tol = cl._SYMMETRY_RTOL * scale
+        refused = 0
+        for k in rng.choice(candidates, 6, replace=False):
+            for delta in (0.0, 0.5 * tol, 2.0 * tol, 1.0):
+                B = A.copy()
+                B.data[k] += delta
+                dense = B.toarray()
+                asym = np.abs(dense - dense.T).max()
+                if asym > cl._SYMMETRY_RTOL * np.abs(dense).max():
+                    refused += 1
+                    with pytest.raises(NotSpdError, match=re.escape(f"max asymmetry {asym:.3e} ")):
+                        cl.banded_cholesky(B)
+                else:
+                    # the factor reads one triangle, off the dense one by asym
+                    b = rng.standard_normal(n)
+                    x = cl.banded_cholesky(B).solve(b)
+                    bound = asym * np.abs(x).max() + 1e-12 * np.abs(b).max()
+                    assert np.abs(dense @ x - b).max() <= bound
+        assert refused == 12
 
     def test_oversize_band_refused_before_allocation(self):
         # an arrow matrix: one row and column couple every unknown, so no

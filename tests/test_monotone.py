@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psaddle import monotone as mo
-from psaddle.core_linalg import banded_cholesky
+from psaddle.core_linalg import banded_cholesky, banded_pattern
 from psaddle.errors import DimensionMismatchError, NotConvergedError, NotSpdError, PsaddleError
 from psaddle.spaces import (
     CONT_P1,
@@ -430,6 +430,25 @@ class TestJacobianFactor:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_symbolic_and_numeric_steps_memory_bounded(self, rng):
+        # on the same Jacobian (a band of 0.99 MiB) the symbolic step peaks
+        # at 2.66 MiB and the numeric step, band and mirror band, at
+        # 2.05 MiB; one more int32 (0.74 MiB) or float temporary the size
+        # of the entries, held beside the step's own arrays, breaks its bound
+        op = mo.GalerkinOperator(default_pair(128, 128), "Y", mo.make_mu("one-plus-inv"))
+        J = op.jacobian(0.1 * rng.standard_normal(op.dim))
+        tracemalloc.start()
+        try:
+            pattern = banded_pattern(J)
+            held, pattern_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            pattern.factor(J)
+            _, factor_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pattern_peak < 3.0 * 2**20
+        assert factor_peak - held < 2.3 * 2**20
 
     def test_pattern_refuses_bad_data(self, quasi8, rng):
         op = quasi8.op_Y
