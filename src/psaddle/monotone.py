@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from psaddle.core_linalg import BandedCholesky, BandedPattern, banded_pattern
 from psaddle.errors import NotConvergedError, PsaddleError
-from psaddle.spaces import TensorSpacePair, gauss_points, quadrature_matrix
+from psaddle.spaces import ElementTable, TensorSpacePair, gauss_points
 
 __all__ = [
     "MuCoefficient",
@@ -262,11 +262,13 @@ class GalerkinOperator:
     Every spatial basis is piecewise linear, so dw/dx is constant on each
     spatial element, and both kernels work on element gradients.  E_t holds
     the temporal basis at every temporal Gauss point and Dbar_x the spatial
-    basis derivatives, one row per spatial element; both are quadrature
-    matrices built once per operator, held with the temporal Gauss weights
-    w_t and the element lengths h_x.  With W the coefficients as a
-    (dim_t, dim_x) array and W_q = w_t (x) h_x the weights per temporal
-    Gauss point and spatial element,
+    basis derivatives, one row per spatial element; the operator never forms
+    either matrix, but holds the element tables of both axes
+    (`spaces.ElementTable`: the dofs of each element, the reference values
+    at the Gauss points, and 1/h), with the temporal Gauss weights w_t and
+    the element lengths h_x.  With W the coefficients as a (dim_t, dim_x)
+    array and W_q = w_t (x) h_x the weights per temporal Gauss point and
+    spatial element,
 
         G        = E_t W Dbar_x^T                    (n_tq, n_el), `gradients`
         Phi      = mu_bar o G                        `flux`
@@ -292,6 +294,14 @@ class GalerkinOperator:
     contracts the flux with its own maps (`uzawa.GradientMaps` on the test
     side, `uzawa.TrialModes` on the trial side).
 
+    `gradients` takes the difference of W's node values over each spatial
+    element, times 1/h (`ElementTable.slopes`), then gathers the rows at
+    every temporal Gauss point by the temporal dofs of its element
+    (`ElementTable.gather`); `apply` is the transpose, a contraction per
+    temporal element scattered into its dofs by local index, then the
+    spatial difference transposed.  Each costs O(n_tq n_el), the size of
+    G itself, and the tables hold O(n) entries for n elements per axis.
+
     Potential.  The operator is the gradient of a convex functional, with
     the constants (L_A, m_A) = (3 M_mu, m_mu) of `constants_from_mu`.  For
     temporal Gauss point q and spatial element e let mu_bar_qe(s) be the
@@ -314,12 +324,6 @@ class GalerkinOperator:
     M_t^X (x) A_x on the trial side.  So Phi is m_mu-strongly convex with
     an M_mu-Lipschitz gradient in that norm, and M_mu <= L_A.  Its Hessian
     is `jacobian`, B^T diag(W_q o omega_bar) B, symmetric.
-
-    E_t and Dbar_x are stored dense, O(n^2) entries for n elements per axis.
-    No shipped command goes above 128 elements per axis: `convergence`
-    surrogates reach 128 and `pjotr` refines 8 elements at most 4 times.  So
-    there is one dense path; a change that raises that ceiling should
-    measure sparse E_t and Dbar_x.
     """
 
     def __init__(self, pair: TensorSpacePair, side: str, mu: MuCoefficient):
@@ -330,13 +334,11 @@ class GalerkinOperator:
         self.mu = mu
         n_quad = GALERKIN_QUAD_POINTS
 
-        if side == "Y":
-            mesh_t, spec_t = pair.mesh_t_Y, pair.spec_t_Y
-            self.dim_t = pair.dim_t_Y
-        else:
-            mesh_t, spec_t = pair.mesh_t_X, pair.spec_t_X
-            self.dim_t = pair.dim_t_X
-        self.dim_x = pair.dim_x
+        mesh_t = pair.mesh_t_Y if side == "Y" else pair.mesh_t_X
+        spec_t = pair.spec_t_Y if side == "Y" else pair.spec_t_X
+        self.table_t = ElementTable(mesh_t, spec_t, n_quad)
+        self.table_x = ElementTable(pair.mesh_x, pair.spec_x, n_quad)
+        self.dim_t, self.dim_x = self.table_t.dim, self.table_x.dim
         self.dim = self.dim_t * self.dim_x
 
         t_q, w_t = gauss_points(mesh_t, n_quad)
@@ -349,14 +351,11 @@ class GalerkinOperator:
         self.h_x = self._w_x.sum(axis=1)
         self._w_avg = self._w_x / self.h_x[:, None]
         self._w_el = w_t[:, None] * self.h_x
-        self.E_t = quadrature_matrix(mesh_t, spec_t, n_quad)
-        # one point per element: a P1 derivative is the same at every point
-        self.Dbar_x = quadrature_matrix(pair.mesh_x, pair.spec_x, 1, derivative=True)
 
     def gradients(self, w: np.ndarray) -> np.ndarray:
         """Element gradients G = E_t W Dbar_x^T of w, (n_tq, n_el)."""
         W = np.asarray(w, dtype=float).reshape(self.dim_t, self.dim_x)
-        return (self.E_t @ W) @ self.Dbar_x.T
+        return self.table_t.gather(self.table_x.slopes(W))
 
     def _averages(self, G: np.ndarray, fn) -> np.ndarray:
         """Element averages of fn(t, x, G^2) at each temporal Gauss point:
@@ -379,7 +378,7 @@ class GalerkinOperator:
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Dual coefficients (A w)(basis function): E_t^T (W_q o flux(G)) Dbar_x."""
         F = self._w_el * self.flux(self.gradients(w))
-        return (self.E_t.T @ (F @ self.Dbar_x)).reshape(-1)
+        return self.table_x.slopes_T(self.table_t.scatter(F)).reshape(-1)
 
     @cached_property
     def _jacobian_map(self) -> tuple:
@@ -388,44 +387,37 @@ class GalerkinOperator:
         omega_bar carries its quadrature weights W_q.
 
         J = sum_e kron(T_e, S_e) with T_e = E_t^T diag(omega_bar[:, e]) E_t
-        and S_e = Dbar_x[e]^T Dbar_x[e].  Over the temporal pairs (a, b)
-        with E_t[q, a] E_t[q, b] != 0 for some q, P_t[k, q] =
-        E_t[q, a_k] E_t[q, b_k], so P_t @ omega_bar lists every T_e; over
-        the spatial pairs (i, j), St_x[l, e] = Dbar_x[e, i_l] Dbar_x[e, j_l].
-        Then St_x @ (P_t @ omega_bar)^T holds entry ((a_k, i_l), (b_k, j_l))
-        at [l, k].  `blocks` splits St_x into row blocks of at most
-        _JACOBIAN_BLOCK product entries, each with the CSR positions of its
-        entries, on the pattern (indptr, indices) that every Jacobian shares.
+        and S_e = Dbar_x[e]^T Dbar_x[e].  Over the temporal pairs (a_k, b_k)
+        of dofs that share an element, P_t[k, q] = E_t[q, a_k] E_t[q, b_k],
+        so P_t @ omega_bar lists every T_e; over the spatial pairs
+        (i_l, j_l), St_x[l, e] = Dbar_x[e, i_l] Dbar_x[e, j_l]
+        (`ElementTable.pairs`).  Then St_x @ (P_t @ omega_bar)^T holds entry
+        ((a_k, i_l), (b_k, j_l)) at [l, k].  The pattern is the Kronecker
+        product of the two pair patterns: row (a, i) holds the d_t[a] d_x[i]
+        columns (b, j), b paired with a and j with i, sorted by (b, j), so
+        with the 1D pattern pointers p_t and p_x, entry [l, k] sits at
+
+            indptr[(a_k, i_l)] + (k - p_t[a_k]) d_x[i_l] + (l - p_x[i_l]).
+
+        `blocks` splits St_x into row blocks of at most _JACOBIAN_BLOCK
+        product entries, each with the CSR positions of its entries, on the
+        pattern (indptr, indices) that every Jacobian shares.
         """
-
-        def pairs(Q):
-            """Column pairs that share a row of Q, and their row-wise products."""
-            nz = (Q != 0).astype(float)
-            first, second = np.nonzero(nz.T @ nz)
-            products = sp.csr_matrix((Q[:, first] * Q[:, second]).T)
-            return first.astype(np.int32), second.astype(np.int32), products
-
-        a, b, P_t = pairs(self.E_t)
-        i, j, St_x = pairs(self.Dbar_x)
-        rows = (a[None, :] * self.dim_x + i[:, None]).ravel()
-        cols = (b[None, :] * self.dim_x + j[:, None]).ravel()
-        # scipy's compiled COO -> CSR conversion sorts the entries, which
-        # carry their index in the product, so its data is the inverse of
-        # the CSR positions; the coordinates go with the COO matrix
-        order = sp.coo_matrix(
-            (np.arange(rows.size, dtype=np.int32), (rows, cols)), shape=(self.dim, self.dim)
-        )
-        del rows, cols
-        order = order.tocsr()
-        position = np.empty_like(order.data)
-        position[order.data] = np.arange(position.size, dtype=np.int32)
-        n_k = P_t.shape[0]
-        step = max(1, _JACOBIAN_BLOCK // n_k)
-        blocks = [
-            (St_x[l:l + step], position[l * n_k:(l + step) * n_k])
-            for l in range(0, St_x.shape[0], step)
-        ]
-        return P_t, blocks, order.indptr, order.indices
+        p_t, b, P_t = self.table_t.pairs()
+        p_x, j, St_x = self.table_x.pairs(derivative=True)
+        d_t, d_x = np.diff(p_t), np.diff(p_x)
+        a, i = np.repeat(np.arange(self.dim_t), d_t), np.repeat(np.arange(self.dim_x), d_x)
+        indptr = np.concatenate(([0], np.cumsum(np.outer(d_t, d_x)))).astype(np.int32)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        rank_k, rank_l = np.arange(b.size) - p_t[a], np.arange(j.size) - p_x[i]
+        step = max(1, _JACOBIAN_BLOCK // b.size)
+        blocks = []
+        for ls in (slice(l, l + step) for l in range(0, j.size, step)):
+            rows = a * self.dim_x + i[ls, None]
+            position = indptr[rows] + rank_k * d_x[i[ls], None] + rank_l[ls, None]
+            indices[position] = b * self.dim_x + j[ls, None]
+            blocks.append((St_x[ls], position.astype(np.int32).reshape(-1)))
+        return P_t, blocks, indptr, indices
 
     @cached_property
     def jacobian_pattern(self) -> BandedPattern:

@@ -23,7 +23,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from psaddle.core_linalg import check_dense_size
 from psaddle.errors import InvalidSpaceError
 
 FAMILIES = ("continuous-p1", "discontinuous-p0", "discontinuous-p1")
@@ -185,27 +184,118 @@ def reference_derivatives(spec: BasisSpec) -> np.ndarray:
     return np.array([-1.0, 1.0])
 
 
-def quadrature_matrix(
-    mesh: Mesh1D, spec: BasisSpec, n_quad: int, derivative: bool = False
-) -> np.ndarray:
-    """Dense (n_elements * n_quad, dim) basis (or derivative) values at the
-    points of `gauss_points(mesh, n_quad)`.
+class ElementTable:
+    """The element tables of a 1D space under the n_quad-point Gauss rule of
+    `gauss_points`: the dofs of each element (`element_dofs`, -1 for a
+    dropped boundary dof), the reference values of its local functions at
+    the Gauss points, shape (n_quad, n_local), the reference derivatives,
+    1/h per element, and the rule's reference weights times the values and
+    times the derivatives (`weighted`, the local moments of a density).
 
-    The points are all interior, so row q of element e holds the local
-    functions of e at its reference Gauss point q, placed at the element's
-    dofs.
+    With E the (n_elements * n_quad, dim) basis values at the Gauss points
+    and Dbar the (n_elements, dim) derivatives of a P1 basis, one row per
+    element since a P1 derivative is constant there, the tables apply
+    E A (`gather`), E^T F (`scatter`), A Dbar^T (`slopes`) and F Dbar
+    (`slopes_T`) element by element, without forming either matrix, in
+    O(n_elements k) operations; E itself is `gather` of the identity.
+    `pairs` lists the dofs that share an element, the pattern of
+    E^T diag(.) E and of Dbar^T diag(.) Dbar.
     """
-    n, dim = mesh.n_elements, spec.dim(mesh)
-    check_dense_size(f"quadrature_matrix({spec.family}, {n} elements)", (n * n_quad, dim))
-    if derivative:
-        vals = reference_derivatives(spec)[None, None, :] / mesh.lengths[:, None, None]
-    else:
-        vals = reference_values(spec, gauss_rule(n_quad).points).T[None, :, :]
-    # column `dim` absorbs the dropped boundary dofs, which are numbered -1
-    out = np.zeros((n, n_quad, dim + 1))
-    dofs = element_dofs(mesh, spec)
-    out[np.arange(n)[:, None, None], np.arange(n_quad)[None, :, None], dofs[:, None, :]] = vals
-    return out[:, :, :dim].reshape(n * n_quad, dim)
+
+    def __init__(self, mesh: Mesh1D, spec: BasisSpec, n_quad: int):
+        self.spec = spec
+        self.dim = spec.dim(mesh)
+        self.dofs = element_dofs(mesh, spec)
+        self.values, self.derivatives, *weighted = _reference_tables(spec, n_quad)
+        self.weighted = tuple(weighted)
+        self.inv_h = 1.0 / mesh.lengths
+
+    def gather(self, A: np.ndarray) -> np.ndarray:
+        """E A for A of shape (dim, k): the rows of A at the Gauss points,
+        (n_elements * n_quad, k), element-major as `gauss_points`."""
+        if self.spec.boundary == "zero-dirichlet":
+            A = np.vstack([A, np.zeros((1, A.shape[1]))])  # the row that -1 reads
+        return np.matmul(self.values, A[self.dofs]).reshape(-1, A.shape[1])
+
+    def scatter(self, F: np.ndarray) -> np.ndarray:
+        """E^T F for F of shape (n_elements * n_quad, k): each element's
+        contraction with its local functions, added into its dofs."""
+        n_el, n_quad = self.dofs.shape[0], self.values.shape[0]
+        local = np.matmul(self.values.T, F.reshape(n_el, n_quad, -1))
+        out = np.zeros((self.dim + 1, local.shape[2]))  # row dim absorbs the dofs -1
+        _add_elements(out, local, self.dofs)
+        return out[:-1]
+
+    def _nodes(self) -> slice:
+        """The nodes that carry the dofs of a continuous P1 space, of the
+        n_elements + 1 nodes of its mesh."""
+        if self.spec.family != "continuous-p1":
+            raise InvalidSpaceError("slopes are differences of continuous-p1 node values")
+        start = 1 if self.spec.boundary == "zero-dirichlet" else 0
+        return slice(start, start + self.dim)
+
+    def slopes(self, A: np.ndarray) -> np.ndarray:
+        """A Dbar^T for a continuous P1 space, the dofs along the last axis
+        of A: the difference of the node values over each element, times 1/h."""
+        nodes = np.zeros((*A.shape[:-1], self.inv_h.size + 1))
+        nodes[..., self._nodes()] = A
+        out = nodes[..., 1:] - nodes[..., :-1]
+        out *= self.inv_h
+        return out
+
+    def slopes_T(self, F: np.ndarray) -> np.ndarray:
+        """F Dbar for a continuous P1 space, the elements along the last axis
+        of F: node k gets H at element k - 1 minus H at element k, H = F/h."""
+        H = np.zeros((*F.shape[:-1], F.shape[-1] + 2))
+        np.multiply(F, self.inv_h, out=H[..., 1:-1])
+        return (H[..., :-1] - H[..., 1:])[..., self._nodes()]
+
+    def pairs(self, derivative: bool = False) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+        """(indptr, indices, P): the pairs (a, b) of dofs that some element
+        holds both of, as the CSR pattern of a (dim, dim) matrix, sorted by
+        (a, b), and P[k, p] the product of the local functions of pair k at
+        point p of each element that holds it, CSR with the zero products
+        left out.  The points are the Gauss points of `gather`, or with
+        `derivative` one point per element, where a P1 derivative, the
+        reference derivative times 1/h, is constant, as the rows of Dbar.
+        """
+        n_el, n_local = self.dofs.shape
+        if derivative:
+            vals = (self.derivatives * self.inv_h[:, None])[:, None, :]
+        else:
+            vals = np.broadcast_to(self.values, (n_el, *self.values.shape))
+        first, second = np.indices((n_local, n_local)).reshape(2, -1)
+        a, b = self.dofs[:, first], self.dofs[:, second]
+        keys = np.where((a >= 0) & (b >= 0), a * self.dim + b, -1)[:, None, :]
+        pairs = np.unique(keys[keys >= 0])
+        n_pts = vals.shape[1]
+        P = _csr(np.where(keys >= 0, np.searchsorted(pairs, keys), -1),
+                 np.arange(n_el * n_pts).reshape(n_el, n_pts, 1),
+                 vals[:, :, first] * vals[:, :, second], (pairs.size, n_el * n_pts))
+        indptr = np.searchsorted(pairs // self.dim, np.arange(self.dim + 1))
+        return indptr, pairs % self.dim, P
+
+
+@lru_cache(maxsize=None)
+def _reference_tables(spec: BasisSpec, n_quad: int) -> tuple[np.ndarray, ...]:
+    """The mesh-free part of an `ElementTable`, built once per basis and
+    rule, read-only: the reference values (n_quad, n_local) at the Gauss
+    points, the reference derivatives, and the rule's weights times each."""
+    rule = gauss_rule(n_quad)
+    values = reference_values(spec, rule.points).T
+    derivatives = reference_derivatives(spec)
+    w = np.asarray(rule.weights)[:, None]
+    return tuple(_read_only(a) for a in (values, derivatives, w * values, w * derivatives[None, :]))
+
+
+def _add_elements(out: np.ndarray, local: np.ndarray, dofs: np.ndarray) -> None:
+    """Add per-element arrays local (n_elements, n_local, ...) into the
+    rows of out that `dofs` (n_elements, n_local) names; out has one row
+    past the dofs, which absorbs the dropped boundary dofs, numbered -1.
+    Each local index a numbers distinct dofs over the elements, so one
+    indexed add per a suffices."""
+    for a in range(dofs.shape[1]):
+        out[dofs[:, a]] += local[:, a]
 
 
 def _mesh_contains(fine: Mesh1D, coarse: Mesh1D, tol: float = 1e-12) -> bool:

@@ -29,26 +29,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from psaddle import monotone as mo
-from psaddle.core_linalg import cg_iteration_cap, pcg
+from psaddle.core_linalg import cg_iteration_cap, check_dense_size, pcg
 from psaddle.errors import PsaddleError
 from psaddle.riesz import RieszContext
 from psaddle.spaces import (
-    Mesh1D,
     BasisSpec,
+    ElementTable,
+    Mesh1D,
     TensorSpacePair,
-    element_dofs,
+    _add_elements,
     embed_X_into_Y,
     gauss_points,
-    gauss_rule,
-    quadrature_matrix,
-    reference_derivatives,
-    reference_values,
 )
 
 __all__ = [
@@ -180,12 +176,13 @@ RHS_QUAD_POINTS = 16
 _DENSITY_GRID_POINTS = 1 << 14
 
 
-def _element_moments(values: np.ndarray, lengths: np.ndarray, spec: BasisSpec,
+def _element_moments(values: np.ndarray, lengths: np.ndarray, table: ElementTable,
                      derivative: bool = False) -> np.ndarray:
     """Per-element moments of the columns of `values`, given along the
     first axis at the RHS_QUAD_POINTS Gauss points of each element of
     `lengths`, element-major: shape (n_elements, n_local, n_columns), entry
-    [e, a] = sum_q w_eq values_eq phi_a(x_eq) (or phi_a').
+    [e, a] = sum_q w_eq values_eq phi_a(x_eq) (or phi_a'), for the local
+    functions phi_a of the RHS_QUAD_POINTS-point element table `table`.
 
     On element e the weights are h_e times the reference weights w_q, and
     phi_a(x_eq) is the reference value phi_a(xi_q), phi_a' the reference
@@ -194,33 +191,12 @@ def _element_moments(values: np.ndarray, lengths: np.ndarray, spec: BasisSpec,
     with nothing to scale for derivatives, where h_e cancels.
     """
     local = np.matmul(
-        _weighted_local_basis(spec, derivative).T,
+        table.weighted[derivative].T,
         values.reshape(lengths.size, RHS_QUAD_POINTS, -1),
     )
     if not derivative:
         local *= lengths[:, None, None]
     return local
-
-
-@lru_cache(maxsize=None)
-def _weighted_local_basis(spec: BasisSpec, derivative: bool) -> np.ndarray:
-    """(RHS_QUAD_POINTS, n_local) reference weights times the reference
-    basis values, or derivatives, at the reference Gauss points."""
-    rule = gauss_rule(RHS_QUAD_POINTS)
-    w = np.asarray(rule.weights)[:, None]
-    if derivative:
-        return w * reference_derivatives(spec)[None, :]
-    return w * reference_values(spec, rule.points).T
-
-
-def _add_elements(out: np.ndarray, local: np.ndarray, dofs: np.ndarray) -> None:
-    """Add per-element moments (n_elements, n_local, n_columns) into the
-    rows of out that `dofs` (n_elements, n_local) names; out has one row
-    past the dofs, which absorbs the dropped boundary dofs, numbered -1.
-    Each local index a numbers distinct dofs over the elements, so one
-    indexed add per a suffices."""
-    for a in range(dofs.shape[1]):
-        out[dofs[:, a]] += local[:, a]
 
 
 def _ell_moments(
@@ -248,9 +224,10 @@ def _ell_moments(
     t_q, _ = gauss_points(mesh_t, n_q)
     x_q, _ = gauss_points(mesh_x, n_q)
     h_t, h_x = mesh_t.lengths, mesh_x.lengths
-    dim_x, dofs_x = spec_x.dim(mesh_x), element_dofs(mesh_x, spec_x)
-    dofs_t = [element_dofs(mesh_t, spec) for spec in specs_t]
-    outs = [np.zeros((spec.dim(mesh_t) + 1, dim_x)) for spec in specs_t]
+    table_x = ElementTable(mesh_x, spec_x, n_q)
+    tables_t = [ElementTable(mesh_t, spec, n_q) for spec in specs_t]
+    dim_x = table_x.dim
+    outs = [np.zeros((table.dim + 1, dim_x)) for table in tables_t]
     per_x = max(1, min(mesh_x.n_elements, _DENSITY_GRID_POINTS // n_q**2))
     per_t = max(1, _DENSITY_GRID_POINTS // (n_q**2 * per_x))
     for start in range(0, mesh_t.n_elements, per_t):
@@ -264,20 +241,31 @@ def _ell_moments(
             for fn, derivative in ((f0, False), (f1, True)):
                 if fn is not None:
                     values = np.broadcast_to(fn(t, x), (x.size, t.size))
-                    local = local + _element_moments(values, h_x[els_x], spec_x, derivative)
-            _add_elements(FT, local, dofs_x[els_x])
+                    local = local + _element_moments(values, h_x[els_x], table_x, derivative)
+            _add_elements(FT, local, table_x.dofs[els_x])
         F = np.ascontiguousarray(FT[:dim_x].T)
-        for out, spec, dofs in zip(outs, specs_t, dofs_t):
-            _add_elements(out, _element_moments(F, h_t[els], spec), dofs[els])
+        for out, table in zip(outs, tables_t):
+            _add_elements(out, _element_moments(F, h_t[els], table), table.dofs[els])
     return [out[:-1].reshape(-1) for out in outs]
 
 
 def u0_moments(data: ProblemData, pair: TensorSpacePair) -> np.ndarray:
-    """Spatial moments int u0 chi_m dx: Q_x^T (u0 w_x)."""
+    """Spatial moments int u0 chi_m dx: Q_x^T (u0 w_x), with Q_x the basis
+    values at the Gauss points formed dense, as the element-table gather of
+    the identity, and the moments one dense product with it.
+
+    The identity has one column more than Q_x, cut off again, so Q_x is a
+    view with row stride dim_x + 1.  BLAS orders the sums of the product
+    by the strides too, and this stride keeps the moments, and every CSV
+    they enter, bit for bit those of the dense quadrature matrix that the
+    tests build (`tests/helpers.py`).
+    """
     if data.u0 is None:
         return np.zeros(pair.dim_x)
     x_q, w_x = gauss_points(pair.mesh_x, RHS_QUAD_POINTS)
-    Q_x = quadrature_matrix(pair.mesh_x, pair.spec_x, RHS_QUAD_POINTS)
+    check_dense_size("u0_moments.Q_x", (x_q.size, pair.dim_x + 1))
+    table = ElementTable(pair.mesh_x, pair.spec_x, RHS_QUAD_POINTS)
+    Q_x = table.gather(np.eye(pair.dim_x + 1))[:, :-1]
     return Q_x.T @ (data.u0(x_q) * w_x)
 
 

@@ -307,24 +307,28 @@ class GradientMaps:
     read_x M_x V = (W^T Dt_t) G (Dt_x V) with Dt_t = B_t^T read_t and Dt_x =
     read_x M_x (`apply_Dt`).
 
-    In floating point (*) holds to rounding, so the sweep matches the
-    coefficient iteration to rounding, not bit for bit.  Every map is dense;
-    the larger ones are guarded by `check_dense_size`.
+    Every map is dense, built from the operator's element tables
+    (`spaces.ElementTable`): a product with E_t is a row gather of the
+    other factor, and one with Dbar_x^T a column difference, so neither
+    quadrature matrix is formed; the larger maps are guarded by
+    `check_dense_size`.  In floating point (*) holds to rounding, so the
+    sweep matches the coefficient iteration to rounding, not bit for bit.
     """
 
     def __init__(self, op_Y: mo.GalerkinOperator, ctx: RieszContext):
-        E, Dbar = op_Y.E_t, op_Y.Dbar_x
-        n_tq, n_el = E.shape[0], Dbar.shape[0]
+        table_t, table_x = op_Y.table_t, op_Y.table_x
+        n_tq, n_el = op_Y.w_t.size, op_Y.h_x.size
         check_dense_size("GradientMaps.P_t", (n_tq, n_tq))
         check_dense_size("GradientMaps.P_x", (n_el, n_el))
-        check_dense_size("GradientMaps.read_t", (E.shape[1], n_tq))
-        check_dense_size("GradientMaps.read_x", (n_el, Dbar.shape[1]))
-        self.to_t = E @ ctx.inv_M_t_Y
-        self.to_x = ctx.inv_A_x @ Dbar.T     # A_x^{-1} Dbar_x^T
-        self.read_t = (ctx.inv_M_t_Y @ E.T) * op_Y.w_t
+        check_dense_size("GradientMaps.read_t", (op_Y.dim_t, n_tq))
+        check_dense_size("GradientMaps.read_x", (n_el, op_Y.dim_x))
+        self.to_t = table_t.gather(ctx.inv_M_t_Y)
+        self.to_x = table_x.slopes(ctx.inv_A_x)     # A_x^{-1} Dbar_x^T
+        # in C order: the sparse products with it below are slower on a transpose
+        self.read_t = np.ascontiguousarray(table_t.gather(ctx.inv_M_t_Y.T).T) * op_Y.w_t
         self.read_x = op_Y.h_x[:, None] * self.to_x.T
-        self.P_t = E @ self.read_t
-        self.P_x = self.read_x @ Dbar.T
+        self.P_t = table_t.gather(self.read_t)
+        self.P_x = table_x.slopes(self.read_x)
         self.weights = (op_Y.w_t[:, None] * op_Y.h_x).reshape(-1)
         self.shape = (n_tq, n_el)
         W, V = ctx.modes.W, ctx.modes.V
@@ -496,10 +500,10 @@ class TrialModes:
     `RieszContext.modes`, and makes no flux evaluation.
 
     The couplings with the test side are in the test-side coordinates
-    (`GradientMaps`, `JointModes`).  Every map here has the shape of a
-    dense array the operator or the mode transforms already hold, so none
-    needs a size guard of its own.  In floating point the identities hold
-    to rounding.
+    (`GradientMaps`, `JointModes`).  E_t^X W and Dbar_x V are built from
+    the operator's element tables, a row gather of W and a difference of
+    the rows of V, and are dense arrays of their own, each guarded by
+    `check_dense_size`.  In floating point the identities hold to rounding.
     """
 
     def __init__(self, op_X: mo.GalerkinOperator, ctx: RieszContext):
@@ -508,8 +512,10 @@ class TrialModes:
         c = op_X.mu.constant
         # at the full shape of Z: a broadcast row is the slower product
         self.c_lam = None if c is None else c * np.broadcast_to(m.lam, (W.shape[1], V.shape[1]))
-        self.E_t = op_X.E_t @ W
-        self.Dbar_x = op_X.Dbar_x @ V
+        check_dense_size("TrialModes.E_t", (op_X.w_t.size, W.shape[1]))
+        check_dense_size("TrialModes.Dbar_x", (op_X.h_x.size, V.shape[1]))
+        self.E_t = op_X.table_t.gather(W)
+        self.Dbar_x = np.ascontiguousarray(op_X.table_x.slopes(V.T).T)
         self.E_t_w = op_X.w_t[:, None] * self.E_t
         self.Dbar_x_w = op_X.h_x[:, None] * self.Dbar_x
         self.op_X = op_X

@@ -1,6 +1,8 @@
-"""Input builders shared by several test modules, and the sparse-product
+"""Input builders shared by several test modules, the sparse-product
 oracles that the element-block assembly of `psaddle.spaces` is checked
-against."""
+against, and the dense quadrature matrices and the dense-built Jacobian
+map that the element tables of `psaddle.spaces.ElementTable` and
+`psaddle.monotone.GalerkinOperator` are checked against."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from psaddle.spaces import (
     _integration_mesh,
     element_dofs,
     gauss_points,
+    gauss_rule,
     reference_derivatives,
     reference_values,
 )
@@ -104,3 +107,49 @@ def embedding_oracle(source, target):
     if bad.size:
         raise InvalidSpaceError(f"source basis function {bad[0]} is not contained in the target")
     return E
+
+
+def quadrature_matrix(mesh: Mesh1D, spec: BasisSpec, n_quad: int, derivative: bool = False):
+    """Dense (n_elements * n_quad, dim) basis (or derivative) values at the
+    points of `gauss_points(mesh, n_quad)`, one element at a time: the
+    points are all interior, so row q of element e holds the local
+    functions of e at its reference Gauss point q, placed at the element's
+    dofs."""
+    n, dim = mesh.n_elements, spec.dim(mesh)
+    if derivative:
+        vals = reference_derivatives(spec)[None, None, :] / mesh.lengths[:, None, None]
+    else:
+        vals = reference_values(spec, gauss_rule(n_quad).points).T[None, :, :]
+    # column `dim` absorbs the dropped boundary dofs, which are numbered -1
+    out = np.zeros((n, n_quad, dim + 1))
+    dofs = element_dofs(mesh, spec)
+    out[np.arange(n)[:, None, None], np.arange(n_quad)[None, :, None], dofs[:, None, :]] = vals
+    return out[:, :, :dim].reshape(n * n_quad, dim)
+
+
+def jacobian_map_oracle(E_t, Dbar_x, dim):
+    """`GalerkinOperator._jacobian_map` from the dense quadrature matrices
+    E_t (n_tq, dim_t) and Dbar_x (n_el, dim_x): the column pairs that share
+    a row, found from the dense product nz^T nz, and the CSR positions of
+    the product entries from a COO -> CSR sort."""
+
+    def pairs(Q):
+        """Column pairs that share a row of Q, and their row-wise products."""
+        nz = (Q != 0).astype(float)
+        first, second = np.nonzero(nz.T @ nz)
+        products = sp.csr_matrix((Q[:, first] * Q[:, second]).T)
+        return first.astype(np.int32), second.astype(np.int32), products
+
+    a, b, P_t = pairs(E_t)
+    i, j, St_x = pairs(Dbar_x)
+    dim_x = Dbar_x.shape[1]
+    rows = (a[None, :] * dim_x + i[:, None]).ravel()
+    cols = (b[None, :] * dim_x + j[:, None]).ravel()
+    # the COO data carry each entry's index in the product, so the sorted
+    # CSR data are the inverse of the CSR positions
+    order = sp.coo_matrix(
+        (np.arange(rows.size, dtype=np.int32), (rows, cols)), shape=(dim, dim)
+    ).tocsr()
+    position = np.empty_like(order.data)
+    position[order.data] = np.arange(position.size, dtype=np.int32)
+    return P_t, St_x, position.reshape(St_x.shape[0], -1), order.indptr, order.indices

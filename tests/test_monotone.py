@@ -17,12 +17,11 @@ from psaddle.spaces import (
     assemble_matrices,
     default_pair,
     gauss_points,
-    quadrature_matrix,
     refine_times,
 )
 from psaddle.riesz import RieszContext
 
-from helpers import eval_basis_at_points, jittered_mesh
+from helpers import eval_basis_at_points, jacobian_map_oracle, jittered_mesh, quadrature_matrix
 
 
 class TestConstants:
@@ -240,8 +239,13 @@ def _oracle_pair(kind):
         "jittered": (mesh_t, DISC_P1),
         "p0-test": (mesh_t, DISC_P0),
         "test-refined-twice": (refine_times(mesh_t, 2), DISC_P1),
+        # a temporal pair (a, a) spans the two elements on either side of node a
+        "cont-p1-test": (mesh_t, CONT_P1),
     }[kind]
     return assemble_matrices((mesh_t, CONT_P1), test_t, (mesh_x, CONT_P1_DIRICHLET))
+
+
+ORACLE_KINDS = ["jittered", "p0-test", "test-refined-twice", "cont-p1-test"]
 
 
 # mu returning a Python scalar: the kernels must broadcast it themselves
@@ -266,7 +270,7 @@ class TestQuadratureOracle:
     mu that depends on t and x, and with mus that ignore them."""
 
     @pytest.mark.parametrize("side", ["Y", "X"])
-    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
     def test_apply_and_jacobian(self, kind, side, rng):
         pair = _oracle_pair(kind)
         mesh_t, spec_t = _temporal_side(pair, side)
@@ -279,7 +283,7 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("mu_name", sorted(BROADCAST_MUS))
     @pytest.mark.parametrize("side", ["Y", "X"])
-    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
     def test_broadcast_mu(self, kind, side, mu_name, rng):
         mu = BROADCAST_MUS[mu_name]
         pair = _oracle_pair(kind)
@@ -294,7 +298,16 @@ class TestQuadratureOracle:
 def _weighted_quadrature(op):
     """E_t and Dbar_x with the quadrature weights folded in, W_t E_t and
     W_x Dbar_x: the flux carries none, so these contract it to `apply`."""
-    return op.w_t[:, None] * op.E_t, op.h_x[:, None] * op.Dbar_x
+    E_t, Dbar_x = _dense_quadrature(op)
+    return op.w_t[:, None] * E_t, op.h_x[:, None] * Dbar_x
+
+
+def _dense_quadrature(op):
+    """The dense E_t and Dbar_x of an operator, from `quadrature_matrix`:
+    one row of Dbar_x per element, where a P1 derivative is constant."""
+    mesh_t, spec_t = _temporal_side(op.pair, op.side)
+    return (quadrature_matrix(mesh_t, spec_t, mo.GALERKIN_QUAD_POINTS),
+            quadrature_matrix(op.pair.mesh_x, op.pair.spec_x, 1, derivative=True))
 
 
 class TestKroneckerMapped:
@@ -303,7 +316,7 @@ class TestKroneckerMapped:
     against the map applied to `apply`."""
 
     @pytest.mark.parametrize("mu", [mo.make_mu("one-plus-inv"), MU_TXS], ids=["registry", "tx"])
-    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
     def test_riesz_map_on_test_space(self, kind, mu, rng):
         # R_Y^{-1} A_Y w = (M_t^Y)^{-1} E_t^T W_t Phi W_x Dbar_x A_x^{-1}, and the
         # gradients are the test function's x-derivative at every temporal
@@ -327,7 +340,7 @@ class TestKroneckerMapped:
             assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
     @pytest.mark.parametrize("side", ["Y", "X"])
-    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
     def test_rectangular_map(self, kind, side, rng):
         # (left (x) right) acts on the time-major coefficients as left H right
         op = mo.GalerkinOperator(_oracle_pair(kind), side, MU_TXS)
@@ -367,7 +380,7 @@ class TestFixedPatternJacobian:
 
     @pytest.mark.parametrize("mu", [mo.make_mu("one-plus-inv"), MU_TXS], ids=["registry", "tx"])
     @pytest.mark.parametrize("side", ["Y", "X"])
-    @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
     def test_matches_general_product(self, kind, side, mu, rng):
         op = mo.GalerkinOperator(_oracle_pair(kind), side, mu)
         for _ in range(2):
@@ -385,6 +398,30 @@ class TestFixedPatternJacobian:
         assert np.array_equal(J1.indptr, J2.indptr)
         assert np.array_equal(J1.indices, J2.indices)
         assert not np.array_equal(J1.data, J2.data)
+
+    @pytest.mark.parametrize("side", ["Y", "X"])
+    @pytest.mark.parametrize("spec_t", [DISC_P1, CONT_P1, DISC_P0], ids=["disc-p1", "cont-p1", "disc-p0"])
+    @pytest.mark.parametrize("n, refine", [(4, 0), (4, 2), (32, 0), (128, 0)])
+    def test_map_matches_dense_built_map(self, n, refine, spec_t, side, rng):
+        # the element-table map against the dense-built one, bit for bit, on
+        # jittered meshes: the same pattern, and the same data for one omega_bar
+        mesh_t, mesh_x = jittered_mesh(n, rng), jittered_mesh(n, rng)
+        test_t = (refine_times(mesh_t, refine), spec_t)
+        pair = assemble_matrices((mesh_t, CONT_P1), test_t, (mesh_x, CONT_P1_DIRICHLET))
+        op = mo.GalerkinOperator(pair, side, MU_TXS)
+        P_t, St_x, position, indptr, indices = jacobian_map_oracle(*_dense_quadrature(op), op.dim)
+        got_P_t, blocks, got_indptr, got_indices = op._jacobian_map
+        assert np.array_equal(got_indptr, indptr)
+        assert np.array_equal(got_indices, indices)
+        omega_bar = rng.uniform(0.5, 2.0, op._w_el.shape) * op._w_el
+        T = np.ascontiguousarray((P_t @ omega_bar).T)
+        expect = np.empty(indices.size)
+        expect[position] = St_x @ T
+        T = np.ascontiguousarray((got_P_t @ omega_bar).T)
+        got = np.empty(indices.size)
+        for St_block, pos in blocks:
+            got[pos] = (St_block @ T).ravel()
+        assert np.array_equal(got, expect)
 
 
 class TestJacobianFactor:
@@ -430,6 +467,23 @@ class TestJacobianFactor:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_long_time_mesh_memory_bounded(self, rng):
+        # a 1024 x 8 pair: the dense test-side E_t alone would take
+        # 3072 x 2048 x 8 B = 48 MiB, the trial side's 24 MiB; the element
+        # tables, apply and the first Jacobian of both sides stay far below
+        pair = default_pair(1024, 8)
+        tracemalloc.start()
+        try:
+            for side in ("Y", "X"):
+                op = mo.GalerkinOperator(pair, side, mo.make_mu("one-plus-inv"))
+                w = 0.1 * rng.standard_normal(op.dim)
+                op.apply(w)
+                op.jacobian(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_symbolic_and_numeric_steps_memory_bounded(self, rng):
         # on the same Jacobian (a band of 0.99 MiB) the symbolic step peaks

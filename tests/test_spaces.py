@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from psaddle import spaces
 from psaddle.core_linalg import banded_cholesky
-from psaddle.errors import InvalidSpaceError, PsaddleError
+from psaddle.errors import InvalidSpaceError
 from psaddle.spaces import (
     CONT_P1,
     CONT_P1_DIRICHLET,
     DISC_P0,
     DISC_P1,
+    ElementTable,
     Mesh1D,
     assemble_1d,
     assemble_matrices,
@@ -23,13 +24,18 @@ from psaddle.spaces import (
     embedding_matrix,
     gauss_points,
     gauss_rule,
-    quadrature_matrix,
     refine_times,
     trace_at_time,
     uniform_refine,
 )
 
-from helpers import assemble_1d_oracle, embedding_oracle, eval_basis_at_points, jittered_mesh
+from helpers import (
+    assemble_1d_oracle,
+    embedding_oracle,
+    eval_basis_at_points,
+    jittered_mesh,
+    quadrature_matrix,
+)
 
 FAMILIES = [CONT_P1, CONT_P1_DIRICHLET, DISC_P0, DISC_P1]
 FAMILY_IDS = ["cont-p1", "cont-p1-dirichlet", "disc-p0", "disc-p1"]
@@ -155,11 +161,6 @@ class TestAssembly:
         # the two compute the reference coordinate of a point differently
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
-    def test_quadrature_matrix_refuses_oversize(self):
-        # 60000 x 20001 float64 is about 9.6 GB: refused before allocation
-        with pytest.raises(PsaddleError, match="bytes"):
-            quadrature_matrix(Mesh1D.uniform(20_000), CONT_P1, 3)
-
     @pytest.mark.parametrize("nesting", NESTINGS.values(), ids=NESTINGS.keys())
     @pytest.mark.parametrize("trial_spec", FAMILIES, ids=FAMILY_IDS)
     @pytest.mark.parametrize("test_spec", FAMILIES, ids=FAMILY_IDS)
@@ -197,6 +198,40 @@ class TestAssembly:
         m = Mesh1D.uniform(2)
         with pytest.raises(InvalidSpaceError):
             assemble_matrices((m, DISC_P0), (m, DISC_P1), (m, CONT_P1_DIRICHLET))
+
+
+class TestElementTable:
+    """The element-table products against the dense quadrature matrices."""
+
+    @staticmethod
+    def _close(got, expect):
+        return np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+    def test_gather_and_scatter(self, spec, rng):
+        mesh = jittered_mesh(5, rng)
+        table = ElementTable(mesh, spec, 3)
+        E = quadrature_matrix(mesh, spec, 3)
+        A = rng.standard_normal((spec.dim(mesh), 4))
+        F = rng.standard_normal((E.shape[0], 4))
+        assert self._close(table.gather(A), E @ A)
+        assert self._close(table.scatter(F), E.T @ F)
+
+    @pytest.mark.parametrize("spec", [CONT_P1, CONT_P1_DIRICHLET], ids=FAMILY_IDS[:2])
+    def test_slopes(self, spec, rng):
+        mesh = jittered_mesh(5, rng)
+        table = ElementTable(mesh, spec, 3)
+        Dbar = quadrature_matrix(mesh, spec, 1, derivative=True)
+        A = rng.standard_normal((4, spec.dim(mesh)))
+        F = rng.standard_normal((4, mesh.n_elements))
+        assert self._close(table.slopes(A), A @ Dbar.T)
+        assert self._close(table.slopes_T(F), F @ Dbar)
+
+    @pytest.mark.parametrize("spec", [DISC_P0, DISC_P1], ids=FAMILY_IDS[2:])
+    def test_slopes_refuse_discontinuous(self, spec):
+        table = ElementTable(Mesh1D.uniform(3), spec, 3)
+        with pytest.raises(InvalidSpaceError, match="continuous-p1"):
+            table.slopes(np.zeros((1, spec.dim(Mesh1D.uniform(3)))))
 
 
 class TestTensorPair:

@@ -18,16 +18,16 @@ from psaddle.spaces import (
     CONT_P1_DIRICHLET,
     DISC_P0,
     DISC_P1,
+    Mesh1D,
     assemble_matrices,
     default_pair,
     embed_X_into_Y,
     gauss_points,
-    quadrature_matrix,
     refine_times,
     uniform_refine,
 )
 
-from helpers import eval_basis_at_points, jittered_mesh
+from helpers import eval_basis_at_points, jittered_mesh, quadrature_matrix
 
 
 class TestDeriveConstants:
@@ -244,6 +244,29 @@ class TestQuadratureOracle:
         monkeypatch.setattr(sy, "_DENSITY_GRID_POINTS", 1)
         f_1, g_1 = sy.assemble_rhs(data, pair)
         assert np.array_equal(f, f_1) and np.array_equal(g, g_1)
+
+    @pytest.mark.parametrize("n_x", [3, 4, 37])
+    def test_u0_moments_bit_for_bit(self, n_x):
+        # Q_x from the element tables is the dense quadrature matrix entry
+        # for entry and stride for stride, so the moments keep the bits of
+        # the dense product (with x86-64 OpenBLAS, a contiguous Q_x changes
+        # them at n_x = 4)
+        rng = np.random.default_rng(13)
+        mesh_x = jittered_mesh(n_x, rng)
+        pair = assemble_matrices((Mesh1D.uniform(2), CONT_P1), (Mesh1D.uniform(2), DISC_P1),
+                                 (mesh_x, CONT_P1_DIRICHLET))
+        x_q, w_x = gauss_points(mesh_x, sy.RHS_QUAD_POINTS)
+        Q_x = quadrature_matrix(mesh_x, CONT_P1_DIRICHLET, sy.RHS_QUAD_POINTS)
+        expect = Q_x.T @ (U0(x_q) * w_x)
+        assert np.array_equal(sy.u0_moments(sy.ProblemData(u0=U0), pair), expect)
+
+    def test_u0_moments_refuses_oversize(self, monkeypatch):
+        # the dense Q_x, 16 x 8 points by 7 dofs, is refused by name one
+        # byte above the limit, before the identity it gathers is built
+        pair = default_pair(2, 8)
+        monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * 128 * 7 - 1)
+        with pytest.raises(PsaddleError, match=r"dense array u0_moments\.Q_x of shape"):
+            sy.u0_moments(sy.ProblemData(u0=U0), pair)
 
     def test_u0_moments_and_norm(self):
         rng = np.random.default_rng(12)

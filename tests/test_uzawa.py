@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,11 @@ from psaddle.spaces import (
     DISC_P1,
     Mesh1D,
     assemble_matrices,
+    default_pair,
     refine_times,
 )
 
-from helpers import jittered_mesh
+from helpers import jittered_mesh, quadrature_matrix
 
 
 class TestPlanInnerCount:
@@ -473,7 +475,8 @@ class TestGradientMaps:
         # refuses the sweep by name before anything is built
         ctx = heat8.ctx
         ctx.inv_M_t_Y, ctx.inv_A_x
-        n_tq = heat8.op_Y.E_t.shape[0]
+        pair = heat8.pair
+        n_tq = quadrature_matrix(pair.mesh_t_Y, pair.spec_t_Y, mo.GALERKIN_QUAD_POINTS).shape[0]
         monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * n_tq**2 - 1)
         with pytest.raises(PsaddleError, match=r"dense array GradientMaps\.P_t of shape"):
             uz.GradientMaps(heat8.op_Y, ctx)
@@ -614,6 +617,24 @@ class TestTrialModes:
         assert flux_path.c_lam is None
         assert _close(got, flux_path.apply(Z), 1e-12)
         assert _close(got, s.ctx.to_modes(s.op_X.apply(u)), 1e-12)
+
+    @pytest.mark.parametrize("name, n_t, n_x", [
+        ("TrialModes.E_t", 8, 4),      # 24 x 9 against a Dbar_x V of 4 x 3
+        ("TrialModes.Dbar_x", 2, 16),  # 16 x 15 against an E_t W of 6 x 3
+    ])
+    def test_dense_maps_guarded(self, name, n_t, n_x, monkeypatch):
+        # the larger map at each size: a limit one byte below it refuses
+        # the maps by name, and a limit at it builds them
+        problem = sy.quasilinear_problem()
+        s = sy.Discretization(default_pair(n_t, n_x), problem.mu, problem.data)
+        s.ctx.modes
+        attr = name.split(".")[1]
+        entries = {"E_t": 3 * n_t * (n_t + 1), "Dbar_x": n_x * (n_x - 1)}[attr]
+        monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * entries - 1)
+        with pytest.raises(PsaddleError, match=rf"dense array {re.escape(name)} of shape"):
+            uz.TrialModes(s.op_X, s.ctx)
+        monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * entries)
+        assert getattr(uz.TrialModes(s.op_X, s.ctx), attr).size == entries
 
     def test_couplings(self, quasi_pair, rng):
         # the couplings of `GradientMaps` between element gradients and the
