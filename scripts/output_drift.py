@@ -1,6 +1,6 @@
 """Compare the study outputs of two checkouts of this repository.
 
-Usage: python scripts/output_drift.py PARENT_DIR CHANGE_DIR
+Usage: python scripts/output_drift.py [--max-drift REL] PARENT_DIR CHANGE_DIR
 
 Runs every CLI subcommand on configs/heat.cfg and configs/quasilinear.cfg
 in each checkout (its own src/ and configs/, single-threaded BLAS), then
@@ -14,8 +14,9 @@ CSVs with the file and column it sits in.
 
 Exits with status 1 if a subcommand's exit code differs, a CSV is
 written on one side only, or row counts, headers, or integer or string
-columns differ; float drift, standard output and peak RSS are reported,
-not judged.
+columns differ, and with --max-drift REL also if the largest float drift
+exceeds REL; without it float drift is reported, not judged.  Standard
+output and peak RSS are always reported, not judged.
 """
 
 from __future__ import annotations
@@ -124,6 +125,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_dir")
     ap.add_argument("change_dir")
+    ap.add_argument("--max-drift", type=float, default=None, metavar="REL",
+                    help="exit 1 if the largest relative float drift exceeds REL")
     args = ap.parse_args(argv)
 
     ok = True
@@ -154,6 +157,10 @@ def main(argv=None) -> int:
     print("rows and integer/string columns: " + ("equal" if ok else "DIFFER"))
     drift, where = worst
     print(f"largest float drift: {drift:.3g}" + (f" ({where})" if drift > 0.0 else ""))
+    if args.max_drift is not None:
+        within = drift <= args.max_drift
+        ok &= within
+        print(f"float drift {'within' if within else 'ABOVE'} --max-drift {args.max_drift:.3g}")
     return 0 if ok else 1
 
 

@@ -22,7 +22,9 @@ step factors the test-side Jacobian once, eliminates lambda with it and
 solves for u by `core_linalg.pcg` on the Schur Jacobian, preconditioned
 by the balanced trial Riesz map R_X(c_bar), c_bar = sqrt(m_mu M_mu), so
 no saddle matrix is ever formed or factored and the PCG condition number
-is at most M_mu / m_mu.
+is at most M_mu / m_mu.  Each PCG stops at a forcing tolerance tied to
+the residual (inexact Newton), which keeps the step descent and the
+convergence quadratic.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ __all__ = [
     "aposteriori_estimate",
     "SchurOperator",
     "PCG_RTOL",
+    "NEWTON_FORCING",
+    "FORCING_CAP",
+    "forcing_cap",
     "balanced_weight",
     "pcg_iteration_cap",
     "schur_newton_direction",
@@ -402,8 +407,17 @@ class SchurOperator:
         )
 
 
-# Relative stop of each Newton-PCG solve, read in the R_X^{-1} norm of the residual.
+# Relative stop of each Newton-PCG solve, read in the R_X^{-1} norm of the
+# residual: the floor of the forcing tolerance of `solve_reference`, and the
+# whole stop of every other caller.
 PCG_RTOL = 1e-10
+
+# Forcing factor gamma of `solve_reference`: Newton step k's PCG stops at
+# rtol_k = max(PCG_RTOL, min(forcing_cap(mu), NEWTON_FORCING * eta_k)).
+NEWTON_FORCING = 0.1
+
+# Largest forcing tolerance whatever mu (`forcing_cap`).
+FORCING_CAP = 0.1
 
 
 def balanced_weight(mu: mo.MuCoefficient) -> float:
@@ -413,7 +427,20 @@ def balanced_weight(mu: mo.MuCoefficient) -> float:
     return math.sqrt(mu.m_mu * mu.M_mu)
 
 
-def pcg_iteration_cap(mu: mo.MuCoefficient) -> int:
+def forcing_cap(mu: mo.MuCoefficient) -> float:
+    """tau_max = min(FORCING_CAP, 1 / (2 sqrt(2) max(1, 1/m_mu) k)) with
+    k = max(c_bar, 1/c_bar), c_bar = `balanced_weight(mu)`: the largest
+    forcing tolerance of a `solve_reference` step, under which its
+    direction keeps phi'(w) d <= -phi (proof there).  FORCING_CAP = 0.1
+    binds for one-plus-inv (the second term is 0.23) and for mu = 1
+    (0.35); mu = 1e-4 gives 3.5e-9 and mu = 1e4 gives 3.5e-5, both above
+    PCG_RTOL, as every mu with bounds in [1e-4, 1e4] does."""
+    c_bar = balanced_weight(mu)
+    k = max(c_bar, 1.0 / c_bar)
+    return min(FORCING_CAP, 1.0 / (2.0 * math.sqrt(2.0) * max(1.0, 1.0 / mu.m_mu) * k))
+
+
+def pcg_iteration_cap(mu: mo.MuCoefficient, rtol: float = PCG_RTOL) -> int:
     """Proven bound on the PCG iterations of one `solve_reference` Newton step.
 
     The Schur Jacobian is J_S = A_X'(z) + trace + D^T A_Y'(lam)^{-1} D.  Both
@@ -444,11 +471,12 @@ def pcg_iteration_cap(mu: mo.MuCoefficient) -> int:
     and R_X(c)^{-1} J_S has condition kappa <= M_mu / m_mu: 16/7 for
     one-plus-inv, and 1 for mu = c, where J_S = R_X(c) (unweighted, R_X
     itself would give max(M_mu, 1/m_mu, 1) / min(m_mu, 1/M_mu, 1): 4 and
-    100 for mu = 10).  The cap is `cg_iteration_cap(kappa, PCG_RTOL)`: 16 for
-    kappa = 16/7, and 2 for kappa = 1 (at 128 x 128 with mu = 1 the first
+    100 for mu = 10).  The cap is `cg_iteration_cap(kappa, rtol)` for the
+    step's relative stop rtol: 16 for kappa = 16/7 and rtol = PCG_RTOL, 3
+    for rtol = 0.1, and 2 for kappa = 1 (at 128 x 128 with mu = 1 the first
     iteration reaches 1e-12, not 1e-13).
     """
-    return cg_iteration_cap(mu.M_mu / mu.m_mu, PCG_RTOL)
+    return cg_iteration_cap(mu.M_mu / mu.m_mu, rtol)
 
 
 def schur_newton_direction(
@@ -458,11 +486,13 @@ def schur_newton_direction(
     r: np.ndarray,
     max_iter: int,
     c_bar: float,
+    rtol: float = PCG_RTOL,
 ) -> tuple[np.ndarray, int]:
     """delta with (jac_X + trace + D^T jac_Y^{-1} D) delta = r, by `pcg`
     preconditioned with the balanced trial Riesz map R_X(c_bar)^{-1}
-    (`RieszContext.riesz_X_solver`, `pcg_iteration_cap`) to PCG_RTOL;
-    c_bar = `balanced_weight(mu)`, and c_bar = 1 is R_X^{-1} itself.
+    (`RieszContext.riesz_X_solver`, `pcg_iteration_cap`) to the relative
+    stop rtol; c_bar = `balanced_weight(mu)`, and c_bar = 1 is R_X^{-1}
+    itself.
 
     The operator is applied matrix-free: each iteration costs one solve
     with R_X(c_bar) by fast diagonalization, one solve with fact_Y, the
@@ -481,7 +511,7 @@ def schur_newton_direction(
     def apply_J(p):
         return jac_X @ p + ctx.apply_trace_term(p) + ctx.apply_Dt(fact_Y.solve(ctx.apply_D(p)))
 
-    return pcg(apply_J, ctx.riesz_X_solver(c_bar), r, PCG_RTOL, max_iter)
+    return pcg(apply_J, ctx.riesz_X_solver(c_bar), r, rtol, max_iter)
 
 
 # Cap on the damped Newton steps of `solve_reference`.
@@ -512,38 +542,67 @@ def solve_reference(
         dlam     = A_Y'^{-1} (r_Y - D du),
 
     with the Schur Jacobian J_S = A_X'(u) + trace + D^T A_Y'^{-1} D, solved
-    by PCG preconditioned with R_X(c_bar), c_bar = `balanced_weight(mu)`, so
-    the PCG cap is `pcg_iteration_cap`.  The loop is `monotone.damped_newton`
-    with the estimate eta of `aposteriori_estimate` and the merit
+    by PCG preconditioned with R_X(c_bar), c_bar = `balanced_weight(mu)`.
+    The loop is `monotone.damped_newton` with the estimate eta of
+    `aposteriori_estimate` and the merit
 
         phi = ||r_Y||^2_{(Y^d)'} + ||r_X||^2_{(X^d)'},
 
     the squares of its two terms, in the Armijo test
     phi(w + a d) <= (1 - 2 c a) phi, c = 1e-4.
 
+    Inexact Newton.  Step k's PCG stops at the forcing tolerance
+
+        rtol_k = max(PCG_RTOL, min(tau_max, gamma eta_k)),
+
+    with eta_k the estimate at the step's start, gamma = NEWTON_FORCING
+    = 0.1 and tau_max = `forcing_cap(mu)`, under the cap
+    `pcg_iteration_cap(mu, rtol_k)`: far from the solution the direction
+    is solved loosely, near it as tightly as the residual, and never
+    tighter than PCG_RTOL.
+
     The step is a descent direction of phi under the inexact PCG solve.
     Write r = (r_Y, r_X) and R = diag(R_Y, R_X), so phi = r^T R^{-1} r and
     r'(w) d = -N'(w) d.  PCG leaves J_S du = b - rho with b its right-hand
-    side and ||rho||_c <= PCG_RTOL ||b||_c in the norm ||v||_c^2 =
+    side and ||rho||_c <= rtol_k ||b||_c in the norm ||v||_c^2 =
     v^T R_X(c_bar)^{-1} v of its preconditioner.  With k = max(c_bar, 1/c_bar),
     R_X / k <= R_X(c_bar) <= k R_X term by term, so ||v||_c and the dual
     norm ||v||_{X'} are within a factor sqrt(k) of each other and
-    ||rho||_{X'} <= k PCG_RTOL ||b||_{X'}.  The back-substitution is exact,
+    ||rho||_{X'} <= k rtol_k ||b||_{X'}.  The back-substitution is exact,
     so N'(w) d = r + (0, rho) and
 
         phi'(w) d = -2 phi - 2 r_X^T R_X^{-1} rho
-                 <= -2 phi + 2 ||r_X||_{X'} k PCG_RTOL ||b||_{X'}.
+                 <= -2 phi + 2 ||r_X||_{X'} k rtol_k ||b||_{X'}.
 
     Since R_X >= D^T R_Y^{-1} D, ||D^T y||_{X'} <= ||y||_{R_Y}, and since
     A_Y' >= m_mu R_Y, ||A_Y'^{-1} r_Y||_{R_Y} <= ||r_Y||_{Y'} / m_mu; so
     ||b||_{X'} <= max(1, 1/m_mu)(||r_Y||_{Y'} + ||r_X||_{X'}) <=
     max(1, 1/m_mu) sqrt(2 phi), and
 
-        phi'(w) d <= -2 phi (1 - sqrt(2) max(1, 1/m_mu) k PCG_RTOL) < 0
+        phi'(w) d <= -2 phi (1 - sqrt(2) max(1, 1/m_mu) k rtol_k).
 
-    for PCG_RTOL = 1e-10 whenever max(1, 1/m_mu) k < 7e9; c_bar lies in
-    [m_mu, M_mu], so bounds within [1e-4, 1e4] suffice.  With the exact
-    direction phi'(w) d = -2 phi.
+    tau_max <= 1 / (2 sqrt(2) max(1, 1/m_mu) k) puts the bracket at 1/2
+    or more whenever rtol_k <= tau_max, so phi'(w) d <= -phi, and the
+    Armijo test holds for every small enough a.  rtol_k exceeds tau_max
+    only if tau_max < PCG_RTOL, that is max(1, 1/m_mu) k > 3.5e9; c_bar
+    lies in [m_mu, M_mu], so mu bounds within [1e-4, 1e4] (a product of
+    at most 1e8) never get there.  With the exact direction
+    phi'(w) d = -2 phi.
+
+    The forcing also keeps Newton's local quadratic convergence (Dembo,
+    Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982, Thm. 3.3;
+    Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996).  The linearized
+    residual of the step is (0, rho), and by the bounds above, with
+    ||r_Y||_{Y'} + ||r_X||_{X'} = eta_k,
+
+        ||rho||_{X'} <= max(1, 1/m_mu) k rtol_k eta_k:
+
+    relative to eta_k, the norm of the residual in the product dual norm,
+    the linear residual is at most max(1, 1/m_mu) k tau_max < 1/2 far from
+    the solution, and max(1, 1/m_mu) k gamma eta_k = O(eta_k) once
+    gamma eta_k lies below tau_max, the forcing O(||F(w_k)||) of their
+    Thm. 3.3, down to eta_k = PCG_RTOL / gamma, below which the step is
+    solved to PCG_RTOL.
 
     The returned state has a posteriori estimate eta at most tol.
     Otherwise the solve raises the NotConvergedError of `damped_newton` at
@@ -553,20 +612,24 @@ def solve_reference(
     """
     u = np.zeros(pair.dim_X) if x0 is None else np.array(x0, dtype=float)
     lam = embed_X_into_Y(pair, u) if pair.x_in_y else np.zeros(pair.dim_Y)
-    pcg_cap = pcg_iteration_cap(op_Y.mu)
-    c_bar = balanced_weight(op_Y.mu)
+    mu = op_Y.mu
+    c_bar, tau_max = balanced_weight(mu), forcing_cap(mu)
 
     def evaluate(state):
-        """(eta, phi, (r_Y, r_X)) at state."""
+        """(eta, phi, (eta, (r_Y, r_X))) at state."""
         r = residual(state, rhs, ctx, op_Y, op_X)
         n_Y, n_X = ctx.dual_norm_Y(r[0]), ctx.dual_norm_X(r[1])
-        return n_Y + n_X, n_Y * n_Y + n_X * n_X, r
+        eta = n_Y + n_X
+        return eta, n_Y * n_Y + n_X * n_X, (eta, r)
 
-    def direction(state, r):
-        r_Y, r_X = r
+    def direction(state, data):
+        eta, (r_Y, r_X) = data
+        rtol = max(PCG_RTOL, min(tau_max, NEWTON_FORCING * eta))
         fact_Y = op_Y.jacobian_factor(state.lam)
         b = ctx.apply_Dt(fact_Y.solve(r_Y)) - r_X
-        du, _ = schur_newton_direction(ctx, fact_Y, op_X.jacobian(state.u), b, pcg_cap, c_bar)
+        du, _ = schur_newton_direction(
+            ctx, fact_Y, op_X.jacobian(state.u), b, pcg_iteration_cap(mu, rtol), c_bar, rtol
+        )
         dlam = fact_Y.solve(r_Y - ctx.apply_D(du))
         return lambda a: SaddleState(state.lam + a * dlam, state.u + a * du)
 

@@ -70,6 +70,28 @@ class TestCompareCsv:
         assert report == ["  header or row count differs: 1 vs 2 rows"]
 
 
+@pytest.mark.parametrize("max_drift, code", [(None, 0), (1e-10, 1), (1e-9, 0)])
+def test_max_drift_judges_float_drift(drift, max_drift, code, monkeypatch, tmp_path, capsys):
+    # one CSV whose float column drifts by 4e-10 relative: reported alone,
+    # refused above --max-drift, passed at or below it
+    value = {"parent": "2.5", "change": repr(2.5 * (1 - 4e-10))}
+
+    def fake_outputs(checkout, work):
+        os.makedirs(work)
+        with open(os.path.join(work, "convergence.csv"), "w") as fh:
+            fh.write(f"level,err\n0,{value[os.path.basename(checkout)]}\n")
+        return {("heat", "convergence"): (0, "", 1.0)}
+
+    monkeypatch.setattr(drift, "run_outputs", fake_outputs)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    if max_drift is not None:
+        argv += ["--max-drift", str(max_drift)]
+    assert drift.main(argv) == code
+    out = capsys.readouterr().out
+    assert "largest float drift: 4e-10 (convergence.csv err)" in out
+    assert ("--max-drift" in out) == (max_drift is not None)
+
+
 def test_drift_runs_every_subcommand_on_existing_configs(drift):
     # a subcommand missing here would escape the byte-identity comparison
     assert set(drift.SUBCOMMANDS) == set(cli.SUBCOMMANDS)

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from psaddle import core_linalg
+from psaddle import cli, core_linalg
 from psaddle import monotone as mo
 from psaddle import quality as ql
 from psaddle import system as sy
@@ -768,6 +769,129 @@ class TestNewtonPCG:
             sy.solve_reference(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, tol=0.0)
         eta, _, _ = sy.aposteriori_estimate(err.value.best, s.rhs, s.op_Y, s.op_X, s.ctx)
         assert eta <= 1e-15
+
+
+def _record_newton(monkeypatch):
+    """[(steps, PCG iterations per step, final eta, tol)] of every saddle
+    Newton solve run after the call, in order."""
+    solves, iterations = [], []
+    loop, direction = mo.damped_newton, sy.schur_newton_direction
+
+    def counting_direction(*args, **kwargs):
+        out = direction(*args, **kwargs)
+        iterations.append(out[1])
+        return out
+
+    def recording_loop(evaluate, direction_, x0, tol, max_steps, name):
+        start = len(iterations)
+        x, steps = loop(evaluate, direction_, x0, tol, max_steps, name)
+        if name == "saddle newton":
+            solves.append((steps, iterations[start:], evaluate(x)[0], tol))
+        return x, steps
+
+    monkeypatch.setattr(sy, "schur_newton_direction", counting_direction)
+    monkeypatch.setattr(mo, "damped_newton", recording_loop)
+    return solves
+
+
+class TestInexactNewton:
+    """The forcing rule of solve_reference: step k's PCG stops at
+    max(PCG_RTOL, min(forcing_cap(mu), NEWTON_FORCING eta_k))."""
+
+    REGISTRY = {
+        "one-plus-inv": mo.make_mu("one-plus-inv"),
+        "constant(1)": mo.make_mu("constant", c=1.0),
+        "constant(1e-4)": mo.make_mu("constant", c=1e-4),
+        "constant(1e4)": mo.make_mu("constant", c=1e4),
+        "bounded-ramp": mo.make_mu("bounded-ramp"),
+        "bounded-ramp(1e-4,8e3)": mo.make_mu("bounded-ramp", a=1e-4, b=8e3),
+    }
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_cap_keeps_half_the_descent(self, name):
+        # sqrt(2) max(1, 1/m_mu) k rtol_k <= 1/2 for every rtol_k the rule
+        # can give, so phi'(w) d <= -phi: the cap binds before PCG_RTOL
+        mu = self.REGISTRY[name]
+        tau = sy.forcing_cap(mu)
+        c_bar = sy.balanced_weight(mu)
+        k = max(c_bar, 1.0 / c_bar)
+        assert sy.PCG_RTOL <= tau <= sy.FORCING_CAP
+        assert math.sqrt(2.0) * max(1.0, 1.0 / mu.m_mu) * k * tau <= 0.5 * (1.0 + 1e-15)
+
+    def test_iteration_cap_at_forcing_cap(self):
+        # kappa = 16/7 and rtol = 0.1: ceil(ln(20 r) / ln((r + 1) / (r - 1))) = 3
+        mu = mo.make_mu("one-plus-inv")
+        assert sy.forcing_cap(mu) == 0.1
+        assert sy.pcg_iteration_cap(mu, sy.forcing_cap(mu)) == 3
+
+    def test_descent_at_forcing_cap(self, quasi8, rng):
+        # one direction solved to rtol = tau_max at a state far from the
+        # solution: the bounds of the proof, sampled, and phi'(w) d <= -phi
+        # by central differences
+        s, mu = quasi8, quasi8.op_Y.mu
+        ctx, tau, c_bar = s.ctx, sy.forcing_cap(mu), sy.balanced_weight(mu)
+        state = sy.SaddleState(0.3 * rng.standard_normal(s.pair.dim_Y),
+                               0.3 * rng.standard_normal(s.pair.dim_X))
+
+        def merit(w):
+            r_Y, r_X = sy.residual(w, s.rhs, ctx, s.op_Y, s.op_X)
+            return ctx.dual_norm_Y(r_Y) ** 2 + ctx.dual_norm_X(r_X) ** 2
+
+        r_Y, r_X = sy.residual(state, s.rhs, ctx, s.op_Y, s.op_X)
+        phi = merit(state)
+        fact_Y = s.op_Y.jacobian_factor(state.lam)
+        b = ctx.apply_Dt(fact_Y.solve(r_Y)) - r_X
+        du, _ = sy.schur_newton_direction(
+            ctx, fact_Y, s.op_X.jacobian(state.u), b, sy.pcg_iteration_cap(mu, tau), c_bar, tau
+        )
+        dlam = fact_Y.solve(r_Y - ctx.apply_D(du))
+        rho = b - _schur_jacobian(s, state.lam, state.u)(du)
+        k = max(c_bar, 1.0 / c_bar)
+        assert ctx.dual_norm_X(rho) <= k * tau * ctx.dual_norm_X(b)
+        assert ctx.dual_norm_X(b) <= max(1.0, 1.0 / mu.m_mu) * math.sqrt(2.0 * phi)
+        eps = 1e-6
+        slope = (merit(sy.SaddleState(state.lam + eps * dlam, state.u + eps * du))
+                 - merit(sy.SaddleState(state.lam - eps * dlam, state.u - eps * du))) / (2 * eps)
+        assert slope <= -phi
+
+    def test_same_steps_fewer_iterations_quasi8(self, quasi8, monkeypatch):
+        solves = _record_newton(monkeypatch)
+        args = (quasi8.rhs, quasi8.pair, quasi8.op_Y, quasi8.op_X, quasi8.ctx)
+        forcing = sy.NEWTON_FORCING
+        monkeypatch.setattr(sy, "NEWTON_FORCING", 0.0)  # every rtol_k = PCG_RTOL
+        sy.solve_reference(*args, tol=1e-12)
+        monkeypatch.setattr(sy, "NEWTON_FORCING", forcing)
+        sy.solve_reference(*args, tol=1e-12)
+        (held_steps, held_its, _, _), (steps, its, eta, tol) = solves
+        assert steps == held_steps
+        assert sum(its) <= 0.6 * sum(held_its)
+        assert eta <= tol
+
+    def test_same_steps_fewer_iterations_ladder(self, monkeypatch, tmp_path):
+        # the quasilinear config's convergence ladder, 8^2 to 128^2, each
+        # solve warm-started from the one below: per solve the same Newton
+        # step count, and the study's rows within 1e-10 relative
+        solves = _record_newton(monkeypatch)
+        cfg = cli.parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                            "quasilinear.cfg"))
+        forcing = sy.NEWTON_FORCING
+        monkeypatch.setattr(sy, "NEWTON_FORCING", 0.0)
+        cli.run_subcommand("convergence", cfg, str(tmp_path / "held"))
+        held = solves[:]
+        solves.clear()
+        monkeypatch.setattr(sy, "NEWTON_FORCING", forcing)
+        cli.run_subcommand("convergence", cfg, str(tmp_path / "forced"))
+        assert len(solves) == len(held) == 5
+        assert [steps for steps, *_ in solves] == [steps for steps, *_ in held]
+        assert sum(sum(its) for _, its, _, _ in solves) <= 0.6 * sum(
+            sum(its) for _, its, _, _ in held
+        )
+        assert all(eta <= tol for _, _, eta, tol in solves)
+        rows = [np.genfromtxt(tmp_path / side / "convergence.csv", delimiter=",", skip_header=1)
+                for side in ("held", "forced")]
+        assert np.array_equal(np.isnan(rows[0]), np.isnan(rows[1]))
+        held_rows, rows = (r[~np.isnan(rows[0])] for r in rows)
+        assert np.all(np.abs(rows - held_rows) <= 1e-10 * np.abs(held_rows))
 
 
 class TestSharedNewtonLoop:
