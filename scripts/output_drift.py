@@ -1,6 +1,6 @@
 """Compare the study outputs of two checkouts of this repository.
 
-Usage: python scripts/output_drift.py [--max-drift REL] PARENT_DIR CHANGE_DIR
+Usage: python scripts/output_drift.py PARENT_DIR CHANGE_DIR
 
 Runs every CLI subcommand on configs/heat.cfg and configs/quasilinear.cfg
 in each checkout (its own src/ and configs/, single-threaded BLAS), then
@@ -9,14 +9,14 @@ integer and string columns are equal, and the largest relative drift
 |a - b| / max(|a|, |b|) of each float column.  Standard output and exit
 codes of the subcommands are compared too, and each subcommand's peak
 resident set size on both sides is printed, read from the child's own
-resource usage.  The last line names the largest float drift over all
-CSVs with the file and column it sits in.
+resource usage.  The last two lines name the largest float drift over
+all CSVs with the file and column it sits in, and judge it against
+MAX_DRIFT.
 
 Exits with status 1 if a subcommand's exit code differs, a CSV is
 written on one side only, or row counts, headers, or integer or string
-columns differ, and with --max-drift REL also if the largest float drift
-exceeds REL; without it float drift is reported, not judged.  Standard
-output and peak RSS are always reported, not judged.
+columns differ, or the largest float drift exceeds MAX_DRIFT; standard
+output and peak RSS are reported, not judged.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ import tempfile
 SUBCOMMANDS = ("solve", "convergence", "uzawa-trace", "infsup", "pjotr", "precond", "constants")
 CONFIGS = ("heat", "quasilinear")
 _INT = re.compile(r"[+-]?\d+\Z")
+# Largest relative float drift a change may show: rounding, the rule of
+# ROADMAP item 6.
+MAX_DRIFT = 1e-10
 _SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -125,8 +128,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_dir")
     ap.add_argument("change_dir")
-    ap.add_argument("--max-drift", type=float, default=None, metavar="REL",
-                    help="exit 1 if the largest relative float drift exceeds REL")
     args = ap.parse_args(argv)
 
     ok = True
@@ -157,10 +158,9 @@ def main(argv=None) -> int:
     print("rows and integer/string columns: " + ("equal" if ok else "DIFFER"))
     drift, where = worst
     print(f"largest float drift: {drift:.3g}" + (f" ({where})" if drift > 0.0 else ""))
-    if args.max_drift is not None:
-        within = drift <= args.max_drift
-        ok &= within
-        print(f"float drift {'within' if within else 'ABOVE'} --max-drift {args.max_drift:.3g}")
+    within = drift <= MAX_DRIFT
+    ok &= within
+    print(f"float drift {'within' if within else 'ABOVE'} MAX_DRIFT {MAX_DRIFT:.3g}")
     return 0 if ok else 1
 
 

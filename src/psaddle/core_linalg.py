@@ -3,9 +3,8 @@ tools.
 
 Matrices are scipy CSR throughout (compressed-row storage with unique,
 sorted indices).  Every SPD matrix is factored by one path, a banded
-Cholesky in reverse Cuthill-McKee order, or in natural order where that
-band is narrower (`banded_cholesky`, or its symbolic and numeric steps
-`banded_pattern` and `BandedPattern.factor`), with one
+Cholesky in reverse Cuthill-McKee order (`banded_cholesky`, or its symbolic
+and numeric steps `banded_pattern` and `BandedPattern.factor`), with one
 symmetry check and one NotSpdError for a matrix that is not symmetric
 positive definite.  The symbolic step gives every stored entry, in int32,
 its band slot and the band slot of its transpose; the numeric step fills
@@ -78,13 +77,12 @@ _SYMMETRY_RTOL = 1e-10
 class BandedCholesky:
     """Cholesky factor of a sparse SPD matrix in a bandwidth-reducing order.
 
-    `perm` is the order of `banded_pattern` and `iperm` its inverse, both
-    np.intp, so A[perm][:, perm] = U^T U with U upper triangular and
-    `bandwidth` superdiagonals, stored in LAPACK's upper band layout.
+    `perm` is the reverse Cuthill-McKee order, so A[perm][:, perm] = U^T U
+    with U upper triangular and `bandwidth` superdiagonals, stored in
+    LAPACK's upper band layout.
     """
 
     perm: np.ndarray
-    iperm: np.ndarray = field(repr=False)
     _cb: np.ndarray = field(repr=False)
 
     @property
@@ -92,34 +90,33 @@ class BandedCholesky:
         return self._cb.shape[0] - 1
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^{-1} b for a vector or a (n, k) block of right-hand sides: two
-        gathers around the band solve, with native-width indices, which
-        numpy uses without converting them."""
-        y, info = dpbtrs(self._cb, np.asarray(b, dtype=float)[self.perm], lower=0, overwrite_b=1)
+        """A^{-1} b for a vector or a (n, k) block of right-hand sides."""
+        b = np.asarray(b, dtype=float)
+        x = np.empty_like(b)
+        x[self.perm], info = dpbtrs(self._cb, b[self.perm], lower=0, overwrite_b=1)
         if info != 0:
             raise PsaddleError(f"banded Cholesky solve failed: LAPACK dpbtrs info {info}")
-        return y[self.iperm]
+        return x
 
 
 @dataclass(frozen=True)
 class BandedPattern:
     """Symbolic step of `banded_cholesky` for one CSR sparsity pattern.
 
-    Holds what depends on the pattern alone: the order `perm` and its
-    inverse `iperm`, np.intp; the `bandwidth`, the largest distance of a
-    stored entry from the diagonal of the reordered matrix on either side;
-    and two flat positions per stored entry in the (bandwidth + 1, n)
-    upper band, stored in LAPACK's column-major order.  `band_index` is
-    the entry's own slot, `mirror_index` the slot of its transpose; an
-    entry below the diagonal has no slot of its own and one above has no
-    transposed slot, and both go to the one dump slot past the band.
-    `factor` is the numeric step.
+    Holds what depends on the pattern alone: the reverse Cuthill-McKee
+    order `perm`; the `bandwidth`, the largest distance of a stored entry
+    from the diagonal of the reordered matrix on either side; and two
+    flat positions per stored entry in the (bandwidth + 1, n) upper band,
+    stored in LAPACK's column-major order.  `band_index` is the entry's
+    own slot, `mirror_index` the slot of its transpose; an entry below the
+    diagonal has no slot of its own and one above has no transposed slot,
+    and both go to the one dump slot past the band.  `factor` is the
+    numeric step.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     perm: np.ndarray
-    iperm: np.ndarray = field(repr=False)
     bandwidth: int
     band_index: np.ndarray = field(repr=False)
     mirror_index: np.ndarray = field(repr=False)
@@ -165,57 +162,26 @@ class BandedPattern:
             )
         except np.linalg.LinAlgError as exc:
             raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
-        return BandedCholesky(perm=self.perm, iperm=self.iperm, _cb=cb)
-
-
-def _natural_bandwidth(indptr: np.ndarray, indices: np.ndarray) -> int:
-    """Bandwidth of a canonical CSR pattern in its own order, read off the
-    first and last index of each row, which are its extremes when sorted."""
-    rows = np.flatnonzero(np.diff(indptr))
-    if rows.size == 0:
-        return 0
-    below = int((rows - indices[indptr[rows]]).max())
-    above = int((indices[indptr[rows + 1] - 1] - rows).max())
-    return max(below, above, 0)
-
-
-def _reordered(perm: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
-    """(position, c, r, c - r, bandwidth) of a CSR pattern in the order
-    perm: the int32 inverse of perm, each stored entry's column c and row r
-    in the reordered matrix, and the largest |c - r|."""
-    n = indptr.size - 1
-    position = np.empty(n, dtype=np.int32)
-    position[perm] = np.arange(n, dtype=np.int32)
-    col = position[indices]
-    row = np.repeat(position, np.diff(indptr))
-    offset = col - row
-    bandwidth = max(int(offset.max(initial=0)), -int(offset.min(initial=0)))
-    return position, col, row, offset, bandwidth
+        return BandedCholesky(perm=self.perm, _cb=cb)
 
 
 def banded_pattern(matrix: sp.csr_matrix) -> BandedPattern:
     """Symbolic step of `banded_cholesky` for the pattern of a canonical
     (sorted, duplicate-free) square CSR matrix; refuses a band array above
     MAX_DENSE_BYTES before the band positions are built.  The index work
-    is int32.
-
-    The order is reverse Cuthill-McKee unless the natural order has a
-    strictly narrower band, as on a test space continuous in time, where
-    RCM about doubles it (13 against 8 at 8 x 8, 61 against 32 at
-    32 x 32); on a tie RCM is kept.
-    """
+    is int32."""
     if matrix.shape[0] != matrix.shape[1]:
         raise NotSpdError(f"matrix is not square: {matrix.shape}")
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
-    natural = _natural_bandwidth(indptr, indices)
     perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
-    # band_index and mirror_index start as c and r
-    position, band_index, mirror_index, offset, bandwidth = _reordered(perm, indptr, indices)
-    if natural < bandwidth:
-        del position, band_index, mirror_index, offset
-        perm = np.arange(n)
-        position, band_index, mirror_index, offset, bandwidth = _reordered(perm, indptr, indices)
+    position = np.empty(n, dtype=np.int32)
+    position[perm] = np.arange(n, dtype=np.int32)
+    # c and r, the entries' column and row in the reordered matrix
+    band_index = position[indices]
+    mirror_index = np.repeat(position, np.diff(indptr))
+    offset = band_index - mirror_index  # c - r
+    bandwidth = max(int(offset.max(initial=0)), -int(offset.min(initial=0)))
     check_dense_size("banded Cholesky band", (bandwidth + 1, n))
     # entry (i, j), i <= j, sits at (bandwidth + 1) j + bandwidth - (j - i);
     # the size check keeps every band position below 2^27
@@ -227,10 +193,8 @@ def banded_pattern(matrix: sp.csr_matrix) -> BandedPattern:
     mirror_index += bandwidth
     mirror_index += offset
     mirror_index[offset > 0] = (bandwidth + 1) * n
-    del offset
     return BandedPattern(
-        indptr=indptr, indices=indices, perm=perm.astype(np.intp, copy=False),
-        iperm=position.astype(np.intp), bandwidth=bandwidth,
+        indptr=indptr, indices=indices, perm=perm, bandwidth=bandwidth,
         band_index=band_index, mirror_index=mirror_index,
     )
 
@@ -238,9 +202,8 @@ def banded_pattern(matrix: sp.csr_matrix) -> BandedPattern:
 def banded_cholesky(matrix) -> BandedCholesky:
     """Factor a sparse symmetric positive definite matrix for repeated solves.
 
-    The rows and columns are reordered by reverse Cuthill-McKee, or kept
-    in natural order where that band is narrower (`banded_pattern`), and
-    the reordered matrix is factored as a dense band.  Matrices that are
+    The rows and columns are reordered by reverse Cuthill-McKee and the
+    reordered matrix is factored as a dense band.  Matrices that are
     block-diagonal with narrow blocks, like every Jacobian on a test space
     discontinuous in time, get a band a few entries wide whatever their
     size.  Raises NotSpdError if the matrix is not symmetric positive

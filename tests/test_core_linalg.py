@@ -308,57 +308,6 @@ class TestBandedCholesky:
         assert peak < 16 * 2**20
 
 
-    @staticmethod
-    def _grid(n_t, n_x):
-        """The 9-point pattern of kron(tridiagonal n_t, tridiagonal n_x), SPD
-        data: a Jacobian's pattern on a test space continuous in time."""
-        T = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(n_t, n_t))
-        X = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(n_x, n_x))
-        return cl.as_csr(sp.kron(T, X))
-
-    def test_natural_order_when_strictly_narrower(self, rng):
-        # RCM gives this pattern 13 superdiagonals, the natural order n_x + 1
-        A = self._grid(8, 7)
-        rcm = cl.reverse_cuthill_mckee(A, symmetric_mode=True)
-        position = np.empty_like(rcm)
-        position[rcm] = np.arange(rcm.size)
-        row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        assert np.abs(position[A.indices] - position[row]).max() == 13
-        pattern = cl.banded_pattern(A)
-        assert pattern.bandwidth == 8
-        assert np.array_equal(pattern.perm, np.arange(A.shape[0]))
-        b = rng.standard_normal(A.shape[0])
-        expect = np.linalg.solve(A.toarray(), b)
-        assert np.abs(pattern.factor(A).solve(b) - expect).max() <= 1e-12 * np.abs(expect).max()
-
-    def test_tie_keeps_reverse_cuthill_mckee(self):
-        # a tridiagonal matrix has bandwidth 1 in either order
-        A = cl.as_csr(sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(9, 9)))
-        pattern = cl.banded_pattern(A)
-        assert pattern.bandwidth == 1
-        assert np.array_equal(pattern.perm, cl.reverse_cuthill_mckee(A, symmetric_mode=True))
-
-    @pytest.mark.parametrize("case", ["rcm", "natural"])
-    def test_order_held_native_with_inverse(self, case, rng):
-        # perm and iperm are np.intp and inverse to each other; the two
-        # gathers of the solve give the bits of the scatter they replace
-        A = sp.csr_matrix(random_spd(rng, 40)) if case == "rcm" else self._grid(6, 5)
-        fact = cl.banded_cholesky(A)
-        assert fact.perm.dtype == fact.iperm.dtype == np.intp
-        assert np.array_equal(fact.iperm[fact.perm], np.arange(A.shape[0]))
-        for b in (rng.standard_normal(A.shape[0]), rng.standard_normal((A.shape[0], 3))):
-            y, _ = cl.dpbtrs(fact._cb, b[fact.perm], lower=0)
-            expect = np.empty_like(b)
-            expect[fact.perm] = y
-            assert np.array_equal(fact.solve(b), expect)
-
-    def test_natural_bandwidth_of_empty_rows(self):
-        # rows without entries are skipped; no pattern reads negative
-        A = sp.csr_matrix((np.array([1.0]), np.array([2]), np.array([0, 1, 1, 1])), shape=(3, 3))
-        assert cl._natural_bandwidth(A.indptr, A.indices) == 2
-        assert cl._natural_bandwidth(np.zeros(4, dtype=np.int32), np.zeros(0, dtype=np.int32)) == 0
-
-
 class TestExtremalEigen:
     def test_identity_pencil(self):
         lam = cl.smallest_generalized_eigenvalue(sp.eye(3), sp.eye(3))

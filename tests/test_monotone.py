@@ -426,9 +426,8 @@ class TestFixedPatternJacobian:
 
 class TestJacobianFactor:
     """The banded Cholesky factor of a test-side Jacobian against a dense
-    solve; on a test space discontinuous in time the reordered Jacobian
-    has a band of at most 3 superdiagonals, on a continuous one its natural
-    order's n."""
+    solve; every test space is discontinuous in time, so the reordered
+    Jacobian has a band of at most 3 superdiagonals."""
 
     @pytest.mark.parametrize("kind", ["jittered", "p0-test", "test-refined-twice"])
     def test_solve_against_dense(self, kind, rng):
@@ -454,20 +453,6 @@ class TestJacobianFactor:
             b = rng.standard_normal(op.dim)
             expect = np.linalg.solve(J.toarray(), b)
             assert np.abs(fact.solve(b) - expect).max() <= 1e-12 * np.abs(expect).max()
-
-    @pytest.mark.parametrize("n, width", [(8, 8), (32, 32)])
-    def test_cont_p1_test_space_natural_order(self, n, width, rng):
-        # a temporal pair spans two elements: reverse Cuthill-McKee would
-        # give 13 and 61 superdiagonals, the natural order n = dim_x + 1
-        mesh_t, mesh_x = jittered_mesh(n, rng), jittered_mesh(n, rng)
-        pair = assemble_matrices((mesh_t, CONT_P1), (mesh_t, CONT_P1), (mesh_x, CONT_P1_DIRICHLET))
-        op = mo.GalerkinOperator(pair, "Y", MU_TXS)
-        assert op.jacobian_pattern.bandwidth == width
-        w = rng.standard_normal(op.dim)
-        b = rng.standard_normal(op.dim)
-        expect = np.linalg.solve(op.jacobian(w).toarray(), b)
-        got = op.jacobian_factor(w).solve(b)
-        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
     def test_first_factor_memory_bounded(self, rng):
         # the first factor at the 128 x 128 surrogate also builds the data

@@ -70,11 +70,11 @@ class TestCompareCsv:
         assert report == ["  header or row count differs: 1 vs 2 rows"]
 
 
-@pytest.mark.parametrize("max_drift, code", [(None, 0), (1e-10, 1), (1e-9, 0)])
-def test_max_drift_judges_float_drift(drift, max_drift, code, monkeypatch, tmp_path, capsys):
-    # one CSV whose float column drifts by 4e-10 relative: reported alone,
-    # refused above --max-drift, passed at or below it
-    value = {"parent": "2.5", "change": repr(2.5 * (1 - 4e-10))}
+@pytest.mark.parametrize("rel, code", [(4e-10, 1), (4e-11, 0)])
+def test_float_drift_judged_against_max_drift(drift, rel, code, monkeypatch, tmp_path, capsys):
+    # one CSV whose float column drifts by rel: refused above MAX_DRIFT
+    # (1e-10), passed below it, reported with its file and column either way
+    value = {"parent": "2.5", "change": repr(2.5 * (1 - rel))}
 
     def fake_outputs(checkout, work):
         os.makedirs(work)
@@ -83,13 +83,9 @@ def test_max_drift_judges_float_drift(drift, max_drift, code, monkeypatch, tmp_p
         return {("heat", "convergence"): (0, "", 1.0)}
 
     monkeypatch.setattr(drift, "run_outputs", fake_outputs)
-    argv = [str(tmp_path / "parent"), str(tmp_path / "change")]
-    if max_drift is not None:
-        argv += ["--max-drift", str(max_drift)]
-    assert drift.main(argv) == code
+    assert drift.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == code
     out = capsys.readouterr().out
-    assert "largest float drift: 4e-10 (convergence.csv err)" in out
-    assert ("--max-drift" in out) == (max_drift is not None)
+    assert f"largest float drift: {rel:.3g} (convergence.csv err)" in out
 
 
 def test_drift_runs_every_subcommand_on_existing_configs(drift):
