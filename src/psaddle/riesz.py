@@ -38,8 +38,9 @@ pair:
   of them, the products every solve makes.  The Uzawa sweep
   keeps its trial iterate in them (`uzawa.TrialModes`), where R_X^{-1} is
   the scaling and the rank-one correction alone (`riesz_X_in_modes`), and
-  for a constant mu its test iterate in joint modes built on W, theta and
-  V (`uzawa.JointModes`), where both couplings are scalings.
+  for a constant mu its test iterate too (`uzawa.RangeModes`): there
+  D^T R_Y^{-1} D = T (x) S is the scaling theta_j / lambda_k, zero on the
+  `n0` temporal modes of ker B_t (`RieszModes.n0`).
 """
 
 from __future__ import annotations
@@ -70,6 +71,22 @@ class RieszModes(NamedTuple):
     scale: np.ndarray  # D_k^{-1} per temporal and spatial mode
     w: np.ndarray      # W^T e_T
     corr: np.ndarray   # Sherman-Morrison correction of the trace term
+
+    @property
+    def n0(self) -> int:
+        """The number of leading temporal modes in ker B_t, where theta = 0.
+
+        theta_j counts as zero within numpy's `matrix_rank` tolerance for
+        the Hermitian diag(theta), theta_max dim_t_X eps: eigh returns a
+        zero eigenvalue to about eps theta_max.  theta_j = 0 means
+        ||(M_t^Y)^{-1/2} B_t W_j||^2 = W_j^T T W_j = 0, so B_t W_j = 0.
+        The constants always lie in ker B_t (the nodal trial basis sums to
+        one, and the derivative of 1 is 0), so theta_0 = 0 and n0 >= 1
+        whatever the rounding; on every temporal test space of the pair
+        they are all of the kernel, and n0 = 1.
+        """
+        tol = self.theta.max() * self.theta.size * np.finfo(float).eps
+        return max(1, int(np.count_nonzero(self.theta <= tol)))
 
 
 @dataclass

@@ -21,21 +21,24 @@ of `run_inexact_uzawa` runs on either:
   the class, both operators are c times Riesz maps, exactly under the
   3-point rule: A_Y = c R_Y on the test space, so R_Y^{-1} A_Y lambda =
   c lambda, and A_X = c (M_t^X (x) A_x), which is c Z o Lambda in the modes
-  of R_X.  The test side then runs in joint space-time modes (`JointModes`),
-  in which the Y-norm is a sum of squares and both couplings are
-  scalings; the L inner steps, an affine recursion with a constant factor
-  q = 1 - theta_A* c, collapse into one update in closed form, and the
-  outer step makes no matrix product besides the two rank-one products
-  w^T Z of the trace term and of the Sherman-Morrison correction, and no
-  flux evaluation.
+  of R_X.  The test side then runs in those same modes (`RangeModes`):
+  lambda is a multiple of the part C_perp of R_Y^{-1} f that D^T does not
+  see, plus R_Y^{-1} D y for a trial-shaped y, on which D^T R_Y^{-1} D is
+  the scaling theta/lam.  So the Y-norm is a weighted sum of squares and
+  both couplings are scalings; the L inner steps, an affine recursion
+  with a constant factor q = 1 - theta_A* c, collapse into one update in
+  closed form, and the outer step makes no matrix product besides the two
+  rank-one products w^T Z of the trace term and of the Sherman-Morrison
+  correction, and no flux evaluation.  No dense map is built besides
+  those of the Riesz context.
 
 So no inner step maps back to coefficients, no Riesz solve on the test
 space runs in the loop, and lambda is read off its coordinates only where
-it is returned or measured.  The trial iterate u lives in the modes of R_X
-(`TrialModes`), where R_X^{-1} is a scaling and a rank-one correction and
-the trace term a rank-one product, so the outer step makes no Riesz solve
-and no sparse product either; u is formed only where it is returned or
-measured.
+it is returned or measured (for a constant mu, by one R_Y solve).  The
+trial iterate u lives in the modes of R_X (`TrialModes`), where R_X^{-1}
+is a scaling and a rank-one correction and the trace term a rank-one
+product, so the outer step makes no Riesz solve and no sparse product
+either; u is formed only where it is returned or measured.
 
 The number L of inner steps comes from the convergence theory: with
 
@@ -62,7 +65,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from psaddle import monotone as mo
 from psaddle.core_linalg import check_dense_size
@@ -76,7 +78,7 @@ __all__ = [
     "UzawaTrace",
     "check_rate_target",
     "GradientMaps",
-    "JointModes",
+    "RangeModes",
     "TrialModes",
     "plan_inner_count",
     "make_config",
@@ -233,8 +235,8 @@ class UzawaTrace:
     application A_X u.  Each is a flux evaluation between dense products.
     For a constant mu the count still books inner_count + 1, the work of
     the general sweep, but the loop evaluates no flux: the L test-side
-    applications are one closed-form update in joint modes and A_X u is a
-    scaling (`run_inexact_uzawa`).
+    applications are one closed-form update in the modes of R_X and A_X u
+    is a scaling (`run_inexact_uzawa`).
     """
 
     k: list = field(default_factory=list)
@@ -360,109 +362,102 @@ class GradientMaps:
         return self.Dt_t @ G @ self.Dt_x
 
 
-class JointModes:
-    """The test-side maps of the Uzawa sweep for a constant mu, in joint
-    space-time modes.
+# The slot of beta, the multiple of C_perp, in the coordinates of
+# `RangeModes`: row 0 is a kernel row of B_t (`RieszModes.n0` >= 1)
+_BETA = (0, 0)
+
+
+class RangeModes:
+    """The test-side maps of the Uzawa sweep for a constant mu, in the modes
+    of R_X.
 
     Notation: (W, theta, V, lam) from `RieszContext.modes`, with W^T M_t^X W
-    = I, W^T T W = Theta = diag(theta) for T = B_t^T (M_t^Y)^{-1} B_t,
-    V^T M_x V = I and V^T A_x V = diag(lam); U = W Z V^T as in `TrialModes`.
-    S = L^{-T} for the Cholesky factor M_t^Y = L L^T, so S^T M_t^Y S = I and
-    S S^T = (M_t^Y)^{-1}.
+    = I, W^T T W = diag(theta) for T = B_t^T (M_t^Y)^{-1} B_t, V^T M_x V = I
+    and V^T A_x V = diag(lam); n0 the number of leading temporal modes in
+    ker B_t (`RieszModes.n0`).  A (dim_t_X, dim_x) array Y stands for the
+    trial-space coefficients y = W Y V^T, as Z does for u in `TrialModes`,
+    and the pairing h . y = sum (W^T H V) o Y carries over.
 
-    Temporal modes of the test space.  K = S^T B_t W satisfies
+    Range coupling.  D^T R_Y^{-1} D = T (x) S with S = M_x A_x^{-1} M_x
+    (`riesz`), and W^T T W = diag(theta), V^T S V = diag(1/lam), so
+    D^T R_Y^{-1} D y has the modes (theta/lam) o Y, the scaling `Dt`, which
+    is zero on the kernel rows j < n0: there B_t W_j = 0, so D does not
+    see those rows of Y.  Hence
 
-        K^T K = W^T B_t^T S S^T B_t W = W^T T W = Theta,
+        ||R_Y^{-1} D y||_Y^2 = y . D^T R_Y^{-1} D y = sum (theta/lam) Y^2,
+        D^T (R_Y^{-1} D y) = (theta/lam) o Y  in the modes.
 
-    so the columns of K are orthogonal, K_j of length sqrt(theta_j).
-    theta_j counts as positive (j in P, `p` of them) by numpy's
-    `matrix_rank` tolerance for the Hermitian Theta, theta_max dim_t_X eps:
-    eigh returns the zero eigenvalue to about eps theta_max.  The
-    columns K_j / sqrt(theta_j), j in P, are orthonormal; one complete QR
-    completes them to an orthogonal O of order dim_t_Y, whose first p
-    columns they are.  Then O^T K_j = sqrt(theta_j) e_i for the i-th j in
-    P, and K_j = 0 for theta_j = 0: those W_j span ker B_t, which holds
-    the constants, and on every temporal test space of the pair nothing
-    else, so P holds all but the first `n0` = 1 temporal modes.  In short,
-    O^T K = [diag sqrt(theta_P) ; 0] on the columns in P; the maps below
-    read n0 off theta and do not assume it is 1.
+    Split of R_Y^{-1} f.  Let y_f have the modes (lam/theta) o (W^T D^T
+    R_Y^{-1} f V) on the rows j >= n0 and 0 on the kernel rows, where
+    W_j^T D^T = (D W_j)^T vanishes, so D^T R_Y^{-1} D y_f = D^T R_Y^{-1} f.
+    Then C_perp = R_Y^{-1} f - R_Y^{-1} D y_f has D^T C_perp = 0, that is
+    (C_perp, R_Y^{-1} D v)_Y = v . D^T C_perp = 0 for every v: C_perp is
+    Y-orthogonal to the range of R_Y^{-1} D, and ||R_Y^{-1} f||_Y^2 =
+    ||C_perp||_Y^2 + sum (theta/lam) y_f^2.  ||C_perp||_Y is taken as the
+    dual norm of f - D y_f, not by that difference, which would lose the
+    digits of a small C_perp (it is zero where B_t has full row rank).
 
-    Coordinates.  lambda, as a (dim_t_Y, dim_x) array Lambda, is held by Xi
-    with Lambda = S O Xi V^T; Xi_P are its first p rows.
+    Coordinates.  The sweep's iterates, from lambda = 0, are combinations
+    of R_Y^{-1} f, R_Y^{-1} D u and themselves, so each is
 
-    Norm.  ||lambda||_Y^2 = tr(Lambda^T M_t^Y Lambda A_x) =
-    tr(Xi^T O^T S^T M_t^Y S O Xi V^T A_x V) = sum_jk lam_k Xi_jk^2.
+        lambda = beta C_perp + R_Y^{-1} D y,
 
-    Representers.  For a functional h as a (dim_t_Y, dim_x) array H,
-    R_Y^{-1} h = (M_t^Y)^{-1} H A_x^{-1} = S O (O^T S^T H V / lam) V^T,
-    because S S^T = (M_t^Y)^{-1}, O O^T = I and A_x^{-1} = V diag(1/lam) V^T:
-    Xi = O^T S^T H V / lam.  For
-    h = D u = B_t U M_x, H V = B_t W Z V^T M_x V = B_t W Z, so
-    Xi = O^T K Z / lam = [sqrt(theta_P) o Z_P ; 0] / lam.
+    held as one array Y with beta in the slot `_BETA` = (0, 0).  Row 0 is
+    a kernel row, since n0 >= 1, so neither R_Y^{-1} D y, nor its norm,
+    nor D^T reads it, and the slot is free; every map below reads the
+    kernel rows through `mask`, 0 on them and 1 elsewhere.  The map from
+    (beta, y) to lambda is linear, so a linear recursion on lambda is the
+    same recursion on Y.  In Y:
+    - R_Y^{-1} f is y_f with beta = 1 (`C_f`), and R_Y^{-1} D u is
+      mask o Z with beta = 0 (`representer_of_D`);
+    - ||lambda||_Y^2 = beta^2 ||C_perp||^2 + sum (theta/lam) Y^2, the two
+      parts being Y-orthogonal: a weighted sum of squares with
+      ||C_perp||^2 in the slot (`norm2`);
+    - D^T lambda = D^T R_Y^{-1} D y = Dt o Y in the modes of R_X, with Dt
+      zero in the slot (`apply_Dt`);
+    - lambda = beta (R_Y^{-1} f - R_Y^{-1} D y_f) + R_Y^{-1} D y =
+      R_Y^{-1} (beta f + D (y - beta y_f)), one Riesz solve, made only
+      where lambda is returned or measured (`lam`).
+    For f = 0, C_perp = 0 and y_f = 0, and the split is skipped.
 
-    Adjoint.  D^T lambda = B_t^T Lambda M_x is, in the modes of R_X,
-    W^T B_t^T S O Xi V^T M_x V = (O^T K)^T Xi: sqrt(theta_j) times row i of
-    Xi in row j, the i-th of P, and zero in the row of the constants.
-
-    Scaling.  The maps hold X = Xi diag(sqrt(lam)) in place of Xi, so that
-    the norm is the Euclidean one, ||lambda||_Y^2 = sum X_jk^2 (`norm2`),
-    and both couplings are one and the same elementwise scaling, by
-    Dc_ik = sqrt(theta_j / lam_k) for the i-th j in P: X of R_Y^{-1} D u
-    is [Dc o Z_P ; 0] (`representer_of_D`), and D^T lambda has Dc o X_P in
-    the rows P (`apply_Dt`).  The dense maps read V_s = V diag(lam)^{-1/2}:
-    X = (S O)^T H V_s for a functional H (`representer`; once per solve,
-    for f), and Lambda = S O X V_s^T (`lam`).
-
-    So both couplings are scalings, and S O is the one dense map, used for
-    the representer of f and the read-back of lambda and guarded by
-    `check_dense_size`.  Every elementwise factor is held at the full shape
-    of its operand: numpy broadcasts a row over many short rows far more
-    slowly than it multiplies arrays of one shape.  In floating point the
-    identities hold to rounding.
+    Every array has the full shape of Z: numpy broadcasts a row over many
+    short rows far more slowly than it multiplies arrays of one shape.  No
+    dense map is built besides those of the context.  In floating point
+    the identities hold to rounding.
     """
 
-    def __init__(self, ctx: RieszContext):
-        p, m = ctx.pair, ctx.modes
-        n = p.dim_t_Y
-        check_dense_size("JointModes.SO", (n, n))
-        L = sla.cholesky(p.M_t_Y.toarray(), lower=True)
-        self.S = sla.solve_triangular(L, np.eye(n), lower=True, trans="T")
-        K = self.S.T @ (p.B_t @ m.W)
-        theta = m.theta  # ascending, so P is a trailing range of modes
-        self.n0 = int(np.count_nonzero(theta <= theta.max() * theta.size * np.finfo(float).eps))
-        self.p = theta.size - self.n0
-        sv = np.sqrt(theta[self.n0 :])
-        self.O = np.linalg.qr(K[:, self.n0 :], mode="complete")[0]
-        self.O[:, : self.p] = K[:, self.n0 :] / sv
-        self.SO = self.S @ self.O
-        self.V_s = m.V / np.sqrt(m.lam)
-        self.Dc = sv[:, None] / np.sqrt(m.lam)
-        self.shape = (n, p.dim_x)
-        self.shape_X = (p.dim_t_X, p.dim_x)
+    def __init__(self, ctx: RieszContext, f: np.ndarray):
+        m, n0 = ctx.modes, ctx.modes.n0
+        self.ctx, self.f = ctx, f
+        self.mask = np.zeros((m.theta.size, m.lam.size))
+        self.mask[n0:] = 1.0
+        self.Dt = self.mask * m.theta[:, None] / m.lam
+        self.y_f, self.weights = np.zeros_like(self.Dt), self.Dt.copy()
+        if np.any(f):
+            h = ctx.to_modes(ctx.apply_Dt(ctx.riesz_Y_solve(f)))
+            self.y_f[n0:] = h[n0:] / self.Dt[n0:]
+            self.weights[_BETA] = ctx.dual_norm_Y(f - ctx.apply_D(ctx.from_modes(self.y_f))) ** 2
+        self.C_f = self.y_f.copy()
+        self.C_f[_BETA] = 1.0
+        self.shape = self.Dt.shape
 
-    def representer(self, H: np.ndarray) -> np.ndarray:
-        """X of R_Y^{-1} h for a functional h as (dim_t_Y, dim_x) H."""
-        return self.SO.T @ H @ self.V_s
+    def norm2(self, Y: np.ndarray) -> float:
+        """beta^2 ||C_perp||^2 + sum (theta/lam) Y^2: the squared Y-norm."""
+        return float(np.vdot(Y, self.weights * Y))
 
-    def norm2(self, X: np.ndarray) -> float:
-        """sum X_jk^2: the squared Y-norm of the function with scaled modes X."""
-        return float(np.vdot(X, X))
-
-    def lam(self, X: np.ndarray) -> np.ndarray:
-        """The coefficients S O X V_s^T of lambda, flat, from its scaled modes X."""
-        return (self.SO @ X @ self.V_s.T).reshape(-1)
+    def lam(self, Y: np.ndarray) -> np.ndarray:
+        """The coefficients R_Y^{-1} (beta f + D (y - beta y_f)) of lambda, flat."""
+        beta = Y[_BETA]
+        y = self.ctx.from_modes(self.mask * Y - beta * self.y_f)
+        return self.ctx.riesz_Y_solve(beta * self.f + self.ctx.apply_D(y))
 
     def representer_of_D(self, Z: np.ndarray) -> np.ndarray:
-        """X of R_Y^{-1} D u from the modal coefficients Z of u."""
-        X = np.zeros(self.shape)
-        X[: self.p] = self.Dc * Z[self.n0 :]
-        return X
+        """Y of R_Y^{-1} D u from the modal coefficients Z of u."""
+        return self.mask * Z
 
-    def apply_Dt(self, X: np.ndarray) -> np.ndarray:
-        """D^T lambda in the modes of R_X, read from the scaled modes X of lambda."""
-        H = np.zeros(self.shape_X)
-        H[self.n0 :] = self.Dc * X[: self.p]
-        return H
+    def apply_Dt(self, Y: np.ndarray) -> np.ndarray:
+        """D^T lambda in the modes of R_X, read from the coordinates Y of lambda."""
+        return self.Dt * Y
 
 
 class TrialModes:
@@ -500,10 +495,12 @@ class TrialModes:
     `RieszContext.modes`, and makes no flux evaluation.
 
     The couplings with the test side are in the test-side coordinates
-    (`GradientMaps`, `JointModes`).  E_t^X W and Dbar_x V are built from
+    (`GradientMaps`; for a constant mu `RangeModes`, which holds the test
+    iterate in these same modes).  E_t^X W and Dbar_x V are built from
     the operator's element tables, a row gather of W and a difference of
     the rows of V, and are dense arrays of their own, each guarded by
-    `check_dense_size`.  In floating point the identities hold to rounding.
+    `check_dense_size`; for a constant mu no flux is evaluated and neither
+    is built.  In floating point the identities hold to rounding.
     """
 
     def __init__(self, op_X: mo.GalerkinOperator, ctx: RieszContext):
@@ -512,6 +509,8 @@ class TrialModes:
         c = op_X.mu.constant
         # at the full shape of Z: a broadcast row is the slower product
         self.c_lam = None if c is None else c * np.broadcast_to(m.lam, (W.shape[1], V.shape[1]))
+        if c is not None:  # no flux is evaluated
+            return
         check_dense_size("TrialModes.E_t", (op_X.w_t.size, W.shape[1]))
         check_dense_size("TrialModes.Dbar_x", (op_X.h_x.size, V.shape[1]))
         self.E_t = op_X.table_t.gather(W)
@@ -561,7 +560,7 @@ def run_inexact_uzawa(
 
     The test-side state y holds lambda in coordinates picked once per solve
     from the coefficient, `GradientMaps` for a mu with a flux and
-    `JointModes` for a constant mu; both provide the representers of f and
+    `RangeModes` for a constant mu; both provide the representers of f and
     of D u, D^T lambda in the modes of R_X, the Y-norm and the read-back of
     lambda, so the loop is the same.  In either, C is the image of
     theta_A* R_Y^{-1} (f - D u): that of R_Y^{-1} f once per solve, less
@@ -576,28 +575,35 @@ def run_inexact_uzawa(
     theta_A*^2 from one flux evaluation, and the next outer step's first
     inner update reuses that product.
 
-    Constant mu = c (`MuCoefficient.constant`).  y holds Xi, the joint
-    modes of lambda (`JointModes`), and the inner update is
-        Xi <- Xi - (theta_A* c Xi - C) = q Xi + C,   q = 1 - theta_A* c,
+    Constant mu = c (`MuCoefficient.constant`).  y = Y holds lambda =
+    beta C_perp + R_Y^{-1} D (W Y V^T), with beta in a kernel slot of Y
+    (`RangeModes`, which proves the identities used here), and the inner
+    update is
+        Y <- Y - (theta_A* c Y - C) = q Y + C,   q = 1 - theta_A* c,
     because A_Y = c R_Y on the test space, exactly under the 3-point rule:
-    R_Y^{-1} A_Y lambda = c lambda, whose modes are c Xi.  `TrialModes.apply`
-    is c Z Lambda likewise, so the loop evaluates no flux.
+    R_Y^{-1} A_Y lambda = c lambda, whose coordinates are c Y, the map
+    from Y to lambda being linear.  Here C = theta_A* (y_f - mask o Z)
+    with beta-part theta_A*.  `TrialModes.apply` is c Z Lambda likewise,
+    so the loop evaluates no flux.
 
     Closed form.  C is fixed during the L inner steps of one outer step,
-    so by induction from Xi_0, with theta c = theta_A* c,
-        Xi_L = q^L Xi_0 + (1 + q + ... + q^(L-1)) C = Xi_0 + s_L d,
-        d = C - theta c Xi_0,   s_L = (1 - q^L)/(theta c),
-    since (1 - q) s_L = 1 - q^L and q^L Xi_0 = Xi_0 - theta c s_L Xi_0.
-    The monitored pair's residual is
-        C - theta c Xi_L = d - theta c s_L d = q^L d,
-    so res_Y = |q^L| ||d||_lam / theta_A* with ||d||_lam^2 = sum lam_k d_jk^2
-    (`JointModes.norm2`), and theta c Xi_L is never formed: the sweep is one
-    update per outer step, and with both couplings scalings in the joint
-    modes the outer step makes no matrix product besides w^T Z in the trace
-    term and in the Sherman-Morrison correction.  y is Xi scaled as
-    X = Xi diag(sqrt(lam)) (`JointModes`), a fixed linear map, so the
-    recursion and its closed form hold for X alike, with the Euclidean norm
-    in place of ||.||_lam.  Bounds: theta_A* =
+    so by induction from Y_0, with theta c = theta_A* c,
+        Y_L = q^L Y_0 + (1 + q + ... + q^(L-1)) C = Y_0 + s_L d,
+        d = C - theta c Y_0,   s_L = (1 - q^L)/(theta c),
+    since (1 - q) s_L = 1 - q^L and q^L Y_0 = Y_0 - theta c s_L Y_0.  In
+    the two parts, d = theta_A* (y_f - mask o Z) - theta c Y_0 and
+    d_perp = theta_A* (1 - c beta_0), the slot of d, and the update moves
+    both, Y += s_L d and beta += s_L d_perp.  The monitored pair's residual
+    is
+        C - theta c Y_L = d - theta c s_L d = q^L d,
+    so, the two parts being Y-orthogonal,
+        res_Y = |q^L| sqrt(d_perp^2 ||C_perp||_Y^2
+                           + sum (theta/lam) d^2) / theta_A*
+    (`RangeModes.norm2`), and theta c Y_L is never formed: the sweep is one
+    update per outer step, and with both couplings scalings in the modes
+    the outer step makes no matrix product besides w^T Z in the trace
+    term and in the Sherman-Morrison correction.  For f = 0, C_perp = 0
+    and y_f = 0, so beta moves but has no effect.  Bounds: theta_A* =
     2/(m_A + L_A) (`MonotoneConstants.theta_star`), and A_Y = c R_Y gives
     m_A <= c <= L_A for any constants valid for the operator, so theta c =
     2c/(m_A + L_A) lies in [2 m_A/(m_A + L_A), 2 L_A/(m_A + L_A)], within
@@ -633,6 +639,7 @@ def run_inexact_uzawa(
     c = op_Y.mu.constant
     if c is None:
         coords = GradientMaps(op_Y, ctx)
+        C_f = coords.representer(np.reshape(f, (pair.dim_t_Y, pair.dim_x)))
         P_t, P_x, flux = theta * coords.P_t, coords.P_x, op_Y.flux
         mapped = np.zeros(coords.shape)  # theta_A* P_t Phi(0) P_x = 0
 
@@ -645,16 +652,15 @@ def run_inexact_uzawa(
             mapped = P_t @ flux(G) @ P_x
             return G, math.sqrt(coords.norm2(C - mapped))
     else:
-        coords = JointModes(ctx)
-        theta_c = theta * c
+        coords = RangeModes(ctx, f)
+        C_f, theta_c = coords.C_f, theta * c
         q_L, s_L = _geometric_factors(theta_c, cfg.L)
 
-        def sweep(X, C):
-            """The L inner steps in closed form; X_L and ||C - theta_A* c X_L||."""
-            d = C - theta_c * X
-            return X + s_L * d, abs(q_L) * math.sqrt(coords.norm2(d))
+        def sweep(Y, C):
+            """The L inner steps in closed form; Y_L and ||C - theta_A* c Y_L||_Y."""
+            d = C - theta_c * Y
+            return Y + s_L * d, abs(q_L) * math.sqrt(coords.norm2(d))
     modes = TrialModes(op_X, ctx)
-    C_f = coords.representer(np.reshape(f, (pair.dim_t_Y, pair.dim_x)))
     g_hat = ctx.to_modes(g)
     y = np.zeros(coords.shape)
     Z = np.zeros((pair.dim_t_X, pair.dim_x))

@@ -1,4 +1,5 @@
-"""Input builders shared by several test modules, the sparse-product
+"""Input builders shared by several test modules (among them a pair for
+every temporal test space, `pair_of_kind`), the sparse-product
 oracles that the element-block assembly of `psaddle.spaces` is checked
 against, and the dense quadrature matrices and the dense-built Jacobian
 map that the element tables of `psaddle.spaces.ElementTable` and
@@ -11,14 +12,20 @@ from psaddle.core_linalg import as_csr
 from psaddle.errors import InvalidSpaceError
 from psaddle.spaces import (
     ASSEMBLY_QUAD_POINTS,
+    CONT_P1,
+    CONT_P1_DIRICHLET,
+    DISC_P0,
+    DISC_P1,
     BasisSpec,
     Mesh1D,
     _integration_mesh,
+    assemble_matrices,
     element_dofs,
     gauss_points,
     gauss_rule,
     reference_derivatives,
     reference_values,
+    refine_times,
 )
 
 
@@ -34,6 +41,25 @@ def jittered_mesh(n, rng):
     pts = np.linspace(0.0, 1.0, n + 1)
     pts[1:-1] += rng.uniform(-0.2, 0.2, n - 1) / n
     return Mesh1D(tuple(pts))
+
+
+PAIR_KINDS = ["disc-p1", "disc-p0", "cont-p1", "test-refined", "jittered"]
+
+
+def pair_of_kind(kind):
+    """A pair for every temporal test space the pair accepts (`PAIR_KINDS`)."""
+    mesh_t, mesh_x = Mesh1D.uniform(4), Mesh1D.uniform(5)
+    if kind == "jittered":
+        rng = np.random.default_rng(5)
+        mesh_t, mesh_x = jittered_mesh(6, rng), jittered_mesh(5, rng)
+    test_t = {
+        "disc-p1": (mesh_t, DISC_P1),
+        "disc-p0": (mesh_t, DISC_P0),
+        "cont-p1": (mesh_t, CONT_P1),
+        "test-refined": (refine_times(mesh_t, 1), DISC_P1),
+        "jittered": (mesh_t, DISC_P1),
+    }[kind]
+    return assemble_matrices((mesh_t, CONT_P1), test_t, (mesh_x, CONT_P1_DIRICHLET))
 
 
 def eval_basis_at_points(

@@ -23,6 +23,8 @@ from psaddle.spaces import (
 )
 from psaddle import system as sy
 
+from helpers import PAIR_KINDS, pair_of_kind
+
 
 @pytest.fixture(scope="module")
 def ctx3():
@@ -106,6 +108,18 @@ def _blocks_pair(kind):
     Y_t = {"jittered": (mesh_t, DISC_P1), "enriched": (refine_times(mesh_t, 2), DISC_P1),
            "p0": (mesh_t, DISC_P0)}[kind]
     return assemble_matrices((mesh_t, CONT_P1), Y_t, (mesh_x, CONT_P1_DIRICHLET))
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_kernel_is_the_constants(kind):
+    # ker B_t has dimension 1 (`RieszModes.n0`), and its temporal mode is
+    # constant
+    ctx = RieszContext(pair_of_kind(kind))
+    m = ctx.modes
+    assert m.n0 == 1
+    w0 = m.W[:, 0]
+    assert np.abs(w0 - w0[0]).max() <= 1e-12 * np.abs(w0).max()
+    assert np.abs(ctx.pair.B_t @ np.ones(ctx.pair.dim_t_X)).max() <= 1e-12
 
 
 def _rel_err(got, expect):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,21 +9,13 @@ import pytest
 
 from psaddle import core_linalg
 from psaddle import monotone as mo
+from psaddle import riesz
 from psaddle import system as sy
 from psaddle import uzawa as uz
 from psaddle.errors import PsaddleError
-from psaddle.spaces import (
-    CONT_P1,
-    CONT_P1_DIRICHLET,
-    DISC_P0,
-    DISC_P1,
-    Mesh1D,
-    assemble_matrices,
-    default_pair,
-    refine_times,
-)
+from psaddle.spaces import default_pair
 
-from helpers import jittered_mesh, quadrature_matrix
+from helpers import PAIR_KINDS, pair_of_kind, quadrature_matrix
 
 
 class TestPlanInnerCount:
@@ -220,8 +213,8 @@ class TestRunInexactUzawa:
     def test_reused_inner_step_matches_fresh_steps(self, setup_name, L, request):
         # the sweep on element gradients, which reuses the monitored pair's
         # projected flux for the next first inner step, or for a constant mu
-        # (heat8, ramp8) in joint modes, which takes the L inner steps as one
-        # closed-form update,
+        # (heat8, ramp8) in the modes of R_X, which takes the L inner steps
+        # as one closed-form update,
         # against the textbook loop on coefficients with a fresh application
         # and Riesz solve per inner step.  heat8 with L >= 2 reaches the
         # rounding floor within the 15 steps (7 to 9 steps compared)
@@ -289,11 +282,13 @@ class TestRunInexactUzawa:
             assert abs(Fraction(q_L) - exact_q_L) <= 1e-15 * abs(exact_q_L)
             assert abs(Fraction(s_L) - exact_s_L) <= 1e-15 * exact_s_L
 
-    @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
-    def test_no_riesz_Y_solve_per_outer_step(self, setup_name, request, monkeypatch):
+    @pytest.mark.parametrize("setup_name, solves", [("heat8", 1), ("quasi8", 0)])
+    def test_no_riesz_Y_solve_per_outer_step(self, setup_name, solves, request, monkeypatch):
         # the sweep works on element gradients with the dense inverses of
-        # M_t^Y and A_x folded into its maps, or in joint modes for a
-        # constant mu (heat8): it never solves with R_Y
+        # M_t^Y and A_x folded into its maps, or for a constant mu (heat8)
+        # in the modes of R_X: it never solves with R_Y in the loop, and for
+        # a constant mu once per solve, to read lambda back (f = 0 on heat8,
+        # so no solve splits R_Y^{-1} f)
         s = request.getfixturevalue(setup_name)
         calls = []
         orig = type(s.ctx).riesz_Y_solve
@@ -303,10 +298,12 @@ class TestRunInexactUzawa:
             return orig(self, h)
 
         monkeypatch.setattr(type(s.ctx), "riesz_Y_solve", counting)
-        cfg = uz.make_config(s.bundle, tol=0.0, max_outer=4, L_practical=5)
-        _, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
-        assert len(trace.k) == 4
-        assert len(calls) == 0
+        for max_outer in (2, 4):
+            calls.clear()
+            cfg = uz.make_config(s.bundle, tol=0.0, max_outer=max_outer, L_practical=5)
+            _, trace = uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
+            assert len(trace.k) == max_outer
+            assert len(calls) == solves
 
     @pytest.mark.parametrize("setup_name", ["heat8", "quasi8"])
     def test_no_trial_side_solve_or_sparse_product(self, setup_name, request, monkeypatch):
@@ -333,8 +330,8 @@ class TestRunInexactUzawa:
         assert calls == []
 
     def test_linear_solve_needs_no_flux(self, heat8, monkeypatch):
-        # for a constant mu the test side runs in joint modes: the solve
-        # builds no gradient maps and evaluates no flux
+        # for a constant mu the test side runs in the modes of R_X: the
+        # solve builds no gradient maps and evaluates no flux
         def refuse(*args):
             raise AssertionError("called on the constant-mu path")
 
@@ -346,17 +343,41 @@ class TestRunInexactUzawa:
         )
         assert len(trace.k) == 4
 
-    def test_joint_modes_guarded(self, heat8, monkeypatch):
-        # S O is the largest dense array of the constant-mu solve: a limit
-        # one byte below it refuses the solve by name
-        ctx = heat8.ctx
-        ctx.modes
-        n = heat8.pair.dim_t_Y
-        assert n**2 > max(heat8.pair.dim_t_X, heat8.pair.dim_x) ** 2
-        monkeypatch.setattr(core_linalg, "MAX_DENSE_BYTES", 8 * n**2 - 1)
-        cfg = uz.make_config(heat8.bundle, tol=0.0, max_outer=2)
-        with pytest.raises(PsaddleError, match=r"dense array JointModes\.SO of shape"):
-            uz.run_inexact_uzawa(heat8.rhs, heat8.pair, heat8.op_Y, heat8.op_X, ctx, cfg)
+    def test_linear_solve_asks_no_temporal_test_square(self, monkeypatch):
+        # no dense array of order dim_t_Y^2 is asked for, besides the
+        # context's inverse of M_t^Y, built first, which every R_Y solve
+        # shares; the modes are built within the solve, so the hook sees them
+        problem = sy.heat_problem()
+        s = sy.Discretization(default_pair(8, 8), problem.mu, problem.data)
+        s.ctx.inv_M_t_Y, s.ctx.inv_A_x
+        shapes = []
+
+        def recording(name, shape, orig=core_linalg.check_dense_size):
+            shapes.append(shape)
+            orig(name, shape)
+
+        for module in (uz, riesz):
+            monkeypatch.setattr(module, "check_dense_size", recording)
+        cfg = uz.make_config(s.bundle, tol=0.0, max_outer=2)
+        uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
+        assert (s.pair.dim_t_X, s.pair.dim_t_X) in shapes
+        assert max(math.prod(shape) for shape in shapes) < s.pair.dim_t_Y**2
+
+    def test_linear_solve_traced_peak(self):
+        # 512 time steps, dim_t_Y = 1024: one dense (dim_t_Y, dim_t_Y)
+        # array takes 8 MiB.  With the context's modes and inverses built
+        # first the solve peaked at 0.53 MiB; the bound refuses any such array
+        problem = sy.heat_problem()
+        s = sy.Discretization(default_pair(512, 8), problem.mu, problem.data)
+        s.ctx.modes, s.ctx.inv_M_t_Y, s.ctx.inv_A_x
+        cfg = uz.make_config(s.bundle, tol=0.0, max_outer=3)
+        tracemalloc.start()
+        try:
+            uz.run_inexact_uzawa(s.rhs, s.pair, s.op_Y, s.op_X, s.ctx, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     def test_stops_on_eta(self, heat8):
         cfg = uz.make_config(heat8.bundle, tol=1e-2, max_outer=5000, L_practical=6)
@@ -398,25 +419,6 @@ class TestRunInexactUzawa:
         assert all(tail[i + 1] <= tail[i] * (1 + 1e-9) for i in range(len(tail) - 1))
 
 
-def _pair(kind):
-    """A pair for every temporal test space the pair accepts."""
-    mesh_t, mesh_x = Mesh1D.uniform(4), Mesh1D.uniform(5)
-    if kind == "jittered":
-        rng = np.random.default_rng(5)
-        mesh_t, mesh_x = jittered_mesh(6, rng), jittered_mesh(5, rng)
-    test_t = {
-        "disc-p1": (mesh_t, DISC_P1),
-        "disc-p0": (mesh_t, DISC_P0),
-        "cont-p1": (mesh_t, CONT_P1),
-        "test-refined": (refine_times(mesh_t, 1), DISC_P1),
-        "jittered": (mesh_t, DISC_P1),
-    }[kind]
-    return assemble_matrices((mesh_t, CONT_P1), test_t, (mesh_x, CONT_P1_DIRICHLET))
-
-
-PAIR_KINDS = ["disc-p1", "disc-p0", "cont-p1", "test-refined", "jittered"]
-
-
 def _close(got, expect, rtol):
     return np.abs(got - expect).max() <= rtol * np.abs(expect).max()
 
@@ -424,14 +426,14 @@ def _close(got, expect, rtol):
 @pytest.fixture(scope="module", params=PAIR_KINDS)
 def quasi_pair(request):
     problem = sy.quasilinear_problem()
-    return sy.Discretization(_pair(request.param), problem.mu, problem.data)
+    return sy.Discretization(pair_of_kind(request.param), problem.mu, problem.data)
 
 
 @pytest.fixture(scope="module", params=PAIR_KINDS)
 def heat_pair(request):
     # mu = 2 rather than 1, so that a dropped c shows
     problem = sy.quasilinear_problem("constant", c=2.0)
-    return sy.Discretization(_pair(request.param), problem.mu, problem.data)
+    return sy.Discretization(pair_of_kind(request.param), problem.mu, problem.data)
 
 
 class TestGradientMaps:
@@ -485,7 +487,7 @@ class TestGradientMaps:
     def test_sweep_matches_coefficient_loop(self, kind):
         # test spaces that no shipped config solves on
         problem = sy.quasilinear_problem()
-        s = sy.Discretization(_pair(kind), problem.mu, problem.data)
+        s = sy.Discretization(pair_of_kind(kind), problem.mu, problem.data)
         _assert_matches_coefficient_loop(
             s, uz.make_config(s.bundle, tol=0.0, max_outer=12, L_practical=3)
         )
@@ -496,78 +498,98 @@ def test_linear_sweep_matches_coefficient_loop(kind):
     # bounded-ramp with b = 0 declares m_mu = M_mu, the registry's other
     # route to a constant mu, so the sweep takes its linear step
     problem = sy.quasilinear_problem("bounded-ramp", a=1.5, b=0.0)
-    s = sy.Discretization(_pair(kind), problem.mu, problem.data)
+    s = sy.Discretization(pair_of_kind(kind), problem.mu, problem.data)
     assert s.op_Y.mu.constant == 1.5
     _assert_matches_coefficient_loop(
         s, uz.make_config(s.bundle, tol=0.0, max_outer=12, L_practical=3)
     )
 
 
-class TestJointModes:
-    """The identities the sweep for a constant mu rests on, in joint
-    space-time modes, against the coefficient forms of the context, on
-    every temporal test space."""
+class TestRangeModes:
+    """The identities the sweep for a constant mu rests on, in the modes of
+    R_X, against the coefficient forms of the context, on every temporal
+    test space: lambda = beta C_perp + R_Y^{-1} D (W Y V^T), beta in the
+    slot `_BETA` of Y."""
 
     @staticmethod
-    def _setup(s):
-        return uz.JointModes(s.ctx), uz.TrialModes(s.op_X, s.ctx)
+    def _range_function(s, Y):
+        """R_Y^{-1} D y for y = W Y V^T, by the context's coefficient forms."""
+        return s.ctx.riesz_Y_solve(s.ctx.apply_D(s.ctx.from_modes(Y)))
 
-    @staticmethod
-    def _to_joint(jm, s, lam):
-        # Xi = (S O)^T M_t^Y Lambda M_x V inverts Lambda = S O Xi V^T, since
-        # (S O)^T M_t^Y S O = I and V^T M_x V = I; the maps hold
-        # X = Xi diag(sqrt(lam))
-        m = s.ctx.modes
-        Lam = lam.reshape(s.pair.dim_t_Y, s.pair.dim_x)
-        return jm.SO.T @ (s.pair.M_t_Y @ Lam) @ (s.pair.M_x @ m.V) * np.sqrt(m.lam)
-
-    def test_temporal_transforms(self, heat_pair):
+    def test_range_coupling(self, heat_pair, rng):
+        # D^T R_Y^{-1} D is the scaling theta/lam, zero on the kernel rows
         s = heat_pair
-        jm, _ = self._setup(s)
-        n = s.pair.dim_t_Y
-        assert _close(jm.S.T @ (s.pair.M_t_Y @ jm.S), np.eye(n), 1e-12)
-        assert _close(jm.O.T @ jm.O, np.eye(n), 1e-12)
-        m = s.ctx.modes
-        K = jm.S.T @ (s.pair.B_t @ m.W)
-        expect = np.zeros_like(K)
-        expect[np.arange(jm.p), jm.n0 + np.arange(jm.p)] = np.sqrt(m.theta[jm.n0 :])
-        assert _close(jm.O.T @ K, expect, 1e-12)
-
-    def test_kernel_is_the_constants(self, heat_pair):
-        # ker B_t has dimension 1, and its temporal mode is constant
-        s = heat_pair
-        jm, _ = self._setup(s)
-        assert jm.n0 == 1 and jm.p == s.pair.dim_t_X - 1
-        w0 = s.ctx.modes.W[:, 0]
-        assert _close(w0, np.full_like(w0, w0[0]), 1e-12)
-        assert np.abs(s.pair.B_t @ np.ones(s.pair.dim_t_X)).max() <= 1e-12
-
-    def test_norm_and_read_back(self, heat_pair, rng):
-        s = heat_pair
-        jm, _ = self._setup(s)
-        lam = rng.standard_normal(s.pair.dim_Y)
-        Xi = self._to_joint(jm, s, lam)
-        assert _close(jm.lam(Xi), lam, 1e-12)
+        rm, m = uz.RangeModes(s.ctx, s.rhs[0]), s.ctx.modes
+        n0 = m.n0
+        assert np.all(rm.Dt[:n0] == 0.0)
+        assert np.array_equal(rm.Dt[n0:], m.theta[n0:, None] / m.lam)
+        Y = rng.standard_normal(rm.shape)
+        lam = self._range_function(s, Y)
+        assert _close(rm.apply_Dt(Y), s.ctx.to_modes(s.ctx.apply_Dt(lam)), 1e-12)
+        # ||R_Y^{-1} D y||_Y^2 = sum (theta/lam) Y^2
         expect = s.ctx.norm_Y(lam) ** 2
-        assert abs(jm.norm2(Xi) - expect) <= 1e-12 * expect
+        assert abs(float(np.vdot(Y, rm.Dt * Y)) - expect) <= 1e-12 * expect
+        # the representer of D u is Z off the kernel rows, with beta = 0
+        Z = rng.standard_normal(rm.shape)
+        assert rm.representer_of_D(Z)[uz._BETA] == 0.0
+        assert _close(rm.lam(rm.representer_of_D(Z)), self._range_function(s, Z), 1e-12)
 
-    def test_representers(self, heat_pair, rng):
+    def test_split_of_the_forcing(self, heat_pair):
+        # R_Y^{-1} f = C_perp + R_Y^{-1} D y_f with D^T C_perp = 0, and
+        # ||C_perp||^2 + sum (theta/lam) y_f^2 = ||R_Y^{-1} f||_Y^2
         s = heat_pair
-        jm, _ = self._setup(s)
-        h = rng.standard_normal(s.pair.dim_Y)
-        expect = self._to_joint(jm, s, s.ctx.riesz_Y_solve(h))
-        assert _close(jm.representer(h.reshape(s.pair.dim_t_Y, -1)), expect, 1e-12)
-        Z = rng.standard_normal((s.pair.dim_t_X, s.pair.dim_x))
-        u = s.ctx.from_modes(Z)
-        expect = self._to_joint(jm, s, s.ctx.riesz_Y_solve(s.ctx.apply_D(u)))
-        assert _close(jm.representer_of_D(Z), expect, 1e-12)
+        f = s.rhs[0]
+        rm = uz.RangeModes(s.ctx, f)
+        assert np.all(rm.y_f[: s.ctx.modes.n0] == 0.0)
+        r = s.ctx.riesz_Y_solve(f)
+        C_perp = r - self._range_function(s, rm.y_f)
+        Dt_r = s.ctx.apply_Dt(r)
+        assert np.abs(s.ctx.apply_Dt(C_perp)).max() <= 1e-12 * np.abs(Dt_r).max()
+        norm2 = s.ctx.norm_Y(r) ** 2
+        C_perp2 = rm.weights[uz._BETA]
+        assert abs(C_perp2 - s.ctx.norm_Y(C_perp) ** 2) <= 1e-12 * norm2
+        assert abs(C_perp2 + float(np.vdot(rm.y_f, rm.Dt * rm.y_f)) - norm2) <= 1e-12 * norm2
 
-    def test_adjoint(self, heat_pair, rng):
+    def test_no_orthogonal_part_on_disc_p0(self):
+        # B_t has full row rank on disc-P0, so D is onto and C_perp = 0
+        problem = sy.quasilinear_problem("constant", c=2.0)
+        s = sy.Discretization(pair_of_kind("disc-p0"), problem.mu, problem.data)
+        assert np.linalg.matrix_rank(s.pair.B_t.toarray()) == s.pair.dim_t_Y
+        rm = uz.RangeModes(s.ctx, s.rhs[0])
+        norm = s.ctx.norm_Y(s.ctx.riesz_Y_solve(s.rhs[0]))
+        assert math.sqrt(rm.weights[uz._BETA]) <= 1e-12 * norm
+
+    def test_zero_forcing_splits_nothing(self, heat_pair, monkeypatch):
+        # for f = 0, C_perp = 0 and y_f = 0: the set-up makes no R_Y solve,
+        # and beta, set in the slot of C_f, has weight 0 and no function
         s = heat_pair
-        jm, _ = self._setup(s)
-        lam = rng.standard_normal(s.pair.dim_Y)
-        expect = s.ctx.to_modes(s.ctx.apply_Dt(lam))
-        assert _close(jm.apply_Dt(self._to_joint(jm, s, lam)), expect, 1e-12)
+        f = np.zeros(s.pair.dim_Y)
+
+        def refuse(*args):
+            raise AssertionError("R_Y solve in the set-up")
+
+        monkeypatch.setattr(type(s.ctx), "riesz_Y_solve", refuse)
+        rm = uz.RangeModes(s.ctx, f)
+        monkeypatch.undo()
+        assert not rm.y_f.any() and rm.weights[uz._BETA] == 0.0
+        assert rm.C_f[uz._BETA] == 1.0 and np.count_nonzero(rm.C_f) == 1
+        assert rm.norm2(rm.C_f) == 0.0 and not rm.lam(rm.C_f).any()
+
+    def test_read_back_and_norm(self, heat_pair, rng):
+        # lambda = R_Y^{-1} (beta f + D (y - beta y_f)) = beta C_perp +
+        # R_Y^{-1} D y, and ||lambda||_Y^2 = beta^2 ||C_perp||^2 +
+        # sum (theta/lam) Y^2; R_Y^{-1} f has the coordinates C_f
+        s = heat_pair
+        f = s.rhs[0]
+        rm = uz.RangeModes(s.ctx, f)
+        r = s.ctx.riesz_Y_solve(f)
+        assert _close(rm.lam(rm.C_f), r, 1e-12)
+        C_perp = r - self._range_function(s, rm.y_f)
+        Y = rng.standard_normal(rm.shape)
+        expect = Y[uz._BETA] * C_perp + self._range_function(s, rm.mask * Y)
+        assert _close(rm.lam(Y), expect, 1e-12)
+        norm2 = s.ctx.norm_Y(expect) ** 2
+        assert abs(rm.norm2(Y) - norm2) <= 1e-12 * norm2
 
 
 class TestTrialModes:
